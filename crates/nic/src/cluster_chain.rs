@@ -115,6 +115,13 @@ fn testbed(spec: &ChainSpec) -> ClusterTestbed {
     tb
 }
 
+/// Smallest region either node pins; a stream that needs more gets
+/// exactly what it needs.
+const MIN_REGION: u64 = 8 << 20;
+/// Offset of the staged stream (client) and of the shuffle partitions
+/// (server) inside their regions; the result slots sit below it.
+const DATA_OFFSET: u64 = 4096;
+
 fn payload_tuples(spec: &ChainSpec) -> Vec<u64> {
     let mut rng = SimRng::seed(spec.seed ^ 0xC4A1);
     (0..spec.tuples).map(|_| rng.next_u64() % 10_000).collect()
@@ -147,14 +154,18 @@ fn finish(
 /// mismatch.
 pub fn run_filter_agg_hll(spec: &ChainSpec) -> ChainRun {
     let mut tb = testbed(spec);
-    let client = tb.pin(CLIENT, 8 << 20);
-    let server = tb.pin(SERVER, 8 << 20);
+    let stream_len = spec.tuples as u64 * 8;
+    // Every tuple may qualify, so the filter's result region is as large
+    // as the stream.
+    let result_capacity = (4u64 << 20).max(stream_len);
+    let client = tb.pin(CLIENT, MIN_REGION.max(DATA_OFFSET + stream_len));
+    let server = tb.pin(SERVER, MIN_REGION.max(result_capacity));
     tb.bring_up();
 
     let filter_target = client;
     let agg_target = client + 64;
     let hll_target = client + 128;
-    let src = client + 4096;
+    let src = client + DATA_OFFSET;
 
     tb.deploy_kernel(SERVER, Box::new(filter_agg_hll()));
     let operand = 5_000u64;
@@ -166,7 +177,8 @@ pub fn run_filter_agg_hll(spec: &ChainSpec) -> ChainRun {
             params: filter_agg_hll_params(
                 &FilterParams {
                     dest_addr: server,
-                    dest_capacity: (4 << 20) as u32,
+                    dest_capacity: u32::try_from(result_capacity)
+                        .expect("a validated spec streams at most 32 MiB"),
                     predicate: Predicate::GreaterThan,
                     operand,
                     target_address: filter_target,
@@ -284,12 +296,15 @@ pub fn run_crcverify_shuffle(spec: &ChainSpec) -> ChainRun {
         "partition count must be a power of two"
     );
     let mut tb = testbed(spec);
-    let client = tb.pin(CLIENT, 8 << 20);
-    let server = tb.pin(SERVER, 8 << 20);
+    // The client stages the stream and its 8 B CRC trailer; the server
+    // holds one partition byte per stream byte.
+    let stream_len = spec.tuples as u64 * 8;
+    let client = tb.pin(CLIENT, MIN_REGION.max(DATA_OFFSET + stream_len + 8));
+    let server = tb.pin(SERVER, MIN_REGION.max(DATA_OFFSET + stream_len));
     tb.bring_up();
 
     let verdict_target = client;
-    let src = client + 4096;
+    let src = client + DATA_OFFSET;
     let hist_addr = server;
 
     // Host reference split, sized exactly.
@@ -300,7 +315,7 @@ pub fn run_crcverify_shuffle(spec: &ChainSpec) -> ChainRun {
         split[radix_partition(v, bits)].push(v);
     }
     let mut regions: Vec<(u64, u32)> = Vec::with_capacity(split.len());
-    let mut cursor = server + 4096;
+    let mut cursor = server + DATA_OFFSET;
     for part in &split {
         regions.push((cursor, (part.len() * 8) as u32));
         cursor += (part.len() * 8) as u64;
@@ -433,6 +448,16 @@ mod tests {
             run.error_code,
             Some(strom_kernels::framework::ERR_INCONSISTENT)
         );
+    }
+
+    #[test]
+    fn streams_past_the_minimum_region_run() {
+        // 1.1 M tuples overflow an 8 MiB staging region (1 048 064 tuples
+        // after the result slots) and, at ~50 % selectivity, a 4 MiB
+        // filter result region.
+        let spec = ChainSpec::new(1_100_000, 0xB16);
+        assert_eq!(run_filter_agg_hll(&spec).payload_bytes, 1_100_000 * 8);
+        assert_eq!(run_crcverify_shuffle(&spec).payload_bytes, 1_100_000 * 8);
     }
 
     #[test]

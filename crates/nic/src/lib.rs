@@ -32,6 +32,7 @@ pub mod fault;
 pub mod kv_serve;
 pub mod pdes_cluster;
 pub mod testbed;
+mod watch;
 
 pub use cluster_chain::{run_crcverify_shuffle, run_filter_agg_hll, ChainRun, ChainSpec};
 pub use config::{NicConfig, Platform};

@@ -58,6 +58,8 @@ use crate::config::NicConfig;
 use crate::event::{Event, NodeId};
 use crate::fabric::KernelFabric;
 use crate::fault::{self, LinkFaultModel, LinkFaultState};
+pub use crate::watch::WatchId;
+use crate::watch::WatchTable;
 
 /// A small free-list of reusable frame buffers for the transmit path.
 ///
@@ -93,10 +95,6 @@ impl FramePool {
     }
 }
 
-/// Handle to a registered memory watch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WatchId(usize);
-
 /// A CPU fallback handler for RPC op-codes with no matching kernel
 /// (§5.1: "either a fallback implementation on the remote CPU is
 /// triggered (if configured a priori by the remote CPU) or an error code
@@ -117,16 +115,6 @@ pub trait CpuFallback {
         qpn: Qpn,
         params: &Bytes,
     ) -> Option<(u64, Bytes, TimeDelta)>;
-}
-
-#[derive(Debug)]
-struct Watch {
-    node: NodeId,
-    addr: u64,
-    len: u64,
-    /// Bytes of the watched range not yet written.
-    remaining: u64,
-    fired_at: Option<Time>,
 }
 
 /// Per-node NIC + host state.
@@ -391,10 +379,12 @@ pub struct ClusterTestbed {
     qp_peer: HashMap<(NodeId, Qpn), NodeId>,
     /// Completion time and outcome per (node, handle).
     completions: HashMap<(NodeId, u64), (Time, CompletionStatus)>,
+    /// How many completions have been recorded so far.
+    completions_recorded: u64,
     /// Protocol wr_id → testbed handle.
     wr_map: HashMap<(NodeId, u64), u64>,
     next_handle: u64,
-    watches: Vec<Watch>,
+    watches: WatchTable,
     /// Latest scheduled frame arrival per receiving node. The RX path is
     /// a FIFO: a short packet's smaller store-and-forward delay must not
     /// let it overtake an earlier, larger packet on the same wire.
@@ -525,9 +515,10 @@ impl ClusterTestbed {
             switch,
             qp_peer: HashMap::new(),
             completions: HashMap::new(),
+            completions_recorded: 0,
             wr_map: HashMap::new(),
             next_handle: 1,
-            watches: Vec::new(),
+            watches: WatchTable::new(n),
             last_arrival: vec![0; n],
             pool: FramePool::default(),
             trace: TraceSink::default(),
@@ -963,21 +954,14 @@ impl ClusterTestbed {
     /// Registers a watch on `[addr, addr + len)` of `node`'s memory; fires
     /// once that many bytes of the range have been DMA-written.
     pub fn add_watch(&mut self, node: NodeId, addr: u64, len: u64) -> WatchId {
-        self.watches.push(Watch {
-            node,
-            addr,
-            len,
-            remaining: len,
-            fired_at: None,
-        });
-        WatchId(self.watches.len() - 1)
+        self.watches.add(node, addr, len)
     }
 
     /// When the given watch fired (including the host's polling-detection
     /// overhead), if it has.
     pub fn watch_fired(&self, id: WatchId) -> Option<Time> {
-        self.watches[id.0]
-            .fired_at
+        self.watches
+            .fired_at(id)
             .map(|t| t + self.cfg.poll_overhead)
     }
 
@@ -1005,6 +989,14 @@ impl ClusterTestbed {
     /// How the given work request completed, once it has.
     pub fn completion_status(&self, node: NodeId, handle: u64) -> Option<CompletionStatus> {
         self.completions.get(&(node, handle)).map(|&(_, s)| s)
+    }
+
+    /// How many work requests have completed so far, on any node and with
+    /// any status. It only ever grows, so a driver polling
+    /// [`Self::completed_at`] for many handles can skip the poll while the
+    /// count stands still.
+    pub fn completion_count(&self) -> u64 {
+        self.completions_recorded
     }
 
     /// Runs until a work request completes; returns the completion time.
@@ -1306,21 +1298,8 @@ impl ClusterTestbed {
                 .phys_write(seg.paddr, &data[offset..offset + seg.len as usize]);
             offset += seg.len as usize;
         }
-        let done_at = self.queue.now();
-        // Notify watches overlapping the written range.
-        for w in &mut self.watches {
-            if w.fired_at.is_some() || w.node != node {
-                continue;
-            }
-            let start = vaddr.max(w.addr);
-            let end = (vaddr + data.len() as u64).min(w.addr + w.len);
-            if end > start {
-                w.remaining = w.remaining.saturating_sub(end - start);
-                if w.remaining == 0 {
-                    w.fired_at = Some(done_at);
-                }
-            }
-        }
+        self.watches
+            .on_write(node, vaddr, data.len() as u64, self.queue.now());
     }
 
     fn on_kernel_read_done(
@@ -1962,6 +1941,10 @@ impl ClusterTestbed {
                 if d.marked {
                     pm.ecn_marked.inc();
                 }
+                // Mirror the port's queue high-watermark into its gauge so
+                // it flows into telemetry reports alongside the counters;
+                // it only ever moves on an admission to this port.
+                pm.queue_peak.set(sw.model.counters(d.dst).queue_peak);
             }
             let arrival = (d.egress_end
                 + self.cfg.propagation
@@ -1973,13 +1956,6 @@ impl ClusterTestbed {
         if let Some(sw) = self.switch.as_mut() {
             sw.deliveries = deliveries;
             sw.drops = drops;
-            // Mirror the per-port queue high-watermarks into gauges so
-            // they flow into telemetry reports alongside the counters.
-            for p in 0..sw.port_metrics.len() {
-                sw.port_metrics[p]
-                    .queue_peak
-                    .set(sw.model.counters(p).queue_peak);
-            }
         }
     }
 
@@ -2138,6 +2114,7 @@ impl ClusterTestbed {
     /// through here, so the histograms and the `completions` map agree.
     fn finish_completion(&mut self, node: NodeId, handle: u64, at: Time, status: CompletionStatus) {
         self.completions.insert((node, handle), (at, status));
+        self.completions_recorded += 1;
         if let Some((posted, kind)) = self.post_info.remove(&(node, handle)) {
             self.lat[kind as usize].record(at.saturating_sub(posted));
         }

@@ -168,6 +168,12 @@ pub struct Switch<T> {
     /// the next round.
     rr: Vec<usize>,
     counters: Vec<SwitchPortCounters>,
+    /// Arbitration scratch, all zero between calls. `candidates` holds one
+    /// bitset row per egress port (as many words as `active` has): the
+    /// ingress ports whose FIFO head is eligible and destined there.
+    /// `active` is the bitset of egress ports whose row is non-empty.
+    candidates: Vec<u64>,
+    active: Vec<u64>,
     /// WRED marking stream; present only when `cfg.ecn` is, and drawn
     /// from only inside the probabilistic band, so deterministic
     /// configurations consume no randomness at all.
@@ -195,6 +201,8 @@ impl<T> Switch<T> {
             egress_queue: (0..cfg.ports).map(|_| VecDeque::new()).collect(),
             rr: vec![0; cfg.ports],
             counters: vec![SwitchPortCounters::default(); cfg.ports],
+            candidates: vec![0; cfg.ports * cfg.ports.div_ceil(64)],
+            active: vec![0; cfg.ports.div_ceil(64)],
             mark_rng: cfg.ecn.map(|e| SimRng::seed(e.seed)),
         }
     }
@@ -255,7 +263,119 @@ impl<T> Switch<T> {
     /// FIFO head per egress port (round-robin over ingress ports) until
     /// no grant is possible, appending the outcomes to `deliveries` and
     /// `drops` in grant order.
+    ///
+    /// The grant order is that of sweeping the egress ports in ascending
+    /// order, round after round, each taking the first eligible head in
+    /// cyclic order from its cursor. The sweep is not performed literally:
+    /// the eligible heads are sorted once into per-egress candidate sets,
+    /// only egress ports with a candidate are visited, and a pop moves
+    /// the newly exposed head into its set — so a call costs
+    /// O(ports + grants), not O(ports² × rounds).
     pub fn arbitrate(
+        &mut self,
+        now: Time,
+        deliveries: &mut Vec<Delivery<T>>,
+        drops: &mut Vec<TailDrop<T>>,
+    ) {
+        let words = self.active.len();
+        for i in 0..self.cfg.ports {
+            self.file_head(i, now);
+        }
+        // One pass over the live `active` set is one grant round. A head
+        // exposed by a pop at egress `e` joins its set at once: an egress
+        // above `e` is still ahead of this pass and sees it this round,
+        // one at or below `e` sees it on the next pass.
+        let mut from = 0;
+        loop {
+            let e = match first_set_from(&self.active, from) {
+                Some(e) => e,
+                None if from == 0 => return,
+                None => {
+                    from = 0;
+                    continue;
+                }
+            };
+            from = e + 1;
+            let row = &mut self.candidates[e * words..][..words];
+            let src = first_set_from(row, self.rr[e])
+                .or_else(|| first_set_from(row, 0))
+                .expect("an active egress has a candidate");
+            clear_bit(row, src);
+            let frame = self.ingress[src].pop_front().expect("candidates are heads");
+            self.file_head(src, now);
+            if self.candidates[e * words..][..words]
+                .iter()
+                .all(|&w| w == 0)
+            {
+                clear_bit(&mut self.active, e);
+            }
+            self.rr[e] = if src + 1 == self.cfg.ports {
+                0
+            } else {
+                src + 1
+            };
+            self.grant(now, src, e, frame, deliveries, drops);
+        }
+    }
+
+    /// Files ingress port `i`'s FIFO head, if it is eligible at `now`, into
+    /// the candidate set of the egress it is destined to.
+    fn file_head(&mut self, i: usize, now: Time) {
+        let words = self.active.len();
+        if let Some(head) = self.ingress[i].front().filter(|f| f.eligible <= now) {
+            set_bit(&mut self.candidates[head.dst * words..][..words], i);
+            set_bit(&mut self.active, head.dst);
+        }
+    }
+
+    /// Hands a granted frame to egress `e`: tail-drops it at a full queue,
+    /// otherwise admits it to the serializer (with the ECN decision).
+    fn grant(
+        &mut self,
+        now: Time,
+        src: usize,
+        e: usize,
+        frame: InFrame<T>,
+        deliveries: &mut Vec<Delivery<T>>,
+        drops: &mut Vec<TailDrop<T>>,
+    ) {
+        // Prune frames that have finished serializing; what remains is
+        // the live egress queue depth.
+        while self.egress_queue[e].front().is_some_and(|&end| end <= now) {
+            self.egress_queue[e].pop_front();
+        }
+        let occupancy = self.egress_queue[e].len();
+        if occupancy >= self.cfg.egress_capacity {
+            self.counters[e].tail_drops += 1;
+            drops.push(TailDrop {
+                src,
+                dst: e,
+                payload: frame.payload,
+            });
+            return;
+        }
+        let marked = self.mark_decision(e, occupancy);
+        let (_, egress_end) = self.egress[e].admit(now, frame.wire_bytes);
+        self.egress_queue[e].push_back(egress_end);
+        self.counters[e].frames_out += 1;
+        self.counters[e].bytes_out += frame.wire_bytes;
+        self.counters[e].queue_peak = self.counters[e].queue_peak.max(occupancy as u64 + 1);
+        if marked {
+            self.counters[e].ecn_marked += 1;
+        }
+        deliveries.push(Delivery {
+            src,
+            dst: e,
+            egress_end,
+            marked,
+            payload: frame.payload,
+        });
+    }
+
+    /// The literal egress sweep [`Self::arbitrate`] must reproduce grant
+    /// for grant — the reference of the differential test.
+    #[cfg(test)]
+    fn arbitrate_reference(
         &mut self,
         now: Time,
         deliveries: &mut Vec<Delivery<T>>,
@@ -279,37 +399,7 @@ impl<T> Switch<T> {
                 let frame = self.ingress[src].pop_front().expect("head just matched");
                 self.rr[e] = (src + 1) % self.cfg.ports;
                 granted = true;
-                // Prune frames that have finished serializing; what
-                // remains is the live egress queue depth.
-                while self.egress_queue[e].front().is_some_and(|&end| end <= now) {
-                    self.egress_queue[e].pop_front();
-                }
-                let occupancy = self.egress_queue[e].len();
-                if occupancy >= self.cfg.egress_capacity {
-                    self.counters[e].tail_drops += 1;
-                    drops.push(TailDrop {
-                        src,
-                        dst: e,
-                        payload: frame.payload,
-                    });
-                    continue;
-                }
-                let marked = self.mark_decision(e, occupancy);
-                let (_, egress_end) = self.egress[e].admit(now, frame.wire_bytes);
-                self.egress_queue[e].push_back(egress_end);
-                self.counters[e].frames_out += 1;
-                self.counters[e].bytes_out += frame.wire_bytes;
-                self.counters[e].queue_peak = self.counters[e].queue_peak.max(occupancy as u64 + 1);
-                if marked {
-                    self.counters[e].ecn_marked += 1;
-                }
-                deliveries.push(Delivery {
-                    src,
-                    dst: e,
-                    egress_end,
-                    marked,
-                    payload: frame.payload,
-                });
+                self.grant(now, src, e, frame, deliveries, drops);
             }
             if !granted {
                 return;
@@ -337,6 +427,28 @@ impl<T> Switch<T> {
             .expect("mark_rng exists iff cfg.ecn does")
             .chance(p)
     }
+}
+
+fn set_bit(words: &mut [u64], bit: usize) {
+    words[bit / 64] |= 1 << (bit % 64);
+}
+
+fn clear_bit(words: &mut [u64], bit: usize) {
+    words[bit / 64] &= !(1 << (bit % 64));
+}
+
+/// The lowest set bit at or above `start`, if any.
+fn first_set_from(words: &[u64], start: usize) -> Option<usize> {
+    let first = start / 64;
+    let mut mask = !0u64 << (start % 64);
+    for (w, &word) in words.iter().enumerate().skip(first) {
+        let hit = word & mask;
+        if hit != 0 {
+            return Some(w * 64 + hit.trailing_zeros() as usize);
+        }
+        mask = !0;
+    }
+    None
 }
 
 #[cfg(test)]
@@ -542,5 +654,109 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    /// Everything observable about a switch after a tick.
+    type Observed = (
+        Vec<(usize, usize, Time, bool, u32)>,
+        Vec<(usize, usize, u32)>,
+        Vec<usize>,
+        Vec<SwitchPortCounters>,
+        usize,
+    );
+
+    fn observe(
+        sw: &Switch<u32>,
+        deliveries: &[Delivery<u32>],
+        drops: &[TailDrop<u32>],
+    ) -> Observed {
+        (
+            deliveries
+                .iter()
+                .map(|d| (d.src, d.dst, d.egress_end, d.marked, d.payload))
+                .collect(),
+            drops.iter().map(|x| (x.src, x.dst, x.payload)).collect(),
+            sw.rr.clone(),
+            sw.counters.clone(),
+            sw.pending(),
+        )
+    }
+
+    #[test]
+    fn arbitrate_matches_the_reference_sweep_on_random_schedules() {
+        let mut rng = SimRng::seed(0x5A17_C4ED);
+        // 63/64/65 straddle the first candidate-word boundary; the random
+        // draws reach up to 70 ports.
+        let fixed_ports = [2usize, 3, 8, 17, 63, 64, 65, 70];
+        for case in 0..64usize {
+            let ports = match fixed_ports.get(case) {
+                Some(&p) => p,
+                None => rng.range(2, 71) as usize,
+            };
+            let capacity = if rng.chance(0.5) {
+                rng.range(1, 5) as usize
+            } else {
+                1024
+            };
+            let ecn = match case % 3 {
+                0 => None,
+                1 => Some(EcnConfig::step(rng.range(0, 6) as usize)),
+                _ => Some(EcnConfig {
+                    min_threshold: 0,
+                    max_threshold: rng.range(2, 40) as usize,
+                    max_mark_prob: 0.7,
+                    seed: rng.next_u64(),
+                }),
+            };
+            let mut c = cfg(ports, capacity);
+            c.ecn = ecn;
+            let mut fast = Switch::<u32>::new(c);
+            let mut slow = Switch::<u32>::new(c);
+            // A few hot egress ports make candidate sets collide.
+            let hot = rng.range(1, 4) as usize;
+            let mut now: Time = 0;
+            let mut payload = 0u32;
+            for _tick in 0..30 {
+                for _ in 0..rng.below(3 * ports as u64) {
+                    let src = rng.below(ports as u64) as usize;
+                    let dst = if rng.chance(0.6) {
+                        rng.below(hot.min(ports) as u64) as usize
+                    } else {
+                        rng.below(ports as u64) as usize
+                    };
+                    if dst == src {
+                        continue;
+                    }
+                    // Some frames are received "late", so a head can block
+                    // eligible frames behind it across ticks.
+                    let received = now + rng.below(2) * rng.below(400 * NANOS);
+                    let bytes = rng.range(64, 1_600);
+                    fast.enqueue(src, dst, bytes, received, payload);
+                    slow.enqueue(src, dst, bytes, received, payload);
+                    payload += 1;
+                }
+                now += rng.range(1, 600 * NANOS);
+                let (mut d, mut x) = (Vec::new(), Vec::new());
+                fast.arbitrate(now, &mut d, &mut x);
+                let got = observe(&fast, &d, &x);
+                let (mut d, mut x) = (Vec::new(), Vec::new());
+                slow.arbitrate_reference(now, &mut d, &mut x);
+                assert_eq!(
+                    got,
+                    observe(&slow, &d, &x),
+                    "case {case}: {ports} ports, capacity {capacity}, {ecn:?}"
+                );
+                assert!(
+                    fast.active.iter().chain(&fast.candidates).all(|&w| w == 0),
+                    "case {case}: scratch not cleared"
+                );
+            }
+            // Equal marks could still hide unequal RNG consumption.
+            assert_eq!(
+                fast.mark_rng.as_mut().map(SimRng::next_u64),
+                slow.mark_rng.as_mut().map(SimRng::next_u64),
+                "case {case}: mark RNG streams diverged"
+            );
+        }
     }
 }
