@@ -15,6 +15,7 @@
 //! experiment); the rest run exactly as without the flag.
 
 use strom_bench::{all_experiments, run_experiment, run_experiment_telemetry, Scale};
+use strom_telemetry::json::escape;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -88,13 +89,14 @@ fn main() {
     if let Some(path) = json_path {
         let mut out = String::from("{\n  \"schema\": \"strom-figures-telemetry-v1\",\n");
         out.push_str(&format!(
-            "  \"scale\": \"{scale_name}\",\n  \"reports\": {{"
+            "  \"scale\": {},\n  \"reports\": {{",
+            escape(scale_name)
         ));
         for (i, (name, json)) in telemetry.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\n\"{name}\": {}", json.trim_end()));
+            out.push_str(&format!("\n{}: {}", escape(name), json.trim_end()));
         }
         if !telemetry.is_empty() {
             out.push('\n');

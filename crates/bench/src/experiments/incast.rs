@@ -5,10 +5,9 @@
 //! control exists to pass: N senders hammer one receiver through a
 //! single egress port, with the per-sender window of outstanding 8 KiB
 //! WRITEs as the offered-load axis. Every run is a checked
-//! [`run_incast`] (survivor payloads verified byte-exact), and the
-//! tuned operating point — the one CI holds to ≈ 0 tail drops — is
-//! shared with the `wire_micro` binary via [`spec`] so `BENCH_wire.json`
-//! and these figures measure the same runs.
+//! [`run_incast`] (survivor payloads verified byte-exact); the tuned
+//! operating point is the one the tests below hold to zero tail drops
+//! and zero QP errors.
 
 use strom_nic::cluster_incast::{run_incast, run_incast_instrumented, IncastOutcome, IncastSpec};
 use strom_nic::SwitchParams;
@@ -20,16 +19,16 @@ use strom_telemetry::TelemetryReport;
 use super::Scale;
 
 /// Sender counts on the survival curve (the receiver is one more node).
-pub const SENDER_COUNTS: [usize; 3] = [4, 8, 16];
+const SENDER_COUNTS: [usize; 3] = [4, 8, 16];
 
 /// The tuned operating point's per-sender window: deep enough that the
 /// aggregate overloads the egress port (so ECN marking and rate cuts
 /// engage), shallow enough that the line-rate burst in flight before the
 /// first CNPs land fits the switch buffer even at N = 16.
-pub const TUNED_WINDOW: usize = 2;
+const TUNED_WINDOW: usize = 2;
 
 /// Offered-load axis: per-sender windows swept by the latency figure.
-pub fn windows(scale: Scale) -> Vec<usize> {
+fn windows(scale: Scale) -> Vec<usize> {
     match scale {
         Scale::Quick => vec![1, 2, 4, 8],
         Scale::Full => vec![1, 2, 4, 8, 16],
@@ -53,9 +52,8 @@ fn congested_switch(cc: bool, seed: u64) -> SwitchParams {
     }
 }
 
-/// The spec for one incast point. Shared with the `wire_micro` binary so
-/// `BENCH_wire.json` and the figure report measure the same runs.
-pub fn spec(senders: usize, window: usize, scale: Scale, cc: bool) -> IncastSpec {
+/// The spec for one incast point.
+fn spec(senders: usize, window: usize, scale: Scale, cc: bool) -> IncastSpec {
     let mut spec = IncastSpec::new(senders, window, 0x1CA_5000 + senders as u64);
     spec.messages_per_sender = match scale {
         Scale::Quick => 12,
@@ -72,7 +70,7 @@ pub fn spec(senders: usize, window: usize, scale: Scale, cc: bool) -> IncastSpec
 
 /// The elephant/mice fairness point: two elephants at `boost`× the
 /// window and data volume of six mice, same congested fabric.
-pub fn fairness_spec(boost: usize, scale: Scale, cc: bool) -> IncastSpec {
+fn fairness_spec(boost: usize, scale: Scale, cc: bool) -> IncastSpec {
     let mut spec = spec(8, 2, scale, cc);
     spec.seed ^= 0xE1E;
     spec.elephants = 2;
@@ -226,5 +224,16 @@ mod tests {
             "p999 = {} us exceeds the retransmit timeout",
             p999 / MICROS
         );
+    }
+
+    /// Survival at scale: every fan-in on the survival curve completes at
+    /// the tuned window without a single QP going terminal.
+    #[test]
+    fn tuned_window_survives_every_fan_in() {
+        for n in SENDER_COUNTS {
+            let out = run_incast(&spec(n, TUNED_WINDOW, Scale::Quick, true));
+            assert_eq!(out.qp_errors, 0, "N={n}");
+            assert!(out.p999_ps.is_some(), "N={n}: completions recorded");
+        }
     }
 }

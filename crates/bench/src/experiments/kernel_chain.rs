@@ -12,10 +12,6 @@
 //! shows the in-band `ERR_*` sentinel path: a flipped payload byte
 //! surfaces as `ERR_INCONSISTENT` at the client while the downstream
 //! shuffle stage is starved.
-//!
-//! The two tuned points are shared with the `wire_micro` binary via
-//! [`spec`], so `BENCH_wire.json`'s `chain_*_gibps` gates and this
-//! figure measure the same runs.
 
 use strom_nic::{run_crcverify_shuffle, run_filter_agg_hll, ChainRun, ChainSpec};
 use strom_sim::report::{render_table, Figure, Series};
@@ -25,28 +21,28 @@ use super::Scale;
 
 /// Base seed; each swept point folds its tuple count in so points are
 /// independent draws.
-pub const SEED: u64 = 0xC4A1_0001;
+const SEED: u64 = 0xC4A1_0001;
 
 /// The tuple-count axis (8 B per tuple).
-pub fn tuple_counts(scale: Scale) -> Vec<usize> {
+fn tuple_counts(scale: Scale) -> Vec<usize> {
     match scale {
         Scale::Quick => vec![1_000, 4_000, 16_000],
         Scale::Full => vec![1_000, 4_000, 16_000, 64_000, 256_000],
     }
 }
 
-/// The tuned throughput point quoted in `BENCH_wire.json`: large enough
-/// that per-stream setup amortizes, small enough for a CI smoke run.
-pub fn bench_tuples(scale: Scale) -> usize {
+/// The tuned throughput point of the error-propagation table: large
+/// enough that per-stream setup amortizes, small enough for a CI smoke
+/// run.
+fn bench_tuples(scale: Scale) -> usize {
     match scale {
         Scale::Quick => 16_000,
         Scale::Full => 64_000,
     }
 }
 
-/// The spec for one swept point. Shared with `wire_micro` so the JSON
-/// gates and the figure measure the same runs.
-pub fn spec(tuples: usize) -> ChainSpec {
+/// The spec for one swept point.
+fn spec(tuples: usize) -> ChainSpec {
     ChainSpec::new(tuples, SEED ^ tuples as u64)
 }
 

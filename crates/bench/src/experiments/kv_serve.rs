@@ -16,9 +16,9 @@
 //! Every swept point is a fully verified [`run_kv_serve`]: payloads are
 //! checked end to end against the version ladder and the exactly-once
 //! PUT audit must come out clean, so the figure cannot quote latencies
-//! for a tier that corrupted data. The tuned mid-load point is shared
-//! with the `wire_micro` binary via [`spec`], so `BENCH_wire.json`'s
-//! `kv_*` gates and this figure measure the same runs.
+//! for a tier that corrupted data. The tests below hold the tuned
+//! mid-load point to its SLO ceiling and the overload point to its
+//! throughput floor.
 
 use strom_baselines::tcp_rpc::TcpRpcModel;
 use strom_nic::kv_serve::{run_kv_serve, run_kv_serve_instrumented, KvOutcome, KvSpec};
@@ -30,17 +30,17 @@ use strom_telemetry::TelemetryReport;
 use super::Scale;
 
 /// Server shards in the tier.
-pub const SERVERS: usize = 2;
+const SERVERS: usize = 2;
 /// Client nodes (each aggregates an arbitrarily large population; the
 /// arrival process, not the node count, sets the offered load).
-pub const CLIENTS: usize = 2;
+const CLIENTS: usize = 2;
 /// Base seed; each swept point folds its gap in so points are
 /// independent draws.
-pub const SEED: u64 = 0x4B5E_0001;
+const SEED: u64 = 0x4B5E_0001;
 
 /// The offered-load axis: mean inter-arrival gaps in nanoseconds,
 /// descending gap = ascending load, spanning both sides of the knee.
-pub fn gaps_ns(scale: Scale) -> Vec<u64> {
+fn gaps_ns(scale: Scale) -> Vec<u64> {
     match scale {
         Scale::Quick => vec![6_000, 3_000, 1_500, 900, 600, 400],
         Scale::Full => vec![
@@ -51,13 +51,9 @@ pub fn gaps_ns(scale: Scale) -> Vec<u64> {
 
 /// The gap of the tuned operating point: comfortably below the knee, so
 /// CI can hold its p999 to a ceiling.
-pub const TUNED_GAP_NS: u64 = 3_000;
-/// The overload point whose achieved throughput is the knee floor gate.
-pub const OVERLOAD_GAP_NS: u64 = 400;
-
-/// The spec for one swept point. Shared with `wire_micro` so the JSON
-/// gates and the figure measure the same runs.
-pub fn spec(gap_ns: u64, scale: Scale) -> KvSpec {
+const TUNED_GAP_NS: u64 = 3_000;
+/// The spec for one swept point.
+fn spec(gap_ns: u64, scale: Scale) -> KvSpec {
     let mut spec = KvSpec::new(SERVERS, CLIENTS, gap_ns * NANOS, SEED ^ gap_ns);
     spec.requests = match scale {
         Scale::Quick => 240,
@@ -69,7 +65,7 @@ pub fn spec(gap_ns: u64, scale: Scale) -> KvSpec {
 /// The bursty contrast: an MMPP process with the *same mean rate* as a
 /// Poisson process at `gap_ns`, alternating a calm phase with 3x-rate
 /// bursts. Equal offered load, fatter tail.
-pub fn bursty_spec(gap_ns: u64, scale: Scale) -> KvSpec {
+fn bursty_spec(gap_ns: u64, scale: Scale) -> KvSpec {
     let mut spec = spec(gap_ns, scale);
     // Calm at 1/3 the Poisson rate for 3/4 of the time, bursts at 3x
     // for the remaining 1/4: the time-weighted rate is 0.75/(3g) +
@@ -87,7 +83,7 @@ pub fn bursty_spec(gap_ns: u64, scale: Scale) -> KvSpec {
 }
 
 /// Sums the must-be-zero audit counters of one run.
-pub fn audit_violations(o: &KvOutcome) -> u64 {
+fn audit_violations(o: &KvOutcome) -> u64 {
     o.verify_failures
         + o.lost_puts
         + o.dup_puts
@@ -220,6 +216,21 @@ mod tests {
         assert_eq!(audit_violations(&out), 0);
         assert_eq!(out.completed, 240);
         assert!(out.p999_ps.unwrap() < 100 * strom_sim::time::MICROS);
+        // Below the knee the tier keeps up with the offered rate.
+        assert!(out.achieved_rps * 10 > out.offered_rps * 8, "{out:?}");
+    }
+
+    /// The overload point (the sweep's smallest gap) offers more than
+    /// twice what the tier can serve — the open loop really is open —
+    /// while the achieved rate proves the knee sits above a 400 krps
+    /// floor, and the audit stays clean under saturation.
+    #[test]
+    fn overload_point_saturates_above_the_throughput_floor() {
+        let gap = *gaps_ns(Scale::Quick).last().expect("nonempty sweep");
+        let out = run_kv_serve(&spec(gap, Scale::Quick));
+        assert_eq!(audit_violations(&out), 0);
+        assert!(out.offered_rps > 2 * out.achieved_rps, "{out:?}");
+        assert!(out.achieved_rps >= 400_000, "{out:?}");
     }
 
     /// The TCP baseline's knee sits earlier than StRoM's: at the tuned

@@ -18,16 +18,15 @@ use strom_sim::EcnConfig;
 use super::Scale;
 
 /// Node counts on the scaling curve.
-pub const NODE_COUNTS: [usize; 3] = [2, 4, 8];
+const NODE_COUNTS: [usize; 3] = [2, 4, 8];
 
 /// Per-link loss rate of the faulted series: high enough that every
 /// scaling point (including quick-scale N = 2, ~100 frames) actually
 /// loses frames and recovers them via retransmission.
-pub const LOSS_RATE: f64 = 0.02;
+const LOSS_RATE: f64 = 0.02;
 
-/// The spec for one scaling point. Shared with the `wire_micro` binary
-/// so `BENCH_wire.json` and the figure report measure the same runs.
-pub fn spec(nodes: usize, scale: Scale, lossy: bool) -> ShuffleSpec {
+/// The spec for one scaling point.
+fn spec(nodes: usize, scale: Scale, lossy: bool) -> ShuffleSpec {
     let values_per_node = match scale {
         Scale::Quick => 16 * 1024,
         Scale::Full => 128 * 1024,
@@ -45,30 +44,6 @@ pub fn spec(nodes: usize, scale: Scale, lossy: bool) -> ShuffleSpec {
     spec.retransmit_timeout = Some(1_000 * MICROS);
     if lossy {
         spec.fault = LinkFaultModel::bernoulli(LOSS_RATE);
-    }
-    spec
-}
-
-/// The congestion-control comparison point: the same lossy shuffle on a
-/// *shallow*-buffered fabric (32 frames — the all-to-all incast bursts
-/// well past it), with or without DCQCN. Without CC the overflow feeds
-/// tail-drop / go-back-N storms; with CC the marker holds the queue
-/// short, so both the drops and the loss-amplified retransmissions
-/// collapse. Shared with `wire_micro`, which records and gates the
-/// improvement ratio in `BENCH_wire.json`.
-pub fn cc_spec(nodes: usize, scale: Scale, cc: bool) -> ShuffleSpec {
-    let mut spec = spec(nodes, scale, true);
-    // Fixed input size regardless of scale: the pair is a gate (CI
-    // asserts the improvement ratio), so the operating point must not
-    // move between quick and full runs. ~64 KiB per flow at N = 8 keeps
-    // each egress port's incast burst far beyond the shallow buffer.
-    spec.values_per_node = 64 * 1024;
-    spec.switch.egress_capacity = 32;
-    spec.cc = cc;
-    if cc {
-        let mut ecn = EcnConfig::step(8);
-        ecn.seed = spec.seed ^ 0xECF;
-        spec.switch.ecn = Some(ecn);
     }
     spec
 }
@@ -143,6 +118,29 @@ pub fn run(scale: Scale) -> String {
 mod tests {
     use super::*;
 
+    /// The congestion-control comparison point: the same lossy shuffle on
+    /// a *shallow*-buffered fabric (32 frames — the all-to-all incast
+    /// bursts well past it), with or without DCQCN. Without CC the
+    /// overflow feeds tail-drop / go-back-N storms; with CC the marker
+    /// holds the queue short, so both the drops and the loss-amplified
+    /// retransmissions collapse.
+    fn cc_spec(nodes: usize, scale: Scale, cc: bool) -> ShuffleSpec {
+        let mut spec = spec(nodes, scale, true);
+        // Fixed input size regardless of scale: the pair is a gate, so
+        // the operating point must not move between quick and full runs.
+        // ~64 KiB per flow at N = 8 keeps each egress port's incast burst
+        // far beyond the shallow buffer.
+        spec.values_per_node = 64 * 1024;
+        spec.switch.egress_capacity = 32;
+        spec.cc = cc;
+        if cc {
+            let mut ecn = EcnConfig::step(8);
+            ecn.seed = spec.seed ^ 0xECF;
+            spec.switch.ecn = Some(ecn);
+        }
+        spec
+    }
+
     /// The acceptance bar for the CC comparison pair: on the shallow
     /// fabric at 2% loss, enabling DCQCN cuts both switch tail drops and
     /// retransmissions at least 5×.
@@ -162,5 +160,18 @@ mod tests {
             off.retransmissions,
             on.retransmissions
         );
+    }
+
+    /// Every lossy scaling point actually loses frames and recovers them:
+    /// a point that never retransmitted would quote a clean-fabric number
+    /// under the "2% loss" label.
+    #[test]
+    fn lossy_points_exercise_recovery() {
+        for n in NODE_COUNTS {
+            let out = run_shuffle(&spec(n, Scale::Quick, true));
+            assert!(out.aggregate_gbps > 0.0, "N={n}");
+            assert!(out.p99_rpc_ps.is_some_and(|p| p > 0), "N={n}");
+            assert!(out.retransmissions > 0, "N={n}: no frame was lost");
+        }
     }
 }

@@ -14,6 +14,5 @@
 //! for every series printed here.
 
 pub mod experiments;
-pub mod micro;
 
 pub use experiments::{all_experiments, run_experiment, run_experiment_telemetry, Scale};

@@ -3,7 +3,10 @@
 //! run at quick scale; the simulation-heavy ones are exercised by the
 //! `figures` binary and the workspace integration tests instead.
 
+use std::process::Command;
+
 use strom_bench::{all_experiments, run_experiment, Scale};
+use strom_telemetry::json::{self, Value};
 
 #[test]
 fn registry_names_are_unique_and_nonempty() {
@@ -63,6 +66,63 @@ fn fig9_overheads_are_ordered() {
     // The paper's bounds: SW ≤ +45 %, StRoM ≤ +12 %.
     assert!(sw[last] / read[last] < 1.45);
     assert!(strom[last] / read[last] < 1.12);
+}
+
+/// The telemetry export end to end: `figures --json` writes one
+/// document the workspace's own parser reads back, and each instrumented
+/// experiment's report carries the metrics its figure is explained by.
+#[test]
+fn figures_json_export_carries_every_instrumented_report() {
+    let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/figures_telemetry.json");
+    let status = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--quick", "--json", path, "fig5a", "incast", "kv-serve"])
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("figures binary runs");
+    assert!(status.success(), "figures exited with {status}");
+    let text = std::fs::read_to_string(path).expect("telemetry JSON written");
+    let doc = json::parse(&text).expect("telemetry JSON parses");
+    assert_eq!(
+        doc.str_field("schema").unwrap(),
+        "strom-figures-telemetry-v1"
+    );
+    let reports = doc.field("reports").unwrap();
+    // A populated latency histogram: samples, and a tail at or above a
+    // nonzero median.
+    let populated = |h: &Value| {
+        let (p50, p999) = (h.u64_field("p50").unwrap(), h.u64_field("p999").unwrap());
+        h.u64_field("count").unwrap() > 0 && p999 >= p50 && p50 > 0
+    };
+
+    let fig5a = reports.field("fig5a").unwrap();
+    assert_eq!(fig5a.str_field("schema").unwrap(), "strom-telemetry-v1");
+    let hists = fig5a.field("histograms").unwrap();
+    assert!(populated(hists.field("latency.write_ps").unwrap()));
+    let counters = fig5a.field("counters").unwrap();
+    assert!(counters.u64_field("sim.events_dispatched").unwrap() > 0);
+    assert!(fig5a.field("trace").unwrap().u64_field("emitted").unwrap() > 0);
+
+    // The incast report exports the switch's per-port telemetry: queue-
+    // depth high watermarks and ECN mark counters. Port 0 is the incast
+    // receiver's egress.
+    let incast = reports.field("incast").unwrap();
+    let gauges = incast.field("gauges").unwrap();
+    let counters = incast.field("counters").unwrap();
+    assert!(gauges.u64_field("switch.port0.queue_peak").unwrap() > 0);
+    assert!(counters.u64_field("switch.port0.ecn_marked").unwrap() > 0);
+    assert_eq!(counters.u64_field("switch.port0.tail_drops").unwrap(), 0);
+
+    // The kv-serve report exports per-op latency histograms from the
+    // tuned operating point's instrumented run.
+    let kv = reports
+        .field("kv-serve")
+        .unwrap()
+        .field("histograms")
+        .unwrap();
+    for op in ["get", "put", "traversal"] {
+        let h = kv.field(&format!("kv_{op}_latency_ps")).unwrap();
+        assert!(populated(h), "{op}");
+    }
 }
 
 /// Extracts the numeric cells of the series whose label starts with

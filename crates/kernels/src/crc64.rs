@@ -13,8 +13,7 @@
 //! serial across blocks, there is simply more table lookup per step; the
 //! simulator's consistency-kernel and software-baseline experiments hash
 //! megabytes, so the constant factor matters. The byte-at-a-time loop is
-//! kept as [`crc64_reference`] for differential tests and the `wire_micro`
-//! bench.
+//! kept as [`crc64_reference`] for the differential tests.
 //!
 //! [`crc64_parallel`] goes one step further for large one-shot digests:
 //! it runs four *independent* slice-by-16 recurrences over four quarters

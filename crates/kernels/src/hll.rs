@@ -91,23 +91,16 @@ impl HyperLogLog {
         self.add_item(value.to_le_bytes());
     }
 
-    /// Adds a block of `u64` values, hashing four lanes per step
-    /// ([`crate::hash::mix64_batch`]); the register scatter stays scalar
-    /// because lanes may collide on an index. Bit-identical to an
-    /// [`Self::add_u64`] loop — the hash is the same finalizer and `max`
-    /// is order-independent.
+    /// Adds a block of `u64` values ([`Self::add_u64`] per value: the
+    /// register scatter is serial, and hashing the block four lanes at a
+    /// time ahead of it measured no faster — EXPERIMENTS.md).
     pub fn add_u64_batch(&mut self, values: &[u64]) {
-        let mut hashes = [0u64; 64];
-        for block in values.chunks(64) {
-            crate::hash::mix64_batch(block, &mut hashes[..block.len()]);
-            for &h in &hashes[..block.len()] {
-                self.add_hash(h);
-            }
+        for &v in values {
+            self.add_u64(v);
         }
     }
 
-    /// Read-only register file — the differential tests compare this
-    /// against a scalar-updated sketch for bit-identity.
+    /// Read-only register file, for bit-exact sketch comparison.
     pub fn registers(&self) -> &[u8] {
         &self.registers
     }
@@ -230,22 +223,6 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a.estimate(), ab.estimate(), "merge must equal union");
-    }
-
-    #[test]
-    fn batch_updates_are_bit_identical_to_scalar() {
-        let values: Vec<u64> = (0..10_000u64)
-            .map(|i| i.wrapping_mul(0x2545_F491_4F6C_DD1D))
-            .collect();
-        for len in [0usize, 1, 3, 63, 64, 65, 1000, 10_000] {
-            let mut batched = HyperLogLog::new(12);
-            let mut scalar = HyperLogLog::new(12);
-            batched.add_u64_batch(&values[..len]);
-            for &v in &values[..len] {
-                scalar.add_u64(v);
-            }
-            assert_eq!(batched.registers(), scalar.registers(), "len = {len}");
-        }
     }
 
     #[test]

@@ -102,8 +102,7 @@ impl HllKernel {
             input = &joined;
         }
         let whole = input.len() / 8 * 8;
-        // Decode a block of tuples, then hash it four lanes at a time —
-        // bit-identical to the per-item path (see hll differential tests).
+        // Decode and add a block of tuples at a time.
         let mut block = [0u64; 64];
         for run in input[..whole].chunks(64 * 8) {
             let n = run.len() / 8;

@@ -28,88 +28,30 @@ pub fn radix_partition(value: u64, bits: u32) -> usize {
     (value & ((1u64 << bits) - 1)) as usize
 }
 
-use crate::simd::U64x4;
-use crate::simd_dispatch;
-
-simd_dispatch! {
-    /// Partition ids for a block of values, four lanes per step — the
-    /// shuffle kernel computes ids for a whole burst before the (serial)
-    /// buffer appends. Bit-identical to a [`radix_partition`] loop
-    /// ([`radix_partition_batch_reference`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn radix_partition_batch(values: &[u64], bits: u32, out: &mut [u32]) {
-        assert_eq!(values.len(), out.len(), "in/out length mismatch");
-        let mask = U64x4::splat((1u64 << bits) - 1);
-        let mut i = 0;
-        while i + 4 <= values.len() {
-            let p = U64x4::load(&values[i..]).and(mask).to_array();
-            for j in 0..4 {
-                out[i + j] = p[j] as u32;
-            }
-            i += 4;
-        }
-        for j in i..values.len() {
-            out[j] = radix_partition(values[j], bits) as u32;
-        }
-    }
-}
-
-/// Scalar-loop reference for [`radix_partition_batch`].
+/// Partition ids for a block of values — the shuffle kernel computes
+/// ids for a whole burst before the (serial) buffer appends. A plain
+/// [`radix_partition`] loop: the compiler vectorizes the mask-and-narrow
+/// itself, and the hand-written four-lane variant measured slower
+/// (EXPERIMENTS.md).
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
-pub fn radix_partition_batch_reference(values: &[u64], bits: u32, out: &mut [u32]) {
+pub fn radix_partition_batch(values: &[u64], bits: u32, out: &mut [u32]) {
     assert_eq!(values.len(), out.len(), "in/out length mismatch");
     for (o, &v) in out.iter_mut().zip(values) {
         *o = radix_partition(v, bits) as u32;
     }
 }
 
-simd_dispatch! {
-    /// Histogram of partition occupancy: `counts[pid] += 1` for every
-    /// value. Four interleaved sub-histograms break the store-to-load
-    /// dependency of the naive loop ([`radix_histogram_reference`]);
-    /// results are identical because addition commutes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts` is shorter than `1 << bits`.
-    pub fn radix_histogram(values: &[u64], bits: u32, counts: &mut [u64]) {
-        let parts = 1usize << bits;
-        assert!(counts.len() >= parts, "counts must cover 1 << bits partitions");
-        let mut sub = vec![0u64; 4 * parts];
-        let (s0, rest) = sub.split_at_mut(parts);
-        let (s1, rest) = rest.split_at_mut(parts);
-        let (s2, s3) = rest.split_at_mut(parts);
-        let mask = U64x4::splat((1u64 << bits) - 1);
-        let mut i = 0;
-        while i + 4 <= values.len() {
-            let p = U64x4::load(&values[i..]).and(mask).to_array();
-            s0[p[0] as usize] += 1;
-            s1[p[1] as usize] += 1;
-            s2[p[2] as usize] += 1;
-            s3[p[3] as usize] += 1;
-            i += 4;
-        }
-        for &v in &values[i..] {
-            s0[radix_partition(v, bits)] += 1;
-        }
-        for pid in 0..parts {
-            counts[pid] += s0[pid] + s1[pid] + s2[pid] + s3[pid];
-        }
-    }
-}
-
-/// Naive one-counter-array reference for [`radix_histogram`].
+/// Histogram of partition occupancy: `counts[pid] += 1` for every value
+/// (four interleaved sub-histograms measured no faster than this one
+/// counter array — EXPERIMENTS.md).
 ///
 /// # Panics
 ///
 /// Panics if `counts` is shorter than `1 << bits`.
-pub fn radix_histogram_reference(values: &[u64], bits: u32, counts: &mut [u64]) {
+pub fn radix_histogram(values: &[u64], bits: u32, counts: &mut [u64]) {
     assert!(
         counts.len() >= (1usize << bits),
         "counts must cover 1 << bits partitions"
@@ -168,33 +110,24 @@ mod tests {
     }
 
     #[test]
-    fn batch_ids_match_scalar_at_every_width() {
-        let values: Vec<u64> = (0..29u64)
-            .map(|i| i.wrapping_mul(0x0123_4567_89ab))
-            .collect();
-        for len in 0..=values.len() {
-            for bits in [0u32, 1, 4, 10] {
-                let mut fast = vec![0u32; len];
-                let mut slow = vec![0u32; len];
-                radix_partition_batch(&values[..len], bits, &mut fast);
-                radix_partition_batch_reference(&values[..len], bits, &mut slow);
-                assert_eq!(fast, slow, "len = {len}, bits = {bits}");
-            }
-        }
-    }
-
-    #[test]
-    fn histogram_matches_reference() {
+    fn batch_and_histogram_agree_with_the_per_value_hash() {
         let values: Vec<u64> = (0..1003u64)
             .map(|i| i.wrapping_mul(0x5851_F42D_4C95_7F2D))
             .collect();
         for bits in [0u32, 3, 8, 10] {
-            let mut fast = vec![0u64; 1 << bits];
-            let mut slow = vec![0u64; 1 << bits];
-            radix_histogram(&values, bits, &mut fast);
-            radix_histogram_reference(&values, bits, &mut slow);
-            assert_eq!(fast, slow, "bits = {bits}");
-            assert_eq!(fast.iter().sum::<u64>(), values.len() as u64);
+            let mut pids = vec![0u32; values.len()];
+            radix_partition_batch(&values, bits, &mut pids);
+            let mut counts = vec![0u64; 1 << bits];
+            radix_histogram(&values, bits, &mut counts);
+            assert_eq!(counts.iter().sum::<u64>(), values.len() as u64);
+            for (pid, &count) in counts.iter().enumerate() {
+                let members = pids.iter().filter(|&&p| p as usize == pid).count();
+                assert_eq!(count, members as u64, "bits = {bits}, pid = {pid}");
+            }
+            assert!(values
+                .iter()
+                .zip(&pids)
+                .all(|(&v, &p)| radix_partition(v, bits) == p as usize));
         }
     }
 

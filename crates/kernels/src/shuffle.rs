@@ -177,9 +177,9 @@ impl ShuffleKernel {
             joined = Vec::new();
         }
         let whole = input.len() / 8 * 8;
-        // Compute partition ids for a whole block with the vector radix
-        // scan, then run the (serial) on-chip buffer appends — identical
-        // order and results to the per-value loop.
+        // Compute partition ids for a whole block, then run the (serial)
+        // on-chip buffer appends — identical order and results to the
+        // per-value loop.
         let mut block = [0u64; 64];
         let mut pids = [0u32; 64];
         for run in input[..whole].chunks(64 * 8) {

@@ -20,9 +20,12 @@
 //!
 //! **Differential-reference policy** (same as [`crate::crc64::crc64_reference`]):
 //! every vectorized routine keeps its naive scalar implementation as a
-//! separately-compiled reference, and unit tests plus `wire_micro` assert
-//! bit-identical outputs at every width, including the scalar fallback
-//! path. The lane types never change results — only schedules.
+//! separately-compiled reference, and unit tests assert bit-identical
+//! outputs at every width, including the scalar fallback path. The lane
+//! types never change results — only schedules. A lane variant that does
+//! not measurably beat its reference is deleted, not kept at parity
+//! (EXPERIMENTS.md records the HLL, Bloom and radix variants retired
+//! that way).
 
 use std::sync::OnceLock;
 
@@ -37,7 +40,7 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// The backend name recorded in `BENCH_wire.json`.
+    /// The backend's name, for reports.
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",

@@ -314,6 +314,26 @@ mod tests {
     }
 
     #[test]
+    fn gt_mask_matches_the_filter_reference_at_every_width() {
+        let values: Vec<u64> = (0..64u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let pivot = u64::MAX / 2;
+        for width in 0..=64usize {
+            assert_eq!(
+                gt_mask_le_bytes(&bytes[..width * 8], pivot),
+                crate::filter::predicate_mask_reference(
+                    &values[..width],
+                    crate::traversal::Predicate::GreaterThan,
+                    pivot
+                ),
+                "width = {width}"
+            );
+        }
+    }
+
+    #[test]
     fn matches_sort_based_reference() {
         // Pseudo-random values with duplicates; multiple block widths.
         let values: Vec<u64> = (0..5000u64)

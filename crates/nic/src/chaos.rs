@@ -13,6 +13,7 @@
 use strom_proto::{CompletionStatus, WorkRequest};
 use strom_sim::time::MICROS;
 use strom_sim::SimRng;
+use strom_telemetry::Fingerprint;
 
 use crate::config::Platform;
 use crate::fault::{LinkFaultModel, LossModel};
@@ -117,17 +118,6 @@ pub struct ChaosOutcome {
     pub crc_dropped: u64,
     /// Frames lost by the fault model.
     pub frames_lost: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// Runs the chaos soak scenario and verifies every byte against the
@@ -235,11 +225,11 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosOutcome {
 
     let status = [tb.status(CLIENT), tb.status(SERVER)];
     let retransmissions = tb.retransmissions(CLIENT);
-    let mut fp = FNV_OFFSET;
-    fp = fnv_fold(fp, &remote_image);
-    fp = fnv_fold(fp, &local_image);
-    fp = fnv_fold(fp, &retransmissions.to_le_bytes());
-    fp = fnv_fold(fp, &elapsed_ps.to_le_bytes());
+    let mut fp = Fingerprint::new();
+    fp.bytes(&remote_image)
+        .bytes(&local_image)
+        .word(retransmissions)
+        .word(elapsed_ps);
     for s in &status {
         for v in [
             s.frames_lost,
@@ -248,11 +238,11 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosOutcome {
             s.frames_duplicated,
             s.timeouts,
         ] {
-            fp = fnv_fold(fp, &v.to_le_bytes());
+            fp.word(v);
         }
     }
     ChaosOutcome {
-        fingerprint: fp,
+        fingerprint: fp.value(),
         ops: ops.len() as u64,
         bytes_moved,
         elapsed_ps,

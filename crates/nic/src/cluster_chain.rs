@@ -26,6 +26,7 @@ use strom_kernels::{AggregateParams, FilterParams};
 use strom_proto::{CompletionStatus, WorkRequest};
 use strom_sim::time::TimeDelta;
 use strom_sim::SimRng;
+use strom_telemetry::Fingerprint;
 use strom_wire::opcode::RpcOpCode;
 
 use crate::config::Platform;
@@ -38,17 +39,6 @@ const QP: u32 = 1;
 
 /// Event budget for the post-completion quiesce.
 const EVENT_BUDGET: u64 = 200_000_000;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Everything that determines one chain run.
 #[derive(Debug, Clone)]
@@ -278,10 +268,9 @@ pub fn run_filter_agg_hll(spec: &ChainSpec) -> ChainRun {
         spec.seed
     );
 
-    let mut fp = fnv_fold(FNV_OFFSET, &fs);
-    fp = fnv_fold(fp, &ag);
-    fp = fnv_fold(fp, &hs);
-    finish(&tb, data.len() as u64, elapsed_ps, fp, None)
+    let mut fp = Fingerprint::new();
+    fp.bytes(&fs).bytes(&ag).bytes(&hs);
+    finish(&tb, data.len() as u64, elapsed_ps, fp.value(), None)
 }
 
 /// Runs the CRC-verify → shuffle chain end-to-end. On a clean stream the
@@ -375,7 +364,7 @@ pub fn run_crcverify_shuffle(spec: &ChainSpec) -> ChainRun {
         .expect("chain deployed")
         .failed();
 
-    let mut fp = FNV_OFFSET;
+    let mut fp = Fingerprint::new();
     let error_code;
     if spec.corrupt {
         // The verdict slot holds the in-band sentinel.
@@ -389,7 +378,7 @@ pub fn run_crcverify_shuffle(spec: &ChainSpec) -> ChainRun {
             spec.seed
         );
         assert!(chain_failed, "seed {}: chain must latch failure", spec.seed);
-        fp = fnv_fold(fp, &v);
+        fp.bytes(&v);
     } else {
         let v = tb.mem(CLIENT).read(verdict_target, 16);
         let (crc, len) = CrcVerifyKernel::decode_verdict(&v).expect("verdict");
@@ -405,7 +394,7 @@ pub fn run_crcverify_shuffle(spec: &ChainSpec) -> ChainRun {
             spec.seed
         );
         error_code = None;
-        fp = fnv_fold(fp, &v);
+        fp.bytes(&v);
         for (pid, &(addr, cap)) in regions.iter().enumerate() {
             let want: Vec<u8> = split[pid].iter().flat_map(|v| v.to_le_bytes()).collect();
             let got = tb.mem(SERVER).read(addr, cap as usize);
@@ -414,10 +403,16 @@ pub fn run_crcverify_shuffle(spec: &ChainSpec) -> ChainRun {
                 "seed {}: partition {pid} content mismatch",
                 spec.seed
             );
-            fp = fnv_fold(fp, &got);
+            fp.bytes(&got);
         }
     }
-    finish(&tb, payload.len() as u64, elapsed_ps, fp, error_code)
+    finish(
+        &tb,
+        payload.len() as u64,
+        elapsed_ps,
+        fp.value(),
+        error_code,
+    )
 }
 
 #[cfg(test)]

@@ -28,6 +28,7 @@ use std::path::{Path, PathBuf};
 
 use strom_sim::time::{MICROS, NANOS};
 use strom_sim::EcnConfig;
+use strom_telemetry::{json, Fingerprint};
 
 use crate::chaos::{run_chaos, ChaosSpec};
 use crate::cluster_chain::{run_crcverify_shuffle, run_filter_agg_hll, ChainSpec};
@@ -36,21 +37,6 @@ use crate::cluster_shuffle::{run_shuffle, ShuffleSpec};
 use crate::config::Platform;
 use crate::fault::LinkFaultModel;
 use crate::kv_serve::{run_kv_serve, KvSpec};
-
-mod json;
-
-pub use json::Value as JsonValue;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv_fold(mut h: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Which chained kernel pipeline a [`Workload::KernelChain`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,6 +185,12 @@ impl std::fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
+
+impl From<json::Error> for SpecError {
+    fn from(e: json::Error) -> Self {
+        SpecError::Malformed(e.0)
+    }
+}
 
 /// One scenario of the corpus: a name, a platform, a seed, and a
 /// declarative workload. Everything a run observes is a deterministic
@@ -381,7 +373,7 @@ impl ScenarioSpec {
                 }
                 spec.cc = cc;
                 let out = run_shuffle(&spec);
-                let mut fp = FNV_OFFSET;
+                let mut fp = Fingerprint::new();
                 for word in [
                     out.fingerprint.unwrap_or(0),
                     out.bytes_shuffled,
@@ -390,10 +382,10 @@ impl ScenarioSpec {
                     out.tail_drops,
                     out.retransmissions,
                 ] {
-                    fp = fnv_fold(fp, word);
+                    fp.word(word);
                 }
                 ScenarioOutcome {
-                    fingerprint: fp,
+                    fingerprint: fp.value(),
                     perf: vec![
                         ("elapsed_us", us(out.elapsed_ps)),
                         ("aggregate_gbps", out.aggregate_gbps),
@@ -426,7 +418,7 @@ impl ScenarioSpec {
                 spec.reads = reads;
                 spec.retransmit_timeout = Some(1_000 * MICROS);
                 let out = run_incast(&spec);
-                let mut fp = FNV_OFFSET;
+                let mut fp = Fingerprint::new();
                 for word in [
                     out.elapsed_ps,
                     out.p50_ps.unwrap_or(0),
@@ -438,13 +430,13 @@ impl ScenarioSpec {
                     out.retransmissions,
                     out.qp_errors as u64,
                 ] {
-                    fp = fnv_fold(fp, word);
+                    fp.word(word);
                 }
                 for &b in &out.per_sender_bytes {
-                    fp = fnv_fold(fp, b);
+                    fp.word(b);
                 }
                 ScenarioOutcome {
-                    fingerprint: fp,
+                    fingerprint: fp.value(),
                     perf: vec![
                         ("elapsed_us", us(out.elapsed_ps)),
                         ("goodput_gbps", out.goodput_gbps),
@@ -472,7 +464,7 @@ impl ScenarioSpec {
                     + out.put_errors
                     + out.lost_responses
                     + out.qp_errors as u64;
-                let mut fp = FNV_OFFSET;
+                let mut fp = Fingerprint::new();
                 for word in [
                     out.fingerprint,
                     out.elapsed_ps,
@@ -480,10 +472,10 @@ impl ScenarioSpec {
                     out.retransmissions,
                     violations,
                 ] {
-                    fp = fnv_fold(fp, word);
+                    fp.word(word);
                 }
                 ScenarioOutcome {
-                    fingerprint: fp,
+                    fingerprint: fp.value(),
                     perf: vec![
                         ("elapsed_us", us(out.elapsed_ps)),
                         ("p999_us", us(out.p999_ps.unwrap_or(0))),
@@ -500,7 +492,7 @@ impl ScenarioSpec {
                     ChainKind::FilterAggHll => run_filter_agg_hll(&spec),
                     ChainKind::CrcVerifyShuffle => run_crcverify_shuffle(&spec),
                 };
-                let mut fp = FNV_OFFSET;
+                let mut fp = Fingerprint::new();
                 for word in [
                     out.fingerprint,
                     out.payload_bytes,
@@ -508,10 +500,10 @@ impl ScenarioSpec {
                     u64::from(out.error_code.unwrap_or(0)),
                     out.retransmissions,
                 ] {
-                    fp = fnv_fold(fp, word);
+                    fp.word(word);
                 }
                 ScenarioOutcome {
-                    fingerprint: fp,
+                    fingerprint: fp.value(),
                     perf: vec![
                         ("elapsed_us", us(out.elapsed_ps)),
                         ("gib_per_sec", out.gib_per_sec),
@@ -592,7 +584,7 @@ impl ScenarioSpec {
     /// [`ScenarioSpec::to_json`]: any spec that validates round-trips
     /// exactly.
     pub fn from_json(text: &str) -> Result<ScenarioSpec, SpecError> {
-        let v = json::parse(text).map_err(SpecError::Malformed)?;
+        let v = json::parse(text)?;
         let spec = Self::from_value(&v)?;
         spec.validate()?;
         Ok(spec)
@@ -1028,12 +1020,11 @@ pub fn run_corpus_cases(cases: &[CorpusCase], scale: CorpusScale) -> CorpusRepor
     let mut results = Vec::new();
     for case in cases {
         let seeds = scale.seeds(case.spec.seed);
-        let mut fp = FNV_OFFSET;
+        let mut fp = Fingerprint::new();
         let mut first: Option<ScenarioOutcome> = None;
         for &seed in &seeds {
             let out = case.spec.run_seeded(seed);
-            fp = fnv_fold(fp, seed);
-            fp = fnv_fold(fp, out.fingerprint);
+            fp.word(seed).word(out.fingerprint);
             if first.is_none() {
                 first = Some(out);
             }
@@ -1056,7 +1047,7 @@ pub fn run_corpus_cases(cases: &[CorpusCase], scale: CorpusScale) -> CorpusRepor
         results.push(CaseResult {
             spec: case.spec.clone(),
             seeds,
-            fingerprint: fp,
+            fingerprint: fp.value(),
             golden: golden.get(&case.spec.id()).copied(),
             perf: first.perf,
             gates,

@@ -47,7 +47,7 @@ use strom_kernels::{GetKernel, GetParams, PutKernel, TraversalKernel};
 use strom_sim::arrivals::{ArrivalGen, ArrivalProcess, ZipfSampler};
 use strom_sim::time::Time;
 use strom_sim::SimRng;
-use strom_telemetry::{Histogram, MetricsRegistry};
+use strom_telemetry::{Fingerprint, Histogram, MetricsRegistry};
 use strom_wire::bth::Qpn;
 use strom_wire::opcode::RpcOpCode;
 
@@ -228,17 +228,6 @@ fn qpn_for(spec: &KvSpec, c: usize, s: usize) -> Qpn {
 /// The shard (server index) owning `key`.
 fn shard_of(key: u64, servers: usize) -> usize {
     ((key - 1) % servers as u64) as usize
-}
-
-/// FNV-1a 64-bit fold.
-fn fnv_fold(mut h: u64, words: &[u64]) -> u64 {
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
 }
 
 /// Generates the full request schedule from the spec's seed. Pure: the
@@ -493,7 +482,7 @@ pub fn run_kv_serve_instrumented(spec: &KvSpec) -> (KvOutcome, MetricsRegistry) 
     let mut lost_responses = 0u64;
     let mut verify_failures = 0u64;
     let mut last_response = t0;
-    let mut fp = 0xCBF2_9CE4_8422_2325u64;
+    let mut fp = Fingerprint::new();
     // The payload a key legitimately holds at committed version `w`.
     let pattern_at = |key: u64, w: u64| -> Vec<u8> {
         match version_nonce.get(&(key, w)) {
@@ -505,7 +494,7 @@ pub fn run_kv_serve_instrumented(spec: &KvSpec) -> (KvOutcome, MetricsRegistry) 
         let (watch, due) = watches[i];
         let Some(fired) = tb.watch_fired(watch) else {
             lost_responses += 1;
-            fp = fnv_fold(fp, &[r.op as u64, r.key, u64::MAX, 0]);
+            fp.word(r.op as u64).word(r.key).word(u64::MAX).word(0);
             continue;
         };
         let lat = fired.saturating_sub(due);
@@ -556,7 +545,7 @@ pub fn run_kv_serve_instrumented(spec: &KvSpec) -> (KvOutcome, MetricsRegistry) 
                 }
             }
         }
-        fp = fnv_fold(fp, &[r.op as u64, r.key, lat, head]);
+        fp.word(r.op as u64).word(r.key).word(lat).word(head);
     }
     for (name, h) in [
         ("kv_get_latency_ps", &per_op[0]),
@@ -603,7 +592,7 @@ pub fn run_kv_serve_instrumented(spec: &KvSpec) -> (KvOutcome, MetricsRegistry) 
         elapsed_ps,
         retransmissions: (0..tb.num_nodes()).map(|n| tb.retransmissions(n)).sum(),
         qp_errors,
-        fingerprint: fp,
+        fingerprint: fp.value(),
     };
     (outcome, metrics)
 }

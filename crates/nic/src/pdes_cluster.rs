@@ -25,7 +25,7 @@ use strom_sim::arrivals::ZipfSampler;
 use strom_sim::pdes::{Outbox, Partition, PartitionId, PdesEngine, PdesReport};
 use strom_sim::time::{Time, TimeDelta, NANOS};
 use strom_sim::{Bandwidth, LinkSerializer, SimRng};
-use strom_telemetry::PdesCounters;
+use strom_telemetry::{Fingerprint, PdesCounters};
 use strom_wire::icrc::icrc;
 
 use crate::event::NodeId;
@@ -210,12 +210,12 @@ impl ClusterPart {
 
     /// Folds an observed `(key, version)` pair into this node's digest.
     fn fold_kv(&mut self, key: u64, version: u64) {
-        let mut h = self.kv_digest ^ 0xCBF2_9CE4_8422_2325;
-        for b in key.to_le_bytes().into_iter().chain(version.to_le_bytes()) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        self.kv_digest = h;
+        // Each pair re-keys the fold with the running digest (pinned by
+        // the PDES goldens).
+        self.kv_digest = Fingerprint::resume(self.kv_digest ^ Fingerprint::new().value())
+            .word(key)
+            .word(version)
+            .value();
     }
 
     fn on_gen(&mut self, out: &mut Outbox<'_, ClusterEvent>) {
@@ -399,16 +399,16 @@ fn finish(pdes: PdesReport, parts: Vec<ClusterPart>) -> ClusterPdesReport {
         total.merge(c);
     }
     let rtt_sum = parts.iter().map(|p| p.rtt_sum).sum();
-    let mut kv_digest = 0u64;
+    let mut kv_digest = Fingerprint::resume(0);
     for p in &parts {
-        kv_digest = (kv_digest ^ p.kv_digest).wrapping_mul(0x100_0000_01b3);
+        kv_digest.mix(p.kv_digest);
     }
-    let mut digest = pdes.fingerprint;
+    let kv_digest = kv_digest.value();
+    let mut digest = Fingerprint::resume(pdes.fingerprint);
     for c in &partition_counters {
-        digest = (digest ^ c.fingerprint()).wrapping_mul(0x100_0000_01b3);
+        digest.mix(c.fingerprint());
     }
-    digest ^= rtt_sum;
-    digest ^= kv_digest;
+    let digest = digest.value() ^ rtt_sum ^ kv_digest;
     ClusterPdesReport {
         pdes,
         partition_counters,

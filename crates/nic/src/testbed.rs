@@ -377,13 +377,12 @@ pub struct ClusterTestbed {
     /// Destination node per (source node, queue pair), recorded by
     /// [`ClusterTestbed::connect_qp_between`].
     qp_peer: HashMap<(NodeId, Qpn), NodeId>,
-    /// Completion time and outcome per (node, handle).
-    completions: HashMap<(NodeId, u64), (Time, CompletionStatus)>,
+    /// One record per posted work request; handle `h` is `requests[h - 1]`.
+    requests: Vec<Request>,
     /// How many completions have been recorded so far.
     completions_recorded: u64,
     /// Protocol wr_id → testbed handle.
     wr_map: HashMap<(NodeId, u64), u64>,
-    next_handle: u64,
     watches: WatchTable,
     /// Latest scheduled frame arrival per receiving node. The RX path is
     /// a FIFO: a short packet's smaller store-and-forward delay must not
@@ -400,12 +399,19 @@ pub struct ClusterTestbed {
     lat: [HistogramHandle; 3],
     /// Wire capture (disabled until [`Testbed::enable_capture`]).
     capture: Option<PcapWriter>,
-    /// Post time and operation kind per (node, handle), consumed when the
-    /// work request completes to feed the latency histograms.
-    post_info: HashMap<(NodeId, u64), (Time, LatKind)>,
     /// Reusable buffer for [`Self::step_batch`] (zero steady-state
     /// allocation).
     batch_buf: Vec<strom_sim::Scheduled<Event>>,
+}
+
+/// What the testbed knows about one posted work request.
+#[derive(Debug, Clone, Copy)]
+struct Request {
+    node: NodeId,
+    posted: Time,
+    kind: LatKind,
+    /// Completion time and outcome, once the request has completed.
+    done: Option<(Time, CompletionStatus)>,
 }
 
 /// Work-request classes with separate completion-latency histograms.
@@ -514,10 +520,9 @@ impl ClusterTestbed {
             port_fault: vec![None; n],
             switch,
             qp_peer: HashMap::new(),
-            completions: HashMap::new(),
+            requests: Vec::new(),
             completions_recorded: 0,
             wr_map: HashMap::new(),
-            next_handle: 1,
             watches: WatchTable::new(n),
             last_arrival: vec![0; n],
             pool: FramePool::default(),
@@ -525,7 +530,6 @@ impl ClusterTestbed {
             metrics,
             lat,
             capture: None,
-            post_info: HashMap::new(),
             batch_buf: Vec::new(),
             cfg,
         }
@@ -894,11 +898,14 @@ impl ClusterTestbed {
     /// Charges the host-side costs: software post overhead, the AVX2-store
     /// pacing interval, and the MMIO latency to the Controller.
     pub fn post(&mut self, node: NodeId, qpn: Qpn, wr: WorkRequest) -> u64 {
-        let handle = self.next_handle;
-        self.next_handle += 1;
         let now = self.queue.now();
-        self.post_info
-            .insert((node, handle), (now, LatKind::of(&wr)));
+        self.requests.push(Request {
+            node,
+            posted: now,
+            kind: LatKind::of(&wr),
+            done: None,
+        });
+        let handle = self.requests.len() as u64;
         let n = &mut self.nodes[node];
         let t_store = (now + self.cfg.host_post_overhead).max(n.next_cmd_issue);
         n.next_cmd_issue = t_store + self.cfg.pcie.cmd_issue_interval;
@@ -983,12 +990,19 @@ impl ClusterTestbed {
     /// When the given work request completed (ACKed / data delivered /
     /// failed terminally).
     pub fn completed_at(&self, node: NodeId, handle: u64) -> Option<Time> {
-        self.completions.get(&(node, handle)).map(|&(t, _)| t)
+        self.completion(node, handle).map(|(t, _)| t)
     }
 
     /// How the given work request completed, once it has.
     pub fn completion_status(&self, node: NodeId, handle: u64) -> Option<CompletionStatus> {
-        self.completions.get(&(node, handle)).map(|&(_, s)| s)
+        self.completion(node, handle).map(|(_, s)| s)
+    }
+
+    /// The completion record of `handle`, if it names a request `node`
+    /// posted and that request has completed.
+    fn completion(&self, node: NodeId, handle: u64) -> Option<(Time, CompletionStatus)> {
+        let req = self.requests.get(handle.checked_sub(1)? as usize)?;
+        req.done.filter(|_| req.node == node)
     }
 
     /// How many work requests have completed so far, on any node and with
@@ -1160,7 +1174,7 @@ impl ClusterTestbed {
             Ok((wr_id, descs)) => {
                 self.wr_map.insert((node, wr_id), handle);
                 for desc in descs {
-                    self.send_descriptor(node, &desc, now);
+                    self.send_descriptor_at(node, &desc, now);
                 }
             }
             Err(strom_proto::requester::PostError::MultiQueueFull) => {
@@ -1170,7 +1184,7 @@ impl ClusterTestbed {
                 // The QP went terminal while the doorbell was in flight:
                 // complete immediately with an error instead of wedging
                 // the host, which may be blocked on this handle.
-                self.finish_completion(node, handle, now, CompletionStatus::RetryExceeded);
+                self.finish_completion(handle, now, CompletionStatus::RetryExceeded);
             }
             Err(e) => panic!("post failed on node {node}: {e}"),
         }
@@ -1280,7 +1294,7 @@ impl ClusterTestbed {
             self.record_completion(node, &c, now);
         }
         for desc in retransmit {
-            self.send_descriptor(node, &desc, now);
+            self.send_descriptor_at(node, &desc, now);
         }
         self.refresh_timer(node, qpn, now);
     }
@@ -1360,7 +1374,7 @@ impl ClusterTestbed {
             self.nodes[node].txq[qpn as usize].retain(|tx| !tx.arm_timer);
             let descs = self.nodes[node].requester.on_timeout(qpn);
             for desc in descs {
-                self.send_descriptor(node, &desc, now);
+                self.send_descriptor_at(node, &desc, now);
             }
         }
         self.schedule_check(node);
@@ -1544,10 +1558,6 @@ impl ClusterTestbed {
 
     /// Resolves a descriptor's payload (DMA-fetching host payload) and
     /// transmits the packet.
-    fn send_descriptor(&mut self, node: NodeId, desc: &PacketDescriptor, now: Time) {
-        self.send_descriptor_at(node, desc, now);
-    }
-
     fn send_descriptor_at(&mut self, node: NodeId, desc: &PacketDescriptor, now: Time) {
         let (payload, payload_ready) = match &desc.payload {
             PayloadSource::None => (Bytes::new(), now),
@@ -2105,19 +2115,19 @@ impl ClusterTestbed {
 
     fn record_completion(&mut self, node: NodeId, c: &strom_proto::Completion, at: Time) {
         if let Some(handle) = self.wr_map.remove(&(node, c.wr_id)) {
-            self.finish_completion(node, handle, at, c.status);
+            self.finish_completion(handle, at, c.status);
         }
     }
 
     /// Records a work request's outcome and feeds its post-to-completion
     /// latency into the per-kind histogram. Every completion path funnels
-    /// through here, so the histograms and the `completions` map agree.
-    fn finish_completion(&mut self, node: NodeId, handle: u64, at: Time, status: CompletionStatus) {
-        self.completions.insert((node, handle), (at, status));
+    /// through here, so the histograms and the request table agree.
+    fn finish_completion(&mut self, handle: u64, at: Time, status: CompletionStatus) {
+        let req = &mut self.requests[handle as usize - 1];
+        debug_assert!(req.done.is_none(), "handle {handle} completed twice");
+        req.done = Some((at, status));
         self.completions_recorded += 1;
-        if let Some((posted, kind)) = self.post_info.remove(&(node, handle)) {
-            self.lat[kind as usize].record(at.saturating_sub(posted));
-        }
+        self.lat[req.kind as usize].record(at.saturating_sub(req.posted));
     }
 
     fn refresh_timer(&mut self, node: NodeId, qpn: Qpn, now: Time) {

@@ -128,9 +128,9 @@ fn report_json_specs_round_trip() {
         .collect();
     let report = run_corpus_cases(&cases, CorpusScale::Quick);
     let json = report.to_json();
-    let doc = strom_nic::corpus::JsonValue::parse(&json).expect("report JSON parses");
+    let doc = strom_telemetry::json::parse(&json).expect("report JSON parses");
     let parsed = match doc.get("cases") {
-        Some(strom_nic::corpus::JsonValue::Arr(items)) => items,
+        Some(strom_telemetry::json::Value::Arr(items)) => items,
         other => panic!("cases must be an array, got {other:?}"),
     };
     assert_eq!(parsed.len(), cases.len());
@@ -142,7 +142,7 @@ fn report_json_specs_round_trip() {
     }
     assert_eq!(
         doc.get("schema"),
-        Some(&strom_nic::corpus::JsonValue::Str("strom-corpus-v1".into()))
+        Some(&strom_telemetry::json::Value::Str("strom-corpus-v1".into()))
     );
 }
 

@@ -8,6 +8,7 @@
 use strom_nic::testbed::ClusterTestbed;
 use strom_nic::{CompletionStatus, Platform, WorkRequest};
 use strom_sim::SimRng;
+use strom_telemetry::Fingerprint;
 
 const CLIENT: usize = 0;
 const SERVER: usize = 1;
@@ -23,12 +24,7 @@ struct MixOutcome {
 }
 
 fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    Fingerprint::new().bytes(bytes).value()
 }
 
 /// Runs `ops` seeded READ/WRITE ops (mixed sizes, 64 B .. 48 KiB) on a

@@ -389,4 +389,16 @@ fn completion_count_tracks_completed_handles_through_an_incast() {
         assert_eq!(tb.completion_count() - before, completed(&tb));
     }
     assert_eq!(tb.completion_count() - before, handles.len() as u64);
+    // A handle answers only for the node that posted it, and handles that
+    // were never issued (0, or past the last one) answer for nobody.
+    let (node, h) = handles[0];
+    assert!(tb.completion_status(node, h).is_some());
+    let other = node % SENDERS + 1;
+    assert_eq!(tb.completed_at(other, h), None);
+    assert_eq!(tb.completion_status(other, h), None);
+    let last = handles.iter().map(|&(_, h)| h).max().unwrap();
+    for unknown in [0, last + 1, u64::MAX] {
+        assert_eq!(tb.completed_at(node, unknown), None);
+        assert_eq!(tb.completion_status(node, unknown), None);
+    }
 }

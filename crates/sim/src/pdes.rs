@@ -57,6 +57,8 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use strom_telemetry::Fingerprint;
+
 use crate::event::{EventQueue, Scheduled};
 use crate::time::{Time, TimeDelta};
 
@@ -184,21 +186,14 @@ struct LocalEvent<E> {
     event: E,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv_mix(fp: &mut u64, v: u64) {
-    *fp = (*fp ^ v).wrapping_mul(FNV_PRIME);
-}
-
 /// Everything one partition's owning worker touches while executing.
 struct PartState<P: Partition> {
     part: P,
     queue: EventQueue<LocalEvent<P::Event>>,
     /// Private emission counter (the `seq` of the canonical key).
     emit_seq: u64,
-    /// FNV-1a over this partition's dispatch stream.
-    fp: u64,
+    /// Whole-word fold over this partition's dispatch stream.
+    fp: Fingerprint,
     dispatched: u64,
     log: Option<Vec<DispatchRecord>>,
     /// Scratch: equal-time batch being sorted into canonical order.
@@ -218,7 +213,7 @@ impl<P: Partition> PartState<P> {
             part,
             queue: EventQueue::new(),
             emit_seq: 0,
-            fp: FNV_OFFSET,
+            fp: Fingerprint::new(),
             dispatched: 0,
             log: record.then(Vec::new),
             batch: Vec::new(),
@@ -283,9 +278,7 @@ impl<P: Partition> PartState<P> {
             // order; the canonical order within a tick is (src, seq).
             batch.sort_by_key(|s| (s.event.src, s.event.seq));
             for s in batch.drain(..) {
-                fnv_mix(&mut self.fp, s.at);
-                fnv_mix(&mut self.fp, s.event.src as u64);
-                fnv_mix(&mut self.fp, s.event.seq);
+                self.fp.mix(s.at).mix(s.event.src as u64).mix(s.event.seq);
                 self.dispatched += 1;
                 if let Some(log) = &mut self.log {
                     log.push(DispatchRecord {
@@ -513,8 +506,8 @@ impl<P: Partition> PdesEngine<P> {
         for cell in self.parts {
             let st = cell.0.into_inner();
             events += st.dispatched;
-            fingerprint ^= st.fp;
-            partition_fingerprints.push(st.fp);
+            fingerprint ^= st.fp.value();
+            partition_fingerprints.push(st.fp.value());
             if let (Some(all), Some(mine)) = (&mut log, st.log) {
                 all.extend(mine);
             }
@@ -737,9 +730,7 @@ impl<P: Partition> PdesEngine<P> {
         while let Some(Reverse(entry)) = heap.pop() {
             events += 1;
             let st = self.parts[entry.dst].0.get_mut();
-            fnv_mix(&mut st.fp, entry.at);
-            fnv_mix(&mut st.fp, entry.src as u64);
-            fnv_mix(&mut st.fp, entry.seq);
+            st.fp.mix(entry.at).mix(entry.src as u64).mix(entry.seq);
             st.dispatched += 1;
             if let Some(log) = &mut st.log {
                 log.push(DispatchRecord {
@@ -859,7 +850,9 @@ mod tests {
         }
 
         fn handle(&mut self, event: u64, out: &mut Outbox<'_, u64>) {
-            self.digest = (self.digest ^ event ^ out.now()).wrapping_mul(0x100_0000_01b3);
+            self.digest = Fingerprint::resume(self.digest)
+                .mix(event ^ out.now())
+                .value();
             if self.budget == 0 {
                 return;
             }

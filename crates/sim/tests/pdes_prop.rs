@@ -10,6 +10,7 @@
 
 use strom_sim::pdes::{Outbox, Partition, PdesEngine};
 use strom_sim::SimRng;
+use strom_telemetry::Fingerprint;
 
 /// A gossip hop: carries a value to mix into the receiver's state and a
 /// remaining hop budget so every run terminates.
@@ -27,16 +28,15 @@ struct Gossip {
     n: usize,
     lookahead: u64,
     rng: SimRng,
-    /// Rolling FNV-style digest of everything this partition handled —
-    /// the per-partition "simulation state" the test compares at the end.
-    acc: u64,
+    /// Rolling digest of everything this partition handled — the
+    /// per-partition "simulation state" the test compares at the end.
+    acc: Fingerprint,
     handled: u64,
 }
 
 impl Gossip {
     fn mix(&mut self, value: u64, now: u64) {
-        self.acc = (self.acc ^ value).wrapping_mul(0x100_0000_01b3);
-        self.acc = (self.acc ^ now).wrapping_mul(0x100_0000_01b3);
+        self.acc.mix(value).mix(now);
         self.handled += 1;
     }
 }
@@ -116,7 +116,7 @@ fn build(n: usize, lookahead: u64, seed: u64) -> PdesEngine<Gossip> {
             n,
             lookahead,
             rng: SimRng::seed(seed ^ (id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            acc: 0xcbf2_9ce4_8422_2325,
+            acc: Fingerprint::new(),
             handled: 0,
         })
         .collect();

@@ -8,6 +8,8 @@
 //! [`WireCounters`] block: the datapath increments it in place and the
 //! status registers embed it verbatim.
 
+use crate::Fingerprint;
+
 /// Datapath counters one NIC maintains, exposed verbatim through the
 /// Controller's status registers (§4.3).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -106,14 +108,14 @@ impl PdesCounters {
         ]
     }
 
-    /// FNV-1a over the counter block, for cross-engine equivalence
-    /// checks.
+    /// Whole-word fold ([`Fingerprint::mix`]) over the counter block,
+    /// for cross-engine equivalence checks.
     pub fn fingerprint(&self) -> u64 {
-        let mut fp = 0xcbf2_9ce4_8422_2325u64;
+        let mut fp = Fingerprint::new();
         for (_, v) in self.entries() {
-            fp = (fp ^ v).wrapping_mul(0x100_0000_01b3);
+            fp.mix(v);
         }
-        fp
+        fp.value()
     }
 }
 

@@ -1,10 +1,21 @@
-//! A minimal JSON reader/writer for the corpus: enough of RFC 8259 to
-//! round-trip [`super::ScenarioSpec`] documents and pick fields out of
-//! `CORPUS.json` without pulling a serialization dependency into the
-//! workspace. Numbers are f64 (which is why u64 seeds travel as hex
-//! strings), strings support the standard escapes including `\uXXXX`.
+//! The workspace's one JSON reader/writer: enough of RFC 8259 to
+//! round-trip corpus scenario specs, pick fields out of `CORPUS.json`
+//! and the telemetry export, and emit every report the repo writes,
+//! without pulling a serialization dependency into the workspace.
+//! Numbers are f64 (which is why u64 seeds travel as hex strings),
+//! strings support the standard escapes including `\uXXXX`.
 
-use super::SpecError;
+/// Why a document failed to parse or a field lookup failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Error(pub String);
+
+impl std::fmt::Display for Error {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for Error {}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,12 +35,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Parses one JSON document (associated-function form of
-    /// [`parse`]).
-    pub fn parse(text: &str) -> Result<Value, String> {
-        parse(text)
-    }
-
     /// Object field lookup.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
@@ -38,27 +43,27 @@ impl Value {
         }
     }
 
-    /// A required object field ([`SpecError::Malformed`] when absent).
-    pub fn field(&self, key: &str) -> Result<&Value, SpecError> {
+    /// A required object field.
+    pub fn field(&self, key: &str) -> Result<&Value, Error> {
         self.get(key)
-            .ok_or_else(|| SpecError::Malformed(format!("missing field {key:?}")))
+            .ok_or_else(|| Error(format!("missing field {key:?}")))
     }
 
     /// A required string field.
-    pub fn str_field(&self, key: &str) -> Result<&str, SpecError> {
+    pub fn str_field(&self, key: &str) -> Result<&str, Error> {
         match self.field(key)? {
             Value::Str(s) => Ok(s),
-            other => Err(SpecError::Malformed(format!(
+            other => Err(Error(format!(
                 "field {key:?} must be a string, got {other:?}"
             ))),
         }
     }
 
     /// A required bool field.
-    pub fn bool_field(&self, key: &str) -> Result<bool, SpecError> {
+    pub fn bool_field(&self, key: &str) -> Result<bool, Error> {
         match self.field(key)? {
             Value::Bool(b) => Ok(*b),
-            other => Err(SpecError::Malformed(format!(
+            other => Err(Error(format!(
                 "field {key:?} must be a bool, got {other:?}"
             ))),
         }
@@ -66,17 +71,17 @@ impl Value {
 
     /// A required non-negative integer field (rejects fractions and
     /// anything beyond exact f64 range).
-    pub fn u64_field(&self, key: &str) -> Result<u64, SpecError> {
+    pub fn u64_field(&self, key: &str) -> Result<u64, Error> {
         match self.field(key)? {
             Value::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n < 9.0e15 => Ok(*n as u64),
-            other => Err(SpecError::Malformed(format!(
+            other => Err(Error(format!(
                 "field {key:?} must be a non-negative integer, got {other:?}"
             ))),
         }
     }
 
     /// [`Value::u64_field`] narrowed to usize.
-    pub fn usize_field(&self, key: &str) -> Result<usize, SpecError> {
+    pub fn usize_field(&self, key: &str) -> Result<usize, Error> {
         Ok(self.u64_field(key)? as usize)
     }
 }
@@ -113,13 +118,13 @@ pub fn number(v: f64) -> String {
 }
 
 /// Parses one JSON document (trailing non-whitespace is an error).
-pub fn parse(text: &str) -> Result<Value, String> {
+pub fn parse(text: &str) -> Result<Value, Error> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos).map_err(Error)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
+        return Err(Error(format!("trailing garbage at byte {pos}")));
     }
     Ok(v)
 }
@@ -297,6 +302,11 @@ mod tests {
         let s = "quote\" slash\\ tab\t newline\n unicode\u{1F600}";
         let v = parse(&escape(s)).unwrap();
         assert_eq!(v, Value::Str(s.into()));
+    }
+
+    #[test]
+    fn escape_covers_control_characters() {
+        assert_eq!(escape("a\"b\\c\nd\u{1}"), "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 
     #[test]

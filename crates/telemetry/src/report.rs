@@ -3,9 +3,11 @@
 //! The container this workspace builds in has no crates.io access, so the
 //! JSON is hand-rolled: integers, doubles, escaped strings, and objects
 //! with keys in insertion order (callers insert sorted names, so output
-//! is deterministic). The schema is versioned via the top-level
-//! `"schema"` field and validated by the CI telemetry smoke step.
+//! is deterministic); strings go through [`crate::json::escape`]. The
+//! schema is versioned via the top-level `"schema"` field and validated
+//! by the telemetry smoke test in `crates/bench/tests/smoke.rs`.
 
+use crate::json::escape;
 use crate::metrics::{Histogram, MetricsRegistry};
 use crate::trace::TraceSink;
 
@@ -43,23 +45,6 @@ pub struct TelemetryReport {
     gauges: Vec<(String, u64)>,
     histograms: Vec<(String, Histogram)>,
     trace: Option<TraceStats>,
-}
-
-/// Appends `s` as a JSON string literal.
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn push_histogram(out: &mut String, h: &Histogram) {
@@ -131,16 +116,14 @@ impl TelemetryReport {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\n  \"schema\": \"strom-telemetry-v1\",\n  \"source\": ");
-        push_json_string(&mut out, &self.source);
+        out.push_str(&escape(&self.source));
         for (section, entries) in [("counters", &self.counters), ("gauges", &self.gauges)] {
             out.push_str(&format!(",\n  \"{section}\": {{"));
             for (i, (name, value)) in entries.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str("\n    ");
-                push_json_string(&mut out, name);
-                out.push_str(&format!(": {value}"));
+                out.push_str(&format!("\n    {}: {value}", escape(name)));
             }
             if !entries.is_empty() {
                 out.push_str("\n  ");
@@ -152,9 +135,7 @@ impl TelemetryReport {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str("\n    ");
-            push_json_string(&mut out, name);
-            out.push_str(": ");
+            out.push_str(&format!("\n    {}: ", escape(name)));
             push_histogram(&mut out, h);
         }
         if !self.histograms.is_empty() {
@@ -190,6 +171,8 @@ mod tests {
             .with_registry(&reg)
             .with_trace(&sink)
             .to_json();
+        let doc = crate::json::parse(&json).expect("report is valid JSON");
+        assert_eq!(doc.str_field("source").unwrap(), "unit \"test\"");
         assert!(json.contains("\"schema\": \"strom-telemetry-v1\""));
         assert!(json.contains("\"source\": \"unit \\\"test\\\"\""));
         assert!(json.contains("\"sim.events\": 42"));
@@ -204,12 +187,5 @@ mod tests {
         assert!(json.contains("\"counters\": {}"));
         assert!(json.contains("\"histograms\": {}"));
         assert!(!json.contains("\"trace\""));
-    }
-
-    #[test]
-    fn string_escaping_covers_control_characters() {
-        let mut s = String::new();
-        push_json_string(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 }

@@ -15,7 +15,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::Time;
+use crate::{Fingerprint, Time};
 
 /// Why a frame was dropped on the receive path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,22 +161,16 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(mut h: u64, v: u64) -> u64 {
-    for byte in v.to_le_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 impl TraceEvent {
-    /// Folds the event into an FNV-1a accumulator via a stable manual
-    /// encoding (a tag word plus each field widened to `u64`), so
-    /// fingerprints are comparable across runs and platforms.
-    fn fold(&self, h: u64) -> u64 {
+    /// Folds the event into `fp` via a stable manual encoding (a tag
+    /// word plus each field widened to `u64`), so fingerprints are
+    /// comparable across runs and platforms.
+    fn fold(&self, fp: &mut Fingerprint) {
+        let mut words = |ws: &[u64]| {
+            for &w in ws {
+                fp.word(w);
+            }
+        };
         match *self {
             TraceEvent::PacketTx {
                 node,
@@ -184,71 +178,53 @@ impl TraceEvent {
                 qpn,
                 psn,
                 wire_bytes,
-            } => [
+            } => words(&[
                 1,
                 u64::from(node),
                 u64::from(opcode),
                 u64::from(qpn),
                 u64::from(psn),
                 u64::from(wire_bytes),
-            ]
-            .iter()
-            .fold(h, |h, &v| fnv(h, v)),
+            ]),
             TraceEvent::PacketRx {
                 node,
                 opcode,
                 qpn,
                 psn,
                 payload_len,
-            } => [
+            } => words(&[
                 2,
                 u64::from(node),
                 u64::from(opcode),
                 u64::from(qpn),
                 u64::from(psn),
                 u64::from(payload_len),
-            ]
-            .iter()
-            .fold(h, |h, &v| fnv(h, v)),
-            TraceEvent::PacketDrop { node, reason } => [3, u64::from(node), reason as u64]
-                .iter()
-                .fold(h, |h, &v| fnv(h, v)),
+            ]),
+            TraceEvent::PacketDrop { node, reason } => words(&[3, u64::from(node), reason as u64]),
             TraceEvent::QpTransition { qpn, from, to } => {
-                [4, u64::from(qpn), from as u64, to as u64]
-                    .iter()
-                    .fold(h, |h, &v| fnv(h, v))
+                words(&[4, u64::from(qpn), from as u64, to as u64])
             }
-            TraceEvent::Retransmit { qpn, packets } => [5, u64::from(qpn), u64::from(packets)]
-                .iter()
-                .fold(h, |h, &v| fnv(h, v)),
+            TraceEvent::Retransmit { qpn, packets } => {
+                words(&[5, u64::from(qpn), u64::from(packets)])
+            }
             TraceEvent::Backoff {
                 qpn,
                 attempts,
                 timeout,
-            } => [6, u64::from(qpn), u64::from(attempts), timeout]
-                .iter()
-                .fold(h, |h, &v| fnv(h, v)),
-            TraceEvent::DmaRead { node, vaddr, len } => [7, u64::from(node), vaddr, u64::from(len)]
-                .iter()
-                .fold(h, |h, &v| fnv(h, v)),
+            } => words(&[6, u64::from(qpn), u64::from(attempts), timeout]),
+            TraceEvent::DmaRead { node, vaddr, len } => {
+                words(&[7, u64::from(node), vaddr, u64::from(len)])
+            }
             TraceEvent::DmaWrite { node, vaddr, len } => {
-                [8, u64::from(node), vaddr, u64::from(len)]
-                    .iter()
-                    .fold(h, |h, &v| fnv(h, v))
+                words(&[8, u64::from(node), vaddr, u64::from(len)])
             }
             TraceEvent::TlbLookup {
                 vaddr,
                 len,
                 segments,
-            } => [9, vaddr, u64::from(len), u64::from(segments)]
-                .iter()
-                .fold(h, |h, &v| fnv(h, v)),
-            TraceEvent::KernelEnter { node, op } => {
-                [10, u64::from(node), op].iter().fold(h, |h, &v| fnv(h, v))
-            }
-            TraceEvent::KernelExit { node, op } => {
-                [11, u64::from(node), op].iter().fold(h, |h, &v| fnv(h, v))
-            }
+            } => words(&[9, vaddr, u64::from(len), u64::from(segments)]),
+            TraceEvent::KernelEnter { node, op } => words(&[10, u64::from(node), op]),
+            TraceEvent::KernelExit { node, op } => words(&[11, u64::from(node), op]),
         }
     }
 }
@@ -261,7 +237,7 @@ struct SinkState {
     /// Index in `ring` the next record overwrites once full.
     head: usize,
     emitted: u64,
-    fingerprint: u64,
+    fingerprint: Fingerprint,
 }
 
 impl SinkState {
@@ -272,7 +248,8 @@ impl SinkState {
             event,
         };
         self.emitted += 1;
-        self.fingerprint = event.fold(fnv(fnv(self.fingerprint, rec.seq), rec.at));
+        self.fingerprint.word(rec.seq).word(rec.at);
+        event.fold(&mut self.fingerprint);
         if self.ring.len() < self.capacity {
             self.ring.push(rec);
         } else {
@@ -301,10 +278,11 @@ struct Inner {
 /// A cloneable handle to a trace ring, or to nothing.
 ///
 /// The default sink is disabled: [`TraceSink::emit`] and
-/// [`TraceSink::set_now`] cost one branch each, which `wire_micro`
-/// measures and `BENCH_wire.json` records. Clones of an enabled sink
-/// share the same ring, which is how one testbed-wide trace collects
-/// events from the event queue, both protocol engines, and both TLBs.
+/// [`TraceSink::set_now`] cost one branch each, which the benchmark
+/// records per layer as `telemetry.trace_emit_disabled_ns` beside
+/// `telemetry.trace_emit_enabled_ns`. Clones of an enabled sink share
+/// the same ring, which is how one testbed-wide trace collects events
+/// from the event queue, both protocol engines, and both TLBs.
 ///
 /// # Examples
 ///
@@ -336,7 +314,7 @@ impl TraceSink {
                 capacity,
                 head: 0,
                 emitted: 0,
-                fingerprint: FNV_OFFSET,
+                fingerprint: Fingerprint::new(),
             }),
         })))
     }
@@ -404,8 +382,10 @@ impl TraceSink {
     pub fn fingerprint(&self) -> u64 {
         self.0
             .as_ref()
-            .map(|i| i.state.lock().expect("trace lock").fingerprint)
-            .unwrap_or(FNV_OFFSET)
+            .map_or(Fingerprint::new(), |i| {
+                i.state.lock().expect("trace lock").fingerprint
+            })
+            .value()
     }
 }
 

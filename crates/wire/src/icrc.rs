@@ -21,8 +21,7 @@
 //! move in the same direction, and on the simulator it takes the two
 //! per-frame CRC passes (TX append + RX check) off the critical path. The
 //! original byte-at-a-time loop is kept as [`icrc_reference`] — the
-//! differential property tests in `tests/prop.rs` and the `wire_micro`
-//! bench both compare against it.
+//! differential property tests in `tests/prop.rs` compare against it.
 
 /// Length of the ICRC trailer.
 pub const ICRC_LEN: usize = 4;
