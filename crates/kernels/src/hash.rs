@@ -7,7 +7,6 @@
 //! uniformity assumption.
 
 use crate::simd::U64x4;
-use crate::simd_dispatch;
 
 /// Mixes a 64-bit value (SplitMix64 finalizer).
 #[inline]
@@ -36,38 +35,6 @@ pub fn mix64_x4(x: U64x4) -> U64x4 {
         .xor(x.shr(27))
         .wrapping_mul(U64x4::splat(0x94D0_49BB_1331_11EB));
     x.xor(x.shr(31))
-}
-
-simd_dispatch! {
-    /// Hashes `values` into `out` four lanes at a time. Bit-identical to a
-    /// [`mix64`] loop (differential-tested; [`mix64_batch_reference`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn mix64_batch(values: &[u64], out: &mut [u64]) {
-        assert_eq!(values.len(), out.len(), "in/out length mismatch");
-        let mut i = 0;
-        while i + 4 <= values.len() {
-            out[i..i + 4].copy_from_slice(&mix64_x4(U64x4::load(&values[i..])).to_array());
-            i += 4;
-        }
-        for j in i..values.len() {
-            out[j] = mix64(values[j]);
-        }
-    }
-}
-
-/// Scalar-loop reference for [`mix64_batch`].
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn mix64_batch_reference(values: &[u64], out: &mut [u64]) {
-    assert_eq!(values.len(), out.len(), "in/out length mismatch");
-    for (o, &v) in out.iter_mut().zip(values) {
-        *o = mix64(v);
-    }
 }
 
 #[cfg(test)]
@@ -116,20 +83,6 @@ mod tests {
     #[test]
     fn hash_item_uses_little_endian() {
         assert_eq!(hash_item(1u64.to_le_bytes()), mix64(1));
-    }
-
-    #[test]
-    fn batch_matches_scalar_at_every_width() {
-        let values: Vec<u64> = (0..37u64)
-            .map(|i| i.wrapping_mul(0xdead_beef_cafe))
-            .collect();
-        for len in 0..=values.len() {
-            let mut fast = vec![0u64; len];
-            let mut slow = vec![0u64; len];
-            mix64_batch(&values[..len], &mut fast);
-            mix64_batch_reference(&values[..len], &mut slow);
-            assert_eq!(fast, slow, "len = {len}");
-        }
     }
 
     #[test]

@@ -1,8 +1,11 @@
-//! The testbed's discrete-event vocabulary.
+//! The testbed's discrete-event vocabulary and its one scheduling
+//! chokepoint.
 
 use bytes::Bytes;
 
 use strom_proto::WorkRequest;
+use strom_sim::time::{Time, TimeDelta};
+use strom_sim::EventQueue;
 use strom_wire::bth::Qpn;
 use strom_wire::opcode::RpcOpCode;
 
@@ -10,17 +13,33 @@ use strom_wire::opcode::RpcOpCode;
 /// for a switched cluster).
 pub type NodeId = usize;
 
-/// Everything that can happen in the simulated world.
+/// Everything that can happen in the simulated world: something on one
+/// NIC, or a switch arbitration pass.
 ///
 /// Every timer-wheel bucket and heap slot pays for the largest variant,
 /// so payloads that would bloat the enum ride behind a `Box` (the
 /// `WorkRequest` below); a test pins the whole enum to one cache line.
 #[derive(Debug)]
 pub enum Event {
+    /// An event owned by one NIC.
+    Nic {
+        /// The NIC it happens on.
+        node: NodeId,
+        /// What happens.
+        ev: NicEvent,
+    },
+    /// The cluster switch has at least one ingress frame eligible for
+    /// arbitration at this time; the wire runs a grant pass. Extra
+    /// ticks at the same instant are harmless no-ops (the first drains
+    /// every eligible frame).
+    SwitchTick,
+}
+
+/// What can happen on one NIC.
+#[derive(Debug)]
+pub enum NicEvent {
     /// A host command reached the NIC Controller (after the MMIO store).
     CmdArrive {
-        /// The issuing node.
-        node: NodeId,
         /// Queue pair of the command.
         qpn: Qpn,
         /// The work request (boxed: it is the fattest payload in the
@@ -29,11 +48,9 @@ pub enum Event {
         /// Work-request handle assigned at post time.
         handle: u64,
     },
-    /// An encoded frame finished the receiver's RX pipeline and ICRC
-    /// check and is ready for protocol processing.
+    /// An encoded frame finished the RX pipeline and ICRC check and is
+    /// ready for protocol processing.
     FrameArrive {
-        /// The receiving node.
-        node: NodeId,
         /// The raw frame bytes (parsed on arrival — bit-accurate RX).
         /// Carried as `Bytes` so fault-model duplication and the frame
         /// pool share one buffer instead of copying it.
@@ -42,8 +59,6 @@ pub enum Event {
     /// A DMA write to host memory completed (data becomes visible to CPU
     /// pollers and watches).
     DmaWriteDone {
-        /// The node whose memory was written.
-        node: NodeId,
         /// Destination virtual address.
         vaddr: u64,
         /// The bytes written.
@@ -52,8 +67,6 @@ pub enum Event {
     /// A DMA read issued by a kernel completed; the fabric routes the data
     /// back to the kernel by tag.
     KernelDmaReadDone {
-        /// The node whose kernel issued the read.
-        node: NodeId,
         /// The kernel's RPC op-code.
         op: RpcOpCode,
         /// Kernel-chosen completion tag.
@@ -63,29 +76,17 @@ pub enum Event {
         /// Read length.
         len: u32,
     },
-    /// Periodic retransmission-timer scan for one node.
-    RetransmitCheck {
-        /// The node to scan.
-        node: NodeId,
-    },
+    /// Periodic retransmission-timer scan.
+    RetransmitCheck,
     /// The paced transmit slot for one QP's queued request packets came
     /// up (DCQCN rate limiting): release the head of the queue. The
     /// per-QP deadline guard in the handler makes stale ticks no-ops.
     PacerTick {
-        /// The transmitting node.
-        node: NodeId,
         /// The rate-limited QP.
         qpn: Qpn,
     },
-    /// The cluster switch has at least one ingress frame eligible for
-    /// arbitration at this time; the testbed runs a grant pass. Extra
-    /// ticks at the same instant are harmless no-ops (the first drains
-    /// every eligible frame).
-    SwitchTick,
     /// An ARP frame arrived (network bring-up, §4.1's ARP module).
     ArpArrive {
-        /// The receiving node.
-        node: NodeId,
         /// The raw 28-byte ARP payload.
         frame: Vec<u8>,
     },
@@ -93,23 +94,96 @@ pub enum Event {
 
 impl Event {
     /// The partition that would own this event under the PDES split of
-    /// the cluster: per-node events belong to their node, switch
-    /// arbitration to the switch partition (`switch` is the partition id
-    /// the caller assigns it — conventionally the node count).
+    /// the cluster: NIC events belong to their node, switch arbitration
+    /// to the switch partition (`switch` is the partition id the caller
+    /// assigns it — conventionally the node count).
     ///
     /// This is the ownership tag the lookahead audit uses to classify a
     /// scheduled event as partition-local or cross-partition.
     pub fn owner(&self, switch: usize) -> usize {
         match self {
-            Event::CmdArrive { node, .. }
-            | Event::FrameArrive { node, .. }
-            | Event::DmaWriteDone { node, .. }
-            | Event::KernelDmaReadDone { node, .. }
-            | Event::RetransmitCheck { node }
-            | Event::PacerTick { node, .. }
-            | Event::ArpArrive { node, .. } => *node,
+            Event::Nic { node, .. } => *node,
             Event::SwitchTick => switch,
         }
+    }
+}
+
+/// What the observation-only lookahead audit saw over a run: how often
+/// the testbed scheduled an event across a partition boundary (per
+/// [`Event::owner`]), and how far into the future the nearest such event
+/// landed.
+///
+/// `min_cross_delta >= floor` with `violations == 0` is the empirical
+/// footing for the PDES engine's conservative window (DESIGN.md §15):
+/// it certifies that this workload never schedules a cross-partition
+/// event closer than the physical lookahead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LookaheadReport {
+    /// Cross-partition events scheduled while dispatching.
+    pub cross_events: u64,
+    /// Smallest observed cross-partition scheduling distance
+    /// (`u64::MAX` when no cross events were seen).
+    pub min_cross_delta: TimeDelta,
+    /// Cross-partition events scheduled closer than `floor`.
+    pub violations: u64,
+    /// The lookahead being audited against (the cable propagation
+    /// delay).
+    pub floor: TimeDelta,
+}
+
+/// Running state of the lookahead audit.
+#[derive(Debug)]
+pub(crate) struct LookaheadAudit {
+    /// Owner of the event being dispatched. Samples are taken only for
+    /// events scheduled from inside a dispatch — host-driver posts from
+    /// outside the loop have no owning partition to be "cross" from.
+    pub(crate) dispatching: Option<usize>,
+    pub(crate) report: LookaheadReport,
+}
+
+/// The event queue behind the single scheduling chokepoint: every event
+/// a NIC or the wire files goes through [`Scheduler::schedule`], so the
+/// lookahead audit sees each exactly once, tagged with [`Event::owner`].
+/// The audit is observation-only: enabled or not, the scheduled event
+/// stream is bit-identical (the chaos fingerprints pin this).
+#[derive(Debug)]
+pub(crate) struct Scheduler {
+    pub(crate) queue: EventQueue<Event>,
+    /// Partition id of the switch (= the node count).
+    pub(crate) switch_owner: usize,
+    pub(crate) audit: Option<LookaheadAudit>,
+}
+
+impl Scheduler {
+    pub(crate) fn new(switch_owner: usize) -> Self {
+        Scheduler {
+            queue: EventQueue::new(),
+            switch_owner,
+            audit: None,
+        }
+    }
+
+    /// Current simulated time.
+    pub(crate) fn now(&self) -> Time {
+        self.queue.now()
+    }
+
+    pub(crate) fn schedule(&mut self, at: Time, event: Event) {
+        if let Some(LookaheadAudit {
+            dispatching: Some(owner),
+            report,
+        }) = &mut self.audit
+        {
+            if event.owner(self.switch_owner) != *owner {
+                let delta = at.saturating_sub(self.queue.now());
+                report.cross_events += 1;
+                report.min_cross_delta = report.min_cross_delta.min(delta);
+                if delta < report.floor {
+                    report.violations += 1;
+                }
+            }
+        }
+        self.queue.schedule_at(at, event);
     }
 }
 

@@ -2,16 +2,28 @@
 //! assembled into a testbed of N nodes.
 //!
 //! This crate is the counterpart of the paper's hardware platform
-//! (Figure 1): each simulated node has host memory behind a PCIe/DMA
-//! model with an on-NIC TLB, a RoCE v2 protocol engine (the sans-IO state
-//! machines of `strom-proto` driven with pipeline timing), and a kernel
-//! fabric hosting StRoM kernels on the data path between the RoCE stack
-//! and the DMA engine (Figure 4). The default [`Testbed`] connects two
-//! such nodes back-to-back — "we directly connected two StRoM NICs to
-//! each other to remove the potential noise introduced by a switch"
-//! (§6.1) — while [`ClusterTestbed`] places N of them around a
-//! deterministic store-and-forward switch and drives multi-node
-//! workloads like the all-to-all shuffle ([`cluster_shuffle`]).
+//! (Figure 1), and it is built from the same boxes:
+//!
+//! - a `Nic` (`nic.rs`, private) is one simulated node — host memory
+//!   behind a PCIe/DMA model with an on-NIC TLB, a RoCE v2 protocol
+//!   engine (the sans-IO state machines of `strom-proto` driven with
+//!   pipeline timing), and a kernel fabric hosting StRoM kernels on the
+//!   data path between the RoCE stack and the DMA engine (Figure 4).
+//!   Its handlers see only their own state plus a borrowed context; no
+//!   NIC can name another NIC;
+//! - a `Wire` (`wire.rs`, private) is everything between NICs — link
+//!   serializers, fault injection and its RNG, frame pool, pcap capture,
+//!   and the medium: a cable or a store-and-forward switch;
+//! - [`ClusterTestbed`] ([`testbed`]) joins N `Nic`s with one `Wire` and
+//!   adds what the experimenter holds: the event queue, posted work
+//!   requests, memory watches, telemetry, the run loops.
+//!
+//! [`ClusterTestbed::new`] (alias [`Testbed`]) connects two nodes
+//! back-to-back — "we directly connected two StRoM NICs to each other to
+//! remove the potential noise introduced by a switch" (§6.1) — while
+//! [`ClusterTestbed::switched`] places N of them around a deterministic
+//! switch and drives multi-node workloads like the all-to-all shuffle
+//! ([`cluster_shuffle`]). DESIGN.md §13 has the full module map.
 //!
 //! Packets cross the simulated wire as real encoded bytes
 //! (`strom_wire::Packet::encode`/`parse`), so the full header machinery,
@@ -30,9 +42,11 @@ pub mod event;
 pub mod fabric;
 pub mod fault;
 pub mod kv_serve;
+mod nic;
 pub mod pdes_cluster;
 pub mod testbed;
 mod watch;
+mod wire;
 
 pub use cluster_chain::{run_crcverify_shuffle, run_filter_agg_hll, ChainRun, ChainSpec};
 pub use config::{NicConfig, Platform};

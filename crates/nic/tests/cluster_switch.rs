@@ -15,7 +15,7 @@
 
 use bytes::Bytes;
 
-use strom_nic::{ClusterTestbed, NicConfig, SwitchParams, Testbed, WorkRequest};
+use strom_nic::{ClusterTestbed, LinkFaultModel, NicConfig, SwitchParams, Testbed, WorkRequest};
 use strom_sim::time::{MICROS, NANOS};
 use strom_sim::{Bandwidth, EcnConfig, SimRng};
 use strom_telemetry::{DropReason, TraceEvent};
@@ -73,8 +73,8 @@ fn transparent_pair_reproduces_the_pcap_golden_fixture() {
         got, want,
         "ClusterTestbed::transparent_pair diverged from the two-host golden capture"
     );
-    // And the wrapper really is a thin alias of it.
-    let (via_wrapper, _) = short_exchange(Testbed::new(NicConfig::ten_gig()).into_cluster());
+    // And the original two-host constructor builds the same thing.
+    let (via_wrapper, _) = short_exchange(Testbed::new(NicConfig::ten_gig()));
     assert_eq!(via_wrapper, want);
 }
 
@@ -351,4 +351,53 @@ fn switched_capture_round_trips() {
         let pkt = Packet::parse(&Bytes::from(frame.clone())).expect("captured frame parses");
         assert_eq!(&pkt.encode(), frame);
     }
+}
+
+/// A QP nobody connected has no far end once there are more than two
+/// nodes: the post is refused by name — in every build profile — rather
+/// than routed to a peer guessed from the node id.
+#[test]
+#[should_panic(expected = "qpn 1 on node 2 was never connected")]
+fn posting_on_an_unconnected_qp_of_a_three_node_cluster_panics_at_the_post() {
+    let mut tb = ClusterTestbed::switched(NicConfig::ten_gig(), 3, SwitchParams::default());
+    tb.connect_qp_between(0, 1, 1);
+    let buf = tb.pin(2, 1 << 16);
+    let wr = WorkRequest::Write {
+        remote_vaddr: buf,
+        local_vaddr: buf,
+        len: 64,
+    };
+    tb.post(2, 1, wr);
+}
+
+/// Node ids ride in one byte of the IPv4 address and of every trace
+/// record, so a 257th node would share both with node 0.
+#[test]
+#[should_panic(expected = "nodes 256 apart would alias")]
+fn a_cluster_too_large_for_one_byte_node_ids_is_refused() {
+    ClusterTestbed::switched(NicConfig::ten_gig(), 257, SwitchParams::default());
+}
+
+/// `set_loss_rate` replaces *every* fault model in force: a dead-port
+/// override installed before it must not survive it.
+#[test]
+fn set_loss_rate_clears_per_port_overrides() {
+    let mut tb = Testbed::new(NicConfig::ten_gig());
+    tb.connect_qp(1);
+    tb.set_port_fault_model(1, LinkFaultModel::bernoulli(1.0));
+    tb.set_loss_rate(0.0);
+    let (src, dst) = (tb.pin(0, 1 << 16), tb.pin(1, 1 << 16));
+    let wr = WorkRequest::Write {
+        remote_vaddr: dst,
+        local_vaddr: src,
+        len: 4096,
+    };
+    let h = tb.post(0, 1, wr);
+    tb.run_until_complete(0, h);
+    tb.run_until_idle();
+    assert_eq!(
+        tb.completion_status(0, h),
+        Some(strom_nic::CompletionStatus::Success)
+    );
+    assert_eq!((tb.frames_lost(1), tb.retransmissions(0)), (0, 0));
 }

@@ -27,7 +27,7 @@ pub mod time;
 pub mod wheel;
 
 pub use arrivals::{ArrivalGen, ArrivalProcess, ZipfSampler};
-pub use event::{EventQueue, ReferenceEventQueue, Scheduled};
+pub use event::{EventQueue, Scheduled};
 pub use fifo::Fifo;
 pub use parallel::{default_workers, parallel_map};
 pub use pdes::{DispatchRecord, Outbox, Partition, PartitionId, PdesEngine, PdesReport};

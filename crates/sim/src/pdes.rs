@@ -44,9 +44,9 @@
 //! (cross sends land at least `lookahead` later), so this merge is a
 //! legal serialization. [`PdesEngine::run_reference`] executes that
 //! exact serialization one event at a time on a single global heap —
-//! the differential reference, kept for the same reason
-//! [`ReferenceEventQueue`](crate::ReferenceEventQueue) shadows the
-//! timer wheel — and must produce bit-identical dispatch logs,
+//! the differential reference, kept for the same reason the test-only
+//! `ReferenceEventQueue` of [`crate::event`] shadows the timer wheel —
+//! and must produce bit-identical dispatch logs,
 //! fingerprints, and partition states to [`PdesEngine::run`] at any
 //! worker count.
 

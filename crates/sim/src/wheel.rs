@@ -39,8 +39,8 @@
 //! reference heap. Two events only share a level-0 slot if they share an
 //! exact firing time, and a drained bucket is sorted before it is handed
 //! out — cascading from different levels may interleave arrival order
-//! inside a bucket, and the sort restores it. Equivalence with
-//! [`ReferenceEventQueue`](crate::event::ReferenceEventQueue) is
+//! inside a bucket, and the sort restores it. Equivalence with the
+//! test-only `ReferenceEventQueue` of [`crate::event`] is
 //! property-tested over randomized schedule/pop/advance interleavings.
 
 use std::collections::BinaryHeap;

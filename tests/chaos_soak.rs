@@ -86,18 +86,12 @@ fn run_chaos_ops(
 ) -> ChaosOutcome {
     let mut cfg = NicConfig::ten_gig();
     cfg.seed = seed;
-    run_chaos_ops_on(
-        Testbed::new(cfg).into_cluster(),
-        ops,
-        model,
-        seed,
-        trace_capacity,
-    )
+    run_chaos_ops_on(Testbed::new(cfg), ops, model, seed, trace_capacity)
 }
 
 /// [`run_chaos_ops`] on a caller-supplied cluster geometry — the N=2
 /// smoke test drives the same workload through
-/// [`ClusterTestbed::transparent_pair`] and the [`Testbed`] wrapper and
+/// [`ClusterTestbed::transparent_pair`] and [`Testbed::new`] and
 /// compares the outcomes bit for bit.
 fn run_chaos_ops_on(
     mut tb: ClusterTestbed,
@@ -794,7 +788,7 @@ fn dead_port_retry_exhaustion_is_isolated_to_that_port() {
 }
 
 /// The N=2 cluster geometries — the raw transparent pair and the
-/// [`Testbed`] wrapper — reproduce the two-host chaos soak bit for bit:
+/// original [`Testbed::new`] — reproduce the two-host chaos soak bit for bit:
 /// memory images, retransmission counts, status registers, metrics, and
 /// the telemetry trace fingerprint.
 #[test]
