@@ -21,6 +21,8 @@
 //! computation is *real* — only CPU time is modeled, using per-byte and
 //! per-item costs calibrated to the paper's reported overheads.
 
+#![forbid(unsafe_code)]
+
 pub mod cpu_hll;
 pub mod cpu_partition;
 pub mod onesided;

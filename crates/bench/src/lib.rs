@@ -13,6 +13,8 @@
 //! `EXPERIMENTS.md` at the repository root records paper-versus-measured
 //! for every series printed here.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 
 pub use experiments::{all_experiments, run_experiment, run_experiment_telemetry, Scale};

@@ -37,6 +37,8 @@
 //! [`simd`] layer that vectorizes the hot loops while keeping scalar
 //! references for differential testing.
 
+#![deny(unsafe_code)]
+
 pub mod aggregate;
 pub mod bloom;
 pub mod chains;

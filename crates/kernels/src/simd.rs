@@ -87,6 +87,7 @@ macro_rules! simd_dispatch {
             fn body($($arg: $ty),*) $(-> $ret)? $body
 
             #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
             {
                 #[target_feature(enable = "avx2")]
                 unsafe fn avx2($($arg: $ty),*) $(-> $ret)? {

@@ -16,6 +16,8 @@
 //! - [`DmaCmd`]: the 12 B command descriptor a StRoM kernel issues on its
 //!   `dmaCmdOut` stream (Figure 4).
 
+#![forbid(unsafe_code)]
+
 pub mod dma;
 pub mod host;
 pub mod pcie;

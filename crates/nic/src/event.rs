@@ -93,13 +93,12 @@ pub enum NicEvent {
 }
 
 impl Event {
-    /// The partition that would own this event under the PDES split of
-    /// the cluster: NIC events belong to their node, switch arbitration
-    /// to the switch partition (`switch` is the partition id the caller
-    /// assigns it — conventionally the node count).
+    /// The box this event happens inside: NIC events belong to their
+    /// node, switch arbitration to the switch (`switch` is the id the
+    /// caller assigns it — conventionally the node count).
     ///
     /// This is the ownership tag the lookahead audit uses to classify a
-    /// scheduled event as partition-local or cross-partition.
+    /// scheduled event as staying inside one box or crossing a cable.
     pub fn owner(&self, switch: usize) -> usize {
         match self {
             Event::Nic { node, .. } => *node,
@@ -109,25 +108,25 @@ impl Event {
 }
 
 /// What the observation-only lookahead audit saw over a run: how often
-/// the testbed scheduled an event across a partition boundary (per
-/// [`Event::owner`]), and how far into the future the nearest such event
-/// landed.
+/// one box (a NIC or the switch, per [`Event::owner`]) scheduled an
+/// event for another, and how far into the future the nearest such
+/// event landed.
 ///
-/// `min_cross_delta >= floor` with `violations == 0` is the empirical
-/// footing for the PDES engine's conservative window (DESIGN.md §15):
-/// it certifies that this workload never schedules a cross-partition
-/// event closer than the physical lookahead.
+/// `min_cross_delta >= floor` with `violations == 0` states a physical
+/// invariant of the fabric (DESIGN.md §15): a NIC and anything outside
+/// it are joined by a cable, so nothing one of them does can reach
+/// another sooner than one cable propagation delay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LookaheadReport {
-    /// Cross-partition events scheduled while dispatching.
+    /// Events scheduled for another box while dispatching.
     pub cross_events: u64,
-    /// Smallest observed cross-partition scheduling distance
-    /// (`u64::MAX` when no cross events were seen).
+    /// Smallest observed distance between such an event and the moment
+    /// it was scheduled (`u64::MAX` when none were seen).
     pub min_cross_delta: TimeDelta,
-    /// Cross-partition events scheduled closer than `floor`.
+    /// Events scheduled for another box closer than `floor`.
     pub violations: u64,
-    /// The lookahead being audited against (the cable propagation
-    /// delay).
+    /// The distance being audited against: the cable propagation delay
+    /// between a NIC and anything outside it.
     pub floor: TimeDelta,
 }
 
@@ -136,7 +135,7 @@ pub struct LookaheadReport {
 pub(crate) struct LookaheadAudit {
     /// Owner of the event being dispatched. Samples are taken only for
     /// events scheduled from inside a dispatch — host-driver posts from
-    /// outside the loop have no owning partition to be "cross" from.
+    /// outside the loop have no owning box to have crossed a cable from.
     pub(crate) dispatching: Option<usize>,
     pub(crate) report: LookaheadReport,
 }
@@ -149,7 +148,7 @@ pub(crate) struct LookaheadAudit {
 #[derive(Debug)]
 pub(crate) struct Scheduler {
     pub(crate) queue: EventQueue<Event>,
-    /// Partition id of the switch (= the node count).
+    /// Owner id of the switch (= the node count).
     pub(crate) switch_owner: usize,
     pub(crate) audit: Option<LookaheadAudit>,
 }

@@ -31,6 +31,8 @@
 //! are exercised functionally; only *time* is modeled, using the clock,
 //! PCIe, and line-rate constants documented in `NicConfig`.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod cluster_chain;
 pub mod cluster_incast;
@@ -43,7 +45,6 @@ pub mod fabric;
 pub mod fault;
 pub mod kv_serve;
 mod nic;
-pub mod pdes_cluster;
 pub mod testbed;
 mod watch;
 mod wire;
@@ -59,10 +60,6 @@ pub use event::{Event, NodeId};
 pub use fabric::KernelFabric;
 pub use fault::{LinkFaultModel, LossModel};
 pub use kv_serve::{run_kv_serve, run_kv_serve_instrumented, KvOutcome, KvSpec};
-pub use pdes_cluster::{
-    run_pdes_cluster, run_pdes_cluster_reference, ClusterPdesReport, KvPdesWorkload,
-    PdesClusterParams,
-};
 pub use testbed::{ClusterTestbed, CpuFallback, LookaheadReport, SwitchParams, Testbed, WatchId};
 
 pub use chaos::{active_fault_types, chaos_model, run_chaos, ChaosOutcome, ChaosSpec};

@@ -604,10 +604,10 @@ impl ClusterTestbed {
 
     /// Enables the observation-only lookahead audit: every event
     /// scheduled from inside the dispatch loop is classified by
-    /// [`Event::owner`] as partition-local or cross-partition, and the
-    /// cross-partition scheduling distances are tracked against the
-    /// cable propagation delay (the PDES lookahead). Changes nothing
-    /// about the run itself.
+    /// [`Event::owner`] as staying inside the box that scheduled it or
+    /// crossing to another, and the crossing distances are tracked
+    /// against the cable propagation delay between a NIC and anything
+    /// outside it. Changes nothing about the run itself.
     pub fn enable_lookahead_audit(&mut self) {
         self.sched.audit = Some(LookaheadAudit {
             dispatching: None,
@@ -646,11 +646,6 @@ impl ClusterTestbed {
             audit.dispatching = None;
         }
     }
-}
-
-/// Extra simulated-time padding helper.
-pub fn micros(us: u64) -> TimeDelta {
-    us * strom_sim::time::MICROS
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
-//! Certifies the conservative-PDES premise on the *real* cluster
-//! testbed: under the per-node/switch partition split, every
-//! cross-partition event is scheduled at least one cable propagation
-//! delay (the engine's lookahead) in the future — and measuring that is
-//! pure observation, changing nothing about the run.
+//! Certifies a physical invariant of the fabric on the *real* cluster
+//! testbed: a NIC and anything outside it (the switch, another NIC) are
+//! joined by a cable, so every event one box schedules for another lands
+//! at least one cable propagation delay in the future — and measuring
+//! that is pure observation, changing nothing about the run.
 
 use strom_nic::{ClusterTestbed, NicConfig, SwitchParams, WorkRequest};
 
@@ -76,18 +76,18 @@ fn audit_is_observation_only() {
 }
 
 #[test]
-fn switched_cluster_satisfies_the_conservative_premise() {
+fn nothing_crosses_a_cable_in_under_one_propagation_delay() {
     for cc in [false, true] {
         let (_, report) = ring_exchange(cc, true);
         let r = report.expect("audit enabled");
         assert!(
             r.cross_events > 0,
-            "cc={cc}: a switched all-pairs exchange must cross partitions"
+            "cc={cc}: a switched all-pairs exchange must cross cables"
         );
         assert_eq!(
             r.violations, 0,
-            "cc={cc}: {} cross events were scheduled closer than the {}ps lookahead floor \
-             (min observed {}ps) — the conservative window premise does not hold",
+            "cc={cc}: {} cross events were scheduled closer than the {}ps propagation floor \
+             (min observed {}ps) — something reached another box faster than the cable allows",
             r.violations, r.floor, r.min_cross_delta
         );
         assert!(

@@ -10,6 +10,8 @@
 //! they are unit-testable in isolation and reusable by the NIC simulation
 //! in `strom-nic`.
 
+#![forbid(unsafe_code)]
+
 pub mod dcqcn;
 pub mod msn_table;
 pub mod multi_queue;

@@ -19,6 +19,8 @@
 //! each). Module constants are calibrated against Table 3; device factors
 //! capture the older Virtex-7 toolchain/packing differences.
 
+#![forbid(unsafe_code)]
+
 pub mod device;
 pub mod model;
 

@@ -158,6 +158,7 @@ impl<E> EventQueue<E> {
     /// Hints the CPU to pull the slab slot of the token `dist` pops ahead
     /// (index `batch_pos + dist`) into cache.
     #[inline]
+    #[allow(unsafe_code)]
     fn prefetch_ahead(&self, dist: usize) {
         #[cfg(target_arch = "x86_64")]
         if let Some(s) = self.batch.get(self.batch_pos + dist) {

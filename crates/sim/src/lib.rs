@@ -4,20 +4,21 @@
 //! substrate that replaces the testbed: a picosecond-resolution simulated
 //! clock, a deterministic event queue (a hierarchical timer wheel with an
 //! overflow heap, differential-tested against a reference binary heap),
-//! bandwidth/latency primitives that
-//! model serialization over links and buses, bounded FIFOs mirroring the
-//! HLS `stream<>` objects, and latency statistics matching the paper's
-//! reporting style (median with 1st/99th-percentile whiskers).
+//! bandwidth/latency primitives that model serialization over links and
+//! buses, a store-and-forward switch, seeded arrival processes, a thread
+//! fan-out for sweeps of whole simulations, and latency statistics
+//! matching the paper's reporting style (median with 1st/99th-percentile
+//! whiskers).
 //!
 //! Everything in this crate is deterministic: two runs with the same seed
 //! produce identical event orders and identical statistics, which the
 //! property tests rely on.
 
+#![deny(unsafe_code)]
+
 pub mod arrivals;
 pub mod event;
-pub mod fifo;
 pub mod parallel;
-pub mod pdes;
 pub mod rate;
 pub mod report;
 pub mod rng;
@@ -28,9 +29,7 @@ pub mod wheel;
 
 pub use arrivals::{ArrivalGen, ArrivalProcess, ZipfSampler};
 pub use event::{EventQueue, Scheduled};
-pub use fifo::Fifo;
 pub use parallel::{default_workers, parallel_map};
-pub use pdes::{DispatchRecord, Outbox, Partition, PartitionId, PdesEngine, PdesReport};
 pub use rate::{Bandwidth, LinkSerializer, Pacer};
 pub use rng::SimRng;
 pub use stats::{LatencySummary, Samples};

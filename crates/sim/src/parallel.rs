@@ -8,36 +8,20 @@
 //! are returned in input order, so a parallel sweep's output is
 //! bit-identical to running the same closure in a sequential loop.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// A fixed-size array of slots owned one-per-index by whichever worker
-/// claimed that index from the dispenser.
-///
-/// The dispenser's `fetch_add` hands every index to exactly one worker,
-/// so slot access is exclusive by construction — no per-slot lock needed.
-/// Contents are `MaybeUninit`: dropping the container never drops slot
-/// contents, which makes a mid-sweep panic leak (never double-drop) the
-/// unclaimed items and finished results.
-struct Slots<T>(Vec<UnsafeCell<MaybeUninit<T>>>);
-
-// SAFETY: distinct indices refer to disjoint slots, and the atomic
-// dispenser gives each index to exactly one worker; the scope join
-// orders all worker writes before the caller's reads.
-unsafe impl<T: Send> Sync for Slots<T> {}
+use std::sync::Mutex;
 
 /// Maps `f` over `items` on up to `max_workers` scoped threads,
 /// returning results in input order.
 ///
 /// The closure must be self-contained per item (the usual shape: build a
-/// simulation from a seed, run it, return its report). Work is handed
-/// out as index chunks from one atomic counter, and each worker writes
-/// results straight into the pre-sized slot for its index, so thread
-/// count and scheduling affect only wall-clock time — there is no lock
-/// to contend on and no allocation in the handout path. A panic in any
-/// worker propagates to the caller once the scope joins (leaking, not
-/// dropping, the unfinished slots).
+/// simulation from a seed, run it, return its report). Workers take
+/// `(index, item)` pairs one at a time from a shared iterator and hand
+/// back their `(index, result)` pairs when they finish; results are put
+/// in index order after the join, so thread count and scheduling affect
+/// only wall-clock time. The one lock is held for a single `next()` per
+/// item, and an item is a whole simulation. A panic in any worker
+/// propagates to the caller once every worker has stopped; unclaimed
+/// items and finished results are dropped, not leaked.
 ///
 /// With one worker (or one item) this degenerates to a plain sequential
 /// loop on the calling thread — handy for determinism A/B tests.
@@ -52,52 +36,32 @@ where
     if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
-    // Chunked handout: one `fetch_add` claims `chunk` consecutive items.
-    // Small enough to keep workers balanced on heavy-tailed sims, large
-    // enough that many-item sweeps are not serialized on the counter.
-    let chunk = (n / (workers * 8)).max(1);
-    let items = Slots(
-        items
-            .into_iter()
-            .map(|t| UnsafeCell::new(MaybeUninit::new(t)))
-            .collect(),
-    );
-    let results: Slots<R> = Slots(
-        (0..n)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect(),
-    );
-    let next = AtomicUsize::new(0);
-    // Capture whole-struct references: closure field capture would
-    // otherwise borrow the inner `Vec` directly, past the `Sync` wrapper.
-    let (items_ref, results_ref, next_ref, f_ref) = (&items, &results, &next, &f);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(move || loop {
-                let start = next_ref.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                for i in start..(start + chunk).min(n) {
-                    // SAFETY: the dispenser hands index `i` to this worker
-                    // alone; the item slot was initialized from `items`
-                    // and is read (moved out) exactly once.
-                    let item = unsafe { (*items_ref.0[i].get()).assume_init_read() };
-                    let result = f_ref(item);
-                    // SAFETY: same exclusivity; the result slot is written
-                    // exactly once and read only after the scope joins.
-                    unsafe { (*results_ref.0[i].get()).write(result) };
-                }
-            });
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            // The guard is a temporary: released before `f` runs.
+            let next = queue
+                .lock()
+                .expect("no panic can happen under the lock: only `next()` runs there")
+                .next();
+            let Some((i, item)) = next else { break done };
+            done.push((i, f(item)));
         }
+    };
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        handles.into_iter().map(|h| h.join()).collect()
     });
-    results
-        .0
-        .into_iter()
-        // SAFETY: the scope joined without panicking, so every index was
-        // claimed and its result slot written.
-        .map(|slot| unsafe { slot.into_inner().assume_init() })
-        .collect()
+    let mut done = Vec::with_capacity(n);
+    for worker_done in joined {
+        match worker_done {
+            Ok(pairs) => done.extend(pairs),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    }
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// A sensible worker count for [`parallel_map`]: the machine's available
@@ -112,6 +76,7 @@ pub fn default_workers() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_are_in_input_order() {
@@ -136,10 +101,9 @@ mod tests {
     }
 
     #[test]
-    fn chunked_handout_covers_every_item_exactly_once() {
-        // Many more items than workers so the dispenser hands out
-        // multi-item chunks; every index must be mapped exactly once and
-        // land in its own slot.
+    fn many_more_items_than_workers_are_each_mapped_exactly_once() {
+        // Every worker goes back to the queue thousands of times; every
+        // item must be mapped exactly once and come back in its own place.
         let out = parallel_map((0..10_000u64).collect(), 4, |i| i + 1);
         assert_eq!(out, (1..=10_000u64).collect::<Vec<_>>());
     }
@@ -167,5 +131,36 @@ mod tests {
             })
         });
         assert!(caught.is_err());
+    }
+
+    /// Counts its own drops in the slot it was handed.
+    struct Counted<'a>(&'a AtomicUsize);
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_drops_every_item_and_result_exactly_once() {
+        const N: usize = 16;
+        let counters = || (0..N).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>();
+        let (item_drops, result_drops, produced) = (counters(), counters(), counters());
+        let items: Vec<_> = item_drops.iter().map(Counted).enumerate().collect();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parallel_map(items, 3, |(i, _item)| {
+                assert_ne!(i, 5, "boom");
+                produced[i].fetch_add(1, Ordering::SeqCst);
+                Counted(&result_drops[i])
+            })
+        }));
+        assert!(caught.is_err());
+        for i in 0..N {
+            let count = |c: &[AtomicUsize]| c[i].load(Ordering::SeqCst);
+            assert_eq!(count(&item_drops), 1, "item {i}");
+            assert_eq!(count(&result_drops), count(&produced), "result {i}");
+        }
+        assert_eq!(produced[5].load(Ordering::SeqCst), 0);
     }
 }

@@ -173,7 +173,7 @@ mod tests {
     }
 
     #[test]
-    fn micros_conversion() {
+    fn float_conversions() {
         assert!((as_micros(1_500_000) - 1.5).abs() < 1e-12);
         assert!((as_secs(SECS) - 1.0).abs() < 1e-12);
     }

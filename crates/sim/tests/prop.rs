@@ -1,7 +1,7 @@
 //! Randomized tests of the simulation engine, driven by the
 //! deterministic [`SimRng`] with fixed seeds.
 
-use strom_sim::{Bandwidth, EventQueue, Fifo, LinkSerializer, Samples, SimRng};
+use strom_sim::{Bandwidth, EventQueue, LinkSerializer, Samples, SimRng};
 
 /// Events pop in non-decreasing time order regardless of insertion
 /// order, and ties preserve insertion order.
@@ -70,32 +70,6 @@ fn serializer_never_overlaps() {
             assert!(start >= clock);
             assert!(end > start);
             prev_end = end;
-        }
-    }
-}
-
-/// FIFO order and capacity under arbitrary push/pop sequences, checked
-/// against a VecDeque model.
-#[test]
-fn fifo_matches_model() {
-    let mut rng = SimRng::seed(0xf1f0);
-    for _ in 0..100 {
-        let mut fifo = Fifo::new(8);
-        let mut model = std::collections::VecDeque::new();
-        for _ in 0..rng.range(1, 300) {
-            if rng.chance(0.5) {
-                let v = rng.next_u64() as u16;
-                let ours = fifo.push(v);
-                if model.len() < 8 {
-                    assert!(ours.is_ok());
-                    model.push_back(v);
-                } else {
-                    assert_eq!(ours, Err(v));
-                }
-            } else {
-                assert_eq!(fifo.pop(), model.pop_front());
-            }
-            assert_eq!(fifo.len(), model.len());
         }
     }
 }

@@ -8,8 +8,6 @@
 //! [`WireCounters`] block: the datapath increments it in place and the
 //! status registers embed it verbatim.
 
-use crate::Fingerprint;
-
 /// Datapath counters one NIC maintains, exposed verbatim through the
 /// Controller's status registers (§4.3).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -62,92 +60,9 @@ impl WireCounters {
     }
 }
 
-/// Per-partition counters for a PDES cluster run.
-///
-/// Each partition of the parallel engine accumulates its own block with
-/// no sharing; at the end of a run the per-partition blocks are merged
-/// into a cluster total with [`PdesCounters::merge`]. Merging is
-/// commutative, so the total is identical for any worker count — the
-/// counter analog of the dispatch-fingerprint XOR.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PdesCounters {
-    /// Events this partition dispatched.
-    pub dispatched: u64,
-    /// Frames this partition received from the fabric.
-    pub frames_in: u64,
-    /// Frames this partition sent into the fabric.
-    pub frames_out: u64,
-    /// Request/response exchanges completed (requester side).
-    pub responses: u64,
-    /// Payload bytes carried by sent frames.
-    pub bytes_tx: u64,
-    /// Frames tail-dropped at a switch egress queue.
-    pub drops: u64,
-}
-
-impl PdesCounters {
-    /// Accumulates `other` into `self` (field-wise sum).
-    pub fn merge(&mut self, other: &PdesCounters) {
-        self.dispatched += other.dispatched;
-        self.frames_in += other.frames_in;
-        self.frames_out += other.frames_out;
-        self.responses += other.responses;
-        self.bytes_tx += other.bytes_tx;
-        self.drops += other.drops;
-    }
-
-    /// `(name, value)` pairs in a fixed order, for report export.
-    pub fn entries(&self) -> [(&'static str, u64); 6] {
-        [
-            ("dispatched", self.dispatched),
-            ("frames_in", self.frames_in),
-            ("frames_out", self.frames_out),
-            ("responses", self.responses),
-            ("bytes_tx", self.bytes_tx),
-            ("drops", self.drops),
-        ]
-    }
-
-    /// Whole-word fold ([`Fingerprint::mix`]) over the counter block,
-    /// for cross-engine equivalence checks.
-    pub fn fingerprint(&self) -> u64 {
-        let mut fp = Fingerprint::new();
-        for (_, v) in self.entries() {
-            fp.mix(v);
-        }
-        fp.value()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pdes_counters_merge_is_fieldwise_and_commutative() {
-        let a = PdesCounters {
-            dispatched: 3,
-            frames_in: 1,
-            frames_out: 2,
-            responses: 1,
-            bytes_tx: 512,
-            drops: 0,
-        };
-        let b = PdesCounters {
-            dispatched: 5,
-            drops: 2,
-            ..Default::default()
-        };
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.dispatched, 8);
-        assert_eq!(ab.bytes_tx, 512);
-        assert_eq!(ab.drops, 2);
-        assert_ne!(ab.fingerprint(), PdesCounters::default().fingerprint());
-    }
 
     #[test]
     fn totals_and_entries_agree_with_fields() {

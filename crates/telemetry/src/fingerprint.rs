@@ -1,21 +1,11 @@
 //! The one 64-bit fingerprint fold of the workspace.
 //!
 //! Every golden — corpus fingerprints, chaos seeds, KV and chain
-//! outcomes, trace streams, PDES digests — is an FNV-1a accumulator over
-//! some stable encoding of a run's observables. The offset basis and
-//! prime live here and nowhere else.
-//!
-//! Two fold methods exist because two sets of goldens were pinned before
-//! the folds were unified, and neither can move without a re-bless:
-//!
-//! - [`Fingerprint::bytes`] / [`Fingerprint::word`] are textbook FNV-1a:
-//!   one xor-multiply per *byte* (`word` feeds the value's eight
-//!   little-endian bytes). The corpus, chaos, KV, kernel-chain and trace
-//!   fingerprints use these.
-//! - [`Fingerprint::mix`] is one xor-multiply per whole *word*: an eighth
-//!   of the work, used on the PDES engine's per-dispatch path. The PDES
-//!   dispatch-stream digests and `PdesCounters::fingerprint` are pinned
-//!   to it.
+//! outcomes, trace streams — is a textbook FNV-1a accumulator over some
+//! stable encoding of a run's observables: one xor-multiply per byte
+//! ([`Fingerprint::bytes`]; [`Fingerprint::word`] feeds a value's eight
+//! little-endian bytes). The offset basis and prime live here and
+//! nowhere else.
 
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -45,12 +35,6 @@ impl Fingerprint {
         Self(OFFSET)
     }
 
-    /// Resumes from a value a previous accumulator ended at (or any
-    /// other pinned starting state).
-    pub const fn resume(state: u64) -> Self {
-        Self(state)
-    }
-
     /// The accumulator's current value.
     pub const fn value(self) -> u64 {
         self.0
@@ -69,13 +53,6 @@ impl Fingerprint {
     #[inline]
     pub fn word(&mut self, v: u64) -> &mut Self {
         self.bytes(&v.to_le_bytes())
-    }
-
-    /// Folds `v` in with a single whole-word xor-multiply.
-    #[inline]
-    pub fn mix(&mut self, v: u64) -> &mut Self {
-        self.0 = (self.0 ^ v).wrapping_mul(PRIME);
-        self
     }
 }
 
@@ -110,39 +87,7 @@ mod tests {
         // seven zero bytes.
         assert_eq!(
             Fingerprint::new().word(0x61).value(),
-            Fingerprint::resume(0xaf63_dc4c_8601_ec8c)
-                .bytes(&[0; 7])
-                .value()
-        );
-    }
-
-    #[test]
-    fn mix_is_one_xor_multiply_and_differs_from_word() {
-        let v = 0x1234_5678_9abc_def0u64;
-        assert_eq!(
-            Fingerprint::new().mix(v).value(),
-            (0xcbf2_9ce4_8422_2325u64 ^ v).wrapping_mul(0x0000_0100_0000_01b3)
-        );
-        assert_ne!(
-            Fingerprint::new().mix(v).value(),
-            Fingerprint::new().word(v).value()
-        );
-        // A single byte-sized value folds the same either way.
-        assert_eq!(
-            Fingerprint::new().mix(0x61).value(),
-            Fingerprint::new().bytes(b"a").value()
-        );
-    }
-
-    #[test]
-    fn resume_continues_a_saved_fold() {
-        let mut whole = Fingerprint::new();
-        whole.word(7).word(9);
-        let mut first = Fingerprint::new();
-        first.word(7);
-        assert_eq!(
-            Fingerprint::resume(first.value()).word(9).value(),
-            whole.value()
+            Fingerprint::new().bytes(b"a").bytes(&[0; 7]).value()
         );
     }
 }

@@ -19,13 +19,15 @@
 //! - [`TelemetryReport`] — machine-readable JSON export of all of the
 //!   above, written next to the text tables by the bench binaries.
 //! - [`Fingerprint`] — the one FNV-1a fold every golden (corpus, chaos,
-//!   trace stream, PDES digest) is pinned to.
+//!   trace stream) is pinned to.
 //! - [`json`] — the one JSON parser and the `escape`/`number` writers
 //!   every report in the workspace emits through.
 //!
 //! Determinism: nothing here draws randomness or reads wall-clock time.
 //! Two same-seed simulation runs emit byte-identical trace streams and
 //! bit-identical histogram buckets, which `tests/chaos_soak.rs` checks.
+
+#![forbid(unsafe_code)]
 
 pub mod counters;
 pub mod fingerprint;
@@ -34,7 +36,7 @@ pub mod metrics;
 pub mod report;
 pub mod trace;
 
-pub use counters::{PdesCounters, WireCounters};
+pub use counters::WireCounters;
 pub use fingerprint::Fingerprint;
 pub use metrics::{
     jain_index, Counter, Gauge, Histogram, HistogramHandle, MetricsRegistry, MetricsSnapshot,

@@ -12,6 +12,8 @@
 //! just as the FPGA pipeline stages of Figure 2 operate on header fields
 //! extracted from the byte stream.
 
+#![forbid(unsafe_code)]
+
 pub mod arp;
 pub mod bth;
 pub mod ethernet;

@@ -14,6 +14,9 @@
 //! - [`baselines`] — CPU/TCP baselines the paper compares against.
 //! - [`resources`] — FPGA resource-usage model (Table 3, §6.1).
 //! - [`telemetry`] — tracing, metrics registry, and JSON report export.
+
+#![forbid(unsafe_code)]
+
 pub use strom_baselines as baselines;
 pub use strom_kernels as kernels;
 pub use strom_mem as mem;
