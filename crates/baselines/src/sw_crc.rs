@@ -7,6 +7,11 @@
 //! dedicated instruction (footnote 8). On an inconsistent read the client
 //! must re-read over the *network* (Fig 10), which is what makes StRoM's
 //! PCIe-side retry so much cheaper.
+//!
+//! "Inherently sequential" is the model of the *simulated* client CPU:
+//! [`SwCrcModel`] charges 0.8 ns per byte whatever the host does. The
+//! host-side [`crc64`] that checks the bytes folds with PCLMULQDQ
+//! (`strom_wire::clmul`); that only shortens the simulator's wall time.
 
 use strom_kernels::consistency::verify_object;
 use strom_kernels::crc64::crc64;

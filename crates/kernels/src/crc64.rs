@@ -7,24 +7,20 @@
 //! table-driven implementation used by both the kernel and the software
 //! baseline.
 //!
-//! The hot loop is **slice-by-16**: sixteen composed 256-entry tables
-//! consume sixteen input bytes per step. That does not contradict the
-//! paper's "inherently sequential" observation — the recurrence is still
-//! serial across blocks, there is simply more table lookup per step; the
-//! simulator's consistency-kernel and software-baseline experiments hash
-//! megabytes, so the constant factor matters. The byte-at-a-time loop is
-//! kept as [`crc64_reference`] for the differential tests.
-//!
-//! [`crc64_parallel`] goes one step further for large one-shot digests:
-//! it runs four *independent* slice-by-16 recurrences over four quarters
-//! of the input — breaking the serial dependency chain the paper's
-//! footnote 8 describes — and stitches the four lane digests together
-//! with a GF(2) "advance by N zero bytes" operator ([`crc64_combine`]),
-//! the zlib `crc32_combine` construction lifted to the 64-bit MSB-first
-//! polynomial. It is dispatched through [`crate::simd`] and
-//! differential-tested against [`crc64_reference`].
+//! Footnote 8 describes the *simulated* CPU, and the model keeps it: the
+//! software baseline is charged `SwCrcModel::per_byte_ps` per byte whatever
+//! the host does. The *host* hashes megabytes per experiment, so here the
+//! hot path is the **carry-less-multiply fold** of [`strom_wire::clmul`]:
+//! on an x86-64 host with PCLMULQDQ, an [`Crc64::update`] of at least
+//! [`FOLD_MIN_LEN`](strom_wire::clmul::FOLD_MIN_LEN) bytes is folded 64
+//! bytes per step into a 16-byte residue, which one slice-by-16 step and
+//! the byte loop finish. **Slice-by-16** — sixteen composed 256-entry
+//! tables consuming sixteen input bytes per step — is the portable path,
+//! the short-input path and the residue finish. The byte-at-a-time loop is
+//! kept as [`crc64_reference`] for the differential tests. The fold only
+//! speeds the host; no simulated time depends on it.
 
-use crate::simd_dispatch;
+use strom_wire::clmul::Fold;
 
 /// The ECMA-182 polynomial in normal (MSB-first) form.
 pub const POLY_ECMA_182: u64 = 0x42F0_E1EB_A9EA_3693;
@@ -60,7 +56,7 @@ fn tables() -> &'static [[u64; 256]; 16] {
 
 /// One slice-by-16 step: folds a 16-byte block into `crc`.
 #[inline(always)]
-fn step16(t: &[[u64; 256]; 16], crc: u64, c: &[u8]) -> u64 {
+fn step16(t: &[[u64; 256]; 16], crc: u64, c: &[u8; 16]) -> u64 {
     let x = crc ^ u64::from_be_bytes(c[0..8].try_into().expect("sized"));
     t[15][(x >> 56) as usize]
         ^ t[14][((x >> 48) & 0xff) as usize]
@@ -80,127 +76,27 @@ fn step16(t: &[[u64; 256]; 16], crc: u64, c: &[u8]) -> u64 {
         ^ t[0][c[15] as usize]
 }
 
-/// Applies a GF(2) linear operator (64×64 bit matrix, `mat[i]` = image of
-/// basis bit `i`) to a CRC state.
-#[inline]
-fn gf2_times(mat: &[u64; 64], mut vec: u64) -> u64 {
-    let mut sum = 0u64;
-    let mut i = 0usize;
-    while vec != 0 {
-        if vec & 1 != 0 {
-            sum ^= mat[i];
-        }
-        vec >>= 1;
-        i += 1;
+/// The table path: slice-by-16 over whole blocks, then the byte loop.
+fn update_table(t: &[[u64; 256]; 16], mut crc: u64, data: &[u8]) -> u64 {
+    let (blocks, tail) = data.as_chunks::<16>();
+    for c in blocks {
+        crc = step16(t, crc, c);
     }
-    sum
-}
-
-/// The operator that advances an MSB-first CRC64 state by one zero byte.
-fn byte_operator() -> &'static [u64; 64] {
-    use std::sync::OnceLock;
-    static OP: OnceLock<[u64; 64]> = OnceLock::new();
-    OP.get_or_init(|| {
-        let t0 = &tables()[0];
-        let mut m = [0u64; 64];
-        for (i, out) in m.iter_mut().enumerate() {
-            let c = 1u64 << i;
-            *out = (c << 8) ^ t0[(c >> 56) as usize];
-        }
-        m
-    })
-}
-
-/// `M^(2^k)` for the one-zero-byte operator `M`, all 64 binary powers,
-/// built once. Squaring the operator per [`crc64_shift_zeros`] call cost
-/// more than the lane hashing it stitched; with the cache a shift is one
-/// 64-op matrix–vector product per set bit of `len`.
-fn power_operators() -> &'static [[u64; 64]; 64] {
-    use std::sync::OnceLock;
-    static OPS: OnceLock<Box<[[u64; 64]; 64]>> = OnceLock::new();
-    OPS.get_or_init(|| {
-        let mut ops = Box::new([[0u64; 64]; 64]);
-        ops[0] = *byte_operator();
-        for k in 1..64 {
-            let (done, rest) = ops.split_at_mut(k);
-            let prev = &done[k - 1];
-            for (n, out) in rest[0].iter_mut().enumerate() {
-                *out = gf2_times(prev, prev[n]);
-            }
-        }
-        ops
-    })
-}
-
-/// Advances `crc` as if `len` zero bytes followed: applies the cached
-/// binary powers of the byte operator selected by the bits of `len`
-/// (powers of one matrix commute, so the order does not matter).
-fn crc64_shift_zeros(mut crc: u64, mut len: u64) -> u64 {
-    if crc == 0 || len == 0 {
-        return crc;
-    }
-    let ops = power_operators();
-    let mut k = 0usize;
-    while len != 0 {
-        if len & 1 != 0 {
-            crc = gf2_times(&ops[k], crc);
-        }
-        len >>= 1;
-        k += 1;
+    for &b in tail {
+        crc = (crc << 8) ^ t[0][(((crc >> 56) ^ u64::from(b)) & 0xff) as usize];
     }
     crc
 }
 
-/// Combines two independently computed digests: the CRC64 of `A ‖ B`
-/// given `crc64(A)`, `crc64(B)`, and `len(B)`.
-///
-/// Valid because this CRC is linear with init 0 and no xor-out:
-/// `crc(A ‖ B) = crc(A ‖ 0^len(B)) ^ crc(0^len(A) ‖ B)`, the first term is
-/// `crc(A)` advanced by `len(B)` zero bytes, and leading zeros do not move
-/// a zero-initialized state.
-pub fn crc64_combine(crc_a: u64, crc_b: u64, len_b: u64) -> u64 {
-    crc64_shift_zeros(crc_a, len_b) ^ crc_b
-}
+/// The fold constants of the ECMA-182 polynomial.
+const FOLD: Fold<true> = Fold::msb_first64(POLY_ECMA_182);
 
-/// Minimum input size for the 4-lane path; below it the stitching
-/// overhead dominates and [`crc64`] is used directly.
-const PARALLEL_CUTOVER: usize = 1024;
-
-simd_dispatch! {
-    /// One-shot CRC64 over `data` using four independent slice-by-16
-    /// dependency chains over four quarters, stitched with
-    /// [`crc64_combine`]. Bit-identical to [`crc64`] / [`crc64_reference`]
-    /// at every length (differential-tested).
-    pub fn crc64_parallel(data: &[u8]) -> u64 {
-        if data.len() < PARALLEL_CUTOVER {
-            return crc64(data);
-        }
-        let q = (data.len() / 4) & !15;
-        let t = tables();
-        let (a, rest) = data.split_at(q);
-        let (b, rest) = rest.split_at(q);
-        let (c, rest) = rest.split_at(q);
-        let (d, tail) = rest.split_at(q);
-        let mut s = [0u64; 4];
-        for i in (0..q).step_by(16) {
-            s[0] = step16(t, s[0], &a[i..i + 16]);
-            s[1] = step16(t, s[1], &b[i..i + 16]);
-            s[2] = step16(t, s[2], &c[i..i + 16]);
-            s[3] = step16(t, s[3], &d[i..i + 16]);
-        }
-        // total = shift(shift(shift(s0, q)^s1, q)^s2, q)^s3, then the tail.
-        let mut crc = s[0];
-        for lane in &s[1..] {
-            crc = crc64_combine(crc, *lane, q as u64);
-        }
-        crc64_combine(crc, crc64(tail), tail.len() as u64)
-    }
-}
+/// Streaming CRC64 state.
 ///
 /// `update` may be called with arbitrary split points; the digest is
-/// identical to hashing the concatenation in one call (the sliced loop
-/// keeps no partial-block state — tails shorter than a block fall back to
-/// the byte loop, which commutes with any chunking).
+/// identical to hashing the concatenation in one call (neither the fold
+/// nor the sliced loop keeps partial-block state — each call ends on the
+/// byte loop, which commutes with any chunking).
 ///
 /// # Examples
 ///
@@ -228,18 +124,14 @@ impl Crc64 {
         Self { state: 0 }
     }
 
-    /// Feeds more bytes (slice-by-16 fast path).
+    /// Feeds more bytes: the carry-less-multiply fold where it applies,
+    /// its residue and the tail through the table path.
     pub fn update(&mut self, data: &[u8]) {
         let t = tables();
-        let mut crc = self.state;
-        let mut chunks = data.chunks_exact(16);
-        for c in &mut chunks {
-            crc = step16(t, crc, c);
-        }
-        for &b in chunks.remainder() {
-            crc = (crc << 8) ^ t[0][(((crc >> 56) ^ u64::from(b)) & 0xff) as usize];
-        }
-        self.state = crc;
+        self.state = match FOLD.fold(self.state, data) {
+            Some((residue, tail)) => update_table(t, update_table(t, 0, &residue), tail),
+            None => update_table(t, self.state, data),
+        };
     }
 
     /// Returns the checksum.
@@ -256,7 +148,7 @@ pub fn crc64(data: &[u8]) -> u64 {
 }
 
 /// The original byte-at-a-time CRC64 — the reference implementation the
-/// slice-by-16 fast path is differential-tested (and benchmarked) against.
+/// fold and the slice-by-16 path are differential-tested against.
 pub fn crc64_reference(data: &[u8]) -> u64 {
     let t = &tables()[0];
     let mut crc = 0u64;
@@ -269,6 +161,20 @@ pub fn crc64_reference(data: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use strom_sim::SimRng;
+    use strom_wire::clmul::xn_mod_p;
+
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut data = vec![0u8; len];
+        SimRng::seed(seed).fill_bytes(&mut data);
+        data
+    }
+
+    /// CRC64 on the table path alone — what `update` does for short
+    /// inputs and on hosts without PCLMULQDQ.
+    fn crc64_table(data: &[u8]) -> u64 {
+        update_table(tables(), 0, data)
+    }
 
     #[test]
     fn known_check_value() {
@@ -285,16 +191,63 @@ mod tests {
     }
 
     #[test]
-    fn sliced_matches_reference_across_lengths() {
-        let data: Vec<u8> = (0..100u32)
-            .map(|i| (i.wrapping_mul(41) % 253) as u8)
-            .collect();
-        for len in 0..data.len() {
-            assert_eq!(
-                crc64(&data[..len]),
-                crc64_reference(&data[..len]),
-                "len = {len}"
-            );
+    fn ecma_182_constants_equal_the_published_values() {
+        // x^n mod P at n = 576, 512 (64-byte stride) and 192, 128 (16-byte
+        // stride): the fold constants published for the MSB-first ECMA-182
+        // polynomial.
+        let k = |n| xn_mod_p(n, POLY_ECMA_182, 64);
+        assert_eq!(k(576), 0xddf4_b698_1205_b83f);
+        assert_eq!(k(512), 0x5f68_43ca_540d_f020);
+        assert_eq!(k(192), 0x4eb9_38a7_d257_740e);
+        assert_eq!(k(128), 0x05f5_c3c7_eb52_fab6);
+    }
+
+    #[test]
+    fn both_paths_match_reference_at_every_length() {
+        // Every length from empty through four MTUs: every tail length
+        // mod 16 and mod 64, with and without a four-lane loop. The table
+        // path is called directly, so it stays covered on a host whose
+        // `update` takes the fold.
+        let data = seeded_bytes(0xc64, 4 * 1500);
+        for len in 0..=data.len() {
+            let want = crc64_reference(&data[..len]);
+            assert_eq!(crc64(&data[..len]), want, "dispatched, len = {len}");
+            assert_eq!(crc64_table(&data[..len]), want, "table, len = {len}");
+        }
+    }
+
+    #[test]
+    fn both_paths_match_reference_at_seeded_windows() {
+        // Unaligned starts: the fold's loads must not care where in the
+        // buffer a block begins.
+        let data = seeded_bytes(0x0ff5e7, 16 * 1024);
+        let mut rng = SimRng::seed(18);
+        for _ in 0..500 {
+            let off = rng.below(data.len() as u64) as usize;
+            let len = rng.below((data.len() - off) as u64 + 1) as usize;
+            let window = &data[off..off + len];
+            let want = crc64_reference(window);
+            assert_eq!(crc64(window), want, "dispatched, off = {off}, len = {len}");
+            assert_eq!(crc64_table(window), want, "table, off = {off}, len = {len}");
+        }
+    }
+
+    #[test]
+    fn three_way_splits_inside_a_block_match_one_shot() {
+        // The second and third `update` start from a non-zero register at
+        // an offset that is not a multiple of 64: the register must enter
+        // the fold through the first 8 bytes of whatever comes next.
+        let data = seeded_bytes(0x3a7, 8 * 1024);
+        let want = crc64_reference(&data);
+        let mut rng = SimRng::seed(64);
+        for _ in 0..500 {
+            let a = rng.below(data.len() as u64 + 1) as usize;
+            let b = rng.range(a as u64, data.len() as u64 + 1) as usize;
+            let mut c = Crc64::new();
+            c.update(&data[..a]);
+            c.update(&data[a..b]);
+            c.update(&data[b..]);
+            assert_eq!(c.finish(), want, "splits at {a}, {b}");
         }
     }
 
@@ -316,39 +269,6 @@ mod tests {
             data[i] ^= 0x01;
             assert_ne!(crc64(&data), base, "flip at {i} undetected");
             data[i] ^= 0x01;
-        }
-    }
-
-    #[test]
-    fn combine_stitches_split_digests() {
-        let data: Vec<u8> = (0..5000u32)
-            .map(|i| (i.wrapping_mul(131) >> 3) as u8)
-            .collect();
-        for split in [0usize, 1, 15, 16, 17, 1000, 4999, 5000] {
-            let (a, b) = data.split_at(split);
-            assert_eq!(
-                crc64_combine(crc64(a), crc64(b), b.len() as u64),
-                crc64(&data),
-                "split = {split}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_matches_reference_across_lengths() {
-        // Cover below/above the cutover, every tail length mod 16, and
-        // lane-boundary off-by-ones.
-        let data: Vec<u8> = (0..20_000u32)
-            .map(|i| (i.wrapping_mul(2654435761) >> 7) as u8)
-            .collect();
-        let mut lens: Vec<usize> = (0..48).collect();
-        lens.extend([1000, 1023, 1024, 1025, 4096, 4100, 8191, 16384, 20_000]);
-        for len in lens {
-            assert_eq!(
-                crc64_parallel(&data[..len]),
-                crc64_reference(&data[..len]),
-                "len = {len}"
-            );
         }
     }
 

@@ -3,7 +3,7 @@
 //! §6.3's consistency kernel checks CRCs on *reads*; this kernel is its
 //! streaming dual for *writes* and kernel pipelines: the sender appends an
 //! 8 B CRC64 trailer, the stage forwards the payload cut-through while
-//! accumulating the running CRC (the slice-by-16 [`crate::crc64::Crc64`]),
+//! accumulating the running CRC (the streaming [`crate::crc64::Crc64`]),
 //! withholding only the trailing 8 bytes. At end of stream the withheld
 //! trailer is compared against the computed digest — on a match a 16 B
 //! verdict `(crc, payload_len)` goes to the requester; on a mismatch the

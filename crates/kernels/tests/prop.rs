@@ -234,9 +234,10 @@ fn crc64_chunking_invariance() {
     }
 }
 
-/// The slice-by-16 CRC64 equals the byte-at-a-time reference on random
-/// lengths, contents, and alignments — including empty, 1-byte, and
-/// larger-than-MTU inputs, and unaligned starting offsets.
+/// CRC64 (carry-less fold + slice-by-16) equals the byte-at-a-time
+/// reference on random lengths, contents, and alignments — including
+/// empty, 1-byte, and larger-than-MTU inputs, and unaligned starting
+/// offsets.
 #[test]
 fn crc64_slice16_matches_reference() {
     let mut rng = SimRng::seed(0xc64c);

@@ -132,24 +132,27 @@ fn node_table(spec: &ShuffleSpec, node: NodeId) -> Vec<u64> {
 /// (Self-owned values stay local and never cross the wire.)
 pub fn expected_partitions(spec: &ShuffleSpec) -> BTreeMap<(NodeId, u32), Vec<u64>> {
     let bits = radix_bits(spec.local_partitions as usize);
-    let mut out: BTreeMap<(NodeId, u32), Vec<u64>> = BTreeMap::new();
-    for (dst, p) in (0..spec.nodes).flat_map(|d| (0..spec.local_partitions).map(move |p| (d, p))) {
-        out.insert((dst, p), Vec::new());
-    }
+    let parts = spec.local_partitions as usize;
+    // Filled densely, indexed `dst * parts + p` (the map's key order): a
+    // map lookup per value would cost more than the sorts.
+    let mut dense: Vec<Vec<u64>> = vec![Vec::new(); spec.nodes * parts];
     for src in 0..spec.nodes {
         for v in node_table(spec, src) {
             let dst = dest_node(v, spec.nodes);
             if dst == src {
                 continue;
             }
-            let p = radix_partition(v, bits) as u32;
-            out.get_mut(&(dst, p)).expect("prefilled").push(v);
+            dense[dst * parts + radix_partition(v, bits)].push(v);
         }
     }
-    for values in out.values_mut() {
-        values.sort_unstable();
-    }
-    out
+    dense
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut values)| {
+            values.sort_unstable();
+            (((i / parts) as NodeId, (i % parts) as u32), values)
+        })
+        .collect()
 }
 
 /// Host-memory layout of one node for the shuffle run.

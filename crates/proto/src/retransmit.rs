@@ -27,6 +27,11 @@ use strom_wire::bth::Qpn;
 pub struct RetransmissionTimer {
     /// `None` = inactive; `Some(deadline)` = armed.
     deadlines: Vec<Option<u64>>,
+    /// The QPs whose slot in `deadlines` is `Some`, in no particular
+    /// order: [`Self::next_deadline`] runs on every request packet and
+    /// every ACK, and only a handful of the table's QPs are ever armed at
+    /// once.
+    armed: Vec<Qpn>,
     /// Consecutive expirations per QP since the last forward progress.
     attempts: Vec<u32>,
     /// The retransmission timeout added to "now" when arming.
@@ -52,6 +57,7 @@ impl RetransmissionTimer {
         assert!(timeout > 0, "retransmission timeout must be positive");
         Self {
             deadlines: vec![None; num_qps],
+            armed: Vec::new(),
             attempts: vec![0; num_qps],
             timeout,
             backoff_cap: 6,
@@ -103,7 +109,9 @@ impl RetransmissionTimer {
         );
         let deadline = now + self.current_timeout(qpn);
         if let Some(slot) = self.deadlines.get_mut(qpn as usize) {
-            *slot = Some(deadline);
+            if slot.replace(deadline).is_none() {
+                self.armed.push(qpn);
+            }
         }
     }
 
@@ -112,8 +120,14 @@ impl RetransmissionTimer {
     /// Called when every outstanding packet of the QP has been
     /// acknowledged.
     pub fn disarm(&mut self, qpn: Qpn) {
-        if let Some(slot) = self.deadlines.get_mut(qpn as usize) {
-            *slot = None;
+        let was_armed = self
+            .deadlines
+            .get_mut(qpn as usize)
+            .is_some_and(|slot| slot.take().is_some());
+        if was_armed {
+            let i = self.armed.iter().position(|&q| q == qpn);
+            self.armed
+                .swap_remove(i.expect("armed list mirrors deadlines"));
         }
     }
 
@@ -128,7 +142,10 @@ impl RetransmissionTimer {
     /// The earliest armed deadline, if any — the next time the simulation
     /// must poll [`Self::expired`].
     pub fn next_deadline(&self) -> Option<u64> {
-        self.deadlines.iter().flatten().copied().min()
+        self.armed
+            .iter()
+            .filter_map(|&q| self.deadlines[q as usize])
+            .min()
     }
 
     /// Collects every QP whose deadline has passed at `now`, disarming
@@ -137,30 +154,34 @@ impl RetransmissionTimer {
     /// Each expiration bumps the QP's attempt counter, so the next
     /// [`Self::arm`] waits longer.
     pub fn expired(&mut self, now: u64) -> Vec<Qpn> {
+        let deadlines = &mut self.deadlines;
         let mut out = Vec::new();
-        for (qpn, slot) in self.deadlines.iter_mut().enumerate() {
-            if let Some(deadline) = *slot {
-                if deadline <= now {
-                    *slot = None;
-                    self.expirations += 1;
-                    if self.attempts[qpn] > 0 {
-                        self.backoff_events += 1;
-                    }
-                    self.attempts[qpn] = self.attempts[qpn].saturating_add(1);
-                    let attempts = self.attempts[qpn];
-                    if attempts > 1 {
-                        // The re-arm timeout after this expiration, with
-                        // the backoff shift applied (current_timeout,
-                        // inlined to keep the borrow local).
-                        let shift = attempts.min(self.backoff_cap);
-                        self.trace.emit(TraceEvent::Backoff {
-                            qpn: qpn as Qpn,
-                            attempts,
-                            timeout: self.timeout << shift,
-                        });
-                    }
-                    out.push(qpn as Qpn);
-                }
+        self.armed.retain(|&q| {
+            let due = deadlines[q as usize].is_some_and(|d| d <= now);
+            if due {
+                deadlines[q as usize] = None;
+                out.push(q);
+            }
+            !due
+        });
+        // Ascending QPN order, as the hardware's scan loop finds them.
+        out.sort_unstable();
+        for &qpn in &out {
+            let attempts = &mut self.attempts[qpn as usize];
+            self.expirations += 1;
+            if *attempts > 0 {
+                self.backoff_events += 1;
+            }
+            *attempts = attempts.saturating_add(1);
+            let attempts = *attempts;
+            if attempts > 1 {
+                // The re-arm timeout after this expiration, with the
+                // backoff shift applied.
+                self.trace.emit(TraceEvent::Backoff {
+                    qpn,
+                    attempts,
+                    timeout: self.current_timeout(qpn),
+                });
             }
         }
         out
@@ -242,6 +263,62 @@ mod tests {
         t.arm(0, 50);
         t.arm(1, 10);
         assert_eq!(t.next_deadline(), Some(110));
+    }
+
+    #[test]
+    fn armed_list_matches_the_full_scan() {
+        // Seeded differential: the same random arm/disarm/expire/progress
+        // sequence against a model that scans every slot, as the timer
+        // did before it tracked its armed QPs.
+        use strom_sim::SimRng;
+        const QPS: usize = 24;
+        const TIMEOUT: u64 = 50;
+        for seed in 0..8 {
+            let mut rng = SimRng::seed(seed);
+            let mut t = RetransmissionTimer::new(QPS, TIMEOUT);
+            let mut deadlines = [None::<u64>; QPS];
+            let mut attempts = [0u32; QPS];
+            let mut now = 0u64;
+            for step in 0..4_000 {
+                now += rng.below(20);
+                let q = rng.below(QPS as u64) as usize;
+                match rng.below(8) {
+                    0..=2 => {
+                        t.arm(q as Qpn, now);
+                        let shift = attempts[q].min(6);
+                        deadlines[q] = Some(now + (TIMEOUT << shift));
+                    }
+                    3 | 4 => {
+                        t.disarm(q as Qpn);
+                        deadlines[q] = None;
+                    }
+                    5 => {
+                        t.note_progress(q as Qpn);
+                        attempts[q] = 0;
+                    }
+                    _ => {
+                        let mut want = Vec::new();
+                        for (i, d) in deadlines.iter_mut().enumerate() {
+                            if d.is_some_and(|d| d <= now) {
+                                *d = None;
+                                attempts[i] += 1;
+                                want.push(i as Qpn);
+                            }
+                        }
+                        assert_eq!(t.expired(now), want, "seed {seed} step {step}");
+                    }
+                }
+                assert_eq!(
+                    t.next_deadline(),
+                    deadlines.iter().flatten().copied().min(),
+                    "seed {seed} step {step}"
+                );
+                for i in 0..QPS {
+                    assert_eq!(t.is_armed(i as Qpn), deadlines[i].is_some());
+                    assert_eq!(t.attempts(i as Qpn), attempts[i]);
+                }
+            }
+        }
     }
 
     #[test]

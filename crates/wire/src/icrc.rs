@@ -14,14 +14,20 @@
 //! simulated link never rewrites TTL/DSCP, so the distinction is
 //! unobservable here (noted in DESIGN.md §8).
 //!
-//! The hot path is **slice-by-16**: sixteen 256-entry tables let the loop
-//! consume sixteen input bytes per step instead of one, the same
-//! table-composition trick production CRC libraries use. The FPGA computes
-//! the ICRC over a full datapath word per cycle; slicing is the software
-//! move in the same direction, and on the simulator it takes the two
-//! per-frame CRC passes (TX append + RX check) off the critical path. The
-//! original byte-at-a-time loop is kept as [`icrc_reference`] — the
-//! differential property tests in `tests/prop.rs` compare against it.
+//! The hot path is a **carry-less-multiply fold** ([`crate::clmul`]): on
+//! an x86-64 host with PCLMULQDQ, inputs of at least
+//! [`FOLD_MIN_LEN`](crate::clmul::FOLD_MIN_LEN) bytes are folded 64 bytes
+//! per step into a 16-byte residue, which one slice-by-16 step and the
+//! byte loop finish. The FPGA computes the ICRC over a full datapath word
+//! per cycle; the fold is the software move in the same direction, and on
+//! the simulator it takes the two per-frame CRC passes (TX append + RX
+//! check) off the critical path. **Slice-by-16** — sixteen 256-entry
+//! tables consuming sixteen input bytes per step — is the portable path,
+//! the short-input path and the residue finish. The original
+//! byte-at-a-time loop is kept as [`icrc_reference`]; the differential
+//! tests here and in `tests/prop.rs` compare both paths against it.
+
+use crate::clmul::Fold;
 
 /// Length of the ICRC trailer.
 pub const ICRC_LEN: usize = 4;
@@ -56,51 +62,74 @@ fn tables() -> &'static [[u32; 256]; 16] {
     })
 }
 
-/// Computes the ICRC over `data` (slice-by-16 fast path).
-pub fn icrc(data: &[u8]) -> u32 {
-    let t = tables();
-    let mut crc = 0xffff_ffffu32;
-    let mut chunks = data.chunks_exact(16);
-    for c in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes(c[0..4].try_into().expect("sized"));
-        crc = t[15][(lo & 0xff) as usize]
-            ^ t[14][((lo >> 8) & 0xff) as usize]
-            ^ t[13][((lo >> 16) & 0xff) as usize]
-            ^ t[12][(lo >> 24) as usize]
-            ^ t[11][c[4] as usize]
-            ^ t[10][c[5] as usize]
-            ^ t[9][c[6] as usize]
-            ^ t[8][c[7] as usize]
-            ^ t[7][c[8] as usize]
-            ^ t[6][c[9] as usize]
-            ^ t[5][c[10] as usize]
-            ^ t[4][c[11] as usize]
-            ^ t[3][c[12] as usize]
-            ^ t[2][c[13] as usize]
-            ^ t[1][c[14] as usize]
-            ^ t[0][c[15] as usize];
+/// One slice-by-16 step: advances `crc` over a 16-byte block.
+#[inline(always)]
+fn step16(t: &[[u32; 256]; 16], crc: u32, c: &[u8; 16]) -> u32 {
+    let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+    t[15][(lo & 0xff) as usize]
+        ^ t[14][((lo >> 8) & 0xff) as usize]
+        ^ t[13][((lo >> 16) & 0xff) as usize]
+        ^ t[12][(lo >> 24) as usize]
+        ^ t[11][c[4] as usize]
+        ^ t[10][c[5] as usize]
+        ^ t[9][c[6] as usize]
+        ^ t[8][c[7] as usize]
+        ^ t[7][c[8] as usize]
+        ^ t[6][c[9] as usize]
+        ^ t[5][c[10] as usize]
+        ^ t[4][c[11] as usize]
+        ^ t[3][c[12] as usize]
+        ^ t[2][c[13] as usize]
+        ^ t[1][c[14] as usize]
+        ^ t[0][c[15] as usize]
+}
+
+/// The table path: slice-by-16 over whole blocks, then the byte loop.
+/// Advances the raw (un-inverted) register `crc` over `data`.
+fn update_table(t: &[[u32; 256]; 16], mut crc: u32, data: &[u8]) -> u32 {
+    let (blocks, tail) = data.as_chunks::<16>();
+    for c in blocks {
+        crc = step16(t, crc, c);
     }
-    for &b in chunks.remainder() {
+    for &b in tail {
         crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
     }
-    !crc
+    crc
+}
+
+/// The fold constants of the IB polynomial.
+const FOLD: Fold<false> = Fold::reflected32(0x04C1_1DB7);
+
+/// The CRC-32 register before the first byte.
+const INIT: u32 = 0xffff_ffff;
+
+/// Computes the ICRC over `data`: the carry-less-multiply fold where it
+/// applies, its residue and the tail through the table path.
+pub fn icrc(data: &[u8]) -> u32 {
+    match FOLD.fold(u64::from(INIT), data) {
+        Some((residue, tail)) => {
+            let t = tables();
+            !update_table(t, update_table(t, 0, &residue), tail)
+        }
+        None => icrc_table(data),
+    }
+}
+
+/// The ICRC on the table path alone — what [`icrc`] computes for short
+/// inputs and on hosts without PCLMULQDQ.
+fn icrc_table(data: &[u8]) -> u32 {
+    !update_table(tables(), INIT, data)
 }
 
 /// The original byte-at-a-time ICRC — the reference implementation the
-/// slice-by-16 fast path is differential-tested (and benchmarked) against.
+/// fold and the slice-by-16 path are differential-tested against.
 pub fn icrc_reference(data: &[u8]) -> u32 {
     let t = &tables()[0];
-    let mut crc = 0xffff_ffffu32;
+    let mut crc = INIT;
     for &b in data {
         crc = (crc >> 8) ^ t[((crc ^ u32::from(b)) & 0xff) as usize];
     }
     !crc
-}
-
-/// Appends the ICRC of everything currently in `buf` to `buf`.
-pub fn append_icrc(buf: &mut Vec<u8>) {
-    let crc = icrc(buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// Splits `buf` into `(body, ok)` where `ok` says whether the trailing
@@ -117,11 +146,26 @@ pub fn check_icrc(buf: &[u8]) -> Option<(&[u8], bool)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DEFAULT_MTU;
+    use strom_sim::SimRng;
+
+    /// Appends the ICRC of everything currently in `buf` to `buf`.
+    fn append_icrc(buf: &mut Vec<u8>) {
+        let crc = icrc(buf);
+        buf.extend_from_slice(&crc.to_le_bytes());
+    }
+
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut data = vec![0u8; len];
+        SimRng::seed(seed).fill_bytes(&mut data);
+        data
+    }
 
     #[test]
     fn crc32_known_vector() {
         // The classic CRC-32 check value.
         assert_eq!(icrc(b"123456789"), 0xCBF4_3926);
+        assert_eq!(icrc_table(b"123456789"), 0xCBF4_3926);
         assert_eq!(icrc_reference(b"123456789"), 0xCBF4_3926);
     }
 
@@ -132,17 +176,32 @@ mod tests {
     }
 
     #[test]
-    fn sliced_matches_reference_across_lengths() {
-        // Every length through a few chunk boundaries, with nonuniform data.
-        let data: Vec<u8> = (0..100u32)
-            .map(|i| (i.wrapping_mul(37) % 251) as u8)
-            .collect();
-        for len in 0..data.len() {
-            assert_eq!(
-                icrc(&data[..len]),
-                icrc_reference(&data[..len]),
-                "len = {len}"
-            );
+    fn both_paths_match_reference_at_every_length() {
+        // Every length from empty through four MTUs: every tail length
+        // mod 16 and mod 64, with and without a four-lane loop. The table
+        // path is called directly, so it stays covered on a host whose
+        // `icrc` takes the fold.
+        let data = seeded_bytes(0x1c2c, 4 * DEFAULT_MTU);
+        for len in 0..=data.len() {
+            let want = icrc_reference(&data[..len]);
+            assert_eq!(icrc(&data[..len]), want, "dispatched, len = {len}");
+            assert_eq!(icrc_table(&data[..len]), want, "table, len = {len}");
+        }
+    }
+
+    #[test]
+    fn both_paths_match_reference_at_seeded_windows() {
+        // Unaligned starts: the fold's loads must not care where in the
+        // buffer a block begins.
+        let data = seeded_bytes(0x0ff5e7, 16 * 1024);
+        let mut rng = SimRng::seed(18);
+        for _ in 0..500 {
+            let off = rng.below(data.len() as u64) as usize;
+            let len = rng.below((data.len() - off) as u64 + 1) as usize;
+            let window = &data[off..off + len];
+            let want = icrc_reference(window);
+            assert_eq!(icrc(window), want, "dispatched, off = {off}, len = {len}");
+            assert_eq!(icrc_table(window), want, "table, off = {off}, len = {len}");
         }
     }
 

@@ -12,10 +12,11 @@
 //! just as the FPGA pipeline stages of Figure 2 operate on header fields
 //! extracted from the byte stream.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod arp;
 pub mod bth;
+pub mod clmul;
 pub mod ethernet;
 pub mod icrc;
 pub mod ipv4;

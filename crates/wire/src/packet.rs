@@ -326,6 +326,34 @@ mod tests {
     }
 
     #[test]
+    fn any_flipped_bit_in_an_mtu_frame_fails_icrc() {
+        // An MTU frame's RoCE region is long enough for the carry-less
+        // fold's four-lane loop, its single-lane tail and the table
+        // finish: a flip anywhere in it must surface as an ICRC failure,
+        // never as a packet (the BTH/RETH stages run after the check).
+        use strom_sim::SimRng;
+        let mut rng = SimRng::seed(0x1c2c);
+        let mut payload = vec![0u8; crate::max_payload(crate::DEFAULT_MTU)];
+        rng.fill_bytes(&mut payload);
+        let frame = write_only(&payload).encode();
+        let roce_start = ethernet::ETHERNET_HEADER_LEN
+            + crate::ipv4::IPV4_HEADER_LEN
+            + crate::udp::UDP_HEADER_LEN;
+        assert!(Packet::parse(&Bytes::from(frame.clone())).is_ok());
+        for _ in 0..256 {
+            let byte = rng.range(roce_start as u64, frame.len() as u64) as usize;
+            let bit = rng.below(8);
+            let mut bad = frame.clone();
+            bad[byte] ^= 1 << bit;
+            assert_eq!(
+                Packet::parse(&Bytes::from(bad)),
+                Err(PacketError::Icrc),
+                "flip of bit {bit} in byte {byte}"
+            );
+        }
+    }
+
+    #[test]
     fn wrong_udp_port_dropped_at_udp_stage() {
         let p = write_only(b"x");
         let mut frame = p.encode();

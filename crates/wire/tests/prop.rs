@@ -81,10 +81,11 @@ fn truncation_is_rejected() {
     }
 }
 
-/// The slice-by-16 ICRC equals the byte-at-a-time reference on random
-/// lengths, contents, and alignments — including empty, 1-byte, and
-/// larger-than-MTU inputs, and unaligned starting offsets (the sliced loop
-/// reads multi-byte chunks, so every offset modulo the block must agree).
+/// The ICRC (carry-less fold + slice-by-16) equals the byte-at-a-time
+/// reference on random lengths, contents, and alignments — including
+/// empty, 1-byte, and larger-than-MTU inputs, and unaligned starting
+/// offsets (both loops read multi-byte blocks, so every offset modulo the
+/// block must agree).
 #[test]
 fn icrc_slice16_matches_reference() {
     let mut rng = SimRng::seed(0xc32c);
