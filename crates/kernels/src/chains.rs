@@ -2,7 +2,7 @@
 //!
 //! §8's outlook — "more complex processing pipelines can be built by
 //! **chaining kernels**" — realized with the
-//! [`KernelChain`](crate::framework::KernelChain) combinator. Two
+//! [`KernelChain`] combinator. Two
 //! pipelines exercise both composition styles:
 //!
 //! - [`filter_agg_hll`]: *filter → aggregate → HLL*. The filter's

@@ -12,7 +12,7 @@
 //!   are plain per-lane array loops. Compiled with the AVX2 target feature
 //!   they lower to 256-bit vector instructions; without it they remain
 //!   correct scalar code.
-//! - [`simd_dispatch!`]: wraps a function body twice — once baseline, once
+//! - [`simd_dispatch!`](crate::simd_dispatch): wraps a function body twice — once baseline, once
 //!   `#[target_feature(enable = "avx2")]` — and selects at runtime via
 //!   [`backend`]. This is the standard safe-dispatch pattern: the unsafe
 //!   AVX2 entry point is only reached after `is_x86_feature_detected!`

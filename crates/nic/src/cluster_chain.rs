@@ -2,7 +2,7 @@
 //!
 //! §8's outlook — "more complex processing pipelines can be built by
 //! chaining kernels" — executed with real NIC timing: a
-//! [`KernelChain`](strom_kernels::framework::KernelChain) deploys into a
+//! [`KernelChain`] deploys into a
 //! node's kernel fabric like any single kernel (one RPC op-code, one
 //! fabric slot), the client configures every stage with one RPC Params
 //! message, and the payload streams through the chain as RDMA RPC WRITE

@@ -10,8 +10,9 @@
 //! Without congestion control the shared egress queue either tail-drops
 //! (shallow buffers → retransmission storms, possibly terminal QP
 //! errors) or bloats (deep buffers → p999 latency far beyond the
-//! retransmit timeout). With DCQCN ([`NicConfig::cc`]) the switch
-//! CE-marks at a threshold, receivers echo CNPs, and every sender
+//! retransmit timeout). With DCQCN
+//! ([`NicConfig::cc`](crate::NicConfig::cc)) the switch CE-marks at a
+//! threshold, receivers echo CNPs, and every sender
 //! converges near its fair share of the bottleneck — the run completes
 //! with near-zero drops and a bounded tail.
 //!

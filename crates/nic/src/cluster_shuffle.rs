@@ -2,7 +2,7 @@
 //!
 //! §6.4 evaluates the shuffle kernel between two directly connected
 //! NICs; this module scales the experiment out: every node of an N-node
-//! [`ClusterTestbed`](crate::ClusterTestbed) hash-partitions its local
+//! [`ClusterTestbed`] hash-partitions its local
 //! table by *destination node* and streams each bucket to the owning
 //! peer as an RDMA RPC WRITE through that peer's on-NIC
 //! [`ShuffleKernel`], which radix-partitions the incoming values into
@@ -105,6 +105,10 @@ pub struct ShuffleOutcome {
     pub tail_drops: u64,
     /// Retransmissions summed over all nodes.
     pub retransmissions: u64,
+    /// Partitions the linear exactly-once walk could not decide and the
+    /// sort then proved: non-zero only if some flow reached host memory
+    /// out of order, or equal values from two flows misled the walk.
+    pub out_of_order_partitions: u64,
 }
 
 /// The QP connecting the unordered node pair `{i, j}`; both directions
@@ -122,44 +126,143 @@ pub fn dest_node(v: u64, nodes: usize) -> NodeId {
 }
 
 /// Per-node deterministic source table.
-fn node_table(spec: &ShuffleSpec, node: NodeId) -> Vec<u64> {
+fn node_table(spec: &ShuffleSpec, node: NodeId) -> impl Iterator<Item = u64> {
     let mut rng = SimRng::seed(spec.seed ^ (0x517u64 << 8) ^ node as u64);
-    (0..spec.values_per_node).map(|_| rng.next_u64()).collect()
+    (0..spec.values_per_node).map(move |_| rng.next_u64())
+}
+
+/// Where every shuffled value goes, from one draw of each node's table.
+/// The one piece of code that routes values: [`run_shuffle`] stages and
+/// verifies from it, [`expected_partitions`] sorts it.
+///
+/// Filled in two levels, like a two-pass radix partition: a sender's
+/// draw appends each value to its destination's staging buffer, then
+/// each of those buffers is split by receive partition. Scattering the
+/// draw straight into all `nodes × partitions` expected lists runs 128
+/// write streams at once in the benchmark's shuffles, and measured
+/// slower than both levels together (EXPERIMENTS.md, PR 25).
+struct Routing {
+    /// `staging[src][dst]`: the values `src` sends `dst`, encoded in
+    /// table order (empty for `dst == src`).
+    staging: Vec<Vec<Vec<u8>>>,
+    /// `expected[dst * parts + p]`: the values partition `p` of node
+    /// `dst` receives, grouped by sender in ascending order, each
+    /// sender's values in table order.
+    expected: Vec<Vec<u64>>,
+    /// `bounds[slot * (nodes + 1) + src]`: where sender `src`'s flow
+    /// starts in `expected[slot]` (and sender `src − 1`'s ends); entry
+    /// `nodes` is the slot's end.
+    bounds: Vec<usize>,
+}
+
+impl Routing {
+    fn fill(spec: &ShuffleSpec) -> Routing {
+        let n = spec.nodes;
+        let parts = spec.local_partitions as usize;
+        let bits = radix_bits(parts);
+        let mut staging = Vec::with_capacity(n);
+        let mut expected: Vec<Vec<u64>> = vec![Vec::new(); n * parts];
+        let mut bounds = vec![0; n * parts * (n + 1)];
+        for src in 0..n {
+            let mut out = vec![Vec::new(); n];
+            for v in node_table(spec, src) {
+                let dst = dest_node(v, n);
+                if dst != src {
+                    out[dst].extend_from_slice(&v.to_le_bytes());
+                }
+            }
+            for (bytes, slots) in out.iter().zip(expected.chunks_mut(parts)) {
+                for v in values_of(bytes) {
+                    slots[radix_partition(v, bits)].push(v);
+                }
+            }
+            staging.push(out);
+            for (slot, values) in expected.iter().enumerate() {
+                bounds[slot * (n + 1) + src + 1] = values.len();
+            }
+        }
+        // The expected values outlive the simulation: no spare capacity.
+        for values in &mut expected {
+            values.shrink_to_fit();
+        }
+        Routing {
+            staging,
+            expected,
+            bounds,
+        }
+    }
 }
 
 /// The expected post-shuffle contents: for each `(receiver, partition)`,
 /// the sorted multiset of values every *other* node routes there.
-/// (Self-owned values stay local and never cross the wire.)
+/// (Self-owned values stay local and never cross the wire.) The
+/// reference model for tests: built from the same fill [`run_shuffle`]
+/// verifies against, plus one sort per partition, which `run_shuffle`
+/// itself does not need.
 pub fn expected_partitions(spec: &ShuffleSpec) -> BTreeMap<(NodeId, u32), Vec<u64>> {
-    let bits = radix_bits(spec.local_partitions as usize);
     let parts = spec.local_partitions as usize;
-    // Filled densely, indexed `dst * parts + p` (the map's key order): a
-    // map lookup per value would cost more than the sorts.
-    let mut dense: Vec<Vec<u64>> = vec![Vec::new(); spec.nodes * parts];
-    for src in 0..spec.nodes {
-        for v in node_table(spec, src) {
-            let dst = dest_node(v, spec.nodes);
-            if dst == src {
-                continue;
-            }
-            dense[dst * parts + radix_partition(v, bits)].push(v);
-        }
-    }
-    dense
+    Routing::fill(spec)
+        .expected
         .into_iter()
         .enumerate()
-        .map(|(i, mut values)| {
+        .map(|(slot, mut values)| {
             values.sort_unstable();
-            (((i / parts) as NodeId, (i % parts) as u32), values)
+            (((slot / parts) as NodeId, (slot % parts) as u32), values)
         })
         .collect()
 }
 
+/// The linear exactly-once check: whether `got` (little-endian 8-byte
+/// values) is an interleaving of the flows
+/// `values[bounds[f]..bounds[f + 1]]` — each value the next unconsumed
+/// one of some flow, every flow consumed to its end. `true` proves that
+/// `got` holds exactly the flows' multiset, each flow in order. `false`
+/// decides nothing: a wrong value, a flow out of order, and equal values
+/// the greedy walk credited to the wrong flow all land here.
+///
+/// The flow that matched last is tried first, because a packet's values
+/// land contiguously; any other flow is a scan over the `bounds.len() − 1`
+/// flow heads.
+fn interleaves(got: &[u8], values: &[u64], bounds: &[usize]) -> bool {
+    let ends = &bounds[1..];
+    // Each flow's next unconsumed index; the current flow's is `at`.
+    let mut next = bounds[..ends.len()].to_vec();
+    let (mut flow, mut at) = (0, next[0]);
+    for v in values_of(got) {
+        let heads = |at: usize, end: usize| at < end && values[at] == v;
+        if !heads(at, ends[flow]) {
+            next[flow] = at;
+            match (0..ends.len()).find(|&f| heads(next[f], ends[f])) {
+                Some(f) => (flow, at) = (f, next[f]),
+                None => return false,
+            }
+        }
+        at += 1;
+    }
+    next[flow] = at;
+    got.len().is_multiple_of(8) && next == ends
+}
+
+/// `values`, sorted — the fallback decision when [`interleaves`] cannot
+/// decide.
+fn sorted(mut values: Vec<u64>) -> Vec<u64> {
+    values.sort_unstable();
+    values
+}
+
+/// The little-endian 8-byte values in `bytes`.
+fn values_of(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("sized")))
+}
+
 /// Host-memory layout of one node for the shuffle run.
 struct NodeLayout {
-    /// Per-destination staging buffers: `(addr, encoded bytes)`,
-    /// indexed by destination node (empty for self).
-    staging: Vec<(u64, Vec<u8>)>,
+    /// Per-destination staging regions `(addr, len)`, indexed by
+    /// destination node (empty for self). The bytes live only in host
+    /// memory.
+    staging: Vec<(u64, u32)>,
     /// Histogram address.
     hist_addr: u64,
     /// Per-partition `(base, capacity_bytes)` of the receive regions.
@@ -172,6 +275,15 @@ struct NodeLayout {
 /// Runs the all-to-all shuffle and verifies byte-exact, exactly-once
 /// delivery of every value into the correct peer partition before
 /// returning the observables. Panics on any violation.
+///
+/// Host-side work is linear in the values shuffled. Each node's table
+/// is drawn once, into its staging bytes and, grouped by sender, each
+/// partition's expected values — no [`expected_partitions`] call and no
+/// sort. Staging bytes are freed once written into host memory. Each
+/// partition is checked by one walk over its values against the flows
+/// that feed it; only a partition the walk cannot decide is sorted and
+/// compared, and is counted in
+/// [`ShuffleOutcome::out_of_order_partitions`].
 pub fn run_shuffle(spec: &ShuffleSpec) -> ShuffleOutcome {
     assert!(spec.nodes >= 2, "shuffle needs at least two nodes");
     assert!(
@@ -179,7 +291,12 @@ pub fn run_shuffle(spec: &ShuffleSpec) -> ShuffleOutcome {
         "partition count must be a power of two"
     );
     let n = spec.nodes;
-    let expected = expected_partitions(spec);
+    let parts = spec.local_partitions as usize;
+    let Routing {
+        staging,
+        expected,
+        bounds,
+    } = Routing::fill(spec);
 
     let mut cfg = spec.platform.config();
     cfg.seed = spec.seed;
@@ -204,28 +321,28 @@ pub fn run_shuffle(spec: &ShuffleSpec) -> ShuffleOutcome {
     // Lay out host memory: per-destination staging buffers, then the
     // histogram, then exact-capacity receive regions (so any duplicated
     // or misrouted value would overflow its partition and be counted).
+    // Staging bytes are written as soon as their region is pinned and
+    // freed with it; only `(addr, len)` stays.
     let mut layouts: Vec<NodeLayout> = Vec::with_capacity(n);
-    for node in 0..n {
-        let mut staging: Vec<(u64, Vec<u8>)> = vec![(0, Vec::new()); n];
-        for v in node_table(spec, node) {
-            let dst = dest_node(v, n);
-            if dst != node {
-                staging[dst].1.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        let staging_total: usize = staging.iter().map(|(_, b)| b.len()).sum();
-        let partitions: Vec<u32> = (0..spec.local_partitions)
-            .map(|p| (expected[&(node, p)].len() * 8) as u32)
+    for (node, out) in staging.into_iter().enumerate() {
+        let staging_total: usize = out.iter().map(Vec::len).sum();
+        let partitions: Vec<u32> = expected[node * parts..(node + 1) * parts]
+            .iter()
+            .map(|values| (values.len() * 8) as u32)
             .collect();
         let receive_total: usize = partitions.iter().map(|&c| c as usize).sum();
-        let hist_len = spec.local_partitions as usize * 16;
+        let hist_len = parts * 16;
         let base = tb.pin(
             node,
             (staging_total + hist_len + receive_total + 4096) as u64,
         );
         let mut cursor = base;
-        for (addr, bytes) in &mut staging {
-            *addr = cursor;
+        let mut staging = Vec::with_capacity(n);
+        for bytes in out {
+            if !bytes.is_empty() {
+                tb.mem(node).write(cursor, &bytes);
+            }
+            staging.push((cursor, bytes.len() as u32));
             cursor += bytes.len() as u64;
         }
         let hist_addr = cursor;
@@ -250,11 +367,6 @@ pub fn run_shuffle(spec: &ShuffleSpec) -> ShuffleOutcome {
         tb.deploy_kernel(node, Box::new(ShuffleKernel::new()));
         let histogram = encode_histogram(&layout.partitions);
         tb.mem(node).write(layout.hist_addr, &histogram);
-        for (addr, bytes) in &layout.staging {
-            if !bytes.is_empty() {
-                tb.mem(node).write(*addr, bytes);
-            }
-        }
         tb.post_local_rpc(
             node,
             pair_qpn(n, node, (node + 1) % n),
@@ -274,8 +386,8 @@ pub fn run_shuffle(spec: &ShuffleSpec) -> ShuffleOutcome {
     let mut handles: Vec<(NodeId, u64, usize)> = Vec::new();
     let mut bytes_shuffled = 0u64;
     for (src, layout) in layouts.iter().enumerate() {
-        for (dst, (addr, bytes)) in layout.staging.iter().enumerate() {
-            if dst == src || bytes.is_empty() {
+        for (dst, &(addr, len)) in layout.staging.iter().enumerate() {
+            if dst == src || len == 0 {
                 continue;
             }
             let h = tb.post(
@@ -283,12 +395,12 @@ pub fn run_shuffle(spec: &ShuffleSpec) -> ShuffleOutcome {
                 pair_qpn(n, src, dst),
                 WorkRequest::RpcWrite {
                     rpc_op: RpcOpCode::SHUFFLE,
-                    local_vaddr: *addr,
-                    len: bytes.len() as u32,
+                    local_vaddr: addr,
+                    len,
                 },
             );
             handles.push((src, h, dst));
-            bytes_shuffled += bytes.len() as u64;
+            bytes_shuffled += u64::from(len);
         }
     }
     for &(src, h, dst) in &handles {
@@ -310,8 +422,9 @@ pub fn run_shuffle(spec: &ShuffleSpec) -> ShuffleOutcome {
     // Exactly-once verification: every value each node shuffled out is
     // present in the correct peer partition, no value is duplicated
     // (exact-capacity regions make a duplicate overflow), none invented.
-    for node in 0..n {
-        let layout = &layouts[node];
+    // A partition the linear walk cannot decide is decided by the sort.
+    let mut out_of_order_partitions = 0;
+    for (node, layout) in layouts.iter().enumerate() {
         let kernel = tb
             .fabric(node)
             .kernel(RpcOpCode::SHUFFLE)
@@ -332,19 +445,18 @@ pub fn run_shuffle(spec: &ShuffleSpec) -> ShuffleOutcome {
             spec.seed
         );
         for (p, &(addr, cap)) in layout.partitions.iter().enumerate() {
-            let want = &expected[&(node, p as u32)];
-            let mut got: Vec<u64> = tb
-                .mem(node)
-                .read(addr, cap as usize)
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().expect("sized")))
-                .collect();
-            got.sort_unstable();
-            assert_eq!(
-                &got, want,
-                "seed {}: node {node} partition {p} content mismatch",
-                spec.seed
-            );
+            let slot = node * parts + p;
+            let want = &expected[slot];
+            let got = tb.mem(node).read(addr, cap as usize);
+            if !interleaves(&got, want, &bounds[slot * (n + 1)..(slot + 1) * (n + 1)]) {
+                out_of_order_partitions += 1;
+                assert_eq!(
+                    sorted(values_of(&got).collect()),
+                    sorted(want.clone()),
+                    "seed {}: node {node} partition {p} content mismatch",
+                    spec.seed
+                );
+            }
         }
     }
 
@@ -366,6 +478,7 @@ pub fn run_shuffle(spec: &ShuffleSpec) -> ShuffleOutcome {
         fingerprint: spec.trace_capacity.map(|_| tb.trace().fingerprint()),
         tail_drops: tb.switch_tail_drops(),
         retransmissions: (0..n).map(|i| tb.retransmissions(i)).sum(),
+        out_of_order_partitions,
     }
 }
 
@@ -409,8 +522,7 @@ mod tests {
         let kept: usize = (0..3)
             .map(|i| {
                 node_table(&spec, i)
-                    .iter()
-                    .filter(|&&v| dest_node(v, 3) == i)
+                    .filter(|&v| dest_node(v, 3) == i)
                     .count()
             })
             .sum();
@@ -423,6 +535,10 @@ mod tests {
         assert!(outcome.bytes_shuffled > 0);
         assert!(outcome.aggregate_gbps > 0.0);
         assert_eq!(outcome.tail_drops, 0, "fault-free run never tail-drops");
+        assert_eq!(
+            outcome.out_of_order_partitions, 0,
+            "every flow lands in order"
+        );
     }
 
     #[test]
@@ -433,5 +549,110 @@ mod tests {
         let b = run_shuffle(&spec);
         assert_eq!(a, b, "same spec must reproduce identical observables");
         assert!(a.fingerprint.is_some());
+        assert_eq!(a.out_of_order_partitions, 0, "every flow lands in order");
+    }
+
+    /// The fill behind both views: each partition's slice of `expected`
+    /// is the senders' flows in ascending order, each flow the sender's
+    /// table filtered to that partition, and each staging buffer the
+    /// sender's table filtered to that destination.
+    #[test]
+    fn fill_groups_every_partition_by_sender_in_table_order() {
+        let n = 4;
+        let spec = ShuffleSpec::new(n, 300, 11);
+        let parts = spec.local_partitions as usize;
+        let bits = radix_bits(parts);
+        let routing = Routing::fill(&spec);
+        for src in 0..n {
+            let routed = |dst: NodeId| {
+                node_table(&spec, src).filter(move |&v| src != dst && dest_node(v, n) == dst)
+            };
+            for dst in 0..n {
+                let bytes: Vec<u8> = routed(dst).flat_map(u64::to_le_bytes).collect();
+                assert_eq!(routing.staging[src][dst], bytes, "staging {src} -> {dst}");
+                for p in 0..parts {
+                    let slot = dst * parts + p;
+                    let bounds = &routing.bounds[slot * (n + 1)..(slot + 1) * (n + 1)];
+                    let flow: Vec<u64> = routed(dst)
+                        .filter(|&v| radix_partition(v, bits) == p)
+                        .collect();
+                    assert_eq!(
+                        routing.expected[slot][bounds[src]..bounds[src + 1]],
+                        flow,
+                        "flow {src} -> ({dst}, {p})"
+                    );
+                    assert_eq!(bounds[n], routing.expected[slot].len());
+                }
+            }
+        }
+    }
+
+    /// Differential test of the partition check against the sort it
+    /// replaces: the walk never accepts contents whose multiset differs
+    /// from the flows', and walk-then-sort gives the sort's verdict on
+    /// every case. Half the cases draw from a four-value domain, so ties
+    /// between flows are common.
+    #[test]
+    fn partition_check_agrees_with_the_sort() {
+        let mut rng = SimRng::seed(0x5EED_C4EC);
+        let (mut walked, mut sort_only, mut rejected) = (0, 0, 0);
+        for case in 0..20_000 {
+            let ties = case % 2 == 0;
+            let mut values = Vec::new();
+            let mut bounds = vec![0];
+            for _ in 0..rng.range(1, 16) {
+                for _ in 0..rng.below(13) {
+                    values.push(if ties { rng.below(4) } else { rng.next_u64() });
+                }
+                bounds.push(values.len());
+            }
+            // A random interleaving in runs of one to four values, as
+            // packets land.
+            let flows = bounds.len() - 1;
+            let mut next = bounds[..flows].to_vec();
+            let mut got = Vec::with_capacity(values.len());
+            while got.len() < values.len() {
+                let f = rng.below(flows as u64) as usize;
+                for _ in 0..rng.range(1, 5) {
+                    if next[f] < bounds[f + 1] {
+                        got.push(values[next[f]]);
+                        next[f] += 1;
+                    }
+                }
+            }
+            if got.len() >= 2 {
+                let (i, j) = (
+                    rng.below(got.len() as u64) as usize,
+                    rng.below(got.len() as u64) as usize,
+                );
+                match rng.below(4) {
+                    0 => {}
+                    1 => got.swap(i, j),
+                    2 => got[i] ^= 1 << rng.below(64),
+                    _ => got[i] = got[j],
+                }
+            }
+            let bytes: Vec<u8> = got.iter().copied().flat_map(u64::to_le_bytes).collect();
+            let truth = sorted(got) == sorted(values.clone());
+            let walk = interleaves(&bytes, &values, &bounds);
+            assert!(
+                !walk || truth,
+                "case {case}: the walk accepted a wrong multiset"
+            );
+            let verdict = walk || sorted(values_of(&bytes).collect()) == sorted(values);
+            assert_eq!(
+                verdict, truth,
+                "case {case}: walk-then-sort disagrees with the sort"
+            );
+            match (walk, truth) {
+                (true, _) => walked += 1,
+                (false, true) => sort_only += 1,
+                (false, false) => rejected += 1,
+            }
+        }
+        assert!(
+            walked > 0 && sort_only > 0 && rejected > 0,
+            "every branch must be hit: {walked} walked, {sort_only} sorted, {rejected} rejected"
+        );
     }
 }

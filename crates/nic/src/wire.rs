@@ -41,14 +41,25 @@ use crate::fault::{self, LinkFaultModel, LinkFaultState};
 /// packets, false while a zero-copy payload slice is held by a pending
 /// DMA event or reassembly state, in which case the buffer is simply
 /// dropped and the pool refills from later frames.
+///
+/// Reuse is partial; this is not a zero-allocation steady state. At
+/// seed 7 the pool serves 62.7 % of `take`s on `benchmark/`'s
+/// `kv_serve`, 18.4 % on `incast_writes` and 0.5 % on `shuffle_bulk`
+/// (EXPERIMENTS.md, PR 25), for two reasons. A frame is encoded when its
+/// packet is sent, and without congestion control a posted message sends
+/// all its packets at once, so a bulk transfer takes every buffer from
+/// an empty pool and returns them after the last `take`. And a data
+/// frame whose payload a pending DMA write still holds cannot be
+/// reclaimed, so under paced traffic mostly ACKs come back.
 #[derive(Debug, Default)]
 struct FramePool {
     free: Vec<Vec<u8>>,
 }
 
 impl FramePool {
-    /// Enough for the frames in flight on a two-node wire; beyond this,
-    /// extra buffers are dropped rather than hoarded.
+    /// A cap on hoarding: with this many buffers free, returned ones
+    /// are dropped. Bulk transfers reach it (their buffers come back
+    /// after the last `take`); request/response traffic does not.
     const MAX_POOLED: usize = 32;
 
     fn take(&mut self) -> Vec<u8> {
@@ -153,7 +164,8 @@ pub(crate) struct Wire {
     /// a FIFO: a short packet's smaller store-and-forward delay must not
     /// let it overtake an earlier, larger packet on the same wire.
     last_arrival: Vec<Time>,
-    /// Reusable transmit frame buffers (zero-allocation steady state).
+    /// Reusable transmit frame buffers (best-effort reuse, see
+    /// `FramePool`).
     pool: FramePool,
     /// Wire capture (disabled until [`Wire::enable_capture`]).
     capture: Option<PcapWriter>,

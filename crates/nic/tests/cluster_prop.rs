@@ -11,8 +11,10 @@
 //!    or duplication on the way. ([`run_shuffle`] panics on any
 //!    violation: the receive regions have *exact* capacity, so a
 //!    duplicated or misrouted value overflows its partition; a lost one
-//!    leaves the kernel's value count short; a corrupted one breaks the
-//!    sorted-multiset comparison.)
+//!    leaves the kernel's value count short; a corrupted one fails the
+//!    per-partition check — a linear walk, with the sorted-multiset
+//!    comparison as its fallback.) Go-back-N must also deliver every
+//!    flow in order: no partition may need the fallback.
 //! 2. **Determinism**: re-running the same spec reproduces the full
 //!    outcome — including the telemetry trace fingerprint — bit for
 //!    bit.
@@ -93,6 +95,10 @@ fn arbitrary_clusters_shuffle_exactly_once() {
             assert!(
                 outcome.bytes_shuffled > 0,
                 "case {seed:#x}: vacuous case, nothing crossed the switch"
+            );
+            assert_eq!(
+                outcome.out_of_order_partitions, 0,
+                "case {seed:#x}: a flow reached host memory out of order"
             );
             (spec, outcome)
         },
