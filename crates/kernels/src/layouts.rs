@@ -112,9 +112,17 @@ pub fn build_linked_list(
 
 /// The deterministic value payload for `key` (verifiable end-to-end).
 pub fn value_pattern(key: u64, value_size: u32) -> Vec<u8> {
-    (0..value_size)
-        .map(|i| (key.wrapping_mul(0x9E37_79B9).wrapping_add(u64::from(i)) & 0xff) as u8)
-        .collect()
+    let mut value = vec![0; value_size as usize];
+    value_pattern_into(key, &mut value);
+    value
+}
+
+/// [`value_pattern`] of `out.len()` bytes, written into `out`.
+fn value_pattern_into(key: u64, out: &mut [u8]) {
+    let first = key.wrapping_mul(0x9E37_79B9);
+    for (i, b) in out.iter_mut().enumerate() {
+        *b = (first.wrapping_add(i as u64) & 0xff) as u8;
+    }
 }
 
 /// A Pilaf-style hash table placed in host memory.
@@ -168,7 +176,8 @@ pub fn build_hash_table(
     for (i, &key) in keys.iter().enumerate() {
         assert_ne!(key, 0, "key 0 is the empty-bucket marker");
         let entry = table.entry_addr(key);
-        let mut buf: Vec<u8> = mem.read(entry, ELEMENT_SIZE as usize);
+        let mut buf = [0u8; ELEMENT_SIZE as usize];
+        mem.read_into(entry, &mut buf);
         let value_addr = table.value_base + i as u64 * u64::from(value_size);
         let mut placed = false;
         for b in 0..3usize {
@@ -443,7 +452,8 @@ pub fn build_chained_hash_table(
         // Walk the chain to the first entry with a free bucket.
         let mut entry = table.entry_addr(key);
         loop {
-            let mut buf: Vec<u8> = mem.read(entry, ELEMENT_SIZE as usize);
+            let mut buf = [0u8; ELEMENT_SIZE as usize];
+            mem.read_into(entry, &mut buf);
             let mut placed = false;
             for b in 0..chained_layout::BUCKETS {
                 let off = usize::from(chained_layout::BUCKET_KEY_POS[b]) * 4;
@@ -509,14 +519,19 @@ impl ChainedHashTable {
 /// plain pattern and every PUT rewrites the slot with the next version's
 /// pattern (end-to-end verifiable under concurrency).
 pub fn versioned_value_pattern(key: u64, version: u64, value_size: u32) -> Vec<u8> {
-    if version == 0 {
-        value_pattern(key, value_size)
-    } else {
-        value_pattern(
-            key.wrapping_add(version.wrapping_mul(0xA24B_AED4_963E_E407)),
-            value_size,
-        )
-    }
+    let mut value = vec![0; value_size as usize];
+    versioned_value_pattern_into(key, version, &mut value);
+    value
+}
+
+/// [`versioned_value_pattern`] of `out.len()` bytes, written into `out`:
+/// an audit checking many candidate versions reuses one buffer.
+pub fn versioned_value_pattern_into(key: u64, version: u64, out: &mut [u8]) {
+    // Version 0 leaves the key, and so the preload pattern, unchanged.
+    value_pattern_into(
+        key.wrapping_add(version.wrapping_mul(0xA24B_AED4_963E_E407)),
+        out,
+    );
 }
 
 /// A KV store region: a versioned chained hash table plus the spare
@@ -560,10 +575,11 @@ impl KvStore {
 
     /// Host-side chain walk: `(version, value_ptr)` of `key`, if present.
     /// Used by the load generator to audit the kernels' effects.
-    pub fn lookup(&self, mem: &mut HostMemory, key: u64) -> Option<(u64, u64)> {
+    pub fn lookup(&self, mem: &HostMemory, key: u64) -> Option<(u64, u64)> {
         let mut entry = self.entry_addr(key);
+        let mut buf = [0u8; ELEMENT_SIZE as usize];
         while entry != 0 {
-            let buf = mem.read(entry, ELEMENT_SIZE as usize);
+            mem.read_into(entry, &mut buf);
             for b in 0..chained_layout::BUCKETS {
                 let off = chained_layout::key_off(b);
                 let k = u64::from_le_bytes(buf[off..off + 8].try_into().expect("sized"));
@@ -620,7 +636,8 @@ pub fn build_kv_store(
         mem.write(value_addr, &versioned_value_pattern(key, 0, value_size));
         let mut entry = table.entry_addr(key);
         loop {
-            let mut buf: Vec<u8> = mem.read(entry, ELEMENT_SIZE as usize);
+            let mut buf = [0u8; ELEMENT_SIZE as usize];
+            mem.read_into(entry, &mut buf);
             let mut placed = false;
             for b in 0..chained_layout::BUCKETS {
                 let off = chained_layout::key_off(b);
@@ -842,11 +859,11 @@ mod tests {
         let kv = build_kv_store(&mut m, base, 8, &keys, 32, 16);
         assert!(kv.table.overflow_entries > 0, "8×2 slots force chains");
         for &key in &keys {
-            let (version, ptr) = kv.lookup(&mut m, key).expect("preloaded");
+            let (version, ptr) = kv.lookup(&m, key).expect("preloaded");
             assert_eq!(version, 0);
             assert_eq!(m.read(ptr, 32), versioned_value_pattern(key, 0, 32));
         }
-        assert_eq!(kv.lookup(&mut m, 999), None, "absent key");
+        assert_eq!(kv.lookup(&m, 999), None, "absent key");
     }
 
     #[test]
@@ -881,6 +898,9 @@ mod tests {
             versioned_value_pattern(9, 1, 24),
             versioned_value_pattern(9, 2, 24)
         );
+        let mut buf = [0xEE; 24];
+        versioned_value_pattern_into(9, 2, &mut buf);
+        assert_eq!(buf[..], versioned_value_pattern(9, 2, 24)[..]);
     }
 
     #[test]

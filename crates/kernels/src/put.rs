@@ -521,7 +521,7 @@ mod tests {
             }
         }
         for &key in &keys {
-            let (version, ptr) = kv.lookup(&mut m, key).unwrap();
+            let (version, ptr) = kv.lookup(&m, key).unwrap();
             assert_eq!(version, 3);
             assert_eq!(m.read(ptr, 32), versioned_value_pattern(key, 3, 32));
         }
@@ -538,14 +538,14 @@ mod tests {
             let sends = put(&mut k, &mut m, &kv, 3, new_key, &val);
             let ack = u64::from_le_bytes(sends[0].1[..8].try_into().unwrap());
             assert_eq!(ack, 1, "fresh insert starts at version 1");
-            let (version, ptr) = kv.lookup(&mut m, new_key).expect("inserted key reachable");
+            let (version, ptr) = kv.lookup(&m, new_key).expect("inserted key reachable");
             assert_eq!(version, 1);
             assert_eq!(m.read(ptr, 16), val);
         }
         assert_eq!(k.inserts, 5);
         // Old keys are untouched.
         for &key in &keys {
-            let (version, ptr) = kv.lookup(&mut m, key).unwrap();
+            let (version, ptr) = kv.lookup(&m, key).unwrap();
             assert_eq!(version, 0);
             assert_eq!(m.read(ptr, 16), versioned_value_pattern(key, 0, 16));
         }
@@ -576,7 +576,7 @@ mod tests {
         );
         let word = u64::from_le_bytes(b[0].1[..8].try_into().unwrap());
         assert_eq!(decode_error(word), Some(ERR_NO_SPACE));
-        assert_eq!(kv.lookup(&mut m, 51), None);
+        assert_eq!(kv.lookup(&m, 51), None);
         assert_eq!(k.errors, 1);
     }
 
@@ -587,7 +587,7 @@ mod tests {
         let sends = put(&mut k, &mut m, &kv, 1, 1, &[0u8; 16]);
         let word = u64::from_le_bytes(sends[0].1[..8].try_into().unwrap());
         assert_eq!(decode_error(word), Some(ERR_BAD_PARAMS));
-        let (version, _) = kv.lookup(&mut m, 1).unwrap();
+        let (version, _) = kv.lookup(&m, 1).unwrap();
         assert_eq!(version, 0, "rejected PUT must not touch the entry");
     }
 
@@ -629,8 +629,8 @@ mod tests {
         assert_eq!(sends.len(), 2);
         assert_eq!(sends[0].0, 0xB000);
         assert_eq!(sends[1].0, 0xA000);
-        assert_eq!(kv.lookup(&mut m, 3).unwrap().0, 1);
-        assert_eq!(kv.lookup(&mut m, 5).unwrap().0, 1);
+        assert_eq!(kv.lookup(&m, 3).unwrap().0, 1);
+        assert_eq!(kv.lookup(&m, 5).unwrap().0, 1);
         assert_eq!(k.applied(), 2);
     }
 }

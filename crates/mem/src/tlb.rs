@@ -9,6 +9,9 @@
 //! splitting the command into multiple commands, none of them crossing
 //! page boundaries."
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use strom_telemetry::{TraceEvent, TraceSink};
 
 use crate::host::HUGE_PAGE_SIZE;
@@ -53,6 +56,29 @@ impl std::fmt::Display for TlbError {
 
 impl std::error::Error for TlbError {}
 
+/// Hashes a virtual page number with one multiply (Fibonacci hashing).
+/// Page numbers are small consecutive integers the driver hands out, not
+/// adversarial keys, so SipHash's flooding resistance buys nothing here,
+/// and nothing iterates the table, so no hash order can leak.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The TLB: virtual page number → 48-bit physical page address.
 ///
 /// # Examples
@@ -66,11 +92,11 @@ impl std::error::Error for TlbError {}
 /// // A command crossing the 2 MB boundary is split into two segments.
 /// let segs = tlb.translate_command(vaddr + HUGE_PAGE_SIZE - 64, 128).unwrap();
 /// assert_eq!(segs.len(), 2);
-/// assert_eq!(segs[0].len + segs[1].len, 128);
+/// assert_eq!(segs.map(|s| s.len).sum::<u32>(), 128);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Tlb {
-    entries: std::collections::HashMap<u64, u64>,
+    entries: HashMap<u64, u64, BuildHasherDefault<PageHasher>>,
     trace: TraceSink,
 }
 
@@ -129,32 +155,86 @@ impl Tlb {
 
     /// Translates a command of `len` bytes at `vaddr`, splitting it into
     /// physical segments at every 2 MB boundary (§4.2).
-    pub fn translate_command(&self, vaddr: u64, len: u32) -> Result<Vec<PhysSegment>, TlbError> {
+    ///
+    /// Every page is checked before the first segment is yielded, so a
+    /// miss anywhere in the command is reported before anything is
+    /// touched; the segments themselves are yielded without collecting
+    /// them.
+    pub fn translate_command(&self, vaddr: u64, len: u32) -> Result<Segments<'_>, TlbError> {
+        let end = vaddr + u64::from(len);
+        let mut segments = Segments {
+            tlb: self,
+            cur: vaddr,
+            end,
+            paddr: 0,
+            left: 0,
+        };
         if len == 0 {
-            return Ok(Vec::new());
+            return Ok(segments);
         }
-        let mut out = Vec::with_capacity(1 + (len as u64 / HUGE_PAGE_SIZE) as usize);
-        let mut cur = vaddr;
-        let mut remaining = u64::from(len);
-        while remaining > 0 {
-            let paddr = self.translate(cur)?;
-            let in_page = HUGE_PAGE_SIZE - cur % HUGE_PAGE_SIZE;
-            let seg_len = in_page.min(remaining);
-            out.push(PhysSegment {
-                paddr,
-                len: seg_len as u32,
-            });
-            cur += seg_len;
-            remaining -= seg_len;
+        segments.paddr = self.translate(vaddr)?;
+        let (first, last) = (vaddr / HUGE_PAGE_SIZE, (end - 1) / HUGE_PAGE_SIZE);
+        for vpn in first + 1..=last {
+            if !self.entries.contains_key(&vpn) {
+                return Err(TlbError::Miss {
+                    vaddr: vpn * HUGE_PAGE_SIZE,
+                });
+            }
         }
+        segments.left = (last - first + 1) as usize;
         self.trace.emit(TraceEvent::TlbLookup {
             vaddr,
             len,
-            segments: out.len() as u32,
+            segments: segments.left as u32,
         });
-        Ok(out)
+        Ok(segments)
     }
 }
+
+/// The physical segments of one translated command, in virtual order
+/// ([`Tlb::translate_command`]).
+#[derive(Debug, Clone)]
+pub struct Segments<'a> {
+    tlb: &'a Tlb,
+    /// Virtual address of the next segment.
+    cur: u64,
+    /// End of the command (exclusive).
+    end: u64,
+    /// Physical address of the next segment.
+    paddr: u64,
+    /// Segments not yet yielded.
+    left: usize,
+}
+
+impl Iterator for Segments<'_> {
+    type Item = PhysSegment;
+
+    fn next(&mut self) -> Option<PhysSegment> {
+        if self.left == 0 {
+            return None;
+        }
+        let len = (HUGE_PAGE_SIZE - self.cur % HUGE_PAGE_SIZE).min(self.end - self.cur);
+        let seg = PhysSegment {
+            paddr: self.paddr,
+            len: len as u32,
+        };
+        self.cur += len;
+        self.left -= 1;
+        if self.left > 0 {
+            self.paddr = self
+                .tlb
+                .translate(self.cur)
+                .expect("checked before the first segment");
+        }
+        Some(seg)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Segments<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -182,12 +262,15 @@ mod tests {
         assert_eq!(tlb.translate(beyond), Err(TlbError::Miss { vaddr: beyond }));
     }
 
+    fn segments(tlb: &Tlb, vaddr: u64, len: u32) -> Vec<PhysSegment> {
+        tlb.translate_command(vaddr, len).unwrap().collect()
+    }
+
     #[test]
     fn command_within_one_page_is_one_segment() {
         let (tlb, base, phys) = tlb_for(2);
-        let segs = tlb.translate_command(base + 100, 1000).unwrap();
         assert_eq!(
-            segs,
+            segments(&tlb, base + 100, 1000),
             vec![PhysSegment {
                 paddr: phys[0] + 100,
                 len: 1000
@@ -200,7 +283,7 @@ mod tests {
         let (tlb, base, phys) = tlb_for(2);
         // 4 KB command starting 1 KB before the boundary.
         let start = base + HUGE_PAGE_SIZE - 1024;
-        let segs = tlb.translate_command(start, 4096).unwrap();
+        let segs = segments(&tlb, start, 4096);
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0].paddr, phys[0] + HUGE_PAGE_SIZE - 1024);
         assert_eq!(segs[0].len, 1024);
@@ -215,6 +298,8 @@ mod tests {
         let start = base + HUGE_PAGE_SIZE / 2;
         let len = (2 * HUGE_PAGE_SIZE + 12345) as u32;
         let segs = tlb.translate_command(start, len).unwrap();
+        assert_eq!(segs.len(), 3, "the count is known before iterating");
+        let segs: Vec<_> = segs.collect();
         let total: u64 = segs.iter().map(|s| u64::from(s.len)).sum();
         assert_eq!(total, u64::from(len));
         for s in &segs {
@@ -226,18 +311,37 @@ mod tests {
     #[test]
     fn zero_length_command_yields_no_segments() {
         let (tlb, base, _) = tlb_for(1);
-        assert!(tlb.translate_command(base, 0).unwrap().is_empty());
+        assert!(segments(&tlb, base, 0).is_empty());
     }
 
     #[test]
     fn split_segments_follow_scattered_frames() {
         let (tlb, base, phys) = tlb_for(2);
-        let segs = tlb
-            .translate_command(base + HUGE_PAGE_SIZE - 8, 16)
-            .unwrap();
+        let segs = segments(&tlb, base + HUGE_PAGE_SIZE - 8, 16);
         // Scattered allocation: segment 2 is not physically adjacent.
         assert_ne!(segs[1].paddr, segs[0].paddr + 8);
         assert_eq!(segs[1].paddr, phys[1]);
+    }
+
+    #[test]
+    fn a_miss_past_the_first_page_is_reported_and_not_traced() {
+        let (mut tlb, base, _) = tlb_for(1);
+        let trace = TraceSink::enabled(16);
+        tlb.set_trace(trace.clone());
+        let err = tlb
+            .translate_command(base + HUGE_PAGE_SIZE - 8, 16)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            TlbError::Miss {
+                vaddr: base + HUGE_PAGE_SIZE
+            }
+        );
+        assert_eq!(trace.emitted(), 0);
+        let hit = tlb.translate_command(base + 8, 16).unwrap();
+        assert_eq!(trace.emitted(), 1, "traced at translation, not iteration");
+        assert_eq!(hit.count(), 1);
+        assert_eq!(trace.emitted(), 1);
     }
 
     #[test]

@@ -52,8 +52,8 @@ pub enum NicEvent {
     /// ready for protocol processing.
     FrameArrive {
         /// The raw frame bytes (parsed on arrival — bit-accurate RX).
-        /// Carried as `Bytes` so fault-model duplication and the frame
-        /// pool share one buffer instead of copying it.
+        /// Carried as `Bytes` so fault-model duplication and the parsed
+        /// payload share one buffer instead of copying it.
         frame: Bytes,
     },
     /// A DMA write to host memory completed (data becomes visible to CPU

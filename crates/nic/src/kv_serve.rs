@@ -40,7 +40,9 @@
 //! bit-identical (the [`KvOutcome::fingerprint`] pins this).
 
 use strom_kernels::framework::{decode_error, ERR_NOT_FOUND};
-use strom_kernels::layouts::{build_kv_store, versioned_value_pattern, KvStore};
+use strom_kernels::layouts::{
+    build_kv_store, versioned_value_pattern, versioned_value_pattern_into, KvStore,
+};
 use strom_kernels::put::{encode_put_request, PutConfig, PUT_HEADER_LEN};
 use strom_kernels::simd::bytes_equal;
 use strom_kernels::{GetKernel, GetParams, PutKernel, TraversalKernel};
@@ -54,6 +56,7 @@ use strom_wire::opcode::RpcOpCode;
 use crate::config::Platform;
 use crate::fault::LinkFaultModel;
 use crate::testbed::{ClusterTestbed, SwitchParams};
+use crate::watch::WatchId;
 use crate::WorkRequest;
 
 /// Everything that determines one serving-tier run.
@@ -335,16 +338,26 @@ pub fn run_kv_serve_instrumented(spec: &KvSpec) -> (KvOutcome, MetricsRegistry) 
         stores.push(kv);
     }
 
-    // Client regions: one fixed-size chunk per request (indexed by the
-    // global request id, so slots never alias): 8 B header/ack + value
-    // response slot, then the PUT staging blob.
-    let chunk =
+    // Client regions: one fixed-size slot per request of that client,
+    // numbered within the client's own requests so slots never alias:
+    // 8 B header/ack + value response slot, then the PUT staging blob.
+    let slot_len =
         (8 + u64::from(spec.value_size) + PUT_HEADER_LEN as u64 + u64::from(spec.value_size))
             .next_multiple_of(64);
-    let mut client_base = vec![0u64; spec.clients];
-    for (c, base) in client_base.iter_mut().enumerate() {
-        *base = tb.pin(m + c, chunk * schedule.len() as u64);
+    let mut per_client = vec![0u64; spec.clients];
+    for r in &schedule {
+        per_client[r.client] += 1;
     }
+    let mut next_slot: Vec<u64> = (per_client.iter().enumerate())
+        .map(|(c, &n)| tb.pin(m + c, slot_len * n.max(1)))
+        .collect();
+    let slots: Vec<u64> = (schedule.iter())
+        .map(|r| {
+            let slot = next_slot[r.client];
+            next_slot[r.client] += slot_len;
+            slot
+        })
+        .collect();
     tb.bring_up();
     tb.run_until_idle(); // Settle the PUT arena configuration RPCs.
 
@@ -352,7 +365,7 @@ pub fn run_kv_serve_instrumented(spec: &KvSpec) -> (KvOutcome, MetricsRegistry) 
     // clock to the arrival itself, post — never wait for completions.
     let t0 = tb.now();
     let mut watches = Vec::with_capacity(schedule.len());
-    for (i, r) in schedule.iter().enumerate() {
+    for (r, &slot) in schedule.iter().zip(&slots) {
         let due = t0 + r.at;
         while tb.next_event_at().is_some_and(|t| t <= due) {
             tb.step();
@@ -362,7 +375,6 @@ pub fn run_kv_serve_instrumented(spec: &KvSpec) -> (KvOutcome, MetricsRegistry) 
         }
         let node = m + r.client;
         let qpn = qpn_for(spec, r.client, r.server);
-        let slot = client_base[r.client] + chunk * i as u64;
         let watch = match r.op {
             KvOp::Get | KvOp::GetMiss => {
                 let w = tb.add_watch(node, slot, 8);
@@ -413,7 +425,7 @@ pub fn run_kv_serve_instrumented(spec: &KvSpec) -> (KvOutcome, MetricsRegistry) 
                 w
             }
         };
-        watches.push((watch, due));
+        watches.push(watch);
     }
     assert!(
         tb.run_until_idle_bounded(EVENT_BUDGET),
@@ -421,136 +433,28 @@ pub fn run_kv_serve_instrumented(spec: &KvSpec) -> (KvOutcome, MetricsRegistry) 
         spec.seed
     );
 
-    // ---- Post-run audit ----
-    // Pass 1: collect PUT acks and build each key's committed
-    // version → nonce ladder.
-    let mut acked: std::collections::BTreeMap<u64, Vec<(u64, u64)>> = Default::default();
-    let mut put_errors = 0u64;
-    let mut dup_puts = 0u64;
-    for (i, r) in schedule.iter().enumerate() {
-        if !matches!(r.op, KvOp::Put | KvOp::Insert) {
-            continue;
-        }
-        let Some(_) = tb.watch_fired(watches[i].0) else {
-            continue; // Counted as lost below.
-        };
-        let node = m + r.client;
-        let slot = client_base[r.client] + chunk * i as u64;
-        let word = tb.mem(node).read_u64(slot);
-        if decode_error(word).is_some() {
-            put_errors += 1;
-        } else {
-            acked.entry(r.key).or_default().push((word, r.nonce));
-        }
-    }
-    let mut lost_puts = 0u64;
-    let mut inserts_acked = 0u64;
-    let mut version_nonce: std::collections::BTreeMap<(u64, u64), u64> = Default::default();
-    let mut final_version: std::collections::BTreeMap<u64, u64> = Default::default();
-    for (&key, ladder) in acked.iter_mut() {
-        ladder.sort_unstable();
-        // Exactly-once: acked versions must be exactly 1..=n, each once.
-        for (idx, &(v, nonce)) in ladder.iter().enumerate() {
-            let expect = idx as u64 + 1;
-            if v == expect {
-                version_nonce.insert((key, v), nonce);
-            } else if idx > 0 && v == ladder[idx - 1].0 {
-                dup_puts += 1;
-            } else {
-                lost_puts += 1;
-            }
-        }
-        let n = ladder.len() as u64;
-        let server = shard_of(key, m);
-        match stores[server].lookup(tb.mem(server), key) {
-            Some((v, _)) if v == n => {}
-            _ => lost_puts += 1, // Acked but not (fully) committed.
-        }
-        final_version.insert(key, n);
-        if key >= INSERT_KEY_BASE {
-            inserts_acked += 1;
-        }
-    }
-
-    // Pass 2: verify every response against the version ladder.
-    let mut latency = Histogram::new();
-    let mut per_op = [Histogram::new(), Histogram::new(), Histogram::new()];
-    let metrics = tb.metrics().clone();
-    let mut completed = 0u64;
-    let (mut gets, mut puts, mut traversals) = (0u64, 0u64, 0u64);
-    let mut misses = 0u64;
-    let mut lost_responses = 0u64;
-    let mut verify_failures = 0u64;
-    let mut last_response = t0;
-    let mut fp = Fingerprint::new();
-    // The payload a key legitimately holds at committed version `w`.
-    let pattern_at = |key: u64, w: u64| -> Vec<u8> {
-        match version_nonce.get(&(key, w)) {
-            Some(&nonce) => versioned_value_pattern(key, nonce, spec.value_size),
-            None => versioned_value_pattern(key, 0, spec.value_size),
-        }
+    let keys = KeyIndex {
+        preloaded: total_keys,
+        inserts: inserts_per_server.iter().sum(),
     };
-    for (i, r) in schedule.iter().enumerate() {
-        let (watch, due) = watches[i];
-        let Some(fired) = tb.watch_fired(watch) else {
-            lost_responses += 1;
-            fp.word(r.op as u64).word(r.key).word(u64::MAX).word(0);
-            continue;
-        };
-        let lat = fired.saturating_sub(due);
-        let node = m + r.client;
-        let slot = client_base[r.client] + chunk * i as u64;
-        let head = tb.mem(node).read_u64(slot);
-        completed += 1;
-        last_response = last_response.max(fired);
-        latency.record(lat);
-        let fin = final_version.get(&r.key).copied().unwrap_or(0);
-        match r.op {
-            KvOp::Get | KvOp::GetMiss => {
-                gets += 1;
-                per_op[0].record(lat);
-                match decode_error(head) {
-                    Some(code) => {
-                        if r.op == KvOp::GetMiss && code == ERR_NOT_FOUND {
-                            misses += 1;
-                        } else {
-                            verify_failures += 1;
-                        }
-                    }
-                    None => {
-                        // Hit: header is the version the kernel read; the
-                        // value may be newer if a PUT raced the value DMA,
-                        // but never older and never torn.
-                        let value = tb.mem(node).read(slot + 8, spec.value_size as usize);
-                        let ok = r.op == KvOp::Get
-                            && head <= fin
-                            && (head..=fin).any(|w| bytes_equal(&value, &pattern_at(r.key, w)));
-                        if !ok {
-                            verify_failures += 1;
-                        }
-                    }
-                }
-            }
-            KvOp::Put | KvOp::Insert => {
-                puts += 1;
-                per_op[1].record(lat);
-            }
-            KvOp::Traversal => {
-                traversals += 1;
-                per_op[2].record(lat);
-                let value = tb.mem(node).read(slot, spec.value_size as usize);
-                let ok = (0..=fin).any(|w| bytes_equal(&value, &pattern_at(r.key, w)));
-                if !ok {
-                    verify_failures += 1;
-                }
-            }
-        }
-        fp.word(r.op as u64).word(r.key).word(lat).word(head);
-    }
+    let a = audit(
+        &schedule,
+        spec.value_size,
+        keys,
+        t0,
+        &mut Served {
+            tb: &mut tb,
+            schedule: &schedule,
+            slots: &slots,
+            watches: &watches,
+            stores: &stores,
+        },
+    );
+    let metrics = tb.metrics().clone();
     for (name, h) in [
-        ("kv_get_latency_ps", &per_op[0]),
-        ("kv_put_latency_ps", &per_op[1]),
-        ("kv_traversal_latency_ps", &per_op[2]),
+        ("kv_get_latency_ps", &a.per_op[0]),
+        ("kv_put_latency_ps", &a.per_op[1]),
+        ("kv_traversal_latency_ps", &a.per_op[2]),
     ] {
         let handle = metrics.histogram(name);
         for (v, n) in h.nonzero_buckets() {
@@ -560,7 +464,7 @@ pub fn run_kv_serve_instrumented(spec: &KvSpec) -> (KvOutcome, MetricsRegistry) 
         }
     }
 
-    let elapsed_ps = (last_response - t0).max(1);
+    let elapsed_ps = (a.last_response - t0).max(1);
     let mut qp_errors = 0usize;
     for c in 0..spec.clients {
         for s in 0..m {
@@ -570,31 +474,275 @@ pub fn run_kv_serve_instrumented(spec: &KvSpec) -> (KvOutcome, MetricsRegistry) 
         }
     }
     let outcome = KvOutcome {
-        completed,
-        gets,
-        puts,
-        traversals,
-        misses,
-        lost_responses,
-        verify_failures,
-        lost_puts,
-        dup_puts,
-        put_errors,
-        inserts_acked,
-        p50_ps: latency.quantile(0.50),
-        p99_ps: latency.quantile(0.99),
-        p999_ps: latency.quantile(0.999),
-        get_p99_ps: per_op[0].quantile(0.99),
-        put_p99_ps: per_op[1].quantile(0.99),
-        traversal_p99_ps: per_op[2].quantile(0.99),
+        completed: a.completed,
+        gets: a.gets,
+        puts: a.puts,
+        traversals: a.traversals,
+        misses: a.misses,
+        lost_responses: a.lost_responses,
+        verify_failures: a.verify_failures,
+        lost_puts: a.lost_puts,
+        dup_puts: a.dup_puts,
+        put_errors: a.put_errors,
+        inserts_acked: a.inserts_acked,
+        p50_ps: a.latency.quantile(0.50),
+        p99_ps: a.latency.quantile(0.99),
+        p999_ps: a.latency.quantile(0.999),
+        get_p99_ps: a.per_op[0].quantile(0.99),
+        put_p99_ps: a.per_op[1].quantile(0.99),
+        traversal_p99_ps: a.per_op[2].quantile(0.99),
         offered_rps: spec.process.mean_rate_per_sec().round() as u64,
-        achieved_rps: (completed as u128 * 1_000_000_000_000 / elapsed_ps as u128) as u64,
+        achieved_rps: (a.completed as u128 * 1_000_000_000_000 / elapsed_ps as u128) as u64,
         elapsed_ps,
         retransmissions: (0..tb.num_nodes()).map(|n| tb.retransmissions(n)).sum(),
         qp_errors,
-        fingerprint: fp.value(),
+        fingerprint: a.fingerprint,
     };
     (outcome, metrics)
+}
+
+/// Dense numbering of every key a PUT can commit: the preloaded keys
+/// `1..=preloaded` first, then the inserted keys in insert order.
+#[derive(Debug, Clone, Copy)]
+struct KeyIndex {
+    preloaded: u64,
+    inserts: u64,
+}
+
+impl KeyIndex {
+    fn len(self) -> usize {
+        (self.preloaded + self.inserts) as usize
+    }
+
+    /// The index of `key`, if a PUT can commit it.
+    fn of(self, key: u64) -> Option<usize> {
+        if (1..=self.preloaded).contains(&key) {
+            Some(key as usize - 1)
+        } else if (1..=self.inserts).contains(&key.wrapping_sub(INSERT_KEY_BASE)) {
+            Some((self.preloaded + key - INSERT_KEY_BASE - 1) as usize)
+        } else {
+            None
+        }
+    }
+
+    /// The key at index `k`.
+    fn key(self, k: usize) -> u64 {
+        let k = k as u64;
+        if k < self.preloaded {
+            k + 1
+        } else {
+            INSERT_KEY_BASE + 1 + k - self.preloaded
+        }
+    }
+}
+
+/// What the post-run audit reads from a finished run.
+trait FinishedRun {
+    /// When request `i`'s response landed, if it did.
+    fn landed(&self, i: usize) -> Option<Time>;
+    /// Reads `buf.len()` bytes of request `i`'s client slot from `offset`.
+    fn read_slot(&mut self, i: usize, offset: u64, buf: &mut [u8]);
+    /// The version of `key` its server's store holds, if it holds the key.
+    fn committed(&mut self, key: u64) -> Option<u64>;
+}
+
+/// A serving-tier run after its last event.
+struct Served<'a> {
+    tb: &'a mut ClusterTestbed,
+    schedule: &'a [Request],
+    slots: &'a [u64],
+    watches: &'a [WatchId],
+    stores: &'a [KvStore],
+}
+
+impl FinishedRun for Served<'_> {
+    fn landed(&self, i: usize) -> Option<Time> {
+        self.tb.watch_fired(self.watches[i])
+    }
+
+    fn read_slot(&mut self, i: usize, offset: u64, buf: &mut [u8]) {
+        let node = self.stores.len() + self.schedule[i].client;
+        self.tb.mem(node).read_into(self.slots[i] + offset, buf);
+    }
+
+    fn committed(&mut self, key: u64) -> Option<u64> {
+        let server = shard_of(key, self.stores.len());
+        let store = &self.stores[server];
+        store.lookup(self.tb.mem(server), key).map(|(v, _)| v)
+    }
+}
+
+/// The audit's verdict, plus the latency record and fingerprint it reads
+/// off the responses on the way.
+#[derive(Debug, Default)]
+struct Audit {
+    completed: u64,
+    gets: u64,
+    puts: u64,
+    traversals: u64,
+    misses: u64,
+    lost_responses: u64,
+    verify_failures: u64,
+    lost_puts: u64,
+    dup_puts: u64,
+    put_errors: u64,
+    inserts_acked: u64,
+    latency: Histogram,
+    /// GET, PUT and traversal latencies.
+    per_op: [Histogram; 3],
+    last_response: Time,
+    fingerprint: u64,
+}
+
+/// The little-endian word at the start of request `i`'s slot: a PUT's
+/// ack, a GET's version header, a traversal's first value bytes.
+fn slot_word(run: &mut impl FinishedRun, i: usize) -> u64 {
+    let mut word = [0u8; 8];
+    run.read_slot(i, 0, &mut word);
+    u64::from_le_bytes(word)
+}
+
+/// The post-run exactly-once audit of a schedule whose requests were
+/// due at `t0` plus their arrival offsets.
+///
+/// Pass 1 sorts the acked PUTs into each key's committed version ladder
+/// (version → nonce): the acked versions of a key must be exactly
+/// `1..=n`, each once, and its server must hold version `n`. Pass 2
+/// checks every response against the ladder: a GET's value must be the
+/// payload of a version between the one its header names and the final
+/// one, a traversal's that of any version the key held.
+fn audit(
+    schedule: &[Request],
+    value_size: u32,
+    keys: KeyIndex,
+    t0: Time,
+    run: &mut impl FinishedRun,
+) -> Audit {
+    let mut out = Audit {
+        last_response: t0,
+        ..Audit::default()
+    };
+    // Pass 1: every acked PUT as (key index, version, nonce), sorted so
+    // that each key's ladder is one run, in version order.
+    let mut acks = Vec::new();
+    for (i, r) in schedule.iter().enumerate() {
+        if !matches!(r.op, KvOp::Put | KvOp::Insert) || run.landed(i).is_none() {
+            continue; // Unlanded PUTs are counted as lost below.
+        }
+        let word = slot_word(run, i);
+        if decode_error(word).is_some() {
+            out.put_errors += 1;
+        } else {
+            let k = keys
+                .of(r.key)
+                .expect("PUTs target preloaded or inserted keys");
+            acks.push((k, word, r.nonce));
+        }
+    }
+    acks.sort_unstable();
+    // Key `k`'s ladder is `acks[start[k]..start[k + 1]]`.
+    let mut start = vec![0usize; keys.len() + 1];
+    for &(k, ..) in &acks {
+        start[k + 1] += 1;
+    }
+    for k in 0..keys.len() {
+        start[k + 1] += start[k];
+    }
+    let ladder = |k: usize| &acks[start[k]..start[k + 1]];
+    for k in (0..keys.len()).filter(|&k| start[k] < start[k + 1]) {
+        let ladder = ladder(k);
+        // Exactly-once: acked versions must be exactly 1..=n, each once.
+        for (idx, &(_, v, _)) in ladder.iter().enumerate() {
+            if v == idx as u64 + 1 {
+                continue;
+            } else if idx > 0 && v == ladder[idx - 1].1 {
+                out.dup_puts += 1;
+            } else {
+                out.lost_puts += 1;
+            }
+        }
+        let key = keys.key(k);
+        if run.committed(key) != Some(ladder.len() as u64) {
+            out.lost_puts += 1; // Acked but not (fully) committed.
+        }
+        if key >= INSERT_KEY_BASE {
+            out.inserts_acked += 1;
+        }
+    }
+    // The nonce whose payload key `k` holds at committed version `w`: 0,
+    // the preloaded payload, at version 0 or where the ladder has a gap.
+    let nonce_at = |k: Option<usize>, w: u64| -> u64 {
+        let at = k
+            .zip(w.checked_sub(1))
+            .and_then(|(k, i)| ladder(k).get(i as usize));
+        at.filter(|&&(_, v, _)| v == w)
+            .map_or(0, |&(.., nonce)| nonce)
+    };
+
+    // Pass 2: verify every response against the version ladder.
+    let mut fp = Fingerprint::new();
+    let mut value = vec![0u8; value_size as usize];
+    let mut want = vec![0u8; value_size as usize];
+    for (i, r) in schedule.iter().enumerate() {
+        let Some(fired) = run.landed(i) else {
+            out.lost_responses += 1;
+            fp.word(r.op as u64).word(r.key).word(u64::MAX).word(0);
+            continue;
+        };
+        let lat = fired.saturating_sub(t0 + r.at);
+        let head = slot_word(run, i);
+        out.completed += 1;
+        out.last_response = out.last_response.max(fired);
+        out.latency.record(lat);
+        let k = keys.of(r.key);
+        let fin = k.map_or(0, |k| ladder(k).len() as u64);
+        // Whether `value` is the payload of one of the key's `versions`.
+        let mut held = |versions: std::ops::RangeInclusive<u64>, value: &[u8]| {
+            versions.into_iter().any(|w| {
+                versioned_value_pattern_into(r.key, nonce_at(k, w), &mut want);
+                bytes_equal(value, &want)
+            })
+        };
+        match r.op {
+            KvOp::Get | KvOp::GetMiss => {
+                out.gets += 1;
+                out.per_op[0].record(lat);
+                match decode_error(head) {
+                    Some(code) => {
+                        if r.op == KvOp::GetMiss && code == ERR_NOT_FOUND {
+                            out.misses += 1;
+                        } else {
+                            out.verify_failures += 1;
+                        }
+                    }
+                    None => {
+                        // Hit: header is the version the kernel read; the
+                        // value may be newer if a PUT raced the value DMA,
+                        // but never older and never torn.
+                        run.read_slot(i, 8, &mut value);
+                        if !(r.op == KvOp::Get && held(head..=fin, &value)) {
+                            out.verify_failures += 1;
+                        }
+                    }
+                }
+            }
+            KvOp::Put | KvOp::Insert => {
+                out.puts += 1;
+                out.per_op[1].record(lat);
+            }
+            KvOp::Traversal => {
+                out.traversals += 1;
+                out.per_op[2].record(lat);
+                run.read_slot(i, 0, &mut value);
+                if !held(0..=fin, &value) {
+                    out.verify_failures += 1;
+                }
+            }
+        }
+        fp.word(r.op as u64).word(r.key).word(lat).word(head);
+    }
+    out.fingerprint = fp.value();
+    out
 }
 
 #[cfg(test)]
@@ -620,6 +768,120 @@ mod tests {
         assert_eq!(o.put_errors, 0, "arena was sized for the schedule");
         assert_eq!(o.qp_errors, 0);
         assert_eq!(o.completed, o.gets + o.puts + o.traversals);
+    }
+
+    /// A finished run made of plain data: each request's landing time
+    /// and slot bytes, and each key's committed version.
+    struct Fake {
+        landed: Vec<Option<Time>>,
+        slots: Vec<Vec<u8>>,
+        committed: Vec<(u64, u64)>,
+    }
+
+    impl FinishedRun for Fake {
+        fn landed(&self, i: usize) -> Option<Time> {
+            self.landed[i]
+        }
+
+        fn read_slot(&mut self, i: usize, offset: u64, buf: &mut [u8]) {
+            let at = offset as usize;
+            buf.copy_from_slice(&self.slots[i][at..at + buf.len()]);
+        }
+
+        fn committed(&mut self, key: u64) -> Option<u64> {
+            self.committed.iter().find(|c| c.0 == key).map(|c| c.1)
+        }
+    }
+
+    const VALUE: u32 = 16;
+
+    /// Audits `requests`, each given as (op, key, nonce, slot word, value)
+    /// and landed 1 µs after it was due, against the committed versions.
+    /// A traversal's slot is its value alone.
+    fn audit_of(requests: &[(KvOp, u64, u64, u64, Vec<u8>)], committed: &[(u64, u64)]) -> Audit {
+        let schedule: Vec<Request> = (requests.iter().enumerate())
+            .map(|(i, &(op, key, nonce, ..))| Request {
+                at: i as Time * NANOS,
+                client: 0,
+                server: 0,
+                op,
+                key,
+                nonce,
+            })
+            .collect();
+        let slots = (requests.iter())
+            .map(|(op, _, _, word, value)| match op {
+                KvOp::Traversal => value.clone(),
+                _ => [&word.to_le_bytes()[..], value].concat(),
+            })
+            .collect();
+        let mut run = Fake {
+            landed: schedule
+                .iter()
+                .map(|r| Some(r.at + 1_000 * NANOS))
+                .collect(),
+            slots,
+            committed: committed.to_vec(),
+        };
+        let keys = KeyIndex {
+            preloaded: 8,
+            inserts: 0,
+        };
+        audit(&schedule, VALUE, keys, 0, &mut run)
+    }
+
+    fn at(key: u64, nonce: u64) -> Vec<u8> {
+        versioned_value_pattern(key, nonce, VALUE)
+    }
+
+    fn verdict(a: &Audit) -> (u64, u64, u64) {
+        (a.dup_puts, a.lost_puts, a.verify_failures)
+    }
+
+    /// Two PUTs of key 1 (nonces 1 and 2) both committed, so the server
+    /// holds version 2; a GET that read version 1, and a traversal of a
+    /// key never updated: a clean ladder.
+    fn clean() -> Vec<(KvOp, u64, u64, u64, Vec<u8>)> {
+        vec![
+            (KvOp::Put, 1, 1, 1, Vec::new()),
+            (KvOp::Put, 1, 2, 2, Vec::new()),
+            (KvOp::Get, 1, 0, 1, at(1, 1)),
+            (KvOp::Traversal, 3, 0, 0, at(3, 0)),
+        ]
+    }
+
+    #[test]
+    fn audit_passes_a_clean_ladder() {
+        let a = audit_of(&clean(), &[(1, 2)]);
+        assert_eq!(verdict(&a), (0, 0, 0));
+        assert_eq!((a.completed, a.gets, a.puts, a.traversals), (4, 1, 2, 1));
+        assert_eq!(a.last_response, 3 * NANOS + 1_000 * NANOS);
+    }
+
+    #[test]
+    fn audit_counts_a_duplicated_ack() {
+        let mut requests = clean();
+        requests[1].3 = 1; // Both PUTs acked version 1.
+        let a = audit_of(&requests, &[(1, 2)]);
+        assert_eq!(verdict(&a), (1, 0, 0));
+    }
+
+    #[test]
+    fn audit_counts_a_version_gap() {
+        let mut requests = clean();
+        requests[1].3 = 3; // Acked versions 1 and 3: version 2 is missing.
+        let a = audit_of(&requests, &[(1, 2)]);
+        assert_eq!(verdict(&a), (0, 1, 0));
+    }
+
+    #[test]
+    fn audit_counts_a_torn_value() {
+        let mut requests = clean();
+        // Half of version 1's payload over half of the preload.
+        let (new, old) = (at(1, 1), at(1, 0));
+        requests[2].4 = [&new[..8], &old[8..]].concat();
+        let a = audit_of(&requests, &[(1, 2)]);
+        assert_eq!(verdict(&a), (0, 0, 1));
     }
 
     #[test]

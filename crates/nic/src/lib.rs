@@ -12,8 +12,8 @@
 //!   Its handlers see only their own state plus a borrowed context; no
 //!   NIC can name another NIC;
 //! - a `Wire` (`wire.rs`, private) is everything between NICs — link
-//!   serializers, fault injection and its RNG, frame pool, pcap capture,
-//!   and the medium: a cable or a store-and-forward switch;
+//!   serializers, fault injection and its RNG, pcap capture, and the
+//!   medium: a cable or a store-and-forward switch;
 //! - [`ClusterTestbed`] ([`testbed`]) joins N `Nic`s with one `Wire` and
 //!   adds what the experimenter holds: the event queue, posted work
 //!   requests, memory watches, telemetry, the run loops.

@@ -467,7 +467,6 @@ impl Nic {
                     self.counters.frames_parse_dropped += 1;
                     self.trace_drop(DropReason::Malformed);
                 }
-                cx.wire.recycle(frame);
                 return;
             }
         };
@@ -530,11 +529,6 @@ impl Nic {
                 self.exec_responder_actions(&pkt, actions, cx);
             }
         }
-        // Best-effort buffer reuse: the parsed packet's payload is a
-        // zero-copy slice of `frame`, so drop it first — reclaim then
-        // succeeds exactly when dispatch kept no reference (ACKs, NAKs).
-        drop(pkt);
-        cx.wire.recycle(frame);
     }
 
     fn on_ack(&mut self, qpn: Qpn, psn: Psn, aeth: Aeth, cx: &mut Ctx<'_>) {
@@ -966,8 +960,8 @@ impl Nic {
     // ----- helpers ----------------------------------------------------------
 
     /// Reads bytes from host memory through the TLB (the DMA engine's
-    /// path), splitting at page boundaries.
-    fn dma_read_bytes(&mut self, vaddr: u64, len: u32) -> Bytes {
+    /// path), splitting at page boundaries, into one exactly sized buffer.
+    fn dma_read_bytes(&self, vaddr: u64, len: u32) -> Bytes {
         self.trace.emit(TraceEvent::DmaRead {
             node: self.id as u8,
             vaddr,
@@ -977,12 +971,9 @@ impl Nic {
             .tlb
             .translate_command(vaddr, len)
             .unwrap_or_else(|e| panic!("DMA read fault on node {}: {e}", self.id));
-        let mut out = vec![0u8; len as usize];
-        let mut offset = 0usize;
+        let mut out = Vec::with_capacity(len as usize);
         for seg in segs {
-            self.mem
-                .phys_read(seg.paddr, &mut out[offset..offset + seg.len as usize]);
-            offset += seg.len as usize;
+            self.mem.phys_append(seg.paddr, seg.len as usize, &mut out);
         }
         Bytes::from(out)
     }

@@ -1,20 +1,22 @@
 //! The wire: everything between two NICs.
 //!
 //! A [`Wire`] owns the transmit-link serializers, the fault models with
-//! their per-direction state and every RNG draw they make, the frame
-//! pool, the pcap writer, the per-receiver FIFO clamp, the fault
-//! counters kept on the receiving side, and the medium itself — a cable
+//! their per-direction state and every RNG draw they make, the pcap
+//! writer, the per-receiver FIFO clamp, the fault counters kept on the
+//! receiving side, and the medium itself — a cable
 //! for [`crate::ClusterTestbed::transparent_pair`], a store-and-forward
 //! switch ([`strom_sim::Switch`]) for [`crate::ClusterTestbed::switched`].
 //! A NIC hands it a [`Packet`]; what comes out the far end is a
 //! [`NicEvent::FrameArrive`] on the receiver, at least one cable
 //! propagation delay later. It knows nodes only as port numbers.
 //!
-//! Every packet crosses as real bytes, pooled and zero-copy: transmit
-//! draws a reusable buffer from the frame pool and
-//! [`Packet::encode_into`] fills it in one pass; fault injection flips
-//! bits in the buffer in place before it is frozen into [`Bytes`]; after
-//! RX dispatch the NIC returns the buffer with [`Wire::recycle`].
+//! Every packet crosses as real bytes, zero-copy: transmit encodes it in
+//! one pass into one exactly sized buffer ([`Packet::encode`]);
+//! fault injection flips bits in the buffer in place before it is frozen
+//! into [`Bytes`]; the receiver parses it without copying, and the buffer
+//! is freed with the last slice of it. Buffers are not pooled: plain
+//! allocation measured as fast as a free-list of returned frames
+//! (DESIGN.md §10).
 
 use bytes::Bytes;
 
@@ -30,51 +32,6 @@ use strom_wire::pcap::PcapWriter;
 use crate::config::NicConfig;
 use crate::event::{Event, NicEvent, NodeId, Scheduler};
 use crate::fault::{self, LinkFaultModel, LinkFaultState};
-
-/// A small free-list of reusable frame buffers for the transmit path.
-///
-/// `take` hands out a cleared `Vec` for [`Packet::encode_into`]; the Vec
-/// is frozen into [`Bytes`] for transit (a pure move in the vendored
-/// shim) and `put` reclaims it after RX dispatch via
-/// [`Bytes::try_reclaim`]. Reclaim is best-effort: it succeeds only when
-/// nothing still references the frame — true for ACKs and control
-/// packets, false while a zero-copy payload slice is held by a pending
-/// DMA event or reassembly state, in which case the buffer is simply
-/// dropped and the pool refills from later frames.
-///
-/// Reuse is partial; this is not a zero-allocation steady state. At
-/// seed 7 the pool serves 62.7 % of `take`s on `benchmark/`'s
-/// `kv_serve`, 18.4 % on `incast_writes` and 0.5 % on `shuffle_bulk`
-/// (EXPERIMENTS.md, PR 25), for two reasons. A frame is encoded when its
-/// packet is sent, and without congestion control a posted message sends
-/// all its packets at once, so a bulk transfer takes every buffer from
-/// an empty pool and returns them after the last `take`. And a data
-/// frame whose payload a pending DMA write still holds cannot be
-/// reclaimed, so under paced traffic mostly ACKs come back.
-#[derive(Debug, Default)]
-struct FramePool {
-    free: Vec<Vec<u8>>,
-}
-
-impl FramePool {
-    /// A cap on hoarding: with this many buffers free, returned ones
-    /// are dropped. Bulk transfers reach it (their buffers come back
-    /// after the last `take`); request/response traffic does not.
-    const MAX_POOLED: usize = 32;
-
-    fn take(&mut self) -> Vec<u8> {
-        self.free.pop().unwrap_or_default()
-    }
-
-    fn put(&mut self, frame: Bytes) {
-        if self.free.len() < Self::MAX_POOLED {
-            if let Ok(mut v) = frame.try_reclaim() {
-                v.clear();
-                self.free.push(v);
-            }
-        }
-    }
-}
 
 /// Geometry and timing of the cluster switch, the knobs
 /// [`crate::ClusterTestbed::switched`] takes on top of the per-NIC
@@ -164,9 +121,6 @@ pub(crate) struct Wire {
     /// a FIFO: a short packet's smaller store-and-forward delay must not
     /// let it overtake an earlier, larger packet on the same wire.
     last_arrival: Vec<Time>,
-    /// Reusable transmit frame buffers (best-effort reuse, see
-    /// `FramePool`).
-    pool: FramePool,
     /// Wire capture (disabled until [`Wire::enable_capture`]).
     capture: Option<PcapWriter>,
     /// Where injected losses and tail drops are traced.
@@ -213,7 +167,6 @@ impl Wire {
             port_fault: vec![None; n],
             rx_faults: vec![RxFaults::default(); n],
             last_arrival: vec![0; n],
-            pool: FramePool::default(),
             capture: None,
             trace: TraceSink::default(),
             switch,
@@ -281,11 +234,6 @@ impl Wire {
         self.links[src].busy_until()
     }
 
-    /// Returns a frame buffer after RX dispatch (best-effort reuse).
-    pub(crate) fn recycle(&mut self, frame: Bytes) {
-        self.pool.put(frame);
-    }
-
     /// Carries a packet whose last bit left `src` at `wire_end` to `dst`:
     /// the fault pipeline, then the cable or the switch.
     ///
@@ -313,12 +261,11 @@ impl Wire {
             });
             return;
         }
-        // Encode into a pooled buffer (single pass, no intermediate
-        // allocation) and flip fault-injected bits in place while the
-        // buffer is still mutable — then freeze it into `Bytes` for
-        // transit (a pure move, never a copy).
-        let mut buf = self.pool.take();
-        pkt.encode_into(&mut buf);
+        // Encode in a single pass into one exactly sized buffer and flip
+        // fault-injected bits in place while the buffer is still mutable
+        // — then freeze it into `Bytes` for transit (a pure move, never a
+        // copy).
+        let mut buf = pkt.encode();
         if fault.corrupt_rate > 0.0 && fault.should_corrupt(&mut self.rng) {
             // One bit flips in flight; the receiver's checksums must catch
             // it (frames_crc_dropped) unless it lands in the handful of
@@ -448,7 +395,6 @@ impl Wire {
                 reason: DropReason::TailDrop,
             });
             sw.port_metrics[d.dst].tail_drops.inc();
-            self.pool.put(d.payload.frame);
         }
         for d in sw.deliveries.drain(..) {
             let mut flight = d.payload;

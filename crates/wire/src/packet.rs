@@ -150,8 +150,7 @@ impl Packet {
     /// Encodes the full frame byte stream into `buf` (cleared first) in a
     /// single pass: every length is known up front from [`Self::ip_len`],
     /// so headers, payload, and ICRC are written directly into one buffer
-    /// with no intermediate allocation. `buf` is typically drawn from a
-    /// frame-buffer pool and reused across packets.
+    /// with no intermediate allocation, reserved once at its exact size.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.clear();
         let ip_len = self.ip_len();
@@ -186,8 +185,8 @@ impl Packet {
     ///
     /// Zero-copy: the returned packet's payload is an O(1)
     /// [`Bytes::slice`] of `frame`, not a copy — the frame buffer stays
-    /// alive (and, in the testbed, out of the frame pool) for exactly as
-    /// long as something still references the payload.
+    /// alive for exactly as long as something still references the
+    /// payload.
     pub fn parse(frame: &Bytes) -> Result<Packet, PacketError> {
         let (dst_mac, src_mac, ethertype, rest) =
             ethernet::parse_header(frame).ok_or(PacketError::Ethernet)?;
