@@ -9,14 +9,14 @@
 //! operating point is the one the tests below hold to zero tail drops
 //! and zero QP errors.
 
-use strom_nic::cluster_incast::{run_incast, run_incast_instrumented, IncastOutcome, IncastSpec};
-use strom_nic::SwitchParams;
+use strom_nic::cluster_incast::{run_incast, IncastOutcome, IncastSpec};
+use strom_nic::{Scenario, SwitchParams};
 use strom_sim::report::{Figure, Series};
 use strom_sim::time::{MICROS, NANOS};
 use strom_sim::{Bandwidth, EcnConfig};
 use strom_telemetry::TelemetryReport;
 
-use super::Scale;
+use super::{us, Scale};
 
 /// Sender counts on the survival curve (the receiver is one more node).
 const SENDER_COUNTS: [usize; 3] = [4, 8, 16];
@@ -78,14 +78,10 @@ fn fairness_spec(boost: usize, scale: Scale, cc: bool) -> IncastSpec {
     spec
 }
 
-fn us(ps: Option<u64>) -> Option<f64> {
-    ps.map(|p| p as f64 / 1e6)
-}
-
-/// Renders the three incast figures; the tuned N = 8 point is run
-/// instrumented and its registry (per-port queue-depth high watermarks,
-/// ECN mark counters) becomes the experiment's telemetry report.
-pub fn run_with_telemetry(scale: Scale) -> (String, TelemetryReport) {
+/// Renders the three incast figures; the metrics registry of the tuned
+/// N = 8 run (per-port queue-depth high watermarks, ECN mark counters)
+/// becomes the experiment's telemetry report.
+pub fn run(scale: Scale) -> (String, TelemetryReport) {
     // Figure 1: completion-latency quantiles vs offered load at N = 8,
     // with the no-CC p999 for contrast.
     let wins = windows(scale);
@@ -128,19 +124,15 @@ pub fn run_with_telemetry(scale: Scale) -> (String, TelemetryReport) {
     ));
 
     // Figure 2: survival at the tuned window as the fan-in grows, the
-    // N = 8 point instrumented for the telemetry export.
+    // N = 8 point's registry kept for the telemetry export.
     let ticks: Vec<String> = SENDER_COUNTS.iter().map(|n| n.to_string()).collect();
     let mut report = TelemetryReport::new("incast");
     let mut tuned: Vec<(usize, IncastOutcome)> = Vec::new();
     for &n in &SENDER_COUNTS {
-        let point = spec(n, TUNED_WINDOW, scale, true);
-        let out = if n == 8 {
-            let (out, metrics) = run_incast_instrumented(&point);
-            report = report.with_registry(&metrics);
-            out
-        } else {
-            run_incast(&point)
-        };
+        let (out, observed) = spec(n, TUNED_WINDOW, scale, true).observe();
+        if n == 8 {
+            report = report.with_registry(&observed.metrics);
+        }
         tuned.push((n, out));
     }
     let survival = Figure::new(
@@ -198,11 +190,6 @@ pub fn run_with_telemetry(scale: Scale) -> (String, TelemetryReport) {
         ),
         report,
     )
-}
-
-/// Renders the incast figures (the registry export is dropped).
-pub fn run(scale: Scale) -> String {
-    run_with_telemetry(scale).0
 }
 
 #[cfg(test)]

@@ -21,13 +21,14 @@
 //! throughput floor.
 
 use strom_baselines::tcp_rpc::TcpRpcModel;
-use strom_nic::kv_serve::{run_kv_serve, run_kv_serve_instrumented, KvOutcome, KvSpec};
+use strom_nic::kv_serve::{run_kv_serve, KvOutcome, KvSpec};
+use strom_nic::Scenario;
 use strom_sim::arrivals::{ArrivalGen, ArrivalProcess};
 use strom_sim::report::{Figure, Series};
 use strom_sim::time::NANOS;
 use strom_telemetry::TelemetryReport;
 
-use super::Scale;
+use super::{us, Scale};
 
 /// Server shards in the tier.
 const SERVERS: usize = 2;
@@ -82,20 +83,6 @@ fn bursty_spec(gap_ns: u64, scale: Scale) -> KvSpec {
     spec
 }
 
-/// Sums the must-be-zero audit counters of one run.
-fn audit_violations(o: &KvOutcome) -> u64 {
-    o.verify_failures
-        + o.lost_puts
-        + o.dup_puts
-        + o.put_errors
-        + o.lost_responses
-        + o.qp_errors as u64
-}
-
-fn us(ps: Option<u64>) -> Option<f64> {
-    ps.map(|p| p as f64 / 1e6)
-}
-
 /// The TCP RPC baseline at one swept point: the same Poisson arrival
 /// times, `SERVERS` single-core FIFO RPC loops, 2 dependent DRAM hops
 /// (entry + value) per lookup. Returns `(p50_us, p99_us)`.
@@ -109,10 +96,9 @@ fn tcp_point(point: &KvSpec) -> (f64, f64) {
     (q(0.50), q(0.99))
 }
 
-/// Renders the serving-tier figures; the tuned point runs instrumented
-/// and its registry (per-op latency histograms) becomes the telemetry
-/// report.
-pub fn run_with_telemetry(scale: Scale) -> (String, TelemetryReport) {
+/// Renders the serving-tier figures; the metrics registry of the tuned
+/// point (per-op latency histograms) becomes the telemetry report.
+pub fn run(scale: Scale) -> (String, TelemetryReport) {
     // Figure 1: latency quantiles vs offered load, StRoM vs TCP RPC.
     let gaps = gaps_ns(scale);
     let mut report = TelemetryReport::new("kv-serve");
@@ -125,13 +111,10 @@ pub fn run_with_telemetry(scale: Scale) -> (String, TelemetryReport) {
     let mut runs: Vec<(u64, KvOutcome)> = Vec::new();
     for &gap in &gaps {
         let point = spec(gap, scale);
-        let out = if gap == TUNED_GAP_NS {
-            let (out, metrics) = run_kv_serve_instrumented(&point);
-            report = report.with_registry(&metrics);
-            out
-        } else {
-            run_kv_serve(&point)
-        };
+        let (out, observed) = point.observe();
+        if gap == TUNED_GAP_NS {
+            report = report.with_registry(&observed.metrics);
+        }
         ticks.push(format!("{}k", out.offered_rps / 1000));
         p50.push(us(out.p50_ps));
         p99.push(us(out.p99_ps));
@@ -141,7 +124,7 @@ pub fn run_with_telemetry(scale: Scale) -> (String, TelemetryReport) {
         tcp_p99.push(Some(t99));
         runs.push((gap, out));
     }
-    let violations: u64 = runs.iter().map(|(_, o)| audit_violations(o)).sum();
+    let violations: u64 = runs.iter().map(|(_, o)| o.violations()).sum();
     let latency = Figure::new(
         format!(
             "KV serving tier {SERVERS}x{CLIENTS}: latency vs offered load \
@@ -190,18 +173,13 @@ pub fn run_with_telemetry(scale: Scale) -> (String, TelemetryReport) {
          MMPP p999 {:.1} us (violations {})",
         us(tuned.p999_ps).unwrap_or(0.0),
         us(bursty.p999_ps).unwrap_or(0.0),
-        audit_violations(&bursty),
+        bursty.violations(),
     ));
 
     (
         format!("{}\n{}", latency.render(), throughput.render()),
         report,
     )
-}
-
-/// Renders the serving-tier figures (the registry export is dropped).
-pub fn run(scale: Scale) -> String {
-    run_with_telemetry(scale).0
 }
 
 #[cfg(test)]
@@ -213,7 +191,7 @@ mod tests {
     #[test]
     fn tuned_point_serves_cleanly() {
         let out = run_kv_serve(&spec(TUNED_GAP_NS, Scale::Quick));
-        assert_eq!(audit_violations(&out), 0);
+        assert_eq!(out.violations(), 0);
         assert_eq!(out.completed, 240);
         assert!(out.p999_ps.unwrap() < 100 * strom_sim::time::MICROS);
         // Below the knee the tier keeps up with the offered rate.
@@ -228,7 +206,7 @@ mod tests {
     fn overload_point_saturates_above_the_throughput_floor() {
         let gap = *gaps_ns(Scale::Quick).last().expect("nonempty sweep");
         let out = run_kv_serve(&spec(gap, Scale::Quick));
-        assert_eq!(audit_violations(&out), 0);
+        assert_eq!(out.violations(), 0);
         assert!(out.offered_rps > 2 * out.achieved_rps, "{out:?}");
         assert!(out.achieved_rps >= 400_000, "{out:?}");
     }

@@ -56,6 +56,11 @@ impl Scale {
     }
 }
 
+/// A latency in picoseconds, if recorded, as microseconds.
+pub(crate) fn us(ps: Option<u64>) -> Option<f64> {
+    ps.map(strom_nic::scenario::us)
+}
+
 /// Aggregates the fault/recovery counters of every testbed an experiment
 /// ran, for a figure footnote: drops by cause, retransmissions, backoff
 /// events, and QPs in the terminal error state.
@@ -239,8 +244,8 @@ pub fn run_experiment(name: &str, scale: Scale) -> String {
         "sec61" => tables::sec61(),
         "sec7" => sec7::run(scale).render(),
         "shuffle-scale" => shuffle_scale::run(scale),
-        "incast" => incast::run(scale),
-        "kv-serve" => kv_serve::run(scale),
+        "incast" => incast::run(scale).0,
+        "kv-serve" => kv_serve::run(scale).0,
         "kernel-chain" => kernel_chain::run(scale),
         "corpus" => corpus::run(scale),
         "abl-bypass" => ablations::bypass(scale).render(),
@@ -266,15 +271,15 @@ const TELEMETRY_TRACE_CAPACITY: usize = 1 << 14;
 /// to [`run_experiment`].
 pub fn run_experiment_telemetry(name: &str, scale: Scale) -> Option<(String, TelemetryReport)> {
     if name == "incast" {
-        // The cluster experiment instruments its tuned run itself; its
-        // report carries the switch's per-port queue-depth high
-        // watermarks and ECN mark counters.
-        return Some(incast::run_with_telemetry(scale));
+        // The cluster experiment reports its tuned run's registry: the
+        // switch's per-port queue-depth high watermarks and ECN mark
+        // counters.
+        return Some(incast::run(scale));
     }
     if name == "kv-serve" {
-        // The serving tier instruments its tuned operating point; its
-        // report carries the per-op latency histograms.
-        return Some(kv_serve::run_with_telemetry(scale));
+        // The serving tier reports its tuned operating point's registry:
+        // the per-op latency histograms.
+        return Some(kv_serve::run(scale));
     }
     let (mut tb, title) = match name {
         "fig5a" => (testbed_10g(), "Fig 5a (10G)"),

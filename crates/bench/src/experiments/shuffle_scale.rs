@@ -15,7 +15,7 @@ use strom_sim::report::{Figure, Series};
 use strom_sim::time::MICROS;
 use strom_sim::EcnConfig;
 
-use super::Scale;
+use super::{us, Scale};
 
 /// Node counts on the scaling curve.
 const NODE_COUNTS: [usize; 3] = [2, 4, 8];
@@ -78,7 +78,7 @@ pub fn run(scale: Scale) -> String {
                 _ => run_shuffle(&cc_deep_spec(n, scale)),
             };
             tput[i].push(out.aggregate_gbps);
-            p99[i].push(out.p99_rpc_ps.map(|ps| ps as f64 / 1e6));
+            p99[i].push(us(out.p99_rpc_ps));
             if variant == "lossy" {
                 drops += out.tail_drops;
                 retx += out.retransmissions;

@@ -7,6 +7,14 @@ use std::process::Command;
 
 use strom_bench::{all_experiments, run_experiment, Scale};
 use strom_telemetry::json::{self, Value};
+use strom_telemetry::Fingerprint;
+
+/// The pinned FNV-1a fingerprint of the telemetry document `figures
+/// --quick --json <path> fig5a incast kv-serve` writes, one hex line.
+const TELEMETRY_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/figures_telemetry.fingerprint"
+);
 
 #[test]
 fn registry_names_are_unique_and_nonempty() {
@@ -69,8 +77,10 @@ fn fig9_overheads_are_ordered() {
 }
 
 /// The telemetry export end to end: `figures --json` writes one
-/// document the workspace's own parser reads back, and each instrumented
-/// experiment's report carries the metrics its figure is explained by.
+/// document the workspace's own parser reads back, each instrumented
+/// experiment's report carries the metrics its figure is explained by,
+/// and the whole document matches its pinned fingerprint byte for byte.
+/// Re-pin after an intentional change with `STROM_BLESS=1`.
 #[test]
 fn figures_json_export_carries_every_instrumented_report() {
     let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/figures_telemetry.json");
@@ -81,6 +91,20 @@ fn figures_json_export_carries_every_instrumented_report() {
         .expect("figures binary runs");
     assert!(status.success(), "figures exited with {status}");
     let text = std::fs::read_to_string(path).expect("telemetry JSON written");
+    let fingerprint = format!(
+        "{:#018x}",
+        Fingerprint::new().bytes(text.as_bytes()).value()
+    );
+    if std::env::var_os("STROM_BLESS").is_some() {
+        std::fs::write(TELEMETRY_GOLDEN, format!("{fingerprint}\n")).expect("write golden");
+    } else {
+        let golden = std::fs::read_to_string(TELEMETRY_GOLDEN).expect("golden present");
+        assert_eq!(
+            fingerprint,
+            golden.trim(),
+            "the telemetry document drifted from its golden"
+        );
+    }
     let doc = json::parse(&text).expect("telemetry JSON parses");
     assert_eq!(
         doc.str_field("schema").unwrap(),

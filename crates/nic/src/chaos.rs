@@ -16,7 +16,9 @@ use strom_sim::SimRng;
 use strom_telemetry::Fingerprint;
 
 use crate::config::Platform;
+use crate::controller::StatusRegisters;
 use crate::fault::{LinkFaultModel, LossModel};
+use crate::scenario::{us, Scenario};
 use crate::testbed::ClusterTestbed;
 
 /// The fault dimensions a chaos schedule composes.
@@ -81,14 +83,11 @@ pub fn active_fault_types(model: &LinkFaultModel) -> usize {
         + usize::from(model.duplicate_rate > 0.0)
 }
 
-/// Everything that determines one library-level chaos soak run: a
-/// seeded schedule of mixed READ/WRITE operations between two hosts
-/// under a composed [`chaos_model`] fault schedule, on either platform.
-///
-/// The heavyweight multi-seed soak lives in `tests/chaos_soak.rs`; this
-/// runner is the corpus-facing single-run flavor — it performs the same
-/// byte-for-byte verification against an in-memory reference and
-/// distills the run into a fingerprint plus perf observables.
+/// Everything that determines one chaos soak run: a seeded schedule of
+/// mixed READ/WRITE operations between two hosts under a composed
+/// [`chaos_model`] fault schedule, on either platform. Every byte is
+/// verified against a pure-array reference. The corpus runs it once per
+/// case; `tests/chaos_soak.rs` sweeps it over many seeds.
 #[derive(Debug, Clone)]
 pub struct ChaosSpec {
     /// Hardware platform (10 G or 100 G datapath).
@@ -100,7 +99,8 @@ pub struct ChaosSpec {
     pub seed: u64,
 }
 
-/// What one chaos run observed.
+/// What one chaos run observed. The fault counters are summed over both
+/// nodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosOutcome {
     /// FNV-1a fold of both verified memory images and the recovery
@@ -118,137 +118,180 @@ pub struct ChaosOutcome {
     pub crc_dropped: u64,
     /// Frames lost by the fault model.
     pub frames_lost: u64,
+    /// Frames the fault model delivered out of order.
+    pub frames_reordered: u64,
+    /// Frames the fault model delivered twice.
+    pub frames_duplicated: u64,
+    /// Retransmission timeouts that fired.
+    pub timeouts: u64,
 }
 
-/// Runs the chaos soak scenario and verifies every byte against the
-/// reference before returning the observables. Panics on any integrity
-/// violation — a corpus run must never report a fingerprint for a run
-/// that corrupted data.
+/// Runs the chaos soak scenario on a fresh testbed (see [`ChaosSpec`]'s
+/// [`Scenario`] impl).
 pub fn run_chaos(spec: &ChaosSpec) -> ChaosOutcome {
-    const CLIENT: usize = 0;
-    const SERVER: usize = 1;
-    const QP: u32 = 1;
-    const EVENT_BUDGET: u64 = 50_000_000;
+    let mut tb = spec.testbed();
+    spec.drive(&mut tb)
+}
 
-    let model = chaos_model(spec.seed);
-    let mut cfg = spec.platform.config();
-    cfg.seed = spec.seed;
-    let mut tb = ClusterTestbed::transparent_pair(cfg);
-    tb.connect_qp(QP);
-    tb.set_fault_model(model);
-    let a = tb.pin(CLIENT, 4 << 20);
-    let b = tb.pin(SERVER, 4 << 20);
+impl Scenario for ChaosSpec {
+    type Outcome = ChaosOutcome;
 
-    // Seeded init images and op schedule (domain-separated streams).
-    let mut rng = SimRng::seed(spec.seed ^ 0x1234);
-    let mut client_init = vec![0u8; 2 << 20];
-    rng.fill_bytes(&mut client_init);
-    let mut server_init = vec![0u8; 2 << 20];
-    rng.fill_bytes(&mut server_init);
-    tb.mem(CLIENT).write(a, &client_init);
-    tb.mem(SERVER).write(b, &server_init);
-
-    let mut op_rng = SimRng::seed(spec.seed ^ 0x0b5);
-    let ops: Vec<(bool, u64, u32)> = (0..op_rng.range(2, spec.ops.max(3)))
-        .map(|_| {
-            let off = op_rng.below(1 << 20);
-            let len = op_rng.range(1, 20_000) as u32;
-            (op_rng.chance(0.5), off, len.min(((1 << 20) - 1) as u32))
-        })
-        .collect();
-
-    // Reference images: the same ops applied to plain byte arrays.
-    let mut want_remote = vec![0u8; 2 << 20];
-    let mut want_local = vec![0u8; 2 << 20];
-    for &(is_write, off, len) in &ops {
-        let (off, len) = (off as usize, len as usize);
-        if is_write {
-            want_remote[off..off + len].copy_from_slice(&client_init[off..off + len]);
-        } else {
-            want_local[off..off + len].copy_from_slice(&server_init[off..off + len]);
-        }
+    fn testbed(&self) -> ClusterTestbed {
+        let mut cfg = self.platform.config();
+        cfg.seed = self.seed;
+        ClusterTestbed::new(cfg)
     }
 
-    let t0 = tb.now();
-    let mut bytes_moved = 0u64;
-    for &(is_write, off, len) in &ops {
-        let h = if is_write {
-            tb.post(
-                CLIENT,
-                QP,
-                WorkRequest::Write {
-                    remote_vaddr: b + (2 << 20) + off,
-                    local_vaddr: a + off,
-                    len,
-                },
-            )
-        } else {
-            tb.post(
-                CLIENT,
-                QP,
-                WorkRequest::Read {
-                    remote_vaddr: b + off,
-                    local_vaddr: a + (2 << 20) + off,
-                    len,
-                },
-            )
-        };
-        bytes_moved += u64::from(len);
-        tb.run_until_complete(CLIENT, h);
-        assert_eq!(
-            tb.completion_status(CLIENT, h),
-            Some(CompletionStatus::Success),
-            "seed {}: chaos op failed under {model:?}",
-            spec.seed
+    /// Verifies every byte against the reference, that every op
+    /// succeeded, and that the run quiesced with no QP stuck or errored.
+    fn drive(&self, tb: &mut ClusterTestbed) -> ChaosOutcome {
+        const CLIENT: usize = 0;
+        const SERVER: usize = 1;
+        const QP: u32 = 1;
+        const EVENT_BUDGET: u64 = 50_000_000;
+
+        let seed = self.seed;
+        let model = chaos_model(seed);
+        tb.connect_qp(QP);
+        tb.set_fault_model(model);
+        let a = tb.pin(CLIENT, 4 << 20);
+        let b = tb.pin(SERVER, 4 << 20);
+
+        // Seeded init images and op schedule (domain-separated streams).
+        let mut rng = SimRng::seed(seed ^ 0x1234);
+        let mut client_init = vec![0u8; 2 << 20];
+        rng.fill_bytes(&mut client_init);
+        let mut server_init = vec![0u8; 2 << 20];
+        rng.fill_bytes(&mut server_init);
+        tb.mem(CLIENT).write(a, &client_init);
+        tb.mem(SERVER).write(b, &server_init);
+
+        let mut op_rng = SimRng::seed(seed ^ 0x0b5);
+        let ops: Vec<(bool, u64, u32)> = (0..op_rng.range(2, self.ops.max(3)))
+            .map(|_| {
+                let off = op_rng.below(1 << 20);
+                let len = op_rng.range(1, 20_000) as u32;
+                (op_rng.chance(0.5), off, len.min(((1 << 20) - 1) as u32))
+            })
+            .collect();
+
+        // Reference images: the same ops applied to plain byte arrays.
+        let mut want_remote = vec![0u8; 2 << 20];
+        let mut want_local = vec![0u8; 2 << 20];
+        for &(is_write, off, len) in &ops {
+            let (off, len) = (off as usize, len as usize);
+            if is_write {
+                want_remote[off..off + len].copy_from_slice(&client_init[off..off + len]);
+            } else {
+                want_local[off..off + len].copy_from_slice(&server_init[off..off + len]);
+            }
+        }
+
+        let t0 = tb.now();
+        let mut bytes_moved = 0u64;
+        for &(is_write, off, len) in &ops {
+            let h = if is_write {
+                tb.post(
+                    CLIENT,
+                    QP,
+                    WorkRequest::Write {
+                        remote_vaddr: b + (2 << 20) + off,
+                        local_vaddr: a + off,
+                        len,
+                    },
+                )
+            } else {
+                tb.post(
+                    CLIENT,
+                    QP,
+                    WorkRequest::Read {
+                        remote_vaddr: b + off,
+                        local_vaddr: a + (2 << 20) + off,
+                        len,
+                    },
+                )
+            };
+            bytes_moved += u64::from(len);
+            tb.run_until_complete(CLIENT, h);
+            assert_eq!(
+                tb.completion_status(CLIENT, h),
+                Some(CompletionStatus::Success),
+                "seed {seed}: chaos op failed under {model:?}"
+            );
+        }
+        assert!(
+            tb.run_until_idle_bounded(EVENT_BUDGET),
+            "seed {seed}: chaos run failed to quiesce under {model:?}"
         );
-    }
-    assert!(
-        tb.run_until_idle_bounded(EVENT_BUDGET),
-        "seed {}: chaos run failed to quiesce under {model:?}",
-        spec.seed
-    );
-    let elapsed_ps = tb.now() - t0;
+        let elapsed_ps = tb.now() - t0;
+        assert!(
+            !tb.qp_has_outstanding(CLIENT, QP),
+            "seed {seed}: QP stuck with outstanding work after quiesce"
+        );
+        assert!(
+            !tb.qp_errored(CLIENT, QP),
+            "seed {seed}: survivable fault schedule exhausted the retry budget"
+        );
 
-    let remote_image = tb.mem(SERVER).read(b + (2 << 20), 2 << 20);
-    let local_image = tb.mem(CLIENT).read(a + (2 << 20), 2 << 20);
-    assert_eq!(
-        remote_image, want_remote,
-        "seed {}: remote memory diverged under {model:?}",
-        spec.seed
-    );
-    assert_eq!(
-        local_image, want_local,
-        "seed {}: read-back memory diverged under {model:?}",
-        spec.seed
-    );
-    assert!(!tb.qp_errored(CLIENT, QP), "seed {}", spec.seed);
+        let remote_image = tb.mem(SERVER).read(b + (2 << 20), 2 << 20);
+        let local_image = tb.mem(CLIENT).read(a + (2 << 20), 2 << 20);
+        assert_eq!(
+            remote_image, want_remote,
+            "seed {seed}: remote memory diverged under {model:?}"
+        );
+        assert_eq!(
+            local_image, want_local,
+            "seed {seed}: read-back memory diverged under {model:?}"
+        );
 
-    let status = [tb.status(CLIENT), tb.status(SERVER)];
-    let retransmissions = tb.retransmissions(CLIENT);
-    let mut fp = Fingerprint::new();
-    fp.bytes(&remote_image)
-        .bytes(&local_image)
-        .word(retransmissions)
-        .word(elapsed_ps);
-    for s in &status {
-        for v in [
-            s.frames_lost,
-            s.frames_crc_dropped,
-            s.frames_reordered,
-            s.frames_duplicated,
-            s.timeouts,
-        ] {
-            fp.word(v);
+        let status = [tb.status(CLIENT), tb.status(SERVER)];
+        for s in &status {
+            assert_eq!(s.qps_in_error, 0, "seed {seed}");
+        }
+        let retransmissions = tb.retransmissions(CLIENT);
+        let mut fp = Fingerprint::new();
+        fp.bytes(&remote_image)
+            .bytes(&local_image)
+            .word(retransmissions)
+            .word(elapsed_ps);
+        for s in &status {
+            for v in [
+                s.frames_lost,
+                s.frames_crc_dropped,
+                s.frames_reordered,
+                s.frames_duplicated,
+                s.timeouts,
+            ] {
+                fp.word(v);
+            }
+        }
+        let total = |counter: fn(&StatusRegisters) -> u64| status.iter().map(counter).sum();
+        ChaosOutcome {
+            fingerprint: fp.value(),
+            ops: ops.len() as u64,
+            bytes_moved,
+            elapsed_ps,
+            retransmissions,
+            crc_dropped: total(|s| s.frames_crc_dropped),
+            frames_lost: total(|s| s.frames_lost),
+            frames_reordered: total(|s| s.frames_reordered),
+            frames_duplicated: total(|s| s.frames_duplicated),
+            timeouts: total(|s| s.timeouts),
         }
     }
-    ChaosOutcome {
-        fingerprint: fp.value(),
-        ops: ops.len() as u64,
-        bytes_moved,
-        elapsed_ps,
-        retransmissions,
-        crc_dropped: status.iter().map(|s| s.frames_crc_dropped).sum(),
-        frames_lost: status.iter().map(|s| s.frames_lost).sum(),
+
+    fn fingerprint(out: &ChaosOutcome) -> u64 {
+        out.fingerprint
+    }
+
+    fn perf(out: &ChaosOutcome) -> Vec<(&'static str, f64)> {
+        vec![
+            ("elapsed_us", us(out.elapsed_ps)),
+            ("bytes_moved", out.bytes_moved as f64),
+            ("retransmissions", out.retransmissions as f64),
+            ("frames_lost", out.frames_lost as f64),
+            ("crc_dropped", out.crc_dropped as f64),
+        ]
     }
 }
 

@@ -31,6 +31,7 @@ use strom_wire::opcode::RpcOpCode;
 
 use crate::config::Platform;
 use crate::fault::LinkFaultModel;
+use crate::scenario::{us, Scenario};
 use crate::testbed::{ClusterTestbed, SwitchParams};
 
 const CLIENT: usize = 0;
@@ -93,6 +94,86 @@ pub struct ChainRun {
     pub retransmissions: u64,
 }
 
+/// Which chained kernel pipeline a [`Chain`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChainKind {
+    /// filter → aggregate → HyperLogLog.
+    FilterAggHll,
+    /// CRC-verify → radix shuffle.
+    CrcVerifyShuffle,
+}
+
+impl ChainKind {
+    /// The wire name used in spec JSON.
+    pub fn name(self) -> &'static str {
+        match self {
+            ChainKind::FilterAggHll => "filter-agg-hll",
+            ChainKind::CrcVerifyShuffle => "crcverify-shuffle",
+        }
+    }
+
+    /// Parses a wire name back to the kind.
+    pub fn from_name(name: &str) -> Option<ChainKind> {
+        match name {
+            "filter-agg-hll" => Some(ChainKind::FilterAggHll),
+            "crcverify-shuffle" => Some(ChainKind::CrcVerifyShuffle),
+            _ => None,
+        }
+    }
+}
+
+/// One kernel-chain run as a [`Scenario`]: which pipeline, over which
+/// spec.
+#[derive(Debug, Clone)]
+pub struct Chain {
+    /// The pipeline.
+    pub kind: ChainKind,
+    /// Everything else about the run.
+    pub spec: ChainSpec,
+}
+
+impl Scenario for Chain {
+    type Outcome = ChainRun;
+
+    fn testbed(&self) -> ClusterTestbed {
+        testbed(&self.spec)
+    }
+
+    /// Verifies every result record against a host-computed reference.
+    fn drive(&self, tb: &mut ClusterTestbed) -> ChainRun {
+        match self.kind {
+            ChainKind::FilterAggHll => drive_filter_agg_hll(&self.spec, tb),
+            ChainKind::CrcVerifyShuffle => drive_crcverify_shuffle(&self.spec, tb),
+        }
+    }
+
+    fn fingerprint(out: &ChainRun) -> u64 {
+        let mut fp = Fingerprint::new();
+        for word in [
+            out.fingerprint,
+            out.payload_bytes,
+            out.elapsed_ps,
+            u64::from(out.error_code.unwrap_or(0)),
+            out.retransmissions,
+        ] {
+            fp.word(word);
+        }
+        fp.value()
+    }
+
+    fn perf(out: &ChainRun) -> Vec<(&'static str, f64)> {
+        vec![
+            ("elapsed_us", us(out.elapsed_ps)),
+            ("gib_per_sec", out.gib_per_sec),
+            (
+                "chain_errors",
+                f64::from(u8::from(out.error_code.is_some())),
+            ),
+            ("retransmissions", out.retransmissions as f64),
+        ]
+    }
+}
+
 fn testbed(spec: &ChainSpec) -> ClusterTestbed {
     let mut cfg = spec.platform.config();
     cfg.seed = spec.seed;
@@ -143,7 +224,10 @@ fn finish(
 /// three result records against a host-computed reference. Panics on any
 /// mismatch.
 pub fn run_filter_agg_hll(spec: &ChainSpec) -> ChainRun {
-    let mut tb = testbed(spec);
+    drive_filter_agg_hll(spec, &mut testbed(spec))
+}
+
+fn drive_filter_agg_hll(spec: &ChainSpec, tb: &mut ClusterTestbed) -> ChainRun {
     let stream_len = spec.tuples as u64 * 8;
     // Every tuple may qualify, so the filter's result region is as large
     // as the stream.
@@ -270,7 +354,7 @@ pub fn run_filter_agg_hll(spec: &ChainSpec) -> ChainRun {
 
     let mut fp = Fingerprint::new();
     fp.bytes(&fs).bytes(&ag).bytes(&hs);
-    finish(&tb, data.len() as u64, elapsed_ps, fp.value(), None)
+    finish(tb, data.len() as u64, elapsed_ps, fp.value(), None)
 }
 
 /// Runs the CRC-verify → shuffle chain end-to-end. On a clean stream the
@@ -280,11 +364,14 @@ pub fn run_filter_agg_hll(spec: &ChainSpec) -> ChainRun {
 ///
 /// [`ERR_INCONSISTENT`]: strom_kernels::framework::ERR_INCONSISTENT
 pub fn run_crcverify_shuffle(spec: &ChainSpec) -> ChainRun {
+    drive_crcverify_shuffle(spec, &mut testbed(spec))
+}
+
+fn drive_crcverify_shuffle(spec: &ChainSpec, tb: &mut ClusterTestbed) -> ChainRun {
     assert!(
         spec.partitions.is_power_of_two(),
         "partition count must be a power of two"
     );
-    let mut tb = testbed(spec);
     // The client stages the stream and its 8 B CRC trailer; the server
     // holds one partition byte per stream byte.
     let stream_len = spec.tuples as u64 * 8;
@@ -406,13 +493,7 @@ pub fn run_crcverify_shuffle(spec: &ChainSpec) -> ChainRun {
             fp.bytes(&got);
         }
     }
-    finish(
-        &tb,
-        payload.len() as u64,
-        elapsed_ps,
-        fp.value(),
-        error_code,
-    )
+    finish(tb, payload.len() as u64, elapsed_ps, fp.value(), error_code)
 }
 
 #[cfg(test)]

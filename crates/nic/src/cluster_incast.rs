@@ -20,10 +20,11 @@
 
 use strom_sim::time::TimeDelta;
 use strom_sim::SimRng;
-use strom_telemetry::{jain_index, Histogram, MetricsRegistry};
+use strom_telemetry::{jain_index, Fingerprint, Histogram};
 use strom_wire::bth::Qpn;
 
 use crate::config::Platform;
+use crate::scenario::{us, Scenario};
 use crate::testbed::{ClusterTestbed, SwitchParams};
 use crate::{CompletionStatus, WorkRequest};
 
@@ -138,184 +139,224 @@ fn sender_qpn(s: usize) -> Qpn {
     s as Qpn + 1
 }
 
-/// Runs the N→1 incast and returns the observables. Panics only on
-/// structural misuse (zero senders/window); congestion outcomes — drops,
-/// retransmissions, even terminal QP errors — are *reported*, not
-/// asserted, so callers can probe operating points beyond the cliff.
+/// Runs the N→1 incast on a fresh testbed (see [`IncastSpec`]'s
+/// [`Scenario`] impl).
 pub fn run_incast(spec: &IncastSpec) -> IncastOutcome {
-    run_incast_instrumented(spec).0
+    let mut tb = spec.testbed();
+    spec.drive(&mut tb)
 }
 
-/// [`run_incast`] plus the testbed's metrics registry, so callers can
-/// export the per-port switch gauges and counters (queue-depth high
-/// watermarks, ECN mark counts) alongside the outcome.
-pub fn run_incast_instrumented(spec: &IncastSpec) -> (IncastOutcome, MetricsRegistry) {
-    assert!(spec.senders >= 1, "incast needs at least one sender");
-    assert!(spec.window >= 1, "window must admit at least one message");
-    let n = spec.senders;
-    let receiver: usize = 0;
+impl Scenario for IncastSpec {
+    type Outcome = IncastOutcome;
 
-    let mut cfg = spec.platform.config();
-    cfg.seed = spec.seed;
-    cfg.cc = spec.cc;
-    if let Some(timeout) = spec.retransmit_timeout {
-        cfg.retransmit_timeout = timeout;
-    }
-    let mut tb = ClusterTestbed::switched(cfg, n + 1, spec.switch);
-    for s in 0..n {
-        tb.connect_qp_between(receiver, s + 1, sender_qpn(s));
-    }
-
-    // Each sender stages one seeded message buffer and writes it
-    // repeatedly into its own private slice of the receiver's region —
-    // flows never alias, so memory checks stay meaningful.
-    let msg = spec.message_len as u64;
-    let dst_base = tb.pin(receiver, msg * n as u64);
-    let mut src = Vec::with_capacity(n);
-    for s in 0..n {
-        let addr = tb.pin(s + 1, msg);
-        let mut data = vec![0u8; spec.message_len as usize];
-        SimRng::seed(spec.seed ^ (s as u64) << 17).fill_bytes(&mut data);
-        tb.mem(s + 1).write(addr, &data);
-        src.push((addr, data));
-    }
-    tb.bring_up();
-
-    // Closed loop: keep `window` writes in flight per sender until each
-    // has completed its quota. Per-QP RC ordering means completions
-    // arrive in post order, so only the head of each sender's FIFO needs
-    // polling.
-    let t0 = tb.now();
-    let mut outstanding: Vec<std::collections::VecDeque<(u64, u64)>> =
-        vec![std::collections::VecDeque::new(); n];
-    let mut posted = vec![0usize; n];
-    let mut done = vec![0usize; n];
-    let mut dead = vec![false; n];
-    let mut per_sender_bytes = vec![0u64; n];
-    let mut finished_at = vec![t0; n];
-    let mut latency = Histogram::new();
-    // READ mode inverts who posts: node 0 is the requester on every QP
-    // and pulls each peer's staged buffer; the data still flows
-    // peer → node 0, so completion polling and memory verification stay
-    // on the same nodes in both modes.
-    let post_node = |s: usize| if spec.reads { receiver } else { s + 1 };
-    let post_next = |tb: &mut ClusterTestbed, s: usize, posted: &mut Vec<usize>| {
-        let wr = if spec.reads {
-            WorkRequest::Read {
-                remote_vaddr: src[s].0,
-                local_vaddr: dst_base + msg * s as u64,
-                len: spec.message_len,
-            }
-        } else {
-            WorkRequest::Write {
-                remote_vaddr: dst_base + msg * s as u64,
-                local_vaddr: src[s].0,
-                len: spec.message_len,
-            }
-        };
-        let h = tb.post(post_node(s), sender_qpn(s), wr);
-        posted[s] += 1;
-        (h, tb.now())
-    };
-    for (s, fifo) in outstanding.iter_mut().enumerate() {
-        for _ in 0..spec.window_for(s).min(spec.quota_for(s)) {
-            fifo.push_back(post_next(&mut tb, s, &mut posted));
+    /// # Panics
+    ///
+    /// Only on structural misuse (zero senders or window).
+    fn testbed(&self) -> ClusterTestbed {
+        assert!(self.senders >= 1, "incast needs at least one sender");
+        assert!(self.window >= 1, "window must admit at least one message");
+        let mut cfg = self.platform.config();
+        cfg.seed = self.seed;
+        cfg.cc = self.cc;
+        if let Some(timeout) = self.retransmit_timeout {
+            cfg.retransmit_timeout = timeout;
         }
+        ClusterTestbed::switched(cfg, self.senders + 1, self.switch)
     }
-    loop {
-        let polled_at = tb.completion_count();
-        let mut all_done = true;
+
+    /// Verifies every surviving sender's payload. Congestion outcomes —
+    /// drops, retransmissions, even terminal QP errors — are *reported*,
+    /// not asserted, so callers can probe operating points beyond the
+    /// cliff.
+    fn drive(&self, tb: &mut ClusterTestbed) -> IncastOutcome {
+        let n = self.senders;
+        let receiver: usize = 0;
         for s in 0..n {
-            while let Some(&(h, posted_at)) = outstanding[s].front() {
-                let Some(t) = tb.completed_at(post_node(s), h) else {
-                    break;
-                };
-                outstanding[s].pop_front();
-                match tb.completion_status(post_node(s), h) {
-                    Some(CompletionStatus::Success) => {
-                        latency.record(t.saturating_sub(posted_at));
-                        per_sender_bytes[s] += msg;
-                        done[s] += 1;
-                        finished_at[s] = finished_at[s].max(t);
-                        if posted[s] < spec.quota_for(s) {
-                            let entry = post_next(&mut tb, s, &mut posted);
-                            outstanding[s].push_back(entry);
+            tb.connect_qp_between(receiver, s + 1, sender_qpn(s));
+        }
+
+        // Each sender stages one seeded message buffer and writes it
+        // repeatedly into its own private slice of the receiver's region —
+        // flows never alias, so memory checks stay meaningful.
+        let msg = self.message_len as u64;
+        let dst_base = tb.pin(receiver, msg * n as u64);
+        let mut src = Vec::with_capacity(n);
+        for s in 0..n {
+            let addr = tb.pin(s + 1, msg);
+            let mut data = vec![0u8; self.message_len as usize];
+            SimRng::seed(self.seed ^ (s as u64) << 17).fill_bytes(&mut data);
+            tb.mem(s + 1).write(addr, &data);
+            src.push((addr, data));
+        }
+        tb.bring_up();
+
+        // Closed loop: keep `window` writes in flight per sender until each
+        // has completed its quota. Per-QP RC ordering means completions
+        // arrive in post order, so only the head of each sender's FIFO needs
+        // polling.
+        let t0 = tb.now();
+        let mut outstanding: Vec<std::collections::VecDeque<(u64, u64)>> =
+            vec![std::collections::VecDeque::new(); n];
+        let mut posted = vec![0usize; n];
+        let mut done = vec![0usize; n];
+        let mut dead = vec![false; n];
+        let mut per_sender_bytes = vec![0u64; n];
+        let mut finished_at = vec![t0; n];
+        let mut latency = Histogram::new();
+        // READ mode inverts who posts: node 0 is the requester on every QP
+        // and pulls each peer's staged buffer; the data still flows
+        // peer → node 0, so completion polling and memory verification stay
+        // on the same nodes in both modes.
+        let post_node = |s: usize| if self.reads { receiver } else { s + 1 };
+        let post_next = |tb: &mut ClusterTestbed, s: usize, posted: &mut Vec<usize>| {
+            let wr = if self.reads {
+                WorkRequest::Read {
+                    remote_vaddr: src[s].0,
+                    local_vaddr: dst_base + msg * s as u64,
+                    len: self.message_len,
+                }
+            } else {
+                WorkRequest::Write {
+                    remote_vaddr: dst_base + msg * s as u64,
+                    local_vaddr: src[s].0,
+                    len: self.message_len,
+                }
+            };
+            let h = tb.post(post_node(s), sender_qpn(s), wr);
+            posted[s] += 1;
+            (h, tb.now())
+        };
+        for (s, fifo) in outstanding.iter_mut().enumerate() {
+            for _ in 0..self.window_for(s).min(self.quota_for(s)) {
+                fifo.push_back(post_next(tb, s, &mut posted));
+            }
+        }
+        loop {
+            let polled_at = tb.completion_count();
+            let mut all_done = true;
+            for s in 0..n {
+                while let Some(&(h, posted_at)) = outstanding[s].front() {
+                    let Some(t) = tb.completed_at(post_node(s), h) else {
+                        break;
+                    };
+                    outstanding[s].pop_front();
+                    match tb.completion_status(post_node(s), h) {
+                        Some(CompletionStatus::Success) => {
+                            latency.record(t.saturating_sub(posted_at));
+                            per_sender_bytes[s] += msg;
+                            done[s] += 1;
+                            finished_at[s] = finished_at[s].max(t);
+                            if posted[s] < self.quota_for(s) {
+                                let entry = post_next(tb, s, &mut posted);
+                                outstanding[s].push_back(entry);
+                            }
+                        }
+                        _ => {
+                            // Terminal QP error: the whole flow is dead, stop
+                            // feeding it.
+                            dead[s] = true;
+                            outstanding[s].clear();
                         }
                     }
-                    _ => {
-                        // Terminal QP error: the whole flow is dead, stop
-                        // feeding it.
-                        dead[s] = true;
-                        outstanding[s].clear();
-                    }
+                }
+                if !dead[s] && done[s] < self.quota_for(s) {
+                    all_done = false;
                 }
             }
-            if !dead[s] && done[s] < spec.quota_for(s) {
-                all_done = false;
+            if all_done {
+                break;
+            }
+            // A FIFO head changes state only when a completion is recorded,
+            // and most events record none: poll again only after one has.
+            while tb.completion_count() == polled_at {
+                assert!(
+                    tb.step_batch() > 0,
+                    "seed {}: incast went idle with messages outstanding",
+                    self.seed
+                );
             }
         }
-        if all_done {
-            break;
+        let elapsed_ps = (finished_at.iter().copied().max().unwrap_or(t0) - t0).max(1);
+        tb.run_until_idle();
+
+        // Survivors' memory must hold their staged pattern (last write wins;
+        // all writes per sender carry identical bytes).
+        for s in 0..n {
+            if !dead[s] && done[s] > 0 {
+                assert_eq!(
+                    tb.mem(receiver)
+                        .read(dst_base + msg * s as u64, src[s].1.len()),
+                    src[s].1,
+                    "seed {}: sender {s} payload corrupted",
+                    self.seed
+                );
+            }
         }
-        // A FIFO head changes state only when a completion is recorded,
-        // and most events record none: poll again only after one has.
-        while tb.completion_count() == polled_at {
-            assert!(
-                tb.step_batch() > 0,
-                "seed {}: incast went idle with messages outstanding",
-                spec.seed
-            );
+
+        let bytes: u64 = per_sender_bytes.iter().sum();
+        let secs = elapsed_ps as f64 * 1e-12;
+        // Fairness over per-flow goodput: each sender's bytes over its own
+        // active time, so a flow that finished early is not counted as
+        // starved for the remainder of the run.
+        let rates: Vec<f64> = (0..n)
+            .map(|s| {
+                let active = (finished_at[s] - t0).max(1) as f64;
+                per_sender_bytes[s] as f64 / active
+            })
+            .collect();
+        IncastOutcome {
+            elapsed_ps,
+            goodput_gbps: bytes as f64 * 8.0 / secs / 1e9,
+            p50_ps: latency.quantile(0.50),
+            p99_ps: latency.quantile(0.99),
+            p999_ps: latency.quantile(0.999),
+            tail_drops: tb.switch_tail_drops(),
+            ecn_marked: (0..n + 1)
+                .map(|p| tb.switch_counters(p).map_or(0, |c| c.ecn_marked))
+                .sum(),
+            // Summed over *all* nodes: in write mode the rate-cut signals
+            // land on the senders, in read mode on the responding peers and
+            // the retransmissions on the requesting node 0.
+            cnps: (0..=n).map(|p| tb.status(p).wire.cnps_rx).sum(),
+            retransmissions: (0..=n).map(|p| tb.retransmissions(p)).sum(),
+            qp_errors: dead.iter().filter(|&&d| d).count(),
+            per_sender_bytes,
+            jain: jain_index(&rates),
         }
     }
-    let elapsed_ps = (finished_at.iter().copied().max().unwrap_or(t0) - t0).max(1);
-    tb.run_until_idle();
 
-    // Survivors' memory must hold their staged pattern (last write wins;
-    // all writes per sender carry identical bytes).
-    for s in 0..n {
-        if !dead[s] && done[s] > 0 {
-            assert_eq!(
-                tb.mem(receiver)
-                    .read(dst_base + msg * s as u64, src[s].1.len()),
-                src[s].1,
-                "seed {}: sender {s} payload corrupted",
-                spec.seed
-            );
+    fn fingerprint(out: &IncastOutcome) -> u64 {
+        let mut fp = Fingerprint::new();
+        for word in [
+            out.elapsed_ps,
+            out.p50_ps.unwrap_or(0),
+            out.p99_ps.unwrap_or(0),
+            out.p999_ps.unwrap_or(0),
+            out.tail_drops,
+            out.ecn_marked,
+            out.cnps,
+            out.retransmissions,
+            out.qp_errors as u64,
+        ] {
+            fp.word(word);
         }
+        for &b in &out.per_sender_bytes {
+            fp.word(b);
+        }
+        fp.value()
     }
 
-    let bytes: u64 = per_sender_bytes.iter().sum();
-    let secs = elapsed_ps as f64 * 1e-12;
-    // Fairness over per-flow goodput: each sender's bytes over its own
-    // active time, so a flow that finished early is not counted as
-    // starved for the remainder of the run.
-    let rates: Vec<f64> = (0..n)
-        .map(|s| {
-            let active = (finished_at[s] - t0).max(1) as f64;
-            per_sender_bytes[s] as f64 / active
-        })
-        .collect();
-    let outcome = IncastOutcome {
-        elapsed_ps,
-        goodput_gbps: bytes as f64 * 8.0 / secs / 1e9,
-        p50_ps: latency.quantile(0.50),
-        p99_ps: latency.quantile(0.99),
-        p999_ps: latency.quantile(0.999),
-        tail_drops: tb.switch_tail_drops(),
-        ecn_marked: (0..n + 1)
-            .map(|p| tb.switch_counters(p).map_or(0, |c| c.ecn_marked))
-            .sum(),
-        // Summed over *all* nodes: in write mode the rate-cut signals
-        // land on the senders, in read mode on the responding peers and
-        // the retransmissions on the requesting node 0.
-        cnps: (0..=n).map(|p| tb.status(p).wire.cnps_rx).sum(),
-        retransmissions: (0..=n).map(|p| tb.retransmissions(p)).sum(),
-        qp_errors: dead.iter().filter(|&&d| d).count(),
-        per_sender_bytes,
-        jain: jain_index(&rates),
-    };
-    let metrics = tb.metrics().clone();
-    (outcome, metrics)
+    fn perf(out: &IncastOutcome) -> Vec<(&'static str, f64)> {
+        vec![
+            ("elapsed_us", us(out.elapsed_ps)),
+            ("goodput_gbps", out.goodput_gbps),
+            ("p999_us", us(out.p999_ps.unwrap_or(0))),
+            ("tail_drops", out.tail_drops as f64),
+            ("ecn_marked", out.ecn_marked as f64),
+            ("qp_errors", out.qp_errors as f64),
+            ("jain", out.jain),
+        ]
+    }
 }
 
 #[cfg(test)]

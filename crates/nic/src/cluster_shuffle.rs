@@ -23,12 +23,14 @@ use strom_kernels::shuffle::{encode_histogram, ShuffleKernel, ShuffleParams};
 use strom_proto::{CompletionStatus, WorkRequest};
 use strom_sim::time::TimeDelta;
 use strom_sim::SimRng;
+use strom_telemetry::Fingerprint;
 use strom_wire::bth::Qpn;
 use strom_wire::opcode::RpcOpCode;
 
 use crate::config::Platform;
 use crate::event::NodeId;
 use crate::fault::LinkFaultModel;
+use crate::scenario::{us, Scenario};
 use crate::testbed::{ClusterTestbed, SwitchParams};
 
 /// Event budget for the post-completion quiesce.
@@ -272,213 +274,251 @@ struct NodeLayout {
     incoming_values: u64,
 }
 
-/// Runs the all-to-all shuffle and verifies byte-exact, exactly-once
-/// delivery of every value into the correct peer partition before
-/// returning the observables. Panics on any violation.
-///
-/// Host-side work is linear in the values shuffled. Each node's table
-/// is drawn once, into its staging bytes and, grouped by sender, each
-/// partition's expected values — no [`expected_partitions`] call and no
-/// sort. Staging bytes are freed once written into host memory. Each
-/// partition is checked by one walk over its values against the flows
-/// that feed it; only a partition the walk cannot decide is sorted and
-/// compared, and is counted in
-/// [`ShuffleOutcome::out_of_order_partitions`].
+/// Runs the all-to-all shuffle on a fresh testbed (see [`ShuffleSpec`]'s
+/// [`Scenario`] impl).
 pub fn run_shuffle(spec: &ShuffleSpec) -> ShuffleOutcome {
-    assert!(spec.nodes >= 2, "shuffle needs at least two nodes");
-    assert!(
-        spec.local_partitions.is_power_of_two(),
-        "partition count must be a power of two"
-    );
-    let n = spec.nodes;
-    let parts = spec.local_partitions as usize;
-    let Routing {
-        staging,
-        expected,
-        bounds,
-    } = Routing::fill(spec);
+    let mut tb = spec.testbed();
+    spec.drive(&mut tb)
+}
 
-    let mut cfg = spec.platform.config();
-    cfg.seed = spec.seed;
-    cfg.fault = spec.fault;
-    cfg.cc = spec.cc;
-    if let Some(timeout) = spec.retransmit_timeout {
-        cfg.retransmit_timeout = timeout;
-    }
-    let mut tb = ClusterTestbed::switched(cfg, n, spec.switch);
-    if let Some(capacity) = spec.trace_capacity {
-        tb.enable_tracing(capacity);
-    }
-    for &(dst, model) in &spec.port_faults {
-        tb.set_port_fault_model(dst, model);
-    }
-    for i in 0..n {
-        for j in i + 1..n {
-            tb.connect_qp_between(i, j, pair_qpn(n, i, j));
+impl Scenario for ShuffleSpec {
+    type Outcome = ShuffleOutcome;
+
+    fn testbed(&self) -> ClusterTestbed {
+        assert!(self.nodes >= 2, "shuffle needs at least two nodes");
+        let mut cfg = self.platform.config();
+        cfg.seed = self.seed;
+        cfg.fault = self.fault;
+        cfg.cc = self.cc;
+        if let Some(timeout) = self.retransmit_timeout {
+            cfg.retransmit_timeout = timeout;
         }
+        let mut tb = ClusterTestbed::switched(cfg, self.nodes, self.switch);
+        if let Some(capacity) = self.trace_capacity {
+            tb.enable_tracing(capacity);
+        }
+        for &(dst, model) in &self.port_faults {
+            tb.set_port_fault_model(dst, model);
+        }
+        tb
     }
 
-    // Lay out host memory: per-destination staging buffers, then the
-    // histogram, then exact-capacity receive regions (so any duplicated
-    // or misrouted value would overflow its partition and be counted).
-    // Staging bytes are written as soon as their region is pinned and
-    // freed with it; only `(addr, len)` stays.
-    let mut layouts: Vec<NodeLayout> = Vec::with_capacity(n);
-    for (node, out) in staging.into_iter().enumerate() {
-        let staging_total: usize = out.iter().map(Vec::len).sum();
-        let partitions: Vec<u32> = expected[node * parts..(node + 1) * parts]
-            .iter()
-            .map(|values| (values.len() * 8) as u32)
-            .collect();
-        let receive_total: usize = partitions.iter().map(|&c| c as usize).sum();
-        let hist_len = parts * 16;
-        let base = tb.pin(
-            node,
-            (staging_total + hist_len + receive_total + 4096) as u64,
+    /// Verifies byte-exact, exactly-once delivery of every value into the
+    /// correct peer partition. Panics on any violation.
+    ///
+    /// Host-side work is linear in the values shuffled. Each node's table
+    /// is drawn once, into its staging bytes and, grouped by sender, each
+    /// partition's expected values — no [`expected_partitions`] call and
+    /// no sort. Staging bytes are freed once written into host memory.
+    /// Each partition is checked by one walk over its values against the
+    /// flows that feed it; only a partition the walk cannot decide is
+    /// sorted and compared, and is counted in
+    /// [`ShuffleOutcome::out_of_order_partitions`].
+    fn drive(&self, tb: &mut ClusterTestbed) -> ShuffleOutcome {
+        assert!(
+            self.local_partitions.is_power_of_two(),
+            "partition count must be a power of two"
         );
-        let mut cursor = base;
-        let mut staging = Vec::with_capacity(n);
-        for bytes in out {
-            if !bytes.is_empty() {
-                tb.mem(node).write(cursor, &bytes);
-            }
-            staging.push((cursor, bytes.len() as u32));
-            cursor += bytes.len() as u64;
-        }
-        let hist_addr = cursor;
-        cursor += hist_len as u64;
-        let mut part_regions = Vec::with_capacity(partitions.len());
-        for &cap in &partitions {
-            part_regions.push((cursor, cap));
-            cursor += u64::from(cap);
-        }
-        layouts.push(NodeLayout {
+        let n = self.nodes;
+        let parts = self.local_partitions as usize;
+        let Routing {
             staging,
-            hist_addr,
-            partitions: part_regions,
-            incoming_values: (receive_total / 8) as u64,
-        });
-    }
-    tb.bring_up();
-
-    // Configure every receiver's kernel via a local RPC (§5.2), then
-    // quiesce so all kernels are Active before any payload arrives.
-    for (node, layout) in layouts.iter().enumerate() {
-        tb.deploy_kernel(node, Box::new(ShuffleKernel::new()));
-        let histogram = encode_histogram(&layout.partitions);
-        tb.mem(node).write(layout.hist_addr, &histogram);
-        tb.post_local_rpc(
-            node,
-            pair_qpn(n, node, (node + 1) % n),
-            RpcOpCode::SHUFFLE,
-            ShuffleParams {
-                histogram_addr: layout.hist_addr,
-                num_partitions: spec.local_partitions,
+            expected,
+            bounds,
+        } = Routing::fill(self);
+        for i in 0..n {
+            for j in i + 1..n {
+                tb.connect_qp_between(i, j, pair_qpn(n, i, j));
             }
-            .encode(),
-        );
-    }
-    tb.run_until_idle();
+        }
 
-    // Post every flow up front: all N·(N−1) RPC WRITEs contend for the
-    // switch concurrently.
-    let t0 = tb.now();
-    let mut handles: Vec<(NodeId, u64, usize)> = Vec::new();
-    let mut bytes_shuffled = 0u64;
-    for (src, layout) in layouts.iter().enumerate() {
-        for (dst, &(addr, len)) in layout.staging.iter().enumerate() {
-            if dst == src || len == 0 {
-                continue;
-            }
-            let h = tb.post(
-                src,
-                pair_qpn(n, src, dst),
-                WorkRequest::RpcWrite {
-                    rpc_op: RpcOpCode::SHUFFLE,
-                    local_vaddr: addr,
-                    len,
-                },
+        // Lay out host memory: per-destination staging buffers, then the
+        // histogram, then exact-capacity receive regions (so any duplicated
+        // or misrouted value would overflow its partition and be counted).
+        // Staging bytes are written as soon as their region is pinned and
+        // freed with it; only `(addr, len)` stays.
+        let mut layouts: Vec<NodeLayout> = Vec::with_capacity(n);
+        for (node, out) in staging.into_iter().enumerate() {
+            let staging_total: usize = out.iter().map(Vec::len).sum();
+            let partitions: Vec<u32> = expected[node * parts..(node + 1) * parts]
+                .iter()
+                .map(|values| (values.len() * 8) as u32)
+                .collect();
+            let receive_total: usize = partitions.iter().map(|&c| c as usize).sum();
+            let hist_len = parts * 16;
+            let base = tb.pin(
+                node,
+                (staging_total + hist_len + receive_total + 4096) as u64,
             );
-            handles.push((src, h, dst));
-            bytes_shuffled += u64::from(len);
+            let mut cursor = base;
+            let mut staging = Vec::with_capacity(n);
+            for bytes in out {
+                if !bytes.is_empty() {
+                    tb.mem(node).write(cursor, &bytes);
+                }
+                staging.push((cursor, bytes.len() as u32));
+                cursor += bytes.len() as u64;
+            }
+            let hist_addr = cursor;
+            cursor += hist_len as u64;
+            let mut part_regions = Vec::with_capacity(partitions.len());
+            for &cap in &partitions {
+                part_regions.push((cursor, cap));
+                cursor += u64::from(cap);
+            }
+            layouts.push(NodeLayout {
+                staging,
+                hist_addr,
+                partitions: part_regions,
+                incoming_values: (receive_total / 8) as u64,
+            });
         }
-    }
-    for &(src, h, dst) in &handles {
-        tb.run_until_complete(src, h);
-        assert_eq!(
-            tb.completion_status(src, h),
-            Some(CompletionStatus::Success),
-            "seed {}: shuffle flow {src} -> {dst} failed",
-            spec.seed
-        );
-    }
-    let elapsed_ps = tb.now() - t0;
-    assert!(
-        tb.run_until_idle_bounded(EVENT_BUDGET),
-        "seed {}: shuffle failed to quiesce",
-        spec.seed
-    );
+        tb.bring_up();
 
-    // Exactly-once verification: every value each node shuffled out is
-    // present in the correct peer partition, no value is duplicated
-    // (exact-capacity regions make a duplicate overflow), none invented.
-    // A partition the linear walk cannot decide is decided by the sort.
-    let mut out_of_order_partitions = 0;
-    for (node, layout) in layouts.iter().enumerate() {
-        let kernel = tb
-            .fabric(node)
-            .kernel(RpcOpCode::SHUFFLE)
-            .expect("deployed above")
-            .as_any()
-            .downcast_ref::<ShuffleKernel>()
-            .expect("shuffle kernel");
-        assert_eq!(
-            kernel.overflowed(),
-            0,
-            "seed {}: node {node} kernel overflowed a partition",
-            spec.seed
-        );
-        assert_eq!(
-            kernel.values(),
-            layout.incoming_values,
-            "seed {}: node {node} partitioned a wrong value count",
-            spec.seed
-        );
-        for (p, &(addr, cap)) in layout.partitions.iter().enumerate() {
-            let slot = node * parts + p;
-            let want = &expected[slot];
-            let got = tb.mem(node).read(addr, cap as usize);
-            if !interleaves(&got, want, &bounds[slot * (n + 1)..(slot + 1) * (n + 1)]) {
-                out_of_order_partitions += 1;
-                assert_eq!(
-                    sorted(values_of(&got).collect()),
-                    sorted(want.clone()),
-                    "seed {}: node {node} partition {p} content mismatch",
-                    spec.seed
+        // Configure every receiver's kernel via a local RPC (§5.2), then
+        // quiesce so all kernels are Active before any payload arrives.
+        for (node, layout) in layouts.iter().enumerate() {
+            tb.deploy_kernel(node, Box::new(ShuffleKernel::new()));
+            let histogram = encode_histogram(&layout.partitions);
+            tb.mem(node).write(layout.hist_addr, &histogram);
+            tb.post_local_rpc(
+                node,
+                pair_qpn(n, node, (node + 1) % n),
+                RpcOpCode::SHUFFLE,
+                ShuffleParams {
+                    histogram_addr: layout.hist_addr,
+                    num_partitions: self.local_partitions,
+                }
+                .encode(),
+            );
+        }
+        tb.run_until_idle();
+
+        // Post every flow up front: all N·(N−1) RPC WRITEs contend for the
+        // switch concurrently.
+        let t0 = tb.now();
+        let mut handles: Vec<(NodeId, u64, usize)> = Vec::new();
+        let mut bytes_shuffled = 0u64;
+        for (src, layout) in layouts.iter().enumerate() {
+            for (dst, &(addr, len)) in layout.staging.iter().enumerate() {
+                if dst == src || len == 0 {
+                    continue;
+                }
+                let h = tb.post(
+                    src,
+                    pair_qpn(n, src, dst),
+                    WorkRequest::RpcWrite {
+                        rpc_op: RpcOpCode::SHUFFLE,
+                        local_vaddr: addr,
+                        len,
+                    },
                 );
+                handles.push((src, h, dst));
+                bytes_shuffled += u64::from(len);
             }
         }
+        for &(src, h, dst) in &handles {
+            tb.run_until_complete(src, h);
+            assert_eq!(
+                tb.completion_status(src, h),
+                Some(CompletionStatus::Success),
+                "seed {}: shuffle flow {src} -> {dst} failed",
+                self.seed
+            );
+        }
+        let elapsed_ps = tb.now() - t0;
+        assert!(
+            tb.run_until_idle_bounded(EVENT_BUDGET),
+            "seed {}: shuffle failed to quiesce",
+            self.seed
+        );
+
+        // Exactly-once verification: every value each node shuffled out is
+        // present in the correct peer partition, no value is duplicated
+        // (exact-capacity regions make a duplicate overflow), none invented.
+        // A partition the linear walk cannot decide is decided by the sort.
+        let mut out_of_order_partitions = 0;
+        for (node, layout) in layouts.iter().enumerate() {
+            let kernel = tb
+                .fabric(node)
+                .kernel(RpcOpCode::SHUFFLE)
+                .expect("deployed above")
+                .as_any()
+                .downcast_ref::<ShuffleKernel>()
+                .expect("shuffle kernel");
+            assert_eq!(
+                kernel.overflowed(),
+                0,
+                "seed {}: node {node} kernel overflowed a partition",
+                self.seed
+            );
+            assert_eq!(
+                kernel.values(),
+                layout.incoming_values,
+                "seed {}: node {node} partitioned a wrong value count",
+                self.seed
+            );
+            for (p, &(addr, cap)) in layout.partitions.iter().enumerate() {
+                let slot = node * parts + p;
+                let want = &expected[slot];
+                let got = tb.mem(node).read(addr, cap as usize);
+                if !interleaves(&got, want, &bounds[slot * (n + 1)..(slot + 1) * (n + 1)]) {
+                    out_of_order_partitions += 1;
+                    assert_eq!(
+                        sorted(values_of(&got).collect()),
+                        sorted(want.clone()),
+                        "seed {}: node {node} partition {p} content mismatch",
+                        self.seed
+                    );
+                }
+            }
+        }
+
+        let secs = elapsed_ps as f64 * 1e-12;
+        let p99_rpc_ps = tb
+            .metrics()
+            .histogram("latency.rpc_ps")
+            .snapshot()
+            .quantile(0.99);
+        ShuffleOutcome {
+            elapsed_ps,
+            bytes_shuffled,
+            aggregate_gbps: if secs > 0.0 {
+                bytes_shuffled as f64 / secs / 1e9
+            } else {
+                0.0
+            },
+            p99_rpc_ps,
+            fingerprint: self.trace_capacity.map(|_| tb.trace().fingerprint()),
+            tail_drops: tb.switch_tail_drops(),
+            retransmissions: (0..n).map(|i| tb.retransmissions(i)).sum(),
+            out_of_order_partitions,
+        }
     }
 
-    let secs = elapsed_ps as f64 * 1e-12;
-    let p99_rpc_ps = tb
-        .metrics()
-        .histogram("latency.rpc_ps")
-        .snapshot()
-        .quantile(0.99);
-    ShuffleOutcome {
-        elapsed_ps,
-        bytes_shuffled,
-        aggregate_gbps: if secs > 0.0 {
-            bytes_shuffled as f64 / secs / 1e9
-        } else {
-            0.0
-        },
-        p99_rpc_ps,
-        fingerprint: spec.trace_capacity.map(|_| tb.trace().fingerprint()),
-        tail_drops: tb.switch_tail_drops(),
-        retransmissions: (0..n).map(|i| tb.retransmissions(i)).sum(),
-        out_of_order_partitions,
+    fn fingerprint(out: &ShuffleOutcome) -> u64 {
+        let mut fp = Fingerprint::new();
+        for word in [
+            out.fingerprint.unwrap_or(0),
+            out.bytes_shuffled,
+            out.elapsed_ps,
+            out.p99_rpc_ps.unwrap_or(0),
+            out.tail_drops,
+            out.retransmissions,
+        ] {
+            fp.word(word);
+        }
+        fp.value()
+    }
+
+    fn perf(out: &ShuffleOutcome) -> Vec<(&'static str, f64)> {
+        vec![
+            ("elapsed_us", us(out.elapsed_ps)),
+            ("aggregate_gbps", out.aggregate_gbps),
+            ("p99_rpc_us", us(out.p99_rpc_ps.unwrap_or(0))),
+            ("tail_drops", out.tail_drops as f64),
+            ("retransmissions", out.retransmissions as f64),
+        ]
     }
 }
 

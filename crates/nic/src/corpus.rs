@@ -30,41 +30,14 @@ use strom_sim::time::{MICROS, NANOS};
 use strom_sim::EcnConfig;
 use strom_telemetry::{json, Fingerprint};
 
-use crate::chaos::{run_chaos, ChaosSpec};
-use crate::cluster_chain::{run_crcverify_shuffle, run_filter_agg_hll, ChainSpec};
-use crate::cluster_incast::{run_incast, IncastSpec};
-use crate::cluster_shuffle::{run_shuffle, ShuffleSpec};
+use crate::chaos::ChaosSpec;
+use crate::cluster_chain::{Chain, ChainKind, ChainSpec};
+use crate::cluster_incast::IncastSpec;
+use crate::cluster_shuffle::ShuffleSpec;
 use crate::config::Platform;
 use crate::fault::LinkFaultModel;
-use crate::kv_serve::{run_kv_serve, KvSpec};
-
-/// Which chained kernel pipeline a [`Workload::KernelChain`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChainKind {
-    /// filter → aggregate → HyperLogLog.
-    FilterAggHll,
-    /// CRC-verify → radix shuffle.
-    CrcVerifyShuffle,
-}
-
-impl ChainKind {
-    /// The wire name used in spec JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            ChainKind::FilterAggHll => "filter-agg-hll",
-            ChainKind::CrcVerifyShuffle => "crcverify-shuffle",
-        }
-    }
-
-    /// Parses a wire name back to the kind.
-    pub fn from_name(name: &str) -> Option<ChainKind> {
-        match name {
-            "filter-agg-hll" => Some(ChainKind::FilterAggHll),
-            "crcverify-shuffle" => Some(ChainKind::CrcVerifyShuffle),
-            _ => None,
-        }
-    }
-}
+use crate::kv_serve::KvSpec;
+use crate::scenario::{Observables, Scenario};
 
 /// The declarative workload of one scenario. Every field is a plain
 /// number or flag: the runner materializes the full simulation spec
@@ -208,23 +181,6 @@ pub struct ScenarioSpec {
     pub workload: Workload,
 }
 
-/// What one scenario run observed: the correctness fingerprint plus the
-/// perf observables the gates are written against.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioOutcome {
-    /// FNV-1a fold of the run's verified observables.
-    pub fingerprint: u64,
-    /// Named perf observables (`elapsed_us` is always present).
-    pub perf: Vec<(&'static str, f64)>,
-}
-
-impl ScenarioOutcome {
-    /// Looks up one perf observable.
-    pub fn perf(&self, key: &str) -> Option<f64> {
-        self.perf.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
-    }
-}
-
 impl ScenarioSpec {
     /// Checks the spec against the ranges and consistency rules the
     /// runner assumes.
@@ -319,32 +275,24 @@ impl ScenarioSpec {
     }
 
     /// Validates and runs the scenario at its own seed.
-    pub fn run(&self) -> Result<ScenarioOutcome, SpecError> {
+    pub fn run(&self) -> Result<Observables, SpecError> {
         self.validate()?;
         Ok(self.run_seeded(self.seed))
     }
 
     /// Runs the (already validated) scenario at an explicit seed — the
-    /// corpus full scale folds several derived seeds per case.
-    fn run_seeded(&self, seed: u64) -> ScenarioOutcome {
-        let us = |ps: u64| ps as f64 / 1e6;
+    /// corpus full scale folds several derived seeds per case. The
+    /// workload shape only picks the driver spec; the run, its
+    /// fingerprint and its perf list are the [`Scenario`]'s.
+    fn run_seeded(&self, seed: u64) -> Observables {
         match self.workload {
             Workload::ChaosSoak { ops } => {
-                let out = run_chaos(&ChaosSpec {
+                let spec = ChaosSpec {
                     platform: self.platform,
                     ops,
                     seed,
-                });
-                ScenarioOutcome {
-                    fingerprint: out.fingerprint,
-                    perf: vec![
-                        ("elapsed_us", us(out.elapsed_ps)),
-                        ("bytes_moved", out.bytes_moved as f64),
-                        ("retransmissions", out.retransmissions as f64),
-                        ("frames_lost", out.frames_lost as f64),
-                        ("crc_dropped", out.crc_dropped as f64),
-                    ],
-                }
+                };
+                spec.observe().1
             }
             Workload::Shuffle {
                 nodes,
@@ -372,28 +320,7 @@ impl ScenarioSpec {
                     spec.switch.ecn = Some(mark);
                 }
                 spec.cc = cc;
-                let out = run_shuffle(&spec);
-                let mut fp = Fingerprint::new();
-                for word in [
-                    out.fingerprint.unwrap_or(0),
-                    out.bytes_shuffled,
-                    out.elapsed_ps,
-                    out.p99_rpc_ps.unwrap_or(0),
-                    out.tail_drops,
-                    out.retransmissions,
-                ] {
-                    fp.word(word);
-                }
-                ScenarioOutcome {
-                    fingerprint: fp.value(),
-                    perf: vec![
-                        ("elapsed_us", us(out.elapsed_ps)),
-                        ("aggregate_gbps", out.aggregate_gbps),
-                        ("p99_rpc_us", us(out.p99_rpc_ps.unwrap_or(0))),
-                        ("tail_drops", out.tail_drops as f64),
-                        ("retransmissions", out.retransmissions as f64),
-                    ],
-                }
+                spec.observe().1
             }
             Workload::Incast {
                 senders,
@@ -417,36 +344,7 @@ impl ScenarioSpec {
                 spec.cc = cc;
                 spec.reads = reads;
                 spec.retransmit_timeout = Some(1_000 * MICROS);
-                let out = run_incast(&spec);
-                let mut fp = Fingerprint::new();
-                for word in [
-                    out.elapsed_ps,
-                    out.p50_ps.unwrap_or(0),
-                    out.p99_ps.unwrap_or(0),
-                    out.p999_ps.unwrap_or(0),
-                    out.tail_drops,
-                    out.ecn_marked,
-                    out.cnps,
-                    out.retransmissions,
-                    out.qp_errors as u64,
-                ] {
-                    fp.word(word);
-                }
-                for &b in &out.per_sender_bytes {
-                    fp.word(b);
-                }
-                ScenarioOutcome {
-                    fingerprint: fp.value(),
-                    perf: vec![
-                        ("elapsed_us", us(out.elapsed_ps)),
-                        ("goodput_gbps", out.goodput_gbps),
-                        ("p999_us", us(out.p999_ps.unwrap_or(0))),
-                        ("tail_drops", out.tail_drops as f64),
-                        ("ecn_marked", out.ecn_marked as f64),
-                        ("qp_errors", out.qp_errors as f64),
-                        ("jain", out.jain),
-                    ],
-                }
+                spec.observe().1
             }
             Workload::KvServe {
                 servers,
@@ -457,63 +355,12 @@ impl ScenarioSpec {
                 let mut spec = KvSpec::new(servers, clients, mean_gap_ns * NANOS, seed);
                 spec.platform = self.platform;
                 spec.requests = requests;
-                let out = run_kv_serve(&spec);
-                let violations = out.verify_failures
-                    + out.lost_puts
-                    + out.dup_puts
-                    + out.put_errors
-                    + out.lost_responses
-                    + out.qp_errors as u64;
-                let mut fp = Fingerprint::new();
-                for word in [
-                    out.fingerprint,
-                    out.elapsed_ps,
-                    out.completed,
-                    out.retransmissions,
-                    violations,
-                ] {
-                    fp.word(word);
-                }
-                ScenarioOutcome {
-                    fingerprint: fp.value(),
-                    perf: vec![
-                        ("elapsed_us", us(out.elapsed_ps)),
-                        ("p999_us", us(out.p999_ps.unwrap_or(0))),
-                        ("achieved_krps", out.achieved_rps as f64 / 1e3),
-                        ("completed", out.completed as f64),
-                        ("violations", violations as f64),
-                    ],
-                }
+                spec.observe().1
             }
             Workload::KernelChain { chain, tuples } => {
                 let mut spec = ChainSpec::new(tuples, seed);
                 spec.platform = self.platform;
-                let out = match chain {
-                    ChainKind::FilterAggHll => run_filter_agg_hll(&spec),
-                    ChainKind::CrcVerifyShuffle => run_crcverify_shuffle(&spec),
-                };
-                let mut fp = Fingerprint::new();
-                for word in [
-                    out.fingerprint,
-                    out.payload_bytes,
-                    out.elapsed_ps,
-                    u64::from(out.error_code.unwrap_or(0)),
-                    out.retransmissions,
-                ] {
-                    fp.word(word);
-                }
-                ScenarioOutcome {
-                    fingerprint: fp.value(),
-                    perf: vec![
-                        ("elapsed_us", us(out.elapsed_ps)),
-                        ("gib_per_sec", out.gib_per_sec),
-                        (
-                            "chain_errors",
-                            f64::from(u8::from(out.error_code.is_some())),
-                        ),
-                        ("retransmissions", out.retransmissions as f64),
-                    ],
-                }
+                Chain { kind: chain, spec }.observe().1
             }
         }
     }
@@ -650,7 +497,7 @@ impl ScenarioSpec {
 /// A floor and/or ceiling on one perf observable of a case.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfGate {
-    /// Which [`ScenarioOutcome::perf`] key the gate holds.
+    /// Which [`Observables::perf`] key the gate holds.
     pub key: &'static str,
     /// Inclusive floor, if any.
     pub min: Option<f64>,
@@ -1021,7 +868,7 @@ pub fn run_corpus_cases(cases: &[CorpusCase], scale: CorpusScale) -> CorpusRepor
     for case in cases {
         let seeds = scale.seeds(case.spec.seed);
         let mut fp = Fingerprint::new();
-        let mut first: Option<ScenarioOutcome> = None;
+        let mut first: Option<Observables> = None;
         for &seed in &seeds {
             let out = case.spec.run_seeded(seed);
             fp.word(seed).word(out.fingerprint);
@@ -1393,6 +1240,7 @@ mod tests {
         let spec = tiny_spec();
         let a = spec.run().expect("valid");
         let b = spec.run().expect("valid");
-        assert_eq!(a, b);
+        assert_eq!((a.fingerprint, &a.perf), (b.fingerprint, &b.perf));
+        assert_eq!(a.metrics.snapshot(), b.metrics.snapshot());
     }
 }

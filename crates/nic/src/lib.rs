@@ -25,6 +25,12 @@
 //! switch and drives multi-node workloads like the all-to-all shuffle
 //! ([`cluster_shuffle`]). DESIGN.md §13 has the full module map.
 //!
+//! Every workload family — [`chaos`], [`cluster_shuffle`],
+//! [`cluster_incast`], [`kv_serve`], [`cluster_chain`] — is a
+//! [`Scenario`]: it builds its testbed, drives and verifies the run, and
+//! reports one [`Observables`] value that the [`corpus`], the `figures`
+//! telemetry export and the soak tests read.
+//!
 //! Packets cross the simulated wire as real encoded bytes
 //! (`strom_wire::Packet::encode`/`parse`), so the full header machinery,
 //! ICRC validation, segmentation, PSN windows, and retransmission logic
@@ -45,11 +51,14 @@ pub mod fabric;
 pub mod fault;
 pub mod kv_serve;
 mod nic;
+pub mod scenario;
 pub mod testbed;
 mod watch;
 mod wire;
 
-pub use cluster_chain::{run_crcverify_shuffle, run_filter_agg_hll, ChainRun, ChainSpec};
+pub use cluster_chain::{
+    run_crcverify_shuffle, run_filter_agg_hll, Chain, ChainKind, ChainRun, ChainSpec,
+};
 pub use config::{NicConfig, Platform};
 pub use controller::{CommandWord, StatusRegisters};
 pub use corpus::{
@@ -59,7 +68,8 @@ pub use corpus::{
 pub use event::{Event, NodeId};
 pub use fabric::KernelFabric;
 pub use fault::{LinkFaultModel, LossModel};
-pub use kv_serve::{run_kv_serve, run_kv_serve_instrumented, KvOutcome, KvSpec};
+pub use kv_serve::{run_kv_serve, KvOutcome, KvSpec};
+pub use scenario::{Observables, Scenario};
 pub use testbed::{ClusterTestbed, CpuFallback, LookaheadReport, SwitchParams, Testbed, WatchId};
 
 pub use chaos::{active_fault_types, chaos_model, run_chaos, ChaosOutcome, ChaosSpec};

@@ -46,7 +46,7 @@ pub use crate::wire::SwitchParams;
 use crate::wire::Wire;
 
 /// The simulated world: N nodes and the network between them —
-/// point-to-point wires for [`ClusterTestbed::transparent_pair`], a
+/// point-to-point wires for the two nodes of [`ClusterTestbed::new`], a
 /// store-and-forward switch for [`ClusterTestbed::switched`].
 pub struct ClusterTestbed {
     cfg: NicConfig,
@@ -122,18 +122,11 @@ impl Requests {
 }
 
 impl ClusterTestbed {
-    /// Builds the two-node testbed of the paper from a configuration
-    /// (the same thing as [`Self::transparent_pair`]).
+    /// Builds the two-node testbed of the paper: no switch in the path,
+    /// frames serialize on the sender's link and arrive after
+    /// propagation + RX store-and-forward (the chaos-soak fingerprints
+    /// and the pcap golden fixture pin its timing and RNG draws).
     pub fn new(cfg: NicConfig) -> Self {
-        Self::transparent_pair(cfg)
-    }
-
-    /// Builds the two-node point-to-point geometry: no switch in the
-    /// path, frames serialize on the sender's link and arrive after
-    /// propagation + RX store-and-forward. All timing, RNG draws, and
-    /// telemetry are bit-identical to the pre-cluster testbed (the
-    /// chaos-soak fingerprints and the pcap golden fixture pin this).
-    pub fn transparent_pair(cfg: NicConfig) -> Self {
         Self::build(cfg, 2, None)
     }
 

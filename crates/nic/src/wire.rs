@@ -4,7 +4,7 @@
 //! their per-direction state and every RNG draw they make, the pcap
 //! writer, the per-receiver FIFO clamp, the fault counters kept on the
 //! receiving side, and the medium itself — a cable
-//! for [`crate::ClusterTestbed::transparent_pair`], a store-and-forward
+//! for the two-node [`crate::ClusterTestbed::new`], a store-and-forward
 //! switch ([`strom_sim::Switch`]) for [`crate::ClusterTestbed::switched`].
 //! A NIC hands it a [`Packet`]; what comes out the far end is a
 //! [`NicEvent::FrameArrive`] on the receiver, at least one cable

@@ -4,9 +4,9 @@
 //!
 //! Two anchors keep the refactor honest:
 //!
-//! * [`ClusterTestbed::transparent_pair`] IS the old point-to-point
-//!   path — same timing, same RNG draws — and reproduces the checked-in
-//!   pcap golden fixture bit-for-bit.
+//! * [`ClusterTestbed::new`] IS the old point-to-point path — same
+//!   timing, same RNG draws — and reproduces the checked-in pcap golden
+//!   fixture bit-for-bit (`tests/pcap_golden.rs` at the workspace root).
 //! * A degenerate switch (zero latency, zero propagation, a practically
 //!   infinite egress rate, deep queues) forwards the *same frames in
 //!   the same order* as point-to-point; only the egress serialization
@@ -20,11 +20,6 @@ use strom_sim::time::{MICROS, NANOS};
 use strom_sim::{Bandwidth, EcnConfig, SimRng};
 use strom_telemetry::{DropReason, TraceEvent};
 use strom_wire::{packet::Packet, pcap};
-
-const GOLDEN: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../tests/golden/short_exchange.pcap"
-);
 
 /// The canonical short exchange from the root pcap golden test, run on
 /// any cluster geometry.
@@ -62,22 +57,6 @@ fn short_exchange(mut tb: ClusterTestbed) -> (Vec<u8>, Vec<u8>) {
     (pcap, memory)
 }
 
-/// The N=2 transparent pair is byte-for-byte the pre-cluster testbed:
-/// it reproduces the checked-in golden fixture captured before the
-/// switch existed.
-#[test]
-fn transparent_pair_reproduces_the_pcap_golden_fixture() {
-    let (got, _) = short_exchange(ClusterTestbed::transparent_pair(NicConfig::ten_gig()));
-    let want = std::fs::read(GOLDEN).expect("golden fixture present");
-    assert_eq!(
-        got, want,
-        "ClusterTestbed::transparent_pair diverged from the two-host golden capture"
-    );
-    // And the original two-host constructor builds the same thing.
-    let (via_wrapper, _) = short_exchange(Testbed::new(NicConfig::ten_gig()));
-    assert_eq!(via_wrapper, want);
-}
-
 /// A degenerate switch forwards the same frames, in the same order,
 /// with the same bytes as point-to-point; timestamps may differ only by
 /// the per-frame egress quantum.
@@ -91,7 +70,7 @@ fn degenerate_switch_matches_point_to_point_frame_for_frame() {
         egress_capacity: usize::MAX,
         ecn: None,
     };
-    let (flat_pcap, flat_mem) = short_exchange(ClusterTestbed::transparent_pair(cfg));
+    let (flat_pcap, flat_mem) = short_exchange(ClusterTestbed::new(cfg));
     let (sw_pcap, sw_mem) = short_exchange(ClusterTestbed::switched(cfg, 2, degenerate));
 
     assert_eq!(flat_mem, sw_mem, "final memory must be identical");

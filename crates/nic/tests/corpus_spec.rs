@@ -3,8 +3,8 @@
 //! inconsistent documents are rejected with *typed* errors; and the
 //! specs the corpus runs are digest-identical across reruns.
 
-use strom_nic::corpus::{ChainKind, ScenarioSpec, SpecError, Workload};
-use strom_nic::Platform;
+use strom_nic::corpus::{ScenarioSpec, SpecError, Workload};
+use strom_nic::{ChainKind, Platform};
 use strom_sim::SimRng;
 
 /// Draws one structurally valid spec from the RNG, spanning every

@@ -28,12 +28,12 @@ fn fnv(bytes: &[u8]) -> u64 {
 }
 
 /// Runs `ops` seeded READ/WRITE ops (mixed sizes, 64 B .. 48 KiB) on a
-/// clean transparent pair at `platform`, one op at a time so each op's
+/// clean two-node testbed at `platform`, one op at a time so each op's
 /// completion latency is isolated from queueing behind its neighbours.
 fn run_mix(platform: Platform, seed: u64, ops: usize) -> MixOutcome {
     let mut cfg = platform.config();
     cfg.seed = seed;
-    let mut tb = ClusterTestbed::transparent_pair(cfg);
+    let mut tb = ClusterTestbed::new(cfg);
     tb.connect_qp(QP);
     let a = tb.pin(CLIENT, 4 << 20);
     let b = tb.pin(SERVER, 4 << 20);
