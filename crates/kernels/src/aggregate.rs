@@ -169,11 +169,11 @@ impl Kernel for AggregateKernel {
         "aggregate"
     }
 
-    fn on_event(&mut self, event: KernelEvent) -> Vec<KernelAction> {
+    fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
         match event {
             KernelEvent::Invoke { qpn, params } => {
                 let Some(p) = AggregateParams::decode(&params) else {
-                    return Vec::new();
+                    return;
                 };
                 self.agg = Aggregate::default();
                 self.spill.clear();
@@ -181,27 +181,25 @@ impl Kernel for AggregateKernel {
                     qpn,
                     target: p.target_address,
                 };
-                vec![KernelAction::Done]
+                out.push(KernelAction::Done);
             }
             KernelEvent::RoceData { data, last, .. } => {
                 let State::Active { qpn, target } = self.state else {
-                    return Vec::new();
+                    return;
                 };
                 self.ingest(&data);
                 if last {
-                    vec![
+                    out.extend([
                         KernelAction::RoceSend {
                             qpn,
                             remote_vaddr: target,
                             data: Bytes::copy_from_slice(&self.agg.encode()),
                         },
                         KernelAction::Done,
-                    ]
-                } else {
-                    Vec::new()
+                    ]);
                 }
             }
-            KernelEvent::DmaData { .. } => Vec::new(),
+            KernelEvent::DmaData { .. } => {}
         }
     }
 

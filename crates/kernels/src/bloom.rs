@@ -142,15 +142,14 @@ pub const BLOOM_PARAMS_LEN: usize = 32;
 impl BloomParams {
     /// Encodes into the RPC Params payload.
     pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(BLOOM_PARAMS_LEN);
-        out.extend_from_slice(&self.bitmap_addr.to_le_bytes());
-        out.extend_from_slice(&self.dest_addr.to_le_bytes());
-        out.extend_from_slice(&self.dest_capacity.to_le_bytes());
-        out.push(self.log2_bits);
-        out.push(self.probes);
-        out.extend_from_slice(&[0u8; 2]);
-        out.extend_from_slice(&self.target_address.to_le_bytes());
-        Bytes::from(out)
+        let mut out = [0u8; BLOOM_PARAMS_LEN];
+        out[0..8].copy_from_slice(&self.bitmap_addr.to_le_bytes());
+        out[8..16].copy_from_slice(&self.dest_addr.to_le_bytes());
+        out[16..20].copy_from_slice(&self.dest_capacity.to_le_bytes());
+        out[20] = self.log2_bits;
+        out[21] = self.probes;
+        out[24..32].copy_from_slice(&self.target_address.to_le_bytes());
+        Bytes::copy_from_slice(&out)
     }
 
     /// Decodes from the RPC Params payload.
@@ -234,8 +233,9 @@ impl BloomKernel {
         }
         out.push(KernelAction::DmaWrite {
             vaddr: self.cursor,
-            data: Bytes::from(std::mem::take(&mut self.staged)),
+            data: Bytes::copy_from_slice(&self.staged),
         });
+        self.staged.clear();
     }
 
     fn ingest(&mut self, data: &[u8], out: &mut Vec<KernelAction>) {
@@ -298,11 +298,11 @@ impl Kernel for BloomKernel {
         "bloom"
     }
 
-    fn on_event(&mut self, event: KernelEvent) -> Vec<KernelAction> {
+    fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
         match event {
             KernelEvent::Invoke { qpn, params } => {
                 let Some(p) = BloomParams::decode(&params) else {
-                    return Vec::new();
+                    return;
                 };
                 self.qpn = qpn;
                 self.cursor = p.dest_addr;
@@ -315,33 +315,32 @@ impl Kernel for BloomKernel {
                 let len = (1u64 << p.log2_bits) / 8;
                 let vaddr = p.bitmap_addr;
                 self.params = Some(p);
-                vec![KernelAction::DmaRead {
+                out.push(KernelAction::DmaRead {
                     tag: TAG_BITMAP,
                     vaddr,
                     len: len as u32,
-                }]
+                });
             }
             KernelEvent::DmaData {
                 tag: TAG_BITMAP,
                 data,
             } => {
                 let (State::LoadingBitmap, Some(p)) = (&self.state, &self.params) else {
-                    return Vec::new();
+                    return;
                 };
                 self.state = State::Active {
                     filter: BloomFilter::from_bitmap(p.log2_bits, p.probes, &data),
                 };
-                vec![KernelAction::Done]
+                out.push(KernelAction::Done);
             }
             KernelEvent::RoceData { data, last, .. } => {
                 if self.params.is_none() {
-                    return Vec::new();
+                    return;
                 }
-                let mut out = Vec::new();
-                self.ingest(&data, &mut out);
+                self.ingest(&data, out);
                 if last {
                     let len = self.staged.len() as u64;
-                    self.flush(&mut out);
+                    self.flush(out);
                     self.cursor += len;
                     self.remaining = self.remaining.saturating_sub(len as u32);
                     let p = self.params.as_ref().expect("configured");
@@ -354,9 +353,8 @@ impl Kernel for BloomKernel {
                     });
                     out.push(KernelAction::Done);
                 }
-                out
             }
-            KernelEvent::DmaData { .. } => Vec::new(),
+            KernelEvent::DmaData { .. } => {}
         }
     }
 

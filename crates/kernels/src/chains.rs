@@ -86,7 +86,7 @@ pub fn crcverify_shuffle_params(verify: &CrcVerifyParams, shuffle: &ShuffleParam
 mod tests {
     use super::*;
     use crate::aggregate::Aggregate;
-    use crate::crc_verify::append_trailer;
+    use crate::crc_verify::push_trailer;
     use crate::framework::{decode_error, Kernel, KernelAction, KernelEvent, ERR_INCONSISTENT};
     use crate::hll_kernel::HllKernel as Hll;
     use crate::shuffle::encode_histogram;
@@ -198,7 +198,8 @@ mod tests {
             },
         );
         let values: Vec<u64> = (0..64u64).collect();
-        let stream = append_trailer(&tuples(&values));
+        let mut stream = tuples(&values);
+        push_trailer(&mut stream);
 
         let mut all = chain.on_event(KernelEvent::Invoke { qpn: 5, params });
         // The shuffle stage DMA-reads its histogram: tag is namespaced to
@@ -265,7 +266,8 @@ mod tests {
             },
         );
         let values: Vec<u64> = (0..512u64).collect();
-        let mut stream = append_trailer(&tuples(&values));
+        let mut stream = tuples(&values);
+        push_trailer(&mut stream);
         let n = stream.len();
         stream[n - 3] ^= 0xFF; // Corrupt the trailer.
 

@@ -40,11 +40,11 @@ pub const CONSISTENCY_PARAMS_LEN: usize = 20;
 impl ConsistencyParams {
     /// Encodes into the RPC Params payload.
     pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(CONSISTENCY_PARAMS_LEN);
-        out.extend_from_slice(&self.object_addr.to_le_bytes());
-        out.extend_from_slice(&self.object_len.to_le_bytes());
-        out.extend_from_slice(&self.target_address.to_le_bytes());
-        Bytes::from(out)
+        let mut out = [0u8; CONSISTENCY_PARAMS_LEN];
+        out[0..8].copy_from_slice(&self.object_addr.to_le_bytes());
+        out[8..12].copy_from_slice(&self.object_len.to_le_bytes());
+        out[12..20].copy_from_slice(&self.target_address.to_le_bytes());
+        Bytes::copy_from_slice(&out)
     }
 
     /// Decodes from the RPC Params payload.
@@ -114,22 +114,22 @@ impl ConsistencyKernel {
     }
 
     fn read_object(
+        &mut self,
         qpn: Qpn,
         params: ConsistencyParams,
         attempts: u32,
-    ) -> (State, Vec<KernelAction>) {
-        (
-            State::Reading {
-                qpn,
-                params,
-                attempts,
-            },
-            vec![KernelAction::DmaRead {
-                tag: TAG_OBJECT,
-                vaddr: params.object_addr,
-                len: params.object_len,
-            }],
-        )
+        out: &mut Vec<KernelAction>,
+    ) {
+        self.state = State::Reading {
+            qpn,
+            params,
+            attempts,
+        };
+        out.push(KernelAction::DmaRead {
+            tag: TAG_OBJECT,
+            vaddr: params.object_addr,
+            len: params.object_len,
+        });
     }
 }
 
@@ -145,23 +145,19 @@ impl Kernel for ConsistencyKernel {
         "consistency"
     }
 
-    fn on_event(&mut self, event: KernelEvent) -> Vec<KernelAction> {
+    fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
         match event {
-            KernelEvent::Invoke { qpn, params } => {
-                let Some(p) = ConsistencyParams::decode(&params) else {
-                    return vec![
-                        KernelAction::RoceSend {
-                            qpn,
-                            remote_vaddr: 0,
-                            data: Bytes::copy_from_slice(&error_word(ERR_BAD_PARAMS)),
-                        },
-                        KernelAction::Done,
-                    ];
-                };
-                let (state, actions) = Self::read_object(qpn, p, 1);
-                self.state = state;
-                actions
-            }
+            KernelEvent::Invoke { qpn, params } => match ConsistencyParams::decode(&params) {
+                Some(p) => self.read_object(qpn, p, 1, out),
+                None => out.extend([
+                    KernelAction::RoceSend {
+                        qpn,
+                        remote_vaddr: 0,
+                        data: Bytes::copy_from_slice(&error_word(ERR_BAD_PARAMS)),
+                    },
+                    KernelAction::Done,
+                ]),
+            },
             KernelEvent::DmaData { tag, data } => {
                 let State::Reading {
                     qpn,
@@ -169,38 +165,32 @@ impl Kernel for ConsistencyKernel {
                     attempts,
                 } = std::mem::replace(&mut self.state, State::Idle)
                 else {
-                    return Vec::new();
+                    return;
                 };
                 if tag != TAG_OBJECT {
-                    return Vec::new();
+                    return;
                 }
-                if verify_object(&data) {
-                    return vec![
+                let reply = |data| {
+                    [
                         KernelAction::RoceSend {
                             qpn,
                             remote_vaddr: params.target_address,
                             data,
                         },
                         KernelAction::Done,
-                    ];
+                    ]
+                };
+                if verify_object(&data) {
+                    out.extend(reply(data));
+                } else if attempts >= MAX_RETRIES {
+                    out.extend(reply(Bytes::copy_from_slice(&error_word(ERR_INCONSISTENT))));
+                } else {
+                    // Inconsistent: re-read over PCIe (§6.3).
+                    self.retries += 1;
+                    self.read_object(qpn, params, attempts + 1, out);
                 }
-                if attempts >= MAX_RETRIES {
-                    return vec![
-                        KernelAction::RoceSend {
-                            qpn,
-                            remote_vaddr: params.target_address,
-                            data: Bytes::copy_from_slice(&error_word(ERR_INCONSISTENT)),
-                        },
-                        KernelAction::Done,
-                    ];
-                }
-                // Inconsistent: re-read over PCIe (§6.3).
-                self.retries += 1;
-                let (state, actions) = Self::read_object(qpn, params, attempts + 1);
-                self.state = state;
-                actions
             }
-            KernelEvent::RoceData { .. } => Vec::new(),
+            KernelEvent::RoceData { .. } => {}
         }
     }
 }

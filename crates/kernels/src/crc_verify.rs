@@ -49,12 +49,14 @@ impl CrcVerifyParams {
     }
 }
 
-/// Appends the CRC64 trailer this stage expects to a payload (sender-side
-/// helper).
-pub fn append_trailer(payload: &[u8]) -> Vec<u8> {
-    let mut out = payload.to_vec();
-    out.extend_from_slice(&crate::crc64::crc64(payload).to_le_bytes());
-    out
+/// Bytes of the CRC64 trailer a stream ends with.
+pub const TRAILER_LEN: usize = 8;
+
+/// Turns a payload into the stream this stage expects by appending its
+/// CRC64 trailer in place (sender-side helper).
+pub fn push_trailer(stream: &mut Vec<u8>) {
+    let crc = crate::crc64::crc64(stream);
+    stream.extend_from_slice(&crc.to_le_bytes());
 }
 
 #[derive(Debug, Default)]
@@ -76,6 +78,8 @@ pub struct CrcVerifyKernel {
     /// The last ≤ 8 bytes seen — candidate trailer, withheld from the
     /// forward stream until more data proves it is payload.
     tail: Vec<u8>,
+    /// Staging for the tail plus one inbound word; keeps its capacity.
+    window: Vec<u8>,
     /// Payload bytes released downstream so far.
     released: u64,
 }
@@ -115,11 +119,11 @@ impl Kernel for CrcVerifyKernel {
         "crc-verify"
     }
 
-    fn on_event(&mut self, event: KernelEvent) -> Vec<KernelAction> {
+    fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
         match event {
             KernelEvent::Invoke { qpn, params } => {
                 let Some(p) = CrcVerifyParams::decode(&params) else {
-                    return Vec::new();
+                    return;
                 };
                 self.crc = Crc64::new();
                 self.tail.clear();
@@ -128,30 +132,31 @@ impl Kernel for CrcVerifyKernel {
                     qpn,
                     target: p.target_address,
                 };
-                vec![KernelAction::Done]
+                out.push(KernelAction::Done);
             }
             KernelEvent::RoceData { data, last, .. } => {
                 let State::Active { qpn, target } = self.state else {
-                    return Vec::new();
+                    return;
                 };
-                let mut out = Vec::new();
-                // Lag the stream by 8 bytes: everything older is payload.
-                let mut window = std::mem::take(&mut self.tail);
+                // Lag the stream by the trailer: everything older is payload.
+                let mut window = std::mem::take(&mut self.window);
+                window.clear();
+                window.extend_from_slice(&self.tail);
                 window.extend_from_slice(&data);
-                if window.len() > 8 {
-                    let release = &window[..window.len() - 8];
+                let (release, tail) = window.split_at(window.len().saturating_sub(TRAILER_LEN));
+                if !release.is_empty() {
                     self.crc.update(release);
                     self.released += release.len() as u64;
                     out.push(KernelAction::Forward {
                         data: Bytes::copy_from_slice(release),
                         last: false,
                     });
-                    self.tail = window[window.len() - 8..].to_vec();
-                } else {
-                    self.tail = window;
                 }
+                self.tail.clear();
+                self.tail.extend_from_slice(tail);
+                self.window = window;
                 if last {
-                    if self.tail.len() < 8 {
+                    if self.tail.len() < TRAILER_LEN {
                         // Stream shorter than the trailer: malformed.
                         out.push(KernelAction::RoceSend {
                             qpn,
@@ -160,7 +165,7 @@ impl Kernel for CrcVerifyKernel {
                         });
                     } else {
                         let expected =
-                            u64::from_le_bytes(self.tail[..8].try_into().expect("sized"));
+                            u64::from_le_bytes(self.tail[..TRAILER_LEN].try_into().expect("sized"));
                         let computed = self.crc.finish();
                         if computed == expected {
                             out.push(KernelAction::RoceSend {
@@ -181,9 +186,8 @@ impl Kernel for CrcVerifyKernel {
                     }
                     out.push(KernelAction::Done);
                 }
-                out
             }
-            KernelEvent::DmaData { .. } => Vec::new(),
+            KernelEvent::DmaData { .. } => {}
         }
     }
 
@@ -254,7 +258,8 @@ mod tests {
     #[test]
     fn valid_stream_forwards_payload_and_reports_crc() {
         let payload: Vec<u8> = (0..5000u32).flat_map(|i| i.to_le_bytes()).collect();
-        let stream = append_trailer(&payload);
+        let mut stream = payload.clone();
+        push_trailer(&mut stream);
         for chunk in [1usize, 7, 8, 9, 1440, stream.len()] {
             let mut k = configured();
             let actions = drive(&mut k, &stream, chunk);
@@ -269,7 +274,8 @@ mod tests {
     #[test]
     fn corrupted_payload_raises_the_sentinel() {
         let payload = b"the quick brown fox jumps over the lazy dog".to_vec();
-        let mut stream = append_trailer(&payload);
+        let mut stream = payload.clone();
+        push_trailer(&mut stream);
         stream[10] ^= 0x40; // Flip one payload bit.
         let mut k = configured();
         let actions = drive(&mut k, &stream, 13);
@@ -281,8 +287,8 @@ mod tests {
 
     #[test]
     fn corrupted_trailer_raises_the_sentinel() {
-        let payload = vec![0xAAu8; 100];
-        let mut stream = append_trailer(&payload);
+        let mut stream = vec![0xAAu8; 100];
+        push_trailer(&mut stream);
         let n = stream.len();
         stream[n - 1] ^= 0x01;
         let mut k = configured();
@@ -303,8 +309,9 @@ mod tests {
     #[test]
     fn empty_payload_with_trailer_verifies() {
         // An empty payload still carries its (fixed) CRC trailer.
-        let stream = append_trailer(&[]);
-        assert_eq!(stream.len(), 8);
+        let mut stream = Vec::new();
+        push_trailer(&mut stream);
+        assert_eq!(stream.len(), TRAILER_LEN);
         let mut k = configured();
         let actions = drive(&mut k, &stream, 8);
         assert!(forwarded(&actions).is_empty());

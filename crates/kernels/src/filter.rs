@@ -78,14 +78,13 @@ pub const FILTER_PARAMS_LEN: usize = 32;
 impl FilterParams {
     /// Encodes into the RPC Params payload.
     pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(FILTER_PARAMS_LEN);
-        out.extend_from_slice(&self.dest_addr.to_le_bytes());
-        out.extend_from_slice(&self.dest_capacity.to_le_bytes());
-        out.push(self.predicate as u8);
-        out.extend_from_slice(&[0u8; 3]);
-        out.extend_from_slice(&self.operand.to_le_bytes());
-        out.extend_from_slice(&self.target_address.to_le_bytes());
-        Bytes::from(out)
+        let mut out = [0u8; FILTER_PARAMS_LEN];
+        out[0..8].copy_from_slice(&self.dest_addr.to_le_bytes());
+        out[8..12].copy_from_slice(&self.dest_capacity.to_le_bytes());
+        out[12] = self.predicate as u8;
+        out[16..24].copy_from_slice(&self.operand.to_le_bytes());
+        out[24..32].copy_from_slice(&self.target_address.to_le_bytes());
+        Bytes::copy_from_slice(&out)
     }
 
     /// Decodes from the RPC Params payload.
@@ -121,7 +120,8 @@ enum State {
 #[derive(Debug, Default)]
 pub struct FilterKernel {
     state: State,
-    /// Staged qualifying tuples awaiting a flush.
+    /// Staged qualifying tuples awaiting a flush; a flush copies them
+    /// out and the buffer keeps its capacity.
     staged: Vec<u8>,
     /// Next host address to flush to.
     cursor: u64,
@@ -173,8 +173,9 @@ impl FilterKernel {
         }
         out.push(KernelAction::DmaWrite {
             vaddr: self.cursor,
-            data: Bytes::from(std::mem::take(&mut self.staged)),
+            data: Bytes::copy_from_slice(&self.staged),
         });
+        self.staged.clear();
     }
 
     fn ingest(&mut self, params: &FilterParams, data: &[u8], out: &mut Vec<KernelAction>) {
@@ -231,11 +232,11 @@ impl Kernel for FilterKernel {
         "filter"
     }
 
-    fn on_event(&mut self, event: KernelEvent) -> Vec<KernelAction> {
+    fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
         match event {
             KernelEvent::Invoke { qpn, params } => {
                 let Some(p) = FilterParams::decode(&params) else {
-                    return Vec::new();
+                    return;
                 };
                 self.cursor = p.dest_addr;
                 self.remaining = p.dest_capacity;
@@ -244,18 +245,17 @@ impl Kernel for FilterKernel {
                 self.seen = 0;
                 self.kept = 0;
                 self.state = State::Active { qpn, params: p };
-                vec![KernelAction::Done]
+                out.push(KernelAction::Done);
             }
             KernelEvent::RoceData { data, last, .. } => {
                 let State::Active { qpn, params } = &self.state else {
-                    return Vec::new();
+                    return;
                 };
                 let (qpn, params) = (*qpn, *params);
-                let mut out = Vec::new();
-                self.ingest(&params, &data, &mut out);
+                self.ingest(&params, &data, out);
                 if last {
                     let len = self.staged.len() as u64;
-                    self.flush(&mut out);
+                    self.flush(out);
                     self.cursor += len;
                     self.remaining = self.remaining.saturating_sub(len as u32);
                     out.push(KernelAction::RoceSend {
@@ -265,9 +265,8 @@ impl Kernel for FilterKernel {
                     });
                     out.push(KernelAction::Done);
                 }
-                out
             }
-            KernelEvent::DmaData { .. } => Vec::new(),
+            KernelEvent::DmaData { .. } => {}
         }
     }
 

@@ -110,8 +110,17 @@ pub trait Kernel {
     /// A short name for logs and reports.
     fn name(&self) -> &'static str;
 
+    /// Feeds one event, appending the actions to execute to `out`, in
+    /// order. A kernel only appends: `out` may already hold actions of
+    /// the caller's.
+    fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>);
+
     /// Feeds one event; returns the actions to execute, in order.
-    fn on_event(&mut self, event: KernelEvent) -> Vec<KernelAction>;
+    fn on_event(&mut self, event: KernelEvent) -> Vec<KernelAction> {
+        let mut out = Vec::new();
+        self.on_event_into(event, &mut out);
+        out
+    }
 
     /// Pipeline processing cycles per 64 B word (II = 1 ⇒ 1; the paper
     /// requires line-rate kernels, §3.4). Used by the timing model.
@@ -164,8 +173,8 @@ impl<K: Kernel + 'static> Kernel for Throttled<K> {
         self.inner.name()
     }
 
-    fn on_event(&mut self, event: KernelEvent) -> Vec<KernelAction> {
-        self.inner.on_event(event)
+    fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
+        self.inner.on_event_into(event, out);
     }
 
     fn cycles_per_word(&self) -> u64 {
@@ -323,6 +332,9 @@ pub struct KernelChain {
     failed: bool,
     /// Stages whose configuration `Done` is still outstanding.
     configuring: usize,
+    /// Reusable buffers holding one stage's actions while they are
+    /// routed; routing can feed the next stage, which takes its own.
+    scratch: Vec<Vec<KernelAction>>,
 }
 
 impl KernelChain {
@@ -358,6 +370,7 @@ impl KernelChain {
             qpn: 0,
             failed: false,
             configuring: 0,
+            scratch: Vec::new(),
         }
     }
 
@@ -395,28 +408,39 @@ impl KernelChain {
             self.stages[i].input_closed = true;
         }
         let tap = self.stages[i].route == StageRoute::Tap && i + 1 < self.stages.len();
-        let actions = self.stages[i].kernel.on_event(KernelEvent::RoceData {
+        let mut actions = self.scratch.pop().unwrap_or_default();
+        let event = KernelEvent::RoceData {
             qpn: self.qpn,
             data: data.clone(),
             last,
-        });
+        };
+        self.stages[i].kernel.on_event_into(event, &mut actions);
         // Tap: the inbound words continue downstream ahead of whatever
         // this stage produced (matching wire order on the FPGA: the word
         // passes through the splice before the stage's actions retire).
         if tap && !self.failed && !data.is_empty() {
             self.feed(i + 1, data, false, out);
         }
-        self.route(i, actions, out);
+        self.route(i, &mut actions, out);
+        self.scratch.push(actions);
     }
 
-    /// Routes one batch of stage `i`'s actions: namespaces DMA tags,
-    /// diverts captured streams downstream, passes the rest through, and
-    /// advances the stage's phase on `Done`.
-    fn route(&mut self, i: usize, actions: Vec<KernelAction>, out: &mut Vec<KernelAction>) {
+    /// Hands `event` to stage `i` and routes what it emits.
+    fn dispatch(&mut self, i: usize, event: KernelEvent, out: &mut Vec<KernelAction>) {
+        let mut actions = self.scratch.pop().unwrap_or_default();
+        self.stages[i].kernel.on_event_into(event, &mut actions);
+        self.route(i, &mut actions, out);
+        self.scratch.push(actions);
+    }
+
+    /// Routes (and drains) one batch of stage `i`'s actions: namespaces
+    /// DMA tags, diverts captured streams downstream, passes the rest
+    /// through, and advances the stage's phase on `Done`.
+    fn route(&mut self, i: usize, actions: &mut Vec<KernelAction>, out: &mut Vec<KernelAction>) {
         let is_final = i + 1 == self.stages.len();
         let route = self.stages[i].route;
         let mut finished_streaming = false;
-        for a in actions {
+        for a in actions.drain(..) {
             match a {
                 KernelAction::DmaRead { tag, vaddr, len } => {
                     debug_assert!(tag <= STAGE_TAG_MASK, "stage DMA tags are 24-bit");
@@ -515,15 +539,17 @@ impl Kernel for KernelChain {
         self.name
     }
 
-    fn on_event(&mut self, event: KernelEvent) -> Vec<KernelAction> {
-        let mut out = Vec::new();
+    fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
         match event {
             KernelEvent::Invoke { qpn, params } => {
                 let stage_params = match ChainParams::decode(&params) {
                     Some(p) if p.stages.len() == self.stages.len() => p.stages,
                     // Malformed chain params: complete the invocation
                     // without configuring (the fabric must not wedge).
-                    _ => return vec![KernelAction::Done],
+                    _ => {
+                        out.push(KernelAction::Done);
+                        return;
+                    }
                 };
                 self.qpn = qpn;
                 self.failed = false;
@@ -532,28 +558,21 @@ impl Kernel for KernelChain {
                     s.phase = StagePhase::Configuring;
                     s.input_closed = false;
                 }
-                for (i, sp) in stage_params.into_iter().enumerate() {
-                    let actions = self.stages[i]
-                        .kernel
-                        .on_event(KernelEvent::Invoke { qpn, params: sp });
-                    self.route(i, actions, &mut out);
+                for (i, params) in stage_params.into_iter().enumerate() {
+                    self.dispatch(i, KernelEvent::Invoke { qpn, params }, out);
                 }
             }
             KernelEvent::RoceData { data, last, .. } => {
-                self.feed(0, data, last, &mut out);
+                self.feed(0, data, last, out);
             }
             KernelEvent::DmaData { tag, data } => {
                 let i = (tag >> STAGE_TAG_SHIFT) as usize;
                 if i < self.stages.len() {
-                    let actions = self.stages[i].kernel.on_event(KernelEvent::DmaData {
-                        tag: tag & STAGE_TAG_MASK,
-                        data,
-                    });
-                    self.route(i, actions, &mut out);
+                    let tag = tag & STAGE_TAG_MASK;
+                    self.dispatch(i, KernelEvent::DmaData { tag, data }, out);
                 }
             }
         }
-        out
     }
 
     /// A chain runs at the initiation interval of its slowest stage.
@@ -603,17 +622,16 @@ mod tests {
             "echo"
         }
 
-        fn on_event(&mut self, event: KernelEvent) -> Vec<KernelAction> {
-            match event {
-                KernelEvent::Invoke { qpn, params } => vec![
+        fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
+            if let KernelEvent::Invoke { qpn, params } = event {
+                out.extend([
                     KernelAction::RoceSend {
                         qpn,
                         remote_vaddr: 0,
                         data: params,
                     },
                     KernelAction::Done,
-                ],
-                _ => Vec::new(),
+                ]);
             }
         }
     }
@@ -652,12 +670,11 @@ mod tests {
         fn name(&self) -> &'static str {
             "doubler"
         }
-        fn on_event(&mut self, event: KernelEvent) -> Vec<KernelAction> {
+        fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
             match event {
-                KernelEvent::Invoke { .. } => vec![KernelAction::Done],
+                KernelEvent::Invoke { .. } => out.push(KernelAction::Done),
                 KernelEvent::RoceData { data, last, .. } => {
                     self.words += data.len() as u64;
-                    let mut out = Vec::new();
                     if !data.is_empty() {
                         let mut doubled = data.to_vec();
                         doubled.extend_from_slice(&data);
@@ -670,9 +687,8 @@ mod tests {
                         self.closed = true;
                         out.push(KernelAction::Done);
                     }
-                    out
                 }
-                KernelEvent::DmaData { .. } => Vec::new(),
+                KernelEvent::DmaData { .. } => {}
             }
         }
         fn as_any(&self) -> &dyn std::any::Any {
@@ -691,11 +707,10 @@ mod tests {
         fn name(&self) -> &'static str {
             "tripwire"
         }
-        fn on_event(&mut self, event: KernelEvent) -> Vec<KernelAction> {
+        fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
             match event {
-                KernelEvent::Invoke { .. } => vec![KernelAction::Done],
+                KernelEvent::Invoke { .. } => out.push(KernelAction::Done),
                 KernelEvent::RoceData { qpn, data, last } => {
-                    let mut out = Vec::new();
                     if !data.is_empty() {
                         out.push(KernelAction::RoceSend {
                             qpn,
@@ -706,9 +721,8 @@ mod tests {
                     if last {
                         out.push(KernelAction::Done);
                     }
-                    out
                 }
-                KernelEvent::DmaData { .. } => Vec::new(),
+                KernelEvent::DmaData { .. } => {}
             }
         }
         fn as_any(&self) -> &dyn std::any::Any {
@@ -835,19 +849,19 @@ mod tests {
             fn name(&self) -> &'static str {
                 "loader"
             }
-            fn on_event(&mut self, event: KernelEvent) -> Vec<KernelAction> {
+            fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
                 match event {
-                    KernelEvent::Invoke { .. } => vec![KernelAction::DmaRead {
+                    KernelEvent::Invoke { .. } => out.push(KernelAction::DmaRead {
                         tag: 1,
                         vaddr: 0x100,
                         len: 4,
-                    }],
+                    }),
                     KernelEvent::DmaData { tag: 1, data } => {
                         self.got = Some(data.to_vec());
-                        vec![KernelAction::Done]
+                        out.push(KernelAction::Done);
                     }
-                    KernelEvent::RoceData { last: true, .. } => vec![KernelAction::Done],
-                    _ => Vec::new(),
+                    KernelEvent::RoceData { last: true, .. } => out.push(KernelAction::Done),
+                    _ => {}
                 }
             }
             fn as_any(&self) -> &dyn std::any::Any {

@@ -62,12 +62,12 @@ const FLAG_CHAINED: u8 = 1;
 impl GetParams {
     /// Encodes into the RPC Params payload.
     pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(GET_PARAMS_LEN);
-        out.extend_from_slice(&self.entry_addr.to_le_bytes());
-        out.extend_from_slice(&self.key.to_le_bytes());
-        out.extend_from_slice(&self.target_address.to_le_bytes());
-        out.push(if self.chained { FLAG_CHAINED } else { 0 });
-        Bytes::from(out)
+        let mut out = [0u8; GET_PARAMS_LEN];
+        out[0..8].copy_from_slice(&self.entry_addr.to_le_bytes());
+        out[8..16].copy_from_slice(&self.key.to_le_bytes());
+        out[16..24].copy_from_slice(&self.target_address.to_le_bytes());
+        out[24] = if self.chained { FLAG_CHAINED } else { 0 };
+        Bytes::copy_from_slice(&out)
     }
 
     /// Decodes from the RPC Params payload. A 24-byte blob (the original
@@ -138,15 +138,15 @@ impl GetKernel {
 }
 
 /// The miss response: the 8 B error header at the target address.
-fn miss(qpn: Qpn, target_address: u64) -> Vec<KernelAction> {
-    vec![
+fn miss(qpn: Qpn, target_address: u64, out: &mut Vec<KernelAction>) {
+    out.extend([
         KernelAction::RoceSend {
             qpn,
             remote_vaddr: target_address,
             data: Bytes::copy_from_slice(&error_word(ERR_NOT_FOUND)),
         },
         KernelAction::Done,
-    ]
+    ]);
 }
 
 impl Kernel for GetKernel {
@@ -161,20 +161,21 @@ impl Kernel for GetKernel {
         "get"
     }
 
-    fn on_event(&mut self, event: KernelEvent) -> Vec<KernelAction> {
+    fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
         match event {
             // fetch_ht_entry (Listing 3): consume qpnIn + paramIn, issue
             // the 64 B entry read.
             KernelEvent::Invoke { qpn, params } => {
                 let Some(p) = GetParams::decode(&params) else {
-                    return vec![
+                    out.extend([
                         KernelAction::RoceSend {
                             qpn,
                             remote_vaddr: 0,
                             data: Bytes::copy_from_slice(&error_word(ERR_BAD_PARAMS)),
                         },
                         KernelAction::Done,
-                    ];
+                    ]);
+                    return;
                 };
                 let addr = p.entry_addr;
                 self.state = State::FetchingEntry {
@@ -182,11 +183,11 @@ impl Kernel for GetKernel {
                     params: p,
                     hops: 0,
                 };
-                vec![KernelAction::DmaRead {
+                out.push(KernelAction::DmaRead {
                     tag: TAG_ENTRY,
                     vaddr: addr,
                     len: ELEMENT_SIZE as u32,
-                }]
+                });
             }
             KernelEvent::DmaData { tag, data } => {
                 match std::mem::replace(&mut self.state, State::Idle) {
@@ -194,70 +195,58 @@ impl Kernel for GetKernel {
                     // the buckets concurrently, emit the value command
                     // and the RoCE metadata.
                     State::FetchingEntry { qpn, params, hops } if tag == TAG_ENTRY => {
-                        let bucket_offs: Vec<usize> = if params.chained {
-                            (0..chained_layout::BUCKETS)
-                                .map(chained_layout::key_off)
-                                .collect()
+                        let key_pos: &[u8] = if params.chained {
+                            &chained_layout::BUCKET_KEY_POS
                         } else {
-                            ht_layout::BUCKET_KEY_POS
-                                .iter()
-                                .map(|&p| usize::from(p) * 4)
-                                .collect()
+                            &ht_layout::BUCKET_KEY_POS
                         };
-                        let mut matched: Option<(u64, u32, Option<u64>)> = None;
-                        for (b, &off) in bucket_offs.iter().enumerate() {
-                            let key =
-                                u64::from_le_bytes(data[off..off + 8].try_into().expect("sized"));
-                            if key != 0 && key == params.key {
-                                let ptr = u64::from_le_bytes(
-                                    data[off + 8..off + 16].try_into().expect("sized"),
-                                );
+                        let word = |off: usize| {
+                            u64::from_le_bytes(data[off..off + 8].try_into().expect("sized"))
+                        };
+                        let matched = key_pos.iter().enumerate().find_map(|(b, &pos)| {
+                            let off = usize::from(pos) * 4;
+                            let key = word(off);
+                            (key != 0 && key == params.key).then(|| {
                                 let len = u32::from_le_bytes(
                                     data[off + 16..off + 20].try_into().expect("sized"),
                                 );
-                                let version = params.chained.then(|| {
-                                    let voff = chained_layout::version_off(b);
-                                    u64::from_le_bytes(
-                                        data[voff..voff + 8].try_into().expect("sized"),
-                                    )
-                                });
-                                matched = Some((ptr, len, version));
-                                break;
-                            }
-                        }
+                                let version =
+                                    params.chained.then(|| word(chained_layout::version_off(b)));
+                                (word(off + 8), len, version)
+                            })
+                        });
                         let Some((value_ptr, value_len, version)) = matched else {
                             // No bucket matched. Chained mode follows the
                             // overflow chain before declaring a miss.
                             if params.chained {
-                                let noff = chained_layout::next_off();
-                                let next = u64::from_le_bytes(
-                                    data[noff..noff + 8].try_into().expect("sized"),
-                                );
+                                let next = word(chained_layout::next_off());
                                 if next != 0 && hops < MAX_HOPS {
                                     self.state = State::FetchingEntry {
                                         qpn,
                                         params,
                                         hops: hops + 1,
                                     };
-                                    return vec![KernelAction::DmaRead {
+                                    out.push(KernelAction::DmaRead {
                                         tag: TAG_ENTRY,
                                         vaddr: next,
                                         len: ELEMENT_SIZE as u32,
-                                    }];
+                                    });
+                                    return;
                                 }
                             }
-                            return miss(qpn, params.target_address);
+                            miss(qpn, params.target_address, out);
+                            return;
                         };
                         self.state = State::FetchingValue {
                             qpn,
                             target_address: params.target_address,
                             version,
                         };
-                        vec![KernelAction::DmaRead {
+                        out.push(KernelAction::DmaRead {
                             tag: TAG_VALUE,
                             vaddr: value_ptr,
                             len: value_len,
-                        }]
+                        });
                     }
                     // split_read_data: the value flows out to the network
                     // — chained mode sends value first, header last, so
@@ -268,7 +257,7 @@ impl Kernel for GetKernel {
                         target_address,
                         version,
                     } if tag == TAG_VALUE => match version {
-                        Some(v) => vec![
+                        Some(v) => out.extend([
                             KernelAction::RoceSend {
                                 qpn,
                                 remote_vaddr: target_address + 8,
@@ -280,23 +269,20 @@ impl Kernel for GetKernel {
                                 data: Bytes::copy_from_slice(&v.to_le_bytes()),
                             },
                             KernelAction::Done,
-                        ],
-                        None => vec![
+                        ]),
+                        None => out.extend([
                             KernelAction::RoceSend {
                                 qpn,
                                 remote_vaddr: target_address,
                                 data,
                             },
                             KernelAction::Done,
-                        ],
+                        ]),
                     },
-                    other => {
-                        self.state = other;
-                        Vec::new()
-                    }
+                    other => self.state = other,
                 }
             }
-            KernelEvent::RoceData { .. } => Vec::new(),
+            KernelEvent::RoceData { .. } => {}
         }
     }
 }

@@ -62,10 +62,10 @@ impl HllKernel {
     /// uses. Distinguished from [`HllParams`] (an immediate snapshot
     /// query) by length and a flag word.
     pub fn stream_params(target_address: u64) -> Bytes {
-        let mut out = Vec::with_capacity(16);
-        out.extend_from_slice(&target_address.to_le_bytes());
-        out.extend_from_slice(&1u64.to_le_bytes());
-        Bytes::from(out)
+        let mut out = [0u8; 16];
+        out[0..8].copy_from_slice(&target_address.to_le_bytes());
+        out[8..16].copy_from_slice(&1u64.to_le_bytes());
+        Bytes::copy_from_slice(&out)
     }
 
     /// Decodes [`Self::stream_params`]; `None` for plain [`HllParams`].
@@ -174,24 +174,16 @@ impl Kernel for HllKernel {
         "hll"
     }
 
-    fn on_event(&mut self, event: KernelEvent) -> Vec<KernelAction> {
+    fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
         match event {
             // Receive-path tap or RPC WRITE stream: update the sketch.
             KernelEvent::RoceData { data, last, .. } => {
                 self.ingest(&data);
                 if last {
-                    let mut out = Vec::new();
                     if let Some((qpn, target)) = self.pending_summary.take() {
-                        out.push(KernelAction::RoceSend {
-                            qpn,
-                            remote_vaddr: target,
-                            data: Bytes::copy_from_slice(&self.snapshot()),
-                        });
+                        out.push(self.snapshot_to(qpn, target));
                     }
                     out.push(KernelAction::Done);
-                    out
-                } else {
-                    Vec::new()
                 }
             }
             // RPC: configure an end-of-stream snapshot (chain stage) or
@@ -199,28 +191,24 @@ impl Kernel for HllKernel {
             KernelEvent::Invoke { qpn, params } => {
                 if let Some(target) = Self::decode_stream_params(&params) {
                     self.pending_summary = Some((qpn, target));
-                    return vec![KernelAction::Done];
+                    out.push(KernelAction::Done);
+                } else if let Some(p) = HllParams::decode(&params) {
+                    out.extend([self.snapshot_to(qpn, p.target_address), KernelAction::Done]);
                 }
-                let Some(p) = HllParams::decode(&params) else {
-                    return Vec::new();
-                };
-                self.respond(qpn, p.target_address)
             }
-            KernelEvent::DmaData { .. } => Vec::new(),
+            KernelEvent::DmaData { .. } => {}
         }
     }
 }
 
 impl HllKernel {
-    fn respond(&self, qpn: strom_wire::bth::Qpn, target: u64) -> Vec<KernelAction> {
-        vec![
-            KernelAction::RoceSend {
-                qpn,
-                remote_vaddr: target,
-                data: Bytes::copy_from_slice(&self.snapshot()),
-            },
-            KernelAction::Done,
-        ]
+    /// Sends the estimate snapshot to `target` on the requester.
+    fn snapshot_to(&self, qpn: strom_wire::bth::Qpn, target: u64) -> KernelAction {
+        KernelAction::RoceSend {
+            qpn,
+            remote_vaddr: target,
+            data: Bytes::copy_from_slice(&self.snapshot()),
+        }
     }
 }
 

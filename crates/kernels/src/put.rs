@@ -83,13 +83,13 @@ impl PutConfig {
 
     /// Encodes into the RPC Params payload.
     pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(PUT_CONFIG_LEN);
-        out.extend_from_slice(&self.value_arena_next.to_le_bytes());
-        out.extend_from_slice(&self.value_arena_end.to_le_bytes());
-        out.extend_from_slice(&self.entry_arena_next.to_le_bytes());
-        out.extend_from_slice(&self.entry_arena_end.to_le_bytes());
-        out.extend_from_slice(&self.value_size.to_le_bytes());
-        Bytes::from(out)
+        let mut out = [0u8; PUT_CONFIG_LEN];
+        out[0..8].copy_from_slice(&self.value_arena_next.to_le_bytes());
+        out[8..16].copy_from_slice(&self.value_arena_end.to_le_bytes());
+        out[16..24].copy_from_slice(&self.entry_arena_next.to_le_bytes());
+        out[24..32].copy_from_slice(&self.entry_arena_end.to_le_bytes());
+        out[32..36].copy_from_slice(&self.value_size.to_le_bytes());
+        Bytes::copy_from_slice(&out)
     }
 
     /// Decodes from the RPC Params payload.
@@ -125,7 +125,8 @@ struct PutRequest {
     key: u64,
     entry_addr: u64,
     ack_addr: u64,
-    value: Vec<u8>,
+    /// The value bytes: a slice of the request blob, not a copy.
+    value: Bytes,
 }
 
 /// The in-flight chain walk.
@@ -142,12 +143,16 @@ const TAG_ENTRY: u32 = 1;
 /// Chain-walk bound (corrupted-table cycle guard).
 const MAX_HOPS: u32 = 1024;
 
+/// One hash-table entry, as read and rewritten.
+type Entry = [u8; ELEMENT_SIZE as usize];
+
 /// The PUT/INSERT kernel.
 #[derive(Debug, Default)]
 pub struct PutKernel {
     cfg: Option<PutConfig>,
-    /// Per-QP reassembly of streamed request blobs (RC keeps each QP's
-    /// stream ordered; different QPs interleave freely).
+    /// Per-QP reassembly of request blobs streamed over more than one
+    /// packet (RC keeps each QP's stream ordered; different QPs
+    /// interleave freely).
     partial: BTreeMap<Qpn, Vec<u8>>,
     /// Fully received requests waiting for the walk engine.
     pending: VecDeque<PutRequest>,
@@ -172,12 +177,12 @@ impl PutKernel {
     }
 
     /// Starts the next pending request, if the walk engine is idle.
-    fn start_next(&mut self) -> Vec<KernelAction> {
+    fn start_next(&mut self, out: &mut Vec<KernelAction>) {
         if self.active.is_some() {
-            return Vec::new();
+            return;
         }
         let Some(req) = self.pending.pop_front() else {
-            return Vec::new();
+            return;
         };
         let entry = req.entry_addr;
         self.active = Some(Active {
@@ -185,33 +190,32 @@ impl PutKernel {
             cur_entry: entry,
             hops: 0,
         });
-        vec![KernelAction::DmaRead {
+        out.push(KernelAction::DmaRead {
             tag: TAG_ENTRY,
             vaddr: entry,
             len: ELEMENT_SIZE as u32,
-        }]
+        });
     }
 
     /// Finishes the active request with an ack (or error) word, then
     /// chains the next pending request.
-    fn finish(&mut self, qpn: Qpn, ack_addr: u64, word: [u8; 8]) -> Vec<KernelAction> {
+    fn finish(&mut self, qpn: Qpn, ack_addr: u64, word: [u8; 8], out: &mut Vec<KernelAction>) {
         self.active = None;
-        let mut actions = vec![
+        out.extend([
             KernelAction::RoceSend {
                 qpn,
                 remote_vaddr: ack_addr,
                 data: Bytes::copy_from_slice(&word),
             },
             KernelAction::Done,
-        ];
-        actions.extend(self.start_next());
-        actions
+        ]);
+        self.start_next(out);
     }
 
     /// Handles a fully-read entry for the active request.
-    fn on_entry(&mut self, data: Bytes) -> Vec<KernelAction> {
+    fn on_entry(&mut self, data: Bytes, out: &mut Vec<KernelAction>) {
         let Some(active) = self.active.take() else {
-            return Vec::new();
+            return;
         };
         let Active {
             req,
@@ -219,7 +223,7 @@ impl PutKernel {
             hops,
         } = active;
         let cfg = self.cfg.expect("configured before first request");
-        let mut buf = data.to_vec();
+        let mut buf: Entry = data[..].try_into().expect("one entry read");
 
         // Update in place: a bucket already holds the key.
         for b in 0..chained_layout::BUCKETS {
@@ -232,18 +236,17 @@ impl PutKernel {
                     u64::from_le_bytes(buf[voff..voff + 8].try_into().expect("sized")) + 1;
                 buf[voff..voff + 8].copy_from_slice(&version.to_le_bytes());
                 self.updates += 1;
-                let mut actions = vec![
+                out.extend([
                     KernelAction::DmaWrite {
                         vaddr: ptr,
-                        data: Bytes::from(req.value),
+                        data: req.value,
                     },
                     KernelAction::DmaWrite {
                         vaddr: cur_entry,
-                        data: Bytes::from(buf),
+                        data: Bytes::copy_from_slice(&buf),
                     },
-                ];
-                actions.extend(self.finish(req.qpn, req.ack_addr, version.to_le_bytes()));
-                return actions;
+                ]);
+                return self.finish(req.qpn, req.ack_addr, version.to_le_bytes(), out);
             }
         }
 
@@ -256,18 +259,19 @@ impl PutKernel {
                 cur_entry: next,
                 hops: hops + 1,
             });
-            return vec![KernelAction::DmaRead {
+            out.push(KernelAction::DmaRead {
                 tag: TAG_ENTRY,
                 vaddr: next,
                 len: ELEMENT_SIZE as u32,
-            }];
+            });
+            return;
         }
 
         // Chain tail: insert. Take a value slot from the arena.
         let cfg_ref = self.cfg.as_mut().expect("configured");
         if cfg_ref.value_arena_next + u64::from(cfg.value_size) > cfg_ref.value_arena_end {
             self.errors += 1;
-            return self.finish(req.qpn, req.ack_addr, error_word(ERR_NO_SPACE));
+            return self.finish(req.qpn, req.ack_addr, error_word(ERR_NO_SPACE), out);
         }
         let value_addr = cfg_ref.value_arena_next;
         // A free bucket in the tail entry takes the key directly.
@@ -283,30 +287,29 @@ impl PutKernel {
                 let voff = chained_layout::version_off(b);
                 buf[voff..voff + 8].copy_from_slice(&1u64.to_le_bytes());
                 self.inserts += 1;
-                let mut actions = vec![
+                out.extend([
                     KernelAction::DmaWrite {
                         vaddr: value_addr,
-                        data: Bytes::from(req.value),
+                        data: req.value,
                     },
                     KernelAction::DmaWrite {
                         vaddr: cur_entry,
-                        data: Bytes::from(buf),
+                        data: Bytes::copy_from_slice(&buf),
                     },
-                ];
-                actions.extend(self.finish(req.qpn, req.ack_addr, 1u64.to_le_bytes()));
-                return actions;
+                ]);
+                return self.finish(req.qpn, req.ack_addr, 1u64.to_le_bytes(), out);
             }
         }
         // Both buckets taken: allocate a fresh overflow entry.
         let cfg_ref = self.cfg.as_mut().expect("configured");
         if cfg_ref.entry_arena_next + ELEMENT_SIZE > cfg_ref.entry_arena_end {
             self.errors += 1;
-            return self.finish(req.qpn, req.ack_addr, error_word(ERR_NO_SPACE));
+            return self.finish(req.qpn, req.ack_addr, error_word(ERR_NO_SPACE), out);
         }
         let fresh = cfg_ref.entry_arena_next;
         cfg_ref.entry_arena_next += ELEMENT_SIZE;
         cfg_ref.value_arena_next += u64::from(cfg.value_size);
-        let mut fresh_buf = vec![0u8; ELEMENT_SIZE as usize];
+        let mut fresh_buf: Entry = [0u8; ELEMENT_SIZE as usize];
         let off = chained_layout::key_off(0);
         fresh_buf[off..off + 8].copy_from_slice(&req.key.to_le_bytes());
         fresh_buf[off + 8..off + 16].copy_from_slice(&value_addr.to_le_bytes());
@@ -315,43 +318,41 @@ impl PutKernel {
         fresh_buf[voff..voff + 8].copy_from_slice(&1u64.to_le_bytes());
         buf[noff..noff + 8].copy_from_slice(&fresh.to_le_bytes());
         self.inserts += 1;
-        let mut actions = vec![
+        out.extend([
             KernelAction::DmaWrite {
                 vaddr: value_addr,
-                data: Bytes::from(req.value),
+                data: req.value,
             },
             KernelAction::DmaWrite {
                 vaddr: fresh,
-                data: Bytes::from(fresh_buf),
+                data: Bytes::copy_from_slice(&fresh_buf),
             },
             // The tail's next pointer goes live last, so a concurrent
             // GET walk never follows a pointer into a half-built entry.
             KernelAction::DmaWrite {
                 vaddr: cur_entry,
-                data: Bytes::from(buf),
+                data: Bytes::copy_from_slice(&buf),
             },
-        ];
-        actions.extend(self.finish(req.qpn, req.ack_addr, 1u64.to_le_bytes()));
-        actions
+        ]);
+        self.finish(req.qpn, req.ack_addr, 1u64.to_le_bytes(), out);
     }
 
-    /// Decodes a fully-received blob into a request, or an error ack.
-    fn admit(&mut self, qpn: Qpn, blob: Vec<u8>) -> Result<PutRequest, Vec<KernelAction>> {
-        let bad = |this: &mut Self| {
-            this.errors += 1;
+    /// Decodes a fully-received blob into a request; on a malformed blob
+    /// appends the error ack, if there is an address to send it to.
+    fn admit(&mut self, qpn: Qpn, blob: Bytes, out: &mut Vec<KernelAction>) -> Option<PutRequest> {
+        if blob.len() < PUT_HEADER_LEN {
             // Malformed blob: without a decodable ack address there is
             // nowhere to answer; drop it (the client's timeout owns it).
-            Err(Vec::new())
-        };
-        if blob.len() < PUT_HEADER_LEN {
-            return bad(self);
+            self.errors += 1;
+            return None;
         }
         let key = u64::from_le_bytes(blob[0..8].try_into().expect("sized"));
         let entry_addr = u64::from_le_bytes(blob[8..16].try_into().expect("sized"));
         let ack_addr = u64::from_le_bytes(blob[16..24].try_into().expect("sized"));
         let value_len = u32::from_le_bytes(blob[24..28].try_into().expect("sized")) as usize;
         let Some(cfg) = self.cfg else {
-            return bad(self);
+            self.errors += 1;
+            return None;
         };
         if blob.len() != PUT_HEADER_LEN + value_len
             || value_len != cfg.value_size as usize
@@ -359,18 +360,19 @@ impl PutKernel {
             || entry_addr == 0
         {
             self.errors += 1;
-            return Err(vec![KernelAction::RoceSend {
+            out.push(KernelAction::RoceSend {
                 qpn,
                 remote_vaddr: ack_addr,
                 data: Bytes::copy_from_slice(&error_word(ERR_BAD_PARAMS)),
-            }]);
+            });
+            return None;
         }
-        Ok(PutRequest {
+        Some(PutRequest {
             qpn,
             key,
             entry_addr,
             ack_addr,
-            value: blob[PUT_HEADER_LEN..].to_vec(),
+            value: blob.slice(PUT_HEADER_LEN..),
         })
     }
 }
@@ -388,33 +390,35 @@ impl Kernel for PutKernel {
         "put"
     }
 
-    fn on_event(&mut self, event: KernelEvent) -> Vec<KernelAction> {
+    fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
         match event {
             // Configuration: a local RPC invoke carrying the arena grant.
             KernelEvent::Invoke { params, .. } => {
                 self.cfg = PutConfig::decode(&params);
-                vec![KernelAction::Done]
+                out.push(KernelAction::Done);
             }
-            // Streamed request payload (RDMA RPC WRITE).
+            // Streamed request payload (RDMA RPC WRITE). A blob that
+            // arrives whole is used as it came off the wire.
             KernelEvent::RoceData { qpn, data, last } => {
-                self.partial
-                    .entry(qpn)
-                    .or_default()
-                    .extend_from_slice(&data);
-                if !last {
-                    return Vec::new();
-                }
-                let blob = self.partial.remove(&qpn).unwrap_or_default();
-                match self.admit(qpn, blob) {
-                    Ok(req) => {
-                        self.pending.push_back(req);
-                        self.start_next()
+                let blob = if last && !self.partial.contains_key(&qpn) {
+                    data
+                } else {
+                    self.partial
+                        .entry(qpn)
+                        .or_default()
+                        .extend_from_slice(&data);
+                    if !last {
+                        return;
                     }
-                    Err(actions) => actions,
+                    Bytes::from(self.partial.remove(&qpn).unwrap_or_default())
+                };
+                if let Some(req) = self.admit(qpn, blob, out) {
+                    self.pending.push_back(req);
+                    self.start_next(out);
                 }
             }
-            KernelEvent::DmaData { tag, data } if tag == TAG_ENTRY => self.on_entry(data),
-            KernelEvent::DmaData { .. } => Vec::new(),
+            KernelEvent::DmaData { tag, data } if tag == TAG_ENTRY => self.on_entry(data, out),
+            KernelEvent::DmaData { .. } => {}
         }
     }
 }

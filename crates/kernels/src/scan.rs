@@ -117,13 +117,11 @@ impl ScanParams {
             !self.pattern.is_empty() && self.pattern.len() <= MAX_PATTERN,
             "pattern must be 1..=32 bytes"
         );
-        let mut out = Vec::with_capacity(SCAN_PARAMS_LEN);
-        out.extend_from_slice(&self.target_address.to_le_bytes());
-        out.push(self.pattern.len() as u8);
-        out.extend_from_slice(&[0u8; 7]);
-        out.extend_from_slice(&self.pattern);
-        out.resize(SCAN_PARAMS_LEN, 0);
-        Bytes::from(out)
+        let mut out = [0u8; SCAN_PARAMS_LEN];
+        out[0..8].copy_from_slice(&self.target_address.to_le_bytes());
+        out[8] = self.pattern.len() as u8;
+        out[16..16 + self.pattern.len()].copy_from_slice(&self.pattern);
+        Bytes::copy_from_slice(&out)
     }
 
     /// Decodes from the RPC Params payload.
@@ -224,27 +222,27 @@ impl Kernel for SubstringScanKernel {
         "scan"
     }
 
-    fn on_event(&mut self, event: KernelEvent) -> Vec<KernelAction> {
+    fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
         match event {
             KernelEvent::Invoke { qpn, params } => {
                 let Some(p) = ScanParams::decode(&params) else {
-                    return Vec::new();
+                    return;
                 };
                 self.carry.clear();
                 self.bytes_scanned = 0;
                 self.matches = 0;
                 self.state = State::Active { qpn, params: p };
-                vec![KernelAction::Done]
+                out.push(KernelAction::Done);
             }
             KernelEvent::RoceData { data, last, .. } => {
                 let State::Active { qpn, params } = &self.state else {
-                    return Vec::new();
+                    return;
                 };
                 let (qpn, target) = (*qpn, params.target_address);
                 let pattern = params.pattern.clone();
                 self.ingest(&pattern, &data);
                 if last {
-                    vec![
+                    out.extend([
                         KernelAction::RoceSend {
                             qpn,
                             remote_vaddr: target,
@@ -254,12 +252,10 @@ impl Kernel for SubstringScanKernel {
                             )),
                         },
                         KernelAction::Done,
-                    ]
-                } else {
-                    Vec::new()
+                    ]);
                 }
             }
-            KernelEvent::DmaData { .. } => Vec::new(),
+            KernelEvent::DmaData { .. } => {}
         }
     }
 

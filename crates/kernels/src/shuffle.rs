@@ -46,10 +46,10 @@ pub const HISTOGRAM_RECORD: usize = 16;
 impl ShuffleParams {
     /// Encodes into the RPC Params payload.
     pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(SHUFFLE_PARAMS_LEN);
-        out.extend_from_slice(&self.histogram_addr.to_le_bytes());
-        out.extend_from_slice(&self.num_partitions.to_le_bytes());
-        Bytes::from(out)
+        let mut out = [0u8; SHUFFLE_PARAMS_LEN];
+        out[0..8].copy_from_slice(&self.histogram_addr.to_le_bytes());
+        out[8..12].copy_from_slice(&self.num_partitions.to_le_bytes());
+        Bytes::copy_from_slice(&out)
     }
 
     /// Decodes from the RPC Params payload.
@@ -157,7 +157,7 @@ impl ShuffleKernel {
         if len > 0 {
             out.push(KernelAction::DmaWrite {
                 vaddr: p.cursor,
-                data: Bytes::from(p.buffer[..len].to_vec()),
+                data: Bytes::copy_from_slice(&p.buffer[..len]),
             });
             p.cursor += len as u64;
             p.remaining -= len as u32;
@@ -228,51 +228,46 @@ impl Kernel for ShuffleKernel {
         "shuffle"
     }
 
-    fn on_event(&mut self, event: KernelEvent) -> Vec<KernelAction> {
+    fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
         match event {
             KernelEvent::Invoke { qpn: _, params } => {
                 let Some(p) = ShuffleParams::decode(&params) else {
-                    return Vec::new();
+                    return;
                 };
                 if p.num_partitions == 0
                     || !p.num_partitions.is_power_of_two()
                     || p.num_partitions as usize > MAX_PARTITIONS
                 {
-                    return Vec::new();
+                    return;
                 }
                 self.state = State::LoadingHistogram {
                     num_partitions: p.num_partitions,
                 };
-                vec![KernelAction::DmaRead {
+                out.push(KernelAction::DmaRead {
                     tag: TAG_HISTOGRAM,
                     vaddr: p.histogram_addr,
                     len: p.num_partitions * HISTOGRAM_RECORD as u32,
-                }]
+                });
             }
             KernelEvent::DmaData { tag, data } => {
-                if tag != TAG_HISTOGRAM {
-                    return Vec::new();
-                }
                 let State::LoadingHistogram { num_partitions } = self.state else {
-                    return Vec::new();
+                    return;
                 };
-                if data.len() < num_partitions as usize * HISTOGRAM_RECORD {
-                    return Vec::new();
+                if tag == TAG_HISTOGRAM && data.len() >= num_partitions as usize * HISTOGRAM_RECORD
+                {
+                    self.configure(&data, num_partitions);
+                    out.push(KernelAction::Done);
                 }
-                self.configure(&data, num_partitions);
-                vec![KernelAction::Done]
             }
             KernelEvent::RoceData { qpn: _, data, last } => {
                 if !matches!(self.state, State::Active) {
-                    return Vec::new();
+                    return;
                 }
-                let mut out = Vec::new();
-                self.partition_values(&data, &mut out);
+                self.partition_values(&data, out);
                 if last {
-                    self.flush_all(&mut out);
+                    self.flush_all(out);
                     out.push(KernelAction::Done);
                 }
-                out
             }
         }
     }

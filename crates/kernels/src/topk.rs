@@ -67,11 +67,10 @@ pub const MAX_K: u32 = 4096;
 impl TopKParams {
     /// Encodes into the RPC Params payload.
     pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(TOPK_PARAMS_LEN);
-        out.extend_from_slice(&self.k.to_le_bytes());
-        out.extend_from_slice(&[0u8; 4]);
-        out.extend_from_slice(&self.target_address.to_le_bytes());
-        Bytes::from(out)
+        let mut out = [0u8; TOPK_PARAMS_LEN];
+        out[0..4].copy_from_slice(&self.k.to_le_bytes());
+        out[8..16].copy_from_slice(&self.target_address.to_le_bytes());
+        Bytes::copy_from_slice(&out)
     }
 
     /// Decodes from the RPC Params payload.
@@ -219,38 +218,36 @@ impl Kernel for TopKKernel {
         "topk"
     }
 
-    fn on_event(&mut self, event: KernelEvent) -> Vec<KernelAction> {
+    fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
         match event {
             KernelEvent::Invoke { qpn, params } => {
                 let Some(p) = TopKParams::decode(&params) else {
-                    return Vec::new();
+                    return;
                 };
                 self.heap.clear();
                 self.spill.clear();
                 self.seen = 0;
                 self.state = State::Active { qpn, params: p };
-                vec![KernelAction::Done]
+                out.push(KernelAction::Done);
             }
             KernelEvent::RoceData { data, last, .. } => {
                 let State::Active { qpn, params } = &self.state else {
-                    return Vec::new();
+                    return;
                 };
                 let (qpn, params) = (*qpn, *params);
                 self.ingest(params.k as usize, &data);
                 if last {
-                    vec![
+                    out.extend([
                         KernelAction::RoceSend {
                             qpn,
                             remote_vaddr: params.target_address,
                             data: Bytes::from(Self::encode_result(&self.top())),
                         },
                         KernelAction::Done,
-                    ]
-                } else {
-                    Vec::new()
+                    ]);
                 }
             }
-            KernelEvent::DmaData { .. } => Vec::new(),
+            KernelEvent::DmaData { .. } => {}
         }
     }
 

@@ -101,19 +101,19 @@ pub const TRAVERSAL_PARAMS_LEN: usize = 36;
 impl TraversalParams {
     /// Encodes into the RPC Params payload.
     pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(TRAVERSAL_PARAMS_LEN);
-        out.extend_from_slice(&self.remote_address.to_le_bytes());
-        out.extend_from_slice(&self.value_size.to_le_bytes());
-        out.extend_from_slice(&self.key.to_le_bytes());
-        out.extend_from_slice(&self.key_mask.to_le_bytes());
-        out.push(self.predicate as u8);
-        out.push(self.value_ptr_position);
-        out.push(u8::from(self.is_relative_position));
-        out.push(self.next_element_ptr_position);
-        out.push(u8::from(self.next_element_ptr_valid));
-        out.push(0); // Pad to 4 B alignment.
-        out.extend_from_slice(&self.target_address.to_le_bytes());
-        Bytes::from(out)
+        let mut out = [0u8; TRAVERSAL_PARAMS_LEN];
+        out[0..8].copy_from_slice(&self.remote_address.to_le_bytes());
+        out[8..12].copy_from_slice(&self.value_size.to_le_bytes());
+        out[12..20].copy_from_slice(&self.key.to_le_bytes());
+        out[20..22].copy_from_slice(&self.key_mask.to_le_bytes());
+        out[22] = self.predicate as u8;
+        out[23] = self.value_ptr_position;
+        out[24] = u8::from(self.is_relative_position);
+        out[25] = self.next_element_ptr_position;
+        out[26] = u8::from(self.next_element_ptr_valid);
+        // Byte 27 pads to 4 B alignment.
+        out[28..36].copy_from_slice(&self.target_address.to_le_bytes());
+        Bytes::copy_from_slice(&out)
     }
 
     /// Decodes from the RPC Params payload.
@@ -231,16 +231,16 @@ impl TraversalKernel {
         self.last_hops
     }
 
-    fn fail(&mut self, qpn: Qpn, target: u64, code: u16) -> Vec<KernelAction> {
+    fn fail(&mut self, qpn: Qpn, target: u64, code: u16, out: &mut Vec<KernelAction>) {
         self.state = State::Idle;
-        vec![
+        out.extend([
             KernelAction::RoceSend {
                 qpn,
                 remote_vaddr: target,
                 data: Bytes::copy_from_slice(&error_word(code)),
             },
             KernelAction::Done,
-        ]
+        ]);
     }
 
     fn evaluate_element(
@@ -249,7 +249,8 @@ impl TraversalKernel {
         params: TraversalParams,
         hops: u32,
         element: &[u8],
-    ) -> Vec<KernelAction> {
+        out: &mut Vec<KernelAction>,
+    ) {
         let field_u64 = |pos: u8| {
             let off = usize::from(pos) * 4;
             if off + 8 <= element.len() {
@@ -268,7 +269,7 @@ impl TraversalKernel {
                 continue;
             }
             let Some(element_key) = field_u64(pos) else {
-                return self.fail(qpn, params.target_address, ERR_BAD_PARAMS);
+                return self.fail(qpn, params.target_address, ERR_BAD_PARAMS, out);
             };
             // Position 0 keys of value 0 mark empty buckets in the
             // layouts; never match those.
@@ -287,41 +288,42 @@ impl TraversalKernel {
                 params.value_ptr_position
             };
             let Some(value_ptr) = field_u64(ptr_pos) else {
-                return self.fail(qpn, params.target_address, ERR_BAD_PARAMS);
+                return self.fail(qpn, params.target_address, ERR_BAD_PARAMS, out);
             };
             self.last_hops = hops;
             self.state = State::FetchingValue {
                 qpn,
                 target_address: params.target_address,
             };
-            return vec![KernelAction::DmaRead {
+            out.push(KernelAction::DmaRead {
                 tag: TAG_VALUE,
                 vaddr: value_ptr,
                 len: params.value_size,
-            }];
+            });
+            return;
         }
         // No match: chase the next pointer, if the structure has one.
         if !params.next_element_ptr_valid {
             self.last_hops = hops;
-            return self.fail(qpn, params.target_address, ERR_NOT_FOUND);
+            return self.fail(qpn, params.target_address, ERR_NOT_FOUND, out);
         }
         let Some(next) = field_u64(params.next_element_ptr_position) else {
-            return self.fail(qpn, params.target_address, ERR_BAD_PARAMS);
+            return self.fail(qpn, params.target_address, ERR_BAD_PARAMS, out);
         };
         if next == 0 || hops >= MAX_HOPS {
             self.last_hops = hops;
-            return self.fail(qpn, params.target_address, ERR_NOT_FOUND);
+            return self.fail(qpn, params.target_address, ERR_NOT_FOUND, out);
         }
         self.state = State::FetchingElement {
             qpn,
             params,
             hops: hops + 1,
         };
-        vec![KernelAction::DmaRead {
+        out.push(KernelAction::DmaRead {
             tag: TAG_ELEMENT,
             vaddr: next,
             len: ELEMENT_SIZE as u32,
-        }]
+        });
     }
 }
 
@@ -337,49 +339,44 @@ impl Kernel for TraversalKernel {
         "traversal"
     }
 
-    fn on_event(&mut self, event: KernelEvent) -> Vec<KernelAction> {
+    fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
         match event {
             KernelEvent::Invoke { qpn, params } => {
                 let Some(p) = TraversalParams::decode(&params) else {
-                    return self.fail(qpn, 0, ERR_BAD_PARAMS);
+                    return self.fail(qpn, 0, ERR_BAD_PARAMS, out);
                 };
                 self.state = State::FetchingElement {
                     qpn,
                     params: p,
                     hops: 1,
                 };
-                vec![KernelAction::DmaRead {
+                out.push(KernelAction::DmaRead {
                     tag: TAG_ELEMENT,
                     vaddr: p.remote_address,
                     len: ELEMENT_SIZE as u32,
-                }]
+                });
             }
             KernelEvent::DmaData { tag, data } => {
                 match std::mem::replace(&mut self.state, State::Idle) {
                     State::FetchingElement { qpn, params, hops } if tag == TAG_ELEMENT => {
-                        self.evaluate_element(qpn, params, hops, &data)
+                        self.evaluate_element(qpn, params, hops, &data, out);
                     }
                     State::FetchingValue {
                         qpn,
                         target_address,
-                    } if tag == TAG_VALUE => {
-                        vec![
-                            KernelAction::RoceSend {
-                                qpn,
-                                remote_vaddr: target_address,
-                                data,
-                            },
-                            KernelAction::Done,
-                        ]
-                    }
-                    other => {
-                        // Unmatched completion: protocol bug; drop it.
-                        self.state = other;
-                        Vec::new()
-                    }
+                    } if tag == TAG_VALUE => out.extend([
+                        KernelAction::RoceSend {
+                            qpn,
+                            remote_vaddr: target_address,
+                            data,
+                        },
+                        KernelAction::Done,
+                    ]),
+                    // Unmatched completion: protocol bug; drop it.
+                    other => self.state = other,
                 }
             }
-            KernelEvent::RoceData { .. } => Vec::new(), // Not a stream kernel.
+            KernelEvent::RoceData { .. } => {} // Not a stream kernel.
         }
     }
 }

@@ -15,7 +15,7 @@ use strom_kernels::aggregate::Aggregate;
 use strom_kernels::chains::{
     crcverify_shuffle, crcverify_shuffle_params, filter_agg_hll, filter_agg_hll_params,
 };
-use strom_kernels::crc_verify::{append_trailer, CrcVerifyKernel, CrcVerifyParams};
+use strom_kernels::crc_verify::{push_trailer, CrcVerifyKernel, CrcVerifyParams, TRAILER_LEN};
 use strom_kernels::filter::FilterKernel;
 use strom_kernels::framework::{decode_error, KernelChain};
 use strom_kernels::hll_kernel::HllKernel;
@@ -193,9 +193,22 @@ const MIN_REGION: u64 = 8 << 20;
 /// (server) inside their regions; the result slots sit below it.
 const DATA_OFFSET: u64 = 4096;
 
+/// Payload tuples are drawn from `0..TUPLE_DOMAIN`.
+const TUPLE_DOMAIN: u64 = 10_000;
+
 fn payload_tuples(spec: &ChainSpec) -> Vec<u64> {
     let mut rng = SimRng::seed(spec.seed ^ 0xC4A1);
-    (0..spec.tuples).map(|_| rng.next_u64() % 10_000).collect()
+    (0..spec.tuples)
+        .map(|_| rng.next_u64() % TUPLE_DOMAIN)
+        .collect()
+}
+
+/// The tuples' little-endian bytes, in one buffer with room for `spare`
+/// more bytes.
+fn tuple_bytes(values: &[u64], spare: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(values.len() * 8 + spare);
+    out.extend(values.iter().flat_map(|v| v.to_le_bytes()));
+    out
 }
 
 fn finish(
@@ -268,7 +281,7 @@ fn drive_filter_agg_hll(spec: &ChainSpec, tb: &mut ClusterTestbed) -> ChainRun {
     tb.run_until_idle();
 
     let values = payload_tuples(spec);
-    let data: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+    let data = tuple_bytes(&values, 0);
     tb.mem(CLIENT).write(src, &data);
 
     let t0 = tb.now();
@@ -295,34 +308,37 @@ fn drive_filter_agg_hll(spec: &ChainSpec, tb: &mut ClusterTestbed) -> ChainRun {
         spec.seed
     );
 
-    // Host reference.
-    let expect: Vec<u64> = values.iter().copied().filter(|&v| v > operand).collect();
-    let distinct = {
-        let mut s = expect.clone();
-        s.sort_unstable();
-        s.dedup();
-        s.len() as f64
-    };
+    // Host reference, in one pass: the aggregate of the tuples the filter
+    // keeps, and how many distinct ones there are.
+    let mut expect = Aggregate::default();
+    let mut seen = vec![0u64; TUPLE_DOMAIN.div_ceil(64) as usize];
+    let mut distinct = 0u64;
+    for &v in values.iter().filter(|&&v| v > operand) {
+        expect.add(v);
+        let (word, bit) = ((v / 64) as usize, 1 << (v % 64));
+        distinct += u64::from(seen[word] & bit == 0);
+        seen[word] |= bit;
+    }
+    let distinct = distinct as f64;
 
     let fs = tb.mem(CLIENT).read(filter_target, 16);
     assert_eq!(
         FilterKernel::decode_summary(&fs),
-        Some((values.len() as u64, expect.len() as u64)),
+        Some((values.len() as u64, expect.count)),
         "seed {}: filter summary mismatch",
         spec.seed
     );
     let ag = tb.mem(CLIENT).read(agg_target, 32);
     assert_eq!(
         Aggregate::decode(&ag),
-        Some(Aggregate::of(&expect)),
+        Some(expect),
         "seed {}: aggregate record mismatch",
         spec.seed
     );
     let hs = tb.mem(CLIENT).read(hll_target, 16);
     let (estimate, items) = HllKernel::decode_snapshot(&hs).expect("snapshot");
     assert_eq!(
-        items,
-        expect.len() as u64,
+        items, expect.count,
         "seed {}: HLL item count mismatch",
         spec.seed
     );
@@ -372,10 +388,13 @@ fn drive_crcverify_shuffle(spec: &ChainSpec, tb: &mut ClusterTestbed) -> ChainRu
         spec.partitions.is_power_of_two(),
         "partition count must be a power of two"
     );
-    // The client stages the stream and its 8 B CRC trailer; the server
-    // holds one partition byte per stream byte.
+    // The client stages the stream and its CRC trailer; the server holds
+    // one partition byte per stream byte.
     let stream_len = spec.tuples as u64 * 8;
-    let client = tb.pin(CLIENT, MIN_REGION.max(DATA_OFFSET + stream_len + 8));
+    let client = tb.pin(
+        CLIENT,
+        MIN_REGION.max(DATA_OFFSET + stream_len + TRAILER_LEN as u64),
+    );
     let server = tb.pin(SERVER, MIN_REGION.max(DATA_OFFSET + stream_len));
     tb.bring_up();
 
@@ -418,8 +437,10 @@ fn drive_crcverify_shuffle(spec: &ChainSpec, tb: &mut ClusterTestbed) -> ChainRu
     tb.run_until_complete(CLIENT, h);
     tb.run_until_idle();
 
-    let payload: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-    let mut stream = append_trailer(&payload);
+    // The stream is the payload and its CRC trailer, built in place.
+    let mut stream = tuple_bytes(&values, TRAILER_LEN);
+    let payload_len = stream.len();
+    push_trailer(&mut stream);
     if spec.corrupt {
         let n = stream.len();
         stream[n / 2] ^= 0x80;
@@ -471,7 +492,10 @@ fn drive_crcverify_shuffle(spec: &ChainSpec, tb: &mut ClusterTestbed) -> ChainRu
         let (crc, len) = CrcVerifyKernel::decode_verdict(&v).expect("verdict");
         assert_eq!(
             (crc, len),
-            (strom_kernels::crc64::crc64(&payload), payload.len() as u64),
+            (
+                strom_kernels::crc64::crc64(&stream[..payload_len]),
+                payload_len as u64
+            ),
             "seed {}: verdict mismatch",
             spec.seed
         );
@@ -482,18 +506,24 @@ fn drive_crcverify_shuffle(spec: &ChainSpec, tb: &mut ClusterTestbed) -> ChainRu
         );
         error_code = None;
         fp.bytes(&v);
+        // Each partition is read into one reused buffer and compared with
+        // the reference split value by value.
+        let mut got = Vec::new();
         for (pid, &(addr, cap)) in regions.iter().enumerate() {
-            let want: Vec<u8> = split[pid].iter().flat_map(|v| v.to_le_bytes()).collect();
-            let got = tb.mem(SERVER).read(addr, cap as usize);
-            assert_eq!(
-                got, want,
+            got.resize(cap as usize, 0);
+            tb.mem(SERVER).read_into(addr, &mut got);
+            let values = got
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().expect("sized")));
+            assert!(
+                values.eq(split[pid].iter().copied()),
                 "seed {}: partition {pid} content mismatch",
                 spec.seed
             );
             fp.bytes(&got);
         }
     }
-    finish(tb, payload.len() as u64, elapsed_ps, fp.value(), error_code)
+    finish(tb, payload_len as u64, elapsed_ps, fp.value(), error_code)
 }
 
 #[cfg(test)]

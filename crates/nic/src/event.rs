@@ -3,7 +3,6 @@
 
 use bytes::Bytes;
 
-use strom_proto::WorkRequest;
 use strom_sim::time::{Time, TimeDelta};
 use strom_sim::EventQueue;
 use strom_wire::bth::Qpn;
@@ -17,8 +16,9 @@ pub type NodeId = usize;
 /// NIC, or a switch arbitration pass.
 ///
 /// Every timer-wheel bucket and heap slot pays for the largest variant,
-/// so payloads that would bloat the enum ride behind a `Box` (the
-/// `WorkRequest` below); a test pins the whole enum to one cache line.
+/// so payloads that would bloat the enum stay with their NIC (the work
+/// request of a command waits in the NIC's command slab, and the event
+/// carries its slot); a test pins the whole enum to one cache line.
 #[derive(Debug)]
 pub enum Event {
     /// An event owned by one NIC.
@@ -42,9 +42,8 @@ pub enum NicEvent {
     CmdArrive {
         /// Queue pair of the command.
         qpn: Qpn,
-        /// The work request (boxed: it is the fattest payload in the
-        /// simulation, and commands are rare next to frames and DMAs).
-        wr: Box<WorkRequest>,
+        /// Slot of the work request in the NIC's command slab.
+        slot: u32,
         /// Work-request handle assigned at post time.
         handle: u64,
     },

@@ -117,50 +117,67 @@ impl KernelFabric {
             .map(|i| self.slots[i].kernel.cycles_per_word())
     }
 
-    /// Dispatches an RPC invocation. Returns the kernel's actions, or
-    /// `None` if no kernel matched (the caller writes the error back,
-    /// §5.1). If the kernel is busy, the invocation is queued and an empty
-    /// action list is returned.
-    pub fn invoke(&mut self, op: RpcOpCode, qpn: Qpn, params: Bytes) -> Option<Vec<KernelAction>> {
+    /// Dispatches an RPC invocation, appending the kernel's actions to
+    /// `out`. Returns `false` if no kernel matched (the caller writes the
+    /// error back, §5.1). If the kernel is busy, the invocation is queued
+    /// and nothing is appended.
+    pub fn invoke(
+        &mut self,
+        op: RpcOpCode,
+        qpn: Qpn,
+        params: Bytes,
+        out: &mut Vec<KernelAction>,
+    ) -> bool {
         let Some(i) = self.index_of(op) else {
             self.unmatched += 1;
-            return None;
+            return false;
         };
         let slot = &mut self.slots[i];
         if slot.busy {
             slot.queue.push_back((qpn, params));
-            return Some(Vec::new());
+            return true;
         }
         slot.busy = true;
         slot.reads_in_invocation = 0;
-        Some(slot.kernel.on_event(KernelEvent::Invoke { qpn, params }))
+        slot.kernel
+            .on_event_into(KernelEvent::Invoke { qpn, params }, out);
+        true
     }
 
-    /// Feeds RPC WRITE payload (or a receive-path tap) to a kernel.
+    /// Feeds RPC WRITE payload (or a receive-path tap) to a kernel,
+    /// appending its actions to `out`. Returns `false` if no kernel
+    /// matched.
     pub fn stream(
         &mut self,
         op: RpcOpCode,
         qpn: Qpn,
         data: Bytes,
         last: bool,
-    ) -> Option<Vec<KernelAction>> {
-        let i = self.index_of(op)?;
-        Some(
-            self.slots[i]
-                .kernel
-                .on_event(KernelEvent::RoceData { qpn, data, last }),
-        )
+        out: &mut Vec<KernelAction>,
+    ) -> bool {
+        let Some(i) = self.index_of(op) else {
+            return false;
+        };
+        self.slots[i]
+            .kernel
+            .on_event_into(KernelEvent::RoceData { qpn, data, last }, out);
+        true
     }
 
     /// Routes a DMA read completion back to the kernel, applying the
-    /// first-read fault injection for the consistency kernel.
+    /// first-read fault injection for the consistency kernel; appends
+    /// the kernel's actions to `out`. Returns `false` if no kernel
+    /// matched.
     pub fn dma_data(
         &mut self,
         op: RpcOpCode,
         tag: u32,
         mut data: Bytes,
-    ) -> Option<Vec<KernelAction>> {
-        let i = self.index_of(op)?;
+        out: &mut Vec<KernelAction>,
+    ) -> bool {
+        let Some(i) = self.index_of(op) else {
+            return false;
+        };
         let slot = &mut self.slots[i];
         slot.reads_in_invocation += 1;
         if op == RpcOpCode::CONSISTENCY
@@ -170,29 +187,32 @@ impl KernelFabric {
         {
             // Torn read: the object was concurrently modified. Flip one
             // payload byte so the CRC check fails.
-            let mut v = data.to_vec();
-            if let Some(b) = v.last_mut() {
+            let mut torn = Bytes::copy_from_slice(&data);
+            if let Some(b) = torn.try_mut().and_then(<[u8]>::last_mut) {
                 *b ^= 0xff;
             }
-            data = Bytes::from(v);
+            data = torn;
         }
-        Some(slot.kernel.on_event(KernelEvent::DmaData { tag, data }))
+        slot.kernel
+            .on_event_into(KernelEvent::DmaData { tag, data }, out);
+        true
     }
 
     /// Marks the current invocation of `op` complete; if another
-    /// invocation is queued, dispatches it and returns its actions.
-    pub fn done(&mut self, op: RpcOpCode) -> Vec<KernelAction> {
+    /// invocation is queued, dispatches it, appending its actions to
+    /// `out`.
+    pub fn done(&mut self, op: RpcOpCode, out: &mut Vec<KernelAction>) {
         let Some(i) = self.index_of(op) else {
-            return Vec::new();
+            return;
         };
         let slot = &mut self.slots[i];
         slot.completed += 1;
         if let Some((qpn, params)) = slot.queue.pop_front() {
             slot.reads_in_invocation = 0;
-            slot.kernel.on_event(KernelEvent::Invoke { qpn, params })
+            slot.kernel
+                .on_event_into(KernelEvent::Invoke { qpn, params }, out);
         } else {
             slot.busy = false;
-            Vec::new()
         }
     }
 }
@@ -217,24 +237,36 @@ mod tests {
             "probe"
         }
 
-        fn on_event(&mut self, event: KernelEvent) -> Vec<KernelAction> {
+        fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
             match event {
-                KernelEvent::Invoke { .. } => vec![KernelAction::DmaRead {
+                KernelEvent::Invoke { .. } => out.push(KernelAction::DmaRead {
                     tag: 7,
                     vaddr: 0x100,
                     len: 8,
-                }],
-                KernelEvent::DmaData { .. } => vec![
+                }),
+                KernelEvent::DmaData { .. } => out.extend([
                     KernelAction::RoceSend {
                         qpn: 1,
                         remote_vaddr: 0,
                         data: Bytes::from_static(b"pong"),
                     },
                     KernelAction::Done,
-                ],
-                _ => Vec::new(),
+                ]),
+                KernelEvent::RoceData { .. } => {}
             }
         }
+    }
+
+    /// Invokes `op`, returning the actions, or `None` when unmatched.
+    fn invoke(f: &mut KernelFabric, op: RpcOpCode, qpn: Qpn) -> Option<Vec<KernelAction>> {
+        let mut out = Vec::new();
+        f.invoke(op, qpn, Bytes::new(), &mut out).then_some(out)
+    }
+
+    fn dma_data(f: &mut KernelFabric, op: RpcOpCode, data: &Bytes) -> Vec<KernelAction> {
+        let mut out = Vec::new();
+        assert!(f.dma_data(op, 1, data.clone(), &mut out), "kernel deployed");
+        out
     }
 
     #[test]
@@ -242,9 +274,9 @@ mod tests {
         let mut f = KernelFabric::new(1);
         f.register(Box::new(Probe));
         assert!(f.has_kernel(RpcOpCode(0x99)));
-        let a = f.invoke(RpcOpCode(0x99), 1, Bytes::new()).unwrap();
+        let a = invoke(&mut f, RpcOpCode(0x99), 1).unwrap();
         assert!(matches!(a[0], KernelAction::DmaRead { tag: 7, .. }));
-        assert!(f.invoke(RpcOpCode(0x42), 1, Bytes::new()).is_none());
+        assert!(invoke(&mut f, RpcOpCode(0x42), 1).is_none());
         assert_eq!(f.unmatched(), 1);
     }
 
@@ -253,15 +285,16 @@ mod tests {
         let mut f = KernelFabric::new(1);
         f.register(Box::new(Probe));
         let op = RpcOpCode(0x99);
-        let a1 = f.invoke(op, 1, Bytes::new()).unwrap();
+        let a1 = invoke(&mut f, op, 1).unwrap();
         assert_eq!(a1.len(), 1);
         // Second invocation while the first is mid-flight: queued.
-        let a2 = f.invoke(op, 2, Bytes::new()).unwrap();
+        let a2 = invoke(&mut f, op, 2).unwrap();
         assert!(a2.is_empty());
         // Finish the first.
-        let a3 = f.dma_data(op, 7, Bytes::from_static(b"12345678")).unwrap();
+        let a3 = dma_data(&mut f, op, &Bytes::from_static(b"12345678"));
         assert!(matches!(a3[1], KernelAction::Done));
-        let a4 = f.done(op);
+        let mut a4 = Vec::new();
+        f.done(op, &mut a4);
         // The queued invocation starts immediately.
         assert!(matches!(a4[0], KernelAction::DmaRead { .. }));
         assert_eq!(f.completed(), 1);
@@ -281,15 +314,14 @@ mod tests {
         fn name(&self) -> &'static str {
             "echo-dma"
         }
-        fn on_event(&mut self, e: KernelEvent) -> Vec<KernelAction> {
+        fn on_event_into(&mut self, e: KernelEvent, out: &mut Vec<KernelAction>) {
             if let KernelEvent::DmaData { data, .. } = e {
-                return vec![KernelAction::RoceSend {
+                out.push(KernelAction::RoceSend {
                     qpn: 0,
                     remote_vaddr: 0,
                     data,
-                }];
+                });
             }
-            Vec::new()
         }
     }
 
@@ -306,13 +338,9 @@ mod tests {
         f.register(Box::new(EchoDma(RpcOpCode::CONSISTENCY)));
         f.set_failure_rate(1.0);
         let clean = Bytes::from_static(b"AAAAAAAA");
-        f.invoke(RpcOpCode::CONSISTENCY, 1, Bytes::new()).unwrap();
-        let a1 = f
-            .dma_data(RpcOpCode::CONSISTENCY, 1, clean.clone())
-            .unwrap();
-        let a2 = f
-            .dma_data(RpcOpCode::CONSISTENCY, 1, clean.clone())
-            .unwrap();
+        invoke(&mut f, RpcOpCode::CONSISTENCY, 1).unwrap();
+        let a1 = dma_data(&mut f, RpcOpCode::CONSISTENCY, &clean);
+        let a2 = dma_data(&mut f, RpcOpCode::CONSISTENCY, &clean);
         assert_ne!(
             echoed(&a1),
             clean,
@@ -326,11 +354,9 @@ mod tests {
         let mut f = KernelFabric::new(7);
         f.register(Box::new(EchoDma(RpcOpCode::CONSISTENCY)));
         let clean = Bytes::from_static(b"BBBBBBBB");
-        f.invoke(RpcOpCode::CONSISTENCY, 1, Bytes::new()).unwrap();
+        invoke(&mut f, RpcOpCode::CONSISTENCY, 1).unwrap();
         for _ in 0..50 {
-            let a = f
-                .dma_data(RpcOpCode::CONSISTENCY, 1, clean.clone())
-                .unwrap();
+            let a = dma_data(&mut f, RpcOpCode::CONSISTENCY, &clean);
             assert_eq!(echoed(&a), clean);
         }
         let _ = ERROR_SENTINEL;
@@ -342,8 +368,8 @@ mod tests {
         f.register(Box::new(EchoDma(RpcOpCode::TRAVERSAL)));
         f.set_failure_rate(1.0);
         let clean = Bytes::from_static(b"CCCCCCCC");
-        f.invoke(RpcOpCode::TRAVERSAL, 1, Bytes::new()).unwrap();
-        let a = f.dma_data(RpcOpCode::TRAVERSAL, 1, clean.clone()).unwrap();
+        invoke(&mut f, RpcOpCode::TRAVERSAL, 1).unwrap();
+        let a = dma_data(&mut f, RpcOpCode::TRAVERSAL, &clean);
         assert_eq!(echoed(&a), clean);
     }
 }

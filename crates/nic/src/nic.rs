@@ -25,8 +25,8 @@ use bytes::Bytes;
 use strom_kernels::framework::KernelAction;
 use strom_mem::{HostMemory, Tlb};
 use strom_proto::{
-    Completion, CompletionStatus, Dcqcn, DcqcnConfig, PacketDescriptor, PayloadSource, Requester,
-    Responder, ResponderAction, RetransmissionTimer, StateTable, WorkRequest,
+    Completion, CompletionStatus, Dcqcn, DcqcnConfig, PacketDescriptor, PayloadSource, PostError,
+    Requester, Responder, ResponderAction, RetransmissionTimer, StateTable, WorkRequest,
 };
 use strom_sim::time::{Time, TimeDelta};
 use strom_sim::{Bandwidth, LinkSerializer, Pacer};
@@ -97,6 +97,30 @@ struct PacedTx {
     arm_timer: bool,
 }
 
+/// The NIC's reusable output buffers, one stack per kind. A handler
+/// takes a buffer, has the protocol FSM or the kernel fabric fill it,
+/// drains it and gives it back; a call it makes that re-enters (a kernel
+/// `Done` dispatching a queued invocation, a send tap streaming into a
+/// kernel) takes a second one. After warm-up nothing here allocates.
+#[derive(Default)]
+struct Buffers {
+    packets: Vec<Vec<PacketDescriptor>>,
+    completions: Vec<Vec<Completion>>,
+    responder: Vec<Vec<ResponderAction>>,
+    kernel: Vec<Vec<KernelAction>>,
+}
+
+/// Takes an empty buffer from `stack`.
+fn take<T>(stack: &mut Vec<Vec<T>>) -> Vec<T> {
+    stack.pop().unwrap_or_default()
+}
+
+/// Returns a drained buffer to `stack`.
+fn give<T>(stack: &mut Vec<Vec<T>>, buf: Vec<T>) {
+    debug_assert!(buf.is_empty(), "buffers go back drained");
+    stack.push(buf);
+}
+
 /// Per-node NIC + host state.
 pub(crate) struct Nic {
     /// This NIC's port on the wire; its MAC and IP derive from it.
@@ -159,6 +183,14 @@ pub(crate) struct Nic {
     counters: WireCounters,
     /// Where packet, DMA and kernel events are traced.
     trace: TraceSink,
+    /// Work requests between the doorbell and the Controller: a
+    /// [`NicEvent::CmdArrive`] names its request's slot here. Freed slots
+    /// are reused, so commands cost no allocation.
+    cmds: Vec<Option<WorkRequest>>,
+    free_cmds: Vec<u32>,
+    bufs: Buffers,
+    /// Staging for DMA reads, frozen into one `Bytes` with one copy.
+    dma_buf: Vec<u8>,
 }
 
 impl Nic {
@@ -194,6 +226,10 @@ impl Nic {
             wr_handle: Vec::new(),
             counters: WireCounters::default(),
             trace: TraceSink::default(),
+            cmds: Vec::new(),
+            free_cmds: Vec::new(),
+            bufs: Buffers::default(),
+            dma_buf: Vec::new(),
         }
     }
 
@@ -265,8 +301,17 @@ impl Nic {
             None => wr,
         };
         self.counters.commands += 1;
-        let wr = Box::new(wr);
-        self.schedule(cx, arrive, NicEvent::CmdArrive { qpn, wr, handle });
+        let slot = match self.free_cmds.pop() {
+            Some(slot) => {
+                self.cmds[slot as usize] = Some(wr);
+                slot
+            }
+            None => {
+                self.cmds.push(Some(wr));
+                self.cmds.len() as u32 - 1
+            }
+        };
+        self.schedule(cx, arrive, NicEvent::CmdArrive { qpn, slot, handle });
     }
 
     /// Invokes a kernel on this NIC from its own host (§5.2). The
@@ -282,10 +327,7 @@ impl Nic {
         // the kernel fabric directly — no network hop and no event: the
         // fabric is dispatched here with the right base time.
         let at = self.issue_cmd(cx) + cx.cfg.pcie.mmio_latency + cx.cfg.kernel_dispatch_time();
-        if let Some(actions) = self.fabric.invoke(rpc_op, qpn, params) {
-            self.trace_kernel_enter(rpc_op);
-            self.exec_kernel_actions(rpc_op, actions, at, cx);
-        }
+        self.invoke_kernel(rpc_op, qpn, params, at, cx);
     }
 
     /// When the host's next command store lands, after the software post
@@ -382,7 +424,7 @@ impl Nic {
     /// Runs the handler for one of this NIC's events.
     pub(crate) fn handle(&mut self, ev: NicEvent, cx: &mut Ctx<'_>) {
         match ev {
-            NicEvent::CmdArrive { qpn, wr, handle } => self.on_cmd(qpn, wr, handle, cx),
+            NicEvent::CmdArrive { qpn, slot, handle } => self.on_cmd(qpn, slot, handle, cx),
             NicEvent::FrameArrive { frame } => self.on_frame(frame, cx),
             NicEvent::DmaWriteDone { vaddr, data } => self.on_dma_write_done(vaddr, &data, cx),
             NicEvent::KernelDmaReadDone {
@@ -415,31 +457,24 @@ impl Nic {
         });
     }
 
-    fn on_cmd(&mut self, qpn: Qpn, wr: Box<WorkRequest>, handle: u64, cx: &mut Ctx<'_>) {
+    fn on_cmd(&mut self, qpn: Qpn, slot: u32, handle: u64, cx: &mut Ctx<'_>) {
         let now = cx.now();
         // Reads land in the bounded multi-queue; if it is full, back the
-        // doorbell off *before* posting so the success path below can move
-        // the request out of its box instead of cloning it defensively.
-        if matches!(*wr, WorkRequest::Read { .. }) && self.requester.read_queue_full() {
+        // doorbell off *before* posting, leaving the request in its slot.
+        let parked = &mut self.cmds[slot as usize];
+        if matches!(parked, Some(WorkRequest::Read { .. })) && self.requester.read_queue_full() {
             let retry = now + 500 * strom_sim::time::NANOS;
-            self.schedule(cx, retry, NicEvent::CmdArrive { qpn, wr, handle });
+            self.schedule(cx, retry, NicEvent::CmdArrive { qpn, slot, handle });
             return;
         }
-        match self.requester.post(&mut self.state, qpn, *wr) {
-            Ok((wr_id, descs)) => {
-                let slot = wr_id as usize;
-                if self.wr_handle.len() <= slot {
-                    self.wr_handle.resize(slot + 1, 0);
-                }
-                self.wr_handle[slot] = handle;
-                for desc in descs {
-                    self.send_descriptor_at(&desc, now, cx);
-                }
-            }
-            Err(strom_proto::requester::PostError::MultiQueueFull) => {
+        let wr = parked.take().expect("a command waits in its slot");
+        self.free_cmds.push(slot);
+        match self.post_and_send(qpn, wr, handle, now, cx) {
+            Ok(()) => {}
+            Err(PostError::MultiQueueFull) => {
                 unreachable!("read-queue fullness is pre-checked above")
             }
-            Err(strom_proto::requester::PostError::QpInError) => {
+            Err(PostError::QpInError) => {
                 // The QP went terminal while the doorbell was in flight:
                 // complete immediately with an error instead of wedging
                 // the host, which may be blocked on this handle.
@@ -448,6 +483,37 @@ impl Nic {
             }
             Err(e) => panic!("post failed on node {}: {e}", self.id),
         }
+    }
+
+    /// Posts `wr` on `qpn` and sends its packets from `now`; `handle` is
+    /// the host's (0 for requests the NIC makes on its own behalf).
+    fn post_and_send(
+        &mut self,
+        qpn: Qpn,
+        wr: WorkRequest,
+        handle: u64,
+        now: Time,
+        cx: &mut Ctx<'_>,
+    ) -> Result<(), PostError> {
+        let mut packets = take(&mut self.bufs.packets);
+        let posted = self
+            .requester
+            .post_into(&mut self.state, qpn, wr, &mut packets);
+        match posted {
+            Ok(wr_id) if handle != 0 => {
+                let slot = wr_id as usize;
+                if self.wr_handle.len() <= slot {
+                    self.wr_handle.resize(slot + 1, 0);
+                }
+                self.wr_handle[slot] = handle;
+            }
+            _ => {}
+        }
+        for desc in packets.drain(..) {
+            self.send_descriptor_at(&desc, now, cx);
+        }
+        give(&mut self.bufs.packets, packets);
+        posted.map(|_| ())
     }
 
     fn on_frame(&mut self, frame: Bytes, cx: &mut Ctx<'_>) {
@@ -487,10 +553,21 @@ impl Nic {
             | Opcode::ReadResponseMiddle
             | Opcode::ReadResponseLast
             | Opcode::ReadResponseOnly => {
-                if let Some((addr, completion)) =
-                    self.requester
-                        .on_read_response(&mut self.state, qpn, pkt.bth.psn, &pkt.payload)
-                {
+                let mut acked = take(&mut self.bufs.completions);
+                let placed = self.requester.on_read_response_into(
+                    &mut self.state,
+                    qpn,
+                    pkt.bth.psn,
+                    &pkt.payload,
+                    &mut acked,
+                );
+                // Messages the final response acknowledged complete now,
+                // ahead of the read, whose data must land first.
+                for c in acked.drain(..) {
+                    self.record_completion(&c, now, cx);
+                }
+                give(&mut self.bufs.completions, acked);
+                if let Some((addr, completion)) = placed {
                     let done = self.schedule_dma_write(
                         addr,
                         pkt.payload.clone(),
@@ -525,21 +602,35 @@ impl Nic {
                 self.dcqcn.on_cnp(qpn as usize, now);
             }
             _ => {
-                let actions = self.responder.on_packet(&mut self.state, &pkt);
-                self.exec_responder_actions(&pkt, actions, cx);
+                let mut actions = take(&mut self.bufs.responder);
+                self.responder
+                    .on_packet_into(&mut self.state, &pkt, &mut actions);
+                self.exec_responder_actions(&pkt, &mut actions, cx);
+                give(&mut self.bufs.responder, actions);
             }
         }
     }
 
     fn on_ack(&mut self, qpn: Qpn, psn: Psn, aeth: Aeth, cx: &mut Ctx<'_>) {
         let now = cx.now();
-        let (completions, retransmit) = self.requester.on_ack(&mut self.state, qpn, psn, aeth);
-        for c in completions {
+        let mut completions = take(&mut self.bufs.completions);
+        let mut retransmit = take(&mut self.bufs.packets);
+        self.requester.on_ack_into(
+            &mut self.state,
+            qpn,
+            psn,
+            aeth,
+            &mut completions,
+            &mut retransmit,
+        );
+        for c in completions.drain(..) {
             self.record_completion(&c, now, cx);
         }
-        for desc in retransmit {
+        for desc in retransmit.drain(..) {
             self.send_descriptor_at(&desc, now, cx);
         }
+        give(&mut self.bufs.completions, completions);
+        give(&mut self.bufs.packets, retransmit);
         self.refresh_timer(qpn, cx);
     }
 
@@ -571,9 +662,9 @@ impl Nic {
         // object yields a torn read, which is what the consistency kernel
         // exists to catch.
         let data = self.dma_read_bytes(vaddr, len);
-        if let Some(actions) = self.fabric.dma_data(op, tag, data) {
-            self.exec_kernel_actions(op, actions, cx.now(), cx);
-        }
+        self.run_kernel(op, cx.now(), cx, |fabric, out| {
+            fabric.dma_data(op, tag, data, out)
+        });
     }
 
     fn on_retransmit_check(&mut self, cx: &mut Ctx<'_>) {
@@ -611,23 +702,27 @@ impl Nic {
                 continue;
             }
             // Go-back-N: the timeout retransmits every outstanding packet.
-            for desc in self.requester.on_timeout(qpn) {
+            let mut packets = take(&mut self.bufs.packets);
+            self.requester.on_timeout_into(qpn, &mut packets);
+            for desc in packets.drain(..) {
                 self.send_descriptor_at(&desc, now, cx);
             }
+            give(&mut self.bufs.packets, packets);
         }
         self.schedule_check(cx);
     }
 
     // ----- protocol execution ---------------------------------------------
 
+    /// Executes (and drains) the responder's actions for `pkt`.
     fn exec_responder_actions(
         &mut self,
         pkt: &Packet,
-        actions: Vec<ResponderAction>,
+        actions: &mut Vec<ResponderAction>,
         cx: &mut Ctx<'_>,
     ) {
         let now = cx.now();
-        for action in actions {
+        for action in actions.drain(..) {
             match action {
                 ResponderAction::WritePayload { vaddr, data } => {
                     self.counters.payload_bytes_rx += data.len() as u64;
@@ -641,11 +736,11 @@ impl Nic {
                     // Receive kernel tap: bump-in-the-wire copy (§3.5),
                     // no extra latency on the main path.
                     if let Some(op) = self.receive_tap {
-                        let last = pkt.opcode().ends_message();
+                        let (qpn, last) = (pkt.bth.dest_qp, pkt.opcode().ends_message());
                         let done = self.kernel_consume(op, data.len(), now, cx);
-                        if let Some(acts) = self.fabric.stream(op, pkt.bth.dest_qp, data, last) {
-                            self.exec_kernel_actions(op, acts, done, cx);
-                        }
+                        self.run_kernel(op, done, cx, |fabric, out| {
+                            fabric.stream(op, qpn, data, last, out)
+                        });
                     }
                 }
                 ResponderAction::SendAck { qpn, psn, msn } => {
@@ -668,19 +763,13 @@ impl Nic {
                     params,
                 } => {
                     let at = now + cx.cfg.kernel_dispatch_time();
-                    match self.fabric.invoke(rpc_op, qpn, params.clone()) {
-                        Some(actions) => {
-                            self.trace_kernel_enter(rpc_op);
-                            self.exec_kernel_actions(rpc_op, actions, at, cx)
-                        }
-                        // No kernel matched: try the CPU fallback (§5.1),
-                        // else NAK so the requester observes the failure.
-                        None => {
-                            if !self.run_cpu_fallback(rpc_op, qpn, &params, cx) {
-                                let syndrome = AethSyndrome::NakRemoteOperationalError;
-                                self.send_ack(qpn, pkt.bth.psn, 0, syndrome, cx);
-                            }
-                        }
+                    // No kernel matched: try the CPU fallback (§5.1), else
+                    // NAK so the requester observes the failure.
+                    if !self.invoke_kernel(rpc_op, qpn, params.clone(), at, cx)
+                        && !self.run_cpu_fallback(rpc_op, qpn, &params, cx)
+                    {
+                        let syndrome = AethSyndrome::NakRemoteOperationalError;
+                        self.send_ack(qpn, pkt.bth.psn, 0, syndrome, cx);
                     }
                 }
                 ResponderAction::RpcPayload {
@@ -692,9 +781,9 @@ impl Nic {
                     let at = self
                         .kernel_consume(rpc_op, data.len(), now, cx)
                         .max(now + cx.cfg.kernel_dispatch_time());
-                    if let Some(actions) = self.fabric.stream(rpc_op, qpn, data, last) {
-                        self.exec_kernel_actions(rpc_op, actions, at, cx);
-                    }
+                    self.run_kernel(rpc_op, at, cx, |fabric, out| {
+                        fabric.stream(rpc_op, qpn, data, last, out)
+                    });
                 }
                 ResponderAction::SendCnp { qpn } => self.send_cnp(qpn, cx),
                 ResponderAction::DroppedDuplicate | ResponderAction::DroppedInvalid => {}
@@ -702,14 +791,52 @@ impl Nic {
         }
     }
 
+    /// Invokes the kernel matching `op` and executes what it emits from
+    /// `at`. Returns `false` if no kernel matched.
+    fn invoke_kernel(
+        &mut self,
+        op: RpcOpCode,
+        qpn: Qpn,
+        params: Bytes,
+        at: Time,
+        cx: &mut Ctx<'_>,
+    ) -> bool {
+        let mut actions = take(&mut self.bufs.kernel);
+        let matched = self.fabric.invoke(op, qpn, params, &mut actions);
+        if matched {
+            self.trace_kernel_enter(op);
+            self.exec_kernel_actions(op, &mut actions, at, cx);
+        }
+        give(&mut self.bufs.kernel, actions);
+        matched
+    }
+
+    /// Runs `dispatch` against the kernel fabric with one of the NIC's
+    /// action buffers and executes what the kernel with `op` emitted,
+    /// from `now`.
+    fn run_kernel(
+        &mut self,
+        op: RpcOpCode,
+        now: Time,
+        cx: &mut Ctx<'_>,
+        dispatch: impl FnOnce(&mut KernelFabric, &mut Vec<KernelAction>) -> bool,
+    ) {
+        let mut actions = take(&mut self.bufs.kernel);
+        if dispatch(&mut self.fabric, &mut actions) {
+            self.exec_kernel_actions(op, &mut actions, now, cx);
+        }
+        give(&mut self.bufs.kernel, actions);
+    }
+
+    /// Executes (and drains) actions the kernel with `op` emitted.
     fn exec_kernel_actions(
         &mut self,
         op: RpcOpCode,
-        actions: Vec<KernelAction>,
+        actions: &mut Vec<KernelAction>,
         now: Time,
         cx: &mut Ctx<'_>,
     ) {
-        for action in actions {
+        for action in actions.drain(..) {
             match action {
                 KernelAction::DmaRead { tag, vaddr, len } => {
                     let (_, occ_end) =
@@ -734,13 +861,8 @@ impl Nic {
                     data,
                 } => {
                     let wr = WorkRequest::WriteInline { remote_vaddr, data };
-                    match self.requester.post(&mut self.state, qpn, wr) {
-                        Ok((_, descs)) => {
-                            for desc in descs {
-                                self.send_descriptor_at(&desc, now, cx);
-                            }
-                        }
-                        Err(e) => panic!("kernel RoceSend failed: {e}"),
+                    if let Err(e) = self.post_and_send(qpn, wr, 0, now, cx) {
+                        panic!("kernel RoceSend failed: {e}");
                     }
                 }
                 KernelAction::Forward { .. } => {
@@ -755,10 +877,10 @@ impl Nic {
                         node: self.id as u8,
                         op: op.0,
                     });
-                    let next = self.fabric.done(op);
-                    if !next.is_empty() {
-                        self.exec_kernel_actions(op, next, now, cx);
-                    }
+                    self.run_kernel(op, now, cx, |fabric, out| {
+                        fabric.done(op, out);
+                        true
+                    });
                 }
             }
         }
@@ -786,11 +908,11 @@ impl Nic {
             )
         {
             if let Some(op) = self.send_tap {
-                let last = desc.opcode.ends_message();
+                let (qpn, last) = (desc.qpn, desc.opcode.ends_message());
                 let done = self.kernel_consume(op, payload.len(), now, cx);
-                if let Some(actions) = self.fabric.stream(op, desc.qpn, payload.clone(), last) {
-                    self.exec_kernel_actions(op, actions, done, cx);
-                }
+                self.run_kernel(op, done, cx, |fabric, out| {
+                    fabric.stream(op, qpn, payload.clone(), last, out)
+                });
             }
         }
         self.emit(
@@ -831,8 +953,7 @@ impl Nic {
     ) {
         let now = cx.now();
         let msn = 0; // The AETH MSN is informational for responses here.
-        let segments = segment_message(len as usize, cx.cfg.max_payload());
-        for (i, seg) in segments.iter().enumerate() {
+        for (i, seg) in segment_message(len as usize, cx.cfg.max_payload()).enumerate() {
             // Per-packet DMA fetch: response packet i streams out as soon
             // as its chunk has crossed PCIe (pipelined, not
             // store-the-whole-message).
@@ -961,7 +1082,7 @@ impl Nic {
 
     /// Reads bytes from host memory through the TLB (the DMA engine's
     /// path), splitting at page boundaries, into one exactly sized buffer.
-    fn dma_read_bytes(&self, vaddr: u64, len: u32) -> Bytes {
+    fn dma_read_bytes(&mut self, vaddr: u64, len: u32) -> Bytes {
         self.trace.emit(TraceEvent::DmaRead {
             node: self.id as u8,
             vaddr,
@@ -971,11 +1092,12 @@ impl Nic {
             .tlb
             .translate_command(vaddr, len)
             .unwrap_or_else(|e| panic!("DMA read fault on node {}: {e}", self.id));
-        let mut out = Vec::with_capacity(len as usize);
+        self.dma_buf.clear();
         for seg in segs {
-            self.mem.phys_append(seg.paddr, seg.len as usize, &mut out);
+            self.mem
+                .phys_append(seg.paddr, seg.len as usize, &mut self.dma_buf);
         }
-        Bytes::from(out)
+        Bytes::copy_from_slice(&self.dma_buf)
     }
 
     /// When `len` payload bytes fetched from host memory at `now` are on
@@ -1064,15 +1186,10 @@ impl Nic {
             remote_vaddr: target,
             data: response,
         };
-        match self.requester.post(&mut self.state, qpn, wr) {
-            Ok((_, descs)) => {
-                for desc in descs {
-                    self.send_descriptor_at(&desc, ready, cx);
-                }
-                true
-            }
-            Err(e) => panic!("CPU fallback response failed: {e}"),
+        if let Err(e) = self.post_and_send(qpn, wr, 0, ready, cx) {
+            panic!("CPU fallback response failed: {e}");
         }
+        true
     }
 
     /// Ensures a RetransmitCheck is pending no later than the earliest

@@ -10,13 +10,13 @@
 //! [`NicEvent::FrameArrive`] on the receiver, at least one cable
 //! propagation delay later. It knows nodes only as port numbers.
 //!
-//! Every packet crosses as real bytes, zero-copy: transmit encodes it in
-//! one pass into one exactly sized buffer ([`Packet::encode`]);
-//! fault injection flips bits in the buffer in place before it is frozen
-//! into [`Bytes`]; the receiver parses it without copying, and the buffer
-//! is freed with the last slice of it. Buffers are not pooled: plain
-//! allocation measured as fast as a free-list of returned frames
-//! (DESIGN.md §10).
+//! Every packet crosses as real bytes: transmit encodes it in one pass
+//! into a reused scratch buffer ([`Packet::encode_into`]); fault
+//! injection flips bits there, and one copy freezes it into a [`Bytes`]
+//! that holds its reference counts and bytes in one allocation. The
+//! receiver parses it without copying, and the buffer is freed with the
+//! last slice of it. Frames are not pooled: plain allocation measured as
+//! fast as a free-list of returned frames (DESIGN.md §10).
 
 use bytes::Bytes;
 
@@ -128,6 +128,8 @@ pub(crate) struct Wire {
     /// The cluster switch, absent in transparent (point-to-point) mode.
     /// Boxed so a tick can take it out while it reaches the other fields.
     switch: Option<Box<SwitchState>>,
+    /// Encoding scratch: each frame is built here, then copied out once.
+    frame_buf: Vec<u8>,
 }
 
 impl Wire {
@@ -170,6 +172,7 @@ impl Wire {
             capture: None,
             trace: TraceSink::default(),
             switch,
+            frame_buf: Vec::new(),
         }
     }
 
@@ -261,18 +264,17 @@ impl Wire {
             });
             return;
         }
-        // Encode in a single pass into one exactly sized buffer and flip
-        // fault-injected bits in place while the buffer is still mutable
-        // — then freeze it into `Bytes` for transit (a pure move, never a
-        // copy).
-        let mut buf = pkt.encode();
+        // Encode in a single pass into the scratch buffer and flip
+        // fault-injected bits there — then freeze it into `Bytes` for
+        // transit with one copy, one allocation.
+        pkt.encode_into(&mut self.frame_buf);
         if fault.corrupt_rate > 0.0 && fault.should_corrupt(&mut self.rng) {
             // One bit flips in flight; the receiver's checksums must catch
             // it (frames_crc_dropped) unless it lands in the handful of
             // unprotected header bytes, where it is harmless.
-            fault::flip_random_bit(&mut buf, &mut self.rng);
+            fault::flip_random_bit(&mut self.frame_buf, &mut self.rng);
         }
-        let frame = Bytes::from(buf);
+        let frame = Bytes::copy_from_slice(&self.frame_buf);
         if let Some(cap) = &mut self.capture {
             // Captured as it leaves the wire (post-corruption), stamped
             // with the serialization end time.
@@ -403,12 +405,15 @@ impl Wire {
             if d.marked {
                 // The switch decided to CE-mark this frame: rewrite the
                 // ECN field (and IPv4 checksum) in the egress buffer. At
-                // this point the switch holds the only reference, so
-                // reclaim is a move; the ICRC stays valid because it
-                // covers BTH+payload only.
-                let mut buf = flight.frame.try_reclaim().unwrap_or_else(|b| b.to_vec());
+                // this point the switch holds the only reference, so the
+                // rewrite is in place (a shared frame would be copied
+                // first); the ICRC stays valid because it covers
+                // BTH+payload only.
+                if flight.frame.try_mut().is_none() {
+                    flight.frame = Bytes::copy_from_slice(&flight.frame);
+                }
+                let buf = flight.frame.try_mut().expect("sole owner of a fresh copy");
                 strom_wire::mark_ce(&mut buf[strom_wire::ethernet::ETHERNET_HEADER_LEN..]);
-                flight.frame = Bytes::from(buf);
                 pm.ecn_marked.inc();
             }
             // Mirror the port's queue high-watermark into its gauge so it

@@ -10,6 +10,15 @@
 //! NIC to transmit (payload is *described*, not copied — the DMA engine
 //! fetches it from host memory at transmit time, which is also how
 //! retransmission re-fetches data without buffering packets on the NIC).
+//!
+//! Per message the requester keeps one record of what the message is —
+//! kind, first PSN, packet count, RETH and payload source — and derives
+//! packet `i` from it by segmentation arithmetic, on post and on every
+//! retransmission; like the hardware, it stores PSN state, not packets.
+//! Each entry point has an `_into` form appending to a caller-owned
+//! buffer, which the NIC reuses so that no packet list is allocated per
+//! message; [`Requester::post`] and [`Requester::on_ack`] also have plain
+//! forms that wrap it.
 
 use std::collections::VecDeque;
 
@@ -188,15 +197,74 @@ impl std::fmt::Display for PostError {
 
 impl std::error::Error for PostError {}
 
-/// Tracking record for an unacknowledged message.
+/// The op-code family of a message's packets, and how it completes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MessageKind {
+    /// RDMA WRITE (from host memory, or inline from the NIC).
+    Write,
+    /// StRoM RPC WRITE: the RETH address carries the RPC op-code.
+    RpcWrite,
+    /// StRoM RPC Params: one packet, parameters inline.
+    Rpc,
+    /// READ request: one packet; completes via response data, not ACK.
+    Read,
+}
+
+/// Tracking record for an unacknowledged message: what the message is,
+/// from which packet `i` — its op-code, PSN, RETH and payload slice — is
+/// derived on post and on every retransmission.
 #[derive(Debug, Clone)]
 struct OutstandingMessage {
-    /// PSN of the final packet (the one whose ACK completes the message).
-    last_psn: Psn,
     /// Host work-request id.
     wr_id: u64,
-    /// Packets for retransmission.
-    packets: Vec<PacketDescriptor>,
+    kind: MessageKind,
+    /// PSN of the first packet.
+    first_psn: Psn,
+    /// Packets the message is sent as (1 for a READ request: its
+    /// responses use the rest of its PSN range).
+    packets: u32,
+    /// The first packet's RETH: remote address (or RPC op-code), and the
+    /// message length, which segmentation splits.
+    reth: Reth,
+    /// The whole message's payload; each packet takes its segment.
+    payload: PayloadSource,
+}
+
+impl OutstandingMessage {
+    /// PSN of the final packet (the one whose ACK completes the message).
+    fn last_psn(&self) -> Psn {
+        psn_add(self.first_psn, self.packets - 1)
+    }
+
+    /// Packet `i` of the message.
+    fn packet(&self, qpn: Qpn, i: u32, max_payload: usize) -> PacketDescriptor {
+        let seg = segment_message(self.reth.dma_len as usize, max_payload)
+            .nth(i as usize)
+            .expect("packet index within the message");
+        let opcode = match self.kind {
+            MessageKind::Write => seg.kind.write_opcode(),
+            MessageKind::RpcWrite => seg.kind.rpc_write_opcode(),
+            MessageKind::Rpc => Opcode::RpcParams,
+            MessageKind::Read => Opcode::ReadRequest,
+        };
+        let payload = match &self.payload {
+            PayloadSource::None => PayloadSource::None,
+            PayloadSource::Host { vaddr, .. } => PayloadSource::Host {
+                vaddr: vaddr + seg.offset as u64,
+                len: seg.len as u32,
+            },
+            PayloadSource::Inline(b) => {
+                PayloadSource::Inline(b.slice(seg.offset..seg.offset + seg.len))
+            }
+        };
+        PacketDescriptor {
+            qpn,
+            opcode,
+            psn: psn_add(self.first_psn, i),
+            reth: opcode.has_reth().then_some(self.reth),
+            payload,
+        }
+    }
 }
 
 /// Tracking record for an outstanding read (parallel to the Multi-Queue).
@@ -288,6 +356,20 @@ impl Requester {
         qpn: Qpn,
         wr: WorkRequest,
     ) -> Result<(u64, Vec<PacketDescriptor>), PostError> {
+        let mut packets = Vec::new();
+        let wr_id = self.post_into(state, qpn, wr, &mut packets)?;
+        Ok((wr_id, packets))
+    }
+
+    /// [`Self::post`], appending the packets to transmit to `out`; returns
+    /// the work-request id. On error nothing is appended.
+    pub fn post_into(
+        &mut self,
+        state: &mut StateTable,
+        qpn: Qpn,
+        wr: WorkRequest,
+        out: &mut Vec<PacketDescriptor>,
+    ) -> Result<u64, PostError> {
         if state.get(qpn).is_none() || (qpn as usize) >= self.qps.len() {
             return Err(PostError::UnknownQp);
         }
@@ -296,161 +378,98 @@ impl Requester {
         }
         let wr_id = self.next_wr_id;
         self.next_wr_id += 1;
-        let packets = match wr {
+        let mut read_into = None;
+        let (kind, target, len, payload) = match wr {
             WorkRequest::Write {
                 remote_vaddr,
                 local_vaddr,
                 len,
-            } => self.build_write(state, qpn, remote_vaddr, local_vaddr, len, None)?,
+            } => (
+                MessageKind::Write,
+                remote_vaddr,
+                len,
+                PayloadSource::Host {
+                    vaddr: local_vaddr,
+                    len,
+                },
+            ),
             WorkRequest::RpcWrite {
                 rpc_op,
                 local_vaddr,
                 len,
-            } => self.build_write(state, qpn, rpc_op.0, local_vaddr, len, Some(rpc_op))?,
-            WorkRequest::WriteInline { remote_vaddr, data } => {
-                self.build_write_inline(state, qpn, remote_vaddr, data)?
-            }
+            } => (
+                MessageKind::RpcWrite,
+                rpc_op.0,
+                len,
+                PayloadSource::Host {
+                    vaddr: local_vaddr,
+                    len,
+                },
+            ),
+            WorkRequest::WriteInline { remote_vaddr, data } => (
+                MessageKind::Write,
+                remote_vaddr,
+                data.len() as u32,
+                PayloadSource::Inline(data),
+            ),
             WorkRequest::Rpc { rpc_op, params } => {
                 if params.len() > self.max_payload {
                     return Err(PostError::RpcParamsTooLarge);
                 }
-                let psn = state.alloc_psns(qpn, 1).ok_or(PostError::UnknownQp)?;
-                vec![PacketDescriptor {
-                    qpn,
-                    opcode: Opcode::RpcParams,
-                    psn,
-                    reth: Some(Reth {
-                        vaddr: rpc_op.0,
-                        rkey: 0,
-                        dma_len: params.len() as u32,
-                    }),
-                    payload: PayloadSource::Inline(params),
-                }]
+                let len = params.len() as u32;
+                (
+                    MessageKind::Rpc,
+                    rpc_op.0,
+                    len,
+                    PayloadSource::Inline(params),
+                )
             }
             WorkRequest::Read {
                 remote_vaddr,
                 local_vaddr,
                 len,
             } => {
-                let n_resp = (len as usize).div_ceil(self.max_payload).max(1) as u32;
                 if self.multi_queue.free_slots() == 0 {
                     return Err(PostError::MultiQueueFull);
                 }
-                let psn = state.alloc_psns(qpn, n_resp).ok_or(PostError::UnknownQp)?;
-                let pushed = self.multi_queue.push(qpn, local_vaddr, len);
-                debug_assert!(pushed, "free slot checked above");
-                self.qps[qpn as usize].reads.push_back(ReadTrack {
-                    next_resp_psn: psn,
-                    last_resp_psn: psn_add(psn, n_resp - 1),
-                    wr_id,
-                });
-                vec![PacketDescriptor {
-                    qpn,
-                    opcode: Opcode::ReadRequest,
-                    psn,
-                    reth: Some(Reth {
-                        vaddr: remote_vaddr,
-                        rkey: 0,
-                        dma_len: len,
-                    }),
-                    payload: PayloadSource::None,
-                }]
+                read_into = Some(local_vaddr);
+                (MessageKind::Read, remote_vaddr, len, PayloadSource::None)
             }
         };
-        // Reads complete via response data; everything else completes on ACK.
-        if !matches!(packets.first().map(|p| p.opcode), Some(Opcode::ReadRequest)) {
-            let last_psn = packets.last().expect("at least one packet").psn;
-            self.qps[qpn as usize]
-                .outstanding
-                .push_back(OutstandingMessage {
-                    last_psn,
-                    wr_id,
-                    packets: packets.clone(),
-                });
-        } else {
-            // Keep the read request itself retransmittable.
-            let last_psn = packets[0].psn;
-            self.qps[qpn as usize]
-                .outstanding
-                .push_back(OutstandingMessage {
-                    last_psn,
-                    wr_id,
-                    packets: packets.clone(),
-                });
-        }
-        Ok((wr_id, packets))
-    }
-
-    fn build_write(
-        &mut self,
-        state: &mut StateTable,
-        qpn: Qpn,
-        remote_vaddr: u64,
-        local_vaddr: u64,
-        len: u32,
-        rpc_op: Option<RpcOpCode>,
-    ) -> Result<Vec<PacketDescriptor>, PostError> {
-        let segments = segment_message(len as usize, self.max_payload);
-        let first_psn = state
-            .alloc_psns(qpn, segments.len() as u32)
-            .ok_or(PostError::UnknownQp)?;
-        let mut out = Vec::with_capacity(segments.len());
-        for (i, seg) in segments.iter().enumerate() {
-            let opcode = match rpc_op {
-                Some(_) => seg.kind.rpc_write_opcode(),
-                None => seg.kind.write_opcode(),
-            };
-            let reth = if opcode.has_reth() {
-                Some(Reth {
-                    vaddr: rpc_op.map(|o| o.0).unwrap_or(remote_vaddr),
-                    rkey: 0,
-                    dma_len: len,
-                })
-            } else {
-                None
-            };
-            out.push(PacketDescriptor {
-                qpn,
-                opcode,
-                psn: psn_add(first_psn, i as u32),
-                reth,
-                payload: PayloadSource::Host {
-                    vaddr: local_vaddr + seg.offset as u64,
-                    len: seg.len as u32,
-                },
+        let segments = segment_message(len as usize, self.max_payload).len() as u32;
+        let (packets, psns) = match kind {
+            MessageKind::Write | MessageKind::RpcWrite => (segments, segments),
+            MessageKind::Rpc => (1, 1),
+            // A READ request is one packet; its responses take one PSN each.
+            MessageKind::Read => (1, segments),
+        };
+        let first_psn = state.alloc_psns(qpn, psns).ok_or(PostError::UnknownQp)?;
+        if let Some(local_vaddr) = read_into {
+            let pushed = self.multi_queue.push(qpn, local_vaddr, len);
+            debug_assert!(pushed, "free slot checked above");
+            self.qps[qpn as usize].reads.push_back(ReadTrack {
+                next_resp_psn: first_psn,
+                last_resp_psn: psn_add(first_psn, psns - 1),
+                wr_id,
             });
         }
-        Ok(out)
-    }
-
-    fn build_write_inline(
-        &mut self,
-        state: &mut StateTable,
-        qpn: Qpn,
-        remote_vaddr: u64,
-        data: Bytes,
-    ) -> Result<Vec<PacketDescriptor>, PostError> {
-        let segments = segment_message(data.len(), self.max_payload);
-        let first_psn = state
-            .alloc_psns(qpn, segments.len() as u32)
-            .ok_or(PostError::UnknownQp)?;
-        let mut out = Vec::with_capacity(segments.len());
-        for (i, seg) in segments.iter().enumerate() {
-            let opcode = seg.kind.write_opcode();
-            let reth = opcode.has_reth().then_some(Reth {
-                vaddr: remote_vaddr,
+        let msg = OutstandingMessage {
+            wr_id,
+            kind,
+            first_psn,
+            packets,
+            reth: Reth {
+                vaddr: target,
                 rkey: 0,
-                dma_len: data.len() as u32,
-            });
-            out.push(PacketDescriptor {
-                qpn,
-                opcode,
-                psn: psn_add(first_psn, i as u32),
-                reth,
-                payload: PayloadSource::Inline(data.slice(seg.offset..seg.offset + seg.len)),
-            });
-        }
-        Ok(out)
+                dma_len: len,
+            },
+            payload,
+        };
+        out.extend((0..packets).map(|i| msg.packet(qpn, i, self.max_payload)));
+        // Every message stays retransmittable until acknowledged — the
+        // read request included; reads complete via response data.
+        self.qps[qpn as usize].outstanding.push_back(msg);
+        Ok(wr_id)
     }
 
     /// Handles an inbound ACK/NAK.
@@ -463,10 +482,25 @@ impl Requester {
         psn: Psn,
         aeth: Aeth,
     ) -> (Vec<Completion>, Vec<PacketDescriptor>) {
+        let (mut completions, mut retransmit) = (Vec::new(), Vec::new());
+        self.on_ack_into(state, qpn, psn, aeth, &mut completions, &mut retransmit);
+        (completions, retransmit)
+    }
+
+    /// [`Self::on_ack`], appending to `completions` and `retransmit`.
+    pub fn on_ack_into(
+        &mut self,
+        state: &mut StateTable,
+        qpn: Qpn,
+        psn: Psn,
+        aeth: Aeth,
+        completions: &mut Vec<Completion>,
+        retransmit: &mut Vec<PacketDescriptor>,
+    ) {
         match aeth.syndrome {
             AethSyndrome::Ack => {
                 state.ack_up_to(qpn, psn);
-                (self.collect_acked(qpn, psn), Vec::new())
+                self.collect_acked(qpn, psn, CompletionStatus::Success, completions);
             }
             AethSyndrome::NakSequenceError => {
                 // The AETH PSN names the responder's expected PSN; ack
@@ -474,38 +508,31 @@ impl Requester {
                 if psn != 0 {
                     let acked = psn_add(psn, strom_wire::bth::MASK_24); // psn - 1 wrapping.
                     state.ack_up_to(qpn, acked);
+                    self.collect_acked(qpn, acked, CompletionStatus::Success, completions);
                 }
-                let completions = if psn != 0 {
-                    self.collect_acked(qpn, psn_add(psn, strom_wire::bth::MASK_24))
-                } else {
-                    Vec::new()
-                };
-                (completions, self.retransmit_from(qpn, psn))
+                self.retransmit_from(qpn, psn, retransmit);
             }
             AethSyndrome::NakRemoteOperationalError => {
                 // Unrecoverable for this message: surface the completion so
                 // the host observes the error (error reporting is by value
                 // in host memory, §5.1).
-                (
-                    self.collect_acked_with(qpn, psn, CompletionStatus::RemoteError),
-                    Vec::new(),
-                )
+                self.collect_acked(qpn, psn, CompletionStatus::RemoteError, completions);
             }
         }
     }
 
-    fn collect_acked(&mut self, qpn: Qpn, psn: Psn) -> Vec<Completion> {
-        self.collect_acked_with(qpn, psn, CompletionStatus::Success)
-    }
-
-    fn collect_acked_with(
+    /// Raises `qpn`'s cumulative-ack watermark to `psn` and retires every
+    /// message it covers, appending a completion with `status` for each
+    /// one an ACK completes (reads complete via their data instead).
+    fn collect_acked(
         &mut self,
         qpn: Qpn,
         psn: Psn,
         status: CompletionStatus,
-    ) -> Vec<Completion> {
+        out: &mut Vec<Completion>,
+    ) {
         let Some(qp) = self.qps.get_mut(qpn as usize) else {
-            return Vec::new();
+            return;
         };
         // Raise the cumulative-ack watermark (never lower it — stale
         // duplicate ACKs arrive out of order under retransmission).
@@ -515,42 +542,36 @@ impl Requester {
         {
             qp.acked = Some(psn);
         }
-        let mut out = Vec::new();
         while let Some(front) = qp.outstanding.front() {
-            if psn_cmp(front.last_psn, psn) != std::cmp::Ordering::Greater {
-                // Read requests complete via data, not ACK; drop the
-                // retransmission record but do not emit a completion.
-                let msg = qp.outstanding.pop_front().expect("front checked");
-                let is_read = msg
-                    .packets
-                    .first()
-                    .map(|p| p.opcode == Opcode::ReadRequest)
-                    .unwrap_or(false);
-                if !is_read {
-                    out.push(Completion {
-                        wr_id: msg.wr_id,
-                        qpn,
-                        status,
-                    });
-                }
-            } else {
+            if psn_cmp(front.last_psn(), psn) == std::cmp::Ordering::Greater {
                 break;
             }
+            let msg = qp.outstanding.pop_front().expect("front checked");
+            if msg.kind != MessageKind::Read {
+                out.push(Completion {
+                    wr_id: msg.wr_id,
+                    qpn,
+                    status,
+                });
+            }
         }
-        out
     }
 
     /// Handles an inbound READ response packet.
     ///
-    /// Returns the local DMA placement for the payload plus any completion.
-    /// Out-of-order or duplicate responses return `None` and are dropped
-    /// (the retransmission machinery recovers).
-    pub fn on_read_response(
+    /// Returns the local DMA placement for the payload plus the read's
+    /// completion, on its final response. That response also
+    /// acknowledges every earlier PSN of the QP, so the completions of
+    /// messages whose own ACK never arrived are appended to `acked`, in
+    /// post order. Out-of-order or duplicate responses return `None` and
+    /// are dropped (the retransmission machinery recovers).
+    pub fn on_read_response_into(
         &mut self,
         state: &mut StateTable,
         qpn: Qpn,
         psn: Psn,
         payload: &Bytes,
+        acked: &mut Vec<Completion>,
     ) -> Option<(u64, Option<Completion>)> {
         let qp = self.qps.get_mut(qpn as usize)?;
         let track = qp.reads.front_mut()?;
@@ -566,16 +587,19 @@ impl Requester {
             let track = qp.reads.pop_front().expect("front_mut succeeded");
             completion = Some(Completion::success(track.wr_id, qpn));
             // The final response also acknowledges the read request's PSN
-            // range, releasing its retransmission record.
+            // range, releasing its retransmission record, and every
+            // message before it.
             state.ack_up_to(qpn, track.last_resp_psn);
-            let _ = self.collect_acked(qpn, track.last_resp_psn);
+            let status = CompletionStatus::Success;
+            self.collect_acked(qpn, track.last_resp_psn, status, acked);
         }
         Some((addr, completion))
     }
 
-    /// Retransmits every outstanding packet of `qpn` (timer expiry).
-    pub fn on_timeout(&mut self, qpn: Qpn) -> Vec<PacketDescriptor> {
-        self.retransmit_from(qpn, 0xffff_ffff)
+    /// Appends every outstanding packet of `qpn` to `out`, for
+    /// retransmission (timer expiry).
+    pub fn on_timeout_into(&mut self, qpn: Qpn, out: &mut Vec<PacketDescriptor>) {
+        self.retransmit_from(qpn, 0xffff_ffff, out);
     }
 
     /// Whether `qpn` is in the terminal error state.
@@ -616,12 +640,7 @@ impl Requester {
         // their completion is owned by the read-track queue below, so each
         // wr_id surfaces exactly once.
         for msg in qp.outstanding.drain(..) {
-            let is_read = msg
-                .packets
-                .first()
-                .map(|p| p.opcode == Opcode::ReadRequest)
-                .unwrap_or(false);
-            if !is_read {
+            if msg.kind != MessageKind::Read {
                 out.push(Completion {
                     wr_id: msg.wr_id,
                     qpn,
@@ -641,37 +660,37 @@ impl Requester {
         out
     }
 
-    /// Collects packets to retransmit: all packets of outstanding messages
-    /// with PSN at or after `from_psn` (`0xffff_ffff` = everything).
-    fn retransmit_from(&mut self, qpn: Qpn, from_psn: u32) -> Vec<PacketDescriptor> {
-        let Some(qp) = self.qps.get_mut(qpn as usize) else {
-            return Vec::new();
+    /// Appends the packets to retransmit: all packets of outstanding
+    /// messages with PSN at or after `from_psn` (`0xffff_ffff` =
+    /// everything).
+    fn retransmit_from(&mut self, qpn: Qpn, from_psn: u32, out: &mut Vec<PacketDescriptor>) {
+        let Some(qp) = self.qps.get(qpn as usize) else {
+            return;
         };
         let everything = from_psn > strom_wire::bth::MASK_24;
-        let mut out = Vec::new();
+        let before = out.len();
         for msg in &qp.outstanding {
-            for pkt in &msg.packets {
+            for i in 0..msg.packets {
+                let psn = psn_add(msg.first_psn, i);
                 // Never re-send the cumulatively acknowledged prefix:
                 // go-back-N resumes at the oldest *unacknowledged* PSN.
                 if qp
                     .acked
-                    .is_some_and(|a| psn_cmp(pkt.psn, a) != std::cmp::Ordering::Greater)
+                    .is_some_and(|a| psn_cmp(psn, a) != std::cmp::Ordering::Greater)
                 {
                     continue;
                 }
-                if everything || psn_cmp(pkt.psn, from_psn) != std::cmp::Ordering::Less {
-                    out.push(pkt.clone());
+                if everything || psn_cmp(psn, from_psn) != std::cmp::Ordering::Less {
+                    out.push(msg.packet(qpn, i, self.max_payload));
                 }
             }
         }
-        self.retransmissions += out.len() as u64;
-        if !out.is_empty() {
-            self.trace.emit(TraceEvent::Retransmit {
-                qpn,
-                packets: out.len() as u32,
-            });
+        let sent = (out.len() - before) as u32;
+        self.retransmissions += u64::from(sent);
+        if sent > 0 {
+            self.trace
+                .emit(TraceEvent::Retransmit { qpn, packets: sent });
         }
-        out
     }
 }
 
@@ -690,6 +709,27 @@ mod tests {
             syndrome: AethSyndrome::Ack,
             msn: 0,
         }
+    }
+
+    /// The packets a timeout on `qpn` retransmits.
+    fn timeout(r: &mut Requester, qpn: Qpn) -> Vec<PacketDescriptor> {
+        let mut out = Vec::new();
+        r.on_timeout_into(qpn, &mut out);
+        out
+    }
+
+    /// Delivers one READ response on QP 2, which none of these tests
+    /// expects to complete an earlier message.
+    fn respond(
+        r: &mut Requester,
+        st: &mut StateTable,
+        psn: Psn,
+        data: &Bytes,
+    ) -> Option<(u64, Option<Completion>)> {
+        let mut acked = Vec::new();
+        let placed = r.on_read_response_into(st, 2, psn, data, &mut acked);
+        assert!(acked.is_empty());
+        placed
     }
 
     #[test]
@@ -774,13 +814,13 @@ mod tests {
         let d0 = Bytes::from(vec![0u8; 1440]);
         let d1 = Bytes::from(vec![1u8; 1440]);
         let d2 = Bytes::from(vec![2u8; 120]);
-        let (addr, comp) = r.on_read_response(&mut st, 2, 0, &d0).unwrap();
+        let (addr, comp) = respond(&mut r, &mut st, 0, &d0).unwrap();
         assert_eq!(addr, 0x100);
         assert!(comp.is_none());
-        let (addr, comp) = r.on_read_response(&mut st, 2, 1, &d1).unwrap();
+        let (addr, comp) = respond(&mut r, &mut st, 1, &d1).unwrap();
         assert_eq!(addr, 0x100 + 1440);
         assert!(comp.is_none());
-        let (addr, comp) = r.on_read_response(&mut st, 2, 2, &d2).unwrap();
+        let (addr, comp) = respond(&mut r, &mut st, 2, &d2).unwrap();
         assert_eq!(addr, 0x100 + 2880);
         assert_eq!(comp, Some(Completion::success(wr_id, 2)));
         assert!(!r.has_outstanding(2), "read ack'd its own PSN range");
@@ -800,14 +840,14 @@ mod tests {
         )
         .unwrap();
         let d = Bytes::from(vec![0u8; 1440]);
-        assert!(r.on_read_response(&mut st, 2, 0, &d).is_some());
+        assert!(respond(&mut r, &mut st, 0, &d).is_some());
         assert!(
-            r.on_read_response(&mut st, 2, 0, &d).is_none(),
+            respond(&mut r, &mut st, 0, &d).is_none(),
             "same PSN twice must be dropped"
         );
         // The stream continues at PSN 1.
         let tail = Bytes::from(vec![0u8; 560]);
-        assert!(r.on_read_response(&mut st, 2, 1, &tail).is_some());
+        assert!(respond(&mut r, &mut st, 1, &tail).is_some());
     }
 
     #[test]
@@ -825,8 +865,43 @@ mod tests {
         .unwrap();
         let d = Bytes::from(vec![0u8; 1440]);
         // PSN 1 arrives before PSN 0: drop.
-        assert!(r.on_read_response(&mut st, 2, 1, &d).is_none());
-        assert!(r.on_read_response(&mut st, 2, 0, &d).is_some());
+        assert!(respond(&mut r, &mut st, 1, &d).is_none());
+        assert!(respond(&mut r, &mut st, 0, &d).is_some());
+    }
+
+    #[test]
+    fn final_read_response_completes_writes_whose_ack_was_lost() {
+        let (mut st, mut r) = setup();
+        let write = WorkRequest::Write {
+            remote_vaddr: 0,
+            local_vaddr: 0,
+            len: 2000, // PSNs 0 and 1; neither ACK arrives.
+        };
+        let (w1, _) = r.post(&mut st, 2, write.clone()).unwrap();
+        let (w2, _) = r.post(&mut st, 2, write).unwrap();
+        let (rd, _) = r
+            .post(
+                &mut st,
+                2,
+                WorkRequest::Read {
+                    remote_vaddr: 0,
+                    local_vaddr: 0x100,
+                    len: 8,
+                },
+            )
+            .unwrap();
+        let mut acked = Vec::new();
+        let d = Bytes::from_static(&[0u8; 8]);
+        let (_, comp) = r
+            .on_read_response_into(&mut st, 2, 4, &d, &mut acked)
+            .unwrap();
+        assert_eq!(comp, Some(Completion::success(rd, 2)));
+        assert_eq!(
+            acked,
+            vec![Completion::success(w1, 2), Completion::success(w2, 2)],
+            "the response acknowledges every earlier PSN"
+        );
+        assert!(!r.has_outstanding(2));
     }
 
     #[test]
@@ -843,7 +918,7 @@ mod tests {
                 },
             )
             .unwrap();
-        let retx = r.on_timeout(2);
+        let retx = timeout(&mut r, 2);
         assert_eq!(retx, pkts);
         assert_eq!(r.retransmissions(), 3);
     }
@@ -875,7 +950,7 @@ mod tests {
         );
         assert!(comps.is_empty(), "mid-message ack completes nothing");
         assert!(retx.is_empty());
-        let retx = r.on_timeout(2);
+        let retx = timeout(&mut r, 2);
         assert_eq!(retx.len(), 1, "only the unacked tail retransmits");
         assert_eq!(retx[0].psn, 2);
         // A stale duplicate ack must not lower the watermark.
@@ -888,7 +963,7 @@ mod tests {
                 msn: 0,
             },
         );
-        assert_eq!(r.on_timeout(2).len(), 1);
+        assert_eq!(timeout(&mut r, 2).len(), 1);
     }
 
     #[test]
@@ -1053,7 +1128,7 @@ mod tests {
                 },
             )
             .unwrap();
-        let retx = r.on_timeout(2);
+        let retx = timeout(&mut r, 2);
         assert_eq!(retx, pkts, "inline payload is retained for retransmit");
     }
 
@@ -1130,7 +1205,7 @@ mod tests {
         assert!(r.is_errored(2));
         assert_eq!(r.qps_in_error(), 1);
         assert!(!r.has_outstanding(2), "nothing left to retransmit");
-        assert!(r.on_timeout(2).is_empty());
+        assert!(timeout(&mut r, 2).is_empty());
     }
 
     #[test]
@@ -1182,6 +1257,269 @@ mod tests {
         );
         r.fail_qp(2);
         assert!(r.post(&mut st, 3, read).is_ok());
+    }
+
+    /// Per-packet construction, the reference the record-derived packets
+    /// are checked against: one descriptor per segment, built by walking
+    /// `segment_message`.
+    fn build_write(
+        qpn: Qpn,
+        first_psn: Psn,
+        remote_vaddr: u64,
+        local_vaddr: u64,
+        len: u32,
+        rpc_op: Option<RpcOpCode>,
+        max_payload: usize,
+    ) -> Vec<PacketDescriptor> {
+        let mut out = Vec::new();
+        for (i, seg) in segment_message(len as usize, max_payload).enumerate() {
+            let opcode = match rpc_op {
+                Some(_) => seg.kind.rpc_write_opcode(),
+                None => seg.kind.write_opcode(),
+            };
+            let reth = if opcode.has_reth() {
+                Some(Reth {
+                    vaddr: rpc_op.map(|o| o.0).unwrap_or(remote_vaddr),
+                    rkey: 0,
+                    dma_len: len,
+                })
+            } else {
+                None
+            };
+            out.push(PacketDescriptor {
+                qpn,
+                opcode,
+                psn: psn_add(first_psn, i as u32),
+                reth,
+                payload: PayloadSource::Host {
+                    vaddr: local_vaddr + seg.offset as u64,
+                    len: seg.len as u32,
+                },
+            });
+        }
+        out
+    }
+
+    fn build_write_inline(
+        qpn: Qpn,
+        first_psn: Psn,
+        remote_vaddr: u64,
+        data: Bytes,
+        max_payload: usize,
+    ) -> Vec<PacketDescriptor> {
+        let mut out = Vec::new();
+        for (i, seg) in segment_message(data.len(), max_payload).enumerate() {
+            let opcode = seg.kind.write_opcode();
+            let reth = opcode.has_reth().then_some(Reth {
+                vaddr: remote_vaddr,
+                rkey: 0,
+                dma_len: data.len() as u32,
+            });
+            out.push(PacketDescriptor {
+                qpn,
+                opcode,
+                psn: psn_add(first_psn, i as u32),
+                reth,
+                payload: PayloadSource::Inline(data.slice(seg.offset..seg.offset + seg.len)),
+            });
+        }
+        out
+    }
+
+    /// The reference packets of `wr` posted at `first_psn`.
+    fn reference_packets(
+        qpn: Qpn,
+        first_psn: Psn,
+        wr: &WorkRequest,
+        max_payload: usize,
+    ) -> Vec<PacketDescriptor> {
+        let single = |opcode, vaddr, dma_len, payload| {
+            vec![PacketDescriptor {
+                qpn,
+                opcode,
+                psn: first_psn,
+                reth: Some(Reth {
+                    vaddr,
+                    rkey: 0,
+                    dma_len,
+                }),
+                payload,
+            }]
+        };
+        match wr {
+            WorkRequest::Write {
+                remote_vaddr,
+                local_vaddr,
+                len,
+            } => build_write(
+                qpn,
+                first_psn,
+                *remote_vaddr,
+                *local_vaddr,
+                *len,
+                None,
+                max_payload,
+            ),
+            WorkRequest::RpcWrite {
+                rpc_op,
+                local_vaddr,
+                len,
+            } => build_write(
+                qpn,
+                first_psn,
+                rpc_op.0,
+                *local_vaddr,
+                *len,
+                Some(*rpc_op),
+                max_payload,
+            ),
+            WorkRequest::WriteInline { remote_vaddr, data } => {
+                build_write_inline(qpn, first_psn, *remote_vaddr, data.clone(), max_payload)
+            }
+            WorkRequest::Rpc { rpc_op, params } => single(
+                Opcode::RpcParams,
+                rpc_op.0,
+                params.len() as u32,
+                PayloadSource::Inline(params.clone()),
+            ),
+            WorkRequest::Read {
+                remote_vaddr, len, ..
+            } => single(
+                Opcode::ReadRequest,
+                *remote_vaddr,
+                *len,
+                PayloadSource::None,
+            ),
+        }
+    }
+
+    /// A work request of `kind` (0..5) with a `len`-byte payload.
+    fn work_request(kind: u64, len: u32, rng: &mut strom_sim::SimRng) -> WorkRequest {
+        let mut data = vec![0u8; len as usize];
+        rng.fill_bytes(&mut data);
+        match kind {
+            0 => WorkRequest::Write {
+                remote_vaddr: rng.next_u64() >> 8,
+                local_vaddr: rng.next_u64() >> 8,
+                len,
+            },
+            1 => WorkRequest::RpcWrite {
+                rpc_op: RpcOpCode::SHUFFLE,
+                local_vaddr: rng.next_u64() >> 8,
+                len,
+            },
+            2 => WorkRequest::WriteInline {
+                remote_vaddr: rng.next_u64() >> 8,
+                data: Bytes::from(data),
+            },
+            3 => WorkRequest::Rpc {
+                rpc_op: RpcOpCode::GET,
+                params: Bytes::from(data),
+            },
+            _ => WorkRequest::Read {
+                remote_vaddr: rng.next_u64() >> 8,
+                local_vaddr: rng.next_u64() >> 8,
+                len,
+            },
+        }
+    }
+
+    #[test]
+    fn record_derived_packets_match_the_per_packet_reference() {
+        const MTU: usize = 16;
+        const QPN: Qpn = 2;
+        let mut seeds = strom_sim::SimRng::seed(0x05EC_02D5);
+        for kind in 0..5u64 {
+            for len in 0..=4 * MTU as u32 {
+                let seed = seeds.next_u64();
+                // Three messages around the one under test, from a start
+                // PSN that may wrap the 24-bit space mid-window.
+                let setup = || {
+                    let mut rng = strom_sim::SimRng::seed(seed);
+                    let start = strom_wire::bth::MASK_24 - rng.below(3 * MTU as u64) as u32;
+                    let mut st = StateTable::new(8);
+                    st.init_qp(QPN, start, 0);
+                    let mut r = Requester::new(8, 16, MTU);
+                    let wrs = [
+                        work_request(rng.below(5), rng.below(2 * MTU as u64 + 1) as u32, &mut rng),
+                        work_request(kind, len, &mut rng),
+                        work_request(rng.below(3), rng.below(2 * MTU as u64 + 1) as u32, &mut rng),
+                    ];
+                    // Every posted packet, in PSN order, with whether an
+                    // ACK of its last packet completes a work request.
+                    let mut posted = Vec::new();
+                    for wr in wrs {
+                        let first_psn = st.get(QPN).unwrap().next_psn;
+                        let want = reference_packets(QPN, first_psn, &wr, MTU);
+                        match r.post(&mut st, QPN, wr.clone()) {
+                            Ok((wr_id, got)) => {
+                                assert_eq!(got, want, "post of {wr:?}");
+                                posted.push((wr_id, matches!(wr, WorkRequest::Read { .. }), got));
+                            }
+                            Err(e) => {
+                                let too_large = matches!(&wr, WorkRequest::Rpc { params, .. } if params.len() > MTU);
+                                assert!(too_large && e == PostError::RpcParamsTooLarge, "{e:?}");
+                            }
+                        }
+                    }
+                    (start, st, r, posted)
+                };
+                let (start, st, _, posted) = setup();
+                let window =
+                    st.get(QPN).unwrap().next_psn.wrapping_sub(start) & strom_wire::bth::MASK_24;
+                // What go-back-N must resend from `from` (`None`: all of
+                // it) once everything up to `acked` is acknowledged, and
+                // the completions the ACK surfaces.
+                let expect = |acked: Option<Psn>, from: Option<Psn>| {
+                    let after = |p: Psn, a: Psn| psn_cmp(p, a) == std::cmp::Ordering::Greater;
+                    let retx: Vec<PacketDescriptor> = posted
+                        .iter()
+                        .flat_map(|(_, _, pkts)| pkts)
+                        .filter(|d| acked.is_none_or(|a| after(d.psn, a)))
+                        .filter(|d| {
+                            from.is_none_or(|f| psn_cmp(d.psn, f) != std::cmp::Ordering::Less)
+                        })
+                        .cloned()
+                        .collect();
+                    let done: Vec<u64> = posted
+                        .iter()
+                        .filter(|(_, read, pkts)| {
+                            !read && acked.is_some_and(|a| !after(pkts.last().unwrap().psn, a))
+                        })
+                        .map(|(id, _, _)| *id)
+                        .collect();
+                    (retx, done)
+                };
+                let nak = Aeth {
+                    syndrome: AethSyndrome::NakSequenceError,
+                    msn: 0,
+                };
+                for k in 0..window {
+                    let p = psn_add(start, k);
+                    // A NAK naming `p` as the expected PSN.
+                    let (_, mut st, mut r, _) = setup();
+                    let (comps, retx) = r.on_ack(&mut st, QPN, p, nak);
+                    let acked = (p != 0).then(|| psn_add(p, strom_wire::bth::MASK_24));
+                    let (want_retx, want_done) = expect(acked, Some(p));
+                    assert_eq!(retx, want_retx, "kind {kind}, len {len}: NAK at {p}");
+                    let done: Vec<u64> = comps.iter().map(|c| c.wr_id).collect();
+                    assert_eq!(done, want_done, "kind {kind}, len {len}: NAK at {p}");
+                    assert_eq!(r.retransmissions(), want_retx.len() as u64);
+                    // A cumulative ACK of `p`, then a timeout.
+                    let (_, mut st, mut r, _) = setup();
+                    let (comps, retx) = r.on_ack(&mut st, QPN, p, ack(p));
+                    assert!(retx.is_empty());
+                    let (want_retx, want_done) = expect(Some(p), None);
+                    let done: Vec<u64> = comps.iter().map(|c| c.wr_id).collect();
+                    assert_eq!(done, want_done, "kind {kind}, len {len}: ACK of {p}");
+                    assert_eq!(
+                        timeout(&mut r, QPN),
+                        want_retx,
+                        "kind {kind}, len {len}: timeout after ACK of {p}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

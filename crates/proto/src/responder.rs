@@ -9,7 +9,9 @@
 //! using the address field in the RETH as an RPC op-code" (§5.1).
 //!
 //! Sans-IO: the FSM consumes parsed packets and produces a list of
-//! [`ResponderAction`]s; the NIC simulation executes them with timing.
+//! [`ResponderAction`]s — appended to a caller-owned buffer by
+//! [`Responder::on_packet_into`] — which the NIC simulation executes with
+//! timing.
 
 use bytes::Bytes;
 
@@ -132,91 +134,102 @@ impl Responder {
     ///
     /// `state` is the shared State Table (Figure 3).
     pub fn on_packet(&mut self, state: &mut StateTable, pkt: &Packet) -> Vec<ResponderAction> {
-        let qpn = pkt.bth.dest_qp;
-        let psn = pkt.bth.psn;
-        let Some(class) = state.classify_request(qpn, psn) else {
-            return vec![ResponderAction::DroppedInvalid]; // Unknown QP.
-        };
-        let mut actions = match class {
-            PsnClass::Valid => {
-                // Forward progress resolves any pending gap.
-                self.nak_armed[qpn as usize] = false;
-                self.on_valid(state, pkt)
-            }
-            PsnClass::Duplicate => self.on_duplicate(pkt),
-            PsnClass::Invalid => {
-                if self.nak_armed[qpn as usize] {
-                    // One NAK per gap (IB responder rule): the requester
-                    // is already retransmitting.
-                    vec![ResponderAction::DroppedInvalid]
-                } else {
-                    self.nak_armed[qpn as usize] = true;
-                    let epsn = state.get(qpn).map(|s| s.epsn).unwrap_or(0);
-                    vec![
-                        ResponderAction::SendNakSequenceError {
-                            qpn,
-                            psn: epsn,
-                            msn: self.msn.msn(qpn),
-                        },
-                        ResponderAction::DroppedInvalid,
-                    ]
-                }
-            }
-        };
-        // A CE mark is a congestion signal regardless of how the PSN
-        // classified — even a duplicate or out-of-sequence packet crossed
-        // the congested queue, so the sender must still slow down.
-        if pkt.ecn == strom_wire::ipv4::ECN_CE {
-            actions.insert(0, ResponderAction::SendCnp { qpn });
-        }
+        let mut actions = Vec::new();
+        self.on_packet_into(state, pkt, &mut actions);
         actions
     }
 
-    fn on_valid(&mut self, state: &mut StateTable, pkt: &Packet) -> Vec<ResponderAction> {
+    /// [`Self::on_packet`], appending the actions to `out`.
+    pub fn on_packet_into(
+        &mut self,
+        state: &mut StateTable,
+        pkt: &Packet,
+        out: &mut Vec<ResponderAction>,
+    ) {
         let qpn = pkt.bth.dest_qp;
         let psn = pkt.bth.psn;
-        let mut actions = Vec::new();
+        let Some(class) = state.classify_request(qpn, psn) else {
+            out.push(ResponderAction::DroppedInvalid); // Unknown QP.
+            return;
+        };
+        // A CE mark is a congestion signal regardless of how the PSN
+        // classified — even a duplicate or out-of-sequence packet crossed
+        // the congested queue, so the sender must still slow down. The
+        // echo leads the packet's other actions.
+        if pkt.ecn == strom_wire::ipv4::ECN_CE {
+            out.push(ResponderAction::SendCnp { qpn });
+        }
+        match class {
+            PsnClass::Valid => {
+                // Forward progress resolves any pending gap.
+                self.nak_armed[qpn as usize] = false;
+                self.on_valid(state, pkt, out);
+            }
+            PsnClass::Duplicate => self.on_duplicate(pkt, out),
+            PsnClass::Invalid => {
+                // One NAK per gap (IB responder rule): once armed, the
+                // requester is already retransmitting.
+                if !self.nak_armed[qpn as usize] {
+                    self.nak_armed[qpn as usize] = true;
+                    let epsn = state.get(qpn).map(|s| s.epsn).unwrap_or(0);
+                    out.push(ResponderAction::SendNakSequenceError {
+                        qpn,
+                        psn: epsn,
+                        msn: self.msn.msn(qpn),
+                    });
+                }
+                out.push(ResponderAction::DroppedInvalid);
+            }
+        }
+    }
+
+    fn on_valid(&mut self, state: &mut StateTable, pkt: &Packet, out: &mut Vec<ResponderAction>) {
+        let qpn = pkt.bth.dest_qp;
+        let psn = pkt.bth.psn;
         match pkt.opcode() {
             Opcode::WriteFirst | Opcode::WriteOnly => {
                 let Some(reth) = pkt.reth else {
-                    return vec![ResponderAction::DroppedInvalid];
+                    out.push(ResponderAction::DroppedInvalid);
+                    return;
                 };
                 let vaddr = self.msn.start_message(qpn, reth.vaddr, pkt.payload.len());
-                actions.push(ResponderAction::WritePayload {
+                out.push(ResponderAction::WritePayload {
                     vaddr,
                     data: pkt.payload.clone(),
                 });
                 state.advance_epsn(qpn, 1);
                 if pkt.opcode() == Opcode::WriteOnly {
                     let msn = self.msn.complete_message(qpn);
-                    actions.push(ResponderAction::SendAck { qpn, psn, msn });
+                    out.push(ResponderAction::SendAck { qpn, psn, msn });
                 }
             }
             Opcode::WriteMiddle | Opcode::WriteLast => {
                 let Some(vaddr) = self.msn.continue_message(qpn, pkt.payload.len()) else {
                     // Middle/Last without First: protocol violation.
-                    return vec![ResponderAction::DroppedInvalid];
+                    out.push(ResponderAction::DroppedInvalid);
+                    return;
                 };
-                actions.push(ResponderAction::WritePayload {
+                out.push(ResponderAction::WritePayload {
                     vaddr,
                     data: pkt.payload.clone(),
                 });
                 state.advance_epsn(qpn, 1);
                 if pkt.opcode() == Opcode::WriteLast {
                     let msn = self.msn.complete_message(qpn);
-                    actions.push(ResponderAction::SendAck { qpn, psn, msn });
+                    out.push(ResponderAction::SendAck { qpn, psn, msn });
                 }
             }
             Opcode::ReadRequest => {
                 let Some(reth) = pkt.reth else {
-                    return vec![ResponderAction::DroppedInvalid];
+                    out.push(ResponderAction::DroppedInvalid);
+                    return;
                 };
                 // A read consumes as many PSNs as it has response packets.
                 let n = self.read_response_packets(reth.dma_len);
                 state.advance_epsn(qpn, n);
                 self.msn.start_message(qpn, reth.vaddr, 0);
                 self.msn.complete_message(qpn);
-                actions.push(ResponderAction::ReadResponse {
+                out.push(ResponderAction::ReadResponse {
                     qpn,
                     first_psn: psn,
                     vaddr: reth.vaddr,
@@ -225,55 +238,50 @@ impl Responder {
             }
             Opcode::RpcParams => {
                 let Some(reth) = pkt.reth else {
-                    return vec![ResponderAction::DroppedInvalid];
+                    out.push(ResponderAction::DroppedInvalid);
+                    return;
                 };
                 state.advance_epsn(qpn, 1);
-                let msn = self.msn.msn(qpn);
-                let _ = msn;
                 self.msn.start_message(qpn, 0, 0);
                 let msn = self.msn.complete_message(qpn);
-                actions.push(ResponderAction::RpcInvoke {
+                out.push(ResponderAction::RpcInvoke {
                     qpn,
                     rpc_op: RpcOpCode(reth.vaddr),
                     params: pkt.payload.clone(),
                 });
-                actions.push(ResponderAction::SendAck { qpn, psn, msn });
+                out.push(ResponderAction::SendAck { qpn, psn, msn });
             }
             Opcode::RpcWriteFirst | Opcode::RpcWriteOnly => {
                 let Some(reth) = pkt.reth else {
-                    return vec![ResponderAction::DroppedInvalid];
+                    out.push(ResponderAction::DroppedInvalid);
+                    return;
                 };
                 let rpc_op = RpcOpCode(reth.vaddr);
                 let last = pkt.opcode() == Opcode::RpcWriteOnly;
                 state.advance_epsn(qpn, 1);
-                if last {
-                    self.msn.start_message(qpn, 0, 0);
-                    let msn = self.msn.complete_message(qpn);
-                    actions.push(ResponderAction::RpcPayload {
-                        qpn,
-                        rpc_op,
-                        data: pkt.payload.clone(),
-                        last,
-                    });
-                    actions.push(ResponderAction::SendAck { qpn, psn, msn });
-                } else {
+                self.msn.start_message(qpn, 0, 0);
+                if !last {
                     self.rpc_in_progress[qpn as usize] = Some(rpc_op);
-                    self.msn.start_message(qpn, 0, 0);
-                    actions.push(ResponderAction::RpcPayload {
-                        qpn,
-                        rpc_op,
-                        data: pkt.payload.clone(),
-                        last,
-                    });
+                }
+                out.push(ResponderAction::RpcPayload {
+                    qpn,
+                    rpc_op,
+                    data: pkt.payload.clone(),
+                    last,
+                });
+                if last {
+                    let msn = self.msn.complete_message(qpn);
+                    out.push(ResponderAction::SendAck { qpn, psn, msn });
                 }
             }
             Opcode::RpcWriteMiddle | Opcode::RpcWriteLast => {
                 let Some(rpc_op) = self.rpc_in_progress[qpn as usize] else {
-                    return vec![ResponderAction::DroppedInvalid];
+                    out.push(ResponderAction::DroppedInvalid);
+                    return;
                 };
                 let last = pkt.opcode() == Opcode::RpcWriteLast;
                 state.advance_epsn(qpn, 1);
-                actions.push(ResponderAction::RpcPayload {
+                out.push(ResponderAction::RpcPayload {
                     qpn,
                     rpc_op,
                     data: pkt.payload.clone(),
@@ -282,7 +290,7 @@ impl Responder {
                 if last {
                     self.rpc_in_progress[qpn as usize] = None;
                     let msn = self.msn.complete_message(qpn);
-                    actions.push(ResponderAction::SendAck { qpn, psn, msn });
+                    out.push(ResponderAction::SendAck { qpn, psn, msn });
                 }
             }
             Opcode::Acknowledge
@@ -294,38 +302,35 @@ impl Responder {
                 // Responder never sees these; the NIC routes ACKs and
                 // read responses to the requester FSM and CNPs to the
                 // DCQCN reaction point.
-                actions.push(ResponderAction::DroppedInvalid);
+                out.push(ResponderAction::DroppedInvalid);
             }
         }
-        actions
     }
 
-    fn on_duplicate(&mut self, pkt: &Packet) -> Vec<ResponderAction> {
+    fn on_duplicate(&mut self, pkt: &Packet, out: &mut Vec<ResponderAction>) {
         let qpn = pkt.bth.dest_qp;
         let psn = pkt.bth.psn;
         match pkt.opcode() {
             // Duplicate reads must be re-executed (the original response
             // may have been lost); write data was already placed, so
             // duplicates are dropped but re-acknowledged.
-            Opcode::ReadRequest => {
-                let Some(reth) = pkt.reth else {
-                    return vec![ResponderAction::DroppedInvalid];
-                };
-                vec![ResponderAction::ReadResponse {
+            Opcode::ReadRequest => match pkt.reth {
+                Some(reth) => out.push(ResponderAction::ReadResponse {
                     qpn,
                     first_psn: psn,
                     vaddr: reth.vaddr,
                     len: reth.dma_len,
-                }]
-            }
-            _ => vec![
+                }),
+                None => out.push(ResponderAction::DroppedInvalid),
+            },
+            _ => out.extend([
                 ResponderAction::SendAck {
                     qpn,
                     psn,
                     msn: self.msn.msn(qpn),
                 },
                 ResponderAction::DroppedDuplicate,
-            ],
+            ]),
         }
     }
 }

@@ -234,7 +234,9 @@ fn single_drop_recovers() {
                 // only recovery path, exactly as in the real protocol.
                 timeouts += 1;
                 assert!(timeouts <= 2, "timer should recover in one shot");
-                wire.extend(requester.on_timeout(1));
+                let mut retx = Vec::new();
+                requester.on_timeout_into(1, &mut retx);
+                wire.extend(retx);
                 continue;
             };
             guard += 1;

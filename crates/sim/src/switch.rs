@@ -174,6 +174,9 @@ pub struct Switch<T> {
     /// `active` is the bitset of egress ports whose row is non-empty.
     candidates: Vec<u64>,
     active: Vec<u64>,
+    /// Bitset of the ingress ports whose FIFO is non-empty: arbitration
+    /// files the heads of these ports only.
+    occupied: Vec<u64>,
     /// WRED marking stream; present only when `cfg.ecn` is, and drawn
     /// from only inside the probabilistic band, so deterministic
     /// configurations consume no randomness at all.
@@ -203,6 +206,7 @@ impl<T> Switch<T> {
             counters: vec![SwitchPortCounters::default(); cfg.ports],
             candidates: vec![0; cfg.ports * cfg.ports.div_ceil(64)],
             active: vec![0; cfg.ports.div_ceil(64)],
+            occupied: vec![0; cfg.ports.div_ceil(64)],
             mark_rng: cfg.ecn.map(|e| SimRng::seed(e.seed)),
         }
     }
@@ -235,6 +239,7 @@ impl<T> Switch<T> {
         assert_ne!(src, dst, "a NIC does not switch frames to itself");
         let eligible = received + self.cfg.latency;
         self.counters[src].frames_in += 1;
+        set_bit(&mut self.occupied, src);
         self.ingress[src].push_back(InFrame {
             dst,
             wire_bytes,
@@ -267,10 +272,11 @@ impl<T> Switch<T> {
     /// The grant order is that of sweeping the egress ports in ascending
     /// order, round after round, each taking the first eligible head in
     /// cyclic order from its cursor. The sweep is not performed literally:
-    /// the eligible heads are sorted once into per-egress candidate sets,
-    /// only egress ports with a candidate are visited, and a pop moves
-    /// the newly exposed head into its set — so a call costs
-    /// O(ports + grants), not O(ports² × rounds).
+    /// the eligible heads of the occupied ingress ports are sorted once
+    /// into per-egress candidate sets, only egress ports with a candidate
+    /// are visited, and a pop moves the newly exposed head into its set —
+    /// so a call costs O(occupied ports + grants), not
+    /// O(ports² × rounds).
     pub fn arbitrate(
         &mut self,
         now: Time,
@@ -278,8 +284,10 @@ impl<T> Switch<T> {
         drops: &mut Vec<TailDrop<T>>,
     ) {
         let words = self.active.len();
-        for i in 0..self.cfg.ports {
+        let mut next = first_set_from(&self.occupied, 0);
+        while let Some(i) = next {
             self.file_head(i, now);
+            next = first_set_from(&self.occupied, i + 1);
         }
         // One pass over the live `active` set is one grant round. A head
         // exposed by a pop at egress `e` joins its set at once: an egress
@@ -301,7 +309,7 @@ impl<T> Switch<T> {
                 .or_else(|| first_set_from(row, 0))
                 .expect("an active egress has a candidate");
             clear_bit(row, src);
-            let frame = self.ingress[src].pop_front().expect("candidates are heads");
+            let frame = self.pop(src);
             self.file_head(src, now);
             if self.candidates[e * words..][..words]
                 .iter()
@@ -316,6 +324,15 @@ impl<T> Switch<T> {
             };
             self.grant(now, src, e, frame, deliveries, drops);
         }
+    }
+
+    /// Removes ingress port `src`'s FIFO head.
+    fn pop(&mut self, src: usize) -> InFrame<T> {
+        let frame = self.ingress[src].pop_front().expect("a queued head");
+        if self.ingress[src].is_empty() {
+            clear_bit(&mut self.occupied, src);
+        }
+        frame
     }
 
     /// Files ingress port `i`'s FIFO head, if it is eligible at `now`, into
@@ -396,7 +413,7 @@ impl<T> Switch<T> {
                 else {
                     continue;
                 };
-                let frame = self.ingress[src].pop_front().expect("head just matched");
+                let frame = self.pop(src);
                 self.rr[e] = (src + 1) % self.cfg.ports;
                 granted = true;
                 self.grant(now, src, e, frame, deliveries, drops);
@@ -750,6 +767,13 @@ mod tests {
                     fast.active.iter().chain(&fast.candidates).all(|&w| w == 0),
                     "case {case}: scratch not cleared"
                 );
+                let occupied: Vec<usize> = (0..ports)
+                    .filter(|&p| fast.occupied[p / 64] & (1 << (p % 64)) != 0)
+                    .collect();
+                let non_empty: Vec<usize> = (0..ports)
+                    .filter(|&p| !fast.ingress[p].is_empty())
+                    .collect();
+                assert_eq!(occupied, non_empty, "case {case}: occupied-ingress bitset");
             }
             // Equal marks could still hide unequal RNG consumption.
             assert_eq!(

@@ -72,7 +72,9 @@ pub struct Segment {
 /// `max_payload` bytes.
 ///
 /// A zero-length message still produces one `Only` segment (e.g. a
-/// zero-byte write used for doorbells).
+/// zero-byte write used for doorbells). Segmentation is arithmetic: the
+/// returned iterator computes each segment on demand, and
+/// [`Segments::nth`] jumps straight to packet `n`.
 ///
 /// # Examples
 ///
@@ -80,6 +82,7 @@ pub struct Segment {
 /// use strom_wire::segment::{segment_message, SegmentKind};
 /// let segs = segment_message(3000, 1440);
 /// assert_eq!(segs.len(), 3);
+/// let segs: Vec<_> = segs.collect();
 /// assert_eq!(segs[0].kind, SegmentKind::First);
 /// assert_eq!(segs[2].kind, SegmentKind::Last);
 /// assert_eq!(segs[2].len, 3000 - 2 * 1440);
@@ -89,31 +92,68 @@ pub struct Segment {
 ///
 /// Panics if `max_payload` is zero while `total_len` is not — such a
 /// message could never be transmitted.
-pub fn segment_message(total_len: usize, max_payload: usize) -> Vec<Segment> {
-    if total_len == 0 {
-        return vec![Segment {
-            kind: SegmentKind::Only,
-            offset: 0,
-            len: 0,
-        }];
+pub fn segment_message(total_len: usize, max_payload: usize) -> Segments {
+    assert!(
+        total_len == 0 || max_payload > 0,
+        "cannot segment with a zero MTU budget"
+    );
+    let count = if total_len == 0 {
+        1
+    } else {
+        total_len.div_ceil(max_payload)
+    };
+    Segments {
+        total_len,
+        max_payload,
+        next: 0..count,
     }
-    assert!(max_payload > 0, "cannot segment with a zero MTU budget");
-    let n = total_len.div_ceil(max_payload);
-    let mut out = Vec::with_capacity(n);
-    let mut offset = 0;
-    for i in 0..n {
-        let len = max_payload.min(total_len - offset);
-        let kind = match (i, n) {
-            (_, 1) => SegmentKind::Only,
-            (0, _) => SegmentKind::First,
-            (i, n) if i == n - 1 => SegmentKind::Last,
+}
+
+/// The segments of one message, in order (see [`segment_message`]).
+#[derive(Debug, Clone)]
+pub struct Segments {
+    total_len: usize,
+    max_payload: usize,
+    /// Indices of the segments not yet yielded.
+    next: std::ops::Range<usize>,
+}
+
+impl Segments {
+    /// Segment `i` of the message, counted from its first packet.
+    fn at(&self, i: usize) -> Segment {
+        let count = self.next.end;
+        let kind = match i {
+            _ if count == 1 => SegmentKind::Only,
+            0 => SegmentKind::First,
+            i if i + 1 == count => SegmentKind::Last,
             _ => SegmentKind::Middle,
         };
-        out.push(Segment { kind, offset, len });
-        offset += len;
+        let offset = i * self.max_payload;
+        Segment {
+            kind,
+            offset,
+            len: self.max_payload.min(self.total_len - offset),
+        }
     }
-    out
 }
+
+impl Iterator for Segments {
+    type Item = Segment;
+
+    fn next(&mut self) -> Option<Segment> {
+        self.next.next().map(|i| self.at(i))
+    }
+
+    fn nth(&mut self, n: usize) -> Option<Segment> {
+        self.next.nth(n).map(|i| self.at(i))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.next.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Segments {}
 
 #[cfg(test)]
 mod tests {
@@ -121,7 +161,7 @@ mod tests {
 
     #[test]
     fn single_packet_message() {
-        let segs = segment_message(100, 1440);
+        let segs: Vec<_> = segment_message(100, 1440).collect();
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].kind, SegmentKind::Only);
         assert_eq!(segs[0].len, 100);
@@ -129,7 +169,7 @@ mod tests {
 
     #[test]
     fn exact_multiple_has_no_partial_tail() {
-        let segs = segment_message(2880, 1440);
+        let segs: Vec<_> = segment_message(2880, 1440).collect();
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0].kind, SegmentKind::First);
         assert_eq!(segs[1].kind, SegmentKind::Last);
@@ -138,7 +178,7 @@ mod tests {
 
     #[test]
     fn three_packet_message_has_middle() {
-        let segs = segment_message(3000, 1440);
+        let segs: Vec<_> = segment_message(3000, 1440).collect();
         assert_eq!(segs.len(), 3);
         assert_eq!(
             segs.iter().map(|s| s.kind).collect::<Vec<_>>(),
@@ -152,7 +192,7 @@ mod tests {
         for total in [1usize, 1439, 1440, 1441, 10_000, 1 << 20] {
             let segs = segment_message(total, 1440);
             let mut expect_offset = 0;
-            for s in &segs {
+            for s in segs {
                 assert_eq!(s.offset, expect_offset);
                 assert!(s.len <= 1440);
                 assert!(s.len > 0);
@@ -164,10 +204,22 @@ mod tests {
 
     #[test]
     fn zero_length_message_is_an_only_packet() {
-        let segs = segment_message(0, 1440);
+        let segs: Vec<_> = segment_message(0, 1440).collect();
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].kind, SegmentKind::Only);
         assert_eq!(segs[0].len, 0);
+    }
+
+    #[test]
+    fn nth_jumps_to_the_same_segment_the_walk_reaches() {
+        for total in [0usize, 1, 1440, 1441, 2880, 10_000] {
+            let walked: Vec<_> = segment_message(total, 1440).collect();
+            assert_eq!(segment_message(total, 1440).len(), walked.len());
+            for (i, seg) in walked.iter().enumerate() {
+                assert_eq!(segment_message(total, 1440).nth(i), Some(*seg));
+            }
+            assert_eq!(segment_message(total, 1440).nth(walked.len()), None);
+        }
     }
 
     #[test]

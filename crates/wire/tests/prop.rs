@@ -118,7 +118,7 @@ fn segmentation_invariants() {
     for _ in 0..300 {
         let total = rng.below(100_000) as usize;
         let budget = rng.range(1, 4096) as usize;
-        let segs = segment_message(total, budget);
+        let segs: Vec<_> = segment_message(total, budget).collect();
         // Tiling.
         let mut offset = 0;
         for s in &segs {

@@ -5,7 +5,7 @@
 
 use strom::kernels::bloom::{BloomFilter, BloomKernel, BloomParams};
 use strom::kernels::chains::{crcverify_shuffle, crcverify_shuffle_params};
-use strom::kernels::crc_verify::{append_trailer, CrcVerifyKernel, CrcVerifyParams};
+use strom::kernels::crc_verify::{push_trailer, CrcVerifyKernel, CrcVerifyParams};
 use strom::kernels::framework::{KernelChain, StageRoute, ERR_INCONSISTENT};
 use strom::kernels::shuffle::{encode_histogram, ShuffleKernel, ShuffleParams};
 use strom::nic::{
@@ -50,7 +50,8 @@ fn empty_payload_through_a_chain() {
     tb.run_until_complete(CLIENT, h);
     tb.run_until_idle();
 
-    let stream = append_trailer(&[]);
+    let mut stream = Vec::new();
+    push_trailer(&mut stream);
     tb.mem(CLIENT).write(client + 4096, &stream);
     let h = tb.post(
         CLIENT,
@@ -94,7 +95,8 @@ fn empty_payload_through_a_chain() {
     tb.run_until_complete(CLIENT, h);
     tb.run_until_idle();
     let payload: Vec<u8> = (0..16u64).flat_map(|v| v.to_le_bytes()).collect();
-    let stream = append_trailer(&payload);
+    let mut stream = payload.clone();
+    push_trailer(&mut stream);
     tb.mem(CLIENT).write(client + 8192, &stream);
     let h = tb.post(
         CLIENT,

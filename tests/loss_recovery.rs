@@ -1,7 +1,7 @@
 //! Integration tests of reliability under injected frame loss: the PSN
 //! windows, NAK path, and retransmission timers of §4.1.
 
-use strom::nic::{NicConfig, Testbed, WorkRequest};
+use strom::nic::{LinkFaultModel, NicConfig, Testbed, WorkRequest};
 use strom::sim::SimRng;
 
 const QP: u32 = 1;
@@ -110,6 +110,54 @@ fn lost_ack_is_recovered_by_duplicate_reack() {
         tb.run_until_idle();
     }
     assert_eq!(tb.mem(1).read(dst + 9000, 1000), vec![0x42u8; 1000]);
+}
+
+#[test]
+fn a_read_completes_the_write_whose_ack_was_lost() {
+    // The final READ response acknowledges every earlier PSN of the QP,
+    // retiring a WRITE whose own ACK was lost. The WRITE completes with
+    // it; nothing is left to retransmit that could complete it later.
+    let mut tb = Testbed::new(NicConfig::ten_gig());
+    tb.connect_qp(QP);
+    let src = tb.pin(0, 1 << 20);
+    let dst = tb.pin(1, 1 << 20);
+    tb.mem(0).write(src, &[0x42u8; 64]);
+    tb.mem(1).write(dst + 4096, &[0x17u8; 64]);
+    // Every frame toward node 0 is lost until the WRITE's ACK is.
+    tb.set_port_fault_model(0, LinkFaultModel::bernoulli(1.0));
+    let write = tb.post(
+        0,
+        QP,
+        WorkRequest::Write {
+            remote_vaddr: dst,
+            local_vaddr: src,
+            len: 64,
+        },
+    );
+    while tb.frames_lost(0) == 0 {
+        assert!(!tb.run_until_idle_bounded(1), "the ACK is sent");
+    }
+    tb.set_port_fault_model(0, LinkFaultModel::none());
+    let read = tb.post(
+        0,
+        QP,
+        WorkRequest::Read {
+            remote_vaddr: dst + 4096,
+            local_vaddr: src + 4096,
+            len: 64,
+        },
+    );
+    let read_done = tb.run_until_complete(0, read);
+    let write_done = tb.completed_at(0, write).expect("the WRITE completed");
+    assert!(write_done <= read_done);
+    assert_eq!(
+        tb.retransmissions(0),
+        0,
+        "completed by the READ, not a timer"
+    );
+    tb.run_until_idle();
+    assert_eq!(tb.mem(0).read(src + 4096, 64), vec![0x17u8; 64]);
+    assert_eq!(tb.mem(1).read(dst, 64), vec![0x42u8; 64]);
 }
 
 #[test]
