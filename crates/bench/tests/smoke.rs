@@ -16,6 +16,25 @@ const TELEMETRY_GOLDEN: &str = concat!(
     "/tests/golden/figures_telemetry.fingerprint"
 );
 
+/// The pinned FNV-1a fingerprint of the text `run_experiment` renders for
+/// the stream-kernel figures at quick scale, one hex line.
+const KERNELS_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/figures_kernels.fingerprint"
+);
+
+/// Compares `fingerprint` with the hex line pinned at `golden`, or re-pins
+/// it when `STROM_BLESS` is set.
+fn check_golden(golden: &str, fingerprint: u64, what: &str) {
+    let fingerprint = format!("{fingerprint:#018x}");
+    if std::env::var_os("STROM_BLESS").is_some() {
+        std::fs::write(golden, format!("{fingerprint}\n")).expect("write golden");
+    } else {
+        let pinned = std::fs::read_to_string(golden).expect("golden present");
+        assert_eq!(fingerprint, pinned.trim(), "{what} drifted from its golden");
+    }
+}
+
 #[test]
 fn registry_names_are_unique_and_nonempty() {
     let reg = all_experiments();
@@ -91,20 +110,11 @@ fn figures_json_export_carries_every_instrumented_report() {
         .expect("figures binary runs");
     assert!(status.success(), "figures exited with {status}");
     let text = std::fs::read_to_string(path).expect("telemetry JSON written");
-    let fingerprint = format!(
-        "{:#018x}",
-        Fingerprint::new().bytes(text.as_bytes()).value()
+    check_golden(
+        TELEMETRY_GOLDEN,
+        Fingerprint::new().bytes(text.as_bytes()).value(),
+        "the telemetry document",
     );
-    if std::env::var_os("STROM_BLESS").is_some() {
-        std::fs::write(TELEMETRY_GOLDEN, format!("{fingerprint}\n")).expect("write golden");
-    } else {
-        let golden = std::fs::read_to_string(TELEMETRY_GOLDEN).expect("golden present");
-        assert_eq!(
-            fingerprint,
-            golden.trim(),
-            "the telemetry document drifted from its golden"
-        );
-    }
     let doc = json::parse(&text).expect("telemetry JSON parses");
     assert_eq!(
         doc.str_field("schema").unwrap(),
@@ -147,6 +157,19 @@ fn figures_json_export_carries_every_instrumented_report() {
         let h = kv.field(&format!("kv_{op}_latency_ps")).unwrap();
         assert!(populated(h), "{op}");
     }
+}
+
+/// The stream-kernel figures (kernel chains, Write+HLL, shuffle vs HLL,
+/// cluster shuffle) render exactly the text they are pinned to: every
+/// table cell follows from what the kernels emit, and none is a wall time.
+/// Re-pin after an intentional change with `STROM_BLESS=1`.
+#[test]
+fn kernel_figures_match_their_golden() {
+    let mut fp = Fingerprint::new();
+    for name in ["kernel-chain", "fig13b", "sec7", "shuffle-scale"] {
+        fp.bytes(run_experiment(name, Scale::Quick).as_bytes());
+    }
+    check_golden(KERNELS_GOLDEN, fp.value(), "the kernel figures");
 }
 
 /// Extracts the numeric cells of the series whose label starts with

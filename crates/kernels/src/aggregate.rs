@@ -18,6 +18,7 @@ use strom_wire::bth::Qpn;
 use strom_wire::opcode::RpcOpCode;
 
 use crate::framework::{Kernel, KernelAction, KernelEvent};
+use crate::stream::TupleStream;
 
 /// The 32 B aggregate record the kernel returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,7 +127,7 @@ enum State {
 pub struct AggregateKernel {
     state: State,
     agg: Aggregate,
-    spill: Vec<u8>,
+    stream: TupleStream,
 }
 
 impl AggregateKernel {
@@ -141,22 +142,11 @@ impl AggregateKernel {
     }
 
     fn ingest(&mut self, data: &[u8]) {
-        let mut input: &[u8] = data;
-        let joined;
-        if !self.spill.is_empty() {
-            let mut j = std::mem::take(&mut self.spill);
-            j.extend_from_slice(data);
-            joined = j;
-            input = &joined;
-        }
-        let whole = input.len() / 8 * 8;
-        for chunk in input[..whole].chunks_exact(8) {
-            self.agg
-                .add(u64::from_le_bytes(chunk.try_into().expect("sized")));
-        }
-        if whole < input.len() {
-            self.spill = input[whole..].to_vec();
-        }
+        self.stream.feed(data, |block| {
+            for &v in block {
+                self.agg.add(v);
+            }
+        });
     }
 }
 
@@ -172,14 +162,16 @@ impl Kernel for AggregateKernel {
     fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
         match event {
             KernelEvent::Invoke { qpn, params } => {
-                let Some(p) = AggregateParams::decode(&params) else {
-                    return;
-                };
                 self.agg = Aggregate::default();
-                self.spill.clear();
-                self.state = State::Active {
-                    qpn,
-                    target: p.target_address,
+                self.stream = TupleStream::default();
+                // Malformed params drop the configuration; either way the
+                // invocation completes and frees the slot.
+                self.state = match AggregateParams::decode(&params) {
+                    Some(p) => State::Active {
+                        qpn,
+                        target: p.target_address,
+                    },
+                    None => State::Unconfigured,
                 };
                 out.push(KernelAction::Done);
             }
@@ -211,6 +203,7 @@ impl Kernel for AggregateKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::testing::check_malformed_invoke;
 
     fn configured() -> AggregateKernel {
         let mut k = AggregateKernel::new();
@@ -259,25 +252,8 @@ mod tests {
     }
 
     #[test]
-    fn chunking_does_not_change_the_result() {
-        let values: Vec<u64> = (0..500).map(|i| i * 31).collect();
-        let data: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let mut k = configured();
-        let mut fed = 0;
-        let mut result = None;
-        for chunk in data.chunks(13) {
-            fed += chunk.len();
-            for a in k.on_event(KernelEvent::RoceData {
-                qpn: 2,
-                data: Bytes::copy_from_slice(chunk),
-                last: fed == data.len(),
-            }) {
-                if let KernelAction::RoceSend { data, .. } = a {
-                    result = Aggregate::decode(&data);
-                }
-            }
-        }
-        assert_eq!(result, Some(Aggregate::of(&values)));
+    fn malformed_invoke_drops_the_configuration() {
+        check_malformed_invoke(&mut configured(), Bytes::from_static(&[0]), &[]);
     }
 
     #[test]

@@ -19,6 +19,7 @@ use strom_wire::opcode::RpcOpCode;
 
 use crate::framework::{Kernel, KernelAction, KernelEvent};
 use crate::hash::mix64;
+use crate::stream::{ResultRegion, TupleStream};
 
 /// Second-hash tweak for double hashing (an arbitrary odd constant).
 const H2_TWEAK: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -176,9 +177,6 @@ impl BloomParams {
 /// DMA tag for the bitmap read.
 const TAG_BITMAP: u32 = 1;
 
-/// Flush granularity, matching the filter/shuffle kernels.
-const FLUSH_BYTES: usize = 128;
-
 #[derive(Debug, Default)]
 enum State {
     #[default]
@@ -195,14 +193,9 @@ pub struct BloomKernel {
     state: State,
     qpn: Qpn,
     params: Option<BloomParams>,
-    /// Staged qualifying tuples awaiting a flush.
-    staged: Vec<u8>,
-    /// Next host address to flush to.
-    cursor: u64,
-    /// Remaining capacity of the result region.
-    remaining: u32,
-    /// Partial tuple spilled across packet boundaries.
-    spill: Vec<u8>,
+    stream: TupleStream,
+    /// Where qualifying tuples go.
+    region: ResultRegion,
     /// Tuples observed in the current invocation.
     seen: u64,
     /// Tuples that passed the membership probe.
@@ -227,65 +220,17 @@ impl BloomKernel {
         (self.seen, self.kept)
     }
 
-    fn flush(&mut self, out: &mut Vec<KernelAction>) {
-        if self.staged.is_empty() {
-            return;
-        }
-        out.push(KernelAction::DmaWrite {
-            vaddr: self.cursor,
-            data: Bytes::copy_from_slice(&self.staged),
-        });
-        self.staged.clear();
-    }
-
     fn ingest(&mut self, data: &[u8], out: &mut Vec<KernelAction>) {
-        // Take the filter out for the duration of the scan so the staging
-        // state can be mutated alongside it.
-        let filter = match std::mem::take(&mut self.state) {
-            State::Active { filter } => filter,
-            other => {
-                self.state = other;
-                return;
-            }
+        let State::Active { filter } = &self.state else {
+            return;
         };
-        let mut input: &[u8] = data;
-        let joined;
-        if !self.spill.is_empty() {
-            let mut j = std::mem::take(&mut self.spill);
-            j.extend_from_slice(data);
-            joined = j;
-            input = &joined;
-        }
-        let whole = input.len() / 8 * 8;
-        let mut block = [0u64; 64];
-        for run in input[..whole].chunks(64 * 8) {
-            let n = run.len() / 8;
-            for (slot, chunk) in block[..n].iter_mut().zip(run.chunks_exact(8)) {
-                *slot = u64::from_le_bytes(chunk.try_into().expect("sized"));
-            }
-            self.seen += n as u64;
-            let mut mask = filter.contains_mask(&block[..n]);
-            while mask != 0 {
-                let i = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                if (self.staged.len() + 8) as u32 > self.remaining {
-                    self.overflowed += 1;
-                    continue;
-                }
-                self.staged.extend_from_slice(&block[i].to_le_bytes());
-                self.kept += 1;
-                if self.staged.len() >= FLUSH_BYTES {
-                    let len = self.staged.len() as u64;
-                    self.flush(out);
-                    self.cursor += len;
-                    self.remaining -= len as u32;
-                }
-            }
-        }
-        if whole < input.len() {
-            self.spill = input[whole..].to_vec();
-        }
-        self.state = State::Active { filter };
+        self.stream.feed(data, |block| {
+            self.seen += block.len() as u64;
+            let mask = filter.contains_mask(block);
+            let kept = self.region.push_selected(block, mask, out);
+            self.kept += kept;
+            self.overflowed += u64::from(mask.count_ones()) - kept;
+        });
     }
 }
 
@@ -302,13 +247,15 @@ impl Kernel for BloomKernel {
         match event {
             KernelEvent::Invoke { qpn, params } => {
                 let Some(p) = BloomParams::decode(&params) else {
+                    // Malformed: drop the configuration, free the slot.
+                    self.state = State::Unconfigured;
+                    self.params = None;
+                    out.push(KernelAction::Done);
                     return;
                 };
                 self.qpn = qpn;
-                self.cursor = p.dest_addr;
-                self.remaining = p.dest_capacity;
-                self.staged.clear();
-                self.spill.clear();
+                self.stream = TupleStream::default();
+                self.region = ResultRegion::new(p.dest_addr, p.dest_capacity);
                 self.seen = 0;
                 self.kept = 0;
                 self.state = State::LoadingBitmap;
@@ -339,10 +286,7 @@ impl Kernel for BloomKernel {
                 }
                 self.ingest(&data, out);
                 if last {
-                    let len = self.staged.len() as u64;
-                    self.flush(out);
-                    self.cursor += len;
-                    self.remaining = self.remaining.saturating_sub(len as u32);
+                    self.region.flush(out);
                     let p = self.params.as_ref().expect("configured");
                     out.push(KernelAction::RoceSend {
                         qpn: self.qpn,
@@ -366,6 +310,7 @@ impl Kernel for BloomKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::testing::check_malformed_invoke;
 
     fn build_filter(members: &[u64]) -> BloomFilter {
         let mut f = BloomFilter::new(16, 4);
@@ -419,10 +364,8 @@ mod tests {
         assert!(BloomParams::decode(&bad.encode()).is_none());
     }
 
-    #[test]
-    fn kernel_drops_non_members() {
-        let members: Vec<u64> = vec![10, 20, 30, 40];
-        let f = build_filter(&members);
+    /// A kernel configured with the filter of `members`.
+    fn configured(members: &[u64]) -> BloomKernel {
         let mut k = BloomKernel::new();
         let p = BloomParams {
             bitmap_addr: 0x100,
@@ -436,20 +379,25 @@ mod tests {
             qpn: 1,
             params: p.encode(),
         });
-        assert_eq!(
-            a,
-            vec![KernelAction::DmaRead {
-                tag: TAG_BITMAP,
-                vaddr: 0x100,
-                len: (1 << 16) / 8,
-            }]
-        );
-        let a = k.on_event(KernelEvent::DmaData {
-            tag: TAG_BITMAP,
-            data: Bytes::from(f.to_bitmap()),
-        });
-        assert_eq!(a, vec![KernelAction::Done]);
+        let len = (1 << 16) / 8;
+        let (tag, vaddr) = (TAG_BITMAP, 0x100);
+        assert_eq!(a, [KernelAction::DmaRead { tag, vaddr, len }]);
+        let data = Bytes::from(build_filter(members).to_bitmap());
+        let a = k.on_event(KernelEvent::DmaData { tag, data });
+        assert_eq!(a, [KernelAction::Done]);
+        k
+    }
 
+    #[test]
+    fn malformed_invoke_drops_the_configuration() {
+        let mut k = configured(&[0x0707_0707_0707_0707]);
+        check_malformed_invoke(&mut k, Bytes::from_static(&[0]), &[]);
+    }
+
+    #[test]
+    fn kernel_drops_non_members() {
+        let f = build_filter(&[10, 20, 30, 40]);
+        let mut k = configured(&[10, 20, 30, 40]);
         let stream: Vec<u64> = (0..50).collect();
         let data: Vec<u8> = stream.iter().flat_map(|v| v.to_le_bytes()).collect();
         let actions = k.on_event(KernelEvent::RoceData {

@@ -122,15 +122,17 @@ impl Kernel for CrcVerifyKernel {
     fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
         match event {
             KernelEvent::Invoke { qpn, params } => {
-                let Some(p) = CrcVerifyParams::decode(&params) else {
-                    return;
-                };
                 self.crc = Crc64::new();
                 self.tail.clear();
                 self.released = 0;
-                self.state = State::Active {
-                    qpn,
-                    target: p.target_address,
+                // Malformed params drop the configuration; either way the
+                // invocation completes and frees the slot.
+                self.state = match CrcVerifyParams::decode(&params) {
+                    Some(p) => State::Active {
+                        qpn,
+                        target: p.target_address,
+                    },
+                    None => State::Unconfigured,
                 };
                 out.push(KernelAction::Done);
             }
@@ -200,6 +202,7 @@ impl Kernel for CrcVerifyKernel {
 mod tests {
     use super::*;
     use crate::framework::decode_error;
+    use crate::framework::testing::check_malformed_invoke;
 
     fn configured() -> CrcVerifyKernel {
         let mut k = CrcVerifyKernel::new();
@@ -317,6 +320,11 @@ mod tests {
         assert!(forwarded(&actions).is_empty());
         let (crc, len) = CrcVerifyKernel::decode_verdict(&verdict(&actions)).unwrap();
         assert_eq!((crc, len), (crate::crc64::crc64(&[]), 0));
+    }
+
+    #[test]
+    fn malformed_invoke_drops_the_configuration() {
+        check_malformed_invoke(&mut configured(), Bytes::from_static(&[0]), &[]);
     }
 
     #[test]

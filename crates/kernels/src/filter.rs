@@ -19,6 +19,7 @@ use strom_wire::opcode::RpcOpCode;
 
 use crate::framework::{Kernel, KernelAction, KernelEvent};
 use crate::simd::{mask_cmp, Cmp};
+use crate::stream::{ResultRegion, TupleStream};
 use crate::traversal::Predicate;
 
 /// The lane comparison implementing a [`Predicate`].
@@ -102,10 +103,6 @@ impl FilterParams {
     }
 }
 
-/// Flush granularity: qualifying tuples are staged on chip and written in
-/// bursts (like the shuffle kernel's 128 B buffers).
-const FLUSH_BYTES: usize = 128;
-
 #[derive(Debug, Default)]
 enum State {
     #[default]
@@ -120,15 +117,9 @@ enum State {
 #[derive(Debug, Default)]
 pub struct FilterKernel {
     state: State,
-    /// Staged qualifying tuples awaiting a flush; a flush copies them
-    /// out and the buffer keeps its capacity.
-    staged: Vec<u8>,
-    /// Next host address to flush to.
-    cursor: u64,
-    /// Remaining capacity of the result region.
-    remaining: u32,
-    /// Partial tuple spilled across packet boundaries.
-    spill: Vec<u8>,
+    stream: TupleStream,
+    /// Where qualifying tuples go.
+    region: ResultRegion,
     /// Tuples observed in the current invocation.
     seen: u64,
     /// Tuples that passed the predicate.
@@ -167,59 +158,18 @@ impl FilterKernel {
         ))
     }
 
-    fn flush(&mut self, out: &mut Vec<KernelAction>) {
-        if self.staged.is_empty() {
-            return;
-        }
-        out.push(KernelAction::DmaWrite {
-            vaddr: self.cursor,
-            data: Bytes::copy_from_slice(&self.staged),
-        });
-        self.staged.clear();
-    }
-
     fn ingest(&mut self, params: &FilterParams, data: &[u8], out: &mut Vec<KernelAction>) {
-        let mut input: &[u8] = data;
-        let joined;
-        if !self.spill.is_empty() {
-            let mut j = std::mem::take(&mut self.spill);
-            j.extend_from_slice(data);
-            joined = j;
-            input = &joined;
-        }
-        let whole = input.len() / 8 * 8;
-        // Decode a block of tuples, evaluate the predicate as one vector
-        // scan, then stage the qualifying tuples in ascending order —
-        // bit-identical to the per-tuple loop (differential-tested via
+        // Evaluate the predicate over a block as one vector scan, then
+        // stage the qualifying tuples in ascending order — bit-identical
+        // to the per-tuple loop (differential-tested via
         // `predicate_mask_reference`).
-        let mut block = [0u64; 64];
-        for run in input[..whole].chunks(64 * 8) {
-            let n = run.len() / 8;
-            for (slot, chunk) in block[..n].iter_mut().zip(run.chunks_exact(8)) {
-                *slot = u64::from_le_bytes(chunk.try_into().expect("sized"));
-            }
-            self.seen += n as u64;
-            let mut mask = predicate_mask(&block[..n], params.predicate, params.operand);
-            while mask != 0 {
-                let i = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                if (self.staged.len() + 8) as u32 > self.remaining {
-                    self.overflowed += 1;
-                    continue;
-                }
-                self.staged.extend_from_slice(&block[i].to_le_bytes());
-                self.kept += 1;
-                if self.staged.len() >= FLUSH_BYTES {
-                    let len = self.staged.len() as u64;
-                    self.flush(out);
-                    self.cursor += len;
-                    self.remaining -= len as u32;
-                }
-            }
-        }
-        if whole < input.len() {
-            self.spill = input[whole..].to_vec();
-        }
+        self.stream.feed(data, |block| {
+            self.seen += block.len() as u64;
+            let mask = predicate_mask(block, params.predicate, params.operand);
+            let kept = self.region.push_selected(block, mask, out);
+            self.kept += kept;
+            self.overflowed += u64::from(mask.count_ones()) - kept;
+        });
     }
 }
 
@@ -235,16 +185,17 @@ impl Kernel for FilterKernel {
     fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
         match event {
             KernelEvent::Invoke { qpn, params } => {
-                let Some(p) = FilterParams::decode(&params) else {
-                    return;
+                self.state = match FilterParams::decode(&params) {
+                    Some(p) => {
+                        self.stream = TupleStream::default();
+                        self.region = ResultRegion::new(p.dest_addr, p.dest_capacity);
+                        self.seen = 0;
+                        self.kept = 0;
+                        State::Active { qpn, params: p }
+                    }
+                    // Malformed: drop the configuration, free the slot.
+                    None => State::Unconfigured,
                 };
-                self.cursor = p.dest_addr;
-                self.remaining = p.dest_capacity;
-                self.staged.clear();
-                self.spill.clear();
-                self.seen = 0;
-                self.kept = 0;
-                self.state = State::Active { qpn, params: p };
                 out.push(KernelAction::Done);
             }
             KernelEvent::RoceData { data, last, .. } => {
@@ -254,10 +205,7 @@ impl Kernel for FilterKernel {
                 let (qpn, params) = (*qpn, *params);
                 self.ingest(&params, &data, out);
                 if last {
-                    let len = self.staged.len() as u64;
-                    self.flush(out);
-                    self.cursor += len;
-                    self.remaining = self.remaining.saturating_sub(len as u32);
+                    self.region.flush(out);
                     out.push(KernelAction::RoceSend {
                         qpn,
                         remote_vaddr: params.target_address,
@@ -278,6 +226,7 @@ impl Kernel for FilterKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::testing::check_malformed_invoke;
 
     fn configured(predicate: Predicate, operand: u64) -> FilterKernel {
         let mut k = FilterKernel::new();
@@ -347,21 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn flushes_are_contiguous_from_dest() {
-        let mut k = configured(Predicate::NotEqual, u64::MAX);
-        let values: Vec<u64> = (0..40).collect(); // All pass: 320 B.
-        let actions = feed(&mut k, &values, true);
-        let mut cursor = 0x1000u64;
-        for a in &actions {
-            if let KernelAction::DmaWrite { vaddr, data } = a {
-                assert_eq!(*vaddr, cursor);
-                cursor += data.len() as u64;
-            }
-        }
-        assert_eq!(cursor, 0x1000 + 320);
-    }
-
-    #[test]
     fn capacity_overflow_is_counted() {
         let mut k = FilterKernel::new();
         k.on_event(KernelEvent::Invoke {
@@ -381,24 +315,9 @@ mod tests {
     }
 
     #[test]
-    fn split_tuples_across_packets() {
-        let mut k = configured(Predicate::Equal, 7);
-        let data: Vec<u8> = [7u64, 8, 7, 9, 7]
-            .iter()
-            .flat_map(|v| v.to_le_bytes())
-            .collect();
-        let mut all = Vec::new();
-        let mut fed = 0;
-        for chunk in data.chunks(11) {
-            fed += chunk.len();
-            let actions = k.on_event(KernelEvent::RoceData {
-                qpn: 1,
-                data: Bytes::copy_from_slice(chunk),
-                last: fed == data.len(),
-            });
-            all.extend(actions);
-        }
-        assert_eq!(written(&all), vec![7, 7, 7]);
+    fn malformed_invoke_drops_the_configuration() {
+        let mut k = configured(Predicate::NotEqual, u64::MAX);
+        check_malformed_invoke(&mut k, Bytes::from_static(&[0]), &[]);
     }
 
     #[test]

@@ -589,6 +589,32 @@ impl Kernel for KernelChain {
     }
 }
 
+/// Test support shared by the kernels' unit tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+
+    /// Invokes `kernel` with the malformed `params` and checks that the
+    /// invocation completes at once, freeing its fabric slot, and drops
+    /// the earlier configuration: a stream of two tuples `0x0707…07`
+    /// afterwards emits `after` and nothing else.
+    pub(crate) fn check_malformed_invoke(
+        kernel: &mut dyn Kernel,
+        params: Bytes,
+        after: &[KernelAction],
+    ) {
+        let a = kernel.on_event(KernelEvent::Invoke { qpn: 1, params });
+        assert_eq!(a, [KernelAction::Done], "the slot is freed");
+        let data = Bytes::from_static(&[7; 16]);
+        let a = kernel.on_event(KernelEvent::RoceData {
+            qpn: 1,
+            data,
+            last: true,
+        });
+        assert_eq!(a, after, "the configuration is gone");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,8 +6,6 @@
 //! al. \[27\] cited in §6.4) and statistically strong enough for HLL's
 //! uniformity assumption.
 
-use crate::simd::U64x4;
-
 /// Mixes a 64-bit value (SplitMix64 finalizer).
 #[inline]
 pub fn mix64(mut x: u64) -> u64 {
@@ -21,20 +19,6 @@ pub fn mix64(mut x: u64) -> u64 {
 #[inline]
 pub fn hash_item(bytes: [u8; 8]) -> u64 {
     mix64(u64::from_le_bytes(bytes))
-}
-
-/// Four SplitMix64 finalizers in lock-step — the same constants and shift
-/// schedule as [`mix64`], one value per lane.
-#[inline(always)]
-pub fn mix64_x4(x: U64x4) -> U64x4 {
-    let x = x.wrapping_add(U64x4::splat(0x9E37_79B9_7F4A_7C15));
-    let x = x
-        .xor(x.shr(30))
-        .wrapping_mul(U64x4::splat(0xBF58_476D_1CE4_E5B9));
-    let x = x
-        .xor(x.shr(27))
-        .wrapping_mul(U64x4::splat(0x94D0_49BB_1331_11EB));
-    x.xor(x.shr(31))
 }
 
 #[cfg(test)]
@@ -83,14 +67,5 @@ mod tests {
     #[test]
     fn hash_item_uses_little_endian() {
         assert_eq!(hash_item(1u64.to_le_bytes()), mix64(1));
-    }
-
-    #[test]
-    fn x4_lanes_are_independent() {
-        let h = mix64_x4(U64x4::load(&[0, 1, u64::MAX, 42]));
-        assert_eq!(
-            h.to_array(),
-            [mix64(0), mix64(1), mix64(u64::MAX), mix64(42)]
-        );
     }
 }

@@ -20,13 +20,13 @@ use strom_wire::opcode::RpcOpCode;
 
 use crate::framework::{Kernel, KernelAction, KernelEvent};
 use crate::hll::HyperLogLog;
+use crate::stream::TupleStream;
 
 /// The HLL kernel: a sketch updated from the receive data path.
 #[derive(Debug)]
 pub struct HllKernel {
     sketch: HyperLogLog,
-    /// Partial 8 B item spilled across packet boundaries.
-    spill: Vec<u8>,
+    stream: TupleStream,
     /// Total items observed.
     items: u64,
     /// Configured end-of-stream snapshot target (chain stages): when set,
@@ -50,7 +50,7 @@ impl HllKernel {
     pub fn with_precision(p: u8) -> Self {
         Self {
             sketch: HyperLogLog::new(p),
-            spill: Vec::new(),
+            stream: TupleStream::default(),
             items: 0,
             pending_summary: None,
         }
@@ -93,28 +93,10 @@ impl HllKernel {
     }
 
     fn ingest(&mut self, data: &[u8]) {
-        let mut input: &[u8] = data;
-        let joined;
-        if !self.spill.is_empty() {
-            let mut j = std::mem::take(&mut self.spill);
-            j.extend_from_slice(data);
-            joined = j;
-            input = &joined;
-        }
-        let whole = input.len() / 8 * 8;
-        // Decode and add a block of tuples at a time.
-        let mut block = [0u64; 64];
-        for run in input[..whole].chunks(64 * 8) {
-            let n = run.len() / 8;
-            for (slot, chunk) in block[..n].iter_mut().zip(run.chunks_exact(8)) {
-                *slot = u64::from_le_bytes(chunk.try_into().expect("sized"));
-            }
-            self.sketch.add_u64_batch(&block[..n]);
-            self.items += n as u64;
-        }
-        if whole < input.len() {
-            self.spill = input[whole..].to_vec();
-        }
+        self.stream.feed(data, |block| {
+            self.sketch.add_u64_batch(block);
+            self.items += block.len() as u64;
+        });
     }
 
     /// Encodes the estimate snapshot the RPC path returns: estimate as a
@@ -194,6 +176,10 @@ impl Kernel for HllKernel {
                     out.push(KernelAction::Done);
                 } else if let Some(p) = HllParams::decode(&params) {
                     out.extend([self.snapshot_to(qpn, p.target_address), KernelAction::Done]);
+                } else {
+                    // Malformed: drop the configuration, free the slot.
+                    self.pending_summary = None;
+                    out.push(KernelAction::Done);
                 }
             }
             KernelEvent::DmaData { .. } => {}
@@ -215,6 +201,7 @@ impl HllKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::testing::check_malformed_invoke;
 
     fn items(range: std::ops::Range<u64>) -> Vec<u8> {
         range.flat_map(|i| i.to_le_bytes()).collect()
@@ -253,25 +240,14 @@ mod tests {
     }
 
     #[test]
-    fn split_items_across_packet_boundaries() {
-        let mut a = HllKernel::new();
-        let mut b = HllKernel::new();
-        let data = items(0..999);
-        a.on_event(KernelEvent::RoceData {
+    fn malformed_invoke_drops_the_configuration() {
+        let mut k = HllKernel::new();
+        k.on_event(KernelEvent::Invoke {
             qpn: 1,
-            data: Bytes::copy_from_slice(&data),
-            last: true,
+            params: HllKernel::stream_params(0x4000),
         });
-        // Same data in 13-byte fragments.
-        for chunk in data.chunks(13) {
-            b.on_event(KernelEvent::RoceData {
-                qpn: 1,
-                data: Bytes::copy_from_slice(chunk),
-                last: false,
-            });
-        }
-        assert_eq!(a.items(), b.items());
-        assert_eq!(a.estimate(), b.estimate(), "fragmentation must not matter");
+        // A receive kernel ends every stream, but sends no snapshot.
+        check_malformed_invoke(&mut k, Bytes::from_static(&[0]), &[KernelAction::Done]);
     }
 
     #[test]

@@ -417,79 +417,6 @@ impl ChainedHashTable {
     }
 }
 
-/// Builds a chained hash table at `base`: `num_entries` primary entries,
-/// overflow entries allocated past them as chains fill up.
-///
-/// # Panics
-///
-/// Panics on duplicate or zero keys.
-pub fn build_chained_hash_table(
-    mem: &mut HostMemory,
-    base: u64,
-    num_entries: u64,
-    keys: &[u64],
-    value_size: u32,
-) -> ChainedHashTable {
-    assert!(num_entries > 0, "hash table needs entries");
-    let mut table = ChainedHashTable {
-        entries_base: base,
-        num_entries,
-        value_size,
-        overflow_entries: 0,
-    };
-    // Region plan: primary entries, overflow arena, then values.
-    let overflow_base = base + num_entries * ELEMENT_SIZE;
-    let max_overflow = keys.len() as u64; // Worst case: one per key.
-    let value_base = overflow_base + max_overflow * ELEMENT_SIZE;
-    let mut next_overflow = overflow_base;
-    for i in 0..num_entries {
-        mem.write(base + i * ELEMENT_SIZE, &[0u8; ELEMENT_SIZE as usize]);
-    }
-    for (i, &key) in keys.iter().enumerate() {
-        assert_ne!(key, 0, "key 0 is the empty-bucket marker");
-        let value_addr = value_base + i as u64 * u64::from(value_size);
-        mem.write(value_addr, &value_pattern(key, value_size));
-        // Walk the chain to the first entry with a free bucket.
-        let mut entry = table.entry_addr(key);
-        loop {
-            let mut buf = [0u8; ELEMENT_SIZE as usize];
-            mem.read_into(entry, &mut buf);
-            let mut placed = false;
-            for b in 0..chained_layout::BUCKETS {
-                let off = usize::from(chained_layout::BUCKET_KEY_POS[b]) * 4;
-                let existing = u64::from_le_bytes(buf[off..off + 8].try_into().expect("sized"));
-                assert_ne!(existing, key, "duplicate key {key:#x}");
-                if existing == 0 {
-                    buf[off..off + 8].copy_from_slice(&key.to_le_bytes());
-                    buf[off + 8..off + 16].copy_from_slice(&value_addr.to_le_bytes());
-                    buf[off + 16..off + 20].copy_from_slice(&value_size.to_le_bytes());
-                    placed = true;
-                    break;
-                }
-            }
-            if placed {
-                mem.write(entry, &buf);
-                break;
-            }
-            // Both buckets full: follow (or allocate) the overflow entry.
-            let next_off = usize::from(chained_layout::NEXT_POS) * 4;
-            let next = u64::from_le_bytes(buf[next_off..next_off + 8].try_into().expect("sized"));
-            if next != 0 {
-                entry = next;
-                continue;
-            }
-            let fresh = next_overflow;
-            next_overflow += ELEMENT_SIZE;
-            table.overflow_entries += 1;
-            mem.write(fresh, &[0u8; ELEMENT_SIZE as usize]);
-            buf[next_off..next_off + 8].copy_from_slice(&fresh.to_le_bytes());
-            mem.write(entry, &buf);
-            entry = fresh;
-        }
-    }
-    table
-}
-
 impl ChainedHashTable {
     /// Traversal-kernel parameters for a chained GET: match either bucket,
     /// follow the overflow chain on miss (§6.2's chaining case).
@@ -820,36 +747,6 @@ mod tests {
     fn skip_list_rejects_unsorted_keys() {
         let (mut m, base) = mem_with_region(HUGE_PAGE_SIZE);
         let _ = build_skip_list(&mut m, base, &[5, 3, 8], 16, 2);
-    }
-
-    #[test]
-    fn chained_hash_table_places_every_key() {
-        let (mut m, base) = mem_with_region(HUGE_PAGE_SIZE);
-        // 4 entries × 2 buckets = 8 primary slots for 30 keys: chains are
-        // guaranteed.
-        let keys: Vec<u64> = (1..=30).collect();
-        let ht = build_chained_hash_table(&mut m, base, 4, &keys, 16);
-        assert!(ht.overflow_entries > 0, "chains must have been needed");
-        // Find each key by walking its chain manually.
-        for &key in &keys {
-            let mut entry = ht.entry_addr(key);
-            let mut found = false;
-            while entry != 0 && !found {
-                let buf = m.read(entry, 64);
-                for b in 0..chained_layout::BUCKETS {
-                    let off = usize::from(chained_layout::BUCKET_KEY_POS[b]) * 4;
-                    let k = u64::from_le_bytes(buf[off..off + 8].try_into().unwrap());
-                    if k == key {
-                        let vptr = u64::from_le_bytes(buf[off + 8..off + 16].try_into().unwrap());
-                        assert_eq!(m.read(vptr, 16), value_pattern(key, 16));
-                        found = true;
-                    }
-                }
-                let noff = usize::from(chained_layout::NEXT_POS) * 4;
-                entry = u64::from_le_bytes(buf[noff..noff + 8].try_into().unwrap());
-            }
-            assert!(found, "key {key} must be reachable through its chain");
-        }
     }
 
     #[test]

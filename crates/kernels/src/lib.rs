@@ -57,6 +57,7 @@ pub mod radix;
 pub mod scan;
 pub mod shuffle;
 pub mod simd;
+mod stream;
 pub mod topk;
 pub mod traversal;
 

@@ -44,23 +44,6 @@ pub fn radix_partition_batch(values: &[u64], bits: u32, out: &mut [u32]) {
     }
 }
 
-/// Histogram of partition occupancy: `counts[pid] += 1` for every value
-/// (four interleaved sub-histograms measured no faster than this one
-/// counter array — EXPERIMENTS.md).
-///
-/// # Panics
-///
-/// Panics if `counts` is shorter than `1 << bits`.
-pub fn radix_histogram(values: &[u64], bits: u32, counts: &mut [u64]) {
-    assert!(
-        counts.len() >= (1usize << bits),
-        "counts must cover 1 << bits partitions"
-    );
-    for &v in values {
-        counts[radix_partition(v, bits)] += 1;
-    }
-}
-
 /// Number of radix bits for `num_partitions` (must be a power of two).
 ///
 /// # Panics
@@ -110,20 +93,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_histogram_agree_with_the_per_value_hash() {
+    fn batch_agrees_with_the_per_value_hash() {
         let values: Vec<u64> = (0..1003u64)
             .map(|i| i.wrapping_mul(0x5851_F42D_4C95_7F2D))
             .collect();
         for bits in [0u32, 3, 8, 10] {
             let mut pids = vec![0u32; values.len()];
             radix_partition_batch(&values, bits, &mut pids);
-            let mut counts = vec![0u64; 1 << bits];
-            radix_histogram(&values, bits, &mut counts);
-            assert_eq!(counts.iter().sum::<u64>(), values.len() as u64);
-            for (pid, &count) in counts.iter().enumerate() {
-                let members = pids.iter().filter(|&&p| p as usize == pid).count();
-                assert_eq!(count, members as u64, "bits = {bits}, pid = {pid}");
-            }
             assert!(values
                 .iter()
                 .zip(&pids)

@@ -225,13 +225,15 @@ impl Kernel for SubstringScanKernel {
     fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
         match event {
             KernelEvent::Invoke { qpn, params } => {
-                let Some(p) = ScanParams::decode(&params) else {
-                    return;
-                };
                 self.carry.clear();
                 self.bytes_scanned = 0;
                 self.matches = 0;
-                self.state = State::Active { qpn, params: p };
+                // Malformed params drop the configuration; either way the
+                // invocation completes and frees the slot.
+                self.state = match ScanParams::decode(&params) {
+                    Some(p) => State::Active { qpn, params: p },
+                    None => State::Unconfigured,
+                };
                 out.push(KernelAction::Done);
             }
             KernelEvent::RoceData { data, last, .. } => {
@@ -267,6 +269,7 @@ impl Kernel for SubstringScanKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::testing::check_malformed_invoke;
 
     fn lcg_bytes(n: usize, seed: u64) -> Vec<u8> {
         let mut s = seed;
@@ -354,6 +357,20 @@ mod tests {
                 "chunk_size = {chunk_size}"
             );
         }
+    }
+
+    #[test]
+    fn malformed_invoke_drops_the_configuration() {
+        let mut k = SubstringScanKernel::new();
+        k.on_event(KernelEvent::Invoke {
+            qpn: 1,
+            params: ScanParams {
+                target_address: 0x5000,
+                pattern: vec![7],
+            }
+            .encode(),
+        });
+        check_malformed_invoke(&mut k, Bytes::from_static(&[0]), &[]);
     }
 
     #[test]

@@ -23,9 +23,8 @@ use bytes::Bytes;
 use strom_wire::opcode::RpcOpCode;
 
 use crate::framework::{Kernel, KernelAction, KernelEvent};
-use crate::radix::{
-    radix_bits, radix_partition, radix_partition_batch, MAX_PARTITIONS, PARTITION_BUFFER_VALUES,
-};
+use crate::radix::{radix_bits, radix_partition, radix_partition_batch, MAX_PARTITIONS};
+use crate::stream::{ResultRegion, TupleStream};
 
 /// Parameters of the shuffle kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,17 +74,6 @@ pub fn encode_histogram(partitions: &[(u64, u32)]) -> Vec<u8> {
     out
 }
 
-/// One partition's on-chip state.
-#[derive(Debug, Clone)]
-struct Partition {
-    /// Next host address to flush to.
-    cursor: u64,
-    /// Remaining capacity in bytes.
-    remaining: u32,
-    /// The on-chip buffer (up to 16 values = 128 B).
-    buffer: Vec<u8>,
-}
-
 /// DMA tag for the histogram read.
 const TAG_HISTOGRAM: u32 = 1;
 
@@ -104,10 +92,10 @@ enum State {
 #[derive(Debug, Default)]
 pub struct ShuffleKernel {
     state: State,
-    partitions: Vec<Partition>,
+    /// Each partition's host region, behind its 128 B on-chip buffer.
+    partitions: Vec<ResultRegion>,
     bits: u32,
-    /// Value spill: a trailing partial 8 B value across packet boundaries.
-    spill: Vec<u8>,
+    stream: TupleStream,
     /// Values dropped because their partition was full (diagnostics; the
     /// experiments size partitions so this stays zero).
     overflowed: u64,
@@ -138,81 +126,30 @@ impl ShuffleKernel {
             let base = u64::from_le_bytes(histogram[off..off + 8].try_into().expect("sized"));
             let capacity =
                 u32::from_le_bytes(histogram[off + 8..off + 12].try_into().expect("sized"));
-            self.partitions.push(Partition {
-                cursor: base,
-                remaining: capacity,
-                buffer: Vec::with_capacity(PARTITION_BUFFER_VALUES * 8),
-            });
+            self.partitions.push(ResultRegion::new(base, capacity));
         }
         self.bits = radix_bits(num_partitions as usize);
-        self.spill.clear();
+        self.stream = TupleStream::default();
         self.state = State::Active;
     }
 
-    fn flush_partition(p: &mut Partition, out: &mut Vec<KernelAction>) {
-        if p.buffer.is_empty() {
-            return;
-        }
-        let len = p.buffer.len().min(p.remaining as usize);
-        if len > 0 {
-            out.push(KernelAction::DmaWrite {
-                vaddr: p.cursor,
-                data: Bytes::copy_from_slice(&p.buffer[..len]),
-            });
-            p.cursor += len as u64;
-            p.remaining -= len as u32;
-        }
-        p.buffer.clear();
-    }
-
     fn partition_values(&mut self, data: &[u8], out: &mut Vec<KernelAction>) {
-        // Reassemble 8 B values across packet boundaries.
-        let mut input: &[u8] = data;
-        let mut joined: Vec<u8>;
-        if !self.spill.is_empty() {
-            joined = std::mem::take(&mut self.spill);
-            joined.extend_from_slice(data);
-            input = &joined;
-        } else {
-            joined = Vec::new();
-        }
-        let whole = input.len() / 8 * 8;
         // Compute partition ids for a whole block, then run the (serial)
         // on-chip buffer appends — identical order and results to the
         // per-value loop.
-        let mut block = [0u64; 64];
         let mut pids = [0u32; 64];
-        for run in input[..whole].chunks(64 * 8) {
-            let n = run.len() / 8;
-            for (slot, chunk) in block[..n].iter_mut().zip(run.chunks_exact(8)) {
-                *slot = u64::from_le_bytes(chunk.try_into().expect("sized"));
-            }
-            radix_partition_batch(&block[..n], self.bits, &mut pids[..n]);
-            for j in 0..n {
-                let p = &mut self.partitions[pids[j] as usize];
-                if (p.buffer.len() + 8) as u32 > p.remaining {
+        self.stream.feed(data, |block| {
+            let pids = &mut pids[..block.len()];
+            radix_partition_batch(block, self.bits, pids);
+            for (&v, &pid) in block.iter().zip(pids.iter()) {
+                if self.partitions[pid as usize].push(v, out) {
+                    self.values += 1;
+                } else {
                     // No room left in this partition's host region.
                     self.overflowed += 1;
-                    continue;
-                }
-                p.buffer.extend_from_slice(&block[j].to_le_bytes());
-                self.values += 1;
-                if p.buffer.len() >= PARTITION_BUFFER_VALUES * 8 {
-                    Self::flush_partition(p, out);
                 }
             }
-        }
-        if whole < input.len() {
-            self.spill = input[whole..].to_vec();
-        }
-        drop(joined);
-    }
-
-    /// Flushes all partial buffers (end of stream).
-    fn flush_all(&mut self, out: &mut Vec<KernelAction>) {
-        for p in &mut self.partitions {
-            Self::flush_partition(p, out);
-        }
+        });
     }
 }
 
@@ -231,15 +168,15 @@ impl Kernel for ShuffleKernel {
     fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
         match event {
             KernelEvent::Invoke { qpn: _, params } => {
-                let Some(p) = ShuffleParams::decode(&params) else {
+                let Some(p) = ShuffleParams::decode(&params).filter(|p| {
+                    p.num_partitions.is_power_of_two()
+                        && p.num_partitions as usize <= MAX_PARTITIONS
+                }) else {
+                    // Malformed: drop the configuration, free the slot.
+                    self.state = State::Unconfigured;
+                    out.push(KernelAction::Done);
                     return;
                 };
-                if p.num_partitions == 0
-                    || !p.num_partitions.is_power_of_two()
-                    || p.num_partitions as usize > MAX_PARTITIONS
-                {
-                    return;
-                }
                 self.state = State::LoadingHistogram {
                     num_partitions: p.num_partitions,
                 };
@@ -265,7 +202,9 @@ impl Kernel for ShuffleKernel {
                 }
                 self.partition_values(&data, out);
                 if last {
-                    self.flush_all(out);
+                    for p in &mut self.partitions {
+                        p.flush(out);
+                    }
                     out.push(KernelAction::Done);
                 }
             }
@@ -287,6 +226,7 @@ pub fn reference_partition(values: &[u64], num_partitions: usize) -> Vec<Vec<u64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::testing::check_malformed_invoke;
 
     /// Drives the kernel with an in-test host memory image.
     struct Harness {
@@ -402,26 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn values_split_across_packets_are_reassembled() {
-        let (mut h, bases) = Harness::new(4, 1 << 16);
-        let data = tuples(100);
-        // Feed in awkward chunk sizes that split 8 B values.
-        let mut fed = 0;
-        for (i, chunk) in data.chunks(13).enumerate() {
-            fed += chunk.len();
-            let last = fed == data.len();
-            h.feed(chunk, last);
-            let _ = i;
-        }
-        let got = h.partition_contents(&bases);
-        let values: Vec<u64> = data
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        assert_eq!(got, reference_partition(&values, 4));
-    }
-
-    #[test]
     fn overflowing_partition_counts_drops() {
         // Capacity of one value (8 B) per partition.
         let (mut h, _) = Harness::new(1, 8);
@@ -444,33 +364,16 @@ mod tests {
     }
 
     #[test]
-    fn invalid_partition_counts_are_rejected() {
-        let mut k = ShuffleKernel::new();
-        for bad in [0u32, 3, 2048] {
-            let actions = k.on_event(KernelEvent::Invoke {
-                qpn: 1,
-                params: ShuffleParams {
-                    histogram_addr: 0,
-                    num_partitions: bad,
-                }
-                .encode(),
-            });
-            assert!(actions.is_empty(), "count {bad} must be rejected");
+    fn malformed_invoke_drops_the_configuration() {
+        let counts = [0u32, 3, 2048].map(|num_partitions| {
+            ShuffleParams {
+                histogram_addr: 0,
+                num_partitions,
+            }
+            .encode()
+        });
+        for params in counts.into_iter().chain([Bytes::from_static(&[0])]) {
+            check_malformed_invoke(&mut Harness::new(4, 1 << 16).0.kernel, params, &[]);
         }
-    }
-
-    #[test]
-    fn multiset_is_preserved() {
-        let (mut h, bases) = Harness::new(64, 1 << 20);
-        let data = tuples(5000);
-        h.feed(&data, true);
-        let mut got: Vec<u64> = h.partition_contents(&bases).concat();
-        let mut want: Vec<u64> = data
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        got.sort_unstable();
-        want.sort_unstable();
-        assert_eq!(got, want);
     }
 }

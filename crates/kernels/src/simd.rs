@@ -1,17 +1,16 @@
 //! A portable SIMD layer for the kernel hot loops.
 //!
 //! The FPGA kernels of the paper process one 64 B word per clock (II = 1,
-//! §3.4); the simulator's software counterparts of those inner loops —
-//! CRC64, the SplitMix64 hash, HLL register updates, radix partitioning,
-//! and the filter/bloom predicate scans — are the hottest per-byte code in
-//! the KV-serving and shuffle workloads. This module gives them explicit
-//! lane types in the style of the Eä compute-pattern taxonomy (streaming /
-//! reduction classes with explicit SIMD):
+//! §3.4). Three software counterparts of those inner loops run under
+//! explicit runtime dispatch: [`bytes_equal`] (the KV GET value check),
+//! [`mask_cmp`] (the filter predicate scan and the top-k threshold sweep)
+//! and [`crate::scan::substring_count`] (the scan kernel's first-byte
+//! search). The pieces:
 //!
-//! - [`U64x4`] / [`U8x32`]: safe fixed-width lane types whose operations
-//!   are plain per-lane array loops. Compiled with the AVX2 target feature
-//!   they lower to 256-bit vector instructions; without it they remain
-//!   correct scalar code.
+//! - [`U8x32`]: a safe fixed-width lane type whose operations are plain
+//!   per-lane array loops. Compiled with the AVX2 target feature they
+//!   lower to 256-bit vector instructions; without it they remain correct
+//!   scalar code.
 //! - [`simd_dispatch!`](crate::simd_dispatch): wraps a function body twice — once baseline, once
 //!   `#[target_feature(enable = "avx2")]` — and selects at runtime via
 //!   [`backend`]. This is the standard safe-dispatch pattern: the unsafe
@@ -37,24 +36,6 @@ pub enum Backend {
     Scalar,
     /// x86-64 AVX2: 256-bit lanes, 4 × u64 / 32 × u8 per operation.
     Avx2,
-}
-
-impl Backend {
-    /// The backend's name, for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Scalar => "scalar",
-            Backend::Avx2 => "avx2",
-        }
-    }
-
-    /// Number of u64 lanes one operation covers.
-    pub fn lanes_u64(self) -> usize {
-        match self {
-            Backend::Scalar => 1,
-            Backend::Avx2 => U64x4::LANES,
-        }
-    }
 }
 
 /// Detects the best available backend once and caches it.
@@ -102,110 +83,6 @@ macro_rules! simd_dispatch {
             body($($arg),*)
         }
     };
-}
-
-/// Four u64 lanes. Operations are per-lane array loops that the compiler
-/// lowers to 256-bit instructions when the AVX2 target feature is active.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct U64x4(pub [u64; 4]);
-
-impl U64x4 {
-    /// Lane count.
-    pub const LANES: usize = 4;
-
-    /// All lanes set to `v`.
-    #[inline(always)]
-    pub fn splat(v: u64) -> Self {
-        Self([v; 4])
-    }
-
-    /// Loads the first four elements of `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` has fewer than four elements.
-    #[inline(always)]
-    pub fn load(s: &[u64]) -> Self {
-        Self([s[0], s[1], s[2], s[3]])
-    }
-
-    /// The lanes as an array.
-    #[inline(always)]
-    pub fn to_array(self) -> [u64; 4] {
-        self.0
-    }
-
-    /// Lane-wise wrapping addition.
-    #[inline(always)]
-    pub fn wrapping_add(self, o: Self) -> Self {
-        Self(std::array::from_fn(|i| self.0[i].wrapping_add(o.0[i])))
-    }
-
-    /// Lane-wise wrapping multiplication.
-    #[inline(always)]
-    pub fn wrapping_mul(self, o: Self) -> Self {
-        Self(std::array::from_fn(|i| self.0[i].wrapping_mul(o.0[i])))
-    }
-
-    /// Lane-wise XOR.
-    #[inline(always)]
-    pub fn xor(self, o: Self) -> Self {
-        Self(std::array::from_fn(|i| self.0[i] ^ o.0[i]))
-    }
-
-    /// Lane-wise AND.
-    #[inline(always)]
-    pub fn and(self, o: Self) -> Self {
-        Self(std::array::from_fn(|i| self.0[i] & o.0[i]))
-    }
-
-    /// Lane-wise logical shift right (a method, not `std::ops::Shr`: the
-    /// callers shift by a scalar count, not lane-wise).
-    #[allow(clippy::should_implement_trait)]
-    #[inline(always)]
-    pub fn shr(self, n: u32) -> Self {
-        Self(std::array::from_fn(|i| self.0[i] >> n))
-    }
-
-    /// Lane-wise logical shift left (a method, not `std::ops::Shl`: the
-    /// callers shift by a scalar count, not lane-wise).
-    #[allow(clippy::should_implement_trait)]
-    #[inline(always)]
-    pub fn shl(self, n: u32) -> Self {
-        Self(std::array::from_fn(|i| self.0[i] << n))
-    }
-
-    /// A 4-bit mask: bit i set iff lane i equals `o`'s lane i.
-    #[inline(always)]
-    pub fn eq_bits(self, o: Self) -> u32 {
-        let mut m = 0u32;
-        for i in 0..4 {
-            m |= u32::from(self.0[i] == o.0[i]) << i;
-        }
-        m
-    }
-
-    /// A 4-bit mask: bit i set iff lane i is (unsigned) greater than
-    /// `o`'s lane i.
-    #[inline(always)]
-    pub fn gt_bits(self, o: Self) -> u32 {
-        let mut m = 0u32;
-        for i in 0..4 {
-            m |= u32::from(self.0[i] > o.0[i]) << i;
-        }
-        m
-    }
-
-    /// A 4-bit mask: bit i set iff lane i is (unsigned) less than `o`'s
-    /// lane i.
-    #[inline(always)]
-    pub fn lt_bits(self, o: Self) -> u32 {
-        let mut m = 0u32;
-        for i in 0..4 {
-            m |= u32::from(self.0[i] < o.0[i]) << i;
-        }
-        m
-    }
 }
 
 /// Thirty-two u8 lanes (one 256-bit register / half a 64 B datapath word).
@@ -304,7 +181,7 @@ simd_dispatch! {
         assert!(values.len() <= 64, "one mask word covers 64 values");
         // Hand-unswitched so each loop is a single branchless compare per
         // lane that the compiler auto-vectorizes (compare + sign-mask
-        // extraction) under the wide entry point; a hand-rolled U64x4
+        // extraction) under the wide entry point; a hand-rolled four-lane
         // formulation measured *slower* because the 4-lane bool
         // extraction did not lower to a movemask.
         let mut m = 0u64;
@@ -362,24 +239,6 @@ mod tests {
     #[test]
     fn backend_is_stable() {
         assert_eq!(backend(), backend());
-        assert_eq!(backend().lanes_u64() > 1, backend() != Backend::Scalar);
-        assert!(!backend().name().is_empty());
-    }
-
-    #[test]
-    fn u64x4_lane_ops() {
-        let a = U64x4::load(&[1, 2, u64::MAX, 1 << 63]);
-        let b = U64x4::splat(2);
-        assert_eq!(a.wrapping_add(b).to_array(), [3, 4, 1, (1 << 63) + 2]);
-        assert_eq!(a.wrapping_mul(b).0[2], u64::MAX.wrapping_mul(2));
-        assert_eq!(a.xor(a).to_array(), [0; 4]);
-        assert_eq!(a.and(b).to_array(), [0, 2, 2, 0]);
-        assert_eq!(a.shr(1).0[3], 1 << 62);
-        assert_eq!(a.shl(1).0[0], 2);
-        assert_eq!(a.eq_bits(U64x4::splat(2)), 0b0010);
-        // gt/lt are unsigned: MAX and 1<<63 are both > 2.
-        assert_eq!(a.gt_bits(b), 0b1100);
-        assert_eq!(a.lt_bits(b), 0b0001);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! The kernel treats RPC WRITE payload as 8 B unsigned tuples and keeps
 //! the k largest in an on-chip min-heap. The hot loop is a vectorized
 //! *threshold scan*: once the heap is full, a whole 64-tuple block is
-//! compared against the current minimum with one [`crate::simd`] predicate
+//! compared against the current minimum with one [`crate::simd::mask_cmp`]
 //! sweep, and only the (rare) candidates that beat it touch the heap — the
 //! same fast path a hardware implementation gets from a parallel
 //! comparator front-end ahead of a serial heap. The result is
@@ -25,28 +25,8 @@ use strom_wire::bth::Qpn;
 use strom_wire::opcode::RpcOpCode;
 
 use crate::framework::{Kernel, KernelAction, KernelEvent};
-use crate::simd_dispatch;
-
-simd_dispatch! {
-    /// Survivor mask of one run of up to 64 little-endian 8 B tuples:
-    /// bit i is set iff tuple i is (unsigned) greater than `floor`. The
-    /// comparison reads the wire bytes in place — no staging copy — and
-    /// the loop lowers to 256-bit loads and compares under the AVX2
-    /// entry point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `run` is longer than 64 tuples.
-    pub fn gt_mask_le_bytes(run: &[u8], floor: u64) -> u64 {
-        assert!(run.len() <= 64 * 8, "one mask word covers 64 tuples");
-        let mut m = 0u64;
-        for (i, c) in run.chunks_exact(8).enumerate() {
-            let v = u64::from_le_bytes(c.try_into().expect("sized"));
-            m |= u64::from(v > floor) << i;
-        }
-        m
-    }
-}
+use crate::simd::{mask_cmp, Cmp};
+use crate::stream::TupleStream;
 
 /// Parameters of the top-k kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,8 +85,7 @@ pub struct TopKKernel {
     state: State,
     /// Min-heap of the current k maxima.
     heap: BinaryHeap<Reverse<u64>>,
-    /// Partial tuple spilled across packet boundaries.
-    spill: Vec<u8>,
+    stream: TupleStream,
     /// Tuples observed in the current invocation.
     seen: u64,
 }
@@ -168,44 +147,28 @@ impl TopKKernel {
     }
 
     /// Streams raw little-endian tuple bytes through the vectorized
-    /// select path. Public so the micro-benchmarks and differential
-    /// tests drive the exact code the kernel runs on the wire.
-    pub fn ingest(&mut self, k: usize, data: &[u8]) {
-        let mut input: &[u8] = data;
-        let joined;
-        if !self.spill.is_empty() {
-            let mut j = std::mem::take(&mut self.spill);
-            j.extend_from_slice(data);
-            joined = j;
-            input = &joined;
-        }
-        let whole = input.len() / 8 * 8;
-        for run in input[..whole].chunks(64 * 8) {
-            self.seen += (run.len() / 8) as u64;
+    /// select path.
+    fn ingest(&mut self, k: usize, data: &[u8]) {
+        self.stream.feed(data, |block| {
+            self.seen += block.len() as u64;
             if self.heap.len() < k {
                 // Warm-up: the heap is still filling; no threshold exists.
-                for c in run.chunks_exact(8) {
-                    let v = u64::from_le_bytes(c.try_into().expect("sized"));
+                for &v in block {
                     Self::offer(&mut self.heap, k, v);
                 }
-                continue;
+                return;
             }
-            // Steady state: one vector sweep over the wire bytes rejects
-            // the whole run against the current minimum; only survivors
-            // are decoded, and they re-check against the (possibly risen)
-            // minimum inside `offer`.
+            // Steady state: one vector sweep rejects the whole block
+            // against the current minimum; survivors re-check against the
+            // (possibly risen) minimum inside `offer`.
             let floor = self.heap.peek().expect("full").0;
-            let mut mask = gt_mask_le_bytes(run, floor);
+            let mut mask = mask_cmp(block, Cmp::Gt, floor);
             while mask != 0 {
-                let i = mask.trailing_zeros() as usize * 8;
+                let i = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                let v = u64::from_le_bytes(run[i..i + 8].try_into().expect("sized"));
-                Self::offer(&mut self.heap, k, v);
+                Self::offer(&mut self.heap, k, block[i]);
             }
-        }
-        if whole < input.len() {
-            self.spill = input[whole..].to_vec();
-        }
+        });
     }
 }
 
@@ -221,13 +184,15 @@ impl Kernel for TopKKernel {
     fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
         match event {
             KernelEvent::Invoke { qpn, params } => {
-                let Some(p) = TopKParams::decode(&params) else {
-                    return;
-                };
                 self.heap.clear();
-                self.spill.clear();
+                self.stream = TupleStream::default();
                 self.seen = 0;
-                self.state = State::Active { qpn, params: p };
+                // Malformed params (k = 0 included) drop the configuration;
+                // either way the invocation completes and frees the slot.
+                self.state = match TopKParams::decode(&params) {
+                    Some(p) => State::Active { qpn, params: p },
+                    None => State::Unconfigured,
+                };
                 out.push(KernelAction::Done);
             }
             KernelEvent::RoceData { data, last, .. } => {
@@ -267,6 +232,7 @@ pub fn reference_topk(values: &[u64], k: usize) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::testing::check_malformed_invoke;
 
     fn configured(k: u32) -> TopKKernel {
         let mut kernel = TopKKernel::new();
@@ -311,26 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn gt_mask_matches_the_filter_reference_at_every_width() {
-        let values: Vec<u64> = (0..64u64)
-            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .collect();
-        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let pivot = u64::MAX / 2;
-        for width in 0..=64usize {
-            assert_eq!(
-                gt_mask_le_bytes(&bytes[..width * 8], pivot),
-                crate::filter::predicate_mask_reference(
-                    &values[..width],
-                    crate::traversal::Predicate::GreaterThan,
-                    pivot
-                ),
-                "width = {width}"
-            );
-        }
-    }
-
-    #[test]
     fn matches_sort_based_reference() {
         // Pseudo-random values with duplicates; multiple block widths.
         let values: Vec<u64> = (0..5000u64)
@@ -349,25 +295,14 @@ mod tests {
     }
 
     #[test]
-    fn fragmentation_does_not_change_the_result() {
-        let values: Vec<u64> = (0..999u64).map(|i| i.wrapping_mul(7919) % 500).collect();
-        let data: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let mut kernel = configured(16);
-        let mut fed = 0;
-        let mut result = None;
-        for chunk in data.chunks(13) {
-            fed += chunk.len();
-            for a in kernel.on_event(KernelEvent::RoceData {
-                qpn: 1,
-                data: Bytes::copy_from_slice(chunk),
-                last: fed == data.len(),
-            }) {
-                if let KernelAction::RoceSend { data, .. } = a {
-                    result = TopKKernel::decode_result(&data);
-                }
-            }
+    fn malformed_invoke_drops_the_configuration() {
+        let zero_k = TopKParams {
+            k: 0,
+            target_address: 0x7000,
+        };
+        for params in [zero_k.encode(), Bytes::from_static(&[0])] {
+            check_malformed_invoke(&mut configured(4), params, &[]);
         }
-        assert_eq!(result, Some(reference_topk(&values, 16)));
     }
 
     #[test]

@@ -10,6 +10,10 @@ use strom_kernels::hll::HyperLogLog;
 use strom_kernels::layouts::{build_linked_list, value_pattern};
 use strom_kernels::shuffle::{encode_histogram, reference_partition, ShuffleKernel, ShuffleParams};
 use strom_kernels::traversal::{Predicate, TraversalKernel, TraversalParams};
+use strom_kernels::{
+    AggregateKernel, AggregateParams, BloomFilter, BloomKernel, BloomParams, FilterKernel,
+    FilterParams, HllKernel, TopKKernel, TopKParams,
+};
 use strom_mem::{HostMemory, HUGE_PAGE_SIZE};
 
 /// Drives a kernel against host memory until it stops issuing DMA reads.
@@ -87,62 +91,31 @@ fn shuffle_matches_reference() {
         let values: Vec<u64> = (0..rng.below(500)).map(|_| rng.next_u64()).collect();
         let num_partitions = 1u32 << rng.below(8);
         let chunk = rng.range(1, 700) as usize;
-        let mut kernel = ShuffleKernel::new();
         // Configure through the real histogram path.
         let bases: Vec<(u64, u32)> = (0..u64::from(num_partitions))
             .map(|i| (i << 20, 1 << 20))
             .collect();
+        let params = ShuffleParams {
+            histogram_addr: 0,
+            num_partitions,
+        };
         let histogram = encode_histogram(&bases);
-        let a = kernel.on_event(KernelEvent::Invoke {
-            qpn: 1,
-            params: ShuffleParams {
-                histogram_addr: 0,
-                num_partitions,
-            }
-            .encode(),
-        });
-        assert!(matches!(a[0], KernelAction::DmaRead { .. }));
-        kernel.on_event(KernelEvent::DmaData {
-            tag: 1,
-            data: Bytes::from(histogram),
-        });
+        let mut kernel = configure(Box::new(ShuffleKernel::new()), params.encode(), &histogram);
 
-        // Feed the tuple bytes in arbitrary-size chunks.
+        // Feed the tuple bytes in arbitrary-size chunks, then reconstruct
+        // the partitions from the write stream.
         let data: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let mut writes: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut fed = 0usize;
-        if data.is_empty() {
-            let actions = kernel.on_event(KernelEvent::RoceData {
-                qpn: 1,
-                data: Bytes::new(),
-                last: true,
-            });
-            for act in actions {
-                if let KernelAction::DmaWrite { vaddr, data } = act {
-                    writes.push((vaddr, data.to_vec()));
-                }
+        let mut segments: Vec<&[u8]> = data.chunks(chunk).collect();
+        if segments.is_empty() {
+            segments.push(&[]);
+        }
+        let mut per_part: Vec<Vec<(u64, Bytes)>> = vec![Vec::new(); num_partitions as usize];
+        for act in stream_through(kernel.as_mut(), &segments) {
+            if let KernelAction::DmaWrite { vaddr, data } = act {
+                per_part[(vaddr >> 20) as usize].push((vaddr, data));
             }
         }
-        for piece in data.chunks(chunk) {
-            fed += piece.len();
-            let actions = kernel.on_event(KernelEvent::RoceData {
-                qpn: 1,
-                data: Bytes::copy_from_slice(piece),
-                last: fed == data.len(),
-            });
-            for act in actions {
-                if let KernelAction::DmaWrite { vaddr, data } = act {
-                    writes.push((vaddr, data.to_vec()));
-                }
-            }
-        }
-
-        // Reconstruct partitions from the write stream.
         let mut got: Vec<Vec<u64>> = vec![Vec::new(); num_partitions as usize];
-        let mut per_part: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); num_partitions as usize];
-        for (addr, bytes) in writes {
-            per_part[(addr >> 20) as usize].push((addr, bytes));
-        }
         for (pid, mut ws) in per_part.into_iter().enumerate() {
             ws.sort_by_key(|(a, _)| *a);
             let mut cursor = (pid as u64) << 20;
@@ -155,8 +128,163 @@ fn shuffle_matches_reference() {
             }
         }
         assert_eq!(got, reference_partition(&values, num_partitions as usize));
+        let kernel = kernel.as_any().downcast_ref::<ShuffleKernel>().unwrap();
         assert_eq!(kernel.values(), values.len() as u64);
         assert_eq!(kernel.overflowed(), 0);
+    }
+}
+
+/// Invokes `kernel` with `params`, answering a configure-time DMA read
+/// with `dma`.
+fn configure(mut kernel: Box<dyn Kernel>, params: Bytes, dma: &[u8]) -> Box<dyn Kernel> {
+    let mut actions = kernel.on_event(KernelEvent::Invoke { qpn: 1, params });
+    if let [KernelAction::DmaRead { tag, .. }] = actions[..] {
+        let data = Bytes::copy_from_slice(dma);
+        actions = kernel.on_event(KernelEvent::DmaData { tag, data });
+    }
+    assert_eq!(actions, [KernelAction::Done]);
+    kernel
+}
+
+/// One configured instance of each tuple kernel, with parameters drawn
+/// from `rng` against the stream `values`; small result regions make the
+/// overflow paths run too.
+fn tuple_kernels(rng: &mut SimRng, values: &[u64]) -> Vec<Box<dyn Kernel>> {
+    let mut pick = || {
+        values
+            .get(rng.below(values.len() as u64 + 1) as usize)
+            .copied()
+    };
+    let operand = pick().unwrap_or(0);
+    let mut members = BloomFilter::new(10, 3);
+    for v in std::iter::repeat_with(pick).take(8).flatten() {
+        members.insert(v);
+    }
+    let capacity = rng.below(2048) as u32;
+    let partitions = 1u32 << rng.below(6);
+    let histogram: Vec<(u64, u32)> = (0..u64::from(partitions))
+        .map(|i| (i << 20, rng.below(1024) as u32))
+        .collect();
+    let filter = FilterParams {
+        dest_addr: 0x1000,
+        dest_capacity: capacity,
+        predicate: Predicate::from_u8(rng.below(4) as u8).unwrap(),
+        operand,
+        target_address: 0x9000,
+    };
+    let bloom = BloomParams {
+        bitmap_addr: 0x100,
+        dest_addr: 0x1000,
+        dest_capacity: capacity,
+        log2_bits: 10,
+        probes: 3,
+        target_address: 0x9000,
+    };
+    let topk = TopKParams {
+        k: rng.range(1, 40) as u32,
+        target_address: 0x9000,
+    };
+    let shuffle = ShuffleParams {
+        histogram_addr: 0x5000,
+        num_partitions: partitions,
+    };
+    vec![
+        configure(Box::new(FilterKernel::new()), filter.encode(), &[]),
+        configure(
+            Box::new(BloomKernel::new()),
+            bloom.encode(),
+            &members.to_bitmap(),
+        ),
+        configure(
+            Box::new(AggregateKernel::new()),
+            AggregateParams {
+                target_address: 0x9000,
+            }
+            .encode(),
+            &[],
+        ),
+        configure(
+            Box::new(HllKernel::with_precision(10)),
+            HllKernel::stream_params(0x9000),
+            &[],
+        ),
+        configure(Box::new(TopKKernel::new()), topk.encode(), &[]),
+        configure(
+            Box::new(ShuffleKernel::new()),
+            shuffle.encode(),
+            &encode_histogram(&histogram),
+        ),
+    ]
+}
+
+/// Streams `segments` into `kernel`, the last one closing the stream;
+/// returns everything the kernel emitted, in order.
+fn stream_through(kernel: &mut dyn Kernel, segments: &[&[u8]]) -> Vec<KernelAction> {
+    let mut out = Vec::new();
+    for (i, segment) in segments.iter().enumerate() {
+        let data = Bytes::copy_from_slice(segment);
+        let last = i + 1 == segments.len();
+        kernel.on_event_into(KernelEvent::RoceData { qpn: 1, data, last }, &mut out);
+    }
+    out
+}
+
+/// Cuts `data` at ragged points: 0–23 B segments, and sometimes an empty
+/// segment closing the stream.
+fn ragged<'a>(rng: &mut SimRng, mut data: &'a [u8]) -> Vec<&'a [u8]> {
+    let mut segments = Vec::new();
+    while !data.is_empty() {
+        let (head, rest) = data.split_at((rng.below(24) as usize).min(data.len()));
+        segments.push(head);
+        data = rest;
+    }
+    if segments.is_empty() || rng.chance(0.25) {
+        segments.push(data);
+    }
+    segments
+}
+
+/// Every tuple kernel emits the same actions — each `DmaWrite`,
+/// `RoceSend` and `Done`, in order — whether its stream arrives whole or
+/// cut at arbitrary points, 8 B tuples split across packets included.
+#[test]
+fn tuple_kernels_ignore_packet_boundaries() {
+    let mut rng = SimRng::seed(0x5e97);
+    // Fixed streams at fixed cuts, then random streams at ragged cuts.
+    let mut cases: Vec<(Vec<u64>, usize)> = vec![
+        (vec![7, 8, 7, 9, 7], 11),
+        (
+            (0..100u64)
+                .map(|i| i.wrapping_mul(0x5851_F42D_4C95_7F2D))
+                .collect(),
+            13,
+        ),
+        ((0..999).collect(), 13),
+        ((0..999u64).map(|i| i * 7919 % 500).collect(), 13),
+    ];
+    for _ in 0..40 {
+        let mask = if rng.chance(0.5) { 1023 } else { u64::MAX };
+        let n = rng.below(600);
+        cases.push(((0..n).map(|_| rng.next_u64() & mask).collect(), 0));
+    }
+    for (values, chunk) in cases {
+        let data: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let segments = match chunk {
+            0 => ragged(&mut rng, &data),
+            n => data.chunks(n).collect(),
+        };
+        let seed = rng.next_u64();
+        let whole = tuple_kernels(&mut SimRng::seed(seed), &values);
+        let split = tuple_kernels(&mut SimRng::seed(seed), &values);
+        for (mut w, mut s) in whole.into_iter().zip(split) {
+            assert_eq!(
+                stream_through(w.as_mut(), &[&data]),
+                stream_through(s.as_mut(), &segments),
+                "{} over {} tuples",
+                w.name(),
+                values.len()
+            );
+        }
     }
 }
 

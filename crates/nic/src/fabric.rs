@@ -333,6 +333,28 @@ mod tests {
     }
 
     #[test]
+    fn malformed_invoke_frees_the_slot_for_the_next() {
+        use strom_kernels::{FilterKernel, FilterParams, Predicate};
+        let mut f = KernelFabric::new(1);
+        f.register(Box::new(FilterKernel::new()));
+        let op = RpcOpCode::FILTER;
+        let mut out = Vec::new();
+        assert!(f.invoke(op, 1, Bytes::from_static(&[0]), &mut out));
+        assert_eq!(out, vec![KernelAction::Done], "the bad invoke completes");
+        out.clear();
+        f.done(op, &mut out);
+        let valid = FilterParams {
+            dest_addr: 0x1000,
+            dest_capacity: 64,
+            predicate: Predicate::Equal,
+            operand: 1,
+            target_address: 0x9000,
+        };
+        assert!(f.invoke(op, 1, valid.encode(), &mut out));
+        assert_eq!(out, vec![KernelAction::Done], "dispatched, not queued");
+    }
+
+    #[test]
     fn fault_injection_corrupts_only_first_reads() {
         let mut f = KernelFabric::new(3);
         f.register(Box::new(EchoDma(RpcOpCode::CONSISTENCY)));

@@ -262,7 +262,7 @@ fn traversal_kernel_follows_hash_chains() {
     // §6.2: on a bucket miss "the remote NIC could … fetch the next hash
     // table entry in case the implementation uses chaining for collision
     // resolution" — the same kernel, parametrized with a next pointer.
-    use strom::kernels::layouts::build_chained_hash_table;
+    use strom::kernels::layouts::build_kv_store;
 
     let mut tb = testbed();
     let client_buf = tb.pin(CLIENT, 1 << 20);
@@ -271,7 +271,7 @@ fn traversal_kernel_follows_hash_chains() {
 
     // Severely undersized table: 4 entries x 2 buckets for 24 keys.
     let keys: Vec<u64> = (1..=24).collect();
-    let ht = build_chained_hash_table(tb.mem(SERVER), server_buf, 4, &keys, 64);
+    let ht = build_kv_store(tb.mem(SERVER), server_buf, 4, &keys, 64, 0).table;
     assert!(ht.overflow_entries > 0);
 
     for &key in &keys {
