@@ -91,7 +91,36 @@ pub enum NicEvent {
     },
 }
 
+/// The names of the event kinds [`Event::kind`] numbers, in index order:
+/// one per [`NicEvent`] variant, then the switch tick.
+pub const EVENT_KINDS: [&str; 8] = [
+    "cmd_arrive",
+    "frame_arrive",
+    "dma_write_done",
+    "kernel_dma_read_done",
+    "retransmit_check",
+    "pacer_tick",
+    "arp_arrive",
+    "switch_tick",
+];
+
 impl Event {
+    /// This event's index into [`EVENT_KINDS`].
+    pub fn kind(&self) -> usize {
+        match self {
+            Event::Nic { ev, .. } => match ev {
+                NicEvent::CmdArrive { .. } => 0,
+                NicEvent::FrameArrive { .. } => 1,
+                NicEvent::DmaWriteDone { .. } => 2,
+                NicEvent::KernelDmaReadDone { .. } => 3,
+                NicEvent::RetransmitCheck => 4,
+                NicEvent::PacerTick { .. } => 5,
+                NicEvent::ArpArrive { .. } => 6,
+            },
+            Event::SwitchTick => 7,
+        }
+    }
+
     /// The box this event happens inside: NIC events belong to their
     /// node, switch arbitration to the switch (`switch` is the id the
     /// caller assigns it — conventionally the node count).

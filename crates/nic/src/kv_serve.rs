@@ -896,6 +896,39 @@ mod tests {
         ]
     }
 
+    /// Every event the testbed dispatches on a small fixed run, by kind.
+    /// The counts are a property of the model: work on the event engine,
+    /// the switch or the frame path may make an event cheaper, but a
+    /// change that adds, removes or re-kinds one changes the model and
+    /// must re-pin these on purpose.
+    #[test]
+    fn dispatched_event_counts_by_kind_are_pinned() {
+        let counts = |cc: bool| {
+            let mut spec = small(7);
+            spec.cc = cc;
+            let mut tb = spec.testbed();
+            assert_clean(&spec.drive(&mut tb));
+            (crate::EVENT_KINDS.into_iter())
+                .zip(tb.dispatched_by_kind())
+                .collect::<Vec<_>>()
+        };
+        let want = |pacer_ticks: u64| {
+            vec![
+                ("cmd_arrive", 160),
+                ("frame_arrive", 862),
+                ("dma_write_done", 320),
+                ("kernel_dma_read_done", 318),
+                ("retransmit_check", 20),
+                ("pacer_tick", pacer_ticks),
+                ("arp_arrive", 24),
+                ("switch_tick", 862),
+            ]
+        };
+        assert_eq!(counts(false), want(0));
+        // With DCQCN on, the pacer's ticks join the count.
+        assert_eq!(counts(true), want(431));
+    }
+
     #[test]
     fn audit_passes_a_clean_ladder() {
         let a = audit_of(&clean(), &[(1, 2)]);

@@ -65,7 +65,7 @@ pub use corpus::{
     run_corpus, run_corpus_cases, CorpusCase, CorpusReport, CorpusScale, PerfGate, ScenarioSpec,
     SpecError, Workload,
 };
-pub use event::{Event, NodeId};
+pub use event::{Event, NodeId, EVENT_KINDS};
 pub use fabric::KernelFabric;
 pub use fault::{LinkFaultModel, LossModel};
 pub use kv_serve::{run_kv_serve, KvOutcome, KvSpec};

@@ -35,7 +35,7 @@ use strom_wire::opcode::RpcOpCode;
 use crate::config::NicConfig;
 use crate::controller::StatusRegisters;
 pub use crate::event::LookaheadReport;
-use crate::event::{Event, LookaheadAudit, NodeId, Scheduler};
+use crate::event::{Event, LookaheadAudit, NodeId, Scheduler, EVENT_KINDS};
 use crate::fabric::KernelFabric;
 use crate::fault::LinkFaultModel;
 pub use crate::nic::CpuFallback;
@@ -64,6 +64,8 @@ pub struct ClusterTestbed {
     /// Reusable buffer for [`Self::step_batch`] (zero steady-state
     /// allocation).
     batch_buf: Vec<strom_sim::Scheduled<Event>>,
+    /// Dispatched events per [`Event::kind`].
+    dispatched: [u64; EVENT_KINDS.len()],
 }
 
 /// The original name of the two-node point-to-point testbed, built with
@@ -169,6 +171,7 @@ impl ClusterTestbed {
             trace: TraceSink::default(),
             metrics,
             batch_buf: Vec::new(),
+            dispatched: [0; EVENT_KINDS.len()],
             cfg,
         }
     }
@@ -212,9 +215,23 @@ impl ClusterTestbed {
     }
 
     /// The testbed's metrics registry (completion-latency histograms,
-    /// the sim dispatch counter, and anything experiments add).
+    /// the sim dispatch counter, the switch's per-port counters and
+    /// queue high watermarks, and anything experiments add).
+    ///
+    /// The switch keeps its per-port counts itself and copies them into
+    /// the registry here, when it is read, rather than on every grant: a
+    /// clone of the registry taken earlier sees them as of its last read
+    /// through this accessor.
     pub fn metrics(&self) -> &MetricsRegistry {
+        self.wire.publish_switch_metrics();
         &self.metrics
+    }
+
+    /// How many events of each kind have been dispatched so far, indexed
+    /// like [`EVENT_KINDS`] (one per NIC event variant, then the switch
+    /// tick).
+    pub fn dispatched_by_kind(&self) -> [u64; EVENT_KINDS.len()] {
+        self.dispatched
     }
 
     /// Starts capturing every RoCE frame that reaches the wire into an
@@ -622,6 +639,7 @@ impl ClusterTestbed {
     /// Runs the handler of an event the queue just popped (so the clock
     /// already reads its firing time).
     fn dispatch_event(&mut self, event: Event) {
+        self.dispatched[event.kind()] += 1;
         let owner = event.owner(self.sched.switch_owner);
         if let Some(audit) = &mut self.sched.audit {
             audit.dispatching = Some(owner);

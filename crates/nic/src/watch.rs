@@ -6,8 +6,12 @@
 //! has requests; a DMA write must therefore find the watches it overlaps
 //! without looking at the rest. Unfired watches are kept per node in an
 //! index ordered by start address and leave it when they fire.
-
-use std::collections::BTreeSet;
+//!
+//! The index is a sorted `Vec`. Drivers register their response slots in
+//! increasing address order, so a new watch is almost always an append
+//! (any other is a binary-search insert); a write binary-searches the
+//! first watch it may overlap, and the watches it fires are compacted out
+//! of the window it scanned in one move.
 
 use strom_sim::time::Time;
 
@@ -28,8 +32,9 @@ struct Watch {
 /// The unfired watches of one node.
 #[derive(Debug, Default)]
 struct NodeIndex {
-    /// `(start address, watch id)` of every unfired, non-empty watch.
-    by_start: BTreeSet<(u64, usize)>,
+    /// `(start address, watch id)` of every unfired, non-empty watch, in
+    /// ascending order.
+    by_start: Vec<(u64, usize)>,
     /// Length of the longest watch ever registered on this node: a watch
     /// overlapping a write starts less than this far below the write.
     max_len: u64,
@@ -40,8 +45,6 @@ struct NodeIndex {
 pub(crate) struct WatchTable {
     watches: Vec<Watch>,
     nodes: Vec<NodeIndex>,
-    /// Index keys of the watches the current write fired (reused).
-    fired: Vec<(u64, usize)>,
 }
 
 impl WatchTable {
@@ -49,7 +52,6 @@ impl WatchTable {
         WatchTable {
             watches: Vec::new(),
             nodes: (0..nodes).map(|_| NodeIndex::default()).collect(),
-            fired: Vec::new(),
         }
     }
 
@@ -64,7 +66,15 @@ impl WatchTable {
         });
         if len > 0 {
             let index = &mut self.nodes[node];
-            index.by_start.insert((addr, id));
+            // Ids only grow, so the new key sorts last unless a watch
+            // above `addr` is still pending.
+            let key = (addr, id);
+            if index.by_start.last().is_none_or(|&last| last < key) {
+                index.by_start.push(key);
+            } else {
+                let pos = index.by_start.partition_point(|&k| k < key);
+                index.by_start.insert(pos, key);
+            }
             index.max_len = index.max_len.max(len);
         }
         WatchId(id)
@@ -84,7 +94,13 @@ impl WatchTable {
         }
         let write_end = vaddr + len;
         let lowest_start = vaddr.saturating_sub(index.max_len - 1);
-        for &(start, id) in index.by_start.range((lowest_start, 0)..(write_end, 0)) {
+        let keys = &mut index.by_start;
+        // Scan the window of watches starting in [lowest_start,
+        // write_end), sliding the unfired ones down over the fired.
+        let first = keys.partition_point(|&(start, _)| start < lowest_start);
+        let (mut scan, mut keep) = (first, first);
+        while let Some(&(start, id)) = keys.get(scan).filter(|k| k.0 < write_end) {
+            scan += 1;
             let w = &mut self.watches[id];
             let overlap_start = vaddr.max(start);
             let overlap_end = write_end.min(start + w.len);
@@ -92,13 +108,13 @@ impl WatchTable {
                 w.remaining = w.remaining.saturating_sub(overlap_end - overlap_start);
                 if w.remaining == 0 {
                     w.fired_at = Some(at);
-                    self.fired.push((start, id));
+                    continue;
                 }
             }
+            keys[keep] = (start, id);
+            keep += 1;
         }
-        for key in self.fired.drain(..) {
-            index.by_start.remove(&key);
-        }
+        keys.drain(keep..scan);
     }
 }
 

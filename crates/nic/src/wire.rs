@@ -76,7 +76,9 @@ struct InFlight {
     dup: bool,
 }
 
-/// Per-egress-port metrics mirrors into the shared registry.
+/// Per-egress-port metrics mirrors into the shared registry, brought up
+/// to the switch's own [`SwitchPortCounters`] when the registry is read
+/// ([`Wire::publish_switch_metrics`]) rather than on every grant.
 struct PortMetrics {
     frames_out: Counter,
     tail_drops: Counter,
@@ -90,7 +92,7 @@ struct SwitchState {
     /// Reusable arbitration output buffers (zero steady-state allocation).
     deliveries: Vec<Delivery<InFlight>>,
     drops: Vec<TailDrop<InFlight>>,
-    /// Per-egress-port metrics mirrors.
+    /// Per-egress-port metrics mirrors, published on read.
     port_metrics: Vec<PortMetrics>,
 }
 
@@ -191,6 +193,26 @@ impl Wire {
 
     pub(crate) fn switch_counters(&self, port: usize) -> Option<SwitchPortCounters> {
         self.switch.as_ref().map(|s| s.model.counters(port))
+    }
+
+    /// Brings the registry's per-port switch mirrors up to the switch's
+    /// counters. The counters only grow, so each mirror adds what it is
+    /// behind by; the gauge takes the high watermark as it stands.
+    pub(crate) fn publish_switch_metrics(&self) {
+        let Some(sw) = &self.switch else {
+            return;
+        };
+        for (port, pm) in sw.port_metrics.iter().enumerate() {
+            let c = sw.model.counters(port);
+            for (mirror, count) in [
+                (&pm.frames_out, c.frames_out),
+                (&pm.tail_drops, c.tail_drops),
+                (&pm.ecn_marked, c.ecn_marked),
+            ] {
+                mirror.add(count - mirror.get());
+            }
+            pm.queue_peak.set(c.queue_peak);
+        }
     }
 
     pub(crate) fn switch_tail_drops(&self) -> u64 {
@@ -396,12 +418,9 @@ impl Wire {
                 node: d.dst as u8,
                 reason: DropReason::TailDrop,
             });
-            sw.port_metrics[d.dst].tail_drops.inc();
         }
         for d in sw.deliveries.drain(..) {
             let mut flight = d.payload;
-            let pm = &sw.port_metrics[d.dst];
-            pm.frames_out.inc();
             if d.marked {
                 // The switch decided to CE-mark this frame: rewrite the
                 // ECN field (and IPv4 checksum) in the egress buffer. At
@@ -414,12 +433,7 @@ impl Wire {
                 }
                 let buf = flight.frame.try_mut().expect("sole owner of a fresh copy");
                 strom_wire::mark_ce(&mut buf[strom_wire::ethernet::ETHERNET_HEADER_LEN..]);
-                pm.ecn_marked.inc();
             }
-            // Mirror the port's queue high-watermark into its gauge so it
-            // flows into telemetry reports alongside the counters; it
-            // only ever moves on an admission to this port.
-            pm.queue_peak.set(sw.model.counters(d.dst).queue_peak);
             self.deliver(d.dst, flight, d.egress_end, cfg, sched);
         }
         self.switch = Some(sw);

@@ -243,11 +243,16 @@ impl<E> EventQueue<E> {
         if self.batch.last().is_some_and(|max| at < max.at) && self.batch_pos < self.batch.len() {
             // The event lands inside the drained run, where the wheel can
             // no longer order it: splice it into position among the
-            // unserved tokens. Runs are capped at `RUN_MAX`, so the
-            // memmove stays small, and deltas shorter than the run span
-            // are rare in practice.
-            let pos = self.batch_pos
-                + self.batch[self.batch_pos..].partition_point(|s| (s.at, s.seq) < (at, seq));
+            // unserved tokens. Its seq is the largest yet, so it goes
+            // after every token at or before `at`; scanning back from the
+            // run's end finds that place in a few steps, because a
+            // spliced event mostly lands among the run's last tokens
+            // (DESIGN.md §12). Runs are capped at `RUN_MAX`, so the
+            // memmove stays small.
+            let mut pos = self.batch.len() - 1;
+            while pos > self.batch_pos && at < self.batch[pos - 1].at {
+                pos -= 1;
+            }
             self.batch.insert(pos, Scheduled { at, seq, event });
             return;
         }

@@ -53,12 +53,26 @@ impl Bandwidth {
             return 0;
         }
         let ps = (bytes as f64 * 8.0) / self.bits_per_sec * 1e12;
-        (ps.ceil() as TimeDelta).max(1)
+        ceil_ps(ps).max(1)
     }
 
     /// The sustained rate in bytes per second.
     pub fn bytes_per_sec(&self) -> f64 {
         self.bits_per_sec / 8.0
+    }
+}
+
+/// `ps.ceil() as TimeDelta` for a non-negative `ps`, without the libm
+/// call: truncate, then add one if anything was cut off. Exact below
+/// 2^53, and at or above it every `f64` is already an integer, so the
+/// truncation loses nothing; it saturates where the cast does.
+#[inline]
+fn ceil_ps(ps: f64) -> TimeDelta {
+    let t = ps as TimeDelta;
+    if (t as f64) < ps {
+        t.saturating_add(1)
+    } else {
+        t
     }
 }
 
@@ -220,6 +234,65 @@ mod tests {
         link.reset();
         assert_eq!(link.busy_until(), 0);
         assert_eq!(link.bytes_total(), 0);
+    }
+
+    /// The transfer time as it was computed with the libm `ceil`.
+    fn transfer_time_libm(bw: Bandwidth, bytes: u64) -> TimeDelta {
+        if bytes == 0 {
+            return 0;
+        }
+        let ps = (bytes as f64 * 8.0) / bw.bits_per_sec * 1e12;
+        (ps.ceil() as TimeDelta).max(1)
+    }
+
+    #[test]
+    fn inline_ceil_is_bit_identical_to_libm_at_every_configured_rate() {
+        // The kernel stream rates of the 10 G (8 B at 156.25 MHz) and
+        // 100 G (64 B at 322 MHz) datapaths, built as the NIC builds them
+        // for a kernel of `cycles` cycles per word.
+        let stream = |bytes: f64, mhz: f64, cycles: u64| {
+            Bandwidth::gbyte_per_sec(bytes * mhz * 1e6 / cycles as f64 / 1e9)
+        };
+        let mut rates = vec![
+            // NIC links and switch ports.
+            Bandwidth::gbit_per_sec(10.0),
+            Bandwidth::gbit_per_sec(100.0),
+            // PCIe Gen3 x8 and x16.
+            Bandwidth::gbyte_per_sec(6.6),
+            Bandwidth::gbyte_per_sec(13.0),
+        ];
+        for cycles in 1..=8 {
+            rates.push(stream(8.0, 156.25, cycles));
+            rates.push(stream(64.0, 322.0, cycles));
+        }
+        for bw in rates {
+            for bytes in 0..=65_536 {
+                assert_eq!(
+                    bw.transfer_time_ps(bytes),
+                    transfer_time_libm(bw, bytes),
+                    "{bw:?}, {bytes} B"
+                );
+            }
+        }
+        // Near 2^53, where the f64 spacing reaches one.
+        let edge = (1u64 << 53) as f64;
+        for ps in [
+            edge - 1.5,
+            edge - 1.0,
+            edge - 0.5,
+            edge,
+            edge + 2.0,
+            0.0,
+            0.5,
+            1.0,
+        ] {
+            assert_eq!(ceil_ps(ps), ps.ceil() as TimeDelta, "{ps}");
+        }
+        let mut x = edge;
+        for _ in 0..64 {
+            x = f64::from_bits(x.to_bits() - 1);
+            assert_eq!(ceil_ps(x), x.ceil() as TimeDelta, "{x}");
+        }
     }
 
     #[test]

@@ -126,6 +126,44 @@ struct InFrame<T> {
     payload: T,
 }
 
+/// An ingress FIFO's head as arbitration reads it, kept densely per port
+/// so that a pass over the ingress ports touches no FIFO it does not pop.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    /// When the head becomes eligible; `Time::MAX` for an empty FIFO.
+    eligible: Time,
+    /// The egress port the head is destined to.
+    dst: usize,
+}
+
+impl Head {
+    const EMPTY: Head = Head {
+        eligible: Time::MAX,
+        dst: 0,
+    };
+
+    fn of<T>(frame: Option<&InFrame<T>>) -> Head {
+        frame.map_or(Head::EMPTY, |f| Head {
+            eligible: f.eligible,
+            dst: f.dst,
+        })
+    }
+}
+
+/// One egress port: its serializer, queue, round-robin cursor and the
+/// port's counters, side by side so a grant touches one record.
+#[derive(Debug)]
+struct Egress {
+    serializer: LinkSerializer,
+    /// Serialization-end times of frames admitted to the port; entries at
+    /// or before "now" have left it and are pruned on the next grant. The
+    /// live length is the egress queue depth.
+    queue: VecDeque<Time>,
+    /// The ingress port granted first on the next round.
+    rr: usize,
+    counters: SwitchPortCounters,
+}
+
 /// A frame granted egress: it leaves the switch at `egress_end`.
 #[derive(Debug)]
 pub struct Delivery<T> {
@@ -159,15 +197,11 @@ pub struct TailDrop<T> {
 pub struct Switch<T> {
     cfg: SwitchConfig,
     ingress: Vec<VecDeque<InFrame<T>>>,
-    egress: Vec<LinkSerializer>,
-    /// Serialization-end times of frames admitted to each egress port;
-    /// entries at or before "now" have left the port and are pruned on
-    /// the next grant. The live length is the egress queue depth.
-    egress_queue: Vec<VecDeque<Time>>,
-    /// Per-egress round-robin cursor: the ingress port granted first on
-    /// the next round.
-    rr: Vec<usize>,
-    counters: Vec<SwitchPortCounters>,
+    /// `heads[i]` mirrors `ingress[i]`'s head, updated on enqueue and pop.
+    heads: Vec<Head>,
+    /// Per-port egress state; a port's [`SwitchPortCounters`] live here,
+    /// its ingress count included.
+    egress: Vec<Egress>,
     /// Arbitration scratch, all zero between calls. `candidates` holds one
     /// bitset row per egress port (as many words as `active` has): the
     /// ingress ports whose FIFO head is eligible and destined there.
@@ -198,12 +232,15 @@ impl<T> Switch<T> {
         Switch {
             cfg,
             ingress: (0..cfg.ports).map(|_| VecDeque::new()).collect(),
+            heads: vec![Head::EMPTY; cfg.ports],
             egress: (0..cfg.ports)
-                .map(|_| LinkSerializer::new(cfg.port_rate))
+                .map(|_| Egress {
+                    serializer: LinkSerializer::new(cfg.port_rate),
+                    queue: VecDeque::new(),
+                    rr: 0,
+                    counters: SwitchPortCounters::default(),
+                })
                 .collect(),
-            egress_queue: (0..cfg.ports).map(|_| VecDeque::new()).collect(),
-            rr: vec![0; cfg.ports],
-            counters: vec![SwitchPortCounters::default(); cfg.ports],
             candidates: vec![0; cfg.ports * cfg.ports.div_ceil(64)],
             active: vec![0; cfg.ports.div_ceil(64)],
             occupied: vec![0; cfg.ports.div_ceil(64)],
@@ -238,9 +275,13 @@ impl<T> Switch<T> {
         );
         assert_ne!(src, dst, "a NIC does not switch frames to itself");
         let eligible = received + self.cfg.latency;
-        self.counters[src].frames_in += 1;
+        self.egress[src].counters.frames_in += 1;
         set_bit(&mut self.occupied, src);
-        self.ingress[src].push_back(InFrame {
+        let fifo = &mut self.ingress[src];
+        if fifo.is_empty() {
+            self.heads[src] = Head { eligible, dst };
+        }
+        fifo.push_back(InFrame {
             dst,
             wire_bytes,
             eligible,
@@ -256,12 +297,12 @@ impl<T> Switch<T> {
 
     /// Per-port counters.
     pub fn counters(&self, port: usize) -> SwitchPortCounters {
-        self.counters[port]
+        self.egress[port].counters
     }
 
     /// Total tail drops across all egress ports.
     pub fn total_tail_drops(&self) -> u64 {
-        self.counters.iter().map(|c| c.tail_drops).sum()
+        self.egress.iter().map(|p| p.counters.tail_drops).sum()
     }
 
     /// Runs arbitration at `now`: repeatedly grants one eligible ingress
@@ -271,11 +312,14 @@ impl<T> Switch<T> {
     ///
     /// The grant order is that of sweeping the egress ports in ascending
     /// order, round after round, each taking the first eligible head in
-    /// cyclic order from its cursor. The sweep is not performed literally:
-    /// the eligible heads of the occupied ingress ports are sorted once
-    /// into per-egress candidate sets, only egress ports with a candidate
-    /// are visited, and a pop moves the newly exposed head into its set —
-    /// so a call costs O(occupied ports + grants), not
+    /// cyclic order from its cursor. The sweep is not performed literally.
+    /// A first pass reads the dense head records of the occupied ingress
+    /// ports. When exactly one head is eligible, no other port can become
+    /// eligible during the call, so the sweep reduces to draining that
+    /// port's eligible frames in FIFO order. Otherwise the eligible heads
+    /// are sorted into per-egress candidate sets, only egress ports with
+    /// a candidate are visited, and a pop moves the newly exposed head
+    /// into its set — so a call costs O(occupied ports + grants), not
     /// O(ports² × rounds).
     pub fn arbitrate(
         &mut self,
@@ -283,7 +327,28 @@ impl<T> Switch<T> {
         deliveries: &mut Vec<Delivery<T>>,
         drops: &mut Vec<TailDrop<T>>,
     ) {
-        let words = self.active.len();
+        let (mut eligible, mut only) = (0, 0);
+        let mut next = first_set_from(&self.occupied, 0);
+        while let Some(i) = next {
+            if self.heads[i].eligible <= now {
+                eligible += 1;
+                only = i;
+            }
+            next = first_set_from(&self.occupied, i + 1);
+        }
+        match eligible {
+            0 => return,
+            1 => {
+                while self.heads[only].eligible <= now {
+                    let e = self.heads[only].dst;
+                    let frame = self.pop(only);
+                    self.egress[e].rr = next_port(only, self.cfg.ports);
+                    self.grant(now, only, e, frame, deliveries, drops);
+                }
+                return;
+            }
+            _ => {}
+        }
         let mut next = first_set_from(&self.occupied, 0);
         while let Some(i) = next {
             self.file_head(i, now);
@@ -293,6 +358,7 @@ impl<T> Switch<T> {
         // exposed by a pop at egress `e` joins its set at once: an egress
         // above `e` is still ahead of this pass and sees it this round,
         // one at or below `e` sees it on the next pass.
+        let words = self.active.len();
         let mut from = 0;
         loop {
             let e = match first_set_from(&self.active, from) {
@@ -305,31 +371,26 @@ impl<T> Switch<T> {
             };
             from = e + 1;
             let row = &mut self.candidates[e * words..][..words];
-            let src = first_set_from(row, self.rr[e])
+            let src = first_set_from(row, self.egress[e].rr)
                 .or_else(|| first_set_from(row, 0))
                 .expect("an active egress has a candidate");
             clear_bit(row, src);
-            let frame = self.pop(src);
-            self.file_head(src, now);
-            if self.candidates[e * words..][..words]
-                .iter()
-                .all(|&w| w == 0)
-            {
+            if row.iter().all(|&w| w == 0) {
                 clear_bit(&mut self.active, e);
             }
-            self.rr[e] = if src + 1 == self.cfg.ports {
-                0
-            } else {
-                src + 1
-            };
+            let frame = self.pop(src);
+            self.file_head(src, now);
+            self.egress[e].rr = next_port(src, self.cfg.ports);
             self.grant(now, src, e, frame, deliveries, drops);
         }
     }
 
-    /// Removes ingress port `src`'s FIFO head.
+    /// Removes ingress port `src`'s FIFO head and records the next one.
     fn pop(&mut self, src: usize) -> InFrame<T> {
-        let frame = self.ingress[src].pop_front().expect("a queued head");
-        if self.ingress[src].is_empty() {
+        let fifo = &mut self.ingress[src];
+        let frame = fifo.pop_front().expect("a queued head");
+        self.heads[src] = Head::of(fifo.front());
+        if fifo.is_empty() {
             clear_bit(&mut self.occupied, src);
         }
         frame
@@ -339,7 +400,8 @@ impl<T> Switch<T> {
     /// the candidate set of the egress it is destined to.
     fn file_head(&mut self, i: usize, now: Time) {
         let words = self.active.len();
-        if let Some(head) = self.ingress[i].front().filter(|f| f.eligible <= now) {
+        let head = self.heads[i];
+        if head.eligible <= now {
             set_bit(&mut self.candidates[head.dst * words..][..words], i);
             set_bit(&mut self.active, head.dst);
         }
@@ -358,12 +420,13 @@ impl<T> Switch<T> {
     ) {
         // Prune frames that have finished serializing; what remains is
         // the live egress queue depth.
-        while self.egress_queue[e].front().is_some_and(|&end| end <= now) {
-            self.egress_queue[e].pop_front();
+        let port = &mut self.egress[e];
+        while port.queue.front().is_some_and(|&end| end <= now) {
+            port.queue.pop_front();
         }
-        let occupancy = self.egress_queue[e].len();
+        let occupancy = port.queue.len();
         if occupancy >= self.cfg.egress_capacity {
-            self.counters[e].tail_drops += 1;
+            port.counters.tail_drops += 1;
             drops.push(TailDrop {
                 src,
                 dst: e,
@@ -371,14 +434,16 @@ impl<T> Switch<T> {
             });
             return;
         }
-        let marked = self.mark_decision(e, occupancy);
-        let (_, egress_end) = self.egress[e].admit(now, frame.wire_bytes);
-        self.egress_queue[e].push_back(egress_end);
-        self.counters[e].frames_out += 1;
-        self.counters[e].bytes_out += frame.wire_bytes;
-        self.counters[e].queue_peak = self.counters[e].queue_peak.max(occupancy as u64 + 1);
+        let marked = self.mark_decision(occupancy);
+        let port = &mut self.egress[e];
+        let (_, egress_end) = port.serializer.admit(now, frame.wire_bytes);
+        port.queue.push_back(egress_end);
+        let c = &mut port.counters;
+        c.frames_out += 1;
+        c.bytes_out += frame.wire_bytes;
+        c.queue_peak = c.queue_peak.max(occupancy as u64 + 1);
         if marked {
-            self.counters[e].ecn_marked += 1;
+            c.ecn_marked += 1;
         }
         deliveries.push(Delivery {
             src,
@@ -404,7 +469,7 @@ impl<T> Switch<T> {
                 // One grant per egress per round: scan ingress ports from
                 // this egress's cursor for an eligible head destined here.
                 let Some(src) = (0..self.cfg.ports)
-                    .map(|k| (self.rr[e] + k) % self.cfg.ports)
+                    .map(|k| (self.egress[e].rr + k) % self.cfg.ports)
                     .find(|&i| {
                         self.ingress[i]
                             .front()
@@ -414,7 +479,7 @@ impl<T> Switch<T> {
                     continue;
                 };
                 let frame = self.pop(src);
-                self.rr[e] = (src + 1) % self.cfg.ports;
+                self.egress[e].rr = (src + 1) % self.cfg.ports;
                 granted = true;
                 self.grant(now, src, e, frame, deliveries, drops);
             }
@@ -424,10 +489,10 @@ impl<T> Switch<T> {
         }
     }
 
-    /// The WRED marking decision for a frame admitted to egress `e` that
-    /// observes `occupancy` frames queued ahead of it. RNG is consumed
-    /// only inside the probabilistic band between the thresholds.
-    fn mark_decision(&mut self, _e: usize, occupancy: usize) -> bool {
+    /// The WRED marking decision for a frame admitted to an egress queue
+    /// that observes `occupancy` frames queued ahead of it. RNG is
+    /// consumed only inside the probabilistic band between the thresholds.
+    fn mark_decision(&mut self, occupancy: usize) -> bool {
         let Some(ecn) = self.cfg.ecn else {
             return false;
         };
@@ -443,6 +508,15 @@ impl<T> Switch<T> {
             .as_mut()
             .expect("mark_rng exists iff cfg.ecn does")
             .chance(p)
+    }
+}
+
+/// The port after `port` in cyclic order.
+fn next_port(port: usize, ports: usize) -> usize {
+    if port + 1 == ports {
+        0
+    } else {
+        port + 1
     }
 }
 
@@ -693,10 +767,51 @@ mod tests {
                 .map(|d| (d.src, d.dst, d.egress_end, d.marked, d.payload))
                 .collect(),
             drops.iter().map(|x| (x.src, x.dst, x.payload)).collect(),
-            sw.rr.clone(),
-            sw.counters.clone(),
+            sw.egress.iter().map(|p| p.rr).collect(),
+            sw.egress.iter().map(|p| p.counters).collect(),
             sw.pending(),
         )
+    }
+
+    /// Arbitrates `fast` and its twin `slow` (the reference sweep) at
+    /// `now` and asserts that they agree on everything observable, and
+    /// that the fast path's own bookkeeping is consistent.
+    fn arbitrate_both(fast: &mut Switch<u32>, slow: &mut Switch<u32>, now: Time, label: &str) {
+        let (mut d, mut x) = (Vec::new(), Vec::new());
+        fast.arbitrate(now, &mut d, &mut x);
+        let got = observe(fast, &d, &x);
+        let (mut d, mut x) = (Vec::new(), Vec::new());
+        slow.arbitrate_reference(now, &mut d, &mut x);
+        assert_eq!(got, observe(slow, &d, &x), "{label}");
+        assert!(
+            fast.active.iter().chain(&fast.candidates).all(|&w| w == 0),
+            "{label}: scratch not cleared"
+        );
+        let ports = fast.cfg.ports;
+        let occupied: Vec<usize> = (0..ports)
+            .filter(|&p| fast.occupied[p / 64] & (1 << (p % 64)) != 0)
+            .collect();
+        let non_empty: Vec<usize> = (0..ports)
+            .filter(|&p| !fast.ingress[p].is_empty())
+            .collect();
+        assert_eq!(occupied, non_empty, "{label}: occupied-ingress bitset");
+        for (p, fifo) in fast.ingress.iter().enumerate() {
+            let (want, got) = (Head::of(fifo.front()), fast.heads[p]);
+            assert_eq!(
+                (got.eligible, fifo.is_empty() || got.dst == want.dst),
+                (want.eligible, true),
+                "{label}: head record of port {p}"
+            );
+        }
+    }
+
+    /// Equal marks could still hide unequal RNG consumption.
+    fn assert_same_mark_stream(fast: &mut Switch<u32>, slow: &mut Switch<u32>, label: &str) {
+        assert_eq!(
+            fast.mark_rng.as_mut().map(SimRng::next_u64),
+            slow.mark_rng.as_mut().map(SimRng::next_u64),
+            "{label}: mark RNG streams diverged"
+        );
     }
 
     #[test]
@@ -725,6 +840,7 @@ mod tests {
                     seed: rng.next_u64(),
                 }),
             };
+            let label = format!("case {case}: {ports} ports, capacity {capacity}, {ecn:?}");
             let mut c = cfg(ports, capacity);
             c.ecn = ecn;
             let mut fast = Switch::<u32>::new(c);
@@ -753,34 +869,62 @@ mod tests {
                     payload += 1;
                 }
                 now += rng.range(1, 600 * NANOS);
-                let (mut d, mut x) = (Vec::new(), Vec::new());
-                fast.arbitrate(now, &mut d, &mut x);
-                let got = observe(&fast, &d, &x);
-                let (mut d, mut x) = (Vec::new(), Vec::new());
-                slow.arbitrate_reference(now, &mut d, &mut x);
-                assert_eq!(
-                    got,
-                    observe(&slow, &d, &x),
-                    "case {case}: {ports} ports, capacity {capacity}, {ecn:?}"
-                );
-                assert!(
-                    fast.active.iter().chain(&fast.candidates).all(|&w| w == 0),
-                    "case {case}: scratch not cleared"
-                );
-                let occupied: Vec<usize> = (0..ports)
-                    .filter(|&p| fast.occupied[p / 64] & (1 << (p % 64)) != 0)
-                    .collect();
-                let non_empty: Vec<usize> = (0..ports)
-                    .filter(|&p| !fast.ingress[p].is_empty())
-                    .collect();
-                assert_eq!(occupied, non_empty, "case {case}: occupied-ingress bitset");
+                arbitrate_both(&mut fast, &mut slow, now, &label);
             }
-            // Equal marks could still hide unequal RNG consumption.
-            assert_eq!(
-                fast.mark_rng.as_mut().map(SimRng::next_u64),
-                slow.mark_rng.as_mut().map(SimRng::next_u64),
-                "case {case}: mark RNG streams diverged"
+            assert_same_mark_stream(&mut fast, &mut slow, &label);
+        }
+
+        // Shaped schedules: exactly one, exactly two, or every ingress
+        // port occupied; heads that all turn eligible at the arbitration
+        // instant itself; and heads that are not yet eligible, blocking
+        // eligible frames queued behind them until a later tick.
+        let mut rng = SimRng::seed(0x0CC0_9ED5);
+        for case in 0..48usize {
+            let ports = [2usize, 3, 4, 8, 64, 65][case % 6];
+            let occupy = match case % 3 {
+                0 => 1,
+                1 => 2.min(ports),
+                _ => ports,
+            };
+            let blocking = case % 2 == 1;
+            let capacity = if case % 4 < 2 { 2 } else { 1024 };
+            let mut c = cfg(ports, capacity);
+            c.ecn = (case % 5 == 0).then(|| EcnConfig::step(1));
+            let label = format!(
+                "shaped case {case}: {ports} ports, {occupy} occupied, blocking {blocking}"
             );
+            let mut fast = Switch::<u32>::new(c);
+            let mut slow = Switch::<u32>::new(c);
+            let mut payload = 0u32;
+            let mut now: Time = 0;
+            for _tick in 0..20 {
+                let first = rng.below(ports as u64) as usize;
+                for k in 0..occupy {
+                    let src = (first + k) % ports;
+                    for i in 0..rng.range(1, 4) {
+                        let dst = (src + 1 + rng.below(ports as u64 - 1) as usize) % ports;
+                        // Received exactly `latency` before the tick, so
+                        // every such head turns eligible at that instant;
+                        // a blocking head arrives one picosecond too late.
+                        let received = if blocking && i == 0 && rng.chance(0.5) {
+                            now + 1
+                        } else {
+                            now
+                        };
+                        let bytes = rng.range(64, 1_600);
+                        fast.enqueue(src, dst, bytes, received, payload);
+                        slow.enqueue(src, dst, bytes, received, payload);
+                        payload += 1;
+                    }
+                }
+                now += c.latency;
+                arbitrate_both(&mut fast, &mut slow, now, &label);
+            }
+            // Whatever the blocked heads held back drains on a last tick.
+            now += c.latency + 1;
+            arbitrate_both(&mut fast, &mut slow, now, &label);
+            assert_eq!(fast.pending(), 0, "{label}: frames left behind");
+            assert_same_mark_stream(&mut fast, &mut slow, &label);
         }
     }
 }

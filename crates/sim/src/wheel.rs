@@ -134,14 +134,20 @@ impl Occupancy {
 #[derive(Debug)]
 pub struct TimerWheel<E> {
     /// `LEVELS * SLOTS` buckets; bucket `(k, i)` lives at `k * SLOTS + i`.
+    /// Only an occupied bucket holds a buffer: a bucket that drains or
+    /// cascades gives its buffer to [`Self::spare`], and one that fills
+    /// from empty takes one from there.
     slots: Vec<Vec<Scheduled<E>>>,
+    /// Empty bucket buffers, reused LIFO so a filling bucket gets the
+    /// most recently drained (cache-warm) one. Buffers are allocated only
+    /// when this is empty, so the wheel holds no more of them than the
+    /// most buckets it ever had occupied at once.
+    spare: Vec<Vec<Scheduled<E>>>,
     /// Per-level occupancy bitmaps.
     occupied: [Occupancy; LEVELS],
     /// Events beyond the wheel horizon, earliest `(at, seq)` first
     /// (`Scheduled`'s reversed `Ord` makes the max-heap pop the minimum).
     overflow: BinaryHeap<Scheduled<E>>,
-    /// Scratch buffer reused by cascades (capacity recycles via swap).
-    cascade_buf: Vec<Scheduled<E>>,
     /// Wheel cursor: a lower bound on every pending firing time. Distinct
     /// from the simulation clock, which may run ahead via `advance_to`.
     cur: Time,
@@ -166,7 +172,7 @@ impl<E> TimerWheel<E> {
                 Occupancy::default(),
             ],
             overflow: BinaryHeap::new(),
-            cascade_buf: Vec::new(),
+            spare: Vec::new(),
             cur: 0,
             len: 0,
         }
@@ -214,8 +220,23 @@ impl<E> TimerWheel<E> {
         }
         let k = level_of(x);
         let idx = ((s.at >> (SLOT_BITS * k as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.slots[k * SLOTS + idx].push(s);
+        let slot = &mut self.slots[k * SLOTS + idx];
+        if slot.capacity() == 0 {
+            if let Some(buf) = self.spare.pop() {
+                *slot = buf;
+            }
+        }
+        slot.push(s);
         self.occupied[k].set(idx);
+    }
+
+    /// Empties bucket `bucket` into `out` and returns its buffer to the
+    /// spare list.
+    #[inline]
+    fn drain_bucket(&mut self, bucket: usize, out: &mut Vec<Scheduled<E>>) {
+        let mut buf = std::mem::take(&mut self.slots[bucket]);
+        out.append(&mut buf);
+        self.spare.push(buf);
     }
 
     /// Pulls every overflow event now inside the horizon into the wheel.
@@ -340,7 +361,7 @@ impl<E> TimerWheel<E> {
                 }
                 self.occupied[k].clear(idx);
                 let s0 = out.len();
-                out.append(&mut self.slots[bucket]);
+                self.drain_bucket(bucket, out);
                 if n > 1 {
                     if k == 0 {
                         // A level-0 slot holds one exact firing time;
@@ -370,14 +391,13 @@ impl<E> TimerWheel<E> {
         let slot_start = base + ((idx as u64) << (SLOT_BITS * k as u32));
         self.cur = self.cur.max(slot_start);
         self.occupied[k].clear(idx);
-        let mut buf = std::mem::take(&mut self.cascade_buf);
-        std::mem::swap(&mut buf, &mut self.slots[k * SLOTS + idx]);
+        let mut buf = std::mem::take(&mut self.slots[k * SLOTS + idx]);
         for s in buf.drain(..) {
             // Relative to the new cursor every event in this slot is
             // within 4096^k, so it re-places strictly below level k.
             self.place(s);
         }
-        self.cascade_buf = buf;
+        self.spare.push(buf);
     }
 
     /// Drains the earliest pending bucket — every event sharing the
@@ -397,10 +417,9 @@ impl<E> TimerWheel<E> {
                 // drain without re-migrating.
                 self.cur = t;
                 self.occupied[0].clear(idx);
-                let slot = &mut self.slots[idx];
-                let n = slot.len();
+                let n = self.slots[idx].len();
                 let start = out.len();
-                out.append(slot);
+                self.drain_bucket(idx, out);
                 if n > 1 {
                     // Same-time events from different levels may have
                     // landed in arrival (cascade) order; seq order is the
@@ -428,7 +447,9 @@ impl<E> TimerWheel<E> {
                 // share a slot, and overflow events live in later horizon
                 // blocks. Hand it out without cascading level by level —
                 // the common case when pending times are sparse.
-                let s = self.slots[k * SLOTS + idx].pop().expect("len == 1");
+                let mut buf = std::mem::take(&mut self.slots[k * SLOTS + idx]);
+                let s = buf.pop().expect("len == 1");
+                self.spare.push(buf);
                 self.occupied[k].clear(idx);
                 self.cur = s.at;
                 self.len -= 1;
@@ -441,8 +462,25 @@ impl<E> TimerWheel<E> {
 }
 
 #[cfg(test)]
+impl<E> TimerWheel<E> {
+    /// Buckets holding at least one event.
+    fn occupied_buckets(&self) -> usize {
+        (self.occupied.iter())
+            .flat_map(|o| o.words.iter())
+            .map(|w| w.count_ones() as usize)
+            .sum()
+    }
+
+    /// Bucket buffers the wheel holds: in buckets, plus spares.
+    fn buffers(&self) -> usize {
+        self.slots.iter().filter(|b| b.capacity() > 0).count() + self.spare.len()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
 
     fn ev(at: Time, seq: u64) -> Scheduled<u64> {
         Scheduled {
@@ -621,5 +659,51 @@ mod tests {
         while w.pop_run(&mut rest, 4) > 0 {}
         assert_eq!(out.len() + rest.len(), 10);
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn bucket_pool_keeps_buffers_within_the_peak_occupancy() {
+        // Hold 2 000 events pending over a long churn whose deltas file
+        // at every level and in the overflow heap. Without the pool,
+        // every slot the cursor ever passed would keep a buffer; with
+        // it, a buffer exists only for a bucket that holds events or as
+        // a spare one such bucket gave back.
+        let mut rng = SimRng::seed(0xB0C4);
+        let delta = |rng: &mut SimRng| match rng.below(100) {
+            0 => rng.range(1 << 36, 1 << 38),
+            1..=9 => rng.range(1 << 24, 1 << 30),
+            _ => rng.range(1, 1 << 21),
+        };
+        let mut w = TimerWheel::new();
+        let mut seq = 0;
+        for _ in 0..2_000 {
+            w.insert(ev(delta(&mut rng), seq));
+            seq += 1;
+        }
+        let mut peak = w.occupied_buckets();
+        let mut out = Vec::new();
+        for round in 0..3_000 {
+            out.clear();
+            let n = w.pop_run(&mut out, 64);
+            let last = out.last().expect("depth is held").at;
+            for _ in 0..n {
+                w.insert(ev(last + delta(&mut rng), seq));
+                seq += 1;
+            }
+            assert_eq!(w.len(), 2_000);
+            peak = peak.max(w.occupied_buckets());
+            // A cascade holds the bucket it empties while that bucket's
+            // events fill others, one more than this test can observe
+            // between calls.
+            assert!(
+                w.buffers() <= peak + 1,
+                "round {round}: {} buffers, peak occupancy {peak}",
+                w.buffers()
+            );
+            assert!(
+                w.slots.iter().filter(|b| b.capacity() > 0).count() == w.occupied_buckets(),
+                "round {round}: an empty bucket kept its buffer"
+            );
+        }
     }
 }

@@ -51,45 +51,43 @@ impl Bth {
         }
     }
 
-    /// Encodes the header into `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.opcode.to_wire());
-        out.push(0x40); // Flags: migration state = migrated, pad 0, tver 0.
-        out.extend_from_slice(&self.pkey.to_be_bytes());
-        let qp = self.dest_qp & MASK_24;
-        out.push(0); // Reserved.
-        out.extend_from_slice(&qp.to_be_bytes()[1..4]);
-        let psn = self.psn & MASK_24;
-        out.push(if self.ack_req { 0x80 } else { 0x00 });
-        out.extend_from_slice(&psn.to_be_bytes()[1..4]);
+    /// The header's bytes.
+    pub fn to_bytes(&self) -> [u8; BTH_LEN] {
+        let qp = (self.dest_qp & MASK_24).to_be_bytes();
+        let psn = (self.psn & MASK_24).to_be_bytes();
+        let pkey = self.pkey.to_be_bytes();
+        [
+            self.opcode.to_wire(),
+            0x40, // Flags: migration state = migrated, pad 0, tver 0.
+            pkey[0],
+            pkey[1],
+            0, // Reserved.
+            qp[1],
+            qp[2],
+            qp[3],
+            if self.ack_req { 0x80 } else { 0x00 },
+            psn[1],
+            psn[2],
+            psn[3],
+        ]
     }
 
-    /// Parses a BTH; returns `(header, rest)`.
+    /// Reads a BTH.
     ///
-    /// Unknown or reserved op-codes fail to parse — the hardware drops such
+    /// Unknown or reserved op-codes read as `None` — the hardware drops such
     /// packets in the Process BTH stage.
-    pub fn parse(buf: &[u8]) -> Option<(Bth, &[u8])> {
-        if buf.len() < BTH_LEN {
-            return None;
-        }
-        let opcode = Opcode::from_wire(buf[0] & 0x1f)?;
-        if buf[0] >> 5 != crate::opcode::TRANSPORT_RC {
+    pub fn read(h: &[u8; BTH_LEN]) -> Option<Bth> {
+        let opcode = Opcode::from_wire(h[0] & 0x1f)?;
+        if h[0] >> 5 != crate::opcode::TRANSPORT_RC {
             return None; // Only the RC transport is implemented.
         }
-        let pkey = u16::from_be_bytes([buf[2], buf[3]]);
-        let dest_qp = u32::from_be_bytes([0, buf[5], buf[6], buf[7]]);
-        let ack_req = buf[8] & 0x80 != 0;
-        let psn = u32::from_be_bytes([0, buf[9], buf[10], buf[11]]);
-        Some((
-            Bth {
-                opcode,
-                dest_qp,
-                psn,
-                ack_req,
-                pkey,
-            },
-            &buf[BTH_LEN..],
-        ))
+        Some(Bth {
+            opcode,
+            dest_qp: u32::from_be_bytes([0, h[5], h[6], h[7]]),
+            psn: u32::from_be_bytes([0, h[9], h[10], h[11]]),
+            ack_req: h[8] & 0x80 != 0,
+            pkey: u16::from_be_bytes([h[2], h[3]]),
+        })
     }
 }
 
@@ -109,29 +107,25 @@ pub struct Reth {
 }
 
 impl Reth {
-    /// Encodes the header into `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.vaddr.to_be_bytes());
-        out.extend_from_slice(&self.rkey.to_be_bytes());
-        out.extend_from_slice(&self.dma_len.to_be_bytes());
+    /// The header's bytes.
+    pub fn to_bytes(&self) -> [u8; RETH_LEN] {
+        let mut h = [0u8; RETH_LEN];
+        h[0..8].copy_from_slice(&self.vaddr.to_be_bytes());
+        h[8..12].copy_from_slice(&self.rkey.to_be_bytes());
+        h[12..16].copy_from_slice(&self.dma_len.to_be_bytes());
+        h
     }
 
-    /// Parses a RETH; returns `(header, rest)`.
-    pub fn parse(buf: &[u8]) -> Option<(Reth, &[u8])> {
-        if buf.len() < RETH_LEN {
-            return None;
+    /// Reads a RETH.
+    pub fn read(h: &[u8; RETH_LEN]) -> Reth {
+        let (vaddr, rest) = h.split_first_chunk::<8>().expect("sized header");
+        let (rkey, dma_len) = rest.split_first_chunk::<4>().expect("sized header");
+        let dma_len = dma_len.first_chunk::<4>().expect("sized header");
+        Reth {
+            vaddr: u64::from_be_bytes(*vaddr),
+            rkey: u32::from_be_bytes(*rkey),
+            dma_len: u32::from_be_bytes(*dma_len),
         }
-        let vaddr = u64::from_be_bytes(buf[0..8].try_into().expect("sized slice"));
-        let rkey = u32::from_be_bytes(buf[8..12].try_into().expect("sized slice"));
-        let dma_len = u32::from_be_bytes(buf[12..16].try_into().expect("sized slice"));
-        Some((
-            Reth {
-                vaddr,
-                rkey,
-                dma_len,
-            },
-            &buf[RETH_LEN..],
-        ))
     }
 }
 
@@ -182,20 +176,19 @@ pub struct Aeth {
 }
 
 impl Aeth {
-    /// Encodes the header into `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.syndrome.to_wire());
-        out.extend_from_slice(&(self.msn & MASK_24).to_be_bytes()[1..4]);
+    /// The header's bytes.
+    pub fn to_bytes(&self) -> [u8; AETH_LEN] {
+        let mut h = (self.msn & MASK_24).to_be_bytes();
+        h[0] = self.syndrome.to_wire();
+        h
     }
 
-    /// Parses an AETH; returns `(header, rest)`.
-    pub fn parse(buf: &[u8]) -> Option<(Aeth, &[u8])> {
-        if buf.len() < AETH_LEN {
-            return None;
-        }
-        let syndrome = AethSyndrome::from_wire(buf[0])?;
-        let msn = u32::from_be_bytes([0, buf[1], buf[2], buf[3]]);
-        Some((Aeth { syndrome, msn }, &buf[AETH_LEN..]))
+    /// Reads an AETH, or `None` for a syndrome StRoM does not know.
+    pub fn read(h: &[u8; AETH_LEN]) -> Option<Aeth> {
+        Some(Aeth {
+            syndrome: AethSyndrome::from_wire(h[0])?,
+            msn: u32::from_be_bytes([0, h[1], h[2], h[3]]),
+        })
     }
 }
 
@@ -206,12 +199,7 @@ mod tests {
     #[test]
     fn bth_round_trip() {
         let bth = Bth::new(Opcode::WriteOnly, 0x1234, 0xabcdef, true);
-        let mut buf = Vec::new();
-        bth.encode(&mut buf);
-        assert_eq!(buf.len(), BTH_LEN);
-        let (parsed, rest) = Bth::parse(&buf).unwrap();
-        assert_eq!(parsed, bth);
-        assert!(rest.is_empty());
+        assert_eq!(Bth::read(&bth.to_bytes()), Some(bth));
     }
 
     #[test]
@@ -223,18 +211,16 @@ mod tests {
 
     #[test]
     fn bth_rejects_reserved_opcode() {
-        let mut buf = Vec::new();
-        Bth::new(Opcode::WriteOnly, 1, 1, false).encode(&mut buf);
+        let mut buf = Bth::new(Opcode::WriteOnly, 1, 1, false).to_bytes();
         buf[0] = 0b000_11110; // Reserved StRoM op-code (11101 is now CNP).
-        assert!(Bth::parse(&buf).is_none());
+        assert!(Bth::read(&buf).is_none());
     }
 
     #[test]
     fn bth_rejects_non_rc_transport() {
-        let mut buf = Vec::new();
-        Bth::new(Opcode::WriteOnly, 1, 1, false).encode(&mut buf);
+        let mut buf = Bth::new(Opcode::WriteOnly, 1, 1, false).to_bytes();
         buf[0] = (0b011 << 5) | 0x0a; // UD transport prefix.
-        assert!(Bth::parse(&buf).is_none());
+        assert!(Bth::read(&buf).is_none());
     }
 
     #[test]
@@ -244,12 +230,7 @@ mod tests {
             rkey: 7,
             dma_len: 4096,
         };
-        let mut buf = Vec::new();
-        reth.encode(&mut buf);
-        assert_eq!(buf.len(), RETH_LEN);
-        let (parsed, rest) = Reth::parse(&buf).unwrap();
-        assert_eq!(parsed, reth);
-        assert!(rest.is_empty());
+        assert_eq!(Reth::read(&reth.to_bytes()), reth);
     }
 
     #[test]
@@ -260,19 +241,8 @@ mod tests {
             AethSyndrome::NakRemoteOperationalError,
         ] {
             let aeth = Aeth { syndrome, msn: 99 };
-            let mut buf = Vec::new();
-            aeth.encode(&mut buf);
-            assert_eq!(buf.len(), AETH_LEN);
-            let (parsed, _) = Aeth::parse(&buf).unwrap();
-            assert_eq!(parsed, aeth);
+            assert_eq!(Aeth::read(&aeth.to_bytes()), Some(aeth));
         }
-    }
-
-    #[test]
-    fn short_buffers_fail() {
-        assert!(Bth::parse(&[0u8; BTH_LEN - 1]).is_none());
-        assert!(Reth::parse(&[0u8; RETH_LEN - 1]).is_none());
-        assert!(Aeth::parse(&[0u8; AETH_LEN - 1]).is_none());
     }
 
     #[test]
@@ -283,9 +253,7 @@ mod tests {
             rkey: 0,
             dma_len: 64,
         };
-        let mut buf = Vec::new();
-        reth.encode(&mut buf);
-        let (parsed, _) = Reth::parse(&buf).unwrap();
+        let parsed = Reth::read(&reth.to_bytes());
         assert_eq!(
             crate::opcode::RpcOpCode(parsed.vaddr),
             crate::opcode::RpcOpCode::TRAVERSAL

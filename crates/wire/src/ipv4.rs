@@ -82,50 +82,62 @@ impl Ipv4Header {
         }
     }
 
-    /// Encodes the header (with a correct checksum) into `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.push(0x45); // Version 4, IHL 5.
-        out.push(self.ecn & 0b11); // DSCP 0, ECN in the low two bits.
-        out.extend_from_slice(&self.total_len.to_be_bytes());
-        out.extend_from_slice(&self.ident.to_be_bytes());
-        out.extend_from_slice(&[0x40, 0x00]); // Flags: DF, fragment offset 0.
-        out.push(self.ttl);
-        out.push(self.protocol);
-        out.extend_from_slice(&[0, 0]); // Checksum placeholder.
-        out.extend_from_slice(&self.src.0);
-        out.extend_from_slice(&self.dst.0);
-        let csum = checksum(&out[start..start + IPV4_HEADER_LEN]);
-        out[start + 10..start + 12].copy_from_slice(&csum.to_be_bytes());
+    /// The header's bytes, with a correct checksum.
+    pub fn to_bytes(&self) -> [u8; IPV4_HEADER_LEN] {
+        let len = self.total_len.to_be_bytes();
+        let ident = self.ident.to_be_bytes();
+        let (s, d) = (self.src.0, self.dst.0);
+        let mut h = [
+            0x45,            // Version 4, IHL 5.
+            self.ecn & 0b11, // DSCP 0, ECN in the low two bits.
+            len[0],
+            len[1],
+            ident[0],
+            ident[1],
+            0x40, // Flags: DF, fragment offset 0.
+            0x00,
+            self.ttl,
+            self.protocol,
+            0, // Checksum placeholder.
+            0,
+            s[0],
+            s[1],
+            s[2],
+            s[3],
+            d[0],
+            d[1],
+            d[2],
+            d[3],
+        ];
+        let csum = header_checksum(&h);
+        h[10..12].copy_from_slice(&csum.to_be_bytes());
+        h
     }
 
-    /// Parses and checksum-verifies a header; returns `(header, rest)`.
-    ///
-    /// Mirrors the Process IP stage: a failed checksum drops the packet.
-    pub fn parse(buf: &[u8]) -> Option<(Ipv4Header, &[u8])> {
-        if buf.len() < IPV4_HEADER_LEN {
-            return None;
-        }
-        if buf[0] != 0x45 {
+    /// Reads and checksum-verifies a header, or `None` where the Process
+    /// IP stage would drop it: options, a failed checksum, or a total
+    /// length shorter than the header. The total length is checked
+    /// against the bytes that follow by the caller (`Packet::parse`).
+    pub fn read(h: &[u8; IPV4_HEADER_LEN]) -> Option<Ipv4Header> {
+        if h[0] != 0x45 {
             return None; // StRoM only handles IPv4 without options.
         }
-        if checksum(&buf[..IPV4_HEADER_LEN]) != 0 {
+        if header_checksum(h) != 0 {
             return None;
         }
-        let total_len = u16::from_be_bytes([buf[2], buf[3]]);
-        if (total_len as usize) < IPV4_HEADER_LEN || (total_len as usize) > buf.len() {
+        let total_len = u16::from_be_bytes([h[2], h[3]]);
+        if (total_len as usize) < IPV4_HEADER_LEN {
             return None;
         }
-        let header = Ipv4Header {
+        Some(Ipv4Header {
             total_len,
-            ecn: buf[1] & 0b11,
-            ident: u16::from_be_bytes([buf[4], buf[5]]),
-            ttl: buf[8],
-            protocol: buf[9],
-            src: Ipv4Addr([buf[12], buf[13], buf[14], buf[15]]),
-            dst: Ipv4Addr([buf[16], buf[17], buf[18], buf[19]]),
-        };
-        Some((header, &buf[IPV4_HEADER_LEN..total_len as usize]))
+            ecn: h[1] & 0b11,
+            ident: u16::from_be_bytes([h[4], h[5]]),
+            ttl: h[8],
+            protocol: h[9],
+            src: Ipv4Addr([h[12], h[13], h[14], h[15]]),
+            dst: Ipv4Addr([h[16], h[17], h[18], h[19]]),
+        })
     }
 }
 
@@ -144,12 +156,28 @@ pub fn mark_ce(header: &mut [u8]) -> bool {
     if header[1] & 0b11 == ECN_NOT_ECT {
         return false;
     }
-    header[1] |= ECN_CE;
-    header[10] = 0;
-    header[11] = 0;
-    let csum = checksum(&header[..IPV4_HEADER_LEN]);
-    header[10..12].copy_from_slice(&csum.to_be_bytes());
+    let h = header
+        .first_chunk_mut::<IPV4_HEADER_LEN>()
+        .expect("length checked above");
+    h[1] |= ECN_CE;
+    h[10] = 0;
+    h[11] = 0;
+    let csum = header_checksum(h);
+    h[10..12].copy_from_slice(&csum.to_be_bytes());
     true
+}
+
+/// [`checksum`] over exactly one option-less header: ten 16-bit words,
+/// whose sum two end-around folds bring below `0x10000`.
+#[inline]
+fn header_checksum(h: &[u8; IPV4_HEADER_LEN]) -> u16 {
+    let mut sum: u32 = 0;
+    for w in h.as_chunks::<2>().0 {
+        sum += u32::from(u16::from_be_bytes(*w));
+    }
+    sum = (sum & 0xffff) + (sum >> 16);
+    sum = (sum & 0xffff) + (sum >> 16);
+    !(sum as u16)
 }
 
 /// The Internet checksum (RFC 1071) over `data`.
@@ -184,53 +212,38 @@ mod tests {
     }
 
     #[test]
-    fn encode_parse_round_trip() {
+    fn to_bytes_read_round_trip() {
         let h = sample();
-        let mut buf = Vec::new();
-        h.encode(&mut buf);
-        buf.extend_from_slice(&[0u8; 100]);
-        let (parsed, rest) = Ipv4Header::parse(&buf).unwrap();
-        assert_eq!(parsed, h);
-        assert_eq!(rest.len(), 100);
+        assert_eq!(checksum(&h.to_bytes()), 0);
+        assert_eq!(Ipv4Header::read(&h.to_bytes()), Some(h));
     }
 
     #[test]
     fn corrupted_checksum_is_dropped() {
-        let h = sample();
-        let mut buf = Vec::new();
-        h.encode(&mut buf);
-        buf.extend_from_slice(&[0u8; 100]);
+        let mut buf = sample().to_bytes();
         buf[10] ^= 0xff;
-        assert!(Ipv4Header::parse(&buf).is_none());
+        assert!(Ipv4Header::read(&buf).is_none());
     }
 
     #[test]
     fn corrupted_body_byte_in_header_is_dropped() {
-        let h = sample();
-        let mut buf = Vec::new();
-        h.encode(&mut buf);
-        buf.extend_from_slice(&[0u8; 100]);
+        let mut buf = sample().to_bytes();
         buf[15] ^= 0x01; // Flip a source-address bit.
-        assert!(Ipv4Header::parse(&buf).is_none());
+        assert!(Ipv4Header::read(&buf).is_none());
     }
 
     #[test]
-    fn truncated_packet_is_dropped() {
-        let h = sample();
-        let mut buf = Vec::new();
-        h.encode(&mut buf);
-        // total_len promises 120 bytes; give only the header.
-        assert!(Ipv4Header::parse(&buf).is_none());
+    fn total_length_shorter_than_the_header_is_dropped() {
+        let mut h = sample();
+        h.total_len = IPV4_HEADER_LEN as u16 - 1;
+        assert!(Ipv4Header::read(&h.to_bytes()).is_none());
     }
 
     #[test]
     fn options_are_rejected() {
-        let h = sample();
-        let mut buf = Vec::new();
-        h.encode(&mut buf);
-        buf.extend_from_slice(&[0u8; 100]);
+        let mut buf = sample().to_bytes();
         buf[0] = 0x46; // IHL = 6 (with options).
-        assert!(Ipv4Header::parse(&buf).is_none());
+        assert!(Ipv4Header::read(&buf).is_none());
     }
 
     #[test]
@@ -238,6 +251,20 @@ mod tests {
         // Example from RFC 1071 §3: bytes 00 01 f2 03 f4 f5 f6 f7.
         let data = [0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7];
         assert_eq!(checksum(&data), !0xddf2);
+    }
+
+    #[test]
+    fn header_checksum_matches_the_general_fold() {
+        let mut rng = strom_sim::SimRng::seed(0x01F0_1D00);
+        for _ in 0..2_000 {
+            let mut h = [0u8; IPV4_HEADER_LEN];
+            rng.fill_bytes(&mut h);
+            assert_eq!(header_checksum(&h), checksum(&h), "{h:?}");
+        }
+        assert_eq!(
+            header_checksum(&[0xff; IPV4_HEADER_LEN]),
+            checksum(&[0xff; 20])
+        );
     }
 
     #[test]
@@ -251,14 +278,11 @@ mod tests {
     }
 
     #[test]
-    fn ecn_round_trips_through_encode_parse() {
+    fn ecn_round_trips_through_the_header_bytes() {
         for ecn in [ECN_NOT_ECT, ECN_ECT0, ECN_CE] {
             let mut h = sample();
             h.ecn = ecn;
-            let mut buf = Vec::new();
-            h.encode(&mut buf);
-            buf.extend_from_slice(&[0u8; 100]);
-            let (parsed, _) = Ipv4Header::parse(&buf).unwrap();
+            let parsed = Ipv4Header::read(&h.to_bytes()).unwrap();
             assert_eq!(parsed.ecn, ecn);
         }
     }
@@ -267,30 +291,24 @@ mod tests {
     fn default_header_byte_stream_is_unchanged_by_the_ecn_field() {
         // Not-ECT encodes byte 1 as zero — exactly the pre-ECN byte
         // stream, so pinned pcap goldens and fingerprints are unaffected.
-        let h = sample();
-        let mut buf = Vec::new();
-        h.encode(&mut buf);
-        assert_eq!(buf[1], 0);
+        assert_eq!(sample().to_bytes()[1], 0);
     }
 
     #[test]
     fn mark_ce_sets_the_codepoint_and_fixes_the_checksum() {
         let mut h = sample();
         h.ecn = ECN_ECT0;
-        let mut buf = Vec::new();
-        h.encode(&mut buf);
+        let mut buf = h.to_bytes().to_vec();
         buf.extend_from_slice(&[0u8; 100]);
         assert!(mark_ce(&mut buf));
-        let (parsed, _) = Ipv4Header::parse(&buf).expect("checksum repaired");
+        let parsed = Ipv4Header::read(buf.first_chunk().unwrap()).expect("checksum repaired");
         assert_eq!(parsed.ecn, ECN_CE);
     }
 
     #[test]
     fn mark_ce_refuses_not_ect_packets() {
-        let h = sample();
-        let mut buf = Vec::new();
-        h.encode(&mut buf);
-        let before = buf.clone();
+        let mut buf = sample().to_bytes();
+        let before = buf;
         assert!(!mark_ce(&mut buf));
         assert_eq!(buf, before, "Not-ECT frames must not be altered");
     }

@@ -17,12 +17,12 @@
 
 use bytes::Bytes;
 
-use crate::bth::{Aeth, Bth, Psn, Qpn, Reth};
+use crate::bth::{Aeth, Bth, Psn, Qpn, Reth, AETH_LEN, BTH_LEN, RETH_LEN};
 use crate::ethernet::{self, EtherType, MacAddr};
 use crate::icrc;
-use crate::ipv4::{Ipv4Addr, Ipv4Header, PROTO_UDP};
+use crate::ipv4::{Ipv4Addr, Ipv4Header, IPV4_HEADER_LEN, PROTO_UDP};
 use crate::opcode::Opcode;
-use crate::udp::UdpHeader;
+use crate::udp::{UdpHeader, UDP_HEADER_LEN};
 
 /// One RoCE v2 packet with all headers and payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,90 +148,104 @@ impl Packet {
     }
 
     /// Encodes the full frame byte stream into `buf` (cleared first) in a
-    /// single pass: every length is known up front from [`Self::ip_len`],
-    /// so headers, payload, and ICRC are written directly into one buffer
-    /// with no intermediate allocation, reserved once at its exact size.
+    /// single pass: every header sits at a fixed offset, so the headers
+    /// are built in one stack array, copied out in one piece, followed by
+    /// the payload and the ICRC computed in place over the RoCE region —
+    /// no intermediate allocation, `buf` reserved once at its exact size.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.clear();
         let ip_len = self.ip_len();
-        buf.reserve(ethernet::ETHERNET_HEADER_LEN + ip_len);
-        ethernet::encode_header(self.dst_mac, self.src_mac, EtherType::Ipv4, buf);
-
-        let udp_len = ip_len - crate::ipv4::IPV4_HEADER_LEN;
-        let roce_len = udp_len - crate::udp::UDP_HEADER_LEN;
+        let udp_len = ip_len - IPV4_HEADER_LEN;
+        let roce_len = udp_len - UDP_HEADER_LEN;
         let mut ip = Ipv4Header::for_udp(self.src_ip, self.dst_ip, udp_len, 0);
         ip.ecn = self.ecn;
-        ip.encode(buf);
         let udp = UdpHeader::for_roce((self.bth.dest_qp & 0xffff) as u16, roce_len);
-        udp.encode(buf);
 
-        // The RoCE (UDP) payload: BTH [+RETH] [+AETH] + data + ICRC, with
-        // the ICRC computed in place over the bytes just written.
-        let roce_start = buf.len();
-        self.bth.encode(buf);
+        let mut hdr = [0u8; HEADERS_MAX];
+        hdr[..IP_AT].copy_from_slice(&ethernet::header_bytes(
+            self.dst_mac,
+            self.src_mac,
+            EtherType::Ipv4,
+        ));
+        hdr[IP_AT..UDP_AT].copy_from_slice(&ip.to_bytes());
+        hdr[UDP_AT..ROCE_AT].copy_from_slice(&udp.to_bytes());
+        hdr[ROCE_AT..EXT_AT].copy_from_slice(&self.bth.to_bytes());
+        let mut end = EXT_AT;
         if let Some(reth) = &self.reth {
-            reth.encode(buf);
+            hdr[end..end + RETH_LEN].copy_from_slice(&reth.to_bytes());
+            end += RETH_LEN;
         }
         if let Some(aeth) = &self.aeth {
-            aeth.encode(buf);
+            hdr[end..end + AETH_LEN].copy_from_slice(&aeth.to_bytes());
+            end += AETH_LEN;
         }
+
+        buf.clear();
+        buf.reserve(ethernet::ETHERNET_HEADER_LEN + ip_len);
+        buf.extend_from_slice(&hdr[..end]);
         buf.extend_from_slice(&self.payload);
-        let crc = icrc::icrc(&buf[roce_start..]);
+        let crc = icrc::icrc(&buf[ROCE_AT..]);
         buf.extend_from_slice(&crc.to_le_bytes());
         debug_assert_eq!(buf.len(), ethernet::ETHERNET_HEADER_LEN + ip_len);
     }
 
     /// Parses a frame, performing every pipeline validity check.
     ///
+    /// The stages run in pipeline order — Ethernet, IP, UDP, ICRC, BTH,
+    /// RETH/AETH — each reading its header at its fixed offset, and the
+    /// first failing stage names the [`PacketError`].
+    ///
     /// Zero-copy: the returned packet's payload is an O(1)
     /// [`Bytes::slice`] of `frame`, not a copy — the frame buffer stays
     /// alive for exactly as long as something still references the
     /// payload.
     pub fn parse(frame: &Bytes) -> Result<Packet, PacketError> {
-        let (dst_mac, src_mac, ethertype, rest) =
-            ethernet::parse_header(frame).ok_or(PacketError::Ethernet)?;
+        let f: &[u8] = frame;
+        let eth = f.first_chunk().ok_or(PacketError::Ethernet)?;
+        let (dst_mac, src_mac, ethertype) = ethernet::read_header(eth);
         if EtherType::from_wire(ethertype) != Some(EtherType::Ipv4) {
             return Err(PacketError::Ethernet);
         }
-        let (ip, rest) = Ipv4Header::parse(rest).ok_or(PacketError::Ip)?;
-        if ip.protocol != PROTO_UDP {
+        let ip = (f[IP_AT..].first_chunk())
+            .and_then(Ipv4Header::read)
+            .ok_or(PacketError::Ip)?;
+        // Every later stage is bounded by the IP total length, never by
+        // the physical frame: bytes past the datagram (e.g. Ethernet
+        // minimum-frame padding) are not the packet's.
+        let ip_end = IP_AT + ip.total_len as usize;
+        if ip_end > f.len() || ip.protocol != PROTO_UDP {
             return Err(PacketError::Ip);
         }
-        let (udp, roce) = UdpHeader::parse(rest).ok_or(PacketError::Udp)?;
-        if !udp.is_roce() {
+        let udp = (f[..ip_end].get(UDP_AT..).and_then(<[u8]>::first_chunk))
+            .map(UdpHeader::read)
+            .ok_or(PacketError::Udp)?;
+        let udp_end = UDP_AT + udp.length as usize;
+        if (udp.length as usize) < UDP_HEADER_LEN || udp_end > ip_end || !udp.is_roce() {
             return Err(PacketError::Udp);
         }
         // ICRC is validated over the whole IB packet (store-and-forward).
-        let (body, ok) = icrc::check_icrc(roce).ok_or(PacketError::Icrc)?;
+        let (body, ok) = icrc::check_icrc(&f[ROCE_AT..udp_end]).ok_or(PacketError::Icrc)?;
         if !ok {
             return Err(PacketError::Icrc);
         }
-        let (bth, rest) = Bth::parse(body).ok_or(PacketError::Bth)?;
-        let (reth, rest) = if bth.opcode.has_reth() {
-            let (r, rest) = Reth::parse(rest).ok_or(PacketError::Eth)?;
-            (Some(r), rest)
+        let bth = (body.first_chunk())
+            .and_then(Bth::read)
+            .ok_or(PacketError::Bth)?;
+        let body_end = ROCE_AT + body.len();
+        let mut at = EXT_AT;
+        let reth = if bth.opcode.has_reth() {
+            let h = f[..body_end].get(at..).and_then(<[u8]>::first_chunk);
+            at += RETH_LEN;
+            Some(Reth::read(h.ok_or(PacketError::Eth)?))
         } else {
-            (None, rest)
+            None
         };
-        let (aeth, rest) = if bth.opcode.has_aeth() {
-            let (a, rest) = Aeth::parse(rest).ok_or(PacketError::Eth)?;
-            (Some(a), rest)
+        let aeth = if bth.opcode.has_aeth() {
+            let h = f[..body_end].get(at..).and_then(<[u8]>::first_chunk);
+            at += AETH_LEN;
+            Some(h.and_then(Aeth::read).ok_or(PacketError::Eth)?)
         } else {
-            (None, rest)
+            None
         };
-        // `rest` is the payload. Recover its offset in `frame` from the
-        // header structure alone: the RoCE region always starts right
-        // after the fixed Ethernet + IPv4 + UDP headers, and the headers
-        // consumed `body.len() - rest.len()` of it. Deriving the offset
-        // from the *physical* frame tail instead would silently shift the
-        // payload into any trailing bytes beyond the IP datagram (e.g.
-        // Ethernet minimum-frame padding), which the length-bounded
-        // header stages and the ICRC never look at.
-        let payload_start = ethernet::ETHERNET_HEADER_LEN
-            + crate::ipv4::IPV4_HEADER_LEN
-            + crate::udp::UDP_HEADER_LEN
-            + (body.len() - rest.len());
-        let payload_end = payload_start + rest.len();
         Ok(Packet {
             dst_mac,
             src_mac,
@@ -241,10 +255,21 @@ impl Packet {
             reth,
             aeth,
             ecn: ip.ecn,
-            payload: frame.slice(payload_start..payload_end),
+            payload: frame.slice(at..body_end),
         })
     }
 }
+
+/// Offset of the IPv4 header in a frame.
+const IP_AT: usize = ethernet::ETHERNET_HEADER_LEN;
+/// Offset of the UDP header in a frame.
+const UDP_AT: usize = IP_AT + IPV4_HEADER_LEN;
+/// Offset of the RoCE region (the BTH) in a frame.
+const ROCE_AT: usize = UDP_AT + UDP_HEADER_LEN;
+/// Offset of the extended transport headers (RETH, then AETH).
+const EXT_AT: usize = ROCE_AT + BTH_LEN;
+/// The most header bytes a frame carries before its payload.
+const HEADERS_MAX: usize = EXT_AT + RETH_LEN + AETH_LEN;
 
 #[cfg(test)]
 mod tests {
@@ -372,6 +397,81 @@ mod tests {
             Packet::parse(&Bytes::from(frame)),
             Err(PacketError::Ethernet)
         );
+    }
+
+    /// Rewrites the IP total length and UDP length of `f` (fixing the IP
+    /// checksum), leaving every other byte alone.
+    fn set_lengths(f: &mut [u8], ip_total: usize, udp_len: usize) {
+        f[UDP_AT + 4..UDP_AT + 6].copy_from_slice(&(udp_len as u16).to_be_bytes());
+        f[IP_AT + 2..IP_AT + 4].copy_from_slice(&(ip_total as u16).to_be_bytes());
+        f[IP_AT + 10..IP_AT + 12].fill(0);
+        let csum = crate::ipv4::checksum(&f[IP_AT..UDP_AT]);
+        f[IP_AT + 10..IP_AT + 12].copy_from_slice(&csum.to_be_bytes());
+    }
+
+    /// `frame` with its RoCE region cut to `body_len` bytes before a
+    /// valid ICRC, and every length and checksum consistent with that.
+    fn reframe(frame: &[u8], body_len: usize) -> Bytes {
+        let mut f = frame[..ROCE_AT + body_len].to_vec();
+        let crc = icrc::icrc(&f[ROCE_AT..]);
+        f.extend_from_slice(&crc.to_le_bytes());
+        let udp_len = UDP_HEADER_LEN + body_len + icrc::ICRC_LEN;
+        set_lengths(&mut f, IPV4_HEADER_LEN + udp_len, udp_len);
+        Bytes::from(f)
+    }
+
+    /// A frame too short for a header, or whose lengths promise more than
+    /// it holds, is dropped at the first stage that would read past what
+    /// it has — the stage order the drop counters are keyed on.
+    #[test]
+    fn short_frames_drop_at_the_stage_that_runs_out() {
+        let write = write_only(b"payload").encode();
+        let parse = |f: &[u8]| Packet::parse(&Bytes::copy_from_slice(f));
+        assert_eq!(parse(&write[..IP_AT - 1]), Err(PacketError::Ethernet));
+        assert_eq!(parse(&write[..UDP_AT - 1]), Err(PacketError::Ip));
+        // The IP total length promises one byte more than the frame has.
+        assert_eq!(parse(&write[..write.len() - 1]), Err(PacketError::Ip));
+
+        let mut f = write.clone();
+        set_lengths(&mut f, IPV4_HEADER_LEN + UDP_HEADER_LEN - 1, UDP_HEADER_LEN);
+        assert_eq!(parse(&f), Err(PacketError::Udp), "no room for UDP");
+        let ip_total = write.len() - IP_AT;
+        set_lengths(&mut f, ip_total, UDP_HEADER_LEN - 1);
+        assert_eq!(parse(&f), Err(PacketError::Udp), "UDP length < header");
+        set_lengths(&mut f, ip_total, ip_total - IPV4_HEADER_LEN + 1);
+        assert_eq!(parse(&f), Err(PacketError::Udp), "UDP beyond the datagram");
+        set_lengths(&mut f, ip_total, UDP_HEADER_LEN + icrc::ICRC_LEN - 1);
+        assert_eq!(parse(&f), Err(PacketError::Icrc), "no room for the ICRC");
+
+        assert_eq!(parse(&reframe(&write, BTH_LEN - 1)), Err(PacketError::Bth));
+        assert_eq!(
+            parse(&reframe(&write, BTH_LEN + RETH_LEN - 1)),
+            Err(PacketError::Eth),
+            "RETH cut short"
+        );
+        let ack = Packet::new(
+            2,
+            1,
+            Opcode::Acknowledge,
+            7,
+            55,
+            None,
+            Some(Aeth {
+                syndrome: AethSyndrome::Ack,
+                msn: 3,
+            }),
+            Bytes::new(),
+        )
+        .encode();
+        assert_eq!(
+            parse(&reframe(&ack, BTH_LEN + AETH_LEN - 1)),
+            Err(PacketError::Eth),
+            "AETH cut short"
+        );
+        // Cut exactly at the end of the headers, the packet is whole with
+        // an empty payload.
+        let bare = parse(&reframe(&write, BTH_LEN + RETH_LEN)).expect("headers only");
+        assert!(bare.payload.is_empty());
     }
 
     #[test]
