@@ -203,7 +203,7 @@ impl Kernel for AggregateKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::testing::check_malformed_invoke;
+    use crate::framework::testing::{check_malformed_invoke, sevens, DONE};
 
     fn configured() -> AggregateKernel {
         let mut k = AggregateKernel::new();
@@ -253,7 +253,13 @@ mod tests {
 
     #[test]
     fn malformed_invoke_drops_the_configuration() {
-        check_malformed_invoke(&mut configured(), Bytes::from_static(&[0]), &[]);
+        check_malformed_invoke(
+            &mut configured(),
+            Bytes::from_static(&[0]),
+            DONE,
+            sevens(),
+            &[],
+        );
     }
 
     #[test]

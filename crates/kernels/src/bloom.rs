@@ -310,7 +310,7 @@ impl Kernel for BloomKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::testing::check_malformed_invoke;
+    use crate::framework::testing::{check_malformed_invoke, sevens, DONE};
 
     fn build_filter(members: &[u64]) -> BloomFilter {
         let mut f = BloomFilter::new(16, 4);
@@ -391,7 +391,7 @@ mod tests {
     #[test]
     fn malformed_invoke_drops_the_configuration() {
         let mut k = configured(&[0x0707_0707_0707_0707]);
-        check_malformed_invoke(&mut k, Bytes::from_static(&[0]), &[]);
+        check_malformed_invoke(&mut k, Bytes::from_static(&[0]), DONE, sevens(), &[]);
     }
 
     #[test]

@@ -19,9 +19,8 @@ use strom_wire::bth::Qpn;
 use strom_wire::opcode::RpcOpCode;
 
 use crate::crc64::crc64;
-use crate::framework::{
-    error_word, Kernel, KernelAction, KernelEvent, ERR_BAD_PARAMS, ERR_INCONSISTENT,
-};
+use crate::framework::{Kernel, KernelAction, KernelEvent, ERR_BAD_PARAMS, ERR_INCONSISTENT};
+use crate::walk::{reply, reply_error};
 
 /// Parameters of the consistency kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,37 +74,20 @@ const MAX_RETRIES: u32 = 64;
 /// DMA tag for object reads.
 const TAG_OBJECT: u32 = 1;
 
-#[derive(Debug)]
-enum State {
-    Idle,
-    Reading {
-        qpn: Qpn,
-        params: ConsistencyParams,
-        attempts: u32,
-    },
-}
-
 /// The consistency kernel FSM.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ConsistencyKernel {
-    state: State,
+    /// The object read in flight: its invocation's QP and params, and
+    /// which attempt it is.
+    reading: Option<(Qpn, ConsistencyParams, u32)>,
     /// Re-reads performed over the kernel's lifetime (Fig 10 diagnostics).
     retries: u64,
-}
-
-impl Default for ConsistencyKernel {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl ConsistencyKernel {
     /// Creates an idle kernel.
     pub fn new() -> Self {
-        Self {
-            state: State::Idle,
-            retries: 0,
-        }
+        Self::default()
     }
 
     /// Total re-reads performed.
@@ -113,23 +95,11 @@ impl ConsistencyKernel {
         self.retries
     }
 
-    fn read_object(
-        &mut self,
-        qpn: Qpn,
-        params: ConsistencyParams,
-        attempts: u32,
-        out: &mut Vec<KernelAction>,
-    ) {
-        self.state = State::Reading {
-            qpn,
-            params,
-            attempts,
-        };
-        out.push(KernelAction::DmaRead {
-            tag: TAG_OBJECT,
-            vaddr: params.object_addr,
-            len: params.object_len,
-        });
+    /// Issues the object read of attempt number `attempt`.
+    fn read(&mut self, qpn: Qpn, p: ConsistencyParams, attempt: u32, out: &mut Vec<KernelAction>) {
+        self.reading = Some((qpn, p, attempt));
+        let (tag, vaddr, len) = (TAG_OBJECT, p.object_addr, p.object_len);
+        out.push(KernelAction::DmaRead { tag, vaddr, len });
     }
 }
 
@@ -148,46 +118,24 @@ impl Kernel for ConsistencyKernel {
     fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
         match event {
             KernelEvent::Invoke { qpn, params } => match ConsistencyParams::decode(&params) {
-                Some(p) => self.read_object(qpn, p, 1, out),
-                None => out.extend([
-                    KernelAction::RoceSend {
-                        qpn,
-                        remote_vaddr: 0,
-                        data: Bytes::copy_from_slice(&error_word(ERR_BAD_PARAMS)),
-                    },
-                    KernelAction::Done,
-                ]),
+                Some(p) => self.read(qpn, p, 1, out),
+                None => reply_error(out, qpn, 0, ERR_BAD_PARAMS),
             },
             KernelEvent::DmaData { tag, data } => {
-                let State::Reading {
-                    qpn,
-                    params,
-                    attempts,
-                } = std::mem::replace(&mut self.state, State::Idle)
-                else {
+                let Some((qpn, p, attempt)) = self.reading.take() else {
                     return;
                 };
                 if tag != TAG_OBJECT {
                     return;
                 }
-                let reply = |data| {
-                    [
-                        KernelAction::RoceSend {
-                            qpn,
-                            remote_vaddr: params.target_address,
-                            data,
-                        },
-                        KernelAction::Done,
-                    ]
-                };
                 if verify_object(&data) {
-                    out.extend(reply(data));
-                } else if attempts >= MAX_RETRIES {
-                    out.extend(reply(Bytes::copy_from_slice(&error_word(ERR_INCONSISTENT))));
+                    reply(out, qpn, p.target_address, data);
+                } else if attempt >= MAX_RETRIES {
+                    reply_error(out, qpn, p.target_address, ERR_INCONSISTENT);
                 } else {
                     // Inconsistent: re-read over PCIe (§6.3).
                     self.retries += 1;
-                    self.read_object(qpn, params, attempts + 1, out);
+                    self.read(qpn, p, attempt + 1, out);
                 }
             }
             KernelEvent::RoceData { .. } => {}
@@ -198,14 +146,10 @@ impl Kernel for ConsistencyKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::error_word;
+    use crate::framework::testing::{bad_params, check_malformed_invoke, drive, invoke, mem, send};
     use crate::layouts::build_object_store;
-    use strom_mem::{HostMemory, HUGE_PAGE_SIZE};
-
-    fn mem() -> (HostMemory, u64) {
-        let mut m = HostMemory::new();
-        let (base, _) = m.pin(HUGE_PAGE_SIZE).unwrap();
-        (m, base)
-    }
+    use KernelAction::Done;
 
     #[test]
     fn params_round_trip() {
@@ -233,24 +177,15 @@ mod tests {
             qpn: 2,
             params: params.encode(),
         });
-        let KernelAction::DmaRead { tag, vaddr, len } = a1[0] else {
+        let KernelAction::DmaRead { vaddr, len, .. } = a1[0] else {
             panic!("expected a DMA read");
         };
         assert_eq!((vaddr, len), (addr, 264));
-        let data = Bytes::from(m.read(vaddr, len as usize));
-        let a2 = k.on_event(KernelEvent::DmaData {
-            tag,
-            data: data.clone(),
-        });
+        let (a2, reads) = drive(&mut k, &mut m, a1);
         assert_eq!(
-            a2[0],
-            KernelAction::RoceSend {
-                qpn: 2,
-                remote_vaddr: 0x4000,
-                data
-            }
+            (a2, reads),
+            (vec![send(2, 0x4000, &m.read(addr, 264)), Done], 1)
         );
-        assert_eq!(a2[1], KernelAction::Done);
         assert_eq!(k.retries(), 0);
     }
 
@@ -290,7 +225,7 @@ mod tests {
             tag: tag2,
             data: clean.clone(),
         });
-        assert!(matches!(&a3[0], KernelAction::RoceSend { data, .. } if *data == clean));
+        assert_eq!(a3, [send(1, 0x4000, &clean), Done]);
     }
 
     #[test]
@@ -308,20 +243,13 @@ mod tests {
             object_len: store.object_size(),
             target_address: 0x8000,
         };
-        let mut actions = k.on_event(KernelEvent::Invoke {
-            qpn: 1,
-            params: params.encode(),
-        });
-        let mut reads = 0;
-        while let Some(KernelAction::DmaRead { tag, vaddr, len }) = actions.first() {
-            reads += 1;
-            let data = Bytes::from(m.read(*vaddr, *len as usize));
-            actions = k.on_event(KernelEvent::DmaData { tag: *tag, data });
-        }
+        let first = k.on_event(invoke(params.encode()));
+        let (actions, reads) = drive(&mut k, &mut m, first);
         assert_eq!(reads, MAX_RETRIES);
-        assert!(matches!(&actions[0], KernelAction::RoceSend { data, .. }
-            if crate::framework::decode_error(u64::from_le_bytes(data[..8].try_into().unwrap()))
-                == Some(ERR_INCONSISTENT)));
+        assert_eq!(
+            actions,
+            [send(1, 0x8000, &error_word(ERR_INCONSISTENT)), Done]
+        );
     }
 
     #[test]
@@ -330,5 +258,21 @@ mod tests {
         assert!(!verify_object(&[0u8; 7]));
         // Header-only object: CRC of empty payload is 0.
         assert!(verify_object(&[0u8; 8]));
+    }
+
+    #[test]
+    fn malformed_params_error_out() {
+        let p = ConsistencyParams {
+            object_addr: 0x1000,
+            object_len: 72,
+            target_address: 0x4000,
+        };
+        let read = KernelAction::DmaRead {
+            tag: 1,
+            vaddr: 0x1000,
+            len: 72,
+        };
+        let (k, short) = (&mut ConsistencyKernel::new(), Bytes::from_static(&[0; 19]));
+        check_malformed_invoke(k, short, &bad_params(), invoke(p.encode()), &[read]);
     }
 }

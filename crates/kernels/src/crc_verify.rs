@@ -202,7 +202,7 @@ impl Kernel for CrcVerifyKernel {
 mod tests {
     use super::*;
     use crate::framework::decode_error;
-    use crate::framework::testing::check_malformed_invoke;
+    use crate::framework::testing::{check_malformed_invoke, sevens, DONE};
 
     fn configured() -> CrcVerifyKernel {
         let mut k = CrcVerifyKernel::new();
@@ -324,7 +324,13 @@ mod tests {
 
     #[test]
     fn malformed_invoke_drops_the_configuration() {
-        check_malformed_invoke(&mut configured(), Bytes::from_static(&[0]), &[]);
+        check_malformed_invoke(
+            &mut configured(),
+            Bytes::from_static(&[0]),
+            DONE,
+            sevens(),
+            &[],
+        );
     }
 
     #[test]

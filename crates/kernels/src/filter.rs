@@ -226,7 +226,7 @@ impl Kernel for FilterKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::testing::check_malformed_invoke;
+    use crate::framework::testing::{check_malformed_invoke, sevens, DONE};
 
     fn configured(predicate: Predicate, operand: u64) -> FilterKernel {
         let mut k = FilterKernel::new();
@@ -317,7 +317,7 @@ mod tests {
     #[test]
     fn malformed_invoke_drops_the_configuration() {
         let mut k = configured(Predicate::NotEqual, u64::MAX);
-        check_malformed_invoke(&mut k, Bytes::from_static(&[0]), &[]);
+        check_malformed_invoke(&mut k, Bytes::from_static(&[0]), DONE, sevens(), &[]);
     }
 
     #[test]

@@ -594,24 +594,82 @@ impl Kernel for KernelChain {
 pub(crate) mod testing {
     use super::*;
 
+    use strom_mem::HostMemory;
+
+    /// The reply of an invocation that only completes.
+    pub(crate) const DONE: &[KernelAction] = &[KernelAction::Done];
+
+    /// An invocation on QP 1.
+    pub(crate) fn invoke(params: Bytes) -> KernelEvent {
+        KernelEvent::Invoke { qpn: 1, params }
+    }
+
+    /// A `RoceSend` of `data` to `remote_vaddr` on `qpn`.
+    pub(crate) fn send(qpn: Qpn, remote_vaddr: u64, data: &[u8]) -> KernelAction {
+        let data = Bytes::copy_from_slice(data);
+        KernelAction::RoceSend {
+            qpn,
+            remote_vaddr,
+            data,
+        }
+    }
+
+    /// The answer to malformed params on QP 1: `ERR_BAD_PARAMS` at
+    /// address 0, then `Done`.
+    pub(crate) fn bad_params() -> [KernelAction; 2] {
+        [send(1, 0, &error_word(ERR_BAD_PARAMS)), KernelAction::Done]
+    }
+
+    /// Host memory with four pinned huge pages, and their base address.
+    pub(crate) fn mem() -> (HostMemory, u64) {
+        let mut m = HostMemory::new();
+        let (base, _) = m.pin(4 * strom_mem::HUGE_PAGE_SIZE).unwrap();
+        (m, base)
+    }
+
+    /// The stream of two tuples `0x0707…07`.
+    pub(crate) fn sevens() -> KernelEvent {
+        let (qpn, data, last) = (1, Bytes::from_static(&[7; 16]), true);
+        KernelEvent::RoceData { qpn, data, last }
+    }
+
     /// Invokes `kernel` with the malformed `params` and checks that the
-    /// invocation completes at once, freeing its fabric slot, and drops
-    /// the earlier configuration: a stream of two tuples `0x0707…07`
-    /// afterwards emits `after` and nothing else.
+    /// invocation answers `reply` at once, freeing its fabric slot; then
+    /// feeds `then` and checks it emits `after` and nothing else.
     pub(crate) fn check_malformed_invoke(
         kernel: &mut dyn Kernel,
         params: Bytes,
+        reply: &[KernelAction],
+        then: KernelEvent,
         after: &[KernelAction],
     ) {
-        let a = kernel.on_event(KernelEvent::Invoke { qpn: 1, params });
-        assert_eq!(a, [KernelAction::Done], "the slot is freed");
-        let data = Bytes::from_static(&[7; 16]);
-        let a = kernel.on_event(KernelEvent::RoceData {
-            qpn: 1,
-            data,
-            last: true,
-        });
-        assert_eq!(a, after, "the configuration is gone");
+        assert_eq!(kernel.on_event(invoke(params)), reply, "the slot is freed");
+        assert_eq!(kernel.on_event(then), after, "the malformed invoke is gone");
+    }
+
+    /// Executes `first` and everything the kernel emits after it against
+    /// `mem` — DMA reads answered, DMA writes applied — until the kernel
+    /// goes quiet. Returns the other actions, in order, and the number of
+    /// DMA reads.
+    pub(crate) fn drive(
+        kernel: &mut dyn Kernel,
+        mem: &mut HostMemory,
+        first: Vec<KernelAction>,
+    ) -> (Vec<KernelAction>, u32) {
+        let mut queue = std::collections::VecDeque::from(first);
+        let (mut replies, mut reads) = (Vec::new(), 0);
+        while let Some(action) = queue.pop_front() {
+            match action {
+                KernelAction::DmaRead { tag, vaddr, len } => {
+                    reads += 1;
+                    let data = Bytes::from(mem.read(vaddr, len as usize));
+                    queue.extend(kernel.on_event(KernelEvent::DmaData { tag, data }));
+                }
+                KernelAction::DmaWrite { vaddr, data } => mem.write(vaddr, &data),
+                other => replies.push(other),
+            }
+        }
+        (replies, reads)
     }
 }
 

@@ -14,29 +14,25 @@
 //!   [`crate::layouts::chained_layout`] KV entries (2 buckets + overflow
 //!   chain), following next-entry pointers on a bucket miss — §6.2's
 //!   "fetch the next hash table entry in case the implementation uses
-//!   chaining" — and prefixing the response with the matched bucket's
-//!   8 B version counter so the serving tier can verify reads against
-//!   concurrent PUTs.
+//!   chaining" — and answers with the matched bucket's 8 B version
+//!   counter too, so the serving tier can verify reads against concurrent
+//!   PUTs: the value lands at `target + 8` first and the version header
+//!   at `target` last, so a host watching the header observes a
+//!   fully-landed response (RC delivery is in-order). A miss writes only
+//!   the 8 B error header.
 //!
-//! Chained response layout at `target_address`: the value lands at
-//! `target + 8` first and the version header at `target` last, so a
-//! host watching the header observes a fully-landed response (RC
-//! delivery is in-order). A miss writes only the 8 B error header.
-//!
-//! The event-driven structure mirrors the paper's four HLS functions: the
-//! `Invoke` arm is `fetch_ht_entry`, the first `DmaData` arm is
-//! `parse_ht_entry`, and the framework's tag routing plays the role of
-//! `merge_read_cmds`/`split_read_data`.
+//! The entry walk is the random-access kernels' shared pointer chase
+//! (the crate's private `walk` module); GET keeps its op-code, its
+//! parameters and its response.
 
 use bytes::Bytes;
 
-use strom_wire::bth::Qpn;
 use strom_wire::opcode::RpcOpCode;
 
-use crate::framework::{
-    error_word, Kernel, KernelAction, KernelEvent, ERR_BAD_PARAMS, ERR_NOT_FOUND,
-};
-use crate::layouts::{chained_layout, ht_layout, ELEMENT_SIZE};
+use crate::framework::{Kernel, KernelAction, KernelEvent, ERR_BAD_PARAMS};
+use crate::layouts::{chained_layout, ht_layout};
+use crate::traversal::Predicate::Equal;
+use crate::walk::{reply_error, word, Lookup, Walk};
 
 /// Parameters of the GET kernel (Listing 3's `getParams`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,63 +86,21 @@ impl GetParams {
     }
 }
 
-/// DMA tag for the hash-table entry read (`htCmdFifo`).
-const TAG_ENTRY: u32 = 1;
-/// DMA tag for the value read (`valueCmdFifo`).
-const TAG_VALUE: u32 = 2;
-
-/// Chain-walk bound: a cycle in a corrupted table must not wedge the
-/// kernel (mirrors the traversal kernel's hop cap).
-const MAX_HOPS: u32 = 1024;
-
-#[derive(Debug)]
-enum State {
-    Idle,
-    /// Waiting for the entry (`htEntryFifo` in Listing 2).
-    FetchingEntry {
-        qpn: Qpn,
-        params: GetParams,
-        hops: u32,
-    },
-    /// Waiting for the value data.
-    FetchingValue {
-        qpn: Qpn,
-        target_address: u64,
-        /// Version header for the chained response (`None` in the
-        /// paper's plain mode).
-        version: Option<u64>,
-    },
-}
+/// Entry reads one GET may issue: 1 024 hops counted from 0. A cycle in
+/// a corrupted table must not wedge the kernel.
+const MAX_READS: u32 = 1025;
 
 /// The GET kernel FSM.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct GetKernel {
-    state: State,
-}
-
-impl Default for GetKernel {
-    fn default() -> Self {
-        Self::new()
-    }
+    state: Lookup<GetParams>,
 }
 
 impl GetKernel {
     /// Creates an idle kernel.
     pub fn new() -> Self {
-        Self { state: State::Idle }
+        Self::default()
     }
-}
-
-/// The miss response: the 8 B error header at the target address.
-fn miss(qpn: Qpn, target_address: u64, out: &mut Vec<KernelAction>) {
-    out.extend([
-        KernelAction::RoceSend {
-            qpn,
-            remote_vaddr: target_address,
-            data: Bytes::copy_from_slice(&error_word(ERR_NOT_FOUND)),
-        },
-        KernelAction::Done,
-    ]);
 }
 
 impl Kernel for GetKernel {
@@ -167,120 +121,25 @@ impl Kernel for GetKernel {
             // the 64 B entry read.
             KernelEvent::Invoke { qpn, params } => {
                 let Some(p) = GetParams::decode(&params) else {
-                    out.extend([
-                        KernelAction::RoceSend {
-                            qpn,
-                            remote_vaddr: 0,
-                            data: Bytes::copy_from_slice(&error_word(ERR_BAD_PARAMS)),
-                        },
-                        KernelAction::Done,
-                    ]);
-                    return;
+                    return reply_error(out, qpn, 0, ERR_BAD_PARAMS);
                 };
-                let addr = p.entry_addr;
-                self.state = State::FetchingEntry {
-                    qpn,
-                    params: p,
-                    hops: 0,
+                let (mask, next) = if p.chained {
+                    (chained_layout::KEY_MASK, Some(chained_layout::NEXT_POS))
+                } else {
+                    (ht_layout::KEY_MASK, None)
                 };
-                out.push(KernelAction::DmaRead {
-                    tag: TAG_ENTRY,
-                    vaddr: addr,
-                    len: ELEMENT_SIZE as u32,
-                });
+                let walk = Walk::start(p.entry_addr, p.key, mask, Equal, next, MAX_READS, out);
+                self.state = Lookup::Walking(qpn, p.target_address, p, walk);
             }
+            // parse_ht_entry (Listing 4): a hit reads the value its bucket
+            // points to (pointer at +8, 4 B length at +16), chained mode
+            // with the bucket's version after it.
             KernelEvent::DmaData { tag, data } => {
-                match std::mem::replace(&mut self.state, State::Idle) {
-                    // parse_ht_entry (Listing 4): match the key against
-                    // the buckets concurrently, emit the value command
-                    // and the RoCE metadata.
-                    State::FetchingEntry { qpn, params, hops } if tag == TAG_ENTRY => {
-                        let key_pos: &[u8] = if params.chained {
-                            &chained_layout::BUCKET_KEY_POS
-                        } else {
-                            &ht_layout::BUCKET_KEY_POS
-                        };
-                        let word = |off: usize| {
-                            u64::from_le_bytes(data[off..off + 8].try_into().expect("sized"))
-                        };
-                        let matched = key_pos.iter().enumerate().find_map(|(b, &pos)| {
-                            let off = usize::from(pos) * 4;
-                            let key = word(off);
-                            (key != 0 && key == params.key).then(|| {
-                                let len = u32::from_le_bytes(
-                                    data[off + 16..off + 20].try_into().expect("sized"),
-                                );
-                                let version =
-                                    params.chained.then(|| word(chained_layout::version_off(b)));
-                                (word(off + 8), len, version)
-                            })
-                        });
-                        let Some((value_ptr, value_len, version)) = matched else {
-                            // No bucket matched. Chained mode follows the
-                            // overflow chain before declaring a miss.
-                            if params.chained {
-                                let next = word(chained_layout::next_off());
-                                if next != 0 && hops < MAX_HOPS {
-                                    self.state = State::FetchingEntry {
-                                        qpn,
-                                        params,
-                                        hops: hops + 1,
-                                    };
-                                    out.push(KernelAction::DmaRead {
-                                        tag: TAG_ENTRY,
-                                        vaddr: next,
-                                        len: ELEMENT_SIZE as u32,
-                                    });
-                                    return;
-                                }
-                            }
-                            miss(qpn, params.target_address, out);
-                            return;
-                        };
-                        self.state = State::FetchingValue {
-                            qpn,
-                            target_address: params.target_address,
-                            version,
-                        };
-                        out.push(KernelAction::DmaRead {
-                            tag: TAG_VALUE,
-                            vaddr: value_ptr,
-                            len: value_len,
-                        });
-                    }
-                    // split_read_data: the value flows out to the network
-                    // — chained mode sends value first, header last, so
-                    // the in-order header write signals a complete
-                    // response.
-                    State::FetchingValue {
-                        qpn,
-                        target_address,
-                        version,
-                    } if tag == TAG_VALUE => match version {
-                        Some(v) => out.extend([
-                            KernelAction::RoceSend {
-                                qpn,
-                                remote_vaddr: target_address + 8,
-                                data,
-                            },
-                            KernelAction::RoceSend {
-                                qpn,
-                                remote_vaddr: target_address,
-                                data: Bytes::copy_from_slice(&v.to_le_bytes()),
-                            },
-                            KernelAction::Done,
-                        ]),
-                        None => out.extend([
-                            KernelAction::RoceSend {
-                                qpn,
-                                remote_vaddr: target_address,
-                                data,
-                            },
-                            KernelAction::Done,
-                        ]),
-                    },
-                    other => self.state = other,
-                }
+                self.state.on_data(tag, data, out, |p, entry, off| {
+                    let field = |off| word(entry, off).expect("in the entry");
+                    let version = p.chained.then(|| field(chained_layout::version_at(off)));
+                    Ok((field(off + 8), field(off + 16) as u32, version))
+                });
             }
             KernelEvent::RoceData { .. } => {}
         }
@@ -290,47 +149,32 @@ impl Kernel for GetKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::testing::{bad_params, check_malformed_invoke, drive, invoke, mem, send};
+    use crate::framework::{error_word, ERR_NOT_FOUND};
     use crate::layouts::{
         build_hash_table, build_kv_store, value_pattern, versioned_value_pattern,
     };
-    use strom_mem::{HostMemory, HUGE_PAGE_SIZE};
+    use strom_mem::HostMemory;
+    use KernelAction::Done;
 
-    fn run(
-        kernel: &mut GetKernel,
-        mem: &mut HostMemory,
-        params: GetParams,
-    ) -> (Vec<KernelAction>, u32) {
-        let mut reads = 0;
-        let mut actions = kernel.on_event(KernelEvent::Invoke {
-            qpn: 4,
-            params: params.encode(),
-        });
-        while let Some(KernelAction::DmaRead { tag, vaddr, len }) = actions.first() {
-            reads += 1;
-            let data = Bytes::from(mem.read(*vaddr, *len as usize));
-            actions = kernel.on_event(KernelEvent::DmaData { tag: *tag, data });
-        }
-        (actions, reads)
+    fn run(k: &mut GetKernel, mem: &mut HostMemory, p: GetParams) -> (Vec<KernelAction>, u32) {
+        let first = k.on_event(invoke(p.encode()));
+        drive(k, mem, first)
     }
 
-    fn plain(entry_addr: u64, key: u64, target_address: u64) -> GetParams {
+    fn get(entry_addr: u64, key: u64, target_address: u64, chained: bool) -> GetParams {
         GetParams {
             entry_addr,
             key,
             target_address,
-            chained: false,
+            chained,
         }
     }
 
     #[test]
     fn params_round_trip() {
         for chained in [false, true] {
-            let p = GetParams {
-                entry_addr: 1,
-                key: 2,
-                target_address: 3,
-                chained,
-            };
+            let p = get(1, 2, 3, chained);
             assert_eq!(GetParams::decode(&p.encode()), Some(p));
         }
         assert!(GetParams::decode(&[0u8; 8]).is_none());
@@ -341,71 +185,47 @@ mod tests {
 
     #[test]
     fn get_retrieves_the_value_in_two_reads() {
-        let mut m = HostMemory::new();
-        let (base, _) = m.pin(HUGE_PAGE_SIZE).unwrap();
+        let (mut m, base) = mem();
         let keys: Vec<u64> = (1..=20).collect();
         let ht = build_hash_table(&mut m, base, 64, &keys, 96);
         let mut k = GetKernel::new();
         for &key in &keys {
-            let (actions, reads) = run(&mut k, &mut m, plain(ht.entry_addr(key), key, 0x6000));
+            let (actions, reads) = run(&mut k, &mut m, get(ht.entry_addr(key), key, 0x6000, false));
             assert_eq!(reads, 2, "Listing 2: entry + value");
-            match &actions[0] {
-                KernelAction::RoceSend {
-                    qpn,
-                    remote_vaddr,
-                    data,
-                } => {
-                    assert_eq!((*qpn, *remote_vaddr), (4, 0x6000));
-                    assert_eq!(&data[..], value_pattern(key, 96));
-                }
-                other => panic!("expected RoceSend, got {other:?}"),
-            }
+            assert_eq!(actions, [send(1, 0x6000, &value_pattern(key, 96)), Done]);
         }
     }
 
     #[test]
     fn missing_key_reports_not_found() {
-        let mut m = HostMemory::new();
-        let (base, _) = m.pin(HUGE_PAGE_SIZE).unwrap();
+        let (mut m, base) = mem();
         let ht = build_hash_table(&mut m, base, 16, &[1, 2, 3], 16);
         let mut k = GetKernel::new();
-        let (actions, reads) = run(&mut k, &mut m, plain(ht.entry_addr(999), 999, 0));
+        let (actions, reads) = run(&mut k, &mut m, get(ht.entry_addr(999), 999, 0, false));
         assert_eq!(reads, 1);
-        assert!(matches!(&actions[0], KernelAction::RoceSend { data, .. }
-            if crate::framework::decode_error(u64::from_le_bytes(data[..8].try_into().unwrap()))
-                == Some(ERR_NOT_FOUND)));
+        assert_eq!(actions, [send(1, 0, &error_word(ERR_NOT_FOUND)), Done]);
     }
 
     #[test]
     fn malformed_params_error_out() {
-        let mut k = GetKernel::new();
-        let actions = k.on_event(KernelEvent::Invoke {
-            qpn: 1,
-            params: Bytes::from_static(b"xx"),
-        });
-        assert!(matches!(actions[0], KernelAction::RoceSend { .. }));
-        assert_eq!(actions[1], KernelAction::Done);
+        let p = get(0x1000, 7, 0x6000, false).encode();
+        let read = KernelAction::DmaRead {
+            tag: 1,
+            vaddr: 0x1000,
+            len: 64,
+        };
+        let (k, short) = (&mut GetKernel::new(), Bytes::from_static(b"xx"));
+        check_malformed_invoke(k, short, &bad_params(), invoke(p), &[read]);
     }
 
-    /// Chained-mode helpers: run a lookup and decode the response.
+    /// A chained lookup of `key` from `entry_addr`, answered at 0x8000.
     fn chained_get(m: &mut HostMemory, entry_addr: u64, key: u64) -> (Vec<KernelAction>, u32) {
-        let mut k = GetKernel::new();
-        run(
-            &mut k,
-            m,
-            GetParams {
-                entry_addr,
-                key,
-                target_address: 0x8000,
-                chained: true,
-            },
-        )
+        run(&mut GetKernel::new(), m, get(entry_addr, key, 0x8000, true))
     }
 
     #[test]
     fn chained_get_serves_collisions_and_chains() {
-        let mut m = HostMemory::new();
-        let (base, _) = m.pin(HUGE_PAGE_SIZE).unwrap();
+        let (mut m, base) = mem();
         // 2 primary entries × 2 buckets for 12 keys: collisions in every
         // entry and guaranteed overflow chains.
         let keys: Vec<u64> = (1..=12).collect();
@@ -417,35 +237,16 @@ mod tests {
                 reads >= 2,
                 "entry + value at minimum; chained keys take more hops"
             );
-            // Value first (target + 8), version header last (target).
-            match (&actions[0], &actions[1]) {
-                (
-                    KernelAction::RoceSend {
-                        remote_vaddr: va,
-                        data: value,
-                        ..
-                    },
-                    KernelAction::RoceSend {
-                        remote_vaddr: ha,
-                        data: header,
-                        ..
-                    },
-                ) => {
-                    assert_eq!((*va, *ha), (0x8008, 0x8000));
-                    assert_eq!(&value[..], versioned_value_pattern(key, 0, 48));
-                    let v = u64::from_le_bytes(header[..8].try_into().unwrap());
-                    assert_eq!(v, 0, "preloaded keys are at version 0");
-                }
-                other => panic!("expected value+header sends, got {other:?}"),
-            }
-            assert_eq!(actions[2], KernelAction::Done);
+            // Value first (target + 8), version header last (target):
+            // preloaded keys are at version 0.
+            let value = send(1, 0x8008, &versioned_value_pattern(key, 0, 48));
+            assert_eq!(actions, [value, send(1, 0x8000, &[0; 8]), Done]);
         }
     }
 
     #[test]
     fn chained_entry_lookup_walks_the_overflow_chain() {
-        let mut m = HostMemory::new();
-        let (base, _) = m.pin(HUGE_PAGE_SIZE).unwrap();
+        let (mut m, base) = mem();
         // A single primary entry: keys 3.. must live in overflow entries.
         let keys: Vec<u64> = (1..=7).collect();
         let kv = build_kv_store(&mut m, base, 1, &keys, 32, 0);
@@ -457,23 +258,14 @@ mod tests {
 
     #[test]
     fn chained_true_miss_walks_to_the_end_and_reports_not_found() {
-        let mut m = HostMemory::new();
-        let (base, _) = m.pin(HUGE_PAGE_SIZE).unwrap();
+        let (mut m, base) = mem();
         let keys: Vec<u64> = (1..=6).collect();
         let kv = build_kv_store(&mut m, base, 1, &keys, 32, 0);
         // Key 100 hashes to the same (only) entry but is absent: the
         // kernel must walk the whole chain, then answer ERR_NOT_FOUND.
         let (actions, reads) = chained_get(&mut m, kv.entry_addr(100), 100);
         assert_eq!(reads, 3, "all three chain entries visited");
-        match &actions[0] {
-            KernelAction::RoceSend {
-                remote_vaddr, data, ..
-            } => {
-                assert_eq!(*remote_vaddr, 0x8000, "error lands at the header");
-                let word = u64::from_le_bytes(data[..8].try_into().unwrap());
-                assert_eq!(crate::framework::decode_error(word), Some(ERR_NOT_FOUND));
-            }
-            other => panic!("expected error send, got {other:?}"),
-        }
+        let error = send(1, 0x8000, &error_word(ERR_NOT_FOUND));
+        assert_eq!(actions, [error, Done], "error lands at the header");
     }
 }

@@ -201,7 +201,7 @@ impl HllKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::testing::check_malformed_invoke;
+    use crate::framework::testing::{check_malformed_invoke, sevens, DONE};
 
     fn items(range: std::ops::Range<u64>) -> Vec<u8> {
         range.flat_map(|i| i.to_le_bytes()).collect()
@@ -247,7 +247,7 @@ mod tests {
             params: HllKernel::stream_params(0x4000),
         });
         // A receive kernel ends every stream, but sends no snapshot.
-        check_malformed_invoke(&mut k, Bytes::from_static(&[0]), &[KernelAction::Done]);
+        check_malformed_invoke(&mut k, Bytes::from_static(&[0]), DONE, sevens(), DONE);
     }
 
     #[test]

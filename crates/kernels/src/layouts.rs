@@ -42,6 +42,8 @@ pub mod list_layout {
 pub mod ht_layout {
     /// Key positions of the three buckets (4 B units).
     pub const BUCKET_KEY_POS: [u8; 3] = [0, 5, 10];
+    /// The buckets' key mask.
+    pub(crate) const KEY_MASK: u16 = crate::walk::key_mask(&BUCKET_KEY_POS);
     /// Value pointer offset relative to its bucket's key (4 B units).
     pub const VALUE_PTR_REL: u8 = 2;
     /// Value length offset relative to its bucket's key (4 B units).
@@ -369,6 +371,8 @@ impl SkipList {
 pub mod chained_layout {
     /// Key positions of the two buckets (4 B units).
     pub const BUCKET_KEY_POS: [u8; 2] = [0, 5];
+    /// The buckets' key mask.
+    pub(crate) const KEY_MASK: u16 = crate::walk::key_mask(&BUCKET_KEY_POS);
     /// Value pointer offset relative to its bucket's key (4 B units).
     pub const VALUE_PTR_REL: u8 = 2;
     /// Next-entry (overflow chain) pointer position (4 B units).
@@ -393,6 +397,11 @@ pub mod chained_layout {
     /// Byte offset of the next-entry pointer within the entry.
     pub fn next_off() -> usize {
         usize::from(NEXT_POS) * 4
+    }
+    /// Byte offset of the version of the bucket whose key is at byte `off`.
+    pub(crate) fn version_at(off: usize) -> usize {
+        let b = (0..BUCKETS).find(|&b| key_off(b) == off);
+        version_off(b.expect("a bucket's key offset"))
     }
 }
 
@@ -422,15 +431,11 @@ impl ChainedHashTable {
     /// follow the overflow chain on miss (§6.2's chaining case).
     pub fn get_params(&self, key: u64, target_address: u64) -> crate::traversal::TraversalParams {
         use crate::traversal::{Predicate, TraversalParams};
-        let mut mask = 0u16;
-        for pos in chained_layout::BUCKET_KEY_POS {
-            mask |= 1 << pos;
-        }
         TraversalParams {
             remote_address: self.entry_addr(key),
             value_size: self.value_size,
             key,
-            key_mask: mask,
+            key_mask: chained_layout::KEY_MASK,
             predicate: Predicate::Equal,
             value_ptr_position: chained_layout::VALUE_PTR_REL,
             is_relative_position: true,

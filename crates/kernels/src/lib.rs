@@ -25,9 +25,10 @@
 //! [`filter`] (selection push-down with an on-NIC result region) and
 //! [`aggregate`] (count/sum/min/max reduction).
 //!
-//! Plus [`get`]: the pedagogical GET kernel of Listing 2, and the host-side
-//! data-structure [`layouts`] (linked lists, Pilaf-style hash tables,
-//! CRC-stamped object stores) the experiments operate on.
+//! Plus the KV tier's [`get`] (Listing 2's GET, grown to chained entries)
+//! and [`put`] kernels — GET, PUT's chain walk and traversal share one
+//! private pointer chase — and the host-side data-structure [`layouts`]
+//! (linked lists, hash tables, object stores) the experiments use.
 //!
 //! Later additions widen the library toward §8's "chain of kernels"
 //! outlook: [`topk`], [`bloom`], and [`scan`] stream kernels, a
@@ -60,6 +61,7 @@ pub mod simd;
 mod stream;
 pub mod topk;
 pub mod traversal;
+mod walk;
 
 pub use aggregate::{Aggregate, AggregateKernel, AggregateParams};
 pub use bloom::{BloomFilter, BloomKernel, BloomParams};

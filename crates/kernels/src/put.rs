@@ -5,8 +5,8 @@
 //! kernel is its write path. A client streams one request blob per PUT
 //! through the RDMA RPC WRITE verb (§5.1 — the payload rides
 //! `RPC WRITE First/Middle/Last` packets straight into the kernel, no
-//! host round trip), and the kernel walks the chained entry like the GET
-//! kernel does, then either
+//! host round trip), and the kernel walks the chained entry on the same
+//! pointer chase as GET, then either
 //!
 //! - **updates** the matching bucket in place: rewrites the value slot
 //!   and bumps the bucket's 8 B version counter, or
@@ -44,7 +44,10 @@ use strom_wire::opcode::RpcOpCode;
 use crate::framework::{
     error_word, Kernel, KernelAction, KernelEvent, ERR_BAD_PARAMS, ERR_NO_SPACE,
 };
-use crate::layouts::{chained_layout, KvStore, ELEMENT_SIZE};
+use crate::layouts::chained_layout::{self, key_off};
+use crate::layouts::{KvStore, ELEMENT_SIZE};
+use crate::traversal::Predicate::Equal;
+use crate::walk::{reply, word, Stop, Walk, TAG_ENTRY};
 
 /// Arena grant + slot geometry the host configures the kernel with
 /// (one local RPC invoke at deployment time).
@@ -129,26 +132,27 @@ struct PutRequest {
     value: Bytes,
 }
 
-/// The in-flight chain walk.
-#[derive(Debug)]
-struct Active {
-    req: PutRequest,
-    /// Entry the outstanding DMA read targets.
-    cur_entry: u64,
-    hops: u32,
-}
-
-/// DMA tag for entry reads.
-const TAG_ENTRY: u32 = 1;
-/// Chain-walk bound (corrupted-table cycle guard).
-const MAX_HOPS: u32 = 1024;
+/// Entry reads one chain walk may issue: 1 024 hops counted from 0 (the
+/// corrupted-table cycle guard).
+const MAX_READS: u32 = 1025;
 
 /// One hash-table entry, as read and rewritten.
 type Entry = [u8; ELEMENT_SIZE as usize];
 
+/// Fills bucket `b` with a fresh key at version 1.
+fn fill(buf: &mut Entry, b: usize, key: u64, value_addr: u64, value_size: u32) {
+    let off = key_off(b);
+    buf[off..off + 8].copy_from_slice(&key.to_le_bytes());
+    buf[off + 8..off + 16].copy_from_slice(&value_addr.to_le_bytes());
+    buf[off + 16..off + 20].copy_from_slice(&value_size.to_le_bytes());
+    let voff = chained_layout::version_off(b);
+    buf[voff..voff + 8].copy_from_slice(&1u64.to_le_bytes());
+}
+
 /// The PUT/INSERT kernel.
 #[derive(Debug, Default)]
 pub struct PutKernel {
+    /// The arena grant; `None` (none yet, or a malformed one) grants nothing.
     cfg: Option<PutConfig>,
     /// Per-QP reassembly of request blobs streamed over more than one
     /// packet (RC keeps each QP's stream ordered; different QPs
@@ -156,7 +160,8 @@ pub struct PutKernel {
     partial: BTreeMap<Qpn, Vec<u8>>,
     /// Fully received requests waiting for the walk engine.
     pending: VecDeque<PutRequest>,
-    active: Option<Active>,
+    /// The request whose chain walk is in flight.
+    active: Option<(PutRequest, Walk)>,
     /// Successful in-place updates.
     pub updates: u64,
     /// Successful inserts (fresh bucket or fresh overflow entry).
@@ -184,157 +189,75 @@ impl PutKernel {
         let Some(req) = self.pending.pop_front() else {
             return;
         };
-        let entry = req.entry_addr;
-        self.active = Some(Active {
-            req,
-            cur_entry: entry,
-            hops: 0,
-        });
-        out.push(KernelAction::DmaRead {
-            tag: TAG_ENTRY,
-            vaddr: entry,
-            len: ELEMENT_SIZE as u32,
-        });
+        let (mask, next) = (chained_layout::KEY_MASK, Some(chained_layout::NEXT_POS));
+        let walk = Walk::start(req.entry_addr, req.key, mask, Equal, next, MAX_READS, out);
+        self.active = Some((req, walk));
     }
 
     /// Finishes the active request with an ack (or error) word, then
     /// chains the next pending request.
     fn finish(&mut self, qpn: Qpn, ack_addr: u64, word: [u8; 8], out: &mut Vec<KernelAction>) {
-        self.active = None;
-        out.extend([
-            KernelAction::RoceSend {
-                qpn,
-                remote_vaddr: ack_addr,
-                data: Bytes::copy_from_slice(&word),
-            },
-            KernelAction::Done,
-        ]);
+        reply(out, qpn, ack_addr, Bytes::copy_from_slice(&word));
         self.start_next(out);
     }
 
     /// Handles a fully-read entry for the active request.
     fn on_entry(&mut self, data: Bytes, out: &mut Vec<KernelAction>) {
-        let Some(active) = self.active.take() else {
+        let Some((req, mut walk)) = self.active.take() else {
             return;
         };
-        let Active {
-            req,
-            cur_entry,
-            hops,
-        } = active;
-        let cfg = self.cfg.expect("configured before first request");
         let mut buf: Entry = data[..].try_into().expect("one entry read");
+        let Some(stop) = walk.step(&buf, out) else {
+            self.active = Some((req, walk));
+            return;
+        };
+        let (qpn, ack_addr) = (req.qpn, req.ack_addr);
+        let write = |vaddr, data| KernelAction::DmaWrite { vaddr, data };
+        let entry = |buf: &Entry| Bytes::copy_from_slice(buf);
 
         // Update in place: a bucket already holds the key.
-        for b in 0..chained_layout::BUCKETS {
-            let off = chained_layout::key_off(b);
-            let k = u64::from_le_bytes(buf[off..off + 8].try_into().expect("sized"));
-            if k != 0 && k == req.key {
-                let ptr = u64::from_le_bytes(buf[off + 8..off + 16].try_into().expect("sized"));
-                let voff = chained_layout::version_off(b);
-                let version =
-                    u64::from_le_bytes(buf[voff..voff + 8].try_into().expect("sized")) + 1;
-                buf[voff..voff + 8].copy_from_slice(&version.to_le_bytes());
-                self.updates += 1;
-                out.extend([
-                    KernelAction::DmaWrite {
-                        vaddr: ptr,
-                        data: req.value,
-                    },
-                    KernelAction::DmaWrite {
-                        vaddr: cur_entry,
-                        data: Bytes::copy_from_slice(&buf),
-                    },
-                ]);
-                return self.finish(req.qpn, req.ack_addr, version.to_le_bytes(), out);
-            }
+        if let Stop::Hit(off) = stop {
+            let ptr = word(&buf, off + 8).expect("in the entry");
+            let voff = chained_layout::version_at(off);
+            let version = word(&buf, voff).expect("in the entry") + 1;
+            buf[voff..voff + 8].copy_from_slice(&version.to_le_bytes());
+            self.updates += 1;
+            out.extend([write(ptr, req.value), write(walk.entry, entry(&buf))]);
+            return self.finish(qpn, ack_addr, version.to_le_bytes(), out);
         }
 
-        // Keep walking the chain.
-        let noff = chained_layout::next_off();
-        let next = u64::from_le_bytes(buf[noff..noff + 8].try_into().expect("sized"));
-        if next != 0 && hops < MAX_HOPS {
-            self.active = Some(Active {
-                req,
-                cur_entry: next,
-                hops: hops + 1,
-            });
-            out.push(KernelAction::DmaRead {
-                tag: TAG_ENTRY,
-                vaddr: next,
-                len: ELEMENT_SIZE as u32,
-            });
-            return;
-        }
-
-        // Chain tail: insert. Take a value slot from the arena.
-        let cfg_ref = self.cfg.as_mut().expect("configured");
-        if cfg_ref.value_arena_next + u64::from(cfg.value_size) > cfg_ref.value_arena_end {
+        // Chain tail: insert, into a free bucket of the tail entry or a
+        // fresh overflow entry, taking the value slot (and entry) from the
+        // arenas. No configuration is an empty grant.
+        let free = (0..chained_layout::BUCKETS).find(|&b| word(&buf, key_off(b)) == Some(0));
+        let fits = |c: &PutConfig| {
+            c.value_arena_next + u64::from(c.value_size) <= c.value_arena_end
+                && (free.is_some() || c.entry_arena_next + ELEMENT_SIZE <= c.entry_arena_end)
+        };
+        let Some(cfg) = self.cfg.as_mut().filter(|c| fits(c)) else {
             self.errors += 1;
-            return self.finish(req.qpn, req.ack_addr, error_word(ERR_NO_SPACE), out);
-        }
-        let value_addr = cfg_ref.value_arena_next;
-        // A free bucket in the tail entry takes the key directly.
-        for b in 0..chained_layout::BUCKETS {
-            let off = chained_layout::key_off(b);
-            let k = u64::from_le_bytes(buf[off..off + 8].try_into().expect("sized"));
-            if k == 0 {
-                self.cfg.as_mut().expect("configured").value_arena_next +=
-                    u64::from(cfg.value_size);
-                buf[off..off + 8].copy_from_slice(&req.key.to_le_bytes());
-                buf[off + 8..off + 16].copy_from_slice(&value_addr.to_le_bytes());
-                buf[off + 16..off + 20].copy_from_slice(&cfg.value_size.to_le_bytes());
-                let voff = chained_layout::version_off(b);
-                buf[voff..voff + 8].copy_from_slice(&1u64.to_le_bytes());
-                self.inserts += 1;
-                out.extend([
-                    KernelAction::DmaWrite {
-                        vaddr: value_addr,
-                        data: req.value,
-                    },
-                    KernelAction::DmaWrite {
-                        vaddr: cur_entry,
-                        data: Bytes::copy_from_slice(&buf),
-                    },
-                ]);
-                return self.finish(req.qpn, req.ack_addr, 1u64.to_le_bytes(), out);
+            return self.finish(qpn, ack_addr, error_word(ERR_NO_SPACE), out);
+        };
+        let (value_addr, size) = (cfg.value_arena_next, cfg.value_size);
+        cfg.value_arena_next += u64::from(size);
+        out.push(write(value_addr, req.value));
+        match free {
+            Some(b) => fill(&mut buf, b, req.key, value_addr, size),
+            None => {
+                let fresh = cfg.entry_arena_next;
+                cfg.entry_arena_next += ELEMENT_SIZE;
+                let mut fresh_buf: Entry = [0u8; ELEMENT_SIZE as usize];
+                fill(&mut fresh_buf, 0, req.key, value_addr, size);
+                let noff = chained_layout::next_off();
+                buf[noff..noff + 8].copy_from_slice(&fresh.to_le_bytes());
+                out.push(write(fresh, entry(&fresh_buf)));
             }
         }
-        // Both buckets taken: allocate a fresh overflow entry.
-        let cfg_ref = self.cfg.as_mut().expect("configured");
-        if cfg_ref.entry_arena_next + ELEMENT_SIZE > cfg_ref.entry_arena_end {
-            self.errors += 1;
-            return self.finish(req.qpn, req.ack_addr, error_word(ERR_NO_SPACE), out);
-        }
-        let fresh = cfg_ref.entry_arena_next;
-        cfg_ref.entry_arena_next += ELEMENT_SIZE;
-        cfg_ref.value_arena_next += u64::from(cfg.value_size);
-        let mut fresh_buf: Entry = [0u8; ELEMENT_SIZE as usize];
-        let off = chained_layout::key_off(0);
-        fresh_buf[off..off + 8].copy_from_slice(&req.key.to_le_bytes());
-        fresh_buf[off + 8..off + 16].copy_from_slice(&value_addr.to_le_bytes());
-        fresh_buf[off + 16..off + 20].copy_from_slice(&cfg.value_size.to_le_bytes());
-        let voff = chained_layout::version_off(0);
-        fresh_buf[voff..voff + 8].copy_from_slice(&1u64.to_le_bytes());
-        buf[noff..noff + 8].copy_from_slice(&fresh.to_le_bytes());
+        // The tail entry goes live last, so a concurrent GET walk never
+        // follows a pointer into a half-built entry.
+        out.push(write(walk.entry, entry(&buf)));
         self.inserts += 1;
-        out.extend([
-            KernelAction::DmaWrite {
-                vaddr: value_addr,
-                data: req.value,
-            },
-            KernelAction::DmaWrite {
-                vaddr: fresh,
-                data: Bytes::copy_from_slice(&fresh_buf),
-            },
-            // The tail's next pointer goes live last, so a concurrent
-            // GET walk never follows a pointer into a half-built entry.
-            KernelAction::DmaWrite {
-                vaddr: cur_entry,
-                data: Bytes::copy_from_slice(&buf),
-            },
-        ]);
-        self.finish(req.qpn, req.ack_addr, 1u64.to_le_bytes(), out);
+        self.finish(qpn, ack_addr, 1u64.to_le_bytes(), out);
     }
 
     /// Decodes a fully-received blob into a request; on a malformed blob
@@ -346,9 +269,7 @@ impl PutKernel {
             self.errors += 1;
             return None;
         }
-        let key = u64::from_le_bytes(blob[0..8].try_into().expect("sized"));
-        let entry_addr = u64::from_le_bytes(blob[8..16].try_into().expect("sized"));
-        let ack_addr = u64::from_le_bytes(blob[16..24].try_into().expect("sized"));
+        let [key, entry_addr, ack_addr] = [0, 8, 16].map(|off| word(&blob, off).expect("header"));
         let value_len = u32::from_le_bytes(blob[24..28].try_into().expect("sized")) as usize;
         let Some(cfg) = self.cfg else {
             self.errors += 1;
@@ -426,74 +347,46 @@ impl Kernel for PutKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::decode_error;
+    use crate::framework::testing::{check_malformed_invoke, drive, invoke, mem, send, DONE};
     use crate::layouts::{build_kv_store, versioned_value_pattern, KvStore};
-    use strom_mem::{HostMemory, HUGE_PAGE_SIZE};
+    use strom_mem::HostMemory;
+    use KernelAction::Done;
 
-    /// Feeds events and executes DMA actions against host memory until
-    /// the kernel goes quiet; returns every RoceSend it emitted.
-    fn pump(
-        kernel: &mut PutKernel,
-        mem: &mut HostMemory,
-        mut actions: Vec<KernelAction>,
-    ) -> Vec<(u64, Bytes)> {
-        let mut sends = Vec::new();
-        loop {
-            let mut next = Vec::new();
-            for a in actions {
-                match a {
-                    KernelAction::DmaRead { tag, vaddr, len } => {
-                        let data = Bytes::from(mem.read(vaddr, len as usize));
-                        next.extend(kernel.on_event(KernelEvent::DmaData { tag, data }));
-                    }
-                    KernelAction::DmaWrite { vaddr, data } => mem.write(vaddr, &data),
-                    KernelAction::RoceSend {
-                        remote_vaddr, data, ..
-                    } => sends.push((remote_vaddr, data)),
-                    KernelAction::Done | KernelAction::Forward { .. } => {}
-                }
-            }
-            if next.is_empty() {
-                return sends;
-            }
-            actions = next;
-        }
+    /// One streamed segment of a request.
+    fn seg(qpn: Qpn, data: &[u8], last: bool) -> KernelEvent {
+        let data = Bytes::copy_from_slice(data);
+        KernelEvent::RoceData { qpn, data, last }
     }
 
+    /// The ack `word` at 0x9000 on `qpn`.
+    fn ack(qpn: Qpn, word: [u8; 8]) -> [KernelAction; 2] {
+        [send(qpn, 0x9000, &word), Done]
+    }
+
+    /// Streams a PUT of `key` on `qpn`, acked at 0x9000, and drives it
+    /// against host memory; returns what the kernel answered.
     fn put(
-        kernel: &mut PutKernel,
-        mem: &mut HostMemory,
+        k: &mut PutKernel,
+        m: &mut HostMemory,
         kv: &KvStore,
         qpn: Qpn,
         key: u64,
         value: &[u8],
-    ) -> Vec<(u64, Bytes)> {
+    ) -> Vec<KernelAction> {
         let blob = encode_put_request(key, kv.entry_addr(key), 0x9000, value);
         // Stream in two chunks to exercise reassembly.
-        let mid = blob.len() / 2;
-        let mut actions = kernel.on_event(KernelEvent::RoceData {
-            qpn,
-            data: Bytes::copy_from_slice(&blob[..mid]),
-            last: false,
-        });
-        actions.extend(kernel.on_event(KernelEvent::RoceData {
-            qpn,
-            data: Bytes::copy_from_slice(&blob[mid..]),
-            last: true,
-        }));
-        pump(kernel, mem, actions)
+        let (a, b) = blob.split_at(blob.len() / 2);
+        let mut first = k.on_event(seg(qpn, a, false));
+        first.extend(k.on_event(seg(qpn, b, true)));
+        drive(k, m, first).0
     }
 
     fn setup(value_size: u32, keys: &[u64], spare: u64) -> (HostMemory, KvStore, PutKernel) {
-        let mut m = HostMemory::new();
-        let (base, _) = m.pin(HUGE_PAGE_SIZE).unwrap();
+        let (mut m, base) = mem();
         let kv = build_kv_store(&mut m, base, 4, keys, value_size, spare);
         let mut k = PutKernel::new();
-        let actions = k.on_event(KernelEvent::Invoke {
-            qpn: 0,
-            params: PutConfig::for_store(&kv).encode(),
-        });
-        assert_eq!(actions, vec![KernelAction::Done]);
+        let actions = k.on_event(invoke(PutConfig::for_store(&kv).encode()));
+        assert_eq!(actions, DONE);
         (m, kv, k)
     }
 
@@ -517,11 +410,9 @@ mod tests {
         for round in 1..=3u64 {
             for &key in &keys {
                 let val = versioned_value_pattern(key, round, 32);
-                let sends = put(&mut k, &mut m, &kv, 7, key, &val);
-                assert_eq!(sends.len(), 1);
-                assert_eq!(sends[0].0, 0x9000);
-                let ack = u64::from_le_bytes(sends[0].1[..8].try_into().unwrap());
-                assert_eq!(ack, round, "each PUT must bump the version by one");
+                let replies = put(&mut k, &mut m, &kv, 7, key, &val);
+                let bumped = ack(7, round.to_le_bytes());
+                assert_eq!(replies, bumped, "each PUT must bump the version by one");
             }
         }
         for &key in &keys {
@@ -539,9 +430,12 @@ mod tests {
         let (mut m, kv, mut k) = setup(16, &keys, 8);
         for new_key in 100..=104u64 {
             let val = versioned_value_pattern(new_key, 1, 16);
-            let sends = put(&mut k, &mut m, &kv, 3, new_key, &val);
-            let ack = u64::from_le_bytes(sends[0].1[..8].try_into().unwrap());
-            assert_eq!(ack, 1, "fresh insert starts at version 1");
+            let replies = put(&mut k, &mut m, &kv, 3, new_key, &val);
+            assert_eq!(
+                replies,
+                ack(3, 1u64.to_le_bytes()),
+                "fresh insert starts at version 1"
+            );
             let (version, ptr) = kv.lookup(&m, new_key).expect("inserted key reachable");
             assert_eq!(version, 1);
             assert_eq!(m.read(ptr, 16), val);
@@ -567,7 +461,7 @@ mod tests {
             50,
             &versioned_value_pattern(50, 1, 16),
         );
-        assert_eq!(u64::from_le_bytes(a[0].1[..8].try_into().unwrap()), 1);
+        assert_eq!(a, ack(1, 1u64.to_le_bytes()));
         // The single spare slot is gone: the next insert must fail
         // cleanly with ERR_NO_SPACE, and never corrupt the table.
         let b = put(
@@ -578,8 +472,7 @@ mod tests {
             51,
             &versioned_value_pattern(51, 1, 16),
         );
-        let word = u64::from_le_bytes(b[0].1[..8].try_into().unwrap());
-        assert_eq!(decode_error(word), Some(ERR_NO_SPACE));
+        assert_eq!(b, ack(1, error_word(ERR_NO_SPACE)));
         assert_eq!(kv.lookup(&m, 51), None);
         assert_eq!(k.errors, 1);
     }
@@ -588,9 +481,8 @@ mod tests {
     fn wrong_value_length_is_rejected() {
         let keys = [1u64, 2];
         let (mut m, kv, mut k) = setup(32, &keys, 2);
-        let sends = put(&mut k, &mut m, &kv, 1, 1, &[0u8; 16]);
-        let word = u64::from_le_bytes(sends[0].1[..8].try_into().unwrap());
-        assert_eq!(decode_error(word), Some(ERR_BAD_PARAMS));
+        let replies = put(&mut k, &mut m, &kv, 1, 1, &[0u8; 16]);
+        assert_eq!(replies, [send(1, 0x9000, &error_word(ERR_BAD_PARAMS))]);
         let (version, _) = kv.lookup(&m, 1).unwrap();
         assert_eq!(version, 0, "rejected PUT must not touch the entry");
     }
@@ -599,42 +491,53 @@ mod tests {
     fn interleaved_streams_from_two_qps_reassemble_independently() {
         let keys: Vec<u64> = (1..=8).collect();
         let (mut m, kv, mut k) = setup(24, &keys, 2);
-        let blob_a = encode_put_request(
-            3,
-            kv.entry_addr(3),
-            0xA000,
-            &versioned_value_pattern(3, 1, 24),
-        );
-        let blob_b = encode_put_request(
-            5,
-            kv.entry_addr(5),
-            0xB000,
-            &versioned_value_pattern(5, 1, 24),
-        );
+        let blob = |key, ack| {
+            let value = versioned_value_pattern(key, 1, 24);
+            encode_put_request(key, kv.entry_addr(key), ack, &value)
+        };
+        let (blob_a, blob_b) = (blob(3, 0xA000), blob(5, 0xB000));
         // Interleave: A first half, B whole, A second half.
-        let mid = blob_a.len() / 2;
-        let mut actions = k.on_event(KernelEvent::RoceData {
-            qpn: 10,
-            data: Bytes::copy_from_slice(&blob_a[..mid]),
-            last: false,
-        });
-        actions.extend(k.on_event(KernelEvent::RoceData {
-            qpn: 20,
-            data: Bytes::copy_from_slice(&blob_b),
-            last: true,
-        }));
-        actions.extend(k.on_event(KernelEvent::RoceData {
-            qpn: 10,
-            data: Bytes::copy_from_slice(&blob_a[mid..]),
-            last: true,
-        }));
-        let sends = pump(&mut k, &mut m, actions);
+        let (a1, a2) = blob_a.split_at(blob_a.len() / 2);
+        let mut actions = k.on_event(seg(10, a1, false));
+        actions.extend(k.on_event(seg(20, &blob_b, true)));
+        actions.extend(k.on_event(seg(10, a2, true)));
+        let (replies, _) = drive(&mut k, &mut m, actions);
         // Both PUTs applied (order: B completed first, then A).
-        assert_eq!(sends.len(), 2);
-        assert_eq!(sends[0].0, 0xB000);
-        assert_eq!(sends[1].0, 0xA000);
+        let one = 1u64.to_le_bytes();
+        assert_eq!(
+            replies,
+            [send(20, 0xB000, &one), Done, send(10, 0xA000, &one), Done]
+        );
         assert_eq!(kv.lookup(&m, 3).unwrap().0, 1);
         assert_eq!(kv.lookup(&m, 5).unwrap().0, 1);
         assert_eq!(k.applied(), 2);
+    }
+
+    #[test]
+    fn malformed_config_drops_the_grant() {
+        let (_, kv, mut k) = setup(16, &[1, 2], 2);
+        let then = seg(
+            1,
+            &encode_put_request(1, kv.entry_addr(1), 0x9000, &[0; 16]),
+            true,
+        );
+        check_malformed_invoke(&mut k, Bytes::from_static(&[0]), DONE, then, &[]);
+    }
+
+    #[test]
+    fn a_malformed_config_mid_walk_is_an_empty_grant() {
+        // Key 1 is an update, key 60 an insert; both walks are in flight
+        // when a malformed configuration drops the grant.
+        let (mut m, kv, mut k) = setup(16, &[1, 2, 3, 4, 5, 6], 4);
+        for (key, word) in [(1, 1u64.to_le_bytes()), (60, error_word(ERR_NO_SPACE))] {
+            let blob = encode_put_request(key, kv.entry_addr(key), 0x9000, &[9; 16]);
+            let first = k.on_event(seg(1, &blob, true));
+            assert_eq!(k.on_event(invoke(Bytes::from_static(&[0]))), DONE);
+            assert_eq!(drive(&mut k, &mut m, first).0, ack(1, word));
+            let setup_again = PutConfig::for_store(&kv).encode();
+            assert_eq!(k.on_event(invoke(setup_again)), DONE);
+        }
+        assert_eq!(kv.lookup(&m, 1).unwrap().0, 1, "the update applied");
+        assert_eq!(kv.lookup(&m, 60), None, "the insert did not");
     }
 }

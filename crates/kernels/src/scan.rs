@@ -269,7 +269,7 @@ impl Kernel for SubstringScanKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::testing::check_malformed_invoke;
+    use crate::framework::testing::{check_malformed_invoke, sevens, DONE};
 
     fn lcg_bytes(n: usize, seed: u64) -> Vec<u8> {
         let mut s = seed;
@@ -370,7 +370,7 @@ mod tests {
             }
             .encode(),
         });
-        check_malformed_invoke(&mut k, Bytes::from_static(&[0]), &[]);
+        check_malformed_invoke(&mut k, Bytes::from_static(&[0]), DONE, sevens(), &[]);
     }
 
     #[test]

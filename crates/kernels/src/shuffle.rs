@@ -226,7 +226,7 @@ pub fn reference_partition(values: &[u64], num_partitions: usize) -> Vec<Vec<u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::testing::check_malformed_invoke;
+    use crate::framework::testing::{check_malformed_invoke, sevens, DONE};
 
     /// Drives the kernel with an in-test host memory image.
     struct Harness {
@@ -373,7 +373,13 @@ mod tests {
             .encode()
         });
         for params in counts.into_iter().chain([Bytes::from_static(&[0])]) {
-            check_malformed_invoke(&mut Harness::new(4, 1 << 16).0.kernel, params, &[]);
+            check_malformed_invoke(
+                &mut Harness::new(4, 1 << 16).0.kernel,
+                params,
+                DONE,
+                sevens(),
+                &[],
+            );
         }
     }
 }

@@ -232,7 +232,7 @@ pub fn reference_topk(values: &[u64], k: usize) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::testing::check_malformed_invoke;
+    use crate::framework::testing::{check_malformed_invoke, sevens, DONE};
 
     fn configured(k: u32) -> TopKKernel {
         let mut kernel = TopKKernel::new();
@@ -301,7 +301,7 @@ mod tests {
             target_address: 0x7000,
         };
         for params in [zero_k.encode(), Bytes::from_static(&[0])] {
-            check_malformed_invoke(&mut configured(4), params, &[]);
+            check_malformed_invoke(&mut configured(4), params, DONE, sevens(), &[]);
         }
     }
 

@@ -15,13 +15,10 @@
 
 use bytes::Bytes;
 
-use strom_wire::bth::Qpn;
 use strom_wire::opcode::RpcOpCode;
 
-use crate::framework::{
-    error_word, Kernel, KernelAction, KernelEvent, ERR_BAD_PARAMS, ERR_NOT_FOUND,
-};
-use crate::layouts::ELEMENT_SIZE;
+use crate::framework::{Kernel, KernelAction, KernelEvent, ERR_BAD_PARAMS};
+use crate::walk::{reply_error, word, Lookup, Walk};
 
 /// The comparison predicate of Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,16 +157,12 @@ impl TraversalParams {
     /// three bucket positions, value pointer relative to the matched key,
     /// no next-element chaining (best case of §6.2's hash table example).
     pub fn for_hash_table(entry: u64, key: u64, value_size: u32, target_address: u64) -> Self {
-        use crate::layouts::ht_layout::{BUCKET_KEY_POS, VALUE_PTR_REL};
-        let mut mask = 0u16;
-        for pos in BUCKET_KEY_POS {
-            mask |= 1 << pos;
-        }
+        use crate::layouts::ht_layout::{KEY_MASK, VALUE_PTR_REL};
         TraversalParams {
             remote_address: entry,
             value_size,
             key,
-            key_mask: mask,
+            key_mask: KEY_MASK,
             predicate: Predicate::Equal,
             value_ptr_position: VALUE_PTR_REL,
             is_relative_position: true,
@@ -180,150 +173,27 @@ impl TraversalParams {
     }
 }
 
-/// Guard against cyclic structures: maximum elements visited per lookup.
-const MAX_HOPS: u32 = 65_536;
-
-/// DMA tag for element fetches.
-const TAG_ELEMENT: u32 = 1;
-/// DMA tag for the value fetch.
-const TAG_VALUE: u32 = 2;
-
-#[derive(Debug)]
-enum State {
-    Idle,
-    FetchingElement {
-        qpn: Qpn,
-        params: TraversalParams,
-        hops: u32,
-    },
-    FetchingValue {
-        qpn: Qpn,
-        target_address: u64,
-    },
-}
+/// Elements one lookup may read: the guard against cyclic structures.
+const MAX_READS: u32 = 65_536;
 
 /// The traversal kernel FSM.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TraversalKernel {
-    state: State,
+    state: Lookup<TraversalParams>,
     /// Elements visited by the current/last invocation (diagnostics; the
     /// latency figures correlate with this).
     last_hops: u32,
 }
 
-impl Default for TraversalKernel {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl TraversalKernel {
     /// Creates an idle kernel.
     pub fn new() -> Self {
-        Self {
-            state: State::Idle,
-            last_hops: 0,
-        }
+        Self::default()
     }
 
     /// Elements visited by the most recent lookup.
     pub fn last_hops(&self) -> u32 {
         self.last_hops
-    }
-
-    fn fail(&mut self, qpn: Qpn, target: u64, code: u16, out: &mut Vec<KernelAction>) {
-        self.state = State::Idle;
-        out.extend([
-            KernelAction::RoceSend {
-                qpn,
-                remote_vaddr: target,
-                data: Bytes::copy_from_slice(&error_word(code)),
-            },
-            KernelAction::Done,
-        ]);
-    }
-
-    fn evaluate_element(
-        &mut self,
-        qpn: Qpn,
-        params: TraversalParams,
-        hops: u32,
-        element: &[u8],
-        out: &mut Vec<KernelAction>,
-    ) {
-        let field_u64 = |pos: u8| {
-            let off = usize::from(pos) * 4;
-            if off + 8 <= element.len() {
-                Some(u64::from_le_bytes(
-                    element[off..off + 8].try_into().expect("sized"),
-                ))
-            } else {
-                None
-            }
-        };
-        // Compare the lookup key against every masked key position —
-        // "concurrently" in hardware (the UNROLL pragma of Listing 4).
-        let mut matched_pos: Option<u8> = None;
-        for pos in 0..16u8 {
-            if params.key_mask & (1 << pos) == 0 {
-                continue;
-            }
-            let Some(element_key) = field_u64(pos) else {
-                return self.fail(qpn, params.target_address, ERR_BAD_PARAMS, out);
-            };
-            // Position 0 keys of value 0 mark empty buckets in the
-            // layouts; never match those.
-            if element_key == 0 {
-                continue;
-            }
-            if params.predicate.matches(element_key, params.key) {
-                matched_pos = Some(pos);
-                break;
-            }
-        }
-        if let Some(pos) = matched_pos {
-            let ptr_pos = if params.is_relative_position {
-                pos + params.value_ptr_position
-            } else {
-                params.value_ptr_position
-            };
-            let Some(value_ptr) = field_u64(ptr_pos) else {
-                return self.fail(qpn, params.target_address, ERR_BAD_PARAMS, out);
-            };
-            self.last_hops = hops;
-            self.state = State::FetchingValue {
-                qpn,
-                target_address: params.target_address,
-            };
-            out.push(KernelAction::DmaRead {
-                tag: TAG_VALUE,
-                vaddr: value_ptr,
-                len: params.value_size,
-            });
-            return;
-        }
-        // No match: chase the next pointer, if the structure has one.
-        if !params.next_element_ptr_valid {
-            self.last_hops = hops;
-            return self.fail(qpn, params.target_address, ERR_NOT_FOUND, out);
-        }
-        let Some(next) = field_u64(params.next_element_ptr_position) else {
-            return self.fail(qpn, params.target_address, ERR_BAD_PARAMS, out);
-        };
-        if next == 0 || hops >= MAX_HOPS {
-            self.last_hops = hops;
-            return self.fail(qpn, params.target_address, ERR_NOT_FOUND, out);
-        }
-        self.state = State::FetchingElement {
-            qpn,
-            params,
-            hops: hops + 1,
-        };
-        out.push(KernelAction::DmaRead {
-            tag: TAG_ELEMENT,
-            vaddr: next,
-            len: ELEMENT_SIZE as u32,
-        });
     }
 }
 
@@ -343,38 +213,24 @@ impl Kernel for TraversalKernel {
         match event {
             KernelEvent::Invoke { qpn, params } => {
                 let Some(p) = TraversalParams::decode(&params) else {
-                    return self.fail(qpn, 0, ERR_BAD_PARAMS, out);
+                    self.state = Lookup::Idle;
+                    return reply_error(out, qpn, 0, ERR_BAD_PARAMS);
                 };
-                self.state = State::FetchingElement {
-                    qpn,
-                    params: p,
-                    hops: 1,
-                };
-                out.push(KernelAction::DmaRead {
-                    tag: TAG_ELEMENT,
-                    vaddr: p.remote_address,
-                    len: ELEMENT_SIZE as u32,
-                });
+                let (entry, next) = (p.remote_address, p.next_element_ptr_position);
+                let next = p.next_element_ptr_valid.then_some(next);
+                let walk = Walk::start(entry, p.key, p.key_mask, p.predicate, next, MAX_READS, out);
+                self.state = Lookup::Walking(qpn, p.target_address, p, walk);
             }
+            // A hit reads the value through the pointer at its absolute
+            // position, or at its position relative to the matched key.
             KernelEvent::DmaData { tag, data } => {
-                match std::mem::replace(&mut self.state, State::Idle) {
-                    State::FetchingElement { qpn, params, hops } if tag == TAG_ELEMENT => {
-                        self.evaluate_element(qpn, params, hops, &data, out);
-                    }
-                    State::FetchingValue {
-                        qpn,
-                        target_address,
-                    } if tag == TAG_VALUE => out.extend([
-                        KernelAction::RoceSend {
-                            qpn,
-                            remote_vaddr: target_address,
-                            data,
-                        },
-                        KernelAction::Done,
-                    ]),
-                    // Unmatched completion: protocol bug; drop it.
-                    other => self.state = other,
-                }
+                let hops = self.state.on_data(tag, data, out, |p, element, off| {
+                    let relative = if p.is_relative_position { off / 4 } else { 0 };
+                    let pos = usize::from(p.value_ptr_position) + relative;
+                    let ptr = word(element, pos * 4).ok_or(ERR_BAD_PARAMS)?;
+                    Ok((ptr, p.value_size, None))
+                });
+                self.last_hops = hops.unwrap_or(self.last_hops);
             }
             KernelEvent::RoceData { .. } => {} // Not a stream kernel.
         }
@@ -384,37 +240,20 @@ impl Kernel for TraversalKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::testing::{bad_params, check_malformed_invoke, drive, invoke, mem, send};
+    use crate::framework::{error_word, ERR_NOT_FOUND};
     use crate::layouts::{build_hash_table, build_linked_list, value_pattern};
-    use strom_mem::{HostMemory, HUGE_PAGE_SIZE};
+    use strom_mem::HostMemory;
+    use KernelAction::Done;
 
-    /// Drives the kernel against real host memory, counting DMA reads —
-    /// a miniature kernel fabric.
+    /// Invokes the kernel and drives it against host memory.
     fn run(
-        kernel: &mut TraversalKernel,
-        mem: &mut HostMemory,
-        params: TraversalParams,
+        k: &mut TraversalKernel,
+        m: &mut HostMemory,
+        p: TraversalParams,
     ) -> (Vec<KernelAction>, u32) {
-        let mut dma_reads = 0;
-        let mut actions = kernel.on_event(KernelEvent::Invoke {
-            qpn: 1,
-            params: params.encode(),
-        });
-        loop {
-            match actions.first() {
-                Some(KernelAction::DmaRead { tag, vaddr, len }) => {
-                    dma_reads += 1;
-                    let data = Bytes::from(mem.read(*vaddr, *len as usize));
-                    actions = kernel.on_event(KernelEvent::DmaData { tag: *tag, data });
-                }
-                _ => return (actions, dma_reads),
-            }
-        }
-    }
-
-    fn mem() -> (HostMemory, u64) {
-        let mut m = HostMemory::new();
-        let (base, _) = m.pin(4 * HUGE_PAGE_SIZE).unwrap();
-        (m, base)
+        let first = k.on_event(invoke(p.encode()));
+        drive(k, m, first)
     }
 
     #[test]
@@ -438,14 +277,40 @@ mod tests {
 
     #[test]
     fn truncated_params_are_rejected() {
-        let mut k = TraversalKernel::new();
-        let actions = k.on_event(KernelEvent::Invoke {
-            qpn: 1,
-            params: Bytes::from_static(b"short"),
-        });
-        assert!(matches!(&actions[0], KernelAction::RoceSend { data, .. }
-            if crate::framework::decode_error(u64::from_le_bytes(data[..8].try_into().unwrap()))
-                == Some(ERR_BAD_PARAMS)));
+        let p = TraversalParams::for_linked_list(0x1000, 42, 64, 0x9000).encode();
+        let mut bad_predicate = p.to_vec();
+        bad_predicate[22] = 9;
+        let read = KernelAction::DmaRead {
+            tag: 1,
+            vaddr: 0x1000,
+            len: 64,
+        };
+        for params in [Bytes::from_static(b"short"), Bytes::from(bad_predicate)] {
+            let k = &mut TraversalKernel::new();
+            check_malformed_invoke(
+                k,
+                params,
+                &bad_params(),
+                invoke(p.clone()),
+                std::slice::from_ref(&read),
+            );
+        }
+    }
+
+    #[test]
+    fn relative_value_pointer_past_the_element_is_bad_params() {
+        // A key at field 10 matches; field 10 + 250 overflows a `u8` and
+        // lies past the element, so no value read may follow.
+        let (mut m, base) = mem();
+        m.write(base + 40, &77u64.to_le_bytes());
+        let mut p = TraversalParams::for_linked_list(base, 77, 16, 0x9000);
+        (p.key_mask, p.value_ptr_position, p.is_relative_position) = (1 << 10, 250, true);
+        let (actions, dma_reads) = run(&mut TraversalKernel::new(), &mut m, p);
+        assert_eq!(dma_reads, 1, "the element only");
+        assert_eq!(
+            actions,
+            [send(1, 0x9000, &error_word(ERR_BAD_PARAMS)), Done]
+        );
     }
 
     #[test]
@@ -460,19 +325,7 @@ mod tests {
             // i+1 element reads plus 1 value read.
             assert_eq!(dma_reads as usize, i + 2, "key {key}");
             assert_eq!(k.last_hops() as usize, i + 1);
-            match &actions[0] {
-                KernelAction::RoceSend {
-                    qpn,
-                    remote_vaddr,
-                    data,
-                } => {
-                    assert_eq!(*qpn, 1);
-                    assert_eq!(*remote_vaddr, 0xabc0);
-                    assert_eq!(&data[..], value_pattern(key, 64));
-                }
-                other => panic!("expected RoceSend, got {other:?}"),
-            }
-            assert_eq!(actions[1], KernelAction::Done);
+            assert_eq!(actions, [send(1, 0xabc0, &value_pattern(key, 64)), Done]);
         }
     }
 
@@ -484,13 +337,7 @@ mod tests {
         let p = TraversalParams::for_linked_list(list.head, 99, 32, 0xdef0);
         let (actions, dma_reads) = run(&mut k, &mut m, p);
         assert_eq!(dma_reads, 3, "whole list traversed");
-        match &actions[0] {
-            KernelAction::RoceSend { data, .. } => {
-                let word = u64::from_le_bytes(data[..8].try_into().unwrap());
-                assert_eq!(crate::framework::decode_error(word), Some(ERR_NOT_FOUND));
-            }
-            other => panic!("expected error RoceSend, got {other:?}"),
-        }
+        assert_eq!(actions, [send(1, 0xdef0, &error_word(ERR_NOT_FOUND)), Done]);
     }
 
     #[test]
@@ -505,12 +352,7 @@ mod tests {
             let p = TraversalParams::for_hash_table(ht.entry_addr(key), key, 48, 0x5000);
             let (actions, dma_reads) = run(&mut k, &mut m, p);
             assert_eq!(dma_reads, 2, "entry + value for key {key}");
-            match &actions[0] {
-                KernelAction::RoceSend { data, .. } => {
-                    assert_eq!(&data[..], value_pattern(key, 48));
-                }
-                other => panic!("expected RoceSend, got {other:?}"),
-            }
+            assert_eq!(actions, [send(1, 0x5000, &value_pattern(key, 48)), Done]);
         }
     }
 
@@ -522,9 +364,7 @@ mod tests {
         let p = TraversalParams::for_hash_table(ht.entry_addr(1234), 1234, 16, 0);
         let (actions, dma_reads) = run(&mut k, &mut m, p);
         assert_eq!(dma_reads, 1, "no chaining configured");
-        assert!(matches!(&actions[0], KernelAction::RoceSend { data, .. }
-            if crate::framework::decode_error(u64::from_le_bytes(data[..8].try_into().unwrap()))
-                == Some(ERR_NOT_FOUND)));
+        assert_eq!(actions, [send(1, 0, &error_word(ERR_NOT_FOUND)), Done]);
     }
 
     #[test]
@@ -551,12 +391,7 @@ mod tests {
         let (actions, dma_reads) = run(&mut k, &mut m, p);
         // Elements 10, 20 fail; 30 matches: 3 element reads + 1 value.
         assert_eq!(dma_reads, 4);
-        match &actions[0] {
-            KernelAction::RoceSend { data, .. } => {
-                assert_eq!(&data[..], value_pattern(30, 16));
-            }
-            other => panic!("expected RoceSend, got {other:?}"),
-        }
+        assert_eq!(actions, [send(1, 0x7700, &value_pattern(30, 16)), Done]);
     }
 
     #[test]
@@ -572,7 +407,7 @@ mod tests {
         let p = TraversalParams::for_linked_list(list.head, 99, 16, 0);
         let mut k = TraversalKernel::new();
         let (actions, dma_reads) = run(&mut k, &mut m, p);
-        assert!(dma_reads <= MAX_HOPS + 1);
-        assert!(matches!(&actions[0], KernelAction::RoceSend { .. }));
+        assert_eq!(dma_reads, MAX_READS, "the cap stops the cycle");
+        assert_eq!(actions, [send(1, 0, &error_word(ERR_NOT_FOUND)), Done]);
     }
 }

@@ -1,36 +1,85 @@
 //! Randomized tests of the kernels against reference interpreters,
 //! driven by the deterministic [`SimRng`] with fixed seeds.
 
+use std::collections::VecDeque;
+
 use bytes::Bytes;
 use strom_sim::SimRng;
 
 use strom_kernels::crc64::{crc64, crc64_reference, Crc64};
-use strom_kernels::framework::{Kernel, KernelAction, KernelEvent};
+use strom_kernels::framework::{decode_error, Kernel, KernelAction, KernelEvent};
 use strom_kernels::hll::HyperLogLog;
-use strom_kernels::layouts::{build_linked_list, value_pattern};
+use strom_kernels::layouts::{
+    build_hash_table, build_kv_store, build_linked_list, build_object_store, build_skip_list,
+    value_pattern, versioned_value_pattern,
+};
+use strom_kernels::put::encode_put_request;
 use strom_kernels::shuffle::{encode_histogram, reference_partition, ShuffleKernel, ShuffleParams};
 use strom_kernels::traversal::{Predicate, TraversalKernel, TraversalParams};
 use strom_kernels::{
-    AggregateKernel, AggregateParams, BloomFilter, BloomKernel, BloomParams, FilterKernel,
-    FilterParams, HllKernel, TopKKernel, TopKParams,
+    AggregateKernel, AggregateParams, BloomFilter, BloomKernel, BloomParams, ConsistencyKernel,
+    ConsistencyParams, FilterKernel, FilterParams, GetKernel, GetParams, HllKernel, PutConfig,
+    PutKernel, TopKKernel, TopKParams,
 };
 use strom_mem::{HostMemory, HUGE_PAGE_SIZE};
 
-/// Drives a kernel against host memory until it stops issuing DMA reads.
-fn drive(
-    kernel: &mut dyn Kernel,
-    mem: &mut HostMemory,
-    first: Vec<KernelAction>,
-) -> Vec<KernelAction> {
-    let mut actions = first;
-    loop {
-        match actions.first() {
-            Some(KernelAction::DmaRead { tag, vaddr, len }) => {
-                let data = Bytes::from(mem.read(*vaddr, *len as usize));
-                actions = kernel.on_event(KernelEvent::DmaData { tag: *tag, data });
+/// Runs kernels against one host memory, folding the `Debug` text of
+/// every action they emit into a CRC64.
+#[derive(Default)]
+struct Recorder {
+    mem: HostMemory,
+    fold: Crc64,
+    /// DMA reads still to be answered with one byte flipped.
+    tear: usize,
+}
+
+impl Recorder {
+    /// A fresh pinned region of two huge pages.
+    fn region(&mut self) -> u64 {
+        self.mem.pin(2 * HUGE_PAGE_SIZE).unwrap().0
+    }
+
+    /// Feeds `events`, then executes what the kernel emits — DMA reads
+    /// answered, DMA writes applied — until it goes quiet; returns the
+    /// actions that are not DMA, in order.
+    fn run(
+        &mut self,
+        kernel: &mut dyn Kernel,
+        events: impl IntoIterator<Item = KernelEvent>,
+    ) -> Vec<KernelAction> {
+        let mut queue: VecDeque<_> = events
+            .into_iter()
+            .flat_map(|e| kernel.on_event(e))
+            .collect();
+        let mut replies = Vec::new();
+        while let Some(action) = queue.pop_front() {
+            self.fold.update(format!("{action:?}").as_bytes());
+            match action {
+                KernelAction::DmaRead { tag, vaddr, len } => {
+                    let mut data = self.mem.read(vaddr, len as usize);
+                    if self.tear > 0 && !data.is_empty() {
+                        self.tear -= 1;
+                        data[len as usize / 2] ^= 0xff;
+                    }
+                    let data = Bytes::from(data);
+                    queue.extend(kernel.on_event(KernelEvent::DmaData { tag, data }));
+                }
+                KernelAction::DmaWrite { vaddr, data } => self.mem.write(vaddr, &data),
+                other => replies.push(other),
             }
-            _ => return actions,
         }
+        replies
+    }
+
+    fn invoke(&mut self, kernel: &mut dyn Kernel, params: Bytes) -> Vec<KernelAction> {
+        self.run(kernel, [KernelEvent::Invoke { qpn: 1, params }])
+    }
+
+    /// Invokes traversal with `p`, folding its `last_hops` too.
+    fn traverse(&mut self, kernel: &mut TraversalKernel, p: TraversalParams) -> Vec<KernelAction> {
+        let replies = self.invoke(kernel, p.encode());
+        self.fold.update(&kernel.last_hops().to_le_bytes());
+        replies
     }
 }
 
@@ -52,18 +101,14 @@ fn traversal_matches_reference() {
         let keys: Vec<u64> = key_set.into_iter().collect();
         let probe = rng.range(1, 1_000_000);
         let predicate = Predicate::from_u8(rng.below(4) as u8).unwrap();
-        let mut mem = HostMemory::new();
-        let (base, _) = mem.pin(HUGE_PAGE_SIZE).unwrap();
-        let list = build_linked_list(&mut mem, base, &keys, 32);
+        let mut rec = Recorder::default();
+        let base = rec.region();
+        let list = build_linked_list(&mut rec.mem, base, &keys, 32);
 
         let mut params = TraversalParams::for_linked_list(list.head, probe, 32, 0x9000);
         params.predicate = predicate;
         let mut kernel = TraversalKernel::new();
-        let first = kernel.on_event(KernelEvent::Invoke {
-            qpn: 1,
-            params: params.encode(),
-        });
-        let actions = drive(&mut kernel, &mut mem, first);
+        let actions = rec.traverse(&mut kernel, params);
         let expected = reference_list_lookup(&keys, probe, predicate);
         match (&actions[0], expected) {
             (KernelAction::RoceSend { data, .. }, Some(idx)) => {
@@ -419,4 +464,175 @@ fn crc64_detects_single_byte_changes() {
         corrupted[i] = corrupted[i].wrapping_add(delta);
         assert_ne!(crc64(&corrupted), crc64(&data));
     }
+}
+
+/// The CRC64 of every action GET, PUT, traversal and consistency emit —
+/// hits, misses, chains, cycles, torn reads and malformed params — plus
+/// traversal's `last_hops`, pinned so a refactor of their walks keeps
+/// every action. Re-pin an intended change with `STROM_BLESS=1`.
+#[test]
+fn random_access_actions_match_their_golden() {
+    const GOLDEN: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/random_access_actions.fingerprint"
+    );
+    let mut rng = SimRng::seed(0xacce55);
+    let mut rec = Recorder::default();
+    let mut get = GetKernel::new();
+    let mut trav = TraversalKernel::new();
+    let get_params = |entry_addr, key, chained| GetParams {
+        entry_addr,
+        key,
+        target_address: 0x8000,
+        chained,
+    };
+
+    // Random linked lists under all four predicates.
+    for i in 0..40 {
+        let keys: Vec<u64> = (0..rng.range(1, 20)).map(|_| rng.range(1, 1000)).collect();
+        let base = rec.region();
+        let list = build_linked_list(&mut rec.mem, base, &keys, 24);
+        let mut p = TraversalParams::for_linked_list(list.head, rng.range(1, 1000), 24, 0x9000);
+        p.predicate = Predicate::from_u8(i % 4).unwrap();
+        rec.traverse(&mut trav, p);
+    }
+
+    // Pilaf tables, hit and miss, for GET (also flag-less) and traversal.
+    let base = rec.region();
+    let ht = build_hash_table(&mut rec.mem, base, 512, &(1..=40).collect::<Vec<_>>(), 48);
+    for key in (1..=40).chain(1000..1010) {
+        let p = get_params(ht.entry_addr(key), key, false).encode();
+        rec.invoke(&mut get, p.slice(..24 + key as usize % 2));
+        let p = TraversalParams::for_hash_table(ht.entry_addr(key), key, 48, 0);
+        rec.traverse(&mut trav, p);
+    }
+
+    // Chained KV stores: hits at depth, true misses, and a cyclic chain.
+    let base = rec.region();
+    let kv = build_kv_store(&mut rec.mem, base, 2, &(1..=12).collect::<Vec<_>>(), 32, 4);
+    for key in (1..=12).chain(100..105) {
+        rec.invoke(&mut get, get_params(kv.entry_addr(key), key, true).encode());
+        rec.traverse(&mut trav, kv.table.get_params(key, 0x8000));
+    }
+    let base = rec.region();
+    let kv = build_kv_store(&mut rec.mem, base, 1, &(1..=5).collect::<Vec<_>>(), 32, 0);
+    let next = |mem: &HostMemory, e| u64::from_le_bytes(mem.read(e + 40, 8).try_into().unwrap());
+    let mut tail = kv.entry_addr(1);
+    while next(&rec.mem, tail) != 0 {
+        tail = next(&rec.mem, tail);
+    }
+    rec.mem.write(tail + 40, &kv.entry_addr(1).to_le_bytes());
+    rec.invoke(&mut get, get_params(kv.entry_addr(999), 999, true).encode());
+    rec.traverse(&mut trav, kv.table.get_params(999, 0x8000));
+
+    // Skip lists: the express lane, then the base lane from its down pointer.
+    let base = rec.region();
+    let keys: Vec<u64> = (1..=40).map(|k| k * 10).collect();
+    let sl = build_skip_list(&mut rec.mem, base, &keys, 16, 5);
+    for probe in [5, 10, 95, 200, 205, 400, 401] {
+        let replies = rec.traverse(&mut trav, sl.express_params(probe, 0x7000));
+        if let KernelAction::RoceSend { data, .. } = &replies[0] {
+            let down = u64::from_le_bytes(data[..8].try_into().unwrap());
+            if decode_error(down).is_none() {
+                rec.traverse(&mut trav, sl.base_params(down, probe, 0x7000));
+            }
+        }
+    }
+
+    // PUT: updates, inserts into free buckets and fresh entries until the
+    // arenas run out, a wrong value length, a short blob, a zero key, then
+    // two QPs interleaved at ragged cuts.
+    let base = rec.region();
+    let kv = build_kv_store(&mut rec.mem, base, 2, &(1..=6).collect::<Vec<_>>(), 24, 3);
+    let mut put = PutKernel::new();
+    rec.invoke(&mut put, PutConfig::for_store(&kv).encode());
+    let blob = |key: u64, ack, len| {
+        let value = versioned_value_pattern(key, 1, len);
+        Bytes::from(encode_put_request(key, kv.entry_addr(key), ack, &value))
+    };
+    let whole = |qpn, data| KernelEvent::RoceData {
+        qpn,
+        data,
+        last: true,
+    };
+    for key in (1..=6).chain(100..=106) {
+        rec.run(&mut put, [whole(7, blob(key, 0x9000, 24))]);
+    }
+    rec.run(&mut put, [whole(7, blob(2, 0x9000, 16))]);
+    rec.run(&mut put, [whole(7, blob(2, 0x9000, 24).slice(..20))]);
+    rec.run(&mut put, [whole(7, blob(0, 0x9000, 24))]);
+    for round in 0..8 {
+        let (a, b) = (
+            blob(round % 6 + 1, 0xA000, 24),
+            blob(6 - round % 6, 0xB000, 24),
+        );
+        let (a, b) = (ragged(&mut rng, &a), ragged(&mut rng, &b));
+        let mut events = Vec::new();
+        for i in 0..a.len().max(b.len()) {
+            for (qpn, cuts) in [(10, &a), (20, &b)] {
+                if let Some(cut) = cuts.get(i) {
+                    let (data, last) = (Bytes::copy_from_slice(cut), i + 1 == cuts.len());
+                    events.push(KernelEvent::RoceData { qpn, data, last });
+                }
+            }
+        }
+        rec.run(&mut put, events);
+    }
+
+    // Consistency: clean, torn then clean, and permanently corrupt.
+    let base = rec.region();
+    let store = build_object_store(&mut rec.mem, base, 4, 64);
+    let mut cons = ConsistencyKernel::new();
+    for (i, &object_addr) in store.object_addrs.iter().enumerate() {
+        if i == 3 {
+            rec.mem.write(object_addr + 20, &[0x55]);
+        }
+        rec.tear = i;
+        let p = ConsistencyParams {
+            object_addr,
+            object_len: store.object_size(),
+            target_address: 0x4000,
+        };
+        rec.invoke(&mut cons, p.encode());
+    }
+    rec.tear = 0;
+
+    // Malformed params: short, a bad predicate byte, and positions past
+    // the element that still fit a `u8`.
+    let short = Bytes::from_static(b"short");
+    for kernel in [&mut get as &mut dyn Kernel, &mut trav, &mut cons, &mut put] {
+        rec.invoke(kernel, short.clone());
+    }
+    rec.run(&mut put, [whole(7, blob(1, 0x9000, 24))]);
+    let base = rec.region();
+    let list = build_linked_list(&mut rec.mem, base, &[3, 4, 5], 16);
+    let ok = TraversalParams::for_linked_list(list.head, 5, 16, 0x9000);
+    let mut bad = ok.encode().to_vec();
+    bad[22] = 9;
+    rec.invoke(&mut trav, Bytes::from(bad));
+    for (key, mask, value_pos, relative, next_pos) in [
+        (5, 1 << 15, 4, false, 2),
+        (5, 1, 15, false, 2),
+        (9, 1, 4, false, 15),
+        (5, 1, 200, true, 2),
+        (5, 1, 4, true, 2),
+    ] {
+        let p = TraversalParams {
+            key,
+            key_mask: mask,
+            value_ptr_position: value_pos,
+            is_relative_position: relative,
+            next_element_ptr_position: next_pos,
+            ..ok
+        };
+        rec.traverse(&mut trav, p);
+    }
+
+    let got = format!("{:016x}\n", rec.fold.finish());
+    if std::env::var_os("STROM_BLESS").is_some() {
+        std::fs::write(GOLDEN, &got).expect("write golden");
+        return;
+    }
+    let want = std::fs::read_to_string(GOLDEN).expect("golden present (STROM_BLESS=1 to create)");
+    assert_eq!(got, want, "random-access actions changed");
 }
