@@ -9,13 +9,16 @@
 //! packets cross the switch. Each driver verifies the end-to-end result
 //! against a host-computed reference and folds every result record into a
 //! deterministic fingerprint, so same-seed reruns must be bit-identical —
-//! including under a chaos fault model with retransmissions.
+//! including under a chaos fault model with retransmissions. The part of
+//! the reference that reads only the drawn tuples runs on a second thread
+//! beside the simulation ([`beside`]); the checks against what the testbed
+//! holds run after it.
 
 use strom_kernels::aggregate::Aggregate;
 use strom_kernels::chains::{
     crcverify_shuffle, crcverify_shuffle_params, filter_agg_hll, filter_agg_hll_params,
 };
-use strom_kernels::crc_verify::{push_trailer, CrcVerifyKernel, CrcVerifyParams, TRAILER_LEN};
+use strom_kernels::crc_verify::{push_trailer, CrcVerifyParams, TRAILER_LEN};
 use strom_kernels::filter::FilterKernel;
 use strom_kernels::framework::{decode_error, KernelChain};
 use strom_kernels::hll_kernel::HllKernel;
@@ -25,7 +28,7 @@ use strom_kernels::traversal::Predicate;
 use strom_kernels::{AggregateParams, FilterParams};
 use strom_proto::{CompletionStatus, WorkRequest};
 use strom_sim::time::TimeDelta;
-use strom_sim::SimRng;
+use strom_sim::{beside, SimRng};
 use strom_telemetry::Fingerprint;
 use strom_wire::opcode::RpcOpCode;
 
@@ -233,6 +236,37 @@ fn finish(
     }
 }
 
+/// Streams the `len` bytes staged at the client's `src` through the chain
+/// behind `rpc_op`, then runs the testbed until it is idle again. Returns
+/// the simulated time from the post to the stream's completion, and the
+/// completion's status.
+fn run_stream(
+    tb: &mut ClusterTestbed,
+    spec: &ChainSpec,
+    rpc_op: RpcOpCode,
+    src: u64,
+    len: usize,
+) -> (TimeDelta, Option<CompletionStatus>) {
+    let t0 = tb.now();
+    let h = tb.post(
+        CLIENT,
+        QP,
+        WorkRequest::RpcWrite {
+            rpc_op,
+            local_vaddr: src,
+            len: len as u32,
+        },
+    );
+    tb.run_until_complete(CLIENT, h);
+    let elapsed_ps = tb.now() - t0;
+    assert!(
+        tb.run_until_idle_bounded(EVENT_BUDGET),
+        "seed {}: chain failed to quiesce",
+        spec.seed
+    );
+    (elapsed_ps, tb.completion_status(CLIENT, h))
+}
+
 /// Runs the filter → aggregate → HLL chain end-to-end and verifies all
 /// three result records against a host-computed reference. Panics on any
 /// mismatch.
@@ -284,41 +318,18 @@ fn drive_filter_agg_hll(spec: &ChainSpec, tb: &mut ClusterTestbed) -> ChainRun {
     let data = tuple_bytes(&values, 0);
     tb.mem(CLIENT).write(src, &data);
 
-    let t0 = tb.now();
-    let h = tb.post(
-        CLIENT,
-        QP,
-        WorkRequest::RpcWrite {
-            rpc_op: RpcOpCode::CHAIN_FILTER_AGG_HLL,
-            local_vaddr: src,
-            len: data.len() as u32,
-        },
+    // The host reference runs beside the stream, in a bitset lent to it.
+    let mut seen = vec![0u64; TUPLE_DOMAIN.div_ceil(64) as usize];
+    let ((expect, distinct), (elapsed_ps, status)) = beside(
+        || filter_reference(&values, operand, &mut seen),
+        || run_stream(tb, spec, RpcOpCode::CHAIN_FILTER_AGG_HLL, src, data.len()),
     );
-    tb.run_until_complete(CLIENT, h);
-    let elapsed_ps = tb.now() - t0;
     assert_eq!(
-        tb.completion_status(CLIENT, h),
+        status,
         Some(CompletionStatus::Success),
         "seed {}: chain stream failed",
         spec.seed
     );
-    assert!(
-        tb.run_until_idle_bounded(EVENT_BUDGET),
-        "seed {}: chain failed to quiesce",
-        spec.seed
-    );
-
-    // Host reference, in one pass: the aggregate of the tuples the filter
-    // keeps, and how many distinct ones there are.
-    let mut expect = Aggregate::default();
-    let mut seen = vec![0u64; TUPLE_DOMAIN.div_ceil(64) as usize];
-    let mut distinct = 0u64;
-    for &v in values.iter().filter(|&&v| v > operand) {
-        expect.add(v);
-        let (word, bit) = ((v / 64) as usize, 1 << (v % 64));
-        distinct += u64::from(seen[word] & bit == 0);
-        seen[word] |= bit;
-    }
     let distinct = distinct as f64;
 
     let fs = tb.mem(CLIENT).read(filter_target, 16);
@@ -373,6 +384,22 @@ fn drive_filter_agg_hll(spec: &ChainSpec, tb: &mut ClusterTestbed) -> ChainRun {
     finish(tb, data.len() as u64, elapsed_ps, fp.value(), None)
 }
 
+/// The filter chain's host reference, in one pass: the aggregate of the
+/// tuples the filter keeps, and how many distinct ones there are (`seen`
+/// is a zeroed bitset over the tuple domain). Runs beside the simulation,
+/// so it neither allocates nor frees.
+fn filter_reference(values: &[u64], operand: u64, seen: &mut [u64]) -> (Aggregate, u64) {
+    let mut expect = Aggregate::default();
+    let mut distinct = 0u64;
+    for &v in values.iter().filter(|&&v| v > operand) {
+        expect.add(v);
+        let (word, bit) = ((v / 64) as usize, 1 << (v % 64));
+        distinct += u64::from(seen[word] & bit == 0);
+        seen[word] |= bit;
+    }
+    (expect, distinct)
+}
+
 /// Runs the CRC-verify → shuffle chain end-to-end. On a clean stream the
 /// partitions must match the host-computed radix split byte-exactly; with
 /// `spec.corrupt` the chain must surface [`ERR_INCONSISTENT`] and starve
@@ -402,18 +429,18 @@ fn drive_crcverify_shuffle(spec: &ChainSpec, tb: &mut ClusterTestbed) -> ChainRu
     let src = client + DATA_OFFSET;
     let hist_addr = server;
 
-    // Host reference split, sized exactly.
+    // The histogram needs every partition's size before the run.
     let values = payload_tuples(spec);
     let bits = radix_bits(spec.partitions as usize);
-    let mut split: Vec<Vec<u64>> = vec![Vec::new(); spec.partitions as usize];
+    let mut sizes = vec![0usize; spec.partitions as usize];
     for &v in &values {
-        split[radix_partition(v, bits)].push(v);
+        sizes[radix_partition(v, bits)] += 8;
     }
-    let mut regions: Vec<(u64, u32)> = Vec::with_capacity(split.len());
+    let mut regions: Vec<(u64, u32)> = Vec::with_capacity(sizes.len());
     let mut cursor = server + DATA_OFFSET;
-    for part in &split {
-        regions.push((cursor, (part.len() * 8) as u32));
-        cursor += (part.len() * 8) as u64;
+    for &size in &sizes {
+        regions.push((cursor, size as u32));
+        cursor += size as u64;
     }
     tb.mem(SERVER).write(hist_addr, &encode_histogram(&regions));
 
@@ -437,32 +464,26 @@ fn drive_crcverify_shuffle(spec: &ChainSpec, tb: &mut ClusterTestbed) -> ChainRu
     tb.run_until_complete(CLIENT, h);
     tb.run_until_idle();
 
-    // The stream is the payload and its CRC trailer, built in place.
+    // The stream is the payload and its CRC trailer, built in place. A
+    // clean run's verdict is that CRC and the payload length.
     let mut stream = tuple_bytes(&values, TRAILER_LEN);
     let payload_len = stream.len();
     push_trailer(&mut stream);
+    let mut verdict = [0u8; 16];
+    verdict[..8].copy_from_slice(&stream[payload_len..]);
+    verdict[8..].copy_from_slice(&(payload_len as u64).to_le_bytes());
     if spec.corrupt {
         let n = stream.len();
         stream[n / 2] ^= 0x80;
     }
     tb.mem(CLIENT).write(src, &stream);
 
-    let t0 = tb.now();
-    let h = tb.post(
-        CLIENT,
-        QP,
-        WorkRequest::RpcWrite {
-            rpc_op: RpcOpCode::CHAIN_CRCVERIFY_SHUFFLE,
-            local_vaddr: src,
-            len: stream.len() as u32,
-        },
-    );
-    tb.run_until_complete(CLIENT, h);
-    let elapsed_ps = tb.now() - t0;
-    assert!(
-        tb.run_until_idle_bounded(EVENT_BUDGET),
-        "seed {}: chain failed to quiesce",
-        spec.seed
+    // The reference split is sized here and filled beside the run.
+    let mut split: Vec<Vec<u8>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+    let len = stream.len();
+    let (clean_fingerprint, (elapsed_ps, _)) = beside(
+        || split_and_fold(&values, bits, &verdict, &mut split),
+        || run_stream(tb, spec, RpcOpCode::CHAIN_CRCVERIFY_SHUFFLE, src, len),
     );
 
     let chain_failed = tb
@@ -472,8 +493,7 @@ fn drive_crcverify_shuffle(spec: &ChainSpec, tb: &mut ClusterTestbed) -> ChainRu
         .expect("chain deployed")
         .failed();
 
-    let mut fp = Fingerprint::new();
-    let error_code;
+    let (fingerprint, error_code);
     if spec.corrupt {
         // The verdict slot holds the in-band sentinel.
         let v = tb.mem(CLIENT).read(verdict_target, 8);
@@ -486,44 +506,48 @@ fn drive_crcverify_shuffle(spec: &ChainSpec, tb: &mut ClusterTestbed) -> ChainRu
             spec.seed
         );
         assert!(chain_failed, "seed {}: chain must latch failure", spec.seed);
-        fp.bytes(&v);
+        fingerprint = Fingerprint::new().bytes(&v).value();
     } else {
         let v = tb.mem(CLIENT).read(verdict_target, 16);
-        let (crc, len) = CrcVerifyKernel::decode_verdict(&v).expect("verdict");
-        assert_eq!(
-            (crc, len),
-            (
-                strom_kernels::crc64::crc64(&stream[..payload_len]),
-                payload_len as u64
-            ),
-            "seed {}: verdict mismatch",
-            spec.seed
-        );
+        assert_eq!(v, verdict, "seed {}: verdict mismatch", spec.seed);
         assert!(
             !chain_failed,
             "seed {}: clean run must not latch",
             spec.seed
         );
         error_code = None;
-        fp.bytes(&v);
         // Each partition is read into one reused buffer and compared with
-        // the reference split value by value.
-        let mut got = Vec::new();
-        for (pid, &(addr, cap)) in regions.iter().enumerate() {
-            got.resize(cap as usize, 0);
-            tb.mem(SERVER).read_into(addr, &mut got);
-            let values = got
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().expect("sized")));
+        // the reference split byte for byte. The split's fingerprint then
+        // is the run's: it folded exactly these bytes.
+        let mut got = vec![0u8; sizes.iter().copied().max().unwrap_or(0)];
+        for (pid, (&(addr, _), part)) in regions.iter().zip(&split).enumerate() {
+            let got = &mut got[..part.len()];
+            tb.mem(SERVER).read_into(addr, got);
             assert!(
-                values.eq(split[pid].iter().copied()),
+                *got == **part,
                 "seed {}: partition {pid} content mismatch",
                 spec.seed
             );
-            fp.bytes(&got);
         }
+        fingerprint = clean_fingerprint;
     }
-    finish(tb, payload_len as u64, elapsed_ps, fp.value(), error_code)
+    finish(tb, payload_len as u64, elapsed_ps, fingerprint, error_code)
+}
+
+/// The CRC chain's reference radix split of `values`, written as bytes
+/// into `split`'s buffers (each sized exactly), and a clean run's
+/// fingerprint: the expected 16 B `verdict`, then every partition. Runs
+/// beside the simulation, so it neither allocates nor frees.
+fn split_and_fold(values: &[u64], bits: u32, verdict: &[u8; 16], split: &mut [Vec<u8>]) -> u64 {
+    for &v in values {
+        split[radix_partition(v, bits)].extend_from_slice(&v.to_le_bytes());
+    }
+    let mut fp = Fingerprint::new();
+    fp.bytes(verdict);
+    for part in split.iter() {
+        fp.bytes(part);
+    }
+    fp.value()
 }
 
 #[cfg(test)]

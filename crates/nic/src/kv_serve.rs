@@ -303,6 +303,18 @@ impl Scenario for KvSpec {
     fn testbed(&self) -> ClusterTestbed {
         assert!(self.servers >= 1 && self.clients >= 1, "empty tier");
         let mut cfg = self.platform.config();
+        // Every client holds one QP to every server, numbered from 1
+        // (`qpn_for`), so the highest QPN is the product.
+        let qps = self.clients * self.servers;
+        assert!(
+            qps < cfg.num_qps,
+            "{} clients × {} servers = {qps} QPs, but the NIC's QP table (num_qps = {}) \
+             holds QPNs 1..={} at most",
+            self.clients,
+            self.servers,
+            cfg.num_qps,
+            cfg.num_qps - 1
+        );
         cfg.seed = self.seed;
         cfg.cc = self.cc;
         let mut tb = ClusterTestbed::switched(cfg, self.servers + self.clients, self.switch);
@@ -894,6 +906,12 @@ mod tests {
             (KvOp::Get, 1, 0, 1, at(1, 1)),
             (KvOp::Traversal, 3, 0, 0, at(3, 0)),
         ]
+    }
+
+    #[test]
+    #[should_panic(expected = "= 1024 QPs, but the NIC's QP table (num_qps = 500)")]
+    fn a_tier_past_the_qp_table_is_refused_up_front() {
+        KvSpec::new(32, 32, 3_000 * NANOS, 7).testbed();
     }
 
     /// Every event the testbed dispatches on a small fixed run, by kind.

@@ -6,7 +6,8 @@
 //! overflow heap, differential-tested against a reference binary heap),
 //! bandwidth/latency primitives that model serialization over links and
 //! buses, a store-and-forward switch, seeded arrival processes, a thread
-//! fan-out for sweeps of whole simulations, and latency statistics
+//! fan-out for sweeps of whole simulations and a helper thread beside
+//! one, and latency statistics
 //! matching the paper's reporting style (median with 1st/99th-percentile
 //! whiskers).
 //!
@@ -29,7 +30,7 @@ pub mod wheel;
 
 pub use arrivals::{ArrivalGen, ArrivalProcess, ZipfSampler};
 pub use event::{EventQueue, Scheduled};
-pub use parallel::{default_workers, parallel_map};
+pub use parallel::{beside, default_workers, parallel_map};
 pub use rate::{Bandwidth, LinkSerializer, Pacer};
 pub use rng::SimRng;
 pub use stats::{LatencySummary, Samples};

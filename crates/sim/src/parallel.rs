@@ -1,5 +1,6 @@
 //! Deterministic fan-out across OS threads for embarrassingly parallel
-//! sweeps (multi-seed chaos soaks, multi-point figure experiments).
+//! sweeps (multi-seed chaos soaks, multi-point figure experiments), and
+//! one helper thread beside a single run ([`beside`]).
 //!
 //! Each item runs one fully independent simulation — its own testbed,
 //! its own seeded RNG, no shared mutable state — so host-side scheduling
@@ -8,7 +9,7 @@
 //! are returned in input order, so a parallel sweep's output is
 //! bit-identical to running the same closure in a sequential loop.
 
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 
 /// Maps `f` over `items` on up to `max_workers` scoped threads,
 /// returning results in input order.
@@ -71,6 +72,106 @@ pub fn default_workers() -> usize {
         .map(|n| n.get())
         .unwrap_or(1)
         .min(16)
+}
+
+/// Runs `side` on a scoped helper thread while `main` runs on the
+/// calling thread, and returns both results.
+///
+/// This is for work beside one simulation that must not run inside it —
+/// a driver's host reference, say — while the simulation keeps its one
+/// thread. The helper is started first, and `main` begins only once the
+/// helper has signalled that it runs, so the thread's start-up happens
+/// while the caller waits. After `main` returns (or unwinds), a drop
+/// guard releases the helper, and only then is it joined: its exit, too,
+/// happens while the caller waits. A panic in `main` therefore cannot
+/// leave the helper waiting; it re-raises once the helper is joined. A
+/// panic in `side` re-raises after `main` returns.
+///
+/// The borrow checker keeps `side` off whatever `main` mutates, so each
+/// result depends only on its own inputs, exactly as if the two ran one
+/// after the other. `side` must neither allocate nor free: size its
+/// buffers on the caller first and lend them to it. Then every allocator
+/// call during `main` stays on the calling thread, which keeps a
+/// single-threaded allocation count (the benchmark's live-byte counter)
+/// exact.
+///
+/// ```
+/// let values: Vec<u64> = (0..1_000).collect();
+/// let (sum, len) = strom_sim::beside(|| values.iter().sum::<u64>(), || values.len());
+/// assert_eq!((sum, len), (499_500, 1_000));
+/// ```
+pub fn beside<A, B, S, M>(side: S, main: M) -> (A, B)
+where
+    A: Send,
+    S: FnOnce() -> A + Send,
+    M: FnOnce() -> B,
+{
+    let (mut side, mut main) = (Some(side), Some(main));
+    let (mut a, mut b) = (None, None);
+    let mut run_side = || a = side.take().map(|f| f());
+    let mut run_main = || b = main.take().map(|f| f());
+    beside_dyn(&mut run_side, &mut run_main);
+    (a.expect("side ran once"), b.expect("main ran once"))
+}
+
+/// [`beside`] behind trait objects, so the thread machinery is compiled
+/// once, here, and not into every caller. Generic all the way down, it
+/// put `std`'s thread-spawn code into `strom-nic`, which changed how the
+/// compiler split and inlined that crate's event loop; `kv_serve`, which
+/// never calls `beside`, lost about 9 % of its wall time to that.
+fn beside_dyn(side: &mut (dyn FnMut() + Send), main: &mut dyn FnMut()) {
+    let (started, released) = (Gate::new(), Gate::new());
+    std::thread::scope(|scope| {
+        let helper = scope.spawn(|| {
+            started.open();
+            side();
+            released.wait();
+        });
+        started.wait();
+        {
+            let _release = OpenOnDrop(&released);
+            main();
+        }
+        if let Err(panic) = helper.join() {
+            std::panic::resume_unwind(panic);
+        }
+    });
+}
+
+const UNPOISONED: &str = "no panic can happen under a gate's lock: only a flag is read or set";
+
+/// A one-shot latch: once opened, every wait returns.
+struct Gate {
+    open: Mutex<bool>,
+    changed: Condvar,
+}
+
+impl Gate {
+    fn new() -> Gate {
+        Gate {
+            open: Mutex::new(false),
+            changed: Condvar::new(),
+        }
+    }
+
+    fn open(&self) {
+        *self.open.lock().expect(UNPOISONED) = true;
+        self.changed.notify_all();
+    }
+
+    fn wait(&self) {
+        let open = self.open.lock().expect(UNPOISONED);
+        let _open = self.changed.wait_while(open, |open| !*open);
+    }
+}
+
+/// Opens its gate when dropped, on return and on unwind alike.
+struct OpenOnDrop<'a>(&'a Gate);
+
+impl Drop for OpenOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.open();
+    }
 }
 
 #[cfg(test)]
@@ -162,5 +263,73 @@ mod tests {
             assert_eq!(count(&result_drops), count(&produced), "result {i}");
         }
         assert_eq!(produced[5].load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn beside_returns_both_results() {
+        let values: Vec<u64> = (1..=100).collect();
+        let mut squares = vec![0u64; values.len()];
+        let (sum, len) = beside(
+            || {
+                for (square, v) in squares.iter_mut().zip(&values) {
+                    *square = v * v;
+                }
+                values.iter().sum::<u64>()
+            },
+            || values.len(),
+        );
+        assert_eq!((sum, len), (5_050, 100));
+        assert_eq!(squares.iter().sum::<u64>(), 338_350);
+    }
+
+    #[test]
+    fn side_runs_while_main_runs() {
+        // `main` waits for a flag only `side` sets: a helper that ran
+        // before or after `main` instead of beside it would never set it
+        // in time.
+        let flag = AtomicUsize::new(0);
+        let ((), seen) = beside(
+            || flag.store(1, Ordering::SeqCst),
+            || {
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while flag.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                flag.load(Ordering::SeqCst)
+            },
+        );
+        assert_eq!(seen, 1);
+    }
+
+    #[test]
+    fn a_panic_in_main_releases_the_helper_and_re_raises() {
+        let side_ran = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            beside(
+                || {
+                    side_ran.fetch_add(1, Ordering::SeqCst);
+                },
+                || panic!("main failed"),
+            )
+        }));
+        let payload = caught.expect_err("main's panic must re-raise");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"main failed"));
+        assert_eq!(side_ran.load(Ordering::SeqCst), 1, "the helper was joined");
+    }
+
+    #[test]
+    fn a_panic_in_side_re_raises_after_main_returns() {
+        let main_returned = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            beside(
+                || panic!("side failed"),
+                || {
+                    main_returned.fetch_add(1, Ordering::SeqCst);
+                },
+            )
+        }));
+        let payload = caught.expect_err("side's panic must re-raise");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"side failed"));
+        assert_eq!(main_returned.load(Ordering::SeqCst), 1);
     }
 }
