@@ -71,6 +71,19 @@ pub fn verify_object(object: &[u8]) -> bool {
 /// Retries before the kernel gives up and reports an error.
 const MAX_RETRIES: u32 = 64;
 
+/// The longest object the kernel reads, header included. `object_len`
+/// comes from a remote caller, and the NIC allocates and DMA-reads
+/// whatever length the kernel asks for: unbounded, one request could
+/// make it allocate gigabytes or read past the pinned region (a DMA
+/// fault). 64 KiB is 16 times the largest object any figure, test or
+/// corpus case stores (4 KiB); a longer one is answered `ERR_BAD_PARAMS`.
+pub const MAX_OBJECT_LEN: u32 = 64 << 10;
+
+/// The shortest object: its 8 B CRC header. A shorter one can never
+/// verify, so it is answered `ERR_BAD_PARAMS` rather than read
+/// [`MAX_RETRIES`] times.
+const MIN_OBJECT_LEN: u32 = 8;
+
 /// DMA tag for object reads.
 const TAG_OBJECT: u32 = 1;
 
@@ -117,7 +130,9 @@ impl Kernel for ConsistencyKernel {
 
     fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
         match event {
-            KernelEvent::Invoke { qpn, params } => match ConsistencyParams::decode(&params) {
+            KernelEvent::Invoke { qpn, params } => match ConsistencyParams::decode(&params)
+                .filter(|p| (MIN_OBJECT_LEN..=MAX_OBJECT_LEN).contains(&p.object_len))
+            {
                 Some(p) => self.read(qpn, p, 1, out),
                 None => reply_error(out, qpn, 0, ERR_BAD_PARAMS),
             },
@@ -273,6 +288,32 @@ mod tests {
             len: 72,
         };
         let (k, short) = (&mut ConsistencyKernel::new(), Bytes::from_static(&[0; 19]));
-        check_malformed_invoke(k, short, &bad_params(), invoke(p.encode()), &[read]);
+        check_malformed_invoke(
+            k,
+            short,
+            &bad_params(),
+            invoke(p.encode()),
+            std::slice::from_ref(&read),
+        );
+        // An object shorter than its CRC header can never verify, and one
+        // past the cap is never read.
+        for object_len in [0, MIN_OBJECT_LEN - 1, MAX_OBJECT_LEN + 1, u32::MAX] {
+            let bad = ConsistencyParams { object_len, ..p }.encode();
+            let k = &mut ConsistencyKernel::new();
+            check_malformed_invoke(
+                k,
+                bad,
+                &bad_params(),
+                invoke(p.encode()),
+                std::slice::from_ref(&read),
+            );
+        }
+        // The bounds themselves are read.
+        for object_len in [MIN_OBJECT_LEN, MAX_OBJECT_LEN] {
+            let ok = ConsistencyParams { object_len, ..p }.encode();
+            let (tag, vaddr, len) = (1, 0x1000, object_len);
+            let first = ConsistencyKernel::new().on_event(invoke(ok));
+            assert_eq!(first, [KernelAction::DmaRead { tag, vaddr, len }]);
+        }
     }
 }

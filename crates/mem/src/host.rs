@@ -187,6 +187,20 @@ impl HostMemory {
         }
     }
 
+    /// The `len` bytes at *physical* `paddr` as one borrowed slice, when
+    /// they sit in one chunk; `None` when they span chunks or `len` is 0.
+    /// A caller copies a short read straight out of it, with no zeroed
+    /// buffer to fill.
+    ///
+    /// # Panics
+    ///
+    /// As [`HostMemory::phys_read`].
+    pub fn phys_slice(&self, paddr: u64, len: usize) -> Option<&[u8]> {
+        self.phys_slices(paddr, len)
+            .next()
+            .filter(|s| s.len() == len)
+    }
+
     /// Appends `len` bytes from *physical* address `paddr` to `out`,
     /// straight from memory with no zero-fill pass.
     ///
@@ -377,6 +391,22 @@ mod tests {
         assert_eq!(&buf, b"via cpu");
         m.phys_write(phys[0] + 100, b"via dma");
         assert_eq!(m.read(base + 100, 7), b"via dma");
+    }
+
+    #[test]
+    fn phys_slice_borrows_only_a_read_inside_one_chunk() {
+        let mut m = HostMemory::new();
+        let (_, phys) = m.pin(HUGE_PAGE_SIZE).unwrap();
+        m.phys_write(phys[0] + 8, b"in one chunk");
+        assert_eq!(m.phys_slice(phys[0] + 8, 12), Some(&b"in one chunk"[..]));
+        // An unwritten chunk reads as zeros, borrowed all the same.
+        let far = phys[0] + 5 * CHUNK_SIZE;
+        assert_eq!(m.phys_slice(far, 4), Some(&[0u8; 4][..]));
+        let edge = phys[0] + CHUNK_SIZE - 2;
+        m.phys_write(edge, b"span");
+        assert_eq!(m.phys_slice(edge, 4), None, "spans two chunks");
+        assert_eq!(m.phys_slice(edge, 2), Some(&b"sp"[..]));
+        assert_eq!(m.phys_slice(edge, 0), None);
     }
 
     #[test]

@@ -31,8 +31,9 @@
 //! reports one [`Observables`] value that the [`corpus`], the `figures`
 //! telemetry export and the soak tests read.
 //!
-//! Packets cross the simulated wire as real encoded bytes
-//! (`strom_wire::Packet::encode`/`parse`), so the full header machinery,
+//! Packets cross the simulated wire as real encoded bytes, each frame
+//! built once by its NIC (`strom_wire::Packet::build`) and parsed by the
+//! receiver (`Packet::parse`), so the full header machinery,
 //! ICRC validation, segmentation, PSN windows, and retransmission logic
 //! are exercised functionally; only *time* is modeled, using the clock,
 //! PCIe, and line-rate constants documented in `NicConfig`.

@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 use bytes::Bytes;
 
 use strom_kernels::framework::KernelAction;
-use strom_mem::{HostMemory, Tlb};
+use strom_mem::{HostMemory, Segments, Tlb};
 use strom_proto::{
     Completion, CompletionStatus, Dcqcn, DcqcnConfig, PacketDescriptor, PayloadSource, PostError,
     Requester, Responder, ResponderAction, RetransmissionTimer, StateTable, WorkRequest,
@@ -45,7 +45,7 @@ use crate::event::{Event, NicEvent, NodeId, Scheduler};
 use crate::fabric::KernelFabric;
 use crate::testbed::Requests;
 use crate::watch::WatchTable;
-use crate::wire::Wire;
+use crate::wire::{wire_bytes, Wire};
 
 /// A CPU fallback handler for RPC op-codes with no matching kernel
 /// (§5.1: "either a fallback implementation on the remote CPU is
@@ -88,11 +88,16 @@ impl Ctx<'_> {
     }
 }
 
-/// One packet parked in a QP's paced transmit queue: either a request
-/// (arms the retransmission timer on release) or a READ response
-/// (responder data that must survive requester-side timeout flushes).
-struct PacedTx {
-    pkt: Packet,
+/// One built frame on its way to the wire, parked in a QP's paced
+/// transmit queue while DCQCN holds it: either a request (arms the
+/// retransmission timer on release) or a READ response (responder data
+/// that must survive requester-side timeout flushes).
+struct Tx {
+    frame: Bytes,
+    opcode: Opcode,
+    qpn: Qpn,
+    psn: Psn,
+    /// When the payload is on the NIC (its DMA fetch done).
     payload_ready: Time,
     arm_timer: bool,
 }
@@ -164,7 +169,7 @@ pub(crate) struct Nic {
     /// slot. Pacing must bind at *release* time, not post time — a rate
     /// cut mid-message has to slow the packets still queued, which
     /// pre-computed admission times could never do.
-    txq: Vec<VecDeque<PacedTx>>,
+    txq: Vec<VecDeque<Tx>>,
     /// The live [`NicEvent::PacerTick`] deadline per QP (dedup guard,
     /// same discipline as `check_at`).
     tick_at: Vec<Option<Time>>,
@@ -189,8 +194,6 @@ pub(crate) struct Nic {
     cmds: Vec<Option<WorkRequest>>,
     free_cmds: Vec<u32>,
     bufs: Buffers,
-    /// Staging for DMA reads, frozen into one `Bytes` with one copy.
-    dma_buf: Vec<u8>,
 }
 
 impl Nic {
@@ -229,7 +232,6 @@ impl Nic {
             cmds: Vec::new(),
             free_cmds: Vec::new(),
             bufs: Buffers::default(),
-            dma_buf: Vec::new(),
         }
     }
 
@@ -888,49 +890,15 @@ impl Nic {
 
     // ----- transmission ---------------------------------------------------
 
-    /// Resolves a descriptor's payload (DMA-fetching host payload) and
-    /// transmits the packet.
+    /// Builds and sends a descriptor's packet.
     fn send_descriptor_at(&mut self, desc: &PacketDescriptor, now: Time, cx: &mut Ctx<'_>) {
-        let (payload, payload_ready) = match &desc.payload {
-            PayloadSource::None => (Bytes::new(), now),
-            PayloadSource::Inline(b) => (b.clone(), now),
-            PayloadSource::Host { vaddr, len } => {
-                let data = self.dma_read_bytes(*vaddr, *len);
-                (data, self.dma_fetch_ready(u64::from(*len), now, cx))
-            }
-        };
-        // Send kernel (§3.5): outgoing WRITE payload is tapped into the
-        // kernel as it streams to the MAC, without altering the packet.
-        if !payload.is_empty()
-            && matches!(
-                desc.opcode,
-                Opcode::WriteFirst | Opcode::WriteMiddle | Opcode::WriteLast | Opcode::WriteOnly
-            )
-        {
-            if let Some(op) = self.send_tap {
-                let (qpn, last) = (desc.qpn, desc.opcode.ends_message());
-                let done = self.kernel_consume(op, payload.len(), now, cx);
-                self.run_kernel(op, done, cx, |fabric, out| {
-                    fabric.stream(op, qpn, payload.clone(), last, out)
-                });
-            }
-        }
-        self.emit(
-            desc.opcode,
-            desc.qpn,
-            desc.psn,
-            desc.reth,
-            None,
-            payload,
-            payload_ready,
-            true,
-            cx,
-        );
+        let (op, qpn, psn, reth) = (desc.opcode, desc.qpn, desc.psn, desc.reth);
+        self.emit(op, qpn, psn, reth, None, &desc.payload, now, true, cx);
     }
 
     fn send_ack(&mut self, qpn: Qpn, psn: Psn, msn: u32, syndrome: AethSyndrome, cx: &mut Ctx<'_>) {
         let aeth = Some(Aeth { syndrome, msn });
-        let (op, payload) = (Opcode::Acknowledge, Bytes::new());
+        let (op, payload) = (Opcode::Acknowledge, &PayloadSource::None);
         self.emit(op, qpn, psn, None, aeth, payload, cx.now(), false, cx);
     }
 
@@ -939,7 +907,7 @@ impl Nic {
     /// retransmitted — losing one just defers the cut to the next mark).
     fn send_cnp(&mut self, qpn: Qpn, cx: &mut Ctx<'_>) {
         self.counters.cnps_tx += 1;
-        let (op, payload) = (Opcode::Cnp, Bytes::new());
+        let (op, payload) = (Opcode::Cnp, &PayloadSource::None);
         self.emit(op, qpn, 0, None, None, payload, cx.now(), false, cx);
     }
 
@@ -957,22 +925,29 @@ impl Nic {
             // Per-packet DMA fetch: response packet i streams out as soon
             // as its chunk has crossed PCIe (pipelined, not
             // store-the-whole-message).
-            let chunk = self.dma_read_bytes(vaddr + seg.offset as u64, seg.len as u32);
-            let ready = self.dma_fetch_ready(seg.len as u64, now, cx);
+            let (vaddr, len) = (vaddr + seg.offset as u64, seg.len as u32);
+            let chunk = &PayloadSource::Host { vaddr, len };
             let opcode = seg.kind.read_response_opcode();
             let aeth = opcode.has_aeth().then_some(Aeth {
                 syndrome: AethSyndrome::Ack,
                 msn,
             });
             let psn = strom_proto::psn_add(first_psn, i as u32);
-            self.emit(opcode, qpn, psn, None, aeth, chunk, ready, false, cx);
+            self.emit(opcode, qpn, psn, None, aeth, chunk, now, false, cx);
         }
     }
 
-    /// Builds the packet that goes to the far end of `qpn` and sends it:
+    /// Builds the packet that goes to the far end of `qpn` and sends it.
+    ///
+    /// The frame is built once, here, into the one buffer it travels in
+    /// ([`Packet::build`]): the headers at fixed offsets, a host payload
+    /// DMA-fetched through the TLB straight into its slot (ready once the
+    /// fetch issued at `now` has crossed PCIe), an inline one copied in,
+    /// the ICRC folded over it. Outgoing WRITE payload is tapped into the
+    /// send kernel (§3.5) as it streams to the MAC. Then the frame goes
     /// through the QP's pacer queue when DCQCN governs it, straight to
-    /// the wire otherwise. `arm_timer` marks a request packet, which
-    /// arms the retransmission timer when it leaves.
+    /// the wire otherwise. `arm_timer` marks a request packet, which arms
+    /// the retransmission timer when it leaves.
     #[allow(clippy::too_many_arguments)] // Packet::new's, plus when and how to send.
     fn emit(
         &mut self,
@@ -981,13 +956,55 @@ impl Nic {
         psn: Psn,
         reth: Option<Reth>,
         aeth: Option<Aeth>,
-        payload: Bytes,
-        payload_ready: Time,
+        payload: &PayloadSource,
+        now: Time,
         arm_timer: bool,
         cx: &mut Ctx<'_>,
     ) {
         let (src, dst) = (self.id as u32, self.peer_of(qpn) as u32);
-        let pkt = Packet::new(src, dst, opcode, qpn, psn, reth, aeth, payload);
+        let mut pkt = Packet::new(src, dst, opcode, qpn, psn, reth, aeth, Bytes::new());
+        // Data packets go out ECN-capable so switches can mark them
+        // instead of dropping. Control traffic (ACKs, CNPs) stays
+        // Not-ECT: cutting rates on ACK marks would punish the wrong
+        // direction.
+        if cx.cfg.cc && opcode.has_payload() {
+            pkt.ecn = strom_wire::ECN_ECT0;
+        }
+        let len = payload.len() as usize;
+        let (frame, payload_ready) = match payload {
+            PayloadSource::None => (pkt.build(0, |_| {}), now),
+            PayloadSource::Inline(b) => (pkt.build(len, |s| s.copy_from_slice(b)), now),
+            &PayloadSource::Host { vaddr, len } => {
+                let frame = pkt.build(len as usize, self.dma_read(vaddr, len));
+                (frame, self.dma_fetch_ready(u64::from(len), now, cx))
+            }
+        };
+        // Send kernel (§3.5): outgoing WRITE payload is tapped into the
+        // kernel as it streams to the MAC, without altering the packet.
+        // The tap holds a slice of the frame, the payload before its ICRC.
+        if len > 0
+            && matches!(
+                opcode,
+                Opcode::WriteFirst | Opcode::WriteMiddle | Opcode::WriteLast | Opcode::WriteOnly
+            )
+        {
+            if let Some(op) = self.send_tap {
+                let end = frame.len() - strom_wire::icrc::ICRC_LEN;
+                let (data, last) = (frame.slice(end - len..end), opcode.ends_message());
+                let done = self.kernel_consume(op, data.len(), now, cx);
+                self.run_kernel(op, done, cx, |fabric, out| {
+                    fabric.stream(op, qpn, data, last, out)
+                });
+            }
+        }
+        let tx = Tx {
+            frame,
+            opcode,
+            qpn,
+            psn,
+            payload_ready,
+            arm_timer,
+        };
         // DCQCN intercepts both data directions: requester packets (the
         // ones that arm the retransmission timer) and READ responses —
         // a READ-heavy incast is congested by responder→requester data,
@@ -997,15 +1014,11 @@ impl Nic {
         // still queued. Pure control (ACKs, NAKs, CNPs) bypasses the
         // pacer: delaying the congestion signal would defeat it.
         if cx.cfg.cc && (arm_timer || opcode.is_read_response()) {
-            self.txq[qpn as usize].push_back(PacedTx {
-                pkt,
-                payload_ready,
-                arm_timer,
-            });
+            self.txq[qpn as usize].push_back(tx);
             self.schedule_pacer_tick(qpn, cx);
             return;
         }
-        self.transmit(pkt, payload_ready, arm_timer, cx);
+        self.transmit(tx, cx);
     }
 
     /// Schedules the live PacerTick for `qpn` at its next paced slot, if
@@ -1036,68 +1049,83 @@ impl Nic {
         };
         let bits = self.dcqcn.rate(q, now);
         let rate = Bandwidth::gbit_per_sec(bits / 1e9);
-        self.pacers[q].pace(now, tx.pkt.wire_bytes() as u64, rate);
-        self.transmit(tx.pkt, tx.payload_ready, tx.arm_timer, cx);
+        self.pacers[q].pace(now, wire_bytes(&tx.frame), rate);
+        self.transmit(tx, cx);
         self.schedule_pacer_tick(qpn, cx);
     }
 
-    /// Puts a packet on the wire: TX pipeline, link serialization, then
+    /// Puts a frame on the wire: TX pipeline, link serialization, then
     /// whatever the wire is made of. Arms the retransmission timer for
     /// request packets.
-    fn transmit(
-        &mut self,
-        mut pkt: Packet,
-        payload_ready: Time,
-        arm_timer: bool,
-        cx: &mut Ctx<'_>,
-    ) {
-        let tx_ready = (cx.now() + cx.cfg.tx_pipeline_time()).max(payload_ready);
-        let wire_bytes = pkt.wire_bytes() as u64;
-        let qpn = pkt.bth.dest_qp;
-        // Data packets go out ECN-capable so switches can mark them
-        // instead of dropping. Control traffic (ACKs, CNPs) stays
-        // Not-ECT: cutting rates on ACK marks would punish the wrong
-        // direction.
-        if cx.cfg.cc && pkt.opcode().has_payload() {
-            pkt.ecn = strom_wire::ECN_ECT0;
-        }
+    fn transmit(&mut self, tx: Tx, cx: &mut Ctx<'_>) {
+        let tx_ready = (cx.now() + cx.cfg.tx_pipeline_time()).max(tx.payload_ready);
+        let wire_bytes = wire_bytes(&tx.frame);
         let wire_end = cx.wire.serialize(self.id, tx_ready, wire_bytes);
-        if arm_timer {
-            self.timer.arm(qpn, wire_end);
+        if tx.arm_timer {
+            self.timer.arm(tx.qpn, wire_end);
             self.schedule_check(cx);
         }
         self.trace.emit(TraceEvent::PacketTx {
             node: self.id as u8,
-            opcode: pkt.opcode() as u8,
-            qpn,
-            psn: pkt.bth.psn,
+            opcode: tx.opcode as u8,
+            qpn: tx.qpn,
+            psn: tx.psn,
             wire_bytes: wire_bytes as u32,
         });
-        let dst = self.peer_of(qpn);
+        let dst = self.peer_of(tx.qpn);
         cx.wire
-            .carry(self.id, dst, &pkt, wire_end, cx.cfg, cx.sched);
+            .carry(self.id, dst, tx.frame, wire_end, cx.cfg, cx.sched);
     }
 
     // ----- helpers ----------------------------------------------------------
 
-    /// Reads bytes from host memory through the TLB (the DMA engine's
-    /// path), splitting at page boundaries, into one exactly sized buffer.
-    fn dma_read_bytes(&mut self, vaddr: u64, len: u32) -> Bytes {
+    /// Starts a DMA read of `len` bytes at `vaddr` through the TLB (the DMA
+    /// engine's path): traces and translates it now — a fault panics
+    /// before anything is allocated — and returns the copy, split at page
+    /// boundaries, of the bytes from host memory into the buffer the
+    /// caller builds.
+    fn dma_read(&self, vaddr: u64, len: u32) -> impl FnOnce(&mut [u8]) + '_ {
+        let segs = self.dma_segments(vaddr, len);
+        move |buf| self.dma_fill(segs, buf)
+    }
+
+    /// A kernel DMA read of `len` bytes at `vaddr` into one exact-size
+    /// buffer, traced and translated as [`Nic::dma_read`]. A read inside
+    /// one page and one chunk of host memory (every bucket and value
+    /// read) is copied straight out of its slice; one that spans them
+    /// fills a zeroed buffer piece by piece.
+    fn dma_read_bytes(&self, vaddr: u64, len: u32) -> Bytes {
+        let segs = self.dma_segments(vaddr, len);
+        if segs.len() == 1 {
+            let seg = segs.clone().next().expect("one segment");
+            if let Some(bytes) = self.mem.phys_slice(seg.paddr, len as usize) {
+                return Bytes::copy_from_slice(bytes);
+            }
+        }
+        Bytes::from_fn(len as usize, |buf| self.dma_fill(segs, buf))
+    }
+
+    /// Traces a DMA read and translates it into its physical segments;
+    /// panics on a fault.
+    fn dma_segments(&self, vaddr: u64, len: u32) -> Segments<'_> {
         self.trace.emit(TraceEvent::DmaRead {
             node: self.id as u8,
             vaddr,
             len,
         });
-        let segs = self
-            .tlb
+        self.tlb
             .translate_command(vaddr, len)
-            .unwrap_or_else(|e| panic!("DMA read fault on node {}: {e}", self.id));
-        self.dma_buf.clear();
+            .unwrap_or_else(|e| panic!("DMA read fault on node {}: {e}", self.id))
+    }
+
+    /// Copies the bytes of `segs` from host memory into `buf`, in order.
+    fn dma_fill(&self, segs: Segments<'_>, buf: &mut [u8]) {
+        let mut at = 0;
         for seg in segs {
-            self.mem
-                .phys_append(seg.paddr, seg.len as usize, &mut self.dma_buf);
+            let end = at + seg.len as usize;
+            self.mem.phys_read(seg.paddr, &mut buf[at..end]);
+            at = end;
         }
-        Bytes::copy_from_slice(&self.dma_buf)
     }
 
     /// When `len` payload bytes fetched from host memory at `now` are on

@@ -6,17 +6,19 @@
 //! receiving side, and the medium itself — a cable
 //! for the two-node [`crate::ClusterTestbed::new`], a store-and-forward
 //! switch ([`strom_sim::Switch`]) for [`crate::ClusterTestbed::switched`].
-//! A NIC hands it a [`Packet`]; what comes out the far end is a
+//! A NIC hands it a frame; what comes out the far end is a
 //! [`NicEvent::FrameArrive`] on the receiver, at least one cable
 //! propagation delay later. It knows nodes only as port numbers.
 //!
-//! Every packet crosses as real bytes: transmit encodes it in one pass
-//! into a reused scratch buffer ([`Packet::encode_into`]); fault
-//! injection flips bits there, and one copy freezes it into a [`Bytes`]
-//! that holds its reference counts and bytes in one allocation. The
-//! receiver parses it without copying, and the buffer is freed with the
-//! last slice of it. Frames are not pooled: plain allocation measured as
-//! fast as a free-list of returned frames (DESIGN.md §10).
+//! Each frame was built once by its NIC
+//! ([`strom_wire::packet::Packet::build`]) into the one [`Bytes`] it
+//! travels in. The wire carries that buffer and applies the faults to
+//! it: a bit flip or a CE mark edits it in place when the wire holds its
+//! only handle and copies it first otherwise, so no other holder (a send
+//! kernel that kept the payload) sees the edit. The receiver parses it
+//! without copying, and the buffer is freed with the last slice of it.
+//! Frames are not pooled: plain allocation measured as fast as a
+//! free-list of returned frames (DESIGN.md §10).
 
 use bytes::Bytes;
 
@@ -26,7 +28,6 @@ use strom_sim::{Bandwidth, LinkSerializer, SimRng};
 use strom_telemetry::{
     Counter, DropReason, Gauge, MetricsRegistry, TraceEvent, TraceSink, WireCounters,
 };
-use strom_wire::packet::Packet;
 use strom_wire::pcap::PcapWriter;
 
 use crate::config::NicConfig;
@@ -69,7 +70,6 @@ impl Default for SwitchParams {
 /// switch queueing), applied when it is delivered.
 struct InFlight {
     frame: Bytes,
-    ip_len: usize,
     /// Reorder jitter, if the frame is to be held back.
     jitter: Option<TimeDelta>,
     /// Whether the frame is delivered twice.
@@ -130,8 +130,6 @@ pub(crate) struct Wire {
     /// The cluster switch, absent in transparent (point-to-point) mode.
     /// Boxed so a tick can take it out while it reaches the other fields.
     switch: Option<Box<SwitchState>>,
-    /// Encoding scratch: each frame is built here, then copied out once.
-    frame_buf: Vec<u8>,
 }
 
 impl Wire {
@@ -174,7 +172,6 @@ impl Wire {
             capture: None,
             trace: TraceSink::default(),
             switch,
-            frame_buf: Vec::new(),
         }
     }
 
@@ -259,7 +256,7 @@ impl Wire {
         self.links[src].busy_until()
     }
 
-    /// Carries a packet whose last bit left `src` at `wire_end` to `dst`:
+    /// Carries a frame whose last bit left `src` at `wire_end` to `dst`:
     /// the fault pipeline, then the cable or the switch.
     ///
     /// Fault decisions come in wire order — loss, then (if the frame
@@ -271,7 +268,7 @@ impl Wire {
         &mut self,
         src: NodeId,
         dst: NodeId,
-        pkt: &Packet,
+        mut frame: Bytes,
         wire_end: Time,
         cfg: &NicConfig,
         sched: &mut Scheduler,
@@ -286,17 +283,12 @@ impl Wire {
             });
             return;
         }
-        // Encode in a single pass into the scratch buffer and flip
-        // fault-injected bits there — then freeze it into `Bytes` for
-        // transit with one copy, one allocation.
-        pkt.encode_into(&mut self.frame_buf);
         if fault.corrupt_rate > 0.0 && fault.should_corrupt(&mut self.rng) {
             // One bit flips in flight; the receiver's checksums must catch
             // it (frames_crc_dropped) unless it lands in the handful of
             // unprotected header bytes, where it is harmless.
-            fault::flip_random_bit(&mut self.frame_buf, &mut self.rng);
+            fault::flip_random_bit(edit(&mut frame), &mut self.rng);
         }
-        let frame = Bytes::copy_from_slice(&self.frame_buf);
         if let Some(cap) = &mut self.capture {
             // Captured as it leaves the wire (post-corruption), stamped
             // with the serialization end time.
@@ -314,12 +306,7 @@ impl Wire {
         if dup {
             self.rx_faults[dst].duplicated += 1;
         }
-        let flight = InFlight {
-            frame,
-            ip_len: pkt.ip_len(),
-            jitter,
-            dup,
-        };
+        let flight = InFlight { frame, jitter, dup };
         match &mut self.switch {
             None => self.deliver(dst, flight, wire_end, cfg, sched),
             Some(sw) => {
@@ -327,7 +314,8 @@ impl Wire {
                 // NIC; it leaves once it wins arbitration and serializes
                 // on the egress port. Delivery continues in
                 // `on_switch_tick`.
-                let (bytes, received) = (pkt.wire_bytes() as u64, wire_end + cfg.propagation);
+                let bytes = wire_bytes(&flight.frame);
+                let received = wire_end + cfg.propagation;
                 let eligible = sw.model.enqueue(src, dst, bytes, received, flight);
                 sched.schedule(eligible, Event::SwitchTick);
             }
@@ -378,7 +366,7 @@ impl Wire {
         cfg: &NicConfig,
         sched: &mut Scheduler,
     ) {
-        let in_order = self.arrival(cfg, dst, sent, flight.ip_len);
+        let in_order = self.arrival(cfg, dst, sent, ip_len(&flight.frame));
         let arrival = match flight.jitter {
             // Held back by jitter — and deliberately NOT recorded in
             // last_arrival, so frames behind it overtake it (the FIFO
@@ -423,15 +411,9 @@ impl Wire {
             let mut flight = d.payload;
             if d.marked {
                 // The switch decided to CE-mark this frame: rewrite the
-                // ECN field (and IPv4 checksum) in the egress buffer. At
-                // this point the switch holds the only reference, so the
-                // rewrite is in place (a shared frame would be copied
-                // first); the ICRC stays valid because it covers
-                // BTH+payload only.
-                if flight.frame.try_mut().is_none() {
-                    flight.frame = Bytes::copy_from_slice(&flight.frame);
-                }
-                let buf = flight.frame.try_mut().expect("sole owner of a fresh copy");
+                // ECN field (and IPv4 checksum) in the egress buffer; the
+                // ICRC stays valid because it covers BTH+payload only.
+                let buf = edit(&mut flight.frame);
                 strom_wire::mark_ce(&mut buf[strom_wire::ethernet::ETHERNET_HEADER_LEN..]);
             }
             self.deliver(d.dst, flight, d.egress_end, cfg, sched);
@@ -440,12 +422,34 @@ impl Wire {
     }
 }
 
+/// The length of a frame's IP packet (IP header through ICRC): all of it
+/// but the Ethernet header, as frames are built to their exact size.
+fn ip_len(frame: &[u8]) -> usize {
+    frame.len() - strom_wire::ethernet::ETHERNET_HEADER_LEN
+}
+
+/// What a link serializer charges for `frame`: its bytes plus framing,
+/// FCS, padding, preamble and IPG.
+pub(crate) fn wire_bytes(frame: &[u8]) -> u64 {
+    strom_wire::ethernet::wire_bytes(ip_len(frame)) as u64
+}
+
+/// The bytes of `frame` to edit: in place when this is its only handle,
+/// else in a private copy taken first, so no other holder sees the edit.
+fn edit(frame: &mut Bytes) -> &mut [u8] {
+    if frame.try_mut().is_none() {
+        *frame = Bytes::copy_from_slice(frame);
+    }
+    frame.try_mut().expect("sole owner of a fresh copy")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use strom_sim::time::NANOS;
     use strom_wire::bth::Reth;
     use strom_wire::opcode::Opcode;
+    use strom_wire::packet::Packet;
 
     /// A two-node cable and its scheduler.
     fn cable(cfg: &NicConfig) -> (Wire, Scheduler) {
@@ -461,6 +465,11 @@ mod tests {
         };
         let data = Bytes::from(vec![0xAB; payload]);
         Packet::new(0, 1, Opcode::WriteOnly, 1, 7, Some(reth), None, data)
+    }
+
+    /// Carries `pkt`, encoded, from node 0 to node 1.
+    fn carry(wire: &mut Wire, pkt: &Packet, sent: Time, cfg: &NicConfig, sched: &mut Scheduler) {
+        wire.carry(0, 1, Bytes::from(pkt.encode()), sent, cfg, sched);
     }
 
     /// When `pkt`, off the sender's link at `sent`, reaches node 1 of an
@@ -505,7 +514,7 @@ mod tests {
         for i in 0..300u64 {
             // Far enough apart that the FIFO clamp never binds.
             let wire_end = i * 10_000 * NANOS;
-            wire.carry(0, 1, &pkt, wire_end, &cfg, &mut sched);
+            carry(&mut wire, &pkt, wire_end, &cfg, &mut sched);
             let got = arrivals(&mut sched);
             if script.chance(0.3) {
                 lost += 1;
@@ -550,8 +559,8 @@ mod tests {
     fn fifo_clamp_keeps_a_short_frame_behind_a_long_one() {
         let cfg = NicConfig::ten_gig();
         let (mut wire, mut sched) = cable(&cfg);
-        wire.carry(0, 1, &write_only(1024), 1_000, &cfg, &mut sched);
-        wire.carry(0, 1, &write_only(8), 1_001, &cfg, &mut sched);
+        carry(&mut wire, &write_only(1024), 1_000, &cfg, &mut sched);
+        carry(&mut wire, &write_only(8), 1_001, &cfg, &mut sched);
         let got = arrivals(&mut sched);
         assert_eq!(got.len(), 2);
         assert!(got[0].1.len() > got[1].1.len(), "long frame first");
@@ -567,10 +576,10 @@ mod tests {
         cfg.fault.reorder_jitter = 5_000 * NANOS;
         let (mut wire, mut sched) = cable(&cfg);
         let (held, behind) = (write_only(64), write_only(8));
-        wire.carry(0, 1, &held, 1_000, &cfg, &mut sched);
+        carry(&mut wire, &held, 1_000, &cfg, &mut sched);
         assert_eq!(wire.last_arrival[1], 0, "jittered arrival was recorded");
         let clean = NicConfig::ten_gig();
-        wire.carry(0, 1, &behind, 2_000, &clean, &mut sched);
+        carry(&mut wire, &behind, 2_000, &clean, &mut sched);
         for (at, frame) in arrivals(&mut sched) {
             if frame.len() == behind.encode().len() {
                 assert_eq!(
@@ -583,6 +592,64 @@ mod tests {
                     at > nominal(&cfg, 1_000, &held),
                     "first frame was not held back"
                 );
+            }
+        }
+    }
+
+    /// The wire edits a frame in place only when it holds the frame's one
+    /// handle. A CE mark at the switch rewrites the frame the NIC handed
+    /// over; a bit flip on a frame something else still holds (a send
+    /// kernel that kept the payload) goes to a private copy, and the
+    /// holder's bytes stay as they were.
+    #[test]
+    fn faults_edit_a_frame_in_place_only_when_the_wire_alone_holds_it() {
+        let mut pkt = write_only(64);
+        pkt.ecn = strom_wire::ECN_ECT0;
+        let clean = pkt.encode();
+
+        let cfg = NicConfig::ten_gig();
+        let params = SwitchParams {
+            ecn: Some(EcnConfig::step(0)),
+            ..SwitchParams::default()
+        };
+        let mut wire = Wire::new(&cfg, 2, Some(params), &MetricsRegistry::default());
+        let mut sched = Scheduler::new(2);
+        let frame = Bytes::from(clean.clone());
+        let at = frame.as_ptr();
+        wire.carry(0, 1, frame, 1_000, &cfg, &mut sched);
+        let marked = loop {
+            let s = sched.queue.pop().expect("the frame is delivered");
+            match s.event {
+                Event::SwitchTick => wire.on_switch_tick(&cfg, &mut sched),
+                Event::Nic {
+                    node: 1,
+                    ev: NicEvent::FrameArrive { frame },
+                } => break frame,
+                other => panic!("unexpected event {other:?}"),
+            }
+        };
+        assert_eq!(marked.as_ptr(), at, "the CE mark was not made in place");
+        let parsed = Packet::parse(&marked).expect("a CE mark keeps the frame valid");
+        assert_eq!(parsed.ecn, strom_wire::ECN_CE);
+
+        let mut cfg = NicConfig::ten_gig();
+        cfg.fault.corrupt_rate = 1.0;
+        for shared in [false, true] {
+            let (mut wire, mut sched) = cable(&cfg);
+            let frame = Bytes::from(clean.clone());
+            let (at, holder) = (frame.as_ptr(), shared.then(|| frame.slice(60..)));
+            wire.carry(0, 1, frame, 1_000, &cfg, &mut sched);
+            let got = arrivals(&mut sched);
+            let [(_, flipped)] = &got[..] else {
+                panic!("one frame arrives, got {}", got.len());
+            };
+            let diff: u32 = (flipped.iter().zip(&clean))
+                .map(|(a, b)| (a ^ b).count_ones())
+                .sum();
+            assert_eq!(diff, 1, "one bit flips");
+            assert_eq!(flipped.as_ptr() == at, !shared, "shared = {shared}");
+            if let Some(holder) = holder {
+                assert_eq!(holder, clean[60..], "the holder saw the flip");
             }
         }
     }

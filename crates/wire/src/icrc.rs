@@ -23,9 +23,8 @@
 //! the simulator it takes the two per-frame CRC passes (TX append + RX
 //! check) off the critical path. **Slice-by-16** — sixteen 256-entry
 //! tables consuming sixteen input bytes per step — is the portable path,
-//! the short-input path and the residue finish; a slice-by-4 step takes
-//! the whole words of a block's tail, so at most three bytes go through
-//! the byte-at-a-time loop. The original
+//! the short-input path and the residue finish; the byte-at-a-time loop
+//! takes the last block's tail. The original
 //! byte-at-a-time loop is kept as [`icrc_reference`]; the differential
 //! tests here and in `tests/prop.rs` compare both paths against it.
 
@@ -86,27 +85,13 @@ fn step16(t: &[[u32; 256]; 16], crc: u32, c: &[u8; 16]) -> u32 {
         ^ t[0][c[15] as usize]
 }
 
-/// One slice-by-4 step: advances `crc` over a 4-byte word.
-#[inline(always)]
-fn step4(t: &[[u32; 256]; 16], crc: u32, c: &[u8; 4]) -> u32 {
-    let x = crc ^ u32::from_le_bytes(*c);
-    t[3][(x & 0xff) as usize]
-        ^ t[2][((x >> 8) & 0xff) as usize]
-        ^ t[1][((x >> 16) & 0xff) as usize]
-        ^ t[0][(x >> 24) as usize]
-}
-
-/// The table path: slice-by-16 over whole blocks, slice-by-4 over the
-/// whole words of the tail, then the byte loop over at most three bytes.
-/// Advances the raw (un-inverted) register `crc` over `data`.
+/// The table path: slice-by-16 over whole blocks, then the byte loop
+/// over the tail. Advances the raw (un-inverted) register `crc` over
+/// `data`.
 fn update_table(t: &[[u32; 256]; 16], mut crc: u32, data: &[u8]) -> u32 {
-    let (blocks, rest) = data.as_chunks::<16>();
+    let (blocks, tail) = data.as_chunks::<16>();
     for c in blocks {
         crc = step16(t, crc, c);
-    }
-    let (words, tail) = rest.as_chunks::<4>();
-    for c in words {
-        crc = step4(t, crc, c);
     }
     for &b in tail {
         crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];

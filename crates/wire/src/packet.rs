@@ -7,13 +7,14 @@
 //! the same validity checks the hardware pipeline performs, stage by stage,
 //! reporting *where* an invalid packet would have been dropped.
 //!
-//! Both directions are engineered as a fast datapath: [`Packet::encode_into`]
-//! writes the whole frame into one caller-supplied buffer in a single pass
-//! (header lengths are known up front, so no intermediate RoCE-payload
-//! buffer is assembled and the ICRC is computed in place over the tail),
-//! and [`Packet::parse`] takes the frame as [`Bytes`] and returns the
-//! payload as an O(1) slice of it — zero copies on either side of the
-//! simulated wire.
+//! Both directions are engineered as a fast datapath. [`Packet::build`]
+//! builds the frame once into the one exact-size [`Bytes`] it travels in:
+//! the headers at fixed offsets, the payload written straight into its
+//! slot by the caller (the NIC's DMA fetch), the ICRC folded over it.
+//! [`Packet::encode_into`] writes the same bytes into a caller's `Vec`
+//! through the same header writer. [`Packet::parse`] takes the frame as
+//! [`Bytes`] and returns the payload as an O(1) slice of it — zero copies
+//! on either side of the simulated wire.
 
 use bytes::Bytes;
 
@@ -116,22 +117,20 @@ impl Packet {
 
     /// Length of the encoded IP packet (IP header through ICRC).
     pub fn ip_len(&self) -> usize {
-        let ib = crate::bth::BTH_LEN
-            + if self.reth.is_some() {
-                crate::bth::RETH_LEN
-            } else {
-                0
-            }
-            + if self.aeth.is_some() {
-                crate::bth::AETH_LEN
-            } else {
-                0
-            };
-        crate::ipv4::IPV4_HEADER_LEN
-            + crate::udp::UDP_HEADER_LEN
-            + ib
-            + self.payload.len()
-            + icrc::ICRC_LEN
+        self.ip_len_with(self.payload.len())
+    }
+
+    /// Length of the IP packet these headers make with a payload of
+    /// `payload_len` bytes.
+    fn ip_len_with(&self, payload_len: usize) -> usize {
+        self.headers_len() - IP_AT + payload_len + icrc::ICRC_LEN
+    }
+
+    /// Header bytes before the payload: Ethernet through RETH/AETH.
+    fn headers_len(&self) -> usize {
+        let reth = if self.reth.is_some() { RETH_LEN } else { 0 };
+        let aeth = if self.aeth.is_some() { AETH_LEN } else { 0 };
+        EXT_AT + reth + aeth
     }
 
     /// Total wire occupancy in bytes (framing, FCS, padding, preamble, IPG)
@@ -148,44 +147,66 @@ impl Packet {
     }
 
     /// Encodes the full frame byte stream into `buf` (cleared first) in a
-    /// single pass: every header sits at a fixed offset, so the headers
-    /// are built in one stack array, copied out in one piece, followed by
-    /// the payload and the ICRC computed in place over the RoCE region —
-    /// no intermediate allocation, `buf` reserved once at its exact size.
+    /// single pass: the headers are written at their fixed offsets into
+    /// one stack array and copied out in one piece, followed by the
+    /// payload and the ICRC computed in place over the RoCE region — no
+    /// intermediate allocation, `buf` reserved once at its exact size.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        let ip_len = self.ip_len();
-        let udp_len = ip_len - IPV4_HEADER_LEN;
-        let roce_len = udp_len - UDP_HEADER_LEN;
-        let mut ip = Ipv4Header::for_udp(self.src_ip, self.dst_ip, udp_len, 0);
-        ip.ecn = self.ecn;
-        let udp = UdpHeader::for_roce((self.bth.dest_qp & 0xffff) as u16, roce_len);
-
         let mut hdr = [0u8; HEADERS_MAX];
-        hdr[..IP_AT].copy_from_slice(&ethernet::header_bytes(
-            self.dst_mac,
-            self.src_mac,
-            EtherType::Ipv4,
-        ));
-        hdr[IP_AT..UDP_AT].copy_from_slice(&ip.to_bytes());
-        hdr[UDP_AT..ROCE_AT].copy_from_slice(&udp.to_bytes());
-        hdr[ROCE_AT..EXT_AT].copy_from_slice(&self.bth.to_bytes());
-        let mut end = EXT_AT;
-        if let Some(reth) = &self.reth {
-            hdr[end..end + RETH_LEN].copy_from_slice(&reth.to_bytes());
-            end += RETH_LEN;
-        }
-        if let Some(aeth) = &self.aeth {
-            hdr[end..end + AETH_LEN].copy_from_slice(&aeth.to_bytes());
-            end += AETH_LEN;
-        }
-
+        let end = self.write_headers(self.payload.len(), &mut hdr);
         buf.clear();
-        buf.reserve(ethernet::ETHERNET_HEADER_LEN + ip_len);
+        buf.reserve(IP_AT + self.ip_len());
         buf.extend_from_slice(&hdr[..end]);
         buf.extend_from_slice(&self.payload);
         let crc = icrc::icrc(&buf[ROCE_AT..]);
         buf.extend_from_slice(&crc.to_le_bytes());
-        debug_assert_eq!(buf.len(), ethernet::ETHERNET_HEADER_LEN + ip_len);
+        debug_assert_eq!(buf.len(), IP_AT + self.ip_len());
+    }
+
+    /// Builds the frame of these headers in one pass into the one
+    /// exact-size buffer it travels in, with a payload of `payload_len`
+    /// bytes: the headers at their fixed offsets, then `fill` writes the
+    /// payload straight into its slot (handed over zeroed), then the ICRC
+    /// is folded over the RoCE region. The packet's own payload is not
+    /// read. The frame is byte for byte what [`Packet::encode_into`]
+    /// writes for these headers and that payload, and the payload is the
+    /// `payload_len` bytes before the ICRC: [`Packet::parse`] hands it
+    /// back as an O(1) slice of the frame.
+    pub fn build(&self, payload_len: usize, fill: impl FnOnce(&mut [u8])) -> Bytes {
+        let at = self.headers_len();
+        Bytes::from_fn(IP_AT + self.ip_len_with(payload_len), |f| {
+            self.write_headers(payload_len, f);
+            let (body, crc) = f.split_at_mut(at + payload_len);
+            fill(&mut body[at..]);
+            crc.copy_from_slice(&icrc::icrc(&body[ROCE_AT..]).to_le_bytes());
+        })
+    }
+
+    /// Writes the headers, Ethernet through RETH/AETH, for a payload of
+    /// `payload_len` bytes at their fixed offsets at the start of `out`.
+    /// Returns where the payload starts. The one header writer under
+    /// [`Packet::encode_into`] and [`Packet::build`].
+    fn write_headers(&self, payload_len: usize, out: &mut [u8]) -> usize {
+        let udp_len = self.ip_len_with(payload_len) - IPV4_HEADER_LEN;
+        let mut ip = Ipv4Header::for_udp(self.src_ip, self.dst_ip, udp_len, 0);
+        ip.ecn = self.ecn;
+        let roce_len = udp_len - UDP_HEADER_LEN;
+        let udp = UdpHeader::for_roce((self.bth.dest_qp & 0xffff) as u16, roce_len);
+        let eth = ethernet::header_bytes(self.dst_mac, self.src_mac, EtherType::Ipv4);
+        out[..IP_AT].copy_from_slice(&eth);
+        out[IP_AT..UDP_AT].copy_from_slice(&ip.to_bytes());
+        out[UDP_AT..ROCE_AT].copy_from_slice(&udp.to_bytes());
+        out[ROCE_AT..EXT_AT].copy_from_slice(&self.bth.to_bytes());
+        let mut end = EXT_AT;
+        if let Some(reth) = &self.reth {
+            out[end..end + RETH_LEN].copy_from_slice(&reth.to_bytes());
+            end += RETH_LEN;
+        }
+        if let Some(aeth) = &self.aeth {
+            out[end..end + AETH_LEN].copy_from_slice(&aeth.to_bytes());
+            end += AETH_LEN;
+        }
+        end
     }
 
     /// Parses a frame, performing every pipeline validity check.

@@ -213,3 +213,60 @@ fn payload_budget_fits_mtu() {
         }
     }
 }
+
+/// A frame built in one pass ([`Packet::build`], the NIC's transmit path)
+/// is byte for byte what [`Packet::encode_into`] writes, and it parses
+/// back to the same packet with the payload a slice of the frame: every
+/// op-code, with RETH and AETH as it requires, every ECN codepoint,
+/// ragged payload lengths from empty to the MTU's payload budget.
+#[test]
+fn a_frame_built_in_one_pass_is_the_encoded_frame() {
+    let mut rng = SimRng::seed(0xb1_1d);
+    let max = max_payload(strom_wire::DEFAULT_MTU);
+    let syndromes = [
+        AethSyndrome::Ack,
+        AethSyndrome::NakSequenceError,
+        AethSyndrome::NakRemoteOperationalError,
+    ];
+    let mut encoded = Vec::new();
+    for op in Opcode::ALL {
+        for ecn in 0..4u8 {
+            let mut lens = vec![0];
+            if op.has_payload() {
+                lens.extend([1, max]);
+                lens.extend((0..6).map(|_| rng.range(2, max as u64) as usize));
+            }
+            for len in lens {
+                let mut payload = vec![0u8; len];
+                rng.fill_bytes(&mut payload);
+                let psn = rng.below(1 << 24) as u32;
+                let reth = op.has_reth().then(|| Reth {
+                    vaddr: rng.next_u64(),
+                    rkey: rng.next_u64() as u32,
+                    dma_len: len as u32,
+                });
+                let aeth = op.has_aeth().then(|| Aeth {
+                    syndrome: syndromes[rng.below(3) as usize],
+                    msn: rng.below(1 << 24) as u32,
+                });
+                let qpn = rng.below(1 << 24) as u32;
+                let (src, dst) = (rng.below(200) as u32, rng.below(200) as u32);
+                let header = |payload| {
+                    let mut p = Packet::new(src, dst, op, qpn, psn, reth, aeth, payload);
+                    p.ecn = ecn;
+                    p
+                };
+                let want = header(Bytes::copy_from_slice(&payload));
+                want.encode_into(&mut encoded);
+
+                let frame = header(Bytes::new()).build(len, |slot| slot.copy_from_slice(&payload));
+                let at = format!("{op:?}, ecn {ecn}, {len} B");
+                assert_eq!(frame[..], encoded[..], "{at}");
+                let slot = frame.len() - icrc::ICRC_LEN - len;
+                let parsed = Packet::parse(&frame).expect("a built frame parses");
+                assert_eq!(parsed, want, "{at}");
+                assert_eq!(parsed.payload.as_ptr(), frame[slot..].as_ptr(), "{at}");
+            }
+        }
+    }
+}
