@@ -39,16 +39,12 @@ fn windows(scale: Scale) -> Vec<usize> {
 /// 256-frame shared-tail egress buffer, and (with `cc`) a step marker at
 /// 16 frames — 1/16 of the buffer, low because a CE mark decided at
 /// enqueue must ride the whole queue before the responder can echo it.
-fn congested_switch(cc: bool, seed: u64) -> SwitchParams {
+fn congested_switch(cc: bool) -> SwitchParams {
     SwitchParams {
         port_rate: Some(Bandwidth::gbit_per_sec(10.0)),
         latency: 500 * NANOS,
         egress_capacity: 256,
-        ecn: cc.then(|| {
-            let mut ecn = EcnConfig::step(16);
-            ecn.seed = seed ^ 0xECF;
-            ecn
-        }),
+        ecn: cc.then(|| EcnConfig::step(16)),
     }
 }
 
@@ -60,7 +56,7 @@ fn spec(senders: usize, window: usize, scale: Scale, cc: bool) -> IncastSpec {
         Scale::Full => 48,
     };
     spec.cc = cc;
-    spec.switch = congested_switch(cc, spec.seed);
+    spec.switch = congested_switch(cc);
     // Deep-queue operating points park hundreds of microseconds of
     // frames on the egress port; the timeout must sit above that delay
     // or every queued frame turns into a spurious go-back-N storm.

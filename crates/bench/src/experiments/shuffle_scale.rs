@@ -53,9 +53,7 @@ fn spec(nodes: usize, scale: Scale, lossy: bool) -> ShuffleSpec {
 fn cc_deep_spec(nodes: usize, scale: Scale) -> ShuffleSpec {
     let mut spec = spec(nodes, scale, true);
     spec.cc = true;
-    let mut ecn = EcnConfig::step(64);
-    ecn.seed = spec.seed ^ 0xECF;
-    spec.switch.ecn = Some(ecn);
+    spec.switch.ecn = Some(EcnConfig::step(64));
     spec
 }
 
@@ -134,9 +132,7 @@ mod tests {
         spec.switch.egress_capacity = 32;
         spec.cc = cc;
         if cc {
-            let mut ecn = EcnConfig::step(8);
-            ecn.seed = spec.seed ^ 0xECF;
-            spec.switch.ecn = Some(ecn);
+            spec.switch.ecn = Some(EcnConfig::step(8));
         }
         spec
     }

@@ -120,6 +120,12 @@ impl BloomFilter {
     }
 }
 
+/// The largest bitmap a remote invoke may configure, as `log2` bits:
+/// the NIC allocates and DMA-reads the whole bitmap (at 32, 512 MiB per
+/// invoke). 2^20 bits (128 KiB) is 16 times the largest filter any
+/// figure, test or corpus case builds (2^16); a larger one is malformed.
+pub const MAX_LOG2_BITS: u8 = 20;
+
 /// Parameters of the Bloom semi-join kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BloomParams {
@@ -129,7 +135,7 @@ pub struct BloomParams {
     pub dest_addr: u64,
     /// Capacity of the result region in bytes.
     pub dest_capacity: u32,
-    /// `log2` of the bitmap size in bits (6 ..= 32).
+    /// `log2` of the bitmap size in bits (6 ..= [`MAX_LOG2_BITS`]).
     pub log2_bits: u8,
     /// Probes per value.
     pub probes: u8,
@@ -160,7 +166,7 @@ impl BloomParams {
         }
         let log2_bits = buf[20];
         let probes = buf[21];
-        if !(6..=32).contains(&log2_bits) || probes == 0 {
+        if !(6..=MAX_LOG2_BITS).contains(&log2_bits) || probes == 0 {
             return None;
         }
         Some(BloomParams {
@@ -360,8 +366,16 @@ mod tests {
         };
         assert_eq!(BloomParams::decode(&p.encode()), Some(p));
         assert!(BloomParams::decode(&[0u8; 8]).is_none());
-        let bad = BloomParams { log2_bits: 40, ..p };
-        assert!(BloomParams::decode(&bad.encode()).is_none());
+        let at_cap = BloomParams {
+            log2_bits: MAX_LOG2_BITS,
+            ..p
+        };
+        assert_eq!(BloomParams::decode(&at_cap.encode()), Some(at_cap));
+        // Past the cap (up to 32, a 512 MiB bitmap) the invoke is malformed.
+        for log2_bits in [MAX_LOG2_BITS + 1, 32, 40] {
+            let bad = BloomParams { log2_bits, ..p };
+            assert!(BloomParams::decode(&bad.encode()).is_none(), "{log2_bits}");
+        }
     }
 
     /// A kernel configured with the filter of `members`.
@@ -392,6 +406,19 @@ mod tests {
     fn malformed_invoke_drops_the_configuration() {
         let mut k = configured(&[0x0707_0707_0707_0707]);
         check_malformed_invoke(&mut k, Bytes::from_static(&[0]), DONE, sevens(), &[]);
+        // A bitmap past the cap is refused before any DMA read is issued.
+        for log2_bits in [MAX_LOG2_BITS + 1, 32] {
+            let mut k = configured(&[0x0707_0707_0707_0707]);
+            let p = BloomParams {
+                bitmap_addr: 0x100,
+                dest_addr: 0x1000,
+                dest_capacity: 1 << 20,
+                log2_bits,
+                probes: 4,
+                target_address: 0x9000,
+            };
+            check_malformed_invoke(&mut k, p.encode(), DONE, sevens(), &[]);
+        }
     }
 
     #[test]

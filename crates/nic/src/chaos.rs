@@ -19,6 +19,7 @@ use crate::config::Platform;
 use crate::controller::StatusRegisters;
 use crate::fault::{LinkFaultModel, LossModel};
 use crate::scenario::{us, Scenario};
+use crate::spec::{shape, spec_json, SpecError};
 use crate::testbed::ClusterTestbed;
 
 /// The fault dimensions a chaos schedule composes.
@@ -88,7 +89,7 @@ pub fn active_fault_types(model: &LinkFaultModel) -> usize {
 /// [`chaos_model`] fault schedule, on either platform. Every byte is
 /// verified against a pure-array reference. The corpus runs it once per
 /// case; `tests/chaos_soak.rs` sweeps it over many seeds.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosSpec {
     /// Hardware platform (10 G or 100 G datapath).
     pub platform: Platform,
@@ -133,10 +134,20 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosOutcome {
     spec.drive(&mut tb)
 }
 
+impl ChaosSpec {
+    /// What makes the spec runnable: the seed draws `2..ops` operations.
+    pub fn check(&self) -> Result<(), SpecError> {
+        shape(self.ops >= 3, "chaos ops must be ≥ 3")
+    }
+}
+
+spec_json! { ChaosSpec { platform, ops, seed } }
+
 impl Scenario for ChaosSpec {
     type Outcome = ChaosOutcome;
 
     fn testbed(&self) -> ClusterTestbed {
+        self.check().unwrap_or_else(|e| panic!("{e}"));
         let mut cfg = self.platform.config();
         cfg.seed = self.seed;
         ClusterTestbed::new(cfg)
@@ -167,7 +178,7 @@ impl Scenario for ChaosSpec {
         tb.mem(SERVER).write(b, &server_init);
 
         let mut op_rng = SimRng::seed(seed ^ 0x0b5);
-        let ops: Vec<(bool, u64, u32)> = (0..op_rng.range(2, self.ops.max(3)))
+        let ops: Vec<(bool, u64, u32)> = (0..op_rng.range(2, self.ops))
             .map(|_| {
                 let off = op_rng.below(1 << 20);
                 let len = op_rng.range(1, 20_000) as u32;

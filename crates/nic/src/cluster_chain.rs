@@ -22,7 +22,7 @@ use strom_kernels::crc_verify::{push_trailer, CrcVerifyParams, TRAILER_LEN};
 use strom_kernels::filter::FilterKernel;
 use strom_kernels::framework::{decode_error, KernelChain};
 use strom_kernels::hll_kernel::HllKernel;
-use strom_kernels::radix::{radix_bits, radix_partition};
+use strom_kernels::radix::{radix_bits, radix_partition, MAX_PARTITIONS};
 use strom_kernels::shuffle::{encode_histogram, ShuffleParams};
 use strom_kernels::traversal::Predicate;
 use strom_kernels::{AggregateParams, FilterParams};
@@ -35,6 +35,7 @@ use strom_wire::opcode::RpcOpCode;
 use crate::config::Platform;
 use crate::fault::LinkFaultModel;
 use crate::scenario::{us, Scenario};
+use crate::spec::{shape, spec_json, SpecError};
 use crate::testbed::{ClusterTestbed, SwitchParams};
 
 const CLIENT: usize = 0;
@@ -45,7 +46,7 @@ const QP: u32 = 1;
 const EVENT_BUDGET: u64 = 200_000_000;
 
 /// Everything that determines one chain run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainSpec {
     /// Hardware platform (10 G or 100 G datapath).
     pub platform: Platform,
@@ -77,7 +78,17 @@ impl ChainSpec {
             trace_capacity: None,
         }
     }
+
+    /// What makes the spec runnable.
+    pub fn check(&self) -> Result<(), SpecError> {
+        shape(
+            self.partitions.is_power_of_two() && self.partitions as usize <= MAX_PARTITIONS,
+            "chain partitions must be a power of two up to 1024",
+        )
+    }
 }
+
+spec_json! { ChainSpec { platform, tuples, seed, partitions, corrupt, fault, trace_capacity } }
 
 /// What one chain run observed. `PartialEq` so determinism tests can
 /// compare whole reruns.
@@ -127,13 +138,15 @@ impl ChainKind {
 
 /// One kernel-chain run as a [`Scenario`]: which pipeline, over which
 /// spec.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Chain {
     /// The pipeline.
     pub kind: ChainKind,
     /// Everything else about the run.
     pub spec: ChainSpec,
 }
+
+spec_json! { Chain { kind, spec } }
 
 impl Scenario for Chain {
     type Outcome = ChainRun;
@@ -178,6 +191,7 @@ impl Scenario for Chain {
 }
 
 fn testbed(spec: &ChainSpec) -> ClusterTestbed {
+    spec.check().unwrap_or_else(|e| panic!("{e}"));
     let mut cfg = spec.platform.config();
     cfg.seed = spec.seed;
     cfg.fault = spec.fault;
@@ -411,10 +425,6 @@ pub fn run_crcverify_shuffle(spec: &ChainSpec) -> ChainRun {
 }
 
 fn drive_crcverify_shuffle(spec: &ChainSpec, tb: &mut ClusterTestbed) -> ChainRun {
-    assert!(
-        spec.partitions.is_power_of_two(),
-        "partition count must be a power of two"
-    );
     // The client stages the stream and its CRC trailer; the server holds
     // one partition byte per stream byte.
     let stream_len = spec.tuples as u64 * 8;

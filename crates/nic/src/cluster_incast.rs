@@ -25,11 +25,12 @@ use strom_wire::bth::Qpn;
 
 use crate::config::Platform;
 use crate::scenario::{us, Scenario};
+use crate::spec::{check_cc, check_qp_table, shape, spec_json, SpecError};
 use crate::testbed::{ClusterTestbed, SwitchParams};
 use crate::{CompletionStatus, WorkRequest};
 
 /// Everything that determines one incast run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IncastSpec {
     /// Hardware platform (10 G or 100 G datapath).
     pub platform: Platform,
@@ -83,6 +84,20 @@ impl IncastSpec {
         }
     }
 
+    /// What makes the spec runnable.
+    pub fn check(&self) -> Result<(), SpecError> {
+        let senders = self.senders;
+        shape(senders >= 1, "incast senders must be ≥ 1")?;
+        let what = format!("{senders} senders × 1 receiver");
+        check_qp_table(self.platform, &what, senders)?;
+        shape(self.window >= 1, "incast window must be ≥ 1")?;
+        shape(
+            self.elephant_boost >= 1,
+            "incast elephant_boost must be ≥ 1",
+        )?;
+        check_cc(self.cc, &self.switch)
+    }
+
     /// The outstanding-message window of sender `s` (0-based).
     pub fn window_for(&self, s: usize) -> usize {
         if s < self.elephants {
@@ -101,6 +116,13 @@ impl IncastSpec {
         } else {
             self.messages_per_sender
         }
+    }
+}
+
+spec_json! {
+    IncastSpec {
+        platform, senders, message_len, messages_per_sender, window, seed, switch, cc,
+        retransmit_timeout, elephants, elephant_boost, reads,
     }
 }
 
@@ -151,10 +173,9 @@ impl Scenario for IncastSpec {
 
     /// # Panics
     ///
-    /// Only on structural misuse (zero senders or window).
+    /// Only on a spec [`IncastSpec::check`] refuses.
     fn testbed(&self) -> ClusterTestbed {
-        assert!(self.senders >= 1, "incast needs at least one sender");
-        assert!(self.window >= 1, "window must admit at least one message");
+        self.check().unwrap_or_else(|e| panic!("{e}"));
         let mut cfg = self.platform.config();
         cfg.seed = self.seed;
         cfg.cc = self.cc;

@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use strom_kernels::radix::{radix_bits, radix_partition};
+use strom_kernels::radix::{radix_bits, radix_partition, MAX_PARTITIONS};
 use strom_kernels::shuffle::{encode_histogram, ShuffleKernel, ShuffleParams};
 use strom_proto::{CompletionStatus, WorkRequest};
 use strom_sim::time::TimeDelta;
@@ -31,13 +31,14 @@ use crate::config::Platform;
 use crate::event::NodeId;
 use crate::fault::LinkFaultModel;
 use crate::scenario::{us, Scenario};
+use crate::spec::{check_cc, check_qp_table, shape, spec_json, SpecError};
 use crate::testbed::{ClusterTestbed, SwitchParams};
 
 /// Event budget for the post-completion quiesce.
 const EVENT_BUDGET: u64 = 200_000_000;
 
 /// Everything that determines one shuffle run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShuffleSpec {
     /// Hardware platform (10 G or 100 G datapath).
     pub platform: Platform,
@@ -84,6 +85,31 @@ impl ShuffleSpec {
             retransmit_timeout: None,
             cc: false,
         }
+    }
+
+    /// What makes the spec runnable.
+    pub fn check(&self) -> Result<(), SpecError> {
+        let n = self.nodes;
+        shape(n >= 2, "shuffle nodes must be ≥ 2")?;
+        let what = format!("{n} nodes × {} peers", n - 1);
+        check_qp_table(self.platform, &what, n * (n - 1))?;
+        shape(
+            self.local_partitions.is_power_of_two()
+                && self.local_partitions as usize <= MAX_PARTITIONS,
+            "shuffle local_partitions must be a power of two up to 1024",
+        )?;
+        shape(
+            self.port_faults.iter().all(|&(dst, _)| dst < n),
+            "shuffle port_faults must name a node",
+        )?;
+        check_cc(self.cc, &self.switch)
+    }
+}
+
+spec_json! {
+    ShuffleSpec {
+        platform, nodes, values_per_node, local_partitions, seed, switch, fault, port_faults,
+        trace_capacity, retransmit_timeout, cc,
     }
 }
 
@@ -285,7 +311,7 @@ impl Scenario for ShuffleSpec {
     type Outcome = ShuffleOutcome;
 
     fn testbed(&self) -> ClusterTestbed {
-        assert!(self.nodes >= 2, "shuffle needs at least two nodes");
+        self.check().unwrap_or_else(|e| panic!("{e}"));
         let mut cfg = self.platform.config();
         cfg.seed = self.seed;
         cfg.fault = self.fault;
@@ -315,10 +341,6 @@ impl Scenario for ShuffleSpec {
     /// sorted and compared, and is counted in
     /// [`ShuffleOutcome::out_of_order_partitions`].
     fn drive(&self, tb: &mut ClusterTestbed) -> ShuffleOutcome {
-        assert!(
-            self.local_partitions.is_power_of_two(),
-            "partition count must be a power of two"
-        );
         let n = self.nodes;
         let parts = self.local_partitions as usize;
         let Routing {

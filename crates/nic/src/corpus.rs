@@ -1,9 +1,8 @@
 //! The declarative workload corpus: every scenario family this repo has
 //! accumulated — chaos soak, all-to-all shuffle (clean / storm / DCQCN),
 //! N:1 incast, the open-loop KV serving tier, and the chained kernel
-//! pipelines — described by a [`ScenarioSpec`] value, run at both
-//! hardware platforms (§6.1: 10 G and 100 G), and held to two kinds of
-//! contract:
+//! pipelines — run at both hardware platforms (§6.1: 10 G and 100 G),
+//! and held to two kinds of contract:
 //!
 //! * a **correctness fingerprint** — an FNV-1a fold of the run's
 //!   verified observables (memory images, trace streams, per-request
@@ -14,13 +13,15 @@
 //!   throughput floors and tail-latency ceilings hold exactly, not
 //!   statistically.
 //!
-//! [`run_corpus`] executes the full matrix and returns a
-//! [`CorpusReport`] that renders to one machine-readable JSON document
-//! (schema `strom-corpus-v1`); the `figures corpus` entry point writes
-//! it to `CORPUS.json` and fails loudly on any fingerprint drift, gate
-//! violation, or failed cross-platform check. Specs round-trip through
-//! that JSON ([`ScenarioSpec::to_json`] / [`ScenarioSpec::from_json`]),
-//! so a failing case can be re-run from the report alone.
+//! A case is a [`ScenarioSpec`]: a name and the family spec its
+//! [`Scenario`](crate::Scenario) impl runs, every run parameter written
+//! out in [`default_corpus`]. [`run_corpus`] executes the matrix and
+//! returns a [`CorpusReport`] that renders to one JSON document (schema
+//! `strom-corpus-v1`); `figures corpus` writes it to `CORPUS.json` and
+//! fails loudly on any fingerprint drift, gate violation, or failed
+//! cross-platform check. Each case's spec round-trips through that JSON
+//! ([`ScenarioSpec::to_json`] / [`ScenarioSpec::from_json`]), so a
+//! failing case can be re-run from the report alone.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -37,462 +38,8 @@ use crate::cluster_shuffle::ShuffleSpec;
 use crate::config::Platform;
 use crate::fault::LinkFaultModel;
 use crate::kv_serve::KvSpec;
-use crate::scenario::{Observables, Scenario};
-
-/// The declarative workload of one scenario. Every field is a plain
-/// number or flag: the runner materializes the full simulation spec
-/// (switch geometry, fault models, timeouts) deterministically from
-/// these plus the platform and seed, so a `Workload` value plus a seed
-/// IS the scenario.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Workload {
-    /// Two-host READ/WRITE soak under a seed-composed fault schedule
-    /// ([`crate::chaos::chaos_model`]); every byte verified against a
-    /// pure-array reference.
-    ChaosSoak {
-        /// Upper bound on the op count (the seed draws `2..ops`).
-        ops: u64,
-    },
-    /// All-to-all shuffle over a switched cluster.
-    Shuffle {
-        /// Cluster size (≥ 2).
-        nodes: usize,
-        /// 8 B values per node table.
-        values_per_node: usize,
-        /// Shallow fabric (32-frame egress queues) plus 2 % Bernoulli
-        /// link loss — the congestion-storm geometry. `false` is the
-        /// clean deep-buffered fabric (1024-frame queues, no loss).
-        lossy: bool,
-        /// DCQCN congestion control on every NIC.
-        cc: bool,
-        /// ECN step marking at the switch egress queues.
-        ecn: bool,
-    },
-    /// N:1 incast into one receiver through a line-rate switch port.
-    Incast {
-        /// Concurrent senders.
-        senders: usize,
-        /// Outstanding messages per sender.
-        window: usize,
-        /// READ-heavy mode: the congested traffic is the read-response
-        /// stream converging on node 0.
-        reads: bool,
-        /// DCQCN congestion control on every NIC.
-        cc: bool,
-        /// ECN step marking at the switch egress queues.
-        ecn: bool,
-    },
-    /// Open-loop KV serving tier (Poisson arrivals, Zipf keys,
-    /// 70/20/10 GET/PUT/traversal, exactly-once PUT audit).
-    KvServe {
-        /// Server shards.
-        servers: usize,
-        /// Client nodes.
-        clients: usize,
-        /// Mean Poisson inter-arrival gap, nanoseconds.
-        mean_gap_ns: u64,
-        /// Total requests offered.
-        requests: usize,
-    },
-    /// A chained on-NIC kernel pipeline over a two-node testbed.
-    KernelChain {
-        /// Which pipeline.
-        chain: ChainKind,
-        /// 8 B tuples streamed through it.
-        tuples: usize,
-    },
-}
-
-impl Workload {
-    /// The wire name of the workload family.
-    pub fn family(&self) -> &'static str {
-        match self {
-            Workload::ChaosSoak { .. } => "chaos-soak",
-            Workload::Shuffle { .. } => "shuffle",
-            Workload::Incast { .. } => "incast",
-            Workload::KvServe { .. } => "kv-serve",
-            Workload::KernelChain { .. } => "kernel-chain",
-        }
-    }
-}
-
-/// Why a [`ScenarioSpec`] was rejected. Typed so tooling can
-/// distinguish a malformed document from a structurally valid spec
-/// that asks for an impossible run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpecError {
-    /// The scenario name is empty.
-    EmptyName,
-    /// The scenario name contains a character outside `[a-z0-9-]`.
-    BadName(char),
-    /// The JSON named a workload family the corpus does not know.
-    UnknownScenario(String),
-    /// The JSON named a platform other than `10g`/`100g`.
-    UnknownPlatform(String),
-    /// The JSON named a kernel chain the corpus does not know.
-    UnknownChain(String),
-    /// A field is outside the range the simulator supports.
-    InvalidShape(&'static str),
-    /// The fields are individually valid but contradict each other
-    /// (e.g. DCQCN without an ECN-marking switch: the NICs would stamp
-    /// ECT(0) and wait forever for marks that never come).
-    Inconsistent(&'static str),
-    /// The document is not valid spec JSON (parse error, missing or
-    /// mistyped field).
-    Malformed(String),
-}
-
-impl std::fmt::Display for SpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SpecError::EmptyName => write!(f, "scenario name is empty"),
-            SpecError::BadName(c) => write!(f, "scenario name contains {c:?} (want [a-z0-9-])"),
-            SpecError::UnknownScenario(s) => write!(f, "unknown workload family {s:?}"),
-            SpecError::UnknownPlatform(s) => write!(f, "unknown platform {s:?} (want 10g|100g)"),
-            SpecError::UnknownChain(s) => write!(f, "unknown kernel chain {s:?}"),
-            SpecError::InvalidShape(why) => write!(f, "invalid shape: {why}"),
-            SpecError::Inconsistent(why) => write!(f, "inconsistent spec: {why}"),
-            SpecError::Malformed(why) => write!(f, "malformed spec JSON: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for SpecError {}
-
-impl From<json::Error> for SpecError {
-    fn from(e: json::Error) -> Self {
-        SpecError::Malformed(e.0)
-    }
-}
-
-/// One scenario of the corpus: a name, a platform, a seed, and a
-/// declarative workload. Everything a run observes is a deterministic
-/// function of this value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScenarioSpec {
-    /// Kebab-case scenario name (`[a-z0-9-]+`), unique per workload
-    /// shape within a corpus.
-    pub name: String,
-    /// Hardware platform preset.
-    pub platform: Platform,
-    /// Base seed; corpus full runs fold extra derived seeds in.
-    pub seed: u64,
-    /// The declarative workload.
-    pub workload: Workload,
-}
-
-impl ScenarioSpec {
-    /// Checks the spec against the ranges and consistency rules the
-    /// runner assumes.
-    pub fn validate(&self) -> Result<(), SpecError> {
-        if self.name.is_empty() {
-            return Err(SpecError::EmptyName);
-        }
-        if let Some(c) = self
-            .name
-            .chars()
-            .find(|c| !c.is_ascii_lowercase() && !c.is_ascii_digit() && *c != '-')
-        {
-            return Err(SpecError::BadName(c));
-        }
-        match self.workload {
-            Workload::ChaosSoak { ops } => {
-                if !(3..=10_000).contains(&ops) {
-                    return Err(SpecError::InvalidShape("chaos ops must be in 3..=10000"));
-                }
-            }
-            Workload::Shuffle {
-                nodes,
-                values_per_node,
-                lossy: _,
-                cc,
-                ecn,
-            } => {
-                if !(2..=16).contains(&nodes) {
-                    return Err(SpecError::InvalidShape("shuffle nodes must be in 2..=16"));
-                }
-                if !(1..=1 << 20).contains(&values_per_node) {
-                    return Err(SpecError::InvalidShape(
-                        "shuffle values_per_node must be in 1..=2^20",
-                    ));
-                }
-                if cc && !ecn {
-                    return Err(SpecError::Inconsistent(
-                        "shuffle cc=true needs ecn=true: DCQCN only reacts to CE marks",
-                    ));
-                }
-            }
-            Workload::Incast {
-                senders,
-                window,
-                reads: _,
-                cc,
-                ecn,
-            } => {
-                if !(1..=32).contains(&senders) {
-                    return Err(SpecError::InvalidShape("incast senders must be in 1..=32"));
-                }
-                if !(1..=64).contains(&window) {
-                    return Err(SpecError::InvalidShape("incast window must be in 1..=64"));
-                }
-                if cc && !ecn {
-                    return Err(SpecError::Inconsistent(
-                        "incast cc=true needs ecn=true: DCQCN only reacts to CE marks",
-                    ));
-                }
-            }
-            Workload::KvServe {
-                servers,
-                clients,
-                mean_gap_ns,
-                requests,
-            } => {
-                if !(1..=8).contains(&servers) {
-                    return Err(SpecError::InvalidShape("kv servers must be in 1..=8"));
-                }
-                if !(1..=8).contains(&clients) {
-                    return Err(SpecError::InvalidShape("kv clients must be in 1..=8"));
-                }
-                if mean_gap_ns == 0 {
-                    return Err(SpecError::InvalidShape("kv mean_gap_ns must be nonzero"));
-                }
-                if !(1..=100_000).contains(&requests) {
-                    return Err(SpecError::InvalidShape("kv requests must be in 1..=100000"));
-                }
-            }
-            Workload::KernelChain { chain: _, tuples } => {
-                if !(1..=1 << 22).contains(&tuples) {
-                    return Err(SpecError::InvalidShape("chain tuples must be in 1..=2^22"));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Case identity within a corpus: `name@platform`.
-    pub fn id(&self) -> String {
-        format!("{}@{}", self.name, self.platform)
-    }
-
-    /// Validates and runs the scenario at its own seed.
-    pub fn run(&self) -> Result<Observables, SpecError> {
-        self.validate()?;
-        Ok(self.run_seeded(self.seed))
-    }
-
-    /// Runs the (already validated) scenario at an explicit seed — the
-    /// corpus full scale folds several derived seeds per case. The
-    /// workload shape only picks the driver spec; the run, its
-    /// fingerprint and its perf list are the [`Scenario`]'s.
-    fn run_seeded(&self, seed: u64) -> Observables {
-        match self.workload {
-            Workload::ChaosSoak { ops } => {
-                let spec = ChaosSpec {
-                    platform: self.platform,
-                    ops,
-                    seed,
-                };
-                spec.observe().1
-            }
-            Workload::Shuffle {
-                nodes,
-                values_per_node,
-                lossy,
-                cc,
-                ecn,
-            } => {
-                let mut spec = ShuffleSpec::new(nodes, values_per_node, seed);
-                spec.platform = self.platform;
-                spec.trace_capacity = Some(1 << 14);
-                // Queueing delay on deep queues exceeds the platform
-                // timeout; pin it high so queued frames are not counted
-                // as spurious retransmissions.
-                spec.retransmit_timeout = Some(1_000 * MICROS);
-                if lossy {
-                    spec.switch.egress_capacity = 32;
-                    spec.fault = LinkFaultModel::bernoulli(0.02);
-                } else {
-                    spec.switch.egress_capacity = 1024;
-                }
-                if ecn {
-                    let mut mark = EcnConfig::step(8);
-                    mark.seed = seed ^ 0xECF;
-                    spec.switch.ecn = Some(mark);
-                }
-                spec.cc = cc;
-                spec.observe().1
-            }
-            Workload::Incast {
-                senders,
-                window,
-                reads,
-                cc,
-                ecn,
-            } => {
-                let mut spec = IncastSpec::new(senders, window, seed);
-                spec.platform = self.platform;
-                spec.messages_per_sender = 12;
-                // Line-rate egress (port_rate: None follows the
-                // platform), deep enough not to tail-drop at these
-                // windows, marking early enough for DCQCN to react.
-                spec.switch.egress_capacity = 256;
-                if ecn {
-                    let mut mark = EcnConfig::step(16);
-                    mark.seed = seed ^ 0xECF;
-                    spec.switch.ecn = Some(mark);
-                }
-                spec.cc = cc;
-                spec.reads = reads;
-                spec.retransmit_timeout = Some(1_000 * MICROS);
-                spec.observe().1
-            }
-            Workload::KvServe {
-                servers,
-                clients,
-                mean_gap_ns,
-                requests,
-            } => {
-                let mut spec = KvSpec::new(servers, clients, mean_gap_ns * NANOS, seed);
-                spec.platform = self.platform;
-                spec.requests = requests;
-                spec.observe().1
-            }
-            Workload::KernelChain { chain, tuples } => {
-                let mut spec = ChainSpec::new(tuples, seed);
-                spec.platform = self.platform;
-                Chain { kind: chain, spec }.observe().1
-            }
-        }
-    }
-
-    /// Serializes the spec to one JSON object (seeds as hex strings —
-    /// u64 does not survive a float round-trip).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"name\":{},\"platform\":\"{}\",\"seed\":\"{:#x}\",\"workload\":{{\"family\":\"{}\"",
-            json::escape(&self.name),
-            self.platform,
-            self.seed,
-            self.workload.family()
-        );
-        match self.workload {
-            Workload::ChaosSoak { ops } => {
-                let _ = write!(s, ",\"ops\":{ops}");
-            }
-            Workload::Shuffle {
-                nodes,
-                values_per_node,
-                lossy,
-                cc,
-                ecn,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"nodes\":{nodes},\"values_per_node\":{values_per_node},\
-                     \"lossy\":{lossy},\"cc\":{cc},\"ecn\":{ecn}"
-                );
-            }
-            Workload::Incast {
-                senders,
-                window,
-                reads,
-                cc,
-                ecn,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"senders\":{senders},\"window\":{window},\"reads\":{reads},\
-                     \"cc\":{cc},\"ecn\":{ecn}"
-                );
-            }
-            Workload::KvServe {
-                servers,
-                clients,
-                mean_gap_ns,
-                requests,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"servers\":{servers},\"clients\":{clients},\
-                     \"mean_gap_ns\":{mean_gap_ns},\"requests\":{requests}"
-                );
-            }
-            Workload::KernelChain { chain, tuples } => {
-                let _ = write!(s, ",\"chain\":\"{}\",\"tuples\":{tuples}", chain.name());
-            }
-        }
-        s.push_str("}}");
-        s
-    }
-
-    /// Parses a spec back from JSON and validates it. The inverse of
-    /// [`ScenarioSpec::to_json`]: any spec that validates round-trips
-    /// exactly.
-    pub fn from_json(text: &str) -> Result<ScenarioSpec, SpecError> {
-        let v = json::parse(text)?;
-        let spec = Self::from_value(&v)?;
-        spec.validate()?;
-        Ok(spec)
-    }
-
-    /// Builds a spec from an already-parsed JSON value (the report
-    /// embeds spec objects inside case objects).
-    pub fn from_value(v: &json::Value) -> Result<ScenarioSpec, SpecError> {
-        let name = v.str_field("name")?.to_string();
-        let platform_name = v.str_field("platform")?;
-        let platform = Platform::from_name(platform_name)
-            .ok_or_else(|| SpecError::UnknownPlatform(platform_name.to_string()))?;
-        let seed_text = v.str_field("seed")?;
-        let seed = seed_text
-            .strip_prefix("0x")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .ok_or_else(|| SpecError::Malformed(format!("seed {seed_text:?} is not 0x-hex")))?;
-        let w = v.field("workload")?;
-        let family = w.str_field("family")?;
-        let workload = match family {
-            "chaos-soak" => Workload::ChaosSoak {
-                ops: w.u64_field("ops")?,
-            },
-            "shuffle" => Workload::Shuffle {
-                nodes: w.usize_field("nodes")?,
-                values_per_node: w.usize_field("values_per_node")?,
-                lossy: w.bool_field("lossy")?,
-                cc: w.bool_field("cc")?,
-                ecn: w.bool_field("ecn")?,
-            },
-            "incast" => Workload::Incast {
-                senders: w.usize_field("senders")?,
-                window: w.usize_field("window")?,
-                reads: w.bool_field("reads")?,
-                cc: w.bool_field("cc")?,
-                ecn: w.bool_field("ecn")?,
-            },
-            "kv-serve" => Workload::KvServe {
-                servers: w.usize_field("servers")?,
-                clients: w.usize_field("clients")?,
-                mean_gap_ns: w.u64_field("mean_gap_ns")?,
-                requests: w.usize_field("requests")?,
-            },
-            "kernel-chain" => {
-                let chain_name = w.str_field("chain")?;
-                Workload::KernelChain {
-                    chain: ChainKind::from_name(chain_name)
-                        .ok_or_else(|| SpecError::UnknownChain(chain_name.to_string()))?,
-                    tuples: w.usize_field("tuples")?,
-                }
-            }
-            other => return Err(SpecError::UnknownScenario(other.to_string())),
-        };
-        Ok(ScenarioSpec {
-            name,
-            platform,
-            seed,
-            workload,
-        })
-    }
-}
+use crate::scenario::Observables;
+use crate::spec::{ScenarioSpec, Workload};
 
 /// A floor and/or ceiling on one perf observable of a case.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -561,19 +108,12 @@ impl CorpusScale {
         }
     }
 
-    /// Seeds folded per case.
-    pub fn seeds_per_case(self) -> usize {
-        match self {
-            CorpusScale::Quick => 1,
-            CorpusScale::Full => 3,
-        }
-    }
-
     /// The derived seed list for a case: the spec's own seed first, then
     /// fixed-stride derivations (Weyl increment) so full-scale
     /// fingerprints pin extra independent draws.
     pub fn seeds(self, base: u64) -> Vec<u64> {
-        (0..self.seeds_per_case() as u64)
+        let n: u64 = if self == CorpusScale::Quick { 1 } else { 3 };
+        (0..n)
             .map(|k| base.wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
             .collect()
     }
@@ -710,82 +250,63 @@ impl CorpusReport {
 
     /// Renders the report as one `strom-corpus-v1` JSON document.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\n  \"schema\": \"strom-corpus-v1\",\n  \"scale\": \"{}\",\n  \"cases\": [",
-            self.scale.name()
-        );
-        for (i, case) in self.cases.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\n    {{\"spec\": {}, \"seeds\": [", case.spec.to_json());
-            for (j, seed) in case.seeds.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "\"{seed:#x}\"");
-            }
-            let _ = write!(s, "], \"fingerprint\": \"{:#018x}\", ", case.fingerprint);
-            match case.golden {
-                Some(g) => {
-                    let _ = write!(s, "\"golden\": \"{g:#018x}\", ");
-                }
-                None => s.push_str("\"golden\": null, "),
-            }
-            let _ = write!(
-                s,
-                "\"fingerprint_ok\": {}, \"perf\": {{",
-                case.fingerprint_ok()
-            );
-            for (j, (k, v)) in case.perf.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "\"{k}\": {}", json::number(*v));
-            }
-            s.push_str("}, \"gates\": [");
-            for (j, g) in case.gates.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(
-                    s,
-                    "{{\"key\": \"{}\", \"min\": {}, \"max\": {}, \"value\": {}, \"pass\": {}}}",
-                    g.gate.key,
-                    g.gate.min.map_or("null".into(), json::number),
-                    g.gate.max.map_or("null".into(), json::number),
-                    json::number(g.value),
-                    g.pass
-                );
-            }
-            let _ = write!(s, "], \"pass\": {}}}", case.pass());
-        }
-        s.push_str("\n  ],\n  \"cross_checks\": [");
-        for (i, c) in self.cross_checks.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"kind\": \"{}\", \"label\": {}, \"lhs\": {}, \"rhs\": {}, \"pass\": {}}}",
+        let num = |v: Option<f64>| v.map_or("null".into(), json::number);
+        // One item per line, each indented under its array.
+        let rows = |items: Vec<String>| {
+            let rows: Vec<String> = items.iter().map(|i| format!("\n    {i}")).collect();
+            rows.join(",")
+        };
+        let cases = (self.cases.iter()).map(|case| {
+            let seeds: Vec<String> = case.seeds.iter().map(|s| format!("\"{s:#x}\"")).collect();
+            let perf: Vec<String> = (case.perf.iter())
+                .map(|(k, v)| format!("\"{k}\": {}", json::number(*v)))
+                .collect();
+            let gates: Vec<String> = (case.gates.iter())
+                .map(|g| {
+                    let (key, min, max) = (g.gate.key, num(g.gate.min), num(g.gate.max));
+                    format!(
+                        "{{\"key\": \"{key}\", \"min\": {min}, \"max\": {max}, \"value\": {}, \
+                         \"pass\": {}}}",
+                        json::number(g.value),
+                        g.pass
+                    )
+                })
+                .collect();
+            format!(
+                "{{\"spec\": {}, \"seeds\": [{}], \"fingerprint\": \"{:#018x}\", \"golden\": {}, \
+                 \"fingerprint_ok\": {}, \"perf\": {{{}}}, \"gates\": [{}], \"pass\": {}}}",
+                case.spec.to_json(),
+                seeds.join(", "),
+                case.fingerprint,
+                case.golden
+                    .map_or("null".into(), |g| format!("\"{g:#018x}\"")),
+                case.fingerprint_ok(),
+                perf.join(", "),
+                gates.join(", "),
+                case.pass()
+            )
+        });
+        let checks = (self.cross_checks.iter()).map(|c| {
+            format!(
+                "{{\"kind\": \"{}\", \"label\": {}, \"lhs\": {}, \"rhs\": {}, \"pass\": {}}}",
                 c.kind,
                 json::escape(&c.label),
                 json::number(c.lhs),
                 json::number(c.rhs),
                 c.pass
-            );
-        }
-        s.push_str("\n  ],\n  \"failures\": [");
-        for (i, f) in self.failures().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\n    {}", json::escape(f));
-        }
-        let _ = write!(s, "\n  ],\n  \"pass\": {}\n}}\n", self.pass());
-        s
+            )
+        });
+        let failures = self.failures().iter().map(|f| json::escape(f)).collect();
+        format!(
+            "{{\n  \"schema\": \"strom-corpus-v1\",\n  \"scale\": \"{}\",\n  \
+             \"cases\": [{}\n  ],\n  \"cross_checks\": [{}\n  ],\n  \"failures\": [{}\n  ],\n  \
+             \"pass\": {}\n}}\n",
+            self.scale.name(),
+            rows(cases.collect()),
+            rows(checks.collect()),
+            rows(failures),
+            self.pass()
+        )
     }
 
     /// Merges this run's fingerprints into the golden file: lines for
@@ -826,23 +347,14 @@ pub fn golden_path() -> PathBuf {
 
 /// Parses the golden file into `(case id, scale) → fingerprint`.
 fn parse_golden(text: &str) -> BTreeMap<(String, String), u64> {
-    let mut map = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        if let (Some(id), Some(scale), Some(fp)) = (parts.next(), parts.next(), parts.next()) {
-            if let Some(fp) = fp
-                .strip_prefix("0x")
-                .and_then(|h| u64::from_str_radix(h, 16).ok())
-            {
-                map.insert((id.to_string(), scale.to_string()), fp);
-            }
-        }
-    }
-    map
+    (text.lines())
+        .filter_map(|line| {
+            let mut parts = line.split_whitespace();
+            let (id, scale, fp) = (parts.next()?, parts.next()?, parts.next()?);
+            let fp = u64::from_str_radix(fp.strip_prefix("0x")?, 16).ok()?;
+            (!id.starts_with('#')).then(|| ((id.to_string(), scale.to_string()), fp))
+        })
+        .collect()
 }
 
 /// Loads the pinned fingerprints for `scale`, keyed by case id.
@@ -866,15 +378,15 @@ pub fn run_corpus_cases(cases: &[CorpusCase], scale: CorpusScale) -> CorpusRepor
     let golden = golden_fingerprints(scale);
     let mut results = Vec::new();
     for case in cases {
-        let seeds = scale.seeds(case.spec.seed);
+        let seeds = scale.seeds(case.spec.workload.seed());
         let mut fp = Fingerprint::new();
         let mut first: Option<Observables> = None;
         for &seed in &seeds {
-            let out = case.spec.run_seeded(seed);
+            let mut workload = case.spec.workload.clone();
+            *workload.seed_mut() = seed;
+            let out = workload.observe();
             fp.word(seed).word(out.fingerprint);
-            if first.is_none() {
-                first = Some(out);
-            }
+            first.get_or_insert(out);
         }
         let first = first.expect("every scale runs at least one seed");
         let gates = case
@@ -915,52 +427,47 @@ pub fn run_corpus_cases(cases: &[CorpusCase], scale: CorpusScale) -> CorpusRepor
 /// platform.
 fn cross_checks(cases: &[CorpusCase], results: &[CaseResult]) -> Vec<CrossCheck> {
     let find = |name: &str, platform: Platform| {
-        results
-            .iter()
-            .find(|r| r.spec.name == name && r.spec.platform == platform)
+        (results.iter()).find(|r| r.spec.name == name && r.spec.workload.platform() == platform)
     };
     let mut out = Vec::new();
-    let mut seen: Vec<&str> = Vec::new();
-    for case in cases {
-        let name = case.spec.name.as_str();
-        if !case.cross_check || seen.contains(&name) {
-            continue;
-        }
-        seen.push(name);
-        if let (Some(slow), Some(fast)) = (
-            find(name, Platform::TenGig),
-            find(name, Platform::HundredGig),
-        ) {
-            let (lhs, rhs) = (
-                fast.perf("elapsed_us").unwrap_or(f64::INFINITY),
-                slow.perf("elapsed_us").unwrap_or(0.0),
-            );
+    // `less` must read strictly below `more` on `key`.
+    let mut pair = |kind, label, less: Option<&CaseResult>, more: Option<&CaseResult>, key| {
+        if let (Some(less), Some(more)) = (less, more) {
+            let lhs = less.perf(key).unwrap_or(f64::INFINITY);
+            let rhs = more.perf(key).unwrap_or(0.0);
+            let pass = lhs < rhs;
             out.push(CrossCheck {
-                kind: "platform-speedup",
-                label: format!("{name}: 100g elapsed < 10g elapsed"),
+                kind,
+                label,
                 lhs,
                 rhs,
-                pass: lhs < rhs,
+                pass,
             });
+        }
+    };
+    let mut seen: Vec<&str> = Vec::new();
+    for case in cases.iter().filter(|c| c.cross_check) {
+        let name = case.spec.name.as_str();
+        if !seen.contains(&name) {
+            seen.push(name);
+            let label = format!("{name}: 100g elapsed < 10g elapsed");
+            let (fast, slow) = (
+                find(name, Platform::HundredGig),
+                find(name, Platform::TenGig),
+            );
+            pair("platform-speedup", label, fast, slow, "elapsed_us");
         }
     }
     for &platform in &Platform::ALL {
-        if let (Some(storm), Some(dcqcn)) = (
-            find("shuffle-storm", platform),
+        let label = format!("{platform}: DCQCN retransmissions < storm retransmissions");
+        let storm = find("shuffle-storm", platform);
+        pair(
+            "cc-pair",
+            label,
             find("shuffle-dcqcn", platform),
-        ) {
-            let (lhs, rhs) = (
-                dcqcn.perf("retransmissions").unwrap_or(f64::INFINITY),
-                storm.perf("retransmissions").unwrap_or(0.0),
-            );
-            out.push(CrossCheck {
-                kind: "cc-pair",
-                label: format!("{platform}: DCQCN retransmissions < storm retransmissions"),
-                lhs,
-                rhs,
-                pass: lhs < rhs,
-            });
-        }
+            storm,
+            "retransmissions",
+        );
     }
     out
 }
@@ -971,203 +478,158 @@ pub fn run_corpus(scale: CorpusScale) -> CorpusReport {
     run_corpus_cases(&default_corpus(), scale)
 }
 
-/// The corpus: nine scenario shapes × both platforms. Perf floors and
-/// ceilings are written against the deterministic simulated time of the
-/// pinned seeds — tight enough to catch a regression, loose enough to
-/// survive an intentional re-bless of nearby behaviour.
+/// The corpus: nine scenario shapes × both platforms, every run
+/// parameter a field of the case's spec. Perf floors and ceilings are
+/// written against the deterministic simulated time of the pinned seeds
+/// — tight enough to catch a regression, loose enough to survive an
+/// intentional re-bless of nearby behaviour.
 pub fn default_corpus() -> Vec<CorpusCase> {
     let mut cases = Vec::new();
-    for &p in &Platform::ALL {
-        let hundred = p == Platform::HundredGig;
-        let spec = |name: &str, seed: u64, workload: Workload| ScenarioSpec {
-            name: name.to_string(),
-            platform: p,
-            seed,
-            workload,
+    for &platform in &Platform::ALL {
+        let hundred = platform == Platform::HundredGig;
+        let mut case = |name: &str, workload, cross_check, gates| {
+            let spec = ScenarioSpec {
+                name: name.to_string(),
+                workload,
+            };
+            cases.push(CorpusCase {
+                spec,
+                gates,
+                cross_check,
+            });
         };
 
         // Two-host chaos soak: composed faults, byte-verified, bounded
         // recovery. Elapsed is timeout-dominated, so no platform race.
-        cases.push(CorpusCase {
-            spec: spec("chaos-soak", 0xC440_5001, Workload::ChaosSoak { ops: 8 }),
-            gates: vec![
-                PerfGate::at_least("retransmissions", 1.0),
-                PerfGate::at_most("elapsed_us", 1_500.0),
-            ],
-            cross_check: false,
-        });
+        let chaos = ChaosSpec {
+            platform,
+            ops: 8,
+            seed: 0xC440_5001,
+        };
+        let gates = vec![
+            PerfGate::at_least("retransmissions", 1.0),
+            PerfGate::at_most("elapsed_us", 1_500.0),
+        ];
+        case("chaos-soak", Workload::Chaos(chaos), false, gates);
 
-        // Clean deep-buffered shuffle: zero loss tolerated, aggregate
-        // throughput floored per platform.
-        cases.push(CorpusCase {
-            spec: spec(
-                "shuffle",
-                0x5CA1_E001,
-                Workload::Shuffle {
-                    nodes: 4,
-                    values_per_node: 3_000,
-                    lossy: false,
-                    cc: false,
-                    ecn: false,
-                },
-            ),
-            gates: vec![
-                PerfGate::at_most("tail_drops", 0.0),
-                PerfGate::at_most("retransmissions", 0.0),
-                PerfGate::at_least("aggregate_gbps", if hundred { 9.0 } else { 1.8 }),
-                PerfGate::at_most("elapsed_us", if hundred { 15.0 } else { 60.0 }),
-            ],
-            cross_check: true,
-        });
-
-        // Shallow-fabric storm without congestion control: loss and
-        // drops must actually bite (a quiet storm means the fault model
-        // or queue bound silently stopped applying).
-        cases.push(CorpusCase {
-            spec: spec(
-                "shuffle-storm",
-                0x5CA1_E002,
-                Workload::Shuffle {
-                    nodes: 4,
-                    values_per_node: 12_000,
-                    lossy: true,
-                    cc: false,
-                    ecn: false,
-                },
-            ),
-            gates: vec![
-                PerfGate::at_least("retransmissions", 10.0),
-                PerfGate::at_most("elapsed_us", 3_000.0),
-            ],
-            cross_check: false,
-        });
-
-        // The same storm geometry with DCQCN: the cc-pair cross-check
-        // asserts it strictly cuts retransmissions.
-        cases.push(CorpusCase {
-            spec: spec(
-                "shuffle-dcqcn",
-                0x5CA1_E002,
-                Workload::Shuffle {
-                    nodes: 4,
-                    values_per_node: 12_000,
-                    lossy: true,
-                    cc: true,
-                    ecn: true,
-                },
-            ),
-            gates: vec![
-                PerfGate::at_most("tail_drops", 0.0),
-                PerfGate::at_most("retransmissions", 80.0),
-                PerfGate::at_least("aggregate_gbps", if hundred { 3.4 } else { 1.9 }),
-            ],
-            cross_check: false,
-        });
+        // Clean shuffle on a deep-buffered fabric (1 024-frame egress
+        // queues, no loss): zero loss tolerated, aggregate throughput
+        // floored per platform. Queueing delay on deep queues exceeds
+        // the platform timeout; it is pinned high so queued frames are
+        // not counted as spurious retransmissions.
+        let mut shuffle = ShuffleSpec::new(4, 3_000, 0x5CA1_E001);
+        shuffle.platform = platform;
+        shuffle.switch.egress_capacity = 1_024;
+        shuffle.trace_capacity = Some(1 << 14);
+        shuffle.retransmit_timeout = Some(1_000 * MICROS);
+        // The storm geometry: shallow 32-frame queues and 2 % Bernoulli
+        // loss on every link.
+        let mut storm = ShuffleSpec {
+            values_per_node: 12_000,
+            seed: 0x5CA1_E002,
+            fault: LinkFaultModel::bernoulli(0.02),
+            ..shuffle.clone()
+        };
+        storm.switch.egress_capacity = 32;
+        // The same storm with DCQCN against a step marker at 8 frames.
+        let mut dcqcn = storm.clone();
+        dcqcn.cc = true;
+        dcqcn.switch.ecn = Some(EcnConfig::step(8));
+        let gates = vec![
+            PerfGate::at_most("tail_drops", 0.0),
+            PerfGate::at_most("retransmissions", 0.0),
+            PerfGate::at_least("aggregate_gbps", if hundred { 9.0 } else { 1.8 }),
+            PerfGate::at_most("elapsed_us", if hundred { 15.0 } else { 60.0 }),
+        ];
+        case("shuffle", Workload::Shuffle(shuffle), true, gates);
+        // Without congestion control, loss and drops must actually bite
+        // (a quiet storm means the fault model or queue bound silently
+        // stopped applying).
+        let gates = vec![
+            PerfGate::at_least("retransmissions", 10.0),
+            PerfGate::at_most("elapsed_us", 3_000.0),
+        ];
+        case("shuffle-storm", Workload::Shuffle(storm), false, gates);
+        // The cc-pair cross-check asserts DCQCN strictly cuts
+        // retransmissions.
+        let gates = vec![
+            PerfGate::at_most("tail_drops", 0.0),
+            PerfGate::at_most("retransmissions", 80.0),
+            PerfGate::at_least("aggregate_gbps", if hundred { 3.4 } else { 1.9 }),
+        ];
+        case("shuffle-dcqcn", Workload::Shuffle(dcqcn), false, gates);
 
         // WRITE incast under DCQCN at a sane window: survivable, no
-        // drops, marking active.
-        cases.push(CorpusCase {
-            spec: spec(
-                "incast",
-                0x1CA5_0001,
-                Workload::Incast {
-                    senders: 8,
-                    window: 2,
-                    reads: false,
-                    cc: true,
-                    ecn: true,
-                },
-            ),
-            gates: vec![
-                PerfGate::at_most("qp_errors", 0.0),
-                PerfGate::at_most("tail_drops", 0.0),
-                PerfGate::at_least("ecn_marked", 1.0),
-                PerfGate::at_least("goodput_gbps", if hundred { 70.0 } else { 4.0 }),
-                PerfGate::at_most("p999_us", if hundred { 30.0 } else { 600.0 }),
-                PerfGate::at_least("jain", 0.9),
-            ],
-            cross_check: true,
-        });
-
-        // READ-response incast: the converging traffic is the response
-        // stream; still survivable.
-        cases.push(CorpusCase {
-            spec: spec(
-                "incast-reads",
-                0x1CA5_0002,
-                Workload::Incast {
-                    senders: 6,
-                    window: 2,
-                    reads: true,
-                    cc: true,
-                    ecn: true,
-                },
-            ),
-            gates: vec![
-                PerfGate::at_most("qp_errors", 0.0),
-                PerfGate::at_most("tail_drops", 0.0),
-                PerfGate::at_least("goodput_gbps", if hundred { 65.0 } else { 4.0 }),
-                PerfGate::at_most("p999_us", if hundred { 25.0 } else { 400.0 }),
-                PerfGate::at_least("jain", 0.9),
-            ],
-            cross_check: true,
-        });
+        // drops, marking active. Line-rate egress (`port_rate: None`
+        // follows the platform), 256-frame queues deep enough not to
+        // tail-drop at these windows, and a step marker at 16 frames,
+        // early enough for DCQCN to react.
+        let mut incast = IncastSpec::new(8, 2, 0x1CA5_0001);
+        incast.platform = platform;
+        incast.messages_per_sender = 12;
+        incast.switch.egress_capacity = 256;
+        incast.switch.ecn = Some(EcnConfig::step(16));
+        incast.cc = true;
+        incast.retransmit_timeout = Some(1_000 * MICROS);
+        // READ-response incast on the same fabric: the converging
+        // traffic is the response stream; still survivable.
+        let reads = IncastSpec {
+            senders: 6,
+            seed: 0x1CA5_0002,
+            reads: true,
+            ..incast.clone()
+        };
+        let gates = vec![
+            PerfGate::at_most("qp_errors", 0.0),
+            PerfGate::at_most("tail_drops", 0.0),
+            PerfGate::at_least("ecn_marked", 1.0),
+            PerfGate::at_least("goodput_gbps", if hundred { 70.0 } else { 4.0 }),
+            PerfGate::at_most("p999_us", if hundred { 30.0 } else { 600.0 }),
+            PerfGate::at_least("jain", 0.9),
+        ];
+        case("incast", Workload::Incast(incast), true, gates);
+        let gates = vec![
+            PerfGate::at_most("qp_errors", 0.0),
+            PerfGate::at_most("tail_drops", 0.0),
+            PerfGate::at_least("goodput_gbps", if hundred { 65.0 } else { 4.0 }),
+            PerfGate::at_most("p999_us", if hundred { 25.0 } else { 400.0 }),
+            PerfGate::at_least("jain", 0.9),
+        ];
+        case("incast-reads", Workload::Incast(reads), true, gates);
 
         // Open-loop KV serving at the tuned below-knee gap: clean audit,
         // every request completed, bounded tail.
-        cases.push(CorpusCase {
-            spec: spec(
-                "kv-serve",
-                0x4B5E_0001,
-                Workload::KvServe {
-                    servers: 2,
-                    clients: 2,
-                    mean_gap_ns: 3_000,
-                    requests: 240,
-                },
-            ),
-            gates: vec![
-                PerfGate::at_most("violations", 0.0),
-                PerfGate::at_least("completed", 240.0),
-                PerfGate::at_least("achieved_krps", 280.0),
-                PerfGate::at_most("p999_us", if hundred { 30.0 } else { 40.0 }),
-            ],
-            cross_check: true,
-        });
+        let mut kv = KvSpec::new(2, 2, 3_000 * NANOS, 0x4B5E_0001);
+        kv.platform = platform;
+        kv.requests = 240;
+        let gates = vec![
+            PerfGate::at_most("violations", 0.0),
+            PerfGate::at_least("completed", 240.0),
+            PerfGate::at_least("achieved_krps", 280.0),
+            PerfGate::at_most("p999_us", if hundred { 30.0 } else { 40.0 }),
+        ];
+        case("kv-serve", Workload::KvServe(kv), true, gates);
 
         // Chained kernel pipelines: error-free, throughput floored.
-        cases.push(CorpusCase {
-            spec: spec(
-                "chain-filter-agg-hll",
-                0xC4A1_0001,
-                Workload::KernelChain {
-                    chain: ChainKind::FilterAggHll,
-                    tuples: 24_000,
-                },
-            ),
-            gates: vec![
+        for (kind, seed) in [
+            (ChainKind::FilterAggHll, 0xC4A1_0001),
+            (ChainKind::CrcVerifyShuffle, 0xC4A1_0002),
+        ] {
+            let mut spec = ChainSpec::new(24_000, seed);
+            spec.platform = platform;
+            let gates = vec![
                 PerfGate::at_most("chain_errors", 0.0),
                 PerfGate::at_most("retransmissions", 0.0),
                 PerfGate::at_least("gib_per_sec", if hundred { 7.0 } else { 0.85 }),
-            ],
-            cross_check: true,
-        });
-        cases.push(CorpusCase {
-            spec: spec(
-                "chain-crcverify-shuffle",
-                0xC4A1_0002,
-                Workload::KernelChain {
-                    chain: ChainKind::CrcVerifyShuffle,
-                    tuples: 24_000,
-                },
-            ),
-            gates: vec![
-                PerfGate::at_most("chain_errors", 0.0),
-                PerfGate::at_most("retransmissions", 0.0),
-                PerfGate::at_least("gib_per_sec", if hundred { 7.0 } else { 0.85 }),
-            ],
-            cross_check: true,
-        });
+            ];
+            let name = format!("chain-{}", kind.name());
+            case(
+                &name,
+                Workload::KernelChain(Chain { kind, spec }),
+                true,
+                gates,
+            );
+        }
     }
     cases
 }
@@ -1175,18 +637,14 @@ pub fn default_corpus() -> Vec<CorpusCase> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::SpecError;
 
     fn tiny_spec() -> ScenarioSpec {
+        let mut kv = KvSpec::new(2, 2, 3_000 * NANOS, 0x4B5E_0001);
+        kv.requests = 40;
         ScenarioSpec {
             name: "kv-serve".into(),
-            platform: Platform::TenGig,
-            seed: 0x4B5E_0001,
-            workload: Workload::KvServe {
-                servers: 2,
-                clients: 2,
-                mean_gap_ns: 3_000,
-                requests: 40,
-            },
+            workload: Workload::KvServe(kv),
         }
     }
 
@@ -1199,13 +657,11 @@ mod tests {
 
     #[test]
     fn inconsistent_cc_without_ecn_is_typed() {
-        let mut spec = tiny_spec();
-        spec.workload = Workload::Incast {
-            senders: 4,
-            window: 2,
-            reads: false,
-            cc: true,
-            ecn: false,
+        let mut incast = IncastSpec::new(4, 2, 7);
+        incast.cc = true;
+        let spec = ScenarioSpec {
+            name: "incast".into(),
+            workload: Workload::Incast(incast),
         };
         assert!(matches!(spec.validate(), Err(SpecError::Inconsistent(_))));
     }
@@ -1213,15 +669,16 @@ mod tests {
     #[test]
     fn default_corpus_is_valid_and_covers_both_platforms() {
         let corpus = default_corpus();
+        assert_eq!(corpus.len(), 18);
         for case in &corpus {
             case.spec.validate().expect("default corpus must validate");
         }
         for &p in &Platform::ALL {
-            let families: std::collections::BTreeSet<&str> = corpus
-                .iter()
-                .filter(|c| c.spec.platform == p)
-                .map(|c| c.spec.workload.family())
+            let mut families: Vec<_> = (corpus.iter())
+                .filter(|c| c.spec.workload.platform() == p)
+                .map(|c| std::mem::discriminant(&c.spec.workload))
                 .collect();
+            families.dedup();
             assert_eq!(
                 families.len(),
                 5,
@@ -1233,6 +690,18 @@ mod tests {
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), corpus.len());
+    }
+
+    /// Each case's document carries its whole run: it parses back to the
+    /// very spec the corpus runs.
+    #[test]
+    fn every_default_case_parses_back_equal_from_its_own_json() {
+        for case in default_corpus() {
+            let json = case.spec.to_json();
+            let back = ScenarioSpec::from_json(&json)
+                .unwrap_or_else(|e| panic!("{}: {json} must parse: {e}", case.spec.id()));
+            assert_eq!(back, case.spec, "{json}");
+        }
     }
 
     #[test]

@@ -56,12 +56,13 @@ use strom_wire::opcode::RpcOpCode;
 use crate::config::Platform;
 use crate::fault::LinkFaultModel;
 use crate::scenario::{us, Scenario};
+use crate::spec::{check_qp_table, shape, spec_json, SpecError};
 use crate::testbed::{ClusterTestbed, SwitchParams};
 use crate::watch::WatchId;
 use crate::WorkRequest;
 
 /// Everything that determines one serving-tier run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KvSpec {
     /// Hardware platform (10 G or 100 G datapath).
     pub platform: Platform,
@@ -129,6 +130,32 @@ impl KvSpec {
             cc: false,
             fault: None,
         }
+    }
+
+    /// What makes the spec runnable. DCQCN without a marking switch is
+    /// allowed here: it paces without cutting rates.
+    pub fn check(&self) -> Result<(), SpecError> {
+        let (s, c) = (self.servers, self.clients);
+        shape(s >= 1 && c >= 1, "kv servers and clients must be ≥ 1")?;
+        // Every client holds one QP to every server, numbered from 1
+        // (`qpn_for`), so the highest QPN is the product.
+        check_qp_table(self.platform, &format!("{c} clients × {s} servers"), c * s)?;
+        shape(self.keys_per_server >= 1, "kv keys_per_server must be ≥ 1")?;
+        shape(self.primary_entries >= 1, "kv primary_entries must be ≥ 1")?;
+        let mix = u32::from(self.get_pct) + u32::from(self.put_pct);
+        shape(mix <= 100, "kv get_pct + put_pct must be ≤ 100")?;
+        let theta = self.zipf_theta;
+        shape(
+            theta >= 0.0 && theta.is_finite(),
+            "kv zipf_theta must be finite, ≥ 0",
+        )
+    }
+}
+
+spec_json! {
+    KvSpec {
+        platform, servers, clients, keys_per_server, primary_entries, value_size, requests,
+        process, zipf_theta, get_pct, put_pct, miss_pct, insert_pct, seed, switch, cc, fault,
     }
 }
 
@@ -301,20 +328,8 @@ impl Scenario for KvSpec {
     type Outcome = KvOutcome;
 
     fn testbed(&self) -> ClusterTestbed {
-        assert!(self.servers >= 1 && self.clients >= 1, "empty tier");
+        self.check().unwrap_or_else(|e| panic!("{e}"));
         let mut cfg = self.platform.config();
-        // Every client holds one QP to every server, numbered from 1
-        // (`qpn_for`), so the highest QPN is the product.
-        let qps = self.clients * self.servers;
-        assert!(
-            qps < cfg.num_qps,
-            "{} clients × {} servers = {qps} QPs, but the NIC's QP table (num_qps = {}) \
-             holds QPNs 1..={} at most",
-            self.clients,
-            self.servers,
-            cfg.num_qps,
-            cfg.num_qps - 1
-        );
         cfg.seed = self.seed;
         cfg.cc = self.cc;
         let mut tb = ClusterTestbed::switched(cfg, self.servers + self.clients, self.switch);
@@ -330,8 +345,6 @@ impl Scenario for KvSpec {
     /// `kv_get_latency_ps`, `kv_put_latency_ps` and
     /// `kv_traversal_latency_ps`.
     fn drive(&self, tb: &mut ClusterTestbed) -> KvOutcome {
-        assert!(self.get_pct as u32 + self.put_pct as u32 <= 100, "op mix");
-        assert!(self.keys_per_server >= 1, "empty shard");
         let m = self.servers;
         let schedule = build_schedule(self);
 

@@ -53,6 +53,7 @@ pub mod fault;
 pub mod kv_serve;
 mod nic;
 pub mod scenario;
+pub mod spec;
 pub mod testbed;
 mod watch;
 mod wire;
@@ -62,15 +63,13 @@ pub use cluster_chain::{
 };
 pub use config::{NicConfig, Platform};
 pub use controller::{CommandWord, StatusRegisters};
-pub use corpus::{
-    run_corpus, run_corpus_cases, CorpusCase, CorpusReport, CorpusScale, PerfGate, ScenarioSpec,
-    SpecError, Workload,
-};
+pub use corpus::{run_corpus, run_corpus_cases, CorpusCase, CorpusReport, CorpusScale, PerfGate};
 pub use event::{Event, NodeId, EVENT_KINDS};
 pub use fabric::KernelFabric;
 pub use fault::{LinkFaultModel, LossModel};
 pub use kv_serve::{run_kv_serve, KvOutcome, KvSpec};
 pub use scenario::{Observables, Scenario};
+pub use spec::{ScenarioSpec, SpecError, SpecJson, Workload};
 pub use testbed::{ClusterTestbed, CpuFallback, LookaheadReport, SwitchParams, Testbed, WatchId};
 
 pub use chaos::{active_fault_types, chaos_model, run_chaos, ChaosOutcome, ChaosSpec};

@@ -37,7 +37,7 @@ use crate::fault::{self, LinkFaultModel, LinkFaultState};
 /// Geometry and timing of the cluster switch, the knobs
 /// [`crate::ClusterTestbed::switched`] takes on top of the per-NIC
 /// [`NicConfig`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchParams {
     /// Egress serialization rate per switch port; `None` uses the NIC
     /// link rate from the [`NicConfig`] (a non-blocking switch).

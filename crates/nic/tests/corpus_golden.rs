@@ -61,7 +61,7 @@ fn perturbed_seed_fails_the_fingerprint_gate() {
         .collect();
     assert_eq!(cases.len(), 2);
     for c in &mut cases {
-        c.spec.seed ^= 1;
+        *c.spec.workload.seed_mut() ^= 1;
     }
     let report = run_corpus_cases(&cases, CorpusScale::Quick);
     let failures = report.failures();

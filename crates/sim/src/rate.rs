@@ -36,6 +36,16 @@ impl Bandwidth {
         }
     }
 
+    /// Creates a bandwidth from bit/s: `8 ×` [`Self::bytes_per_sec`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bps` is not strictly positive.
+    pub fn bit_per_sec(bps: f64) -> Self {
+        assert!(bps > 0.0, "bandwidth must be positive");
+        Self { bits_per_sec: bps }
+    }
+
     /// Creates a bandwidth from GB/s (gigabytes per second).
     pub fn gbyte_per_sec(gbps: f64) -> Self {
         Self::gbit_per_sec(gbps * 8.0)

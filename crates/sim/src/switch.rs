@@ -54,7 +54,7 @@ use crate::time::{Time, TimeDelta};
 /// marker that consumes **zero** RNG draws — the configuration used by
 /// reproducibility tests. Marking never drops frames; tail-drop at
 /// `egress_capacity` still applies above it.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EcnConfig {
     /// Occupancy below which frames are never marked.
     pub min_threshold: usize,
@@ -668,6 +668,29 @@ mod tests {
         assert_eq!(marks, vec![false, false, true, true, true, true]);
         assert_eq!(sw.counters(2).ecn_marked, 4);
         assert_eq!(sw.counters(2).queue_peak, 6);
+    }
+
+    /// A step marker (min = max threshold) decides by occupancy alone and
+    /// never draws from its RNG, so its seed is dead: two seeds mark the
+    /// same frames.
+    #[test]
+    fn step_marker_seed_does_not_change_the_marks() {
+        let marks = |seed: u64| {
+            let mut c = cfg(3, 64);
+            c.ecn = Some(EcnConfig {
+                seed,
+                ..EcnConfig::step(8)
+            });
+            let mut sw = Switch::new(c);
+            for i in 0..40u32 {
+                sw.enqueue(i as usize % 2, 2, 1_000, u64::from(i) * 50 * NANOS, i);
+            }
+            let (d, _) = drain(&mut sw, 10_000 * NANOS);
+            d.iter().map(|g| g.marked).collect::<Vec<bool>>()
+        };
+        let a = marks(0);
+        assert!(a.contains(&true) && a.contains(&false), "{a:?}");
+        assert_eq!(a, marks(0x5CA1_E002 ^ 0xECF));
     }
 
     #[test]

@@ -51,40 +51,55 @@ impl Value {
 
     /// A required string field.
     pub fn str_field(&self, key: &str) -> Result<&str, Error> {
-        match self.field(key)? {
-            Value::Str(s) => Ok(s),
-            other => Err(Error(format!(
-                "field {key:?} must be a string, got {other:?}"
-            ))),
-        }
+        self.field(key)?.as_str()
     }
 
-    /// A required bool field.
-    pub fn bool_field(&self, key: &str) -> Result<bool, Error> {
-        match self.field(key)? {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error(format!(
-                "field {key:?} must be a bool, got {other:?}"
-            ))),
-        }
-    }
-
-    /// A required non-negative integer field (rejects fractions and
-    /// anything beyond exact f64 range).
+    /// A required non-negative integer field.
     pub fn u64_field(&self, key: &str) -> Result<u64, Error> {
-        match self.field(key)? {
-            Value::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n < 9.0e15 => Ok(*n as u64),
-            other => Err(Error(format!(
-                "field {key:?} must be a non-negative integer, got {other:?}"
-            ))),
+        self.field(key)?.as_uint(MAX_EXACT)
+    }
+
+    /// The value as a string.
+    pub fn as_str(&self) -> Result<&str, Error> {
+        match self {
+            Value::Str(s) => Ok(s),
+            other => Err(Error(format!("expected a string, got {other:?}"))),
         }
     }
 
-    /// [`Value::u64_field`] narrowed to usize.
-    pub fn usize_field(&self, key: &str) -> Result<usize, Error> {
-        Ok(self.u64_field(key)? as usize)
+    /// The value as a bool.
+    pub fn as_bool(&self) -> Result<bool, Error> {
+        match self {
+            Value::Bool(b) => Ok(*b),
+            other => Err(Error(format!("expected a bool, got {other:?}"))),
+        }
+    }
+
+    /// The value as a number.
+    pub fn as_f64(&self) -> Result<f64, Error> {
+        match self {
+            Value::Num(n) => Ok(*n),
+            other => Err(Error(format!("expected a number, got {other:?}"))),
+        }
+    }
+
+    /// The value as an integer in `0..=max`: fractions, and anything past
+    /// `max` or [`MAX_EXACT`], are refused.
+    pub fn as_uint(&self, max: u64) -> Result<u64, Error> {
+        match *self {
+            Value::Num(n) if n.fract() == 0.0 && n >= 0.0 && n <= max.min(MAX_EXACT) as f64 => {
+                Ok(n as u64)
+            }
+            ref other => Err(Error(format!(
+                "expected an integer in 0..={max}, got {other:?}"
+            ))),
+        }
     }
 }
+
+/// The largest integer a JSON number carries exactly here; a u64 that
+/// may be larger travels as a `"0x…"` hex string instead.
+pub const MAX_EXACT: u64 = 9_000_000_000_000_000;
 
 /// Escapes `s` into a quoted JSON string literal.
 pub fn escape(s: &str) -> String {
