@@ -18,9 +18,6 @@
 use strom_sim::time::{TimeDelta, NANOS};
 use strom_sim::Bandwidth;
 
-#[cfg(test)]
-use strom_sim::time::MICROS;
-
 /// Timing constants of one PCIe attachment.
 #[derive(Debug, Clone, Copy)]
 pub struct PcieModel {
@@ -108,6 +105,8 @@ impl PcieModel {
 
 #[cfg(test)]
 mod tests {
+    use strom_sim::time::MICROS;
+
     use super::*;
 
     #[test]

@@ -34,16 +34,13 @@ use strom_wire::opcode::RpcOpCode;
 
 use crate::config::Platform;
 use crate::fault::LinkFaultModel;
-use crate::scenario::{us, Scenario};
+use crate::scenario::{us, Scenario, EVENT_BUDGET};
 use crate::spec::{shape, spec_json, SpecError};
 use crate::testbed::{ClusterTestbed, SwitchParams};
 
 const CLIENT: usize = 0;
 const SERVER: usize = 1;
 const QP: u32 = 1;
-
-/// Event budget for the post-completion quiesce.
-const EVENT_BUDGET: u64 = 200_000_000;
 
 /// Everything that determines one chain run.
 #[derive(Debug, Clone, PartialEq)]

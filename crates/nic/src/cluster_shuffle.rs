@@ -30,12 +30,9 @@ use strom_wire::opcode::RpcOpCode;
 use crate::config::Platform;
 use crate::event::NodeId;
 use crate::fault::LinkFaultModel;
-use crate::scenario::{us, Scenario};
+use crate::scenario::{us, Scenario, EVENT_BUDGET};
 use crate::spec::{check_cc, check_qp_table, shape, spec_json, SpecError};
 use crate::testbed::{ClusterTestbed, SwitchParams};
-
-/// Event budget for the post-completion quiesce.
-const EVENT_BUDGET: u64 = 200_000_000;
 
 /// Everything that determines one shuffle run.
 #[derive(Debug, Clone, PartialEq)]

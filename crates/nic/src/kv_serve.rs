@@ -55,7 +55,7 @@ use strom_wire::opcode::RpcOpCode;
 
 use crate::config::Platform;
 use crate::fault::LinkFaultModel;
-use crate::scenario::{us, Scenario};
+use crate::scenario::{us, Scenario, EVENT_BUDGET};
 use crate::spec::{check_qp_table, shape, spec_json, SpecError};
 use crate::testbed::{ClusterTestbed, SwitchParams};
 use crate::watch::WatchId;
@@ -247,9 +247,6 @@ struct Request {
 const MISS_KEY_BASE: u64 = 1 << 40;
 /// Base of the fresh-insert key range (never preloaded or GET-sampled).
 const INSERT_KEY_BASE: u64 = 1 << 41;
-
-/// Livelock bound for the post-traffic drain.
-const EVENT_BUDGET: u64 = 200_000_000;
 
 /// The QP connecting client `c` to server `s`.
 fn qpn_for(spec: &KvSpec, c: usize, s: usize) -> Qpn {

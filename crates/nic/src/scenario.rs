@@ -18,6 +18,15 @@ use strom_telemetry::MetricsRegistry;
 
 use crate::testbed::ClusterTestbed;
 
+/// The livelock bound on the drain after a scenario's traffic completes
+/// ([`ClusterTestbed::run_until_idle_bounded`]). A healthy run has only
+/// acks, timers and drained queues left to dispatch by then; a
+/// retransmission or pacing loop that never converges keeps scheduling,
+/// and fails the drain at this many events instead of hanging the corpus,
+/// a figure or a benchmark run. One bound serves the shuffle, the KV tier
+/// and the chains; the chaos soak keeps a smaller one of its own.
+pub(crate) const EVENT_BUDGET: u64 = 200_000_000;
+
 /// A workload that runs on a [`ClusterTestbed`] and verifies itself.
 pub trait Scenario {
     /// What one verified run reports.

@@ -162,11 +162,6 @@ impl Completion {
             status: CompletionStatus::Success,
         }
     }
-
-    /// Whether the request succeeded.
-    pub fn is_success(&self) -> bool {
-        self.status == CompletionStatus::Success
-    }
 }
 
 /// Why a work request could not be posted.

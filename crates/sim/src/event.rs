@@ -4,7 +4,7 @@
 //! for the same instant fire in the order they were scheduled, which makes
 //! simulations reproducible regardless of payload type.
 //!
-//! Storage is a hybrid of a [hierarchical timer wheel](crate::wheel) for
+//! Storage is a hybrid of a hierarchical timer wheel for
 //! near-future events (O(1) scheduling, the overwhelmingly common case:
 //! link serialization, PCIe latencies, DMA completions) and an overflow
 //! min-heap for far-future deadlines, which cascade into the wheel as the
@@ -14,8 +14,6 @@
 //! byte-at-a-time CRC references.
 
 use std::cmp::Ordering;
-#[cfg(test)]
-use std::collections::BinaryHeap;
 
 use strom_telemetry::{Counter, TraceSink};
 
@@ -27,13 +25,6 @@ use crate::wheel::TimerWheel;
 /// an event into a partially drained run; buckets larger than this
 /// cascade level-by-level as before.
 const RUN_MAX: usize = 4096;
-
-/// How many pops ahead of the cursor [`EventQueue`] prefetches payload
-/// slab slots. A drained run fixes the pop order in advance, so the
-/// otherwise-random slab read can start `PREFETCH_DIST` events early —
-/// far enough to cover a DRAM miss at depth 1e6, near enough that the
-/// line is still resident when its pop arrives.
-const PREFETCH_DIST: usize = 8;
 
 /// An event together with its firing time and a tie-breaking sequence number.
 #[derive(Debug, Clone)]
@@ -88,8 +79,9 @@ pub struct EventQueue<E> {
     /// payloads. A pending event's payload is written to [`Self::pool`]
     /// once at schedule time and read once at pop time; every cascade,
     /// sort, and batch copy in between moves 24 bytes instead of a full
-    /// `Scheduled<E>` — at depth 1e6 the queue is memory-bound, and the
-    /// payload traffic, not the bucket arithmetic, is the cliff.
+    /// `Scheduled<E>`. The measured reason is memory: bucket buffers and
+    /// the run buffer sized for whole events raised the testbed's peak
+    /// live heap by 4–19 % (DESIGN.md §12).
     wheel: TimerWheel<u32>,
     /// The earliest *run* of tokens — one or more whole wheel buckets,
     /// possibly spanning distinct firing times — in ascending `(at, seq)`
@@ -107,8 +99,6 @@ pub struct EventQueue<E> {
     /// Free slab slots, reused LIFO so recently vacated (cache-warm)
     /// slots are refilled first.
     free: Vec<u32>,
-    /// Scratch for same-tick wheel drains in [`Self::pop_batch`].
-    tick_buf: Vec<Scheduled<u32>>,
     now: Time,
     seq: u64,
     processed: u64,
@@ -131,7 +121,6 @@ impl<E> EventQueue<E> {
             batch_pos: 0,
             pool: Vec::new(),
             free: Vec::new(),
-            tick_buf: Vec::new(),
             now: 0,
             seq: 0,
             processed: 0,
@@ -151,26 +140,6 @@ impl<E> EventQueue<E> {
                 let i = u32::try_from(self.pool.len()).expect("more than u32::MAX pending events");
                 self.pool.push(Some(event));
                 i
-            }
-        }
-    }
-
-    /// Hints the CPU to pull the slab slot of the token `dist` pops ahead
-    /// (index `batch_pos + dist`) into cache.
-    #[inline]
-    #[allow(unsafe_code)]
-    fn prefetch_ahead(&self, dist: usize) {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(s) = self.batch.get(self.batch_pos + dist) {
-            if let Some(slot) = self.pool.get(s.event as usize) {
-                // SAFETY: prefetch is a pure cache hint on a valid
-                // reference; it neither reads nor writes the value.
-                unsafe {
-                    core::arch::x86_64::_mm_prefetch(
-                        slot as *const Option<E> as *const i8,
-                        core::arch::x86_64::_MM_HINT_T0,
-                    );
-                }
             }
         }
     }
@@ -225,9 +194,6 @@ impl<E> EventQueue<E> {
             self.batch.clear();
             self.batch_pos = 0;
             self.wheel.pop_run(&mut self.batch, RUN_MAX);
-            for d in 0..PREFETCH_DIST {
-                self.prefetch_ahead(d);
-            }
         }
     }
 
@@ -244,15 +210,9 @@ impl<E> EventQueue<E> {
             // The event lands inside the drained run, where the wheel can
             // no longer order it: splice it into position among the
             // unserved tokens. Its seq is the largest yet, so it goes
-            // after every token at or before `at`; scanning back from the
-            // run's end finds that place in a few steps, because a
-            // spliced event mostly lands among the run's last tokens
-            // (DESIGN.md §12). Runs are capped at `RUN_MAX`, so the
-            // memmove stays small.
-            let mut pos = self.batch.len() - 1;
-            while pos > self.batch_pos && at < self.batch[pos - 1].at {
-                pos -= 1;
-            }
+            // after every token at or before `at`. Runs are capped at
+            // `RUN_MAX`, so the memmove stays small.
+            let pos = self.batch_pos + self.batch[self.batch_pos..].partition_point(|s| s.at <= at);
             self.batch.insert(pos, Scheduled { at, seq, event });
             return;
         }
@@ -276,7 +236,6 @@ impl<E> EventQueue<E> {
     /// simply does not move backwards.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
         self.refill();
-        self.prefetch_ahead(PREFETCH_DIST);
         let s = self.batch.get(self.batch_pos)?.clone();
         self.batch_pos += 1;
         self.now = self.now.max(s.at);
@@ -289,60 +248,39 @@ impl<E> EventQueue<E> {
     }
 
     /// Drains every pending event sharing the earliest firing time into
-    /// `out` (appended in `(time, seq)` order) in one bucket operation —
-    /// same-timestamp dispatch without re-touching the queue per event.
-    /// Advances the clock exactly as the equivalent [`Self::pop`] loop
-    /// would and returns the number of events drained.
+    /// `out` (appended in `(time, seq)` order) — same-timestamp dispatch
+    /// without re-touching the queue per event. Advances the clock
+    /// exactly as the equivalent [`Self::pop`] loop would and returns the
+    /// number of events drained.
     pub fn pop_batch(&mut self, out: &mut Vec<Scheduled<E>>) -> usize {
         self.refill();
-        let n = match self.batch.get(self.batch_pos) {
-            None => 0,
-            Some(first) => {
-                // The earliest tick is the equal-time group at the front
-                // of the unserved run.
-                let t = first.at;
-                let end = self.batch[self.batch_pos..]
-                    .iter()
-                    .position(|s| s.at != t)
-                    .map_or(self.batch.len(), |i| self.batch_pos + i);
-                for i in self.batch_pos..end {
-                    let s = self.batch[i].clone();
-                    let e = self.unpark(s);
-                    out.push(e);
-                }
-                let n = end - self.batch_pos;
-                self.batch_pos = end;
-                // Same-tick events scheduled during a partial pop of this
-                // tick re-entered the wheel with larger seqs only when the
-                // tick was the run's last time (earlier ones are spliced
-                // into `batch`); they are still part of "the earliest
-                // tick", so drain them too.
-                let extra =
-                    if self.batch_pos == self.batch.len() && self.wheel.min_time() == Some(t) {
-                        let mut tick = std::mem::take(&mut self.tick_buf);
-                        tick.clear();
-                        self.wheel.pop_batch(&mut tick);
-                        let extra = tick.len();
-                        for s in tick.drain(..) {
-                            let e = self.unpark(s);
-                            out.push(e);
-                        }
-                        self.tick_buf = tick;
-                        extra
-                    } else {
-                        0
-                    };
-                n + extra
-            }
+        let Some(t) = self.batch.get(self.batch_pos).map(|s| s.at) else {
+            return 0;
         };
-        if n > 0 {
-            let at = out.last().expect("n > 0").at;
-            self.now = self.now.max(at);
-            self.processed += n as u64;
-            self.trace.set_now(self.now);
-            if let Some(c) = &self.dispatched {
-                c.add(n as u64);
+        let start = out.len();
+        loop {
+            // The earliest tick is the equal-time group at the front of
+            // the unserved run.
+            while let Some(s) = self.batch.get(self.batch_pos).filter(|s| s.at == t) {
+                let s = s.clone();
+                self.batch_pos += 1;
+                out.push(self.unpark(s));
             }
+            // Same-tick events scheduled during a partial pop of this tick
+            // went to the wheel only when the tick was the run's last time
+            // (earlier ones are spliced into the run); they are still part
+            // of the earliest tick, so serve them from the next run.
+            if self.batch_pos < self.batch.len() || self.wheel.min_time() != Some(t) {
+                break;
+            }
+            self.refill();
+        }
+        let n = out.len() - start;
+        self.now = self.now.max(t);
+        self.processed += n as u64;
+        self.trace.set_now(self.now);
+        if let Some(c) = &self.dispatched {
+            c.add(n as u64);
         }
         n
     }
@@ -363,6 +301,9 @@ impl<E> EventQueue<E> {
             .or_else(|| self.wheel.min_time())
     }
 }
+
+#[cfg(test)]
+use std::collections::BinaryHeap;
 
 /// The original `BinaryHeap`-backed event queue, kept as the differential
 /// reference for the timer wheel (the engine equivalent of the

@@ -15,7 +15,7 @@
 //! produce identical event orders and identical statistics, which the
 //! property tests rely on.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod arrivals;
 pub mod event;
@@ -26,7 +26,7 @@ pub mod rng;
 pub mod stats;
 pub mod switch;
 pub mod time;
-pub mod wheel;
+mod wheel;
 
 pub use arrivals::{ArrivalGen, ArrivalProcess, ZipfSampler};
 pub use event::{EventQueue, Scheduled};

@@ -454,41 +454,6 @@ impl<T> Switch<T> {
         });
     }
 
-    /// The literal egress sweep [`Self::arbitrate`] must reproduce grant
-    /// for grant — the reference of the differential test.
-    #[cfg(test)]
-    fn arbitrate_reference(
-        &mut self,
-        now: Time,
-        deliveries: &mut Vec<Delivery<T>>,
-        drops: &mut Vec<TailDrop<T>>,
-    ) {
-        loop {
-            let mut granted = false;
-            for e in 0..self.cfg.ports {
-                // One grant per egress per round: scan ingress ports from
-                // this egress's cursor for an eligible head destined here.
-                let Some(src) = (0..self.cfg.ports)
-                    .map(|k| (self.egress[e].rr + k) % self.cfg.ports)
-                    .find(|&i| {
-                        self.ingress[i]
-                            .front()
-                            .is_some_and(|f| f.dst == e && f.eligible <= now)
-                    })
-                else {
-                    continue;
-                };
-                let frame = self.pop(src);
-                self.egress[e].rr = (src + 1) % self.cfg.ports;
-                granted = true;
-                self.grant(now, src, e, frame, deliveries, drops);
-            }
-            if !granted {
-                return;
-            }
-        }
-    }
-
     /// The WRED marking decision for a frame admitted to an egress queue
     /// that observes `occupancy` frames queued ahead of it. RNG is
     /// consumed only inside the probabilistic band between the thresholds.
@@ -540,6 +505,43 @@ fn first_set_from(words: &[u64], start: usize) -> Option<usize> {
         mask = !0;
     }
     None
+}
+
+#[cfg(test)]
+impl<T> Switch<T> {
+    /// The literal egress sweep [`Self::arbitrate`] must reproduce grant
+    /// for grant — the reference of the differential test.
+    fn arbitrate_reference(
+        &mut self,
+        now: Time,
+        deliveries: &mut Vec<Delivery<T>>,
+        drops: &mut Vec<TailDrop<T>>,
+    ) {
+        loop {
+            let mut granted = false;
+            for e in 0..self.cfg.ports {
+                // One grant per egress per round: scan ingress ports from
+                // this egress's cursor for an eligible head destined here.
+                let Some(src) = (0..self.cfg.ports)
+                    .map(|k| (self.egress[e].rr + k) % self.cfg.ports)
+                    .find(|&i| {
+                        self.ingress[i]
+                            .front()
+                            .is_some_and(|f| f.dst == e && f.eligible <= now)
+                    })
+                else {
+                    continue;
+                };
+                let frame = self.pop(src);
+                self.egress[e].rr = (src + 1) % self.cfg.ports;
+                granted = true;
+                self.grant(now, src, e, frame, deliveries, drops);
+            }
+            if !granted {
+                return;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

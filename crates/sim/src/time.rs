@@ -71,16 +71,6 @@ impl Clock {
         Self { period_ps }
     }
 
-    /// Creates a clock directly from a period in picoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period_ps` is zero.
-    pub fn from_period_ps(period_ps: TimeDelta) -> Self {
-        assert!(period_ps > 0, "clock period must be positive");
-        Self { period_ps }
-    }
-
     /// The clock period in picoseconds.
     pub fn period_ps(&self) -> TimeDelta {
         self.period_ps

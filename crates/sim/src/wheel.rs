@@ -129,8 +129,8 @@ impl Occupancy {
 ///
 /// The wheel is pure storage: it neither assigns sequence numbers nor
 /// tracks a public clock — [`EventQueue`](crate::EventQueue) layers both
-/// on top. The only ordering contract is that [`Self::pop_batch`] and
-/// [`Self::pop_run`] drain buckets in `(time, seq)` order.
+/// on top. The only ordering contract is that [`Self::pop_run`], its one
+/// drain, hands buckets out in `(time, seq)` order.
 #[derive(Debug)]
 pub struct TimerWheel<E> {
     /// `LEVELS * SLOTS` buckets; bucket `(k, i)` lives at `k * SLOTS + i`.
@@ -230,15 +230,6 @@ impl<E> TimerWheel<E> {
         self.occupied[k].set(idx);
     }
 
-    /// Empties bucket `bucket` into `out` and returns its buffer to the
-    /// spare list.
-    #[inline]
-    fn drain_bucket(&mut self, bucket: usize, out: &mut Vec<Scheduled<E>>) {
-        let mut buf = std::mem::take(&mut self.slots[bucket]);
-        out.append(&mut buf);
-        self.spare.push(buf);
-    }
-
     /// Pulls every overflow event now inside the horizon into the wheel.
     fn migrate_overflow(&mut self) {
         while let Some(peek) = self.overflow.peek() {
@@ -276,8 +267,9 @@ impl<E> TimerWheel<E> {
     /// (0 when empty, otherwise at least one whole bucket; `max_run` is a
     /// soft cap checked between buckets).
     ///
-    /// Two run sources, both resting on the same dominance argument as
-    /// the lone-event fast path in [`Self::pop_batch`]:
+    /// Two run sources, both resting on one dominance argument — same-time
+    /// events always share a slot, and overflow events live in later
+    /// horizon blocks:
     ///
     /// * every level-0 event lives inside the cursor's current 4096-ps
     ///   block and precedes everything filed at a higher level, so the
@@ -361,7 +353,9 @@ impl<E> TimerWheel<E> {
                 }
                 self.occupied[k].clear(idx);
                 let s0 = out.len();
-                self.drain_bucket(bucket, out);
+                let mut buf = std::mem::take(&mut self.slots[bucket]);
+                out.append(&mut buf);
+                self.spare.push(buf);
                 if n > 1 {
                     if k == 0 {
                         // A level-0 slot holds one exact firing time;
@@ -399,66 +393,6 @@ impl<E> TimerWheel<E> {
         }
         self.spare.push(buf);
     }
-
-    /// Drains the earliest pending bucket — every event sharing the
-    /// earliest firing time — appending it to `out` in `(at, seq)` order.
-    /// Returns the number of events moved (0 when empty).
-    pub fn pop_batch(&mut self, out: &mut Vec<Scheduled<E>>) -> usize {
-        if self.len == 0 {
-            return 0;
-        }
-        loop {
-            self.migrate_overflow();
-            if let Some(idx) = self.occupied[0].first() {
-                let t = (self.cur & !(SLOTS as u64 - 1)) + idx as u64;
-                debug_assert!(t >= self.cur);
-                // `t` stays inside the cursor's current horizon block, so
-                // no overflow event can share it: safe to advance and
-                // drain without re-migrating.
-                self.cur = t;
-                self.occupied[0].clear(idx);
-                let n = self.slots[idx].len();
-                let start = out.len();
-                self.drain_bucket(idx, out);
-                if n > 1 {
-                    // Same-time events from different levels may have
-                    // landed in arrival (cascade) order; seq order is the
-                    // contract.
-                    out[start..].sort_unstable_by_key(|s| s.seq);
-                }
-                self.len -= n;
-                return n;
-            }
-            // Level 0 empty: enter the first slot of the lowest occupied
-            // level and cascade it downward, or refill from overflow.
-            let Some(k) = (1..LEVELS).find(|&k| !self.occupied[k].is_empty()) else {
-                let next = self
-                    .overflow
-                    .peek()
-                    .expect("len > 0 with an empty wheel implies overflow events")
-                    .at;
-                self.cur = next;
-                continue;
-            };
-            let idx = self.occupied[k].first().expect("level is occupied");
-            if self.slots[k * SLOTS + idx].len() == 1 {
-                // A lone event in the first slot of the lowest occupied
-                // level is the global minimum: same-time events always
-                // share a slot, and overflow events live in later horizon
-                // blocks. Hand it out without cascading level by level —
-                // the common case when pending times are sparse.
-                let mut buf = std::mem::take(&mut self.slots[k * SLOTS + idx]);
-                let s = buf.pop().expect("len == 1");
-                self.spare.push(buf);
-                self.occupied[k].clear(idx);
-                self.cur = s.at;
-                self.len -= 1;
-                out.push(s);
-                return 1;
-            }
-            self.cascade(k, idx);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -488,6 +422,13 @@ mod tests {
             seq,
             event: seq,
         }
+    }
+
+    /// Drains `w` run by run with cap `max_run`, as `(at, seq)` pairs.
+    fn drain(w: &mut TimerWheel<u64>, max_run: usize) -> Vec<(Time, u64)> {
+        let mut out = Vec::new();
+        while w.pop_run(&mut out, max_run) > 0 {}
+        out.iter().map(|s| (s.at, s.seq)).collect()
     }
 
     #[test]
@@ -521,8 +462,8 @@ mod tests {
 
     #[test]
     fn drains_buckets_in_time_order_across_levels() {
-        let mut w = TimerWheel::new();
-        // Events at every level, plus one in the overflow heap.
+        // Events at every level, plus one in the overflow heap; one
+        // bucket per run and whole multi-bucket runs agree.
         let times = [
             3u64,
             100,
@@ -532,17 +473,16 @@ mod tests {
             1_500_000_000,
             1 << 40,
         ];
-        for (i, &t) in times.iter().enumerate() {
-            w.insert(ev(t, i as u64));
+        for max_run in [1, 128] {
+            let mut w = TimerWheel::new();
+            for (i, &t) in times.iter().enumerate() {
+                w.insert(ev(t, i as u64));
+            }
+            assert_eq!(w.len(), times.len());
+            let got: Vec<u64> = drain(&mut w, max_run).iter().map(|&(at, _)| at).collect();
+            assert_eq!(got, times.to_vec(), "max_run {max_run}");
+            assert!(w.is_empty());
         }
-        assert_eq!(w.len(), times.len());
-        let mut got = Vec::new();
-        let mut out = Vec::new();
-        while w.pop_batch(&mut out) > 0 {
-            got.extend(out.drain(..).map(|s| s.at));
-        }
-        assert_eq!(got, times.to_vec());
-        assert!(w.is_empty());
     }
 
     #[test]
@@ -551,14 +491,16 @@ mod tests {
         // seq 0 lands at level 1 (far away), seq 1 at level 0 for the
         // same instant after the cursor advances: the drained bucket must
         // still come out in seq order.
+        // A one-event cap cascades the shared level-1 bucket and serves
+        // only its earliest level-0 slot.
         w.insert(ev(10_000, 0));
         w.insert(ev(9_000, 1));
         let mut out = Vec::new();
-        assert_eq!(w.pop_batch(&mut out), 1);
+        assert_eq!(w.pop_run(&mut out, 1), 1);
         assert_eq!(out[0].at, 9_000);
         w.insert(ev(10_000, 2));
         out.clear();
-        assert_eq!(w.pop_batch(&mut out), 2);
+        assert_eq!(w.pop_run(&mut out, 1), 2);
         let seqs: Vec<u64> = out.iter().map(|s| s.seq).collect();
         assert_eq!(seqs, vec![0, 2]);
     }
@@ -585,13 +527,8 @@ mod tests {
         w.insert(ev(2 * horizon + 7, 1));
         w.insert(ev(2 * horizon + 7, 2));
         w.insert(ev(40, 3));
-        let mut got = Vec::new();
-        let mut out = Vec::new();
-        while w.pop_batch(&mut out) > 0 {
-            got.extend(out.drain(..).map(|s| (s.at, s.seq)));
-        }
         assert_eq!(
-            got,
+            drain(&mut w, 1),
             vec![
                 (40, 3),
                 (2 * horizon + 7, 1),
@@ -606,7 +543,7 @@ mod tests {
         let mut w = TimerWheel::new();
         w.insert(ev(10, 0));
         let mut out = Vec::new();
-        w.pop_batch(&mut out);
+        assert_eq!(w.pop_run(&mut out, 1), 1);
         assert!(w.is_empty());
         // A long simulated-time jump later, near-future events should
         // still land in the wheel, not the overflow heap.
@@ -614,7 +551,7 @@ mod tests {
         w.insert(ev((5 << HORIZON_BITS) + 100, 1));
         assert!(w.overflow.is_empty());
         out.clear();
-        assert_eq!(w.pop_batch(&mut out), 1);
+        assert_eq!(w.pop_run(&mut out, 1), 1);
         assert_eq!(out[0].at, (5 << HORIZON_BITS) + 100);
     }
 

@@ -89,18 +89,6 @@ impl TelemetryReport {
         self
     }
 
-    /// Adds one named counter value.
-    pub fn with_counter(mut self, name: &str, value: u64) -> Self {
-        self.counters.push((name.to_string(), value));
-        self
-    }
-
-    /// Adds one named histogram.
-    pub fn with_histogram(mut self, name: &str, h: Histogram) -> Self {
-        self.histograms.push((name.to_string(), h));
-        self
-    }
-
     /// Records the trace sink's summary statistics.
     pub fn with_trace(mut self, sink: &TraceSink) -> Self {
         self.trace = Some(TraceStats {

@@ -10,13 +10,8 @@ use std::fs;
 use std::path::Path;
 
 /// The files under `crates/*/src` that may use the `unsafe` keyword:
-/// the event slab's cache prefetch, the AVX2 dispatch macro and the
-/// PCLMULQDQ dispatch.
-const UNSAFE_SITES: [&str; 3] = [
-    "kernels/src/simd.rs",
-    "sim/src/event.rs",
-    "wire/src/clmul.rs",
-];
+/// the AVX2 dispatch macro and the PCLMULQDQ dispatch.
+const UNSAFE_SITES: [&str; 2] = ["kernels/src/simd.rs", "wire/src/clmul.rs"];
 
 /// Whether `src` uses `unsafe` as a keyword outside `//` comments
 /// (`unsafe_code` in a lint attribute is an identifier, not the keyword).
