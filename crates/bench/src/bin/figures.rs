@@ -15,7 +15,7 @@
 //! experiment); the rest run exactly as without the flag.
 
 use strom_bench::{all_experiments, run_experiment, run_experiment_telemetry, Scale};
-use strom_telemetry::json::escape;
+use strom_telemetry::json::Value;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -66,13 +66,13 @@ fn main() {
         Scale::Full => "full",
     };
     println!("# StRoM (EuroSys'20) — regenerated evaluation ({scale_name} scale)\n");
-    let mut telemetry: Vec<(String, String)> = Vec::new();
+    let mut telemetry: Vec<(String, Value)> = Vec::new();
     for name in &names {
         let start = std::time::Instant::now();
         let report = if json_path.is_some() {
             match run_experiment_telemetry(name, scale) {
                 Some((rendered, t)) => {
-                    telemetry.push((name.clone(), t.to_json()));
+                    telemetry.push((name.clone(), t.to_value()));
                     rendered
                 }
                 None => run_experiment(name, scale),
@@ -87,25 +87,13 @@ fn main() {
         );
     }
     if let Some(path) = json_path {
-        let mut out = String::from("{\n  \"schema\": \"strom-figures-telemetry-v1\",\n");
-        out.push_str(&format!(
-            "  \"scale\": {},\n  \"reports\": {{",
-            escape(scale_name)
-        ));
-        for (i, (name, json)) in telemetry.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n{}: {}", escape(name), json.trim_end()));
-        }
-        if !telemetry.is_empty() {
-            out.push('\n');
-        }
-        out.push_str("}\n}\n");
-        std::fs::write(&path, out).expect("write telemetry JSON");
-        println!(
-            "wrote telemetry for {} experiment(s) to {path}",
-            telemetry.len()
-        );
+        let count = telemetry.len();
+        let doc = Value::obj([
+            ("schema", Value::str("strom-figures-telemetry-v1")),
+            ("scale", Value::str(scale_name)),
+            ("reports", Value::obj(telemetry)),
+        ]);
+        std::fs::write(&path, format!("{doc:#}\n")).expect("write telemetry JSON");
+        println!("wrote telemetry for {count} experiment(s) to {path}");
     }
 }

@@ -16,11 +16,11 @@
 //! A case is a [`ScenarioSpec`]: a name and the family spec its
 //! [`Scenario`](crate::Scenario) impl runs, every run parameter written
 //! out in [`default_corpus`]. [`run_corpus`] executes the matrix and
-//! returns a [`CorpusReport`] that renders to one JSON document (schema
+//! returns a [`CorpusReport`] that converts to one JSON document (schema
 //! `strom-corpus-v1`); `figures corpus` writes it to `CORPUS.json` and
 //! fails loudly on any fingerprint drift, gate violation, or failed
 //! cross-platform check. Each case's spec round-trips through that JSON
-//! ([`ScenarioSpec::to_json`] / [`ScenarioSpec::from_json`]), so a
+//! ([`ScenarioSpec::to_value`] / [`ScenarioSpec::from_value`]), so a
 //! failing case can be re-run from the report alone.
 
 use std::collections::BTreeMap;
@@ -29,7 +29,8 @@ use std::path::{Path, PathBuf};
 
 use strom_sim::time::{MICROS, NANOS};
 use strom_sim::EcnConfig;
-use strom_telemetry::{json, Fingerprint};
+use strom_telemetry::json::Value;
+use strom_telemetry::Fingerprint;
 
 use crate::chaos::ChaosSpec;
 use crate::cluster_chain::{Chain, ChainKind, ChainSpec};
@@ -248,65 +249,51 @@ impl CorpusReport {
         self.failures().is_empty()
     }
 
-    /// Renders the report as one `strom-corpus-v1` JSON document.
-    pub fn to_json(&self) -> String {
-        let num = |v: Option<f64>| v.map_or("null".into(), json::number);
-        // One item per line, each indented under its array.
-        let rows = |items: Vec<String>| {
-            let rows: Vec<String> = items.iter().map(|i| format!("\n    {i}")).collect();
-            rows.join(",")
-        };
+    /// The report as one `strom-corpus-v1` JSON document.
+    pub fn to_value(&self) -> Value {
+        let hex = |v: u64| Value::Str(format!("{v:#018x}"));
+        let num = |v: Option<f64>| v.map_or(Value::Null, Value::Num);
         let cases = (self.cases.iter()).map(|case| {
-            let seeds: Vec<String> = case.seeds.iter().map(|s| format!("\"{s:#x}\"")).collect();
-            let perf: Vec<String> = (case.perf.iter())
-                .map(|(k, v)| format!("\"{k}\": {}", json::number(*v)))
-                .collect();
-            let gates: Vec<String> = (case.gates.iter())
-                .map(|g| {
-                    let (key, min, max) = (g.gate.key, num(g.gate.min), num(g.gate.max));
-                    format!(
-                        "{{\"key\": \"{key}\", \"min\": {min}, \"max\": {max}, \"value\": {}, \
-                         \"pass\": {}}}",
-                        json::number(g.value),
-                        g.pass
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"spec\": {}, \"seeds\": [{}], \"fingerprint\": \"{:#018x}\", \"golden\": {}, \
-                 \"fingerprint_ok\": {}, \"perf\": {{{}}}, \"gates\": [{}], \"pass\": {}}}",
-                case.spec.to_json(),
-                seeds.join(", "),
-                case.fingerprint,
-                case.golden
-                    .map_or("null".into(), |g| format!("\"{g:#018x}\"")),
-                case.fingerprint_ok(),
-                perf.join(", "),
-                gates.join(", "),
-                case.pass()
-            )
+            let seeds = (case.seeds.iter()).map(|s| Value::Str(format!("{s:#x}")));
+            let perf = (case.perf.iter()).map(|&(k, v)| (k, Value::Num(v)));
+            let gates = (case.gates.iter()).map(|g| {
+                Value::obj([
+                    ("key", Value::str(g.gate.key)),
+                    ("min", num(g.gate.min)),
+                    ("max", num(g.gate.max)),
+                    ("value", Value::Num(g.value)),
+                    ("pass", Value::Bool(g.pass)),
+                ])
+            });
+            Value::obj([
+                ("spec", case.spec.to_value()),
+                ("seeds", Value::Arr(seeds.collect())),
+                ("fingerprint", hex(case.fingerprint)),
+                ("golden", case.golden.map_or(Value::Null, hex)),
+                ("fingerprint_ok", Value::Bool(case.fingerprint_ok())),
+                ("perf", Value::obj(perf)),
+                ("gates", Value::Arr(gates.collect())),
+                ("pass", Value::Bool(case.pass())),
+            ])
         });
         let checks = (self.cross_checks.iter()).map(|c| {
-            format!(
-                "{{\"kind\": \"{}\", \"label\": {}, \"lhs\": {}, \"rhs\": {}, \"pass\": {}}}",
-                c.kind,
-                json::escape(&c.label),
-                json::number(c.lhs),
-                json::number(c.rhs),
-                c.pass
-            )
+            Value::obj([
+                ("kind", Value::str(c.kind)),
+                ("label", Value::str(&c.label)),
+                ("lhs", Value::Num(c.lhs)),
+                ("rhs", Value::Num(c.rhs)),
+                ("pass", Value::Bool(c.pass)),
+            ])
         });
-        let failures = self.failures().iter().map(|f| json::escape(f)).collect();
-        format!(
-            "{{\n  \"schema\": \"strom-corpus-v1\",\n  \"scale\": \"{}\",\n  \
-             \"cases\": [{}\n  ],\n  \"cross_checks\": [{}\n  ],\n  \"failures\": [{}\n  ],\n  \
-             \"pass\": {}\n}}\n",
-            self.scale.name(),
-            rows(cases.collect()),
-            rows(checks.collect()),
-            rows(failures),
-            self.pass()
-        )
+        let failures = self.failures().into_iter().map(Value::Str);
+        Value::obj([
+            ("schema", Value::str("strom-corpus-v1")),
+            ("scale", Value::str(self.scale.name())),
+            ("cases", Value::Arr(cases.collect())),
+            ("cross_checks", Value::Arr(checks.collect())),
+            ("failures", Value::Arr(failures.collect())),
+            ("pass", Value::Bool(self.pass())),
+        ])
     }
 
     /// Merges this run's fingerprints into the golden file: lines for

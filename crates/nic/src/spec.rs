@@ -4,7 +4,8 @@
 //! Every family spec, and every part the families share, is [`SpecJson`]:
 //! one JSON object naming each field (a u64 as a hex string, since a
 //! JSON number is an f64), read back by requiring each field and refusing
-//! any other. Each family states what makes its spec runnable in one
+//! any other. Specs convert to and from a [`Value`]; text is only the
+//! one JSON writer's and reader's business. Each family states what makes its spec runnable in one
 //! `check`, and its `testbed()` panics through that same check.
 
 use strom_sim::{ArrivalProcess, Bandwidth, EcnConfig};
@@ -121,18 +122,26 @@ impl ScenarioSpec {
         Ok(self.workload.observe())
     }
 
-    /// Serializes the spec to one JSON object: its name, its family's
-    /// wire name and the family spec's own object.
-    pub fn to_json(&self) -> String {
+    /// The spec as one JSON object: its name, its family's wire name
+    /// and the family spec's own object.
+    pub fn to_value(&self) -> Value {
         let (family, spec) = match &self.workload {
-            Workload::Chaos(s) => ("chaos-soak", s.to_json()),
-            Workload::Shuffle(s) => ("shuffle", s.to_json()),
-            Workload::Incast(s) => ("incast", s.to_json()),
-            Workload::KvServe(s) => ("kv-serve", s.to_json()),
-            Workload::KernelChain(c) => ("kernel-chain", c.to_json()),
+            Workload::Chaos(s) => ("chaos-soak", s.to_value()),
+            Workload::Shuffle(s) => ("shuffle", s.to_value()),
+            Workload::Incast(s) => ("incast", s.to_value()),
+            Workload::KvServe(s) => ("kv-serve", s.to_value()),
+            Workload::KernelChain(c) => ("kernel-chain", c.to_value()),
         };
-        let name = json::escape(&self.name);
-        format!(r#"{{"name":{name},"family":"{family}","workload":{spec}}}"#)
+        Value::obj([
+            ("name", Value::str(&self.name)),
+            ("family", Value::str(family)),
+            ("workload", spec),
+        ])
+    }
+
+    /// The spec as compact JSON text.
+    pub fn to_json(&self) -> String {
+        self.to_value().to_string()
     }
 
     /// Parses a spec back from JSON and validates it. The inverse of
@@ -144,8 +153,8 @@ impl ScenarioSpec {
         Ok(spec)
     }
 
-    /// Builds a spec from an already-parsed JSON value (the corpus report
-    /// embeds spec objects inside case objects).
+    /// Reads [`ScenarioSpec::to_value`]'s value back, without validating
+    /// it (the corpus report embeds spec objects inside case objects).
     pub fn from_value(v: &Value) -> Result<ScenarioSpec, SpecError> {
         only(v, &["name", "family", "workload"])?;
         let w = v.field("workload")?;
@@ -209,13 +218,13 @@ impl From<json::Error> for SpecError {
     }
 }
 
-/// A value a scenario document holds: written as JSON text, read back
-/// exactly.
+/// A value a scenario document holds: converted to a JSON value, read
+/// back exactly.
 pub trait SpecJson: Sized {
-    /// The value as JSON text.
-    fn to_json(&self) -> String;
+    /// The value as JSON.
+    fn to_value(&self) -> Value;
 
-    /// Reads [`SpecJson::to_json`]'s text back from its parsed value.
+    /// Reads [`SpecJson::to_value`]'s value back.
     fn from_value(v: &Value) -> Result<Self, SpecError>;
 }
 
@@ -226,9 +235,9 @@ pub trait SpecJson: Sized {
 macro_rules! spec_json {
     ($ty:ident { $($field:ident),* $(,)? }) => {
         impl $crate::spec::SpecJson for $ty {
-            fn to_json(&self) -> String {
-                let fields = [$(format!("\"{}\":{}", stringify!($field), self.$field.to_json())),*];
-                format!("{{{}}}", fields.join(","))
+            fn to_value(&self) -> ::strom_telemetry::json::Value {
+                let fields = [$((stringify!($field), self.$field.to_value())),*];
+                ::strom_telemetry::json::Value::obj(fields)
             }
 
             fn from_value(
@@ -250,14 +259,12 @@ pub(crate) use spec_json;
 macro_rules! tagged_json {
     ($ty:ident { $($tag:literal: ($($shape:tt)+) [$($field:ident),*]),* $(,)? }) => {
         impl SpecJson for $ty {
-            fn to_json(&self) -> String {
+            fn to_value(&self) -> Value {
                 match *self {$(
-                    $($shape)+ => {
-                        let kind = format!("\"kind\":\"{}\"", $tag);
-                        let fields =
-                            [kind, $(format!("\"{}\":{}", stringify!($field), $field.to_json())),*];
-                        format!("{{{}}}", fields.join(","))
-                    }
+                    $($shape)+ => Value::obj([
+                        ("kind", Value::str($tag)),
+                        $((stringify!($field), $field.to_value())),*
+                    ]),
                 )*}
             }
 
@@ -275,12 +282,12 @@ macro_rules! tagged_json {
     };
 }
 
-/// Implements [`SpecJson`] for plain values: `$s` is the value to write,
-/// `$v` the JSON value to read.
+/// Implements [`SpecJson`] for plain values: `$s` is the value to
+/// convert, `$v` the JSON value to read.
 macro_rules! plain_json {
     ($($ty:ty: |$s:ident| $write:expr, |$v:ident| $read:expr;)*) => {$(
         impl SpecJson for $ty {
-            fn to_json(&self) -> String {
+            fn to_value(&self) -> Value {
                 let $s = *self;
                 $write
             }
@@ -297,8 +304,8 @@ macro_rules! plain_json {
 macro_rules! option_json {
     ($($ty:ty),*) => {$(
         impl SpecJson for Option<$ty> {
-            fn to_json(&self) -> String {
-                self.as_ref().map_or("null".into(), SpecJson::to_json)
+            fn to_value(&self) -> Value {
+                self.as_ref().map_or(Value::Null, SpecJson::to_value)
             }
 
             fn from_value(v: &Value) -> Result<Self, SpecError> {
@@ -310,24 +317,24 @@ macro_rules! option_json {
 
 // u64 values travel as `"0x…"` strings: a JSON number is an f64.
 plain_json! {
-    u64: |s| format!("\"{s:#x}\""), |v| (v.as_str()?.strip_prefix("0x"))
+    u64: |s| Value::Str(format!("{s:#x}")), |v| (v.as_str()?.strip_prefix("0x"))
         .and_then(|h| u64::from_str_radix(h, 16).ok())
         .ok_or_else(|| mistyped("a 0x-hex u64", v))?;
-    usize: |s| json::number(s as f64), |v| v.as_uint(json::MAX_EXACT)? as usize;
-    u32: |s| json::number(s.into()), |v| v.as_uint(u32::MAX.into())? as u32;
-    u8: |s| json::number(s.into()), |v| v.as_uint(u8::MAX.into())? as u8;
-    f64: |s| json::number(s), |v| v.as_f64()?;
-    bool: |s| s.to_string(), |v| v.as_bool()?;
-    Platform: |s| json::escape(s.name()), |v| {
+    usize: |s| Value::Num(s as f64), |v| v.as_uint(json::MAX_EXACT)? as usize;
+    u32: |s| Value::Num(s.into()), |v| v.as_uint(u32::MAX.into())? as u32;
+    u8: |s| Value::Num(s.into()), |v| v.as_uint(u8::MAX.into())? as u8;
+    f64: |s| Value::Num(s), |v| v.as_f64()?;
+    bool: |s| Value::Bool(s), |v| v.as_bool()?;
+    Platform: |s| Value::str(s.name()), |v| {
         let name = v.as_str()?;
         Platform::from_name(name).ok_or_else(|| SpecError::UnknownPlatform(name.into()))?
     };
-    ChainKind: |s| json::escape(s.name()), |v| {
+    ChainKind: |s| Value::str(s.name()), |v| {
         let name = v.as_str()?;
         ChainKind::from_name(name).ok_or_else(|| SpecError::UnknownChain(name.into()))?
     };
     // A port rate, in bit/s.
-    Bandwidth: |s| json::number(s.bytes_per_sec() * 8.0), |v| match f64::from_value(v)? {
+    Bandwidth: |s| Value::Num(s.bytes_per_sec() * 8.0), |v| match f64::from_value(v)? {
         bps if bps > 0.0 && bps.is_finite() => Bandwidth::bit_per_sec(bps),
         bps => return Err(SpecError::InvalidShape(format!("port_rate {bps} bit/s"))),
     };
@@ -360,11 +367,11 @@ tagged_json! {
 
 /// Per-port fault overrides: an array of `[dst, fault]` pairs.
 impl SpecJson for Vec<(NodeId, LinkFaultModel)> {
-    fn to_json(&self) -> String {
-        let pairs: Vec<String> = (self.iter())
-            .map(|(dst, fault)| format!("[{},{}]", dst.to_json(), fault.to_json()))
-            .collect();
-        format!("[{}]", pairs.join(","))
+    fn to_value(&self) -> Value {
+        let pair = |(dst, fault): &(NodeId, LinkFaultModel)| {
+            Value::Arr(vec![dst.to_value(), fault.to_value()])
+        };
+        Value::Arr(self.iter().map(pair).collect())
     }
 
     fn from_value(v: &Value) -> Result<Self, SpecError> {

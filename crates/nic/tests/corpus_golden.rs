@@ -127,7 +127,7 @@ fn report_json_specs_round_trip() {
         .filter(|c| c.spec.name == "kv-serve")
         .collect();
     let report = run_corpus_cases(&cases, CorpusScale::Quick);
-    let json = report.to_json();
+    let json = format!("{:#}", report.to_value());
     let doc = strom_telemetry::json::parse(&json).expect("report JSON parses");
     let parsed = match doc.get("cases") {
         Some(strom_telemetry::json::Value::Arr(items)) => items,

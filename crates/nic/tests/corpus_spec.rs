@@ -335,7 +335,7 @@ fn every_checked_field_refuses_an_out_of_range_value() {
         workload: Workload::Shuffle(shuffle.clone()),
     }
     .to_json();
-    assert!(doc.contains(r#""port_rate":10000000000"#), "{doc}");
+    assert!(doc.contains(r#""port_rate": 10000000000"#), "{doc}");
     for rate in ["0", "-1"] {
         let doc = doc.replace("10000000000", rate);
         assert!(matches!(
@@ -444,11 +444,11 @@ fn inconsistent_and_misshapen_specs_are_rejected() {
     };
     for bad in [
         doc[..doc.len() / 2].to_string(),
-        doc.replace(r#""seed":"0x1""#, r#""seed":1"#),
-        doc.replace(r#""seed":"0x1""#, r#""seed":"17""#),
+        doc.replace(r#""seed": "0x1""#, r#""seed": 1"#),
+        doc.replace(r#""seed": "0x1""#, r#""seed": "17""#),
         chain
             .to_json()
-            .replace(r#""tuples":10"#, r#""tuples":10.5"#),
+            .replace(r#""tuples": 10"#, r#""tuples": 10.5"#),
     ] {
         assert!(
             matches!(ScenarioSpec::from_json(&bad), Err(SpecError::Malformed(_))),
@@ -457,22 +457,15 @@ fn inconsistent_and_misshapen_specs_are_rejected() {
     }
 }
 
-/// Writes a parsed document back as JSON text.
-fn write(v: &Value) -> String {
-    let join = |items: Vec<String>| items.join(",");
-    match v {
-        Value::Null => "null".into(),
-        Value::Bool(b) => b.to_string(),
-        Value::Num(n) => json::number(*n),
-        Value::Str(s) => json::escape(s),
-        Value::Arr(items) => format!("[{}]", join(items.iter().map(write).collect())),
-        Value::Obj(fields) => {
-            let fields = fields
-                .iter()
-                .map(|(k, v)| format!("{}:{}", json::escape(k), write(v)));
-            format!("{{{}}}", join(fields.collect()))
-        }
-    }
+/// A document from outside the program nested a million levels deep is
+/// refused as `Malformed`; it does not overflow the stack.
+#[test]
+fn a_document_nested_past_the_reader_bound_is_malformed() {
+    let deep = "[".repeat(1_000_000);
+    assert!(matches!(
+        ScenarioSpec::from_json(&deep),
+        Err(SpecError::Malformed(why)) if why.contains("nesting")
+    ));
 }
 
 /// Every document one edit away from `v`: each object anywhere in it
@@ -525,11 +518,11 @@ fn a_missing_or_unknown_field_anywhere_is_malformed() {
     specs.extend(default_corpus().into_iter().map(|c| c.spec));
     for spec in &specs {
         let doc = json::parse(&spec.to_json()).expect("a spec's JSON parses");
-        assert_eq!(write(&doc), spec.to_json(), "the test's writer is exact");
+        assert_eq!(doc.to_string(), spec.to_json(), "the writer is exact");
         let edits = one_field_off(&doc);
         assert!(edits.len() >= 8, "{}", spec.to_json());
         for edit in &edits {
-            let text = write(edit);
+            let text = edit.to_string();
             assert!(
                 matches!(ScenarioSpec::from_json(&text), Err(SpecError::Malformed(_))),
                 "{text} must be Malformed"

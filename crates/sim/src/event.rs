@@ -548,18 +548,28 @@ mod tests {
     /// The timer-wheel queue and the reference heap queue produce identical
     /// `(at, seq, event)` streams under arbitrary interleavings of
     /// `schedule_at` (including past-time clamping and same-tick ties),
-    /// `schedule_in`, `pop`, and `advance_to`. This is the determinism proof
+    /// `schedule_in`, `pop`, `pop_batch` and `advance_to`, including a
+    /// tick that gains an event after one of its events popped, so
+    /// `pop_batch` must continue that tick from the wheel when it runs
+    /// past the run buffer's end. This is the determinism proof
     /// the engine swap rests on: the wheel's order is *defined* as whatever
     /// the trivially correct heap produces.
     #[test]
     fn wheel_and_reference_heap_are_indistinguishable() {
+        fn same_batch(q: &mut EventQueue<u32>, r: &mut ReferenceEventQueue<u32>, round: u32) {
+            let (mut qa, mut rb) = (Vec::new(), Vec::new());
+            assert_eq!(q.pop_batch(&mut qa), r.pop_batch(&mut rb));
+            let a: Vec<_> = qa.iter().map(|s| (s.at, s.seq, s.event)).collect();
+            let b: Vec<_> = rb.iter().map(|s| (s.at, s.seq, s.event)).collect();
+            assert_eq!(a, b, "pop_batch diverged (round {round})");
+        }
         let mut rng = SimRng::seed(0x11ee1);
         for round in 0..60 {
             let mut q: EventQueue<u32> = EventQueue::new();
             let mut r: ReferenceEventQueue<u32> = ReferenceEventQueue::new();
             let mut next_ev = 0u32;
             for _ in 0..rng.range(10, 400) {
-                match rng.below(10) {
+                match rng.below(11) {
                     // Schedule: a mix of near, far (multi-level / overflow),
                     // tied, and past (clamped) times.
                     0..=4 => {
@@ -590,14 +600,20 @@ mod tests {
                         q.advance_to(t);
                         r.advance_to(t);
                     }
-                    _ => {
-                        let mut qa: Vec<Scheduled<u32>> = Vec::new();
-                        let mut rb: Vec<Scheduled<u32>> = Vec::new();
-                        assert_eq!(q.pop_batch(&mut qa), r.pop_batch(&mut rb));
-                        let a: Vec<_> = qa.iter().map(|s| (s.at, s.seq, s.event)).collect();
-                        let b: Vec<_> = rb.iter().map(|s| (s.at, s.seq, s.event)).collect();
-                        assert_eq!(a, b, "pop_batch diverged (round {round})");
+                    9 => {
+                        // Pop one event of a tick, schedule at that tick,
+                        // then drain the tick.
+                        let a = q.pop().map(|s| (s.at, s.seq, s.event));
+                        let b = r.pop().map(|s| (s.at, s.seq, s.event));
+                        assert_eq!(a, b, "pop diverged (round {round})");
+                        if let Some((at, _, _)) = a {
+                            q.schedule_at(at, next_ev);
+                            r.schedule_at(at, next_ev);
+                            next_ev += 1;
+                        }
+                        same_batch(&mut q, &mut r, round);
                     }
+                    _ => same_batch(&mut q, &mut r, round),
                 }
                 assert_eq!(q.now(), r.now());
                 assert_eq!(q.pending(), r.pending());

@@ -1,23 +1,29 @@
-//! The workspace's one JSON reader/writer: enough of RFC 8259 to
+//! The workspace's one JSON reader and writer: enough of RFC 8259 to
 //! round-trip corpus scenario specs, pick fields out of `CORPUS.json`
-//! and the telemetry export, and emit every report the repo writes,
+//! and the telemetry export, and write every document the repo emits,
 //! without pulling a serialization dependency into the workspace.
 //! Numbers are f64 (which is why u64 seeds travel as hex strings),
 //! strings support the standard escapes including `\uXXXX`.
+//!
+//! Every emitter builds a [`Value`] and prints it through `Display`:
+//! `{}` writes compact text, `{:#}` the one pretty layout (see the
+//! `Display` impl).
+
+use std::fmt;
 
 /// Why a document failed to parse or a field lookup failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error(pub String);
 
-impl std::fmt::Display for Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for Error {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
     }
 }
 
 impl std::error::Error for Error {}
 
-/// A parsed JSON value.
+/// A JSON value: what [`parse`] reads and what every emitter writes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
@@ -35,6 +41,16 @@ pub enum Value {
 }
 
 impl Value {
+    /// An object from `(key, value)` pairs, in order.
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Value)>) -> Value {
+        Value::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// A string value.
+    pub fn str(s: impl Into<String>) -> Value {
+        Value::Str(s.into())
+    }
+
     /// Object field lookup.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
@@ -101,42 +117,86 @@ impl Value {
 /// may be larger travels as a `"0x…"` hex string instead.
 pub const MAX_EXACT: u64 = 9_000_000_000_000_000;
 
-/// Escapes `s` into a quoted JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
+/// Writes `s` as a quoted JSON string literal.
+fn write_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c => write!(f, "{c}")?,
         }
     }
-    out.push('"');
-    out
+    f.write_str("\"")
 }
 
-/// Renders a finite f64 as a JSON number (integers without the trailing
-/// `.0`, non-finite values as `null`).
-pub fn number(v: f64) -> String {
-    if !v.is_finite() {
-        "null".into()
-    } else if v.fract() == 0.0 && v.abs() < 9.0e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v:?}")
+/// How many levels of a pretty document put one entry per line: the
+/// top-level container and its direct children.
+const PRETTY_LEVELS: usize = 2;
+
+impl Value {
+    /// Writes the value at nesting `level`; containers above `broken`
+    /// put one entry per line, indented two spaces per level.
+    fn write(&self, f: &mut fmt::Formatter<'_>, level: usize, broken: usize) -> fmt::Result {
+        let (open, close, entries): (_, _, Vec<(Option<&str>, &Value)>) = match self {
+            Value::Null => return f.write_str("null"),
+            Value::Bool(b) => return write!(f, "{b}"),
+            Value::Num(n) if n.is_finite() => return write!(f, "{n}"),
+            Value::Num(_) => return f.write_str("null"),
+            Value::Str(s) => return write_str(f, s),
+            Value::Arr(items) => ("[", "]", items.iter().map(|v| (None, v)).collect()),
+            Value::Obj(fields) => {
+                let entries = fields.iter().map(|(k, v)| (Some(k.as_str()), v));
+                ("{", "}", entries.collect())
+            }
+        };
+        let lines = level < broken && !entries.is_empty();
+        let indent = |f: &mut fmt::Formatter<'_>, level: usize| write!(f, "\n{:1$}", "", 2 * level);
+        f.write_str(open)?;
+        for (i, (key, v)) in entries.into_iter().enumerate() {
+            if i > 0 {
+                f.write_str(if lines { "," } else { ", " })?;
+            }
+            if lines {
+                indent(f, level + 1)?;
+            }
+            if let Some(k) = key {
+                write_str(f, k)?;
+                f.write_str(": ")?;
+            }
+            v.write(f, level + 1, broken)?;
+        }
+        if lines {
+            indent(f, level)?;
+        }
+        f.write_str(close)
     }
 }
+
+/// `{}` writes compact one-line JSON: `", "` between entries, `": "`
+/// after a key, numbers through f64 `Display` and a non-finite number as
+/// `null`. `{:#}` writes the one pretty layout: the top-level container
+/// and its direct children put one entry per line, anything deeper is
+/// compact, and an empty container is `{}` or `[]`.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0, if f.alternate() { PRETTY_LEVELS } else { 0 })
+    }
+}
+
+/// Nesting bound for the reader: a spec document may come from outside
+/// the program, and the deepest one nests about 9 levels.
+const MAX_DEPTH: usize = 64;
 
 /// Parses one JSON document (trailing non-whitespace is an error).
 pub fn parse(text: &str) -> Result<Value, Error> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos).map_err(Error)?;
+    let v = parse_value(bytes, &mut pos, 0).map_err(Error)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error(format!("trailing garbage at byte {pos}")));
@@ -159,7 +219,10 @@ fn expect(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
+    if depth > MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
+    }
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of document".into()),
@@ -176,7 +239,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let val = parse_value(bytes, pos)?;
+                let val = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, val));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -198,7 +261,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -306,22 +369,17 @@ mod tests {
                 Value::Num(2.5),
                 Value::Bool(true),
                 Value::Null,
-                Value::Str("x\ny".into()),
+                Value::str("x\ny"),
             ]))
         );
         assert_eq!(v.get("b").unwrap().get("c"), Some(&Value::Num(-3.0)));
     }
 
     #[test]
-    fn escape_round_trips() {
-        let s = "quote\" slash\\ tab\t newline\n unicode\u{1F600}";
-        let v = parse(&escape(s)).unwrap();
-        assert_eq!(v, Value::Str(s.into()));
-    }
-
-    #[test]
-    fn escape_covers_control_characters() {
-        assert_eq!(escape("a\"b\\c\nd\u{1}"), "\"a\\\"b\\\\c\\nd\\u0001\"");
+    fn strings_escape_quotes_backslashes_and_control_characters() {
+        let v = Value::str("a\"b\\c\nd\u{1}");
+        assert_eq!(v.to_string(), "\"a\\\"b\\\\c\\nd\\u0001\"");
+        assert_eq!(parse(&v.to_string()), Ok(v));
     }
 
     #[test]
@@ -332,14 +390,119 @@ mod tests {
         assert!(parse("nul").is_err());
     }
 
+    /// A document nested past the bound is an error, not a stack
+    /// overflow; one level less still parses.
     #[test]
-    fn number_formatting_round_trips() {
-        for v in [0.0, 1.0, -17.0, 2.5, 1e-3, 123456789.125] {
-            let Value::Num(back) = parse(&number(v)).unwrap() else {
-                panic!("number must parse as number");
-            };
-            assert_eq!(back, v);
+    fn nesting_past_the_bound_is_an_error() {
+        let deep = "[".repeat(1_000_000);
+        let err = parse(&deep).unwrap_err();
+        assert!(err.0.contains("nesting deeper than 64"), "{err}");
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&ok).is_ok());
+        let over = format!("[{ok}]");
+        assert!(parse(&over).is_err());
+    }
+
+    #[test]
+    fn compact_and_pretty_layouts() {
+        let v = Value::obj([
+            (
+                "a",
+                Value::Arr(vec![Value::Num(1.0), Value::obj([("b", Value::Null)])]),
+            ),
+            ("e", Value::Arr(vec![])),
+            ("o", Value::obj::<&str>([])),
+            ("n", Value::Num(-0.5)),
+        ]);
+        assert_eq!(
+            v.to_string(),
+            r#"{"a": [1, {"b": null}], "e": [], "o": {}, "n": -0.5}"#
+        );
+        assert_eq!(
+            format!("{v:#}"),
+            "{\n  \"a\": [\n    1,\n    {\"b\": null}\n  ],\n  \"e\": [],\n  \"o\": {},\n  \
+             \"n\": -0.5\n}"
+        );
+        assert_eq!(format!("{:#}", Value::Arr(vec![])), "[]");
+        assert_eq!(format!("{:#}", Value::Num(3.0)), "3");
+    }
+
+    #[test]
+    fn non_finite_numbers_are_written_as_null() {
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Value::Num(n).to_string(), "null");
+            let v = Value::Arr(vec![Value::Num(n)]);
+            assert_eq!(v.to_string(), "[null]");
+            assert_eq!(format!("{v:#}"), "[\n  null\n]");
         }
-        assert_eq!(number(f64::NAN), "null");
+    }
+
+    /// SplitMix64: the property test's own deterministic draws.
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn string(&mut self) -> String {
+            let chars: Vec<char> = "aZ0 \"\\/\n\r\t\u{0}\u{1f}\u{7f}éµ\u{1F600}"
+                .chars()
+                .collect();
+            (0..self.below(8))
+                .map(|_| chars[self.below(chars.len() as u64) as usize])
+                .collect()
+        }
+
+        fn number(&mut self) -> f64 {
+            let sign = if self.below(2) == 0 { 1.0 } else { -1.0 };
+            sign * match self.below(6) {
+                0 => self.below(1 << 53) as f64,
+                1 => self.below(1_000_000) as f64 / 1000.0,
+                2 => f64::from_bits(self.next() >> 2),
+                3 => [1e300, f64::MAX, 2e19, 9.0e15][self.below(4) as usize],
+                4 => [1e-300, f64::MIN_POSITIVE, 5e-324, 1e-7][self.below(4) as usize],
+                _ => self.below(100) as f64,
+            }
+        }
+
+        fn value(&mut self, depth: u32) -> Value {
+            match self.below(if depth == 0 { 4 } else { 6 }) {
+                0 => [Value::Null, Value::Bool(true), Value::Bool(false)][self.below(3) as usize]
+                    .clone(),
+                1 => Value::Num(self.number()),
+                2 | 3 => Value::Str(self.string()),
+                4 => Value::Arr((0..self.below(4)).map(|_| self.value(depth - 1)).collect()),
+                _ => Value::Obj(
+                    (0..self.below(4))
+                        .map(|_| (self.string(), self.value(depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    /// Both layouts of any value parse back to that value: nested and
+    /// empty containers, every escape class in strings and keys, and
+    /// integral, fractional, negative, huge and tiny numbers.
+    #[test]
+    fn both_layouts_of_random_values_read_back_identically() {
+        let mut draw = Draw(0x1501);
+        for _ in 0..3_000 {
+            let v = draw.value(4);
+            let compact = v.to_string();
+            assert!(!compact.contains('\n'), "one line: {compact}");
+            assert_eq!(parse(&compact).as_ref(), Ok(&v), "{compact}");
+            let pretty = format!("{v:#}");
+            assert_eq!(parse(&pretty).as_ref(), Ok(&v), "{pretty}");
+        }
     }
 }

@@ -20,8 +20,8 @@
 //!   above, written next to the text tables by the bench binaries.
 //! - [`Fingerprint`] — the one FNV-1a fold every golden (corpus, chaos,
 //!   trace stream) is pinned to.
-//! - [`json`] — the one JSON parser and the `escape`/`number` writers
-//!   every report in the workspace emits through.
+//! - [`json`] — the one JSON reader and writer: every document the
+//!   workspace emits is a [`json::Value`] printed by its `Display`.
 //!
 //! Determinism: nothing here draws randomness or reads wall-clock time.
 //! Two same-seed simulation runs emit byte-identical trace streams and

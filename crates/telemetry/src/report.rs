@@ -1,13 +1,13 @@
 //! Machine-readable JSON export of a run's telemetry.
 //!
-//! The container this workspace builds in has no crates.io access, so the
-//! JSON is hand-rolled: integers, doubles, escaped strings, and objects
+//! A report is a [`Value`] built from the registry and the trace sink,
 //! with keys in insertion order (callers insert sorted names, so output
-//! is deterministic); strings go through [`crate::json::escape`]. The
-//! schema is versioned via the top-level `"schema"` field and validated
-//! by the telemetry smoke test in `crates/bench/tests/smoke.rs`.
+//! is deterministic), and printed by the one JSON writer
+//! ([`crate::json`]). The schema is versioned via the top-level
+//! `"schema"` field and validated by the telemetry smoke test in
+//! `crates/bench/tests/smoke.rs`.
 
-use crate::json::escape;
+use crate::json::Value;
 use crate::metrics::{Histogram, MetricsRegistry};
 use crate::trace::TraceSink;
 
@@ -34,9 +34,9 @@ pub struct TraceStats {
 /// let reg = MetricsRegistry::default();
 /// reg.counter("ops").add(3);
 /// reg.histogram("lat_ps").record(1500);
-/// let json = TelemetryReport::new("example").with_registry(&reg).to_json();
-/// assert!(json.contains("\"schema\": \"strom-telemetry-v1\""));
-/// assert!(json.contains("\"ops\": 3"));
+/// let doc = TelemetryReport::new("example").with_registry(&reg).to_value();
+/// assert_eq!(doc.str_field("schema").unwrap(), "strom-telemetry-v1");
+/// assert_eq!(doc.field("counters").unwrap().u64_field("ops").unwrap(), 3);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryReport {
@@ -47,28 +47,29 @@ pub struct TelemetryReport {
     trace: Option<TraceStats>,
 }
 
-fn push_histogram(out: &mut String, h: &Histogram) {
-    let q = |p: f64| h.quantile(p).unwrap_or(0);
-    out.push_str(&format!(
-        "{{\"count\": {}, \"min\": {}, \"max\": {}, \"sum\": {}, \"mean\": {:.3}, \
-         \"p50\": {}, \"p90\": {}, \"p99\": {}, \"p999\": {}, \"buckets\": [",
-        h.count(),
-        h.min(),
-        h.max(),
-        h.sum(),
-        h.mean(),
-        q(0.50),
-        q(0.90),
-        q(0.99),
-        q(0.999),
-    ));
-    for (i, (lo, count)) in h.nonzero_buckets().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("[{lo}, {count}]"));
-    }
-    out.push_str("]}");
+/// A histogram's summary, exact quantiles and non-empty buckets.
+fn histogram_value(h: &Histogram) -> Value {
+    let num = |n: u64| Value::Num(n as f64);
+    let q = |p: f64| num(h.quantile(p).unwrap_or(0));
+    // The mean is exported to three decimals.
+    let mean = format!("{:.3}", h.mean())
+        .parse()
+        .expect("a formatted f64 parses");
+    let buckets = (h.nonzero_buckets().into_iter())
+        .map(|(lo, count)| Value::Arr(vec![num(lo), num(count)]))
+        .collect();
+    Value::obj([
+        ("count", num(h.count())),
+        ("min", num(h.min())),
+        ("max", num(h.max())),
+        ("sum", num(h.sum())),
+        ("mean", Value::Num(mean)),
+        ("p50", q(0.50)),
+        ("p90", q(0.90)),
+        ("p99", q(0.99)),
+        ("p999", q(0.999)),
+        ("buckets", Value::Arr(buckets)),
+    ])
 }
 
 impl TelemetryReport {
@@ -100,45 +101,33 @@ impl TelemetryReport {
         self
     }
 
-    /// Serializes the report as a self-contained JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"schema\": \"strom-telemetry-v1\",\n  \"source\": ");
-        out.push_str(&escape(&self.source));
-        for (section, entries) in [("counters", &self.counters), ("gauges", &self.gauges)] {
-            out.push_str(&format!(",\n  \"{section}\": {{"));
-            for (i, (name, value)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\n    {}: {value}", escape(name)));
-            }
-            if !entries.is_empty() {
-                out.push_str("\n  ");
-            }
-            out.push('}');
-        }
-        out.push_str(",\n  \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {}: ", escape(name)));
-            push_histogram(&mut out, h);
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push('}');
+    /// The report as one `strom-telemetry-v1` JSON object.
+    pub fn to_value(&self) -> Value {
+        let named = |entries: &[(String, u64)]| {
+            Value::obj((entries.iter()).map(|(name, v)| (name.as_str(), Value::Num(*v as f64))))
+        };
+        let histograms =
+            (self.histograms.iter()).map(|(name, h)| (name.as_str(), histogram_value(h)));
+        let mut fields = vec![
+            ("schema", Value::str("strom-telemetry-v1")),
+            ("source", Value::str(&self.source)),
+            ("counters", named(&self.counters)),
+            ("gauges", named(&self.gauges)),
+            ("histograms", Value::obj(histograms)),
+        ];
         if let Some(t) = &self.trace {
-            out.push_str(&format!(
-                ",\n  \"trace\": {{\"emitted\": {}, \"retained\": {}, \"overwritten\": {}, \
-                 \"fingerprint\": \"{:#018x}\"}}",
-                t.emitted, t.retained, t.overwritten, t.fingerprint
-            ));
+            let trace = Value::obj([
+                ("emitted", Value::Num(t.emitted as f64)),
+                ("retained", Value::Num(t.retained as f64)),
+                ("overwritten", Value::Num(t.overwritten as f64)),
+                (
+                    "fingerprint",
+                    Value::Str(format!("{:#018x}", t.fingerprint)),
+                ),
+            ]);
+            fields.push(("trace", trace));
         }
-        out.push_str("\n}\n");
-        out
+        Value::obj(fields)
     }
 }
 
@@ -148,32 +137,45 @@ mod tests {
     use crate::trace::{TraceEvent, TraceSink};
 
     #[test]
-    fn json_contains_all_sections() {
+    fn report_carries_every_section() {
         let reg = MetricsRegistry::default();
         reg.counter("sim.events").add(42);
         reg.gauge("depth").set(7);
         reg.histogram("lat").record(1000);
         let sink = TraceSink::enabled(4);
         sink.emit(TraceEvent::Retransmit { qpn: 1, packets: 2 });
-        let json = TelemetryReport::new("unit \"test\"")
+        let doc = TelemetryReport::new("unit \"test\"")
             .with_registry(&reg)
             .with_trace(&sink)
-            .to_json();
-        let doc = crate::json::parse(&json).expect("report is valid JSON");
+            .to_value();
+        assert_eq!(crate::json::parse(&format!("{doc:#}")), Ok(doc.clone()));
+        assert_eq!(doc.str_field("schema").unwrap(), "strom-telemetry-v1");
         assert_eq!(doc.str_field("source").unwrap(), "unit \"test\"");
-        assert!(json.contains("\"schema\": \"strom-telemetry-v1\""));
-        assert!(json.contains("\"source\": \"unit \\\"test\\\"\""));
-        assert!(json.contains("\"sim.events\": 42"));
-        assert!(json.contains("\"depth\": 7"));
-        assert!(json.contains("\"p999\": "));
-        assert!(json.contains("\"emitted\": 1"));
+        let field = |section: &str, key: &str| doc.field(section).unwrap().u64_field(key).unwrap();
+        assert_eq!(field("counters", "sim.events"), 42);
+        assert_eq!(field("gauges", "depth"), 7);
+        assert_eq!(field("trace", "emitted"), 1);
+        let lat = doc.field("histograms").unwrap().field("lat").unwrap();
+        assert_eq!(lat.u64_field("p999").unwrap(), 1000);
     }
 
     #[test]
     fn empty_report_is_valid_shape() {
-        let json = TelemetryReport::new("empty").to_json();
-        assert!(json.contains("\"counters\": {}"));
-        assert!(json.contains("\"histograms\": {}"));
-        assert!(!json.contains("\"trace\""));
+        let text = format!("{:#}", TelemetryReport::new("empty").to_value());
+        assert!(text.contains("\"counters\": {}"));
+        assert!(text.contains("\"histograms\": {}"));
+        assert!(!text.contains("\"trace\""));
+    }
+
+    /// The mean keeps three decimals; every other statistic is exact.
+    #[test]
+    fn histogram_mean_is_rounded_to_three_decimals() {
+        let mut h = Histogram::new();
+        for v in [1, 2, 2] {
+            h.record(v);
+        }
+        let v = histogram_value(&h);
+        assert_eq!(v.field("mean"), Ok(&Value::Num(1.667)));
+        assert_eq!(v.u64_field("sum"), Ok(5));
     }
 }
