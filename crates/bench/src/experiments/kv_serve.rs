@@ -185,6 +185,7 @@ pub fn run(scale: Scale) -> (String, TelemetryReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use strom_telemetry::Histogram;
 
     /// The acceptance bar for the tuned operating point: clean audit,
     /// bounded tail, and achieved throughput tracking offered.
@@ -196,6 +197,24 @@ mod tests {
         assert!(out.p999_ps.unwrap() < 100 * strom_sim::time::MICROS);
         // Below the knee the tier keeps up with the offered rate.
         assert!(out.achieved_rps * 10 > out.offered_rps * 8, "{out:?}");
+    }
+
+    /// The exported per-op histograms hold the exact latencies: merged,
+    /// they are the all-op histogram the figure's quantiles come from.
+    #[test]
+    fn exported_per_op_histograms_merge_to_the_figure_quantiles() {
+        let (out, observed) = spec(TUNED_GAP_NS, Scale::Quick).observe();
+        let histograms = observed.metrics.snapshot().histograms;
+        let mut all = Histogram::new();
+        for op in ["get", "put", "traversal"] {
+            let name = format!("kv_{op}_latency_ps");
+            let (_, h) = (histograms.iter().find(|(n, _)| *n == name))
+                .unwrap_or_else(|| panic!("{name} exported"));
+            all.merge(h);
+        }
+        assert_eq!(all.count(), out.completed);
+        let quantiles = [0.50, 0.99, 0.999].map(|q| all.quantile(q));
+        assert_eq!(quantiles, [out.p50_ps, out.p99_ps, out.p999_ps]);
     }
 
     /// The overload point (the sweep's smallest gap) offers more than

@@ -503,12 +503,7 @@ impl Scenario for KvSpec {
             ("kv_put_latency_ps", &a.per_op[1]),
             ("kv_traversal_latency_ps", &a.per_op[2]),
         ] {
-            let handle = tb.metrics().histogram(name);
-            for (v, n) in h.nonzero_buckets() {
-                for _ in 0..n {
-                    handle.record(v);
-                }
-            }
+            tb.metrics().histogram(name).merge(h);
         }
 
         let elapsed_ps = (a.last_response - t0).max(1);

@@ -234,6 +234,11 @@ impl HistogramHandle {
         self.0.lock().expect("histogram lock").record(v);
     }
 
+    /// Adds every recorded value of `other` ([`Histogram::merge`]).
+    pub fn merge(&self, other: &Histogram) {
+        self.0.lock().expect("histogram lock").merge(other);
+    }
+
     /// A snapshot of the current state.
     pub fn snapshot(&self) -> Histogram {
         self.0.lock().expect("histogram lock").clone()
