@@ -4,8 +4,7 @@
 //! Every family spec, and every part the families share, is [`SpecJson`]:
 //! one JSON object naming each field (a u64 as a hex string, since a
 //! JSON number is an f64), read back by requiring each field and refusing
-//! any other. Specs convert to and from a [`Value`]; text is only the
-//! one JSON writer's and reader's business. Each family states what makes its spec runnable in one
+//! any other. Each family states what makes its spec runnable in one
 //! `check`, and its `testbed()` panics through that same check.
 
 use strom_sim::{ArrivalProcess, Bandwidth, EcnConfig};

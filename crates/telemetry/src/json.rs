@@ -3,11 +3,8 @@
 //! and the telemetry export, and write every document the repo emits,
 //! without pulling a serialization dependency into the workspace.
 //! Numbers are f64 (which is why u64 seeds travel as hex strings),
-//! strings support the standard escapes including `\uXXXX`.
-//!
-//! Every emitter builds a [`Value`] and prints it through `Display`:
-//! `{}` writes compact text, `{:#}` the one pretty layout (see the
-//! `Display` impl).
+//! strings support the standard escapes including `\uXXXX`. Every
+//! emitter builds a [`Value`] and prints it through its `Display`.
 
 use std::fmt;
 
@@ -122,8 +119,7 @@ fn write_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
     for c in s.chars() {
         match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
+            '"' | '\\' => write!(f, "\\{c}")?,
             '\n' => f.write_str("\\n")?,
             '\r' => f.write_str("\\r")?,
             '\t' => f.write_str("\\t")?,
@@ -134,13 +130,9 @@ fn write_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
-/// How many levels of a pretty document put one entry per line: the
-/// top-level container and its direct children.
-const PRETTY_LEVELS: usize = 2;
-
 impl Value {
-    /// Writes the value at nesting `level`; containers above `broken`
-    /// put one entry per line, indented two spaces per level.
+    /// Writes the value at nesting `level`; a non-empty container above
+    /// level `broken` puts one entry per line, two spaces a level in.
     fn write(&self, f: &mut fmt::Formatter<'_>, level: usize, broken: usize) -> fmt::Result {
         let (open, close, entries): (_, _, Vec<(Option<&str>, &Value)>) = match self {
             Value::Null => return f.write_str("null"),
@@ -148,21 +140,20 @@ impl Value {
             Value::Num(n) if n.is_finite() => return write!(f, "{n}"),
             Value::Num(_) => return f.write_str("null"),
             Value::Str(s) => return write_str(f, s),
-            Value::Arr(items) => ("[", "]", items.iter().map(|v| (None, v)).collect()),
-            Value::Obj(fields) => {
-                let entries = fields.iter().map(|(k, v)| (Some(k.as_str()), v));
-                ("{", "}", entries.collect())
-            }
+            Value::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Value::Obj(kv) => ('{', '}', kv.iter().map(|(k, v)| (Some(&**k), v)).collect()),
         };
-        let lines = level < broken && !entries.is_empty();
-        let indent = |f: &mut fmt::Formatter<'_>, level: usize| write!(f, "\n{:1$}", "", 2 * level);
-        f.write_str(open)?;
+        let indent = |level: usize| format!("\n{:1$}", "", 2 * level);
+        let (first, sep, last) = if level < broken && !entries.is_empty() {
+            let inner = indent(level + 1);
+            (inner.clone(), format!(",{inner}"), indent(level))
+        } else {
+            (String::new(), ", ".into(), String::new())
+        };
+        write!(f, "{open}{first}")?;
         for (i, (key, v)) in entries.into_iter().enumerate() {
             if i > 0 {
-                f.write_str(if lines { "," } else { ", " })?;
-            }
-            if lines {
-                indent(f, level + 1)?;
+                f.write_str(&sep)?;
             }
             if let Some(k) = key {
                 write_str(f, k)?;
@@ -170,10 +161,7 @@ impl Value {
             }
             v.write(f, level + 1, broken)?;
         }
-        if lines {
-            indent(f, level)?;
-        }
-        f.write_str(close)
+        write!(f, "{last}{close}")
     }
 }
 
@@ -184,7 +172,7 @@ impl Value {
 /// compact, and an empty container is `{}` or `[]`.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.write(f, 0, if f.alternate() { PRETTY_LEVELS } else { 0 })
+        self.write(f, 0, if f.alternate() { 2 } else { 0 })
     }
 }
 
@@ -204,14 +192,18 @@ pub fn parse(text: &str) -> Result<Value, Error> {
     Ok(v)
 }
 
+/// How many of `bytes[pos..]`'s leading bytes are in `set`.
+fn run_of(bytes: &[u8], pos: usize, set: &[u8]) -> usize {
+    bytes[pos..].iter().take_while(|b| set.contains(b)).count()
+}
+
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+    *pos += run_of(bytes, *pos, b" \t\n\r");
 }
 
 fn expect(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
-    if *pos < bytes.len() && bytes[*pos] == want {
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&want) {
         *pos += 1;
         Ok(())
     } else {
@@ -226,132 +218,111 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Str
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of document".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Value::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                let val = parse_value(bytes, pos, depth + 1)?;
-                fields.push((key, val));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Value::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-                }
-            }
-        }
+        Some(b'{') => parse_entries(bytes, pos, b'}', |bytes, pos| {
+            let key = parse_string(bytes, pos)?;
+            expect(bytes, pos, b':')?;
+            Ok((key, parse_value(bytes, pos, depth + 1)?))
+        })
+        .map(Value::Obj),
+        Some(b'[') => parse_entries(bytes, pos, b']', |bytes, pos| {
+            parse_value(bytes, pos, depth + 1)
+        })
+        .map(Value::Arr),
         Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", Value::Null),
-        Some(_) => parse_number(bytes, pos),
+        Some(b't' | b'f' | b'n') => [
+            ("true", Value::Bool(true)),
+            ("false", Value::Bool(false)),
+            ("null", Value::Null),
+        ]
+        .into_iter()
+        .find(|(lit, _)| bytes[*pos..].starts_with(lit.as_bytes()))
+        .map(|(lit, value)| {
+            *pos += lit.len();
+            value
+        })
+        .ok_or_else(|| format!("bad literal at byte {}", *pos)),
+        Some(_) => {
+            let start = *pos;
+            *pos += run_of(bytes, start, b"0123456789-+.eE");
+            std::str::from_utf8(&bytes[start..*pos])
+                .ok()
+                .and_then(|s| s.parse::<f64>().ok())
+                .map(Value::Num)
+                .ok_or_else(|| format!("bad number at byte {start}"))
+        }
     }
 }
 
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<Value, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
+/// Parses the comma-separated entries of the container opening at
+/// `*pos`, up to its `close` byte.
+fn parse_entries<T>(
+    bytes: &[u8],
+    pos: &mut usize,
+    close: u8,
+    mut entry: impl FnMut(&[u8], &mut usize) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    *pos += 1;
+    let mut out = Vec::new();
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&close) {
         *pos += 1;
+        return Ok(out);
     }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Value::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
+    loop {
+        out.push(entry(bytes, pos)?);
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(&b) if b == close => {
+                *pos += 1;
+                return Ok(out);
+            }
+            _ => {
+                return Err(format!(
+                    "expected ',' or {:?} at byte {}",
+                    close as char, *pos
+                ))
+            }
+        }
+    }
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
+        // Copy the run up to the next quote or backslash whole: both are
+        // ASCII, so the run ends on a UTF-8 boundary of the input.
+        let run = bytes[*pos..].iter().position(|b| matches!(b, b'"' | b'\\'));
+        let end = run.map_or(bytes.len(), |n| *pos + n);
+        out.push_str(std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?);
+        *pos = end + 1;
+        match bytes.get(end) {
             None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through untouched; the input is a &str so it is valid).
-                let s = &bytes[*pos..];
-                let ch_len = match s[0] {
-                    b if b < 0x80 => 1,
-                    b if b < 0xE0 => 2,
-                    b if b < 0xF0 => 3,
-                    _ => 4,
-                };
-                out.push_str(std::str::from_utf8(&s[..ch_len]).map_err(|e| e.to_string())?);
-                *pos += ch_len;
-            }
+            Some(b'"') => return Ok(out),
+            _ => {}
         }
+        let c = match bytes.get(*pos) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let hex = (bytes.get(*pos + 1..*pos + 5))
+                    .and_then(|h| std::str::from_utf8(h).ok())
+                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                    .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
+                *pos += 4;
+                char::from_u32(hex).unwrap_or('\u{fffd}')
+            }
+            _ => return Err(format!("bad escape at byte {}", *pos)),
+        };
+        out.push(c);
+        *pos += 1;
     }
 }
 

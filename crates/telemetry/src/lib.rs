@@ -41,7 +41,7 @@ pub use fingerprint::Fingerprint;
 pub use metrics::{
     jain_index, Counter, Gauge, Histogram, HistogramHandle, MetricsRegistry, MetricsSnapshot,
 };
-pub use report::{TelemetryReport, TraceStats};
+pub use report::TelemetryReport;
 pub use trace::{DropReason, QpState, TraceEvent, TraceRecord, TraceSink};
 
 /// Simulated time in picoseconds — the same unit as `strom_sim::Time`,

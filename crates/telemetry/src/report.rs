@@ -11,19 +11,6 @@ use crate::json::Value;
 use crate::metrics::{Histogram, MetricsRegistry};
 use crate::trace::TraceSink;
 
-/// Summary of a trace sink's state for export.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceStats {
-    /// Total events emitted.
-    pub emitted: u64,
-    /// Events still retained in the ring.
-    pub retained: u64,
-    /// Events the bounded ring overwrote.
-    pub overwritten: u64,
-    /// FNV-1a fingerprint of the full emission stream.
-    pub fingerprint: u64,
-}
-
 /// A run's exported telemetry: counters, gauges, histograms with
 /// percentiles, and optional trace statistics.
 ///
@@ -44,12 +31,16 @@ pub struct TelemetryReport {
     counters: Vec<(String, u64)>,
     gauges: Vec<(String, u64)>,
     histograms: Vec<(String, Histogram)>,
-    trace: Option<TraceStats>,
+    trace: Option<Value>,
 }
 
-/// A histogram's summary, exact quantiles and non-empty buckets.
+fn num(n: u64) -> Value {
+    Value::Num(n as f64)
+}
+
+/// A histogram's count, exact min/max/sum, mean, quantiles and
+/// non-empty buckets.
 fn histogram_value(h: &Histogram) -> Value {
-    let num = |n: u64| Value::Num(n as f64);
     let q = |p: f64| num(h.quantile(p).unwrap_or(0));
     // The mean is exported to three decimals.
     let mean = format!("{:.3}", h.mean())
@@ -90,21 +81,26 @@ impl TelemetryReport {
         self
     }
 
-    /// Records the trace sink's summary statistics.
+    /// Records the trace sink's summary statistics: events emitted,
+    /// still retained, overwritten by the bounded ring, and the
+    /// fingerprint of the full emission stream.
     pub fn with_trace(mut self, sink: &TraceSink) -> Self {
-        self.trace = Some(TraceStats {
-            emitted: sink.emitted(),
-            retained: sink.records().len() as u64,
-            overwritten: sink.overwritten(),
-            fingerprint: sink.fingerprint(),
-        });
+        self.trace = Some(Value::obj([
+            ("emitted", num(sink.emitted())),
+            ("retained", num(sink.records().len() as u64)),
+            ("overwritten", num(sink.overwritten())),
+            (
+                "fingerprint",
+                Value::Str(format!("{:#018x}", sink.fingerprint())),
+            ),
+        ]));
         self
     }
 
     /// The report as one `strom-telemetry-v1` JSON object.
     pub fn to_value(&self) -> Value {
         let named = |entries: &[(String, u64)]| {
-            Value::obj((entries.iter()).map(|(name, v)| (name.as_str(), Value::Num(*v as f64))))
+            Value::obj((entries.iter()).map(|(name, v)| (name.as_str(), num(*v))))
         };
         let histograms =
             (self.histograms.iter()).map(|(name, h)| (name.as_str(), histogram_value(h)));
@@ -115,18 +111,7 @@ impl TelemetryReport {
             ("gauges", named(&self.gauges)),
             ("histograms", Value::obj(histograms)),
         ];
-        if let Some(t) = &self.trace {
-            let trace = Value::obj([
-                ("emitted", Value::Num(t.emitted as f64)),
-                ("retained", Value::Num(t.retained as f64)),
-                ("overwritten", Value::Num(t.overwritten as f64)),
-                (
-                    "fingerprint",
-                    Value::Str(format!("{:#018x}", t.fingerprint)),
-                ),
-            ]);
-            fields.push(("trace", trace));
-        }
+        fields.extend(self.trace.clone().map(|t| ("trace", t)));
         Value::obj(fields)
     }
 }
