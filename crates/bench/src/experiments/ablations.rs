@@ -10,7 +10,7 @@
 //! - **Retransmission timeout** (§4.1): too-small timeouts cause spurious
 //!   go-back-N storms, too-large ones stretch loss recovery.
 
-use strom_nic::{NicConfig, Testbed, WorkRequest};
+use strom_nic::{LinkFaultModel, NicConfig, Testbed, WorkRequest};
 use strom_resources::{DesignConfig, Device, ResourceModel};
 use strom_sim::report::{Figure, Series};
 use strom_sim::stats::goodput_gbps;
@@ -127,7 +127,7 @@ pub fn timeout(_scale: Scale) -> Figure {
         cfg.retransmit_timeout = t_us * MICROS;
         let mut tb = Testbed::new(cfg);
         tb.connect_qp(1);
-        tb.set_loss_rate(0.05);
+        tb.set_fault_model(LinkFaultModel::bernoulli(0.05));
         let src = tb.pin(0, 2 << 20);
         let dst = tb.pin(1, 2 << 20);
         tb.mem(0).write(src, &vec![3u8; 1 << 20]);

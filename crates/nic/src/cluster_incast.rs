@@ -291,7 +291,7 @@ impl Scenario for IncastSpec {
             // and most events record none: poll again only after one has.
             while tb.completion_count() == polled_at {
                 assert!(
-                    tb.step_batch() > 0,
+                    tb.step(),
                     "seed {}: incast went idle with messages outstanding",
                     self.seed
                 );

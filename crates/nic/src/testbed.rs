@@ -61,9 +61,6 @@ pub struct ClusterTestbed {
     /// Shared metrics registry: completion-latency histograms and the
     /// sim dispatch counter live here; experiments may add their own.
     metrics: MetricsRegistry,
-    /// Reusable buffer for [`Self::step_batch`] (zero steady-state
-    /// allocation).
-    batch_buf: Vec<strom_sim::Scheduled<Event>>,
     /// Dispatched events per [`Event::kind`].
     dispatched: [u64; EVENT_KINDS.len()],
 }
@@ -170,7 +167,6 @@ impl ClusterTestbed {
             watches: WatchTable::new(n),
             trace: TraceSink::default(),
             metrics,
-            batch_buf: Vec::new(),
             dispatched: [0; EVENT_KINDS.len()],
             cfg,
         }
@@ -387,13 +383,6 @@ impl ClusterTestbed {
         nic.post_local_rpc(qpn, rpc_op, params, &mut cx);
     }
 
-    /// Sets independent Bernoulli link loss — [`Self::set_fault_model`]
-    /// with the original single knob. Replaces any fault model in force,
-    /// per-port overrides included.
-    pub fn set_loss_rate(&mut self, rate: f64) {
-        self.set_fault_model(LinkFaultModel::bernoulli(rate));
-    }
-
     /// Installs a composable link fault model (loss, corruption,
     /// reordering, duplication) and resets the per-direction loss-model
     /// state, so the chaos schedule is fully determined by the model plus
@@ -551,30 +540,24 @@ impl ClusterTestbed {
         }
     }
 
-    /// Runs the event loop dry, one same-timestamp batch at a time.
+    /// Runs the event loop dry.
     pub fn run_until_idle(&mut self) {
-        while self.step_batch() > 0 {}
+        while self.step() {}
     }
 
-    /// Runs the event loop dry, but gives up after `max_events` events.
+    /// Runs the event loop dry, but dispatches at most `max_events`
+    /// events.
     ///
     /// Returns `true` if the simulation quiesced within the budget — the
     /// chaos harness's livelock detector: a retransmission storm that
     /// never converges fails this instead of hanging the test suite.
-    /// Batched dispatch may overshoot the budget by at most one
-    /// same-timestamp bucket.
     pub fn run_until_idle_bounded(&mut self, max_events: u64) -> bool {
-        let mut left = max_events;
-        loop {
-            if left == 0 {
-                return self.sched.queue.is_empty();
-            }
-            let n = self.step_batch();
-            if n == 0 {
+        for _ in 0..max_events {
+            if !self.step() {
                 return true;
             }
-            left = left.saturating_sub(n);
         }
+        self.sched.queue.is_empty()
     }
 
     /// Whether `qpn` on `node` still has unacknowledged messages or
@@ -593,23 +576,22 @@ impl ClusterTestbed {
         true
     }
 
-    /// Processes one same-timestamp batch of events; returns how many
-    /// were dispatched (0 when the queue is empty).
+    /// [`Self::step`]s until the clock leaves the tick of the earliest
+    /// pending event, same-tick events scheduled meanwhile included;
+    /// returns how many were dispatched (0 when the queue is empty).
     ///
-    /// Equivalent to calling [`Self::step`] once per event in the batch —
-    /// same order, same handlers — but amortizes the queue's bucket walk
-    /// across the whole tick. Used by the idle-drain loops; the
-    /// completion- and watch-bounded loops keep single-event granularity
-    /// so they stop exactly where the reference engine would.
+    /// Kept only because the `benchmark/` harness counts its returns; it
+    /// goes when that harness moves onto the `Scenario` trait.
     pub fn step_batch(&mut self) -> u64 {
-        let mut buf = std::mem::take(&mut self.batch_buf);
-        buf.clear();
-        let n = self.sched.queue.pop_batch(&mut buf);
-        for s in buf.drain(..) {
-            self.dispatch_event(s.event);
+        let Some(tick) = self.next_event_at() else {
+            return 0;
+        };
+        let mut n = 0;
+        while self.next_event_at() == Some(tick) {
+            self.step();
+            n += 1;
         }
-        self.batch_buf = buf;
-        n as u64
+        n
     }
 
     /// Enables the observation-only lookahead audit: every event
@@ -807,7 +789,7 @@ mod tests {
     #[test]
     fn lossy_link_recovers_by_retransmission() {
         let mut tb = testbed();
-        tb.set_loss_rate(0.05);
+        tb.set_fault_model(LinkFaultModel::bernoulli(0.05));
         let src = tb.pin(0, 4 << 20);
         let dst = tb.pin(1, 4 << 20);
         let data: Vec<u8> = (0..200_000u32).map(|i| (i % 239) as u8).collect();
@@ -829,7 +811,7 @@ mod tests {
         for h in handles {
             tb.run_until_complete(0, h);
         }
-        tb.set_loss_rate(0.0);
+        tb.set_fault_model(LinkFaultModel::bernoulli(0.0));
         tb.run_until_idle();
         assert_eq!(tb.mem(1).read(dst, data.len()), data, "data survives loss");
         assert!(tb.retransmissions(0) > 0, "loss actually happened");
@@ -859,7 +841,7 @@ mod tests {
     fn deterministic_given_a_seed() {
         let run = || {
             let mut tb = testbed();
-            tb.set_loss_rate(0.02);
+            tb.set_fault_model(LinkFaultModel::bernoulli(0.02));
             let src = tb.pin(0, 1 << 20);
             let dst = tb.pin(1, 1 << 20);
             tb.mem(0).write(src, &[5u8; 50_000]);
@@ -877,5 +859,50 @@ mod tests {
             (t, tb.retransmissions(0))
         };
         assert_eq!(run(), run(), "same seed, same trace");
+    }
+
+    /// A testbed with a 64 B WRITE posted on each node at the same
+    /// instant, so the two doorbells (`CmdArrive`s) share one tick.
+    fn two_doorbells_on_one_tick() -> Testbed {
+        let mut tb = testbed();
+        let a = tb.pin(0, 1 << 20);
+        let b = tb.pin(1, 1 << 20);
+        for (node, local_vaddr, remote_vaddr) in [(0, a, b), (1, b, a)] {
+            let wr = WorkRequest::Write {
+                remote_vaddr,
+                local_vaddr,
+                len: 64,
+            };
+            tb.post(node, 1, wr);
+        }
+        tb
+    }
+
+    #[test]
+    fn bounded_run_dispatches_exactly_its_budget() {
+        let mut tb = two_doorbells_on_one_tick();
+        let tick = tb.next_event_at();
+        assert!(!tb.run_until_idle_bounded(1), "one event cannot drain it");
+        assert_eq!(tb.dispatched_by_kind().iter().sum::<u64>(), 1);
+        assert_eq!(tb.next_event_at(), tick, "the second doorbell waits");
+        assert!(tb.run_until_idle_bounded(u64::MAX));
+    }
+
+    #[test]
+    fn step_batch_serves_whole_ticks_and_counts_every_dispatch() {
+        let mut tb = two_doorbells_on_one_tick();
+        let mut total = 0;
+        while let Some(tick) = tb.next_event_at() {
+            let n = tb.step_batch();
+            if total == 0 {
+                assert_eq!(n, 2, "both doorbells in the first call");
+            }
+            // Same-tick events scheduled during the call were served too.
+            assert!(tb.next_event_at().is_none_or(|t| t > tick));
+            total += n;
+        }
+        assert_eq!(tb.step_batch(), 0);
+        assert_eq!(total, tb.dispatched_by_kind().iter().sum::<u64>());
+        assert!(total > 2, "the WRITEs ran to completion");
     }
 }

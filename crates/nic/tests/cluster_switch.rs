@@ -357,14 +357,14 @@ fn a_cluster_too_large_for_one_byte_node_ids_is_refused() {
     ClusterTestbed::switched(NicConfig::ten_gig(), 257, SwitchParams::default());
 }
 
-/// `set_loss_rate` replaces *every* fault model in force: a dead-port
+/// `set_fault_model` replaces *every* fault model in force: a dead-port
 /// override installed before it must not survive it.
 #[test]
-fn set_loss_rate_clears_per_port_overrides() {
+fn set_fault_model_clears_per_port_overrides() {
     let mut tb = Testbed::new(NicConfig::ten_gig());
     tb.connect_qp(1);
     tb.set_port_fault_model(1, LinkFaultModel::bernoulli(1.0));
-    tb.set_loss_rate(0.0);
+    tb.set_fault_model(LinkFaultModel::bernoulli(0.0));
     let (src, dst) = (tb.pin(0, 1 << 16), tb.pin(1, 1 << 16));
     let wr = WorkRequest::Write {
         remote_vaddr: dst,

@@ -78,7 +78,7 @@ pub struct EventQueue<E> {
     /// The wheel carries compact `(at, seq, slab index)` tokens, not
     /// payloads. A pending event's payload is written to [`Self::pool`]
     /// once at schedule time and read once at pop time; every cascade,
-    /// sort, and batch copy in between moves 24 bytes instead of a full
+    /// sort, and run copy in between moves 24 bytes instead of a full
     /// `Scheduled<E>`. The measured reason is memory: bucket buffers and
     /// the run buffer sized for whole events raised the testbed's peak
     /// live heap by 4–19 % (DESIGN.md §12).
@@ -86,14 +86,14 @@ pub struct EventQueue<E> {
     /// The earliest *run* of tokens — one or more whole wheel buckets,
     /// possibly spanning distinct firing times — in ascending `(at, seq)`
     /// order exactly as [`TimerWheel::pop_run`] produced it. Served
-    /// front-to-back through [`Self::batch_pos`] so a refill never
+    /// front-to-back through [`Self::run_pos`] so a refill never
     /// reverses or moves the run. Events scheduled before the run's last
     /// time while it drains are spliced into position
     /// ([`Self::schedule_at`]); everything else goes to the wheel, which
     /// therefore always fires at or after the run's last event.
-    batch: Vec<Scheduled<u32>>,
-    /// Index of the next unserved token in [`Self::batch`].
-    batch_pos: usize,
+    run: Vec<Scheduled<u32>>,
+    /// Index of the next unserved token in [`Self::run`].
+    run_pos: usize,
     /// Payload slab, indexed by the token carried through the wheel.
     pool: Vec<Option<E>>,
     /// Free slab slots, reused LIFO so recently vacated (cache-warm)
@@ -101,7 +101,6 @@ pub struct EventQueue<E> {
     free: Vec<u32>,
     now: Time,
     seq: u64,
-    processed: u64,
     trace: TraceSink,
     dispatched: Option<Counter>,
 }
@@ -117,13 +116,12 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         Self {
             wheel: TimerWheel::new(),
-            batch: Vec::new(),
-            batch_pos: 0,
+            run: Vec::new(),
+            run_pos: 0,
             pool: Vec::new(),
             free: Vec::new(),
             now: 0,
             seq: 0,
-            processed: 0,
             trace: TraceSink::default(),
             dispatched: None,
         }
@@ -172,28 +170,23 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// The number of events popped so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
     /// The number of events still pending.
     pub fn pending(&self) -> usize {
-        self.wheel.len() + self.batch.len() - self.batch_pos
+        self.wheel.len() + self.run.len() - self.run_pos
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.batch_pos == self.batch.len() && self.wheel.is_empty()
+        self.run_pos == self.run.len() && self.wheel.is_empty()
     }
 
     /// Refills the run buffer from the wheel when it is fully served.
     #[inline]
     fn refill(&mut self) {
-        if self.batch_pos == self.batch.len() {
-            self.batch.clear();
-            self.batch_pos = 0;
-            self.wheel.pop_run(&mut self.batch, RUN_MAX);
+        if self.run_pos == self.run.len() {
+            self.run.clear();
+            self.run_pos = 0;
+            self.wheel.pop_run(&mut self.run, RUN_MAX);
         }
     }
 
@@ -206,14 +199,14 @@ impl<E> EventQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         let event = self.park(event);
-        if self.batch.last().is_some_and(|max| at < max.at) && self.batch_pos < self.batch.len() {
+        if self.run.last().is_some_and(|max| at < max.at) && self.run_pos < self.run.len() {
             // The event lands inside the drained run, where the wheel can
             // no longer order it: splice it into position among the
             // unserved tokens. Its seq is the largest yet, so it goes
             // after every token at or before `at`. Runs are capped at
             // `RUN_MAX`, so the memmove stays small.
-            let pos = self.batch_pos + self.batch[self.batch_pos..].partition_point(|s| s.at <= at);
-            self.batch.insert(pos, Scheduled { at, seq, event });
+            let pos = self.run_pos + self.run[self.run_pos..].partition_point(|s| s.at <= at);
+            self.run.insert(pos, Scheduled { at, seq, event });
             return;
         }
         if self.wheel.is_empty() {
@@ -236,53 +229,14 @@ impl<E> EventQueue<E> {
     /// simply does not move backwards.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
         self.refill();
-        let s = self.batch.get(self.batch_pos)?.clone();
-        self.batch_pos += 1;
+        let s = self.run.get(self.run_pos)?.clone();
+        self.run_pos += 1;
         self.now = self.now.max(s.at);
-        self.processed += 1;
         self.trace.set_now(self.now);
         if let Some(c) = &self.dispatched {
             c.inc();
         }
         Some(self.unpark(s))
-    }
-
-    /// Drains every pending event sharing the earliest firing time into
-    /// `out` (appended in `(time, seq)` order) — same-timestamp dispatch
-    /// without re-touching the queue per event. Advances the clock
-    /// exactly as the equivalent [`Self::pop`] loop would and returns the
-    /// number of events drained.
-    pub fn pop_batch(&mut self, out: &mut Vec<Scheduled<E>>) -> usize {
-        self.refill();
-        let Some(t) = self.batch.get(self.batch_pos).map(|s| s.at) else {
-            return 0;
-        };
-        let start = out.len();
-        loop {
-            // The earliest tick is the equal-time group at the front of
-            // the unserved run.
-            while let Some(s) = self.batch.get(self.batch_pos).filter(|s| s.at == t) {
-                let s = s.clone();
-                self.batch_pos += 1;
-                out.push(self.unpark(s));
-            }
-            // Same-tick events scheduled during a partial pop of this tick
-            // went to the wheel only when the tick was the run's last time
-            // (earlier ones are spliced into the run); they are still part
-            // of the earliest tick, so serve them from the next run.
-            if self.batch_pos < self.batch.len() || self.wheel.min_time() != Some(t) {
-                break;
-            }
-            self.refill();
-        }
-        let n = out.len() - start;
-        self.now = self.now.max(t);
-        self.processed += n as u64;
-        self.trace.set_now(self.now);
-        if let Some(c) = &self.dispatched {
-            c.add(n as u64);
-        }
-        n
     }
 
     /// Advances the clock to `t` without processing events — used to model
@@ -295,8 +249,8 @@ impl<E> EventQueue<E> {
 
     /// The firing time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
-        self.batch
-            .get(self.batch_pos)
+        self.run
+            .get(self.run_pos)
             .map(|s| s.at)
             .or_else(|| self.wheel.min_time())
     }
@@ -316,7 +270,6 @@ pub(crate) struct ReferenceEventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     now: Time,
     seq: u64,
-    processed: u64,
 }
 
 #[cfg(test)]
@@ -327,18 +280,12 @@ impl<E> ReferenceEventQueue<E> {
             heap: BinaryHeap::new(),
             now: 0,
             seq: 0,
-            processed: 0,
         }
     }
 
     /// See [`EventQueue::now`].
     pub fn now(&self) -> Time {
         self.now
-    }
-
-    /// See [`EventQueue::processed`].
-    pub fn processed(&self) -> u64 {
-        self.processed
     }
 
     /// See [`EventQueue::pending`].
@@ -363,24 +310,7 @@ impl<E> ReferenceEventQueue<E> {
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
         let s = self.heap.pop()?;
         self.now = self.now.max(s.at);
-        self.processed += 1;
         Some(s)
-    }
-
-    /// See [`EventQueue::pop_batch`]: drains every event tied with the
-    /// earliest firing time, via repeated heap pops.
-    pub fn pop_batch(&mut self, out: &mut Vec<Scheduled<E>>) -> usize {
-        let Some(at) = self.peek_time() else {
-            return 0;
-        };
-        let mut n = 0;
-        while self.heap.peek().map(|s| s.at) == Some(at) {
-            out.push(self.heap.pop().expect("peeked"));
-            n += 1;
-        }
-        self.now = self.now.max(at);
-        self.processed += n as u64;
-        n
     }
 
     /// See [`EventQueue::advance_to`].
@@ -467,62 +397,23 @@ mod tests {
         q.schedule_at(1, ());
         q.schedule_at(2, ());
         assert_eq!(q.pending(), 2);
-        assert_eq!(q.processed(), 0);
         q.pop();
         assert_eq!(q.pending(), 1);
-        assert_eq!(q.processed(), 1);
         assert_eq!(q.peek_time(), Some(2));
     }
 
     #[test]
-    fn pop_batch_drains_exactly_the_earliest_tick() {
-        let mut q = EventQueue::new();
-        q.schedule_at(7, "a");
-        q.schedule_at(7, "b");
-        q.schedule_at(9, "c");
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(&mut out), 2);
-        let got: Vec<_> = out.iter().map(|s| (s.at, s.event)).collect();
-        assert_eq!(got, vec![(7, "a"), (7, "b")]);
-        assert_eq!(q.now(), 7);
-        assert_eq!(q.processed(), 2);
-        out.clear();
-        assert_eq!(q.pop_batch(&mut out), 1);
-        assert_eq!(out[0].event, "c");
-        assert_eq!(q.pop_batch(&mut out), 0);
-    }
-
-    #[test]
-    fn pop_batch_counts_telemetry_per_event() {
-        let mut q = EventQueue::new();
-        let trace = TraceSink::enabled(8);
-        let dispatched = Counter::default();
-        q.set_telemetry(trace.clone(), Some(dispatched.clone()));
-        for _ in 0..3 {
-            q.schedule_at(11, ());
-        }
-        let mut out = Vec::new();
-        q.pop_batch(&mut out);
-        assert_eq!(dispatched.get(), 3);
-        assert_eq!(trace.now(), 11);
-    }
-
-    #[test]
-    fn partial_pop_then_batch_preserves_order() {
+    fn partial_pop_then_schedule_preserves_order() {
         let mut q = EventQueue::new();
         for i in 0..4 {
             q.schedule_at(5, i);
         }
         assert_eq!(q.pop().unwrap().event, 0);
         // A same-tick event scheduled mid-bucket still belongs to the
-        // earliest tick — the batch drains it after the original events.
+        // earliest tick: it pops after the original events.
         q.schedule_at(5, 4);
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(&mut out), 4);
-        assert_eq!(
-            out.iter().map(|s| s.event).collect::<Vec<_>>(),
-            [1, 2, 3, 4]
-        );
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop().map(|s| (s.at, s.event))).collect();
+        assert_eq!(rest, [(5, 1), (5, 2), (5, 3), (5, 4)]);
     }
 
     #[test]
@@ -548,20 +439,21 @@ mod tests {
     /// The timer-wheel queue and the reference heap queue produce identical
     /// `(at, seq, event)` streams under arbitrary interleavings of
     /// `schedule_at` (including past-time clamping and same-tick ties),
-    /// `schedule_in`, `pop`, `pop_batch` and `advance_to`, including a
-    /// tick that gains an event after one of its events popped, so
-    /// `pop_batch` must continue that tick from the wheel when it runs
-    /// past the run buffer's end. This is the determinism proof
-    /// the engine swap rests on: the wheel's order is *defined* as whatever
-    /// the trivially correct heap produces.
+    /// `schedule_in`, `pop` and `advance_to`, including a tick that gains
+    /// an event after one of its events popped, so the tick continues
+    /// from the wheel once the run buffer is served. This is the
+    /// determinism proof the engine swap rests on: the wheel's order is
+    /// *defined* as whatever the trivially correct heap produces.
     #[test]
     fn wheel_and_reference_heap_are_indistinguishable() {
-        fn same_batch(q: &mut EventQueue<u32>, r: &mut ReferenceEventQueue<u32>, round: u32) {
-            let (mut qa, mut rb) = (Vec::new(), Vec::new());
-            assert_eq!(q.pop_batch(&mut qa), r.pop_batch(&mut rb));
-            let a: Vec<_> = qa.iter().map(|s| (s.at, s.seq, s.event)).collect();
-            let b: Vec<_> = rb.iter().map(|s| (s.at, s.seq, s.event)).collect();
-            assert_eq!(a, b, "pop_batch diverged (round {round})");
+        /// Pops the earliest tick dry on both queues, event for event.
+        fn same_tick(q: &mut EventQueue<u32>, r: &mut ReferenceEventQueue<u32>, round: u32) {
+            let t = r.peek_time();
+            while t.is_some() && r.peek_time() == t {
+                let a = q.pop().map(|s| (s.at, s.seq, s.event));
+                let b = r.pop().map(|s| (s.at, s.seq, s.event));
+                assert_eq!(a, b, "tick drain diverged (round {round})");
+            }
         }
         let mut rng = SimRng::seed(0x11ee1);
         for round in 0..60 {
@@ -611,9 +503,9 @@ mod tests {
                             r.schedule_at(at, next_ev);
                             next_ev += 1;
                         }
-                        same_batch(&mut q, &mut r, round);
+                        same_tick(&mut q, &mut r, round);
                     }
-                    _ => same_batch(&mut q, &mut r, round),
+                    _ => same_tick(&mut q, &mut r, round),
                 }
                 assert_eq!(q.now(), r.now());
                 assert_eq!(q.pending(), r.pending());
@@ -628,12 +520,11 @@ mod tests {
                     break;
                 }
             }
-            assert_eq!(q.processed(), r.processed());
         }
     }
 
     /// Dense same-tick bursts: many events on few distinct times exercise the
-    /// bucket sort and the batch/wheel handoff, where ordering bugs would
+    /// bucket sort and the run/wheel handoff, where ordering bugs would
     /// hide. Ties must pop in exact insertion order on both engines.
     #[test]
     fn wheel_preserves_insertion_order_on_heavy_ties() {

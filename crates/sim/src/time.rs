@@ -29,16 +29,6 @@ pub const MIB: u64 = 1024 * 1024;
 /// One gigabit, in bits.
 pub const GBIT: u64 = 1_000_000_000;
 
-/// Converts a picosecond [`Time`] to fractional microseconds (for reports).
-pub fn as_micros(t: Time) -> f64 {
-    t as f64 / MICROS as f64
-}
-
-/// Converts a picosecond [`Time`] to fractional seconds (for reports).
-pub fn as_secs(t: Time) -> f64 {
-    t as f64 / SECS as f64
-}
-
 /// A fixed-frequency hardware clock.
 ///
 /// The paper's RoCE stack runs at 156.25 MHz for the 10 G configuration and
@@ -160,12 +150,6 @@ mod tests {
         assert_eq!(MICROS, 1_000 * NANOS);
         assert_eq!(MILLIS, 1_000 * MICROS);
         assert_eq!(SECS, 1_000 * MILLIS);
-    }
-
-    #[test]
-    fn float_conversions() {
-        assert!((as_micros(1_500_000) - 1.5).abs() < 1e-12);
-        assert!((as_secs(SECS) - 1.0).abs() < 1e-12);
     }
 
     #[test]

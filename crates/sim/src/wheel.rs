@@ -287,7 +287,7 @@ impl<E> TimerWheel<E> {
     ///
     /// The caller owns ordering across calls: after a run is taken, every
     /// event still in the wheel fires at or after the run's last time, so
-    /// a later insert must not precede it (the event queue's batch spill
+    /// a later insert must not precede it (the event queue's run splice
     /// guarantees this).
     pub fn pop_run(&mut self, out: &mut Vec<Scheduled<E>>, max_run: usize) -> usize {
         if self.len == 0 {
@@ -308,7 +308,7 @@ impl<E> TimerWheel<E> {
             if k >= HANDOUT_LEVELS {
                 // Never hand a deep bucket out whole: a level-2 slot
                 // spans 4096² ps ≈ 16.8 µs, and a served run that wide
-                // turns almost every near-future schedule into a batch
+                // turns almost every near-future schedule into a run
                 // splice in the event queue (a memmove per event — the
                 // measured cost was a 3x throughput dip at the depth
                 // where level-2 buckets happened to fit the cap).
@@ -331,7 +331,7 @@ impl<E> TimerWheel<E> {
                 if k > 0 && taken == MULTI_BUCKETS {
                     // Bound the run's *time span* at higher levels: each
                     // extra bucket widens the window into which a fresh
-                    // schedule can land (forcing a batch splice in the
+                    // schedule can land (forcing a run splice in the
                     // event queue), so runs trade refill amortization
                     // against splice frequency.
                     break;

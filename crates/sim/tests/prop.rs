@@ -15,7 +15,9 @@ fn event_queue_is_a_stable_priority_queue() {
             q.schedule_at(t, i);
         }
         let mut last: Option<(u64, usize)> = None;
+        let mut popped = 0;
         while let Some(s) = q.pop() {
+            popped += 1;
             if let Some((lt, li)) = last {
                 assert!(s.at >= lt);
                 if s.at == lt {
@@ -26,7 +28,7 @@ fn event_queue_is_a_stable_priority_queue() {
             }
             last = Some((s.at, s.event));
         }
-        assert_eq!(q.processed(), times.len() as u64);
+        assert_eq!(popped, times.len());
     }
 }
 

@@ -13,7 +13,7 @@
 
 use strom::kernels::layouts::{build_linked_list, value_pattern};
 use strom::kernels::traversal::{TraversalKernel, TraversalParams};
-use strom::nic::{NicConfig, RpcOpCode, Testbed, WorkRequest};
+use strom::nic::{LinkFaultModel, NicConfig, RpcOpCode, Testbed, WorkRequest};
 
 const CLIENT: usize = 0;
 const SERVER: usize = 1;
@@ -23,7 +23,7 @@ fn main() {
     for loss in [0.0f64, 0.01, 0.05, 0.10] {
         let mut tb = Testbed::new(NicConfig::ten_gig());
         tb.connect_qp(QP);
-        tb.set_loss_rate(loss);
+        tb.set_fault_model(LinkFaultModel::bernoulli(loss));
         let src = tb.pin(CLIENT, 8 << 20);
         let dst = tb.pin(SERVER, 8 << 20);
         tb.deploy_kernel(SERVER, Box::new(TraversalKernel::new()));

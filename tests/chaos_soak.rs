@@ -374,7 +374,7 @@ fn retry_budget_exhaustion_errors_the_qp() {
     let max_retries = cfg.max_retries;
     let mut tb = Testbed::new(cfg);
     tb.connect_qp(QP);
-    tb.set_loss_rate(1.0);
+    tb.set_fault_model(LinkFaultModel::bernoulli(1.0));
     let a = tb.pin(CLIENT, 1 << 20);
     let b = tb.pin(SERVER, 1 << 20);
 

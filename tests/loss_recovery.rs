@@ -9,7 +9,7 @@ const QP: u32 = 1;
 fn lossy_testbed(rate: f64) -> Testbed {
     let mut tb = Testbed::new(NicConfig::ten_gig());
     tb.connect_qp(QP);
-    tb.set_loss_rate(rate);
+    tb.set_fault_model(LinkFaultModel::bernoulli(rate));
     tb
 }
 
@@ -192,7 +192,7 @@ fn determinism_holds_under_loss() {
         cfg.seed ^= seed_shift;
         let mut tb = Testbed::new(cfg);
         tb.connect_qp(QP);
-        tb.set_loss_rate(0.07);
+        tb.set_fault_model(LinkFaultModel::bernoulli(0.07));
         let src = tb.pin(0, 2 << 20);
         let dst = tb.pin(1, 2 << 20);
         tb.mem(0).write(src, &vec![9u8; 500_000]);

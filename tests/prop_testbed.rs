@@ -2,7 +2,7 @@
 //! mixes, arbitrary loss rates — data integrity and determinism must
 //! hold. Driven by the deterministic [`SimRng`] with fixed seeds.
 
-use strom::nic::{NicConfig, Testbed, WorkRequest};
+use strom::nic::{LinkFaultModel, NicConfig, Testbed, WorkRequest};
 use strom::sim::SimRng;
 
 const QP: u32 = 1;
@@ -33,7 +33,7 @@ fn run_ops(ops: &[Op], loss: f64, seed: u64) -> (Vec<u8>, Vec<u8>, u64) {
     cfg.seed = seed;
     let mut tb = Testbed::new(cfg);
     tb.connect_qp(QP);
-    tb.set_loss_rate(loss);
+    tb.set_fault_model(LinkFaultModel::bernoulli(loss));
     let a = tb.pin(0, 4 << 20);
     let b = tb.pin(1, 4 << 20);
     // Node 0's first 2 MB hold its source data; node 1's first 2 MB hold

@@ -9,7 +9,7 @@ use strom::kernels::layouts::{
     build_hash_table, build_linked_list, build_object_store, value_pattern,
 };
 use strom::kernels::traversal::{TraversalKernel, TraversalParams};
-use strom::nic::{NicConfig, Testbed, WorkRequest};
+use strom::nic::{LinkFaultModel, NicConfig, Testbed, WorkRequest};
 use strom::sim::time::MICROS;
 
 const CLIENT: usize = 0;
@@ -233,7 +233,7 @@ fn traversal_miss_writes_error_sentinel() {
 #[test]
 fn kernels_work_over_a_lossy_link() {
     let mut tb = testbed();
-    tb.set_loss_rate(0.03);
+    tb.set_fault_model(LinkFaultModel::bernoulli(0.03));
     let client_buf = tb.pin(CLIENT, 1 << 20);
     let server_buf = tb.pin(SERVER, 1 << 20);
     tb.deploy_kernel(SERVER, Box::new(TraversalKernel::new()));

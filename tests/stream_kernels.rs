@@ -5,7 +5,7 @@
 use strom::baselines::cpu_partition::software_partition;
 use strom::kernels::hll_kernel::{HllKernel, HllParams};
 use strom::kernels::shuffle::{encode_histogram, ShuffleKernel, ShuffleParams};
-use strom::nic::{NicConfig, RpcOpCode, Testbed, WorkRequest};
+use strom::nic::{LinkFaultModel, NicConfig, RpcOpCode, Testbed, WorkRequest};
 use strom::sim::SimRng;
 
 const CLIENT: usize = 0;
@@ -88,7 +88,7 @@ fn shuffle_rpc_write_partitions_match_software() {
 #[test]
 fn shuffle_works_over_lossy_link() {
     let mut tb = testbed();
-    tb.set_loss_rate(0.03);
+    tb.set_fault_model(LinkFaultModel::bernoulli(0.03));
     let src = tb.pin(CLIENT, 4 << 20);
     let server = tb.pin(SERVER, 8 << 20);
     let parts = 8u32;

@@ -5,7 +5,7 @@
 use strom::kernels::aggregate::{Aggregate, AggregateKernel, AggregateParams};
 use strom::kernels::filter::{FilterKernel, FilterParams};
 use strom::kernels::traversal::Predicate;
-use strom::nic::{NicConfig, RpcOpCode, Testbed, WorkRequest};
+use strom::nic::{LinkFaultModel, NicConfig, RpcOpCode, Testbed, WorkRequest};
 use strom::sim::SimRng;
 
 const CLIENT: usize = 0;
@@ -133,7 +133,7 @@ fn aggregate_kernel_reduces_the_stream_to_32_bytes() {
 #[test]
 fn reduction_kernels_survive_loss() {
     let mut tb = testbed();
-    tb.set_loss_rate(0.04);
+    tb.set_fault_model(LinkFaultModel::bernoulli(0.04));
     let src = tb.pin(CLIENT, 2 << 20);
     let result_buf = tb.pin(CLIENT, 1 << 20);
     tb.pin(SERVER, 1 << 20);
