@@ -9,16 +9,18 @@
 //! packets cross the switch. Each driver verifies the end-to-end result
 //! against a host-computed reference and folds every result record into a
 //! deterministic fingerprint, so same-seed reruns must be bit-identical —
-//! including under a chaos fault model with retransmissions. The part of
-//! the reference that reads only the drawn tuples runs on a second thread
-//! beside the simulation ([`beside`]); the checks against what the testbed
-//! holds run after it.
+//! including under a chaos fault model with retransmissions. The tuples
+//! are drawn from the seed straight into the client's host memory in one
+//! pass; the part of the reference that reads only the tuples redraws
+//! them on a second thread beside the simulation ([`beside`]), and the
+//! checks against what the testbed holds run after it.
 
 use strom_kernels::aggregate::Aggregate;
 use strom_kernels::chains::{
     crcverify_shuffle, crcverify_shuffle_params, filter_agg_hll, filter_agg_hll_params,
 };
-use strom_kernels::crc_verify::{push_trailer, CrcVerifyParams, TRAILER_LEN};
+use strom_kernels::crc64::Crc64;
+use strom_kernels::crc_verify::{CrcVerifyParams, TRAILER_LEN};
 use strom_kernels::filter::FilterKernel;
 use strom_kernels::framework::{decode_error, KernelChain};
 use strom_kernels::hll_kernel::HllKernel;
@@ -26,6 +28,7 @@ use strom_kernels::radix::{radix_bits, radix_partition, MAX_PARTITIONS};
 use strom_kernels::shuffle::{encode_histogram, ShuffleParams};
 use strom_kernels::traversal::Predicate;
 use strom_kernels::{AggregateParams, FilterParams};
+use strom_mem::HostMemory;
 use strom_proto::{CompletionStatus, WorkRequest};
 use strom_sim::time::TimeDelta;
 use strom_sim::{beside, SimRng};
@@ -210,19 +213,39 @@ const DATA_OFFSET: u64 = 4096;
 /// Payload tuples are drawn from `0..TUPLE_DOMAIN`.
 const TUPLE_DOMAIN: u64 = 10_000;
 
-fn payload_tuples(spec: &ChainSpec) -> Vec<u64> {
+/// Bytes of the one buffer a stream is staged through into host memory.
+const STAGE_BYTES: usize = 64 << 10;
+
+/// The spec's payload tuples, drawn from its seed. Every call draws the
+/// same tuples, so a reference redraws them instead of keeping a copy.
+fn tuples(spec: &ChainSpec) -> impl Iterator<Item = u64> {
     let mut rng = SimRng::seed(spec.seed ^ 0xC4A1);
-    (0..spec.tuples)
-        .map(|_| rng.next_u64() % TUPLE_DOMAIN)
-        .collect()
+    (0..spec.tuples).map(move |_| rng.next_u64() % TUPLE_DOMAIN)
 }
 
-/// The tuples' little-endian bytes, in one buffer with room for `spare`
-/// more bytes.
-fn tuple_bytes(values: &[u64], spare: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8 + spare);
-    out.extend(values.iter().flat_map(|v| v.to_le_bytes()));
-    out
+/// Stages the spec's tuples as little-endian bytes at `src` in one pass
+/// through one reused buffer: each tuple goes to `tuple` as it is drawn,
+/// and each filled buffer to `bytes` before it is written.
+fn stage(
+    mem: &mut HostMemory,
+    src: u64,
+    spec: &ChainSpec,
+    mut tuple: impl FnMut(u64),
+    mut bytes: impl FnMut(&[u8]),
+) {
+    let mut draw = tuples(spec);
+    let mut buf = vec![0u8; STAGE_BYTES.min(spec.tuples * 8)];
+    let (mut at, end) = (src, src + spec.tuples as u64 * 8);
+    while at < end {
+        let chunk = &mut buf[..STAGE_BYTES.min((end - at) as usize)];
+        for (word, v) in chunk.as_chunks_mut::<8>().0.iter_mut().zip(&mut draw) {
+            tuple(v);
+            *word = v.to_le_bytes();
+        }
+        bytes(chunk);
+        mem.write(at, chunk);
+        at += chunk.len() as u64;
+    }
 }
 
 fn finish(
@@ -325,15 +348,15 @@ fn drive_filter_agg_hll(spec: &ChainSpec, tb: &mut ClusterTestbed) -> ChainRun {
     tb.run_until_complete(CLIENT, h);
     tb.run_until_idle();
 
-    let values = payload_tuples(spec);
-    let data = tuple_bytes(&values, 0);
-    tb.mem(CLIENT).write(src, &data);
+    stage(tb.mem(CLIENT), src, spec, |_| {}, |_| {});
 
-    // The host reference runs beside the stream, in a bitset lent to it.
+    // The host reference redraws the tuples beside the stream, in a
+    // bitset lent to it.
     let mut seen = vec![0u64; TUPLE_DOMAIN.div_ceil(64) as usize];
+    let len = stream_len as usize;
     let ((expect, distinct), (elapsed_ps, status)) = beside(
-        || filter_reference(&values, operand, &mut seen),
-        || run_stream(tb, spec, RpcOpCode::CHAIN_FILTER_AGG_HLL, src, data.len()),
+        || filter_reference(spec, operand, &mut seen),
+        || run_stream(tb, spec, RpcOpCode::CHAIN_FILTER_AGG_HLL, src, len),
     );
     assert_eq!(
         status,
@@ -346,7 +369,7 @@ fn drive_filter_agg_hll(spec: &ChainSpec, tb: &mut ClusterTestbed) -> ChainRun {
     let fs = tb.mem(CLIENT).read(filter_target, 16);
     assert_eq!(
         FilterKernel::decode_summary(&fs),
-        Some((values.len() as u64, expect.count)),
+        Some((spec.tuples as u64, expect.count)),
         "seed {}: filter summary mismatch",
         spec.seed
     );
@@ -392,17 +415,17 @@ fn drive_filter_agg_hll(spec: &ChainSpec, tb: &mut ClusterTestbed) -> ChainRun {
 
     let mut fp = Fingerprint::new();
     fp.bytes(&fs).bytes(&ag).bytes(&hs);
-    finish(tb, data.len() as u64, elapsed_ps, fp.value(), None)
+    finish(tb, stream_len, elapsed_ps, fp.value(), None)
 }
 
-/// The filter chain's host reference, in one pass: the aggregate of the
-/// tuples the filter keeps, and how many distinct ones there are (`seen`
-/// is a zeroed bitset over the tuple domain). Runs beside the simulation,
-/// so it neither allocates nor frees.
-fn filter_reference(values: &[u64], operand: u64, seen: &mut [u64]) -> (Aggregate, u64) {
+/// The filter chain's host reference, in one pass over the redrawn
+/// tuples: the aggregate of those the filter keeps, and how many distinct
+/// ones there are (`seen` is a zeroed bitset over the tuple domain). Runs
+/// beside the simulation, so it neither allocates nor frees.
+fn filter_reference(spec: &ChainSpec, operand: u64, seen: &mut [u64]) -> (Aggregate, u64) {
     let mut expect = Aggregate::default();
     let mut distinct = 0u64;
-    for &v in values.iter().filter(|&&v| v > operand) {
+    for v in tuples(spec).filter(|&v| v > operand) {
         expect.add(v);
         let (word, bit) = ((v / 64) as usize, 1 << (v % 64));
         distinct += u64::from(seen[word] & bit == 0);
@@ -436,13 +459,11 @@ fn drive_crcverify_shuffle(spec: &ChainSpec, tb: &mut ClusterTestbed) -> ChainRu
     let src = client + DATA_OFFSET;
     let hist_addr = server;
 
-    // The histogram needs every partition's size before the run.
-    let values = payload_tuples(spec);
+    // The histogram needs every partition's size before the run, so the
+    // stream is staged first, counting the sizes on the way. Host-memory
+    // writes move nothing on the simulated clock.
     let bits = radix_bits(spec.partitions as usize);
-    let mut sizes = vec![0usize; spec.partitions as usize];
-    for &v in &values {
-        sizes[radix_partition(v, bits)] += 8;
-    }
+    let (sizes, verdict) = stage_crc_stream(tb.mem(CLIENT), src, spec, bits);
     let mut regions: Vec<(u64, u32)> = Vec::with_capacity(sizes.len());
     let mut cursor = server + DATA_OFFSET;
     for &size in &sizes {
@@ -471,25 +492,11 @@ fn drive_crcverify_shuffle(spec: &ChainSpec, tb: &mut ClusterTestbed) -> ChainRu
     tb.run_until_complete(CLIENT, h);
     tb.run_until_idle();
 
-    // The stream is the payload and its CRC trailer, built in place. A
-    // clean run's verdict is that CRC and the payload length.
-    let mut stream = tuple_bytes(&values, TRAILER_LEN);
-    let payload_len = stream.len();
-    push_trailer(&mut stream);
-    let mut verdict = [0u8; 16];
-    verdict[..8].copy_from_slice(&stream[payload_len..]);
-    verdict[8..].copy_from_slice(&(payload_len as u64).to_le_bytes());
-    if spec.corrupt {
-        let n = stream.len();
-        stream[n / 2] ^= 0x80;
-    }
-    tb.mem(CLIENT).write(src, &stream);
-
     // The reference split is sized here and filled beside the run.
     let mut split: Vec<Vec<u8>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
-    let len = stream.len();
+    let len = stream_len as usize + TRAILER_LEN;
     let (clean_fingerprint, (elapsed_ps, _)) = beside(
-        || split_and_fold(&values, bits, &verdict, &mut split),
+        || split_and_fold(spec, bits, &verdict, &mut split),
         || run_stream(tb, spec, RpcOpCode::CHAIN_CRCVERIFY_SHUFFLE, src, len),
     );
 
@@ -538,15 +545,49 @@ fn drive_crcverify_shuffle(spec: &ChainSpec, tb: &mut ClusterTestbed) -> ChainRu
         }
         fingerprint = clean_fingerprint;
     }
-    finish(tb, payload_len as u64, elapsed_ps, fingerprint, error_code)
+    finish(tb, stream_len, elapsed_ps, fingerprint, error_code)
 }
 
-/// The CRC chain's reference radix split of `values`, written as bytes
-/// into `split`'s buffers (each sized exactly), and a clean run's
-/// fingerprint: the expected 16 B `verdict`, then every partition. Runs
-/// beside the simulation, so it neither allocates nor frees.
-fn split_and_fold(values: &[u64], bits: u32, verdict: &[u8; 16], split: &mut [Vec<u8>]) -> u64 {
-    for &v in values {
+/// Stages the CRC chain's stream at `src`: the payload, then its CRC64
+/// trailer, with the middle byte flipped when `spec.corrupt`. Returns the
+/// radix partitions' sizes in bytes and a clean run's verdict: the CRC,
+/// then the payload length.
+fn stage_crc_stream(
+    mem: &mut HostMemory,
+    src: u64,
+    spec: &ChainSpec,
+    bits: u32,
+) -> (Vec<usize>, [u8; 16]) {
+    let mut sizes = vec![0usize; spec.partitions as usize];
+    let mut crc = Crc64::new();
+    stage(
+        mem,
+        src,
+        spec,
+        |v| sizes[radix_partition(v, bits)] += 8,
+        |b| crc.update(b),
+    );
+    let payload_len = spec.tuples as u64 * 8;
+    let trailer = crc.finish().to_le_bytes();
+    mem.write(src + payload_len, &trailer);
+    let mut verdict = [0u8; 16];
+    verdict[..8].copy_from_slice(&trailer);
+    verdict[8..].copy_from_slice(&payload_len.to_le_bytes());
+    if spec.corrupt {
+        let at = src + (payload_len + TRAILER_LEN as u64) / 2;
+        let mut byte = [0u8];
+        mem.read_into(at, &mut byte);
+        mem.write(at, &[byte[0] ^ 0x80]);
+    }
+    (sizes, verdict)
+}
+
+/// The CRC chain's reference radix split of the redrawn tuples, written
+/// as bytes into `split`'s buffers (each sized exactly), and a clean
+/// run's fingerprint: the expected 16 B `verdict`, then every partition.
+/// Runs beside the simulation, so it neither allocates nor frees.
+fn split_and_fold(spec: &ChainSpec, bits: u32, verdict: &[u8; 16], split: &mut [Vec<u8>]) -> u64 {
+    for v in tuples(spec) {
         split[radix_partition(v, bits)].extend_from_slice(&v.to_le_bytes());
     }
     let mut fp = Fingerprint::new();
@@ -595,6 +636,60 @@ mod tests {
         let spec = ChainSpec::new(1_100_000, 0xB16);
         assert_eq!(run_filter_agg_hll(&spec).payload_bytes, 1_100_000 * 8);
         assert_eq!(run_crcverify_shuffle(&spec).payload_bytes, 1_100_000 * 8);
+    }
+
+    #[test]
+    fn fused_staging_writes_what_the_two_pass_build_wrote() {
+        use strom_kernels::crc64::crc64;
+        use strom_mem::HUGE_PAGE_SIZE;
+
+        let buffer = STAGE_BYTES / 8;
+        let page = (HUGE_PAGE_SIZE - DATA_OFFSET) as usize / 8;
+        for n in [
+            0,
+            1,
+            buffer - 1,
+            buffer,
+            buffer + 1,
+            page - 1,
+            page,
+            page + 1,
+        ] {
+            let mut spec = ChainSpec::new(n, 0x57A6 + n as u64);
+            let bits = radix_bits(spec.partitions as usize);
+
+            // The two-pass build: collect the draw, then its bytes, then
+            // the CRC over them.
+            let values: Vec<u64> = tuples(&spec).collect();
+            let mut stream: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+            let crc = crc64(&stream).to_le_bytes();
+            stream.extend_from_slice(&crc);
+            let mut sizes = vec![0usize; spec.partitions as usize];
+            for &v in &values {
+                sizes[radix_partition(v, bits)] += 8;
+            }
+            let mut verdict = [0u8; 16];
+            verdict[..8].copy_from_slice(&crc);
+            verdict[8..].copy_from_slice(&(n as u64 * 8).to_le_bytes());
+
+            for corrupt in [false, true] {
+                spec.corrupt = corrupt;
+                let mut want = stream.clone();
+                if corrupt {
+                    let len = want.len();
+                    want[len / 2] ^= 0x80;
+                }
+                let mut mem = HostMemory::new();
+                let (base, _) = mem.pin(MIN_REGION).expect("pinned");
+                let src = base + DATA_OFFSET;
+                let got = stage_crc_stream(&mut mem, src, &spec, bits);
+                assert_eq!(got, (sizes.clone(), verdict), "{n} tuples");
+                assert!(
+                    mem.read(src, want.len()) == want,
+                    "{n} tuples, corrupt {corrupt}: staged bytes differ"
+                );
+            }
+        }
     }
 
     #[test]

@@ -456,7 +456,15 @@ impl Scenario for ShuffleSpec {
         // present in the correct peer partition, no value is duplicated
         // (exact-capacity regions make a duplicate overflow), none invented.
         // A partition the linear walk cannot decide is decided by the sort.
+        // Each partition is read into one reused buffer.
         let mut out_of_order_partitions = 0;
+        let largest = layouts
+            .iter()
+            .flat_map(|layout| &layout.partitions)
+            .map(|&(_, cap)| cap as usize)
+            .max()
+            .unwrap_or(0);
+        let mut buf = vec![0u8; largest];
         for (node, layout) in layouts.iter().enumerate() {
             let kernel = tb
                 .fabric(node)
@@ -480,11 +488,12 @@ impl Scenario for ShuffleSpec {
             for (p, &(addr, cap)) in layout.partitions.iter().enumerate() {
                 let slot = node * parts + p;
                 let want = &expected[slot];
-                let got = tb.mem(node).read(addr, cap as usize);
-                if !interleaves(&got, want, &bounds[slot * (n + 1)..(slot + 1) * (n + 1)]) {
+                let got = &mut buf[..cap as usize];
+                tb.mem(node).read_into(addr, got);
+                if !interleaves(got, want, &bounds[slot * (n + 1)..(slot + 1) * (n + 1)]) {
                     out_of_order_partitions += 1;
                     assert_eq!(
-                        sorted(values_of(&got).collect()),
+                        sorted(values_of(got).collect()),
                         sorted(want.clone()),
                         "seed {}: node {node} partition {p} content mismatch",
                         self.seed

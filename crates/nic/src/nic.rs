@@ -862,9 +862,11 @@ impl Nic {
                     remote_vaddr,
                     data,
                 } => {
+                    // A send the requester refuses is dropped; the
+                    // kernel's `Done` still retires its slot.
                     let wr = WorkRequest::WriteInline { remote_vaddr, data };
-                    if let Err(e) = self.post_and_send(qpn, wr, 0, now, cx) {
-                        panic!("kernel RoceSend failed: {e}");
+                    if self.post_and_send(qpn, wr, 0, now, cx).is_err() {
+                        self.trace_drop(DropReason::SendRefused);
                     }
                 }
                 KernelAction::Forward { .. } => {

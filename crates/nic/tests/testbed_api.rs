@@ -1,7 +1,10 @@
 //! API-level tests of the testbed's host-facing semantics: watches,
 //! command pacing, time advancement, and configuration invariants.
 
-use strom_nic::{NicConfig, Testbed, WorkRequest};
+use bytes::Bytes;
+use strom_kernels::{Kernel, KernelAction, KernelEvent};
+use strom_nic::{NicConfig, RpcOpCode, Testbed, WorkRequest};
+use strom_telemetry::{DropReason, TraceEvent};
 
 const QP: u32 = 1;
 
@@ -177,7 +180,6 @@ fn waiting_for_an_impossible_watch_panics() {
 #[test]
 fn local_rpc_does_not_touch_the_wire() {
     use strom_kernels::hll_kernel::HllKernel;
-    use strom_nic::RpcOpCode;
 
     let mut tb = testbed();
     tb.pin(0, 1 << 20);
@@ -202,6 +204,64 @@ fn local_rpc_does_not_touch_the_wire() {
     let frames_after = tb.status(1).frames_rx;
     assert!(frames_after > frames_before);
     assert_eq!(tb.fabric(0).completed(), 1);
+}
+
+/// A kernel that answers every invocation with a RoCE send on a QP nobody
+/// connected, then finishes.
+struct RepliesOnUnconnectedQp;
+
+impl RepliesOnUnconnectedQp {
+    const OP: RpcOpCode = RpcOpCode(0x7F);
+}
+
+impl Kernel for RepliesOnUnconnectedQp {
+    fn rpc_op(&self) -> RpcOpCode {
+        Self::OP
+    }
+
+    fn name(&self) -> &'static str {
+        "replies-on-unconnected-qp"
+    }
+
+    fn on_event_into(&mut self, event: KernelEvent, out: &mut Vec<KernelAction>) {
+        if let KernelEvent::Invoke { .. } = event {
+            out.push(KernelAction::RoceSend {
+                qpn: QP + 8,
+                remote_vaddr: 0,
+                data: Bytes::from_static(b"reply"),
+            });
+            out.push(KernelAction::Done);
+        }
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+#[test]
+fn a_kernel_send_the_requester_refuses_is_dropped_and_the_kernel_retires() {
+    let mut tb = testbed();
+    let trace = tb.enable_tracing(1024);
+    tb.deploy_kernel(0, Box::new(RepliesOnUnconnectedQp));
+    let frames_before = tb.status(1).frames_rx;
+    for _ in 0..2 {
+        tb.post_local_rpc(0, QP, RepliesOnUnconnectedQp::OP, Bytes::new());
+    }
+    tb.run_until_idle();
+    // Each invocation's `Done` retired the slot, so the second ran too.
+    assert_eq!(tb.fabric(0).completed(), 2);
+    let refused = TraceEvent::PacketDrop {
+        node: 0,
+        reason: DropReason::SendRefused,
+    };
+    let drops = trace
+        .records()
+        .iter()
+        .filter(|r| r.event == refused)
+        .count();
+    assert_eq!(drops, 2, "each refused send is traced once");
+    assert_eq!(tb.status(1).frames_rx, frames_before, "nothing was sent");
 }
 
 /// A two-node testbed with 8 KiB of `0xAB` staged on node 0 and a pinned

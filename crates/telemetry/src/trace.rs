@@ -29,6 +29,9 @@ pub enum DropReason {
     /// The switch's bounded egress queue was full (tail-drop); `node` in
     /// the event is the destination whose port overflowed.
     TailDrop,
+    /// The requester refused a kernel's RoCE send (unknown QP, or a QP in
+    /// error), so no frame was built; `node` in the event is the kernel's.
+    SendRefused,
 }
 
 /// Coarse queue-pair state for transition events.
@@ -74,9 +77,10 @@ pub enum TraceEvent {
         /// RoCE payload length.
         payload_len: u32,
     },
-    /// A frame was dropped before dispatch.
+    /// A frame was dropped before dispatch, or a kernel's send before it
+    /// became one.
     PacketDrop {
-        /// The node that failed to receive it.
+        /// The node that failed to receive it (or to send it).
         node: u8,
         /// Why.
         reason: DropReason,
