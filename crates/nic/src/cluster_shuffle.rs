@@ -32,7 +32,7 @@ use crate::event::NodeId;
 use crate::fault::LinkFaultModel;
 use crate::scenario::{us, Scenario, EVENT_BUDGET};
 use crate::spec::{check_cc, check_qp_table, shape, spec_json, SpecError};
-use crate::testbed::{ClusterTestbed, SwitchParams};
+use crate::testbed::{ClusterTestbed, SwitchParams, WatchId};
 
 /// Everything that determines one shuffle run.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,26 +157,25 @@ fn node_table(spec: &ShuffleSpec, node: NodeId) -> impl Iterator<Item = u64> {
 }
 
 /// Where every shuffled value goes, from one draw of each node's table.
-/// The one piece of code that routes values: [`run_shuffle`] stages and
-/// verifies from it, [`expected_partitions`] sorts it.
+/// The one piece of code that routes values: [`run_shuffle`] stages from
+/// it and lays out the receive regions by its counts.
 ///
-/// Filled in two levels, like a two-pass radix partition: a sender's
-/// draw appends each value to its destination's staging buffer, then
-/// each of those buffers is split by receive partition. Scattering the
-/// draw straight into all `nodes × partitions` expected lists runs 128
-/// write streams at once in the benchmark's shuffles, and measured
-/// slower than both levels together (EXPERIMENTS.md, PR 25).
+/// A sender's draw scatters each value into its destination's span of
+/// the staging bytes and counts it into its `(receiver, partition)`
+/// slot; no expected value is kept. The check after the run rebuilds
+/// each receiver's flows from the staged bytes ([`receiver_flows`]).
 struct Routing {
-    /// `staging[src][dst]`: the values `src` sends `dst`, encoded in
-    /// table order (empty for `dst == src`).
-    staging: Vec<Vec<Vec<u8>>>,
-    /// `expected[dst * parts + p]`: the values partition `p` of node
-    /// `dst` receives, grouped by sender in ascending order, each
-    /// sender's values in table order.
-    expected: Vec<Vec<u64>>,
-    /// `bounds[slot * (nodes + 1) + src]`: where sender `src`'s flow
-    /// starts in `expected[slot]` (and sender `src − 1`'s ends); entry
-    /// `nodes` is the slot's end.
+    /// Every sender's staging bytes, sender after sender, each laid out
+    /// by destination as in the sender's host memory.
+    staging: Vec<u8>,
+    /// `spans[src * nodes + dst]`: where in `staging` the values `src`
+    /// sends `dst` lie, encoded in table order, as `(start, len)` (empty
+    /// for `dst == src`).
+    spans: Vec<(usize, usize)>,
+    /// `bounds[slot * (nodes + 1) + src]`, for `slot = dst * parts + p`:
+    /// how many values senders below `src` route to partition `p` of
+    /// node `dst`, i.e. where sender `src`'s flow starts in that slot's
+    /// flows laid end to end; entry `nodes` is the slot's total.
     bounds: Vec<usize>,
 }
 
@@ -185,35 +184,68 @@ impl Routing {
         let n = spec.nodes;
         let parts = spec.local_partitions as usize;
         let bits = radix_bits(parts);
-        let mut staging = Vec::with_capacity(n);
-        let mut expected: Vec<Vec<u64>> = vec![Vec::new(); n * parts];
+        // One allocation for every sender's bytes, sized for the most
+        // they can hold (see EXPERIMENTS.md on why not one per flow).
+        let mut staging = Vec::with_capacity(n * spec.values_per_node * 8);
+        let mut spans = Vec::with_capacity(n * n);
+        let mut counts = vec![0; n * parts];
         let mut bounds = vec![0; n * parts * (n + 1)];
+        let mut table = Vec::with_capacity(spec.values_per_node);
+        let mut next = vec![0; n];
         for src in 0..n {
-            let mut out = vec![Vec::new(); n];
-            for v in node_table(spec, src) {
+            table.clear();
+            table.extend(node_table(spec, src));
+            let mut sizes = vec![0; n];
+            for &v in &table {
+                sizes[dest_node(v, n)] += 8;
+            }
+            sizes[src] = 0;
+            let mut at = staging.len();
+            for (dst, len) in sizes.into_iter().enumerate() {
+                spans.push((at, len));
+                next[dst] = at;
+                at += len;
+            }
+            staging.resize(at, 0);
+            for &v in &table {
                 let dst = dest_node(v, n);
                 if dst != src {
-                    out[dst].extend_from_slice(&v.to_le_bytes());
+                    staging[next[dst]..next[dst] + 8].copy_from_slice(&v.to_le_bytes());
+                    next[dst] += 8;
+                    counts[dst * parts + radix_partition(v, bits)] += 1;
                 }
             }
-            for (bytes, slots) in out.iter().zip(expected.chunks_mut(parts)) {
-                for v in values_of(bytes) {
-                    slots[radix_partition(v, bits)].push(v);
-                }
+            for (slot, &count) in counts.iter().enumerate() {
+                bounds[slot * (n + 1) + src + 1] = count;
             }
-            staging.push(out);
-            for (slot, values) in expected.iter().enumerate() {
-                bounds[slot * (n + 1) + src + 1] = values.len();
-            }
-        }
-        // The expected values outlive the simulation: no spare capacity.
-        for values in &mut expected {
-            values.shrink_to_fit();
         }
         Routing {
             staging,
-            expected,
+            spans,
             bounds,
+        }
+    }
+}
+
+/// Splits the flows every other node sends `dst` by receive partition:
+/// `flows[p]` becomes the values partition `p` of `dst` receives,
+/// grouped by sender in ascending order, each sender's values in table
+/// order — the order [`Routing::bounds`] counts. `flow(src, buf)` puts
+/// the bytes `src` sends `dst` into `buf`. The lists are cleared first
+/// and keep their capacity, so one set serves every receiver.
+fn receiver_flows(
+    nodes: usize,
+    dst: NodeId,
+    bits: u32,
+    flows: &mut [Vec<u64>],
+    buf: &mut Vec<u8>,
+    mut flow: impl FnMut(NodeId, &mut Vec<u8>),
+) {
+    flows.iter_mut().for_each(Vec::clear);
+    for src in (0..nodes).filter(|&src| src != dst) {
+        flow(src, buf);
+        for v in values_of(buf) {
+            flows[radix_partition(v, bits)].push(v);
         }
     }
 }
@@ -221,20 +253,28 @@ impl Routing {
 /// The expected post-shuffle contents: for each `(receiver, partition)`,
 /// the sorted multiset of values every *other* node routes there.
 /// (Self-owned values stay local and never cross the wire.) The
-/// reference model for tests: built from the same fill [`run_shuffle`]
-/// verifies against, plus one sort per partition, which `run_shuffle`
-/// itself does not need.
+/// reference model for tests, drawn, routed and sorted on its own:
+/// [`run_shuffle`] neither calls it nor shares its routing.
 pub fn expected_partitions(spec: &ShuffleSpec) -> BTreeMap<(NodeId, u32), Vec<u64>> {
-    let parts = spec.local_partitions as usize;
-    Routing::fill(spec)
-        .expected
-        .into_iter()
-        .enumerate()
-        .map(|(slot, mut values)| {
-            values.sort_unstable();
-            (((slot / parts) as NodeId, (slot % parts) as u32), values)
-        })
-        .collect()
+    let n = spec.nodes;
+    let parts = spec.local_partitions;
+    let bits = radix_bits(parts as usize);
+    let mut expected: BTreeMap<(NodeId, u32), Vec<u64>> = (0..n)
+        .flat_map(|dst| (0..parts).map(move |p| ((dst, p), Vec::new())))
+        .collect();
+    for src in 0..n {
+        for v in node_table(spec, src) {
+            let dst = dest_node(v, n);
+            if dst != src {
+                let p = radix_partition(v, bits) as u32;
+                expected.get_mut(&(dst, p)).expect("every slot").push(v);
+            }
+        }
+    }
+    for values in expected.values_mut() {
+        values.sort_unstable();
+    }
+    expected
 }
 
 /// The linear exactly-once check: whether `got` (little-endian 8-byte
@@ -285,9 +325,11 @@ fn values_of(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
 /// Host-memory layout of one node for the shuffle run.
 struct NodeLayout {
     /// Per-destination staging regions `(addr, len)`, indexed by
-    /// destination node (empty for self). The bytes live only in host
-    /// memory.
+    /// destination node (empty for self), laid end to end. The bytes
+    /// live only in host memory.
     staging: Vec<(u64, u32)>,
+    /// The watch over all of `staging`: no DMA write may land there.
+    staging_guard: WatchId,
     /// Histogram address.
     hist_addr: u64,
     /// Per-partition `(base, capacity_bytes)` of the receive regions.
@@ -295,6 +337,75 @@ struct NodeLayout {
     /// Values this node's kernel will receive (for the exactly-once
     /// accounting check).
     incoming_values: u64,
+}
+
+impl NodeLayout {
+    /// Lays out every node's host memory: per-destination staging
+    /// buffers, then the histogram, then exact-capacity receive regions
+    /// (so any duplicated or misrouted value would overflow its partition
+    /// and be counted). Each node's staging bytes are written as soon as
+    /// its region is pinned and guarded by a watch. Consumes the routing,
+    /// so the staging bytes live only in host memory from here, and
+    /// returns the layouts with the routing's flow bounds.
+    fn lay_out(
+        tb: &mut ClusterTestbed,
+        routing: Routing,
+        parts: usize,
+    ) -> (Vec<NodeLayout>, Vec<usize>) {
+        let n = tb.num_nodes();
+        let mut layouts = Vec::with_capacity(n);
+        for node in 0..n {
+            let spans = &routing.spans[node * n..(node + 1) * n];
+            let first = spans[0].0;
+            let staging_total: usize = spans.iter().map(|&(_, len)| len).sum();
+            let partitions: Vec<u32> = (node * parts..(node + 1) * parts)
+                .map(|slot| (routing.bounds[slot * (n + 1) + n] * 8) as u32)
+                .collect();
+            let receive_total: usize = partitions.iter().map(|&c| c as usize).sum();
+            let hist_len = parts * 16;
+            let base = tb.pin(
+                node,
+                (staging_total + hist_len + receive_total + 4096) as u64,
+            );
+            tb.mem(node)
+                .write(base, &routing.staging[first..first + staging_total]);
+            let staging = spans
+                .iter()
+                .map(|&(start, len)| (base + (start - first) as u64, len as u32))
+                .collect();
+            let staging_guard = tb.add_watch(node, base, staging_total as u64);
+            let mut cursor = base + staging_total as u64;
+            let hist_addr = cursor;
+            cursor += hist_len as u64;
+            let mut part_regions = Vec::with_capacity(partitions.len());
+            for &cap in &partitions {
+                part_regions.push((cursor, cap));
+                cursor += u64::from(cap);
+            }
+            layouts.push(NodeLayout {
+                staging,
+                staging_guard,
+                hist_addr,
+                partitions: part_regions,
+                incoming_values: (receive_total / 8) as u64,
+            });
+        }
+        (layouts, routing.bounds)
+    }
+}
+
+/// Reads the bytes `src` staged for `dst` back from `src`'s host memory
+/// into `buf`.
+fn read_staged(
+    tb: &mut ClusterTestbed,
+    layouts: &[NodeLayout],
+    src: NodeId,
+    dst: NodeId,
+    buf: &mut Vec<u8>,
+) {
+    let (addr, len) = layouts[src].staging[dst];
+    buf.resize(len as usize, 0);
+    tb.mem(src).read_into(addr, buf);
 }
 
 /// Runs the all-to-all shuffle on a fresh testbed (see [`ShuffleSpec`]'s
@@ -330,68 +441,27 @@ impl Scenario for ShuffleSpec {
     /// correct peer partition. Panics on any violation.
     ///
     /// Host-side work is linear in the values shuffled. Each node's table
-    /// is drawn once, into its staging bytes and, grouped by sender, each
-    /// partition's expected values — no [`expected_partitions`] call and
-    /// no sort. Staging bytes are freed once written into host memory.
-    /// Each partition is checked by one walk over its values against the
-    /// flows that feed it; only a partition the walk cannot decide is
-    /// sorted and compared, and is counted in
+    /// is drawn once, into its staging bytes and the per-partition counts
+    /// that size the receive regions — no [`expected_partitions`] call
+    /// and no sort. Staging bytes are freed once written into host
+    /// memory, and a watch over them proves no DMA write lands there, so
+    /// after the run they still hold exactly what was drawn. Receivers
+    /// are then checked one at a time: their flows are rebuilt from the
+    /// senders' staged bytes, and each partition is checked by one walk
+    /// over its values against the flows that feed it; only a partition
+    /// the walk cannot decide is sorted and compared, and is counted in
     /// [`ShuffleOutcome::out_of_order_partitions`].
     fn drive(&self, tb: &mut ClusterTestbed) -> ShuffleOutcome {
         let n = self.nodes;
         let parts = self.local_partitions as usize;
-        let Routing {
-            staging,
-            expected,
-            bounds,
-        } = Routing::fill(self);
+        let routing = Routing::fill(self);
         for i in 0..n {
             for j in i + 1..n {
                 tb.connect_qp_between(i, j, pair_qpn(n, i, j));
             }
         }
 
-        // Lay out host memory: per-destination staging buffers, then the
-        // histogram, then exact-capacity receive regions (so any duplicated
-        // or misrouted value would overflow its partition and be counted).
-        // Staging bytes are written as soon as their region is pinned and
-        // freed with it; only `(addr, len)` stays.
-        let mut layouts: Vec<NodeLayout> = Vec::with_capacity(n);
-        for (node, out) in staging.into_iter().enumerate() {
-            let staging_total: usize = out.iter().map(Vec::len).sum();
-            let partitions: Vec<u32> = expected[node * parts..(node + 1) * parts]
-                .iter()
-                .map(|values| (values.len() * 8) as u32)
-                .collect();
-            let receive_total: usize = partitions.iter().map(|&c| c as usize).sum();
-            let hist_len = parts * 16;
-            let base = tb.pin(
-                node,
-                (staging_total + hist_len + receive_total + 4096) as u64,
-            );
-            let mut cursor = base;
-            let mut staging = Vec::with_capacity(n);
-            for bytes in out {
-                if !bytes.is_empty() {
-                    tb.mem(node).write(cursor, &bytes);
-                }
-                staging.push((cursor, bytes.len() as u32));
-                cursor += bytes.len() as u64;
-            }
-            let hist_addr = cursor;
-            cursor += hist_len as u64;
-            let mut part_regions = Vec::with_capacity(partitions.len());
-            for &cap in &partitions {
-                part_regions.push((cursor, cap));
-                cursor += u64::from(cap);
-            }
-            layouts.push(NodeLayout {
-                staging,
-                hist_addr,
-                partitions: part_regions,
-                incoming_values: (receive_total / 8) as u64,
-            });
-        }
+        let (layouts, bounds) = NodeLayout::lay_out(tb, routing, parts);
         tb.bring_up();
 
         // Configure every receiver's kernel via a local RPC (§5.2), then
@@ -452,19 +522,39 @@ impl Scenario for ShuffleSpec {
             self.seed
         );
 
+        // The staged bytes are still the drawn tables: every NIC write to
+        // host memory passes the watches, and none landed in a staging
+        // area (the shuffle deploys no CPU fallback, which would not).
+        for (node, layout) in layouts.iter().enumerate() {
+            assert_eq!(
+                tb.watch_written(layout.staging_guard),
+                0,
+                "seed {}: node {node} had DMA bytes land in its staging area",
+                self.seed
+            );
+        }
+
         // Exactly-once verification: every value each node shuffled out is
         // present in the correct peer partition, no value is duplicated
         // (exact-capacity regions make a duplicate overflow), none invented.
         // A partition the linear walk cannot decide is decided by the sort.
-        // Each partition is read into one reused buffer.
+        // One receiver at a time, its flows are rebuilt from the senders'
+        // staged bytes into lists allocated here and reused; each staging
+        // region and each partition is read into one reused buffer.
+        let bits = radix_bits(parts);
         let mut out_of_order_partitions = 0;
+        let mut flows: Vec<Vec<u64>> = (0..parts)
+            .map(|p| {
+                let most = layouts.iter().map(|l| l.partitions[p].1 / 8).max();
+                Vec::with_capacity(most.unwrap_or(0) as usize)
+            })
+            .collect();
         let largest = layouts
             .iter()
-            .flat_map(|layout| &layout.partitions)
-            .map(|&(_, cap)| cap as usize)
-            .max()
-            .unwrap_or(0);
-        let mut buf = vec![0u8; largest];
+            .flat_map(|l| l.staging.iter().chain(&l.partitions))
+            .map(|&(_, len)| len as usize)
+            .max();
+        let mut buf = Vec::with_capacity(largest.unwrap_or(0));
         for (node, layout) in layouts.iter().enumerate() {
             let kernel = tb
                 .fabric(node)
@@ -485,15 +575,17 @@ impl Scenario for ShuffleSpec {
                 "seed {}: node {node} partitioned a wrong value count",
                 self.seed
             );
-            for (p, &(addr, cap)) in layout.partitions.iter().enumerate() {
+            receiver_flows(n, node, bits, &mut flows, &mut buf, |src, buf| {
+                read_staged(tb, &layouts, src, node, buf);
+            });
+            for (p, (&(addr, cap), want)) in layout.partitions.iter().zip(&flows).enumerate() {
                 let slot = node * parts + p;
-                let want = &expected[slot];
-                let got = &mut buf[..cap as usize];
-                tb.mem(node).read_into(addr, got);
-                if !interleaves(got, want, &bounds[slot * (n + 1)..(slot + 1) * (n + 1)]) {
+                buf.resize(cap as usize, 0);
+                tb.mem(node).read_into(addr, &mut buf);
+                if !interleaves(&buf, want, &bounds[slot * (n + 1)..(slot + 1) * (n + 1)]) {
                     out_of_order_partitions += 1;
                     assert_eq!(
-                        sorted(values_of(got).collect()),
+                        sorted(values_of(&buf).collect()),
                         sorted(want.clone()),
                         "seed {}: node {node} partition {p} content mismatch",
                         self.seed
@@ -620,10 +712,11 @@ mod tests {
         assert_eq!(a.out_of_order_partitions, 0, "every flow lands in order");
     }
 
-    /// The fill behind both views: each partition's slice of `expected`
-    /// is the senders' flows in ascending order, each flow the sender's
-    /// table filtered to that partition, and each staging buffer the
-    /// sender's table filtered to that destination.
+    /// The fill and the flows rebuilt from it: each staging buffer is
+    /// the sender's table filtered to that destination, and each
+    /// partition's rebuilt flows are the senders' flows in ascending
+    /// order at the offsets `bounds` counts, each flow the sender's table
+    /// filtered to that partition.
     #[test]
     fn fill_groups_every_partition_by_sender_in_table_order() {
         let n = 4;
@@ -631,25 +724,75 @@ mod tests {
         let parts = spec.local_partitions as usize;
         let bits = radix_bits(parts);
         let routing = Routing::fill(&spec);
-        for src in 0..n {
-            let routed = |dst: NodeId| {
-                node_table(&spec, src).filter(move |&v| src != dst && dest_node(v, n) == dst)
-            };
-            for dst in 0..n {
-                let bytes: Vec<u8> = routed(dst).flat_map(u64::to_le_bytes).collect();
-                assert_eq!(routing.staging[src][dst], bytes, "staging {src} -> {dst}");
-                for p in 0..parts {
+        let staged = |src: NodeId, dst: NodeId| {
+            let (start, len) = routing.spans[src * n + dst];
+            &routing.staging[start..start + len]
+        };
+        let mut flows = vec![Vec::new(); parts];
+        let mut buf = Vec::new();
+        for dst in 0..n {
+            receiver_flows(n, dst, bits, &mut flows, &mut buf, |src, buf| {
+                buf.clear();
+                buf.extend_from_slice(staged(src, dst));
+            });
+            for src in 0..n {
+                let routed =
+                    || node_table(&spec, src).filter(|&v| src != dst && dest_node(v, n) == dst);
+                let bytes: Vec<u8> = routed().flat_map(u64::to_le_bytes).collect();
+                assert_eq!(staged(src, dst), bytes, "staging {src} -> {dst}");
+                for (p, values) in flows.iter().enumerate() {
                     let slot = dst * parts + p;
                     let bounds = &routing.bounds[slot * (n + 1)..(slot + 1) * (n + 1)];
-                    let flow: Vec<u64> = routed(dst)
+                    let flow: Vec<u64> = routed()
                         .filter(|&v| radix_partition(v, bits) == p)
                         .collect();
+                    assert_eq!(bounds[0], 0);
                     assert_eq!(
-                        routing.expected[slot][bounds[src]..bounds[src + 1]],
+                        values[bounds[src]..bounds[src + 1]],
                         flow,
                         "flow {src} -> ({dst}, {p})"
                     );
-                    assert_eq!(bounds[n], routing.expected[slot].len());
+                    assert_eq!(bounds[n], values.len());
+                }
+            }
+        }
+    }
+
+    /// The flows the driver rebuilds from host memory after a run hold,
+    /// per receive partition, exactly the multiset the independent
+    /// reference routes there, and fill each partition's region to the
+    /// byte.
+    #[test]
+    fn flows_rebuilt_from_host_memory_match_the_reference() {
+        for (nodes, parts, seed) in [
+            (2, 16, 3),
+            (3, 1, 5),
+            (3, 1024, 9),
+            (4, 16, 0xF1),
+            (4, 1024, 2),
+        ] {
+            let mut spec = ShuffleSpec::new(nodes, 700, seed);
+            spec.local_partitions = parts;
+            let reference = expected_partitions(&spec);
+            let routing = Routing::fill(&spec);
+            let mut tb = spec.testbed();
+            let (layouts, bounds) = NodeLayout::lay_out(&mut tb, routing, parts as usize);
+            let bits = radix_bits(parts as usize);
+            let mut flows = vec![Vec::new(); parts as usize];
+            let mut buf = Vec::new();
+            for dst in 0..nodes {
+                receiver_flows(nodes, dst, bits, &mut flows, &mut buf, |src, buf| {
+                    read_staged(&mut tb, &layouts, src, dst, buf);
+                });
+                for (p, values) in flows.iter().enumerate() {
+                    let slot = dst * parts as usize + p;
+                    let case = format!("{nodes} nodes, {parts} parts, seed {seed}: ({dst}, {p})");
+                    assert_eq!(bounds[slot * (nodes + 1) + nodes], values.len(), "{case}");
+                    assert_eq!(
+                        sorted(values.clone()),
+                        reference[&(dst, p as u32)],
+                        "{case}"
+                    );
                 }
             }
         }

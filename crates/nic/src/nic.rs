@@ -1190,7 +1190,9 @@ impl Nic {
     ///
     /// Returns `true` if a handler accepted the request. Timing: the NIC
     /// DMA-writes the request to a host queue, the polling CPU picks it
-    /// up, computes, and posts the response as an ordinary WRITE.
+    /// up, computes, and posts the response as an ordinary WRITE. A
+    /// response the requester refuses (unknown QP, or a QP in error) is
+    /// dropped and traced as a [`DropReason::SendRefused`] drop.
     fn run_cpu_fallback(
         &mut self,
         rpc_op: RpcOpCode,
@@ -1216,8 +1218,8 @@ impl Nic {
             remote_vaddr: target,
             data: response,
         };
-        if let Err(e) = self.post_and_send(qpn, wr, 0, ready, cx) {
-            panic!("CPU fallback response failed: {e}");
+        if self.post_and_send(qpn, wr, 0, ready, cx).is_err() {
+            self.trace_drop(DropReason::SendRefused);
         }
         true
     }

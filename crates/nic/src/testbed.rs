@@ -477,6 +477,14 @@ impl ClusterTestbed {
             .map(|t| t + self.cfg.poll_overhead)
     }
 
+    /// Bytes of DMA writes landed inside the watch's range so far (at
+    /// most its length; see [`ClusterTestbed::add_watch`]). Writes through
+    /// [`ClusterTestbed::mem`] and by a CPU fallback are not DMA and do
+    /// not count.
+    pub fn watch_written(&self, id: WatchId) -> u64 {
+        self.watches.written(id)
+    }
+
     /// Runs until the watch fires; returns the detection time.
     ///
     /// # Panics

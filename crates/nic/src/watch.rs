@@ -85,6 +85,14 @@ impl WatchTable {
         self.watches[id.0].fired_at
     }
 
+    /// Bytes of DMA writes landed inside the watch's range until it
+    /// fired: each write counts its overlap with the range, so bytes
+    /// written twice count twice, up to the range's length.
+    pub(crate) fn written(&self, id: WatchId) -> u64 {
+        let w = &self.watches[id.0];
+        w.len - w.remaining
+    }
+
     /// Accounts a DMA write of `len` bytes at `vaddr` on `node`, landing
     /// at `at`, to every unfired watch it overlaps.
     pub(crate) fn on_write(&mut self, node: NodeId, vaddr: u64, len: u64, at: Time) {
@@ -146,6 +154,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn written_counts_partial_and_overlapping_writes() {
+        let mut table = WatchTable::new(2);
+        let id = table.add(0, 1_000, 100);
+        let other_node = table.add(1, 1_000, 100);
+        assert_eq!(table.written(id), 0);
+        // Straddles the start: 10 of its 30 bytes land inside.
+        table.on_write(0, 980, 30, 1);
+        assert_eq!(table.written(id), 10);
+        // Wholly outside, on either side, or on another node: nothing.
+        table.on_write(0, 900, 100, 2);
+        table.on_write(0, 1_100, 50, 3);
+        assert_eq!(table.written(id), 10);
+        assert_eq!(table.written(other_node), 0);
+        // The same 10 bytes again count again.
+        table.on_write(0, 1_000, 10, 4);
+        assert_eq!(table.written(id), 20);
+        // Straddles the end: 5 of its 20 bytes land inside.
+        table.on_write(0, 1_095, 20, 5);
+        assert_eq!(table.written(id), 25);
+        assert_eq!(table.fired_at(id), None);
+        // Covering the whole range fires the watch; `written` stops at
+        // the range's length, and later writes no longer count.
+        table.on_write(0, 990, 200, 6);
+        assert_eq!(table.written(id), 100);
+        assert_eq!(table.fired_at(id), Some(6));
+        table.on_write(0, 1_000, 8, 7);
+        assert_eq!(table.written(id), 100);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 
 use bytes::Bytes;
 use strom_kernels::{Kernel, KernelAction, KernelEvent};
-use strom_nic::{NicConfig, RpcOpCode, Testbed, WorkRequest};
+use strom_mem::HostMemory;
+use strom_nic::{CpuFallback, LinkFaultModel, NicConfig, RpcOpCode, Testbed, WorkRequest};
 use strom_telemetry::{DropReason, TraceEvent};
+use strom_wire::bth::Qpn;
 
 const QP: u32 = 1;
 
@@ -262,6 +264,65 @@ fn a_kernel_send_the_requester_refuses_is_dropped_and_the_kernel_retires() {
         .count();
     assert_eq!(drops, 2, "each refused send is traced once");
     assert_eq!(tb.status(1).frames_rx, frames_before, "nothing was sent");
+}
+
+/// A CPU fallback that answers every RPC with a short WRITE to `target`.
+struct AnswersAt {
+    target: u64,
+}
+
+impl CpuFallback for AnswersAt {
+    fn handle(&mut self, _: &mut HostMemory, _: Qpn, _: &Bytes) -> Option<(u64, Bytes, u64)> {
+        Some((self.target, Bytes::from_static(b"answer"), 1_000))
+    }
+}
+
+#[test]
+fn a_cpu_fallback_response_the_requester_refuses_is_dropped() {
+    const CLIENT: usize = 0;
+    const SERVER: usize = 1;
+    const OP: RpcOpCode = RpcOpCode(0x7E);
+    let mut tb = testbed();
+    let trace = tb.enable_tracing(1 << 12);
+    let client_buf = tb.pin(CLIENT, 1 << 20);
+    let server_buf = tb.pin(SERVER, 1 << 20);
+    tb.set_cpu_fallback(SERVER, OP, Box::new(AnswersAt { target: client_buf }));
+    // Kill the link toward the client: the server's WRITE is never
+    // acknowledged, and its QP goes terminal after `max_retries`.
+    tb.set_port_fault_model(CLIENT, LinkFaultModel::bernoulli(1.0));
+    let h = tb.post(
+        SERVER,
+        QP,
+        WorkRequest::Write {
+            remote_vaddr: client_buf,
+            local_vaddr: server_buf,
+            len: 64,
+        },
+    );
+    tb.run_until_complete(SERVER, h);
+    tb.run_until_idle();
+    assert!(tb.qp_errored(SERVER, QP), "the server's QP is terminal");
+    // The request still reaches the server; its fallback's answer cannot
+    // be posted on the terminal QP.
+    tb.post(
+        CLIENT,
+        QP,
+        WorkRequest::Rpc {
+            rpc_op: OP,
+            params: Bytes::from_static(b"ask"),
+        },
+    );
+    tb.run_until_idle();
+    let refused = TraceEvent::PacketDrop {
+        node: SERVER as u8,
+        reason: DropReason::SendRefused,
+    };
+    let drops = trace
+        .records()
+        .iter()
+        .filter(|r| r.event == refused)
+        .count();
+    assert_eq!(drops, 1, "the refused response is traced once");
 }
 
 /// A two-node testbed with 8 KiB of `0xAB` staged on node 0 and a pinned

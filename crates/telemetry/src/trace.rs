@@ -29,8 +29,9 @@ pub enum DropReason {
     /// The switch's bounded egress queue was full (tail-drop); `node` in
     /// the event is the destination whose port overflowed.
     TailDrop,
-    /// The requester refused a kernel's RoCE send (unknown QP, or a QP in
-    /// error), so no frame was built; `node` in the event is the kernel's.
+    /// The requester refused a kernel's RoCE send or a CPU fallback's
+    /// response (unknown QP, or a QP in error), so no frame was built;
+    /// `node` in the event is the responding node's.
     SendRefused,
 }
 

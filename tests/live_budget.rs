@@ -1,10 +1,12 @@
-//! The chain drivers' peak live heap per tuple, held in CI.
+//! The chain drivers' peak live heap per tuple, and the shuffle's per
+//! value, held in CI.
 //!
 //! A counting global allocator tracks the bytes live at each moment and
 //! their peak. A budget is a slope: each chain driver runs at two stream
-//! lengths, and the difference in peak live bytes over the difference in
-//! tuples is what each further tuple holds at the peak. The testbed, its
-//! tables and the per-run constants cancel out.
+//! lengths, and the shuffle at two table sizes, and the difference in peak
+//! live bytes over the difference in tuples (or shuffled values) is what
+//! each further one holds at the peak. The testbed, its tables and the
+//! per-run constants cancel out.
 //!
 //! Measured at seed 7 on the 10 G platform: the filter chain holds
 //! 17.56 B per tuple at its peak, the CRC chain 27.21 B. Of the filter
@@ -15,12 +17,20 @@
 //! second copy of the stream reads 16 B per tuple more (33.56 and
 //! 43.21 B, measured on such a build) and fails here.
 //!
+//! A four-node 10 G shuffle at seed 7, between 50 000 and 150 000 values
+//! per node, holds 27.82 B per shuffled value at its peak: the staged and
+//! the received bytes in host memory (8 B each) and what the simulation
+//! holds in flight. Its budget also sits 1 B above. A driver that keeps an
+//! expected copy of every value through the run reads 35.82 B (measured
+//! on such a build) and fails here.
+//!
 //! The binary holds a single test on purpose: a second test would run on
 //! a thread of its own and its allocations would count here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
+use strom::nic::cluster_shuffle::{run_shuffle, ShuffleSpec};
 use strom::nic::{run_crcverify_shuffle, run_filter_agg_hll, ChainSpec};
 
 /// Bytes live now.
@@ -99,6 +109,20 @@ fn slope(short: usize, long: usize, run: fn(&ChainSpec)) -> f64 {
     (b as f64 - a as f64) / (long - short) as f64
 }
 
+/// Peak live bytes per shuffled value of a four-node 10 G shuffle, between
+/// `short` and `long` values per node.
+fn shuffle_slope(short: usize, long: usize) -> f64 {
+    let run = |values| {
+        let mut shuffled = 0;
+        let peak = peak_during(|| {
+            shuffled = run_shuffle(&ShuffleSpec::new(4, values, 7)).bytes_shuffled / 8;
+        });
+        (peak, shuffled)
+    };
+    let ((a, va), (b, vb)) = (run(short), run(long));
+    (b as f64 - a as f64) / (vb - va) as f64
+}
+
 #[test]
 fn chain_drivers_hold_at_most_a_budget_of_live_bytes_per_tuple() {
     let (short, long) = (100_000, 300_000);
@@ -108,7 +132,13 @@ fn chain_drivers_hold_at_most_a_budget_of_live_bytes_per_tuple() {
     let crc = slope(short, long, |spec| {
         run_crcverify_shuffle(spec);
     });
+    let shuffle = shuffle_slope(50_000, 150_000);
     println!("peak live bytes per tuple: filter chain {filter:.2}, CRC chain {crc:.2}");
+    println!("peak live bytes per shuffled value: {shuffle:.2}");
     assert!(filter <= 18.5, "filter chain holds {filter:.2} B per tuple");
     assert!(crc <= 28.25, "CRC chain holds {crc:.2} B per tuple");
+    assert!(
+        shuffle <= 28.82,
+        "the shuffle holds {shuffle:.2} B per value"
+    );
 }
