@@ -55,14 +55,11 @@ pub enum NicEvent {
         /// payload share one buffer instead of copying it.
         frame: Bytes,
     },
-    /// A DMA write to host memory completed (data becomes visible to CPU
-    /// pollers and watches).
-    DmaWriteDone {
-        /// Destination virtual address.
-        vaddr: u64,
-        /// The bytes written.
-        data: Bytes,
-    },
+    /// The NIC's oldest posted DMA write to host memory completed (data
+    /// becomes visible to CPU pollers and watches). The write itself
+    /// waits in the NIC's posted-write queue; only the queue's head has
+    /// this event pending.
+    DmaWriteDone,
     /// A DMA read issued by a kernel completed; the fabric routes the data
     /// back to the kernel by tag.
     KernelDmaReadDone {
@@ -111,7 +108,7 @@ impl Event {
             Event::Nic { ev, .. } => match ev {
                 NicEvent::CmdArrive { .. } => 0,
                 NicEvent::FrameArrive { .. } => 1,
-                NicEvent::DmaWriteDone { .. } => 2,
+                NicEvent::DmaWriteDone => 2,
                 NicEvent::KernelDmaReadDone { .. } => 3,
                 NicEvent::RetransmitCheck => 4,
                 NicEvent::PacerTick { .. } => 5,
@@ -196,6 +193,20 @@ impl Scheduler {
     }
 
     pub(crate) fn schedule(&mut self, at: Time, event: Event) {
+        self.audit(at, &event);
+        self.queue.schedule_at(at, event);
+    }
+
+    /// Files `event` at the key `(at, seq)`, `seq` from
+    /// [`EventQueue::reserve`] ([`EventQueue::schedule_reserved`]).
+    pub(crate) fn schedule_reserved(&mut self, at: Time, seq: u64, event: Event) {
+        self.audit(at, &event);
+        self.queue.schedule_reserved(at, seq, event);
+    }
+
+    /// Counts `event` in the lookahead audit, if one is on and the event
+    /// crosses to another box.
+    fn audit(&mut self, at: Time, event: &Event) {
         if let Some(LookaheadAudit {
             dispatching: Some(owner),
             report,
@@ -210,7 +221,6 @@ impl Scheduler {
                 }
             }
         }
-        self.queue.schedule_at(at, event);
     }
 }
 
@@ -220,11 +230,12 @@ mod tests {
 
     /// The event engine moves `Scheduled<Event>` values on every insert
     /// and cascade; keep the payload within one cache line so those
-    /// moves stay cheap. Growing a variant past this is a perf
-    /// regression, not a compile error — hence the pin.
+    /// moves stay cheap, and within 48 B since posted DMA writes stopped
+    /// carrying their bytes in the event. Growing a variant past this is
+    /// a perf regression, not a compile error — hence the pin.
     #[test]
     fn event_fits_in_a_cache_line() {
         let size = std::mem::size_of::<Event>();
-        assert!(size <= 64, "Event grew to {size} B (> 64)");
+        assert!(size <= 48, "Event grew to {size} B (> 48)");
     }
 }

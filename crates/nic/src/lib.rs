@@ -52,6 +52,7 @@ pub mod fabric;
 pub mod fault;
 pub mod kv_serve;
 mod nic;
+mod posted;
 pub mod scenario;
 pub mod spec;
 pub mod testbed;

@@ -43,6 +43,7 @@ use crate::config::NicConfig;
 use crate::controller::{CommandWord, StatusRegisters};
 use crate::event::{Event, NicEvent, NodeId, Scheduler};
 use crate::fabric::KernelFabric;
+use crate::posted::{Posted, PostedWrites};
 use crate::testbed::Requests;
 use crate::watch::WatchTable;
 use crate::wire::{wire_bytes, Wire};
@@ -139,6 +140,9 @@ pub(crate) struct Nic {
     pub(crate) fabric: KernelFabric,
     /// PCIe occupancy (shared by TX fetches, RX stores, kernel DMA).
     dma: LinkSerializer,
+    /// DMA writes issued and not yet landed, oldest first; only the
+    /// oldest has its [`NicEvent::DmaWriteDone`] pending.
+    posted: PostedWrites,
     /// Next time the host may issue a command (AVX2-store pacing, §7.1).
     next_cmd_issue: Time,
     /// Receive kernel tapped into incoming WRITE payload (§3.5).
@@ -210,6 +214,7 @@ impl Nic {
                 .with_backoff_cap(cfg.backoff_shift_cap),
             fabric: KernelFabric::new(cfg.seed ^ (0xA + id as u64)),
             dma: LinkSerializer::new(cfg.pcie.bandwidth),
+            posted: PostedWrites::default(),
             next_cmd_issue: 0,
             receive_tap: None,
             send_tap: None,
@@ -428,7 +433,7 @@ impl Nic {
         match ev {
             NicEvent::CmdArrive { qpn, slot, handle } => self.on_cmd(qpn, slot, handle, cx),
             NicEvent::FrameArrive { frame } => self.on_frame(frame, cx),
-            NicEvent::DmaWriteDone { vaddr, data } => self.on_dma_write_done(vaddr, &data, cx),
+            NicEvent::DmaWriteDone => self.on_dma_write_done(cx),
             NicEvent::KernelDmaReadDone {
                 op,
                 tag,
@@ -572,7 +577,7 @@ impl Nic {
                 if let Some((addr, completion)) = placed {
                     let done = self.schedule_dma_write(
                         addr,
-                        pkt.payload.clone(),
+                        &pkt.payload,
                         now,
                         cx.cfg.pcie.bypass_overhead,
                         cx,
@@ -636,20 +641,42 @@ impl Nic {
         self.refresh_timer(qpn, cx);
     }
 
-    fn on_dma_write_done(&mut self, vaddr: u64, data: &Bytes, cx: &mut Ctx<'_>) {
-        // The NIC writes through the TLB: translate and store physically.
-        let segs = self
+    /// Lands the oldest posted write, then files the event of the next.
+    fn on_dma_write_done(&mut self, cx: &mut Ctx<'_>) {
+        let Posted { vaddr, len, .. } = *self.posted.head().expect("a posted write is waiting");
+        // The NIC writes through the TLB: translate and store physically,
+        // straight from the queue's chunks.
+        let mut segs = self
             .tlb
-            .translate_command(vaddr, data.len() as u32)
+            .translate_command(vaddr, len)
             .unwrap_or_else(|e| panic!("DMA write fault on node {}: {e}", self.id));
-        let mut offset = 0usize;
-        for seg in segs {
-            self.mem
-                .phys_write(seg.paddr, &data[offset..offset + seg.len as usize]);
-            offset += seg.len as usize;
-        }
+        let (mem, mut paddr, mut room) = (&mut self.mem, 0, 0);
+        self.posted.pop(|mut piece| {
+            while !piece.is_empty() {
+                if room == 0 {
+                    let seg = segs.next().expect("the segments cover the write");
+                    (paddr, room) = (seg.paddr, seg.len as usize);
+                }
+                let n = room.min(piece.len());
+                mem.phys_write(paddr, &piece[..n]);
+                (paddr, room, piece) = (paddr + n as u64, room - n, &piece[n..]);
+            }
+        });
         cx.watches
-            .on_write(self.id, vaddr, data.len() as u64, cx.now());
+            .on_write(self.id, vaddr, u64::from(len), cx.now());
+        if let Some(&Posted { at, seq, .. }) = self.posted.head() {
+            self.schedule_write_done(at, seq, cx);
+        }
+    }
+
+    /// Files the event of the new head of the posted writes at the key
+    /// `(at, seq)` reserved when it was issued.
+    fn schedule_write_done(&self, at: Time, seq: u64, cx: &mut Ctx<'_>) {
+        let ev = Event::Nic {
+            node: self.id,
+            ev: NicEvent::DmaWriteDone,
+        };
+        cx.sched.schedule_reserved(at, seq, ev);
     }
 
     fn on_kernel_read_done(
@@ -728,13 +755,8 @@ impl Nic {
             match action {
                 ResponderAction::WritePayload { vaddr, data } => {
                     self.counters.payload_bytes_rx += data.len() as u64;
-                    self.schedule_dma_write(
-                        vaddr,
-                        data.clone(),
-                        now,
-                        cx.cfg.pcie.bypass_overhead,
-                        cx,
-                    );
+                    let overhead = cx.cfg.pcie.bypass_overhead;
+                    self.schedule_dma_write(vaddr, &data, now, overhead, cx);
                     // Receive kernel tap: bump-in-the-wire copy (§3.5),
                     // no extra latency on the main path.
                     if let Some(op) = self.receive_tap {
@@ -855,7 +877,7 @@ impl Nic {
                 }
                 KernelAction::DmaWrite { vaddr, data } => {
                     // Kernel-issued stores are random-access commands.
-                    self.schedule_dma_write(vaddr, data, now, cx.cfg.pcie.cmd_overhead, cx);
+                    self.schedule_dma_write(vaddr, &data, now, cx.cfg.pcie.cmd_overhead, cx);
                 }
                 KernelAction::RoceSend {
                     qpn,
@@ -1140,29 +1162,36 @@ impl Nic {
         occ_end + cx.cfg.pcie.read_rtt_base
     }
 
-    /// Schedules a DMA write: PCIe occupancy + posted-write latency, then
+    /// Posts a DMA write: PCIe occupancy + posted-write latency, then
     /// the bytes land (and watches fire). Returns the landing time.
     /// `overhead` distinguishes stream-oriented stores (Descriptor
     /// Bypass) from random kernel-issued commands.
+    ///
+    /// The write's event seq is reserved now, so it fires at the same
+    /// `(time, seq)` as an event scheduled here would; the write itself
+    /// waits in [`Self::posted`], and its event is filed only once it
+    /// heads that queue.
     fn schedule_dma_write(
         &mut self,
         vaddr: u64,
-        data: Bytes,
+        data: &Bytes,
         now: Time,
         overhead: Time,
         cx: &mut Ctx<'_>,
     ) -> Time {
+        let len = data.len() as u32;
         self.trace.emit(TraceEvent::DmaWrite {
             node: self.id as u8,
             vaddr,
-            len: data.len() as u32,
+            len,
         });
-        let (_, occ_end) = self
-            .dma
-            .admit_with_overhead(now, data.len() as u64, overhead);
-        let done = occ_end + cx.cfg.pcie.write_post_latency;
-        self.schedule(cx, done, NicEvent::DmaWriteDone { vaddr, data });
-        done
+        let (_, occ_end) = self.dma.admit_with_overhead(now, u64::from(len), overhead);
+        let at = occ_end + cx.cfg.pcie.write_post_latency;
+        let seq = cx.sched.queue.reserve();
+        if self.posted.push(at, seq, vaddr, data) {
+            self.schedule_write_done(at, seq, cx);
+        }
+        at
     }
 
     /// When the kernel with `op` finishes consuming `bytes` of stream
@@ -1269,5 +1298,13 @@ impl Nic {
         } else {
             self.timer.disarm(qpn);
         }
+    }
+}
+
+#[cfg(test)]
+impl Nic {
+    /// Posted DMA writes not yet landed.
+    pub(crate) fn posted_writes(&self) -> usize {
+        self.posted.len()
     }
 }

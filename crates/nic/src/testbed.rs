@@ -913,4 +913,72 @@ mod tests {
         assert_eq!(total, tb.dispatched_by_kind().iter().sum::<u64>());
         assert!(total > 2, "the WRITEs ran to completion");
     }
+
+    /// Every DMA write a NIC posts gets exactly one `dma_write_done`
+    /// dispatch, yet the event queue holds at most one such event per
+    /// NIC — the head of its posted-write queue — and none for a NIC with
+    /// nothing waiting. A 100 G write one way and a read the other keep
+    /// both NICs' queues several writes deep.
+    #[test]
+    fn posted_writes_dispatch_once_each_with_one_event_pending_per_nic() {
+        use crate::event::NicEvent;
+        use strom_telemetry::TraceEvent;
+
+        let mut tb = Testbed::new(NicConfig::hundred_gig());
+        tb.connect_qp(1);
+        let trace = tb.enable_tracing(1 << 20);
+        let (local, remote) = (tb.pin(0, 1 << 20), tb.pin(1, 1 << 20));
+        let len = 256 << 10;
+        tb.mem(0).write(local, &vec![5; len as usize]);
+        tb.mem(1)
+            .write(remote + u64::from(len), &vec![6; len as usize]);
+        tb.post(
+            0,
+            1,
+            WorkRequest::Write {
+                remote_vaddr: remote,
+                local_vaddr: local,
+                len,
+            },
+        );
+        tb.post(
+            0,
+            1,
+            WorkRequest::Read {
+                remote_vaddr: remote + u64::from(len),
+                local_vaddr: local + u64::from(len),
+                len,
+            },
+        );
+        let mut deepest = [0; 2];
+        while tb.step() {
+            for (node, deepest) in deepest.iter_mut().enumerate() {
+                let pending = (tb.sched.queue.pending_events())
+                    .filter(|e| {
+                        matches!(e, Event::Nic { node: n, ev: NicEvent::DmaWriteDone } if *n == node)
+                    })
+                    .count();
+                let waiting = tb.nics[node].posted_writes();
+                assert_eq!(
+                    pending,
+                    usize::from(waiting > 0),
+                    "node {node}: {waiting} waiting"
+                );
+                *deepest = (*deepest).max(waiting);
+            }
+        }
+        assert!(
+            deepest.iter().all(|&d| d > 1),
+            "writes queued behind the head: {deepest:?}"
+        );
+        let issued = (trace.records().iter())
+            .filter(|r| matches!(r.event, TraceEvent::DmaWrite { .. }))
+            .count();
+        assert_eq!(tb.dispatched_by_kind()[2], issued as u64);
+        assert_eq!(tb.mem(1).read(remote, len as usize), vec![5; len as usize]);
+        assert_eq!(
+            tb.mem(0).read(local + u64::from(len), len as usize),
+            vec![6; len as usize]
+        );
+    }
 }

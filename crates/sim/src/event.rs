@@ -21,7 +21,7 @@ use crate::time::{Time, TimeDelta};
 use crate::wheel::TimerWheel;
 
 /// Cap on the number of events [`EventQueue`] pulls from the wheel in one
-/// run. Bounds the memmove cost when [`EventQueue::schedule_at`] splices
+/// run. Bounds the memmove cost when [`EventQueue::schedule_reserved`] splices
 /// an event into a partially drained run; buckets larger than this
 /// cascade level-by-level as before.
 const RUN_MAX: usize = 4096;
@@ -89,7 +89,7 @@ pub struct EventQueue<E> {
     /// front-to-back through [`Self::run_pos`] so a refill never
     /// reverses or moves the run. Events scheduled before the run's last
     /// time while it drains are spliced into position
-    /// ([`Self::schedule_at`]); everything else goes to the wheel, which
+    /// ([`Self::schedule_reserved`]); everything else goes to the wheel, which
     /// therefore always fires at or after the run's last event.
     run: Vec<Scheduled<u32>>,
     /// Index of the next unserved token in [`Self::run`].
@@ -143,6 +143,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Reclaims a popped token's payload and frees its slab slot.
+    #[inline]
     fn unpark(&mut self, s: Scheduled<u32>) -> Scheduled<E> {
         let event = self.pool[s.event as usize]
             .take()
@@ -195,26 +196,59 @@ impl<E> EventQueue<E> {
     /// Scheduling in the past is clamped to `now` — hardware cannot react
     /// retroactively, and clamping keeps the clock monotonic.
     pub fn schedule_at(&mut self, at: Time, event: E) {
-        let at = at.max(self.now);
+        let seq = self.reserve();
+        self.schedule_reserved(at.max(self.now), seq, event);
+    }
+
+    /// Takes the next insertion sequence number without scheduling
+    /// anything: the tie-break an event scheduled now would get. A caller
+    /// that holds events back (a NIC's posted DMA writes wait in one FIFO
+    /// and only the head is scheduled) reserves each one's seq when it
+    /// arises and files it later with [`Self::schedule_reserved`], so it
+    /// fires at the same `(at, seq)` as if it had been scheduled then.
+    pub fn reserve(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
+        seq
+    }
+
+    /// Schedules `event` at the key `(at, seq)`, `seq` taken from
+    /// [`Self::reserve`] — the one insert path; [`Self::schedule_at`]
+    /// calls it with a fresh seq.
+    ///
+    /// `at` is not clamped to `now`: [`Self::advance_to`] may have moved
+    /// the clock past a held-back event, which must still fire at its
+    /// original key. The caller guarantees the key follows every event
+    /// popped so far, as a write scheduled by its popped predecessor
+    /// does (same or later time, larger seq); the event then pops in
+    /// exact `(at, seq)` order, and the clock does not move backwards.
+    pub fn schedule_reserved(&mut self, at: Time, seq: u64, event: E) {
         let event = self.park(event);
-        if self.run.last().is_some_and(|max| at < max.at) && self.run_pos < self.run.len() {
-            // The event lands inside the drained run, where the wheel can
-            // no longer order it: splice it into position among the
-            // unserved tokens. Its seq is the largest yet, so it goes
-            // after every token at or before `at`. Runs are capped at
-            // `RUN_MAX`, so the memmove stays small.
-            let pos = self.run_pos + self.run[self.run_pos..].partition_point(|s| s.at <= at);
-            self.run.insert(pos, Scheduled { at, seq, event });
+        let s = Scheduled { at, seq, event };
+        let unserved = &self.run[self.run_pos..];
+        // An event before the last unserved token of the drained run
+        // lands where the wheel can no longer order it, and so does one
+        // before the wheel's cursor (only a reserved key can be: the
+        // clock ran ahead of it): splice it into position among the
+        // unserved tokens. A fresh seq is the largest yet, so it goes
+        // after every token at or before `at`. Runs are capped at
+        // `RUN_MAX`, so the memmove stays small.
+        if at < self.wheel.cursor()
+            || unserved
+                .last()
+                .is_some_and(|max| (at, seq) < (max.at, max.seq))
+        {
+            let pos = self.run_pos + unserved.partition_point(|t| (t.at, t.seq) < (at, seq));
+            self.run.insert(pos, s);
             return;
         }
         if self.wheel.is_empty() {
-            // Nothing bounds the cursor: pull it up to the clock so a
-            // long-idle queue files near-future events O(1) again.
-            self.wheel.reset_cursor(self.now);
+            // Nothing bounds the cursor: pull it up to the clock (or to
+            // a reserved key behind it) so a long-idle queue files
+            // near-future events O(1) again.
+            self.wheel.reset_cursor(self.now.min(at));
         }
-        self.wheel.insert(Scheduled { at, seq, event });
+        self.wheel.insert(s);
     }
 
     /// Schedules `event` to fire `delay` after the current time.
@@ -227,6 +261,7 @@ impl<E> EventQueue<E> {
     /// If the clock was moved past the event's firing time by
     /// [`Self::advance_to`], the event still pops (in order) and the clock
     /// simply does not move backwards.
+    #[inline]
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
         self.refill();
         let s = self.run.get(self.run_pos)?.clone();
@@ -245,6 +280,11 @@ impl<E> EventQueue<E> {
     pub fn advance_to(&mut self, t: Time) {
         self.now = self.now.max(t);
         self.trace.set_now(self.now);
+    }
+
+    /// The pending events, in no particular order.
+    pub fn pending_events(&self) -> impl Iterator<Item = &E> {
+        self.pool.iter().flatten()
     }
 
     /// The firing time of the earliest pending event, if any.
@@ -295,9 +335,19 @@ impl<E> ReferenceEventQueue<E> {
 
     /// See [`EventQueue::schedule_at`].
     pub fn schedule_at(&mut self, at: Time, event: E) {
-        let at = at.max(self.now);
+        let seq = self.reserve();
+        self.schedule_reserved(at.max(self.now), seq, event);
+    }
+
+    /// See [`EventQueue::reserve`].
+    pub fn reserve(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
+        seq
+    }
+
+    /// See [`EventQueue::schedule_reserved`].
+    pub fn schedule_reserved(&mut self, at: Time, seq: u64, event: E) {
         self.heap.push(Scheduled { at, seq, event });
     }
 
@@ -543,6 +593,142 @@ mod tests {
                 assert_eq!((a.at, a.seq, a.event), (b.at, b.seq, b.event));
             }
             assert!(r.pop().is_none());
+        }
+    }
+
+    /// A held-back event filed at its reserved key ties an earlier-issued
+    /// seq with the unserved part of a partly drained run: it splices in
+    /// ahead of the later seqs at its time.
+    #[test]
+    fn a_reserved_key_splices_into_a_partly_drained_run() {
+        let mut q = EventQueue::new();
+        let held = q.reserve();
+        for (at, ev) in [(10, 'a'), (20, 'b'), (20, 'c')] {
+            q.schedule_at(at, ev);
+        }
+        assert_eq!(q.pop().map(|s| s.event), Some('a'));
+        // The run's last unserved token is at the held key's time.
+        q.schedule_reserved(20, held, 'w');
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop().map(|s| (s.at, s.seq, s.event))).collect();
+        assert_eq!(rest, [(20, 0, 'w'), (20, 2, 'b'), (20, 3, 'c')]);
+    }
+
+    /// `advance_to` moved the clock (and with it the wheel's cursor) past
+    /// a held-back event's time: filed afterwards, it keeps its key and
+    /// pops first, and the clock does not move back.
+    #[test]
+    fn a_reserved_key_behind_the_clock_keeps_its_place() {
+        let mut q = EventQueue::new();
+        let held = q.reserve();
+        q.advance_to(1_000_000);
+        q.schedule_at(0, 'b');
+        q.schedule_reserved(500, held, 'w');
+        assert_eq!(q.peek_time(), Some(500));
+        assert_eq!(q.pop().map(|s| (s.at, s.event)), Some((500, 'w')));
+        assert_eq!(q.now(), 1_000_000);
+        assert_eq!(q.pop().map(|s| (s.at, s.event)), Some((1_000_000, 'b')));
+        assert!(q.pop().is_none());
+    }
+
+    /// Reserved-seq inserts the way a NIC files its posted DMA writes:
+    /// each of a few FIFOs takes writes whose landing times never
+    /// decrease, every write reserves its seq when it is issued, and the
+    /// wheel queue is handed only a FIFO's head — when it is issued into
+    /// an empty FIFO, or when its predecessor pops. The reference heap is
+    /// handed every write at issue time. Mixed with fresh schedules
+    /// (clamped past times included), pops and `advance_to` jumps past
+    /// pending writes, both pop the same `(at, seq, event)` stream: the
+    /// held-back writes fire exactly as if scheduled eagerly. Times fall
+    /// on a coarse grid so ties between writes and fresh events are
+    /// common, and the pop-then-schedule op keeps splicing into partly
+    /// drained runs.
+    #[test]
+    fn held_back_fifos_pop_like_eager_scheduling() {
+        use std::collections::VecDeque;
+        const FIFOS: usize = 3;
+        /// Writes are tagged above this bit with their FIFO.
+        const WRITE: u32 = 1 << 24;
+        let mut rng = SimRng::seed(0xF1F0);
+        for round in 0..80 {
+            let mut q: EventQueue<u32> = EventQueue::new();
+            let mut r: ReferenceEventQueue<u32> = ReferenceEventQueue::new();
+            let mut fifos: [VecDeque<(Time, u64, u32)>; FIFOS] = Default::default();
+            let mut last_at = [0; FIFOS];
+            let mut next_ev = 0u32;
+            let grid = |rng: &mut SimRng, span: u64| rng.below(span) / 64 * 64;
+            // Pops one event from both queues and, for a write, files its
+            // FIFO's next head at its reserved key.
+            let pop = |q: &mut EventQueue<u32>,
+                       r: &mut ReferenceEventQueue<u32>,
+                       fifos: &mut [VecDeque<(Time, u64, u32)>; FIFOS]| {
+                let a = q.pop().map(|s| (s.at, s.seq, s.event));
+                let b = r.pop().map(|s| (s.at, s.seq, s.event));
+                assert_eq!(a, b, "pop diverged (round {round})");
+                if let Some((at, seq, ev)) = a.filter(|&(_, _, ev)| ev >= WRITE) {
+                    let f = (ev / WRITE - 1) as usize;
+                    assert_eq!(
+                        fifos[f].pop_front(),
+                        Some((at, seq, ev)),
+                        "a FIFO's head fired"
+                    );
+                    if let Some(&(at, seq, ev)) = fifos[f].front() {
+                        q.schedule_reserved(at, seq, ev);
+                    }
+                }
+                a
+            };
+            for _ in 0..rng.range(10, 600) {
+                match rng.below(12) {
+                    0..=2 => {
+                        let at = match rng.below(3) {
+                            0 => q.now() + grid(&mut rng, 4_096),
+                            1 => q.now() + grid(&mut rng, 1 << 22),
+                            // Possibly in the past: both queues clamp.
+                            _ => grid(&mut rng, q.now() * 2 + 4_096),
+                        };
+                        q.schedule_at(at, next_ev);
+                        r.schedule_at(at, next_ev);
+                        next_ev += 1;
+                    }
+                    3..=6 => {
+                        let f = rng.below(FIFOS as u64) as usize;
+                        let at = q.now().max(last_at[f]) + grid(&mut rng, 2_048);
+                        last_at[f] = at;
+                        let seq = q.reserve();
+                        assert_eq!(seq, r.reserve());
+                        let ev = (f as u32 + 1) * WRITE + next_ev;
+                        next_ev += 1;
+                        r.schedule_reserved(at, seq, ev);
+                        fifos[f].push_back((at, seq, ev));
+                        if fifos[f].len() == 1 {
+                            q.schedule_reserved(at, seq, ev);
+                        }
+                    }
+                    7..=9 => {
+                        pop(&mut q, &mut r, &mut fifos);
+                    }
+                    10 => {
+                        // Lets the clock run past pending writes.
+                        let t = q.now() + grid(&mut rng, 1 << 14);
+                        q.advance_to(t);
+                        r.advance_to(t);
+                    }
+                    _ => {
+                        // Pop, then schedule a tie at the popped time.
+                        if let Some((at, _, _)) = pop(&mut q, &mut r, &mut fifos) {
+                            q.schedule_at(at, next_ev);
+                            r.schedule_at(at, next_ev);
+                            next_ev += 1;
+                        }
+                    }
+                }
+                assert_eq!(q.now(), r.now());
+                assert_eq!(q.peek_time(), r.peek_time());
+                let held: usize = fifos.iter().map(|f| f.len().saturating_sub(1)).sum();
+                assert_eq!(q.pending() + held, r.pending());
+            }
+            while pop(&mut q, &mut r, &mut fifos).is_some() {}
+            assert!(fifos.iter().all(VecDeque::is_empty));
         }
     }
 

@@ -188,6 +188,11 @@ impl<E> TimerWheel<E> {
         self.len == 0
     }
 
+    /// The cursor: no pending event fires before it.
+    pub fn cursor(&self) -> Time {
+        self.cur
+    }
+
     /// Moves the cursor forward to `t` — allowed only while empty, where
     /// the cursor bounds nothing. Keeps a long-idle wheel from filing
     /// fresh events into the overflow heap just because the cursor was
@@ -198,7 +203,7 @@ impl<E> TimerWheel<E> {
     }
 
     /// Inserts an event. `s.at` must not precede the cursor (the event
-    /// queue's past-time clamp guarantees this).
+    /// queue splices any event that would into its run instead).
     pub fn insert(&mut self, s: Scheduled<E>) {
         debug_assert!(
             s.at >= self.cur,

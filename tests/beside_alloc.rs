@@ -9,8 +9,12 @@
 //! both chain drivers at two stream lengths, and the off-thread count must
 //! be the same at both, so nothing beside a run allocates per tuple.
 //!
-//! The binary holds a single test on purpose: a second test would run on
-//! a thread of its own and its allocations would count here.
+//! The binary has no libtest harness (`harness = false` in the root
+//! `Cargo.toml`): the harness keeps threads of its own beside the test,
+//! and whatever they allocate, which varies with the host's load, would
+//! count here. Its `main` runs the one test on the main thread and speaks
+//! just enough of the harness's command line and output for `cargo test`
+//! to list, filter and report it by name.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -93,10 +97,7 @@ fn chain_runs(tuples: usize) -> [u64; 2] {
     ]
 }
 
-#[test]
 fn nothing_beside_a_chain_run_allocates_per_tuple() {
-    ON_TEST_THREAD.with(|on| on.set(true));
-
     // The counter sees a helper thread that does allocate: one
     // allocation and one free more than the thread's own start and exit.
     let idle = off_thread_calls(|| beside(|| (), || ()).0);
@@ -113,4 +114,72 @@ fn nothing_beside_a_chain_run_allocates_per_tuple() {
         short, long,
         "off-thread allocator calls grew with the stream (filter chain, CRC chain)"
     );
+}
+
+/// The test's name, as the harness would report it.
+const NAME: &str = "nothing_beside_a_chain_run_allocates_per_tuple";
+
+/// Options of the harness's command line that take a value.
+const WITH_VALUE: [&str; 6] = [
+    "--test-threads",
+    "--format",
+    "--color",
+    "--logfile",
+    "--skip",
+    "-Z",
+];
+
+fn main() {
+    ON_TEST_THREAD.with(|on| on.set(true));
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (mut filters, mut skips) = (Vec::new(), Vec::new());
+    let mut i = 0;
+    while i < args.len() {
+        let arg = args[i].as_str();
+        if WITH_VALUE.contains(&arg) {
+            if arg == "--skip" {
+                skips.extend(args.get(i + 1));
+            }
+            i += 1;
+        } else if !arg.starts_with('-') {
+            filters.push(arg);
+        }
+        i += 1;
+    }
+    let flag = |name: &str| args.iter().any(|a| a == name);
+    let matches = |f: &str| {
+        if flag("--exact") {
+            f == NAME
+        } else {
+            NAME.contains(f)
+        }
+    };
+    let selected = (filters.is_empty() || filters.iter().any(|f| matches(f)))
+        && !skips.iter().any(|s| matches(s))
+        && !flag("--ignored");
+    if flag("--list") {
+        if selected {
+            println!("{NAME}: test");
+        }
+        return;
+    }
+    let (ran, filtered) = if selected { (1, 0) } else { (0, 1) };
+    println!("\nrunning {ran} test{}", if ran == 1 { "" } else { "s" });
+    let start = std::time::Instant::now();
+    let passed = !selected
+        || std::panic::catch_unwind(nothing_beside_a_chain_run_allocates_per_tuple).is_ok();
+    if selected {
+        let outcome = if passed { "ok" } else { "FAILED" };
+        println!("test {NAME} ... {outcome}");
+    }
+    let (result, failed) = if passed { ("ok", 0) } else { ("FAILED", 1) };
+    println!(
+        "\ntest result: {result}. {} passed; {failed} failed; 0 ignored; 0 measured; \
+         {filtered} filtered out; finished in {:.2}s\n",
+        ran - failed,
+        start.elapsed().as_secs_f64()
+    );
+    if !passed {
+        std::process::exit(101);
+    }
 }
