@@ -143,6 +143,9 @@ pub(crate) struct Nic {
     /// DMA writes issued and not yet landed, oldest first; only the
     /// oldest has its [`NicEvent::DmaWriteDone`] pending.
     posted: PostedWrites,
+    /// `DmaWriteDone` events filed and not yet handled.
+    #[cfg(test)]
+    write_events_pending: usize,
     /// Next time the host may issue a command (AVX2-store pacing, §7.1).
     next_cmd_issue: Time,
     /// Receive kernel tapped into incoming WRITE payload (§3.5).
@@ -215,6 +218,8 @@ impl Nic {
             fabric: KernelFabric::new(cfg.seed ^ (0xA + id as u64)),
             dma: LinkSerializer::new(cfg.pcie.bandwidth),
             posted: PostedWrites::default(),
+            #[cfg(test)]
+            write_events_pending: 0,
             next_cmd_issue: 0,
             receive_tap: None,
             send_tap: None,
@@ -643,6 +648,10 @@ impl Nic {
 
     /// Lands the oldest posted write, then files the event of the next.
     fn on_dma_write_done(&mut self, cx: &mut Ctx<'_>) {
+        #[cfg(test)]
+        {
+            self.write_events_pending -= 1;
+        }
         let Posted { vaddr, len, .. } = *self.posted.head().expect("a posted write is waiting");
         // The NIC writes through the TLB: translate and store physically,
         // straight from the queue's chunks.
@@ -671,7 +680,11 @@ impl Nic {
 
     /// Files the event of the new head of the posted writes at the key
     /// `(at, seq)` reserved when it was issued.
-    fn schedule_write_done(&self, at: Time, seq: u64, cx: &mut Ctx<'_>) {
+    fn schedule_write_done(&mut self, at: Time, seq: u64, cx: &mut Ctx<'_>) {
+        #[cfg(test)]
+        {
+            self.write_events_pending += 1;
+        }
         let ev = Event::Nic {
             node: self.id,
             ev: NicEvent::DmaWriteDone,
@@ -1306,5 +1319,10 @@ impl Nic {
     /// Posted DMA writes not yet landed.
     pub(crate) fn posted_writes(&self) -> usize {
         self.posted.len()
+    }
+
+    /// `DmaWriteDone` events in the event queue for this NIC.
+    pub(crate) fn write_events_pending(&self) -> usize {
+        self.write_events_pending
     }
 }

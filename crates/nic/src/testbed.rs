@@ -921,7 +921,6 @@ mod tests {
     /// both NICs' queues several writes deep.
     #[test]
     fn posted_writes_dispatch_once_each_with_one_event_pending_per_nic() {
-        use crate::event::NicEvent;
         use strom_telemetry::TraceEvent;
 
         let mut tb = Testbed::new(NicConfig::hundred_gig());
@@ -953,11 +952,7 @@ mod tests {
         let mut deepest = [0; 2];
         while tb.step() {
             for (node, deepest) in deepest.iter_mut().enumerate() {
-                let pending = (tb.sched.queue.pending_events())
-                    .filter(|e| {
-                        matches!(e, Event::Nic { node: n, ev: NicEvent::DmaWriteDone } if *n == node)
-                    })
-                    .count();
+                let pending = tb.nics[node].write_events_pending();
                 let waiting = tb.nics[node].posted_writes();
                 assert_eq!(
                     pending,

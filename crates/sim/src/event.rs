@@ -101,6 +101,10 @@ pub struct EventQueue<E> {
     free: Vec<u32>,
     now: Time,
     seq: u64,
+    /// The key of the last event popped, which every later insert must
+    /// follow ([`Self::schedule_reserved`]).
+    #[cfg(debug_assertions)]
+    popped: Option<(Time, u64)>,
     trace: TraceSink,
     dispatched: Option<Counter>,
 }
@@ -122,6 +126,8 @@ impl<E> EventQueue<E> {
             free: Vec::new(),
             now: 0,
             seq: 0,
+            #[cfg(debug_assertions)]
+            popped: None,
             trace: TraceSink::default(),
             dispatched: None,
         }
@@ -222,7 +228,17 @@ impl<E> EventQueue<E> {
     /// popped so far, as a write scheduled by its popped predecessor
     /// does (same or later time, larger seq); the event then pops in
     /// exact `(at, seq)` order, and the clock does not move backwards.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if the key does not follow the last popped key.
     pub fn schedule_reserved(&mut self, at: Time, seq: u64, event: E) {
+        #[cfg(debug_assertions)]
+        assert!(
+            self.popped.is_none_or(|key| key < (at, seq)),
+            "key ({at}, {seq}) does not follow the last popped {:?}",
+            self.popped
+        );
         let event = self.park(event);
         let s = Scheduled { at, seq, event };
         let unserved = &self.run[self.run_pos..];
@@ -266,6 +282,10 @@ impl<E> EventQueue<E> {
         self.refill();
         let s = self.run.get(self.run_pos)?.clone();
         self.run_pos += 1;
+        #[cfg(debug_assertions)]
+        {
+            self.popped = Some((s.at, s.seq));
+        }
         self.now = self.now.max(s.at);
         self.trace.set_now(self.now);
         if let Some(c) = &self.dispatched {
@@ -280,11 +300,6 @@ impl<E> EventQueue<E> {
     pub fn advance_to(&mut self, t: Time) {
         self.now = self.now.max(t);
         self.trace.set_now(self.now);
-    }
-
-    /// The pending events, in no particular order.
-    pub fn pending_events(&self) -> impl Iterator<Item = &E> {
-        self.pool.iter().flatten()
     }
 
     /// The firing time of the earliest pending event, if any.
@@ -628,6 +643,19 @@ mod tests {
         assert_eq!(q.now(), 1_000_000);
         assert_eq!(q.pop().map(|s| (s.at, s.event)), Some((1_000_000, 'b')));
         assert!(q.pop().is_none());
+    }
+
+    /// A key that does not follow the last popped one would pop out of
+    /// order; debug builds refuse it.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not follow the last popped")]
+    fn a_reserved_key_before_the_last_pop_is_refused() {
+        let mut q = EventQueue::new();
+        let early = q.reserve();
+        q.schedule_at(10, 'a');
+        assert_eq!(q.pop().map(|s| s.event), Some('a'));
+        q.schedule_reserved(10, early, 'w');
     }
 
     /// Reserved-seq inserts the way a NIC files its posted DMA writes:

@@ -133,18 +133,21 @@ fn main() {
     ON_TEST_THREAD.with(|on| on.set(true));
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (mut filters, mut skips) = (Vec::new(), Vec::new());
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        if WITH_VALUE.contains(&arg) {
-            if arg == "--skip" {
-                skips.extend(args.get(i + 1));
+    let mut args_left = args.iter().map(String::as_str);
+    while let Some(arg) = args_left.next() {
+        // An option's value follows it, or is joined to it by '='.
+        let (option, joined) = match arg.split_once('=') {
+            Some((option, value)) if arg.starts_with('-') => (option, Some(value)),
+            _ => (arg, None),
+        };
+        if WITH_VALUE.contains(&option) {
+            let value = joined.or_else(|| args_left.next());
+            if option == "--skip" {
+                skips.extend(value);
             }
-            i += 1;
         } else if !arg.starts_with('-') {
             filters.push(arg);
         }
-        i += 1;
     }
     let flag = |name: &str| args.iter().any(|a| a == name);
     let matches = |f: &str| {
