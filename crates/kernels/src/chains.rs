@@ -87,7 +87,6 @@ mod tests {
     use super::*;
     use crate::aggregate::Aggregate;
     use crate::crc_verify::push_trailer;
-    use crate::framework::testing::{check_malformed_invoke, sevens, DONE};
     use crate::framework::{decode_error, Kernel, KernelAction, KernelEvent, ERR_INCONSISTENT};
     use crate::hll_kernel::HllKernel as Hll;
     use crate::shuffle::encode_histogram;
@@ -332,15 +331,5 @@ mod tests {
         let (est, items) = Hll::decode_snapshot(&sends_at(&actions, 0xC000)[0]).unwrap();
         assert_eq!((est, items), (0.0, 0));
         assert_eq!(*actions.last().unwrap(), KernelAction::Done);
-    }
-
-    #[test]
-    fn malformed_invokes_complete_and_configure_nothing() {
-        for mut chain in [filter_agg_hll(), crcverify_shuffle()] {
-            let stages = vec![Bytes::from_static(&[0]); chain.len()];
-            for params in [Bytes::from_static(&[0]), ChainParams { stages }.encode()] {
-                check_malformed_invoke(&mut chain, params, DONE, sevens(), &[]);
-            }
-        }
     }
 }

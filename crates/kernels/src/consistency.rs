@@ -162,7 +162,7 @@ impl Kernel for ConsistencyKernel {
 mod tests {
     use super::*;
     use crate::framework::error_word;
-    use crate::framework::testing::{bad_params, check_malformed_invoke, drive, invoke, mem, send};
+    use crate::framework::testing::{drive, invoke, mem, send};
     use crate::layouts::build_object_store;
     use KernelAction::Done;
 
@@ -273,47 +273,5 @@ mod tests {
         assert!(!verify_object(&[0u8; 7]));
         // Header-only object: CRC of empty payload is 0.
         assert!(verify_object(&[0u8; 8]));
-    }
-
-    #[test]
-    fn malformed_params_error_out() {
-        let p = ConsistencyParams {
-            object_addr: 0x1000,
-            object_len: 72,
-            target_address: 0x4000,
-        };
-        let read = KernelAction::DmaRead {
-            tag: 1,
-            vaddr: 0x1000,
-            len: 72,
-        };
-        let (k, short) = (&mut ConsistencyKernel::new(), Bytes::from_static(&[0; 19]));
-        check_malformed_invoke(
-            k,
-            short,
-            &bad_params(),
-            invoke(p.encode()),
-            std::slice::from_ref(&read),
-        );
-        // An object shorter than its CRC header can never verify, and one
-        // past the cap is never read.
-        for object_len in [0, MIN_OBJECT_LEN - 1, MAX_OBJECT_LEN + 1, u32::MAX] {
-            let bad = ConsistencyParams { object_len, ..p }.encode();
-            let k = &mut ConsistencyKernel::new();
-            check_malformed_invoke(
-                k,
-                bad,
-                &bad_params(),
-                invoke(p.encode()),
-                std::slice::from_ref(&read),
-            );
-        }
-        // The bounds themselves are read.
-        for object_len in [MIN_OBJECT_LEN, MAX_OBJECT_LEN] {
-            let ok = ConsistencyParams { object_len, ..p }.encode();
-            let (tag, vaddr, len) = (1, 0x1000, object_len);
-            let first = ConsistencyKernel::new().on_event(invoke(ok));
-            assert_eq!(first, [KernelAction::DmaRead { tag, vaddr, len }]);
-        }
     }
 }

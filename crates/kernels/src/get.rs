@@ -149,7 +149,7 @@ impl Kernel for GetKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::testing::{bad_params, check_malformed_invoke, drive, invoke, mem, send};
+    use crate::framework::testing::{drive, invoke, mem, send};
     use crate::framework::{error_word, ERR_NOT_FOUND};
     use crate::layouts::{
         build_hash_table, build_kv_store, value_pattern, versioned_value_pattern,
@@ -204,18 +204,6 @@ mod tests {
         let (actions, reads) = run(&mut k, &mut m, get(ht.entry_addr(999), 999, 0, false));
         assert_eq!(reads, 1);
         assert_eq!(actions, [send(1, 0, &error_word(ERR_NOT_FOUND)), Done]);
-    }
-
-    #[test]
-    fn malformed_params_error_out() {
-        let p = get(0x1000, 7, 0x6000, false).encode();
-        let read = KernelAction::DmaRead {
-            tag: 1,
-            vaddr: 0x1000,
-            len: 64,
-        };
-        let (k, short) = (&mut GetKernel::new(), Bytes::from_static(b"xx"));
-        check_malformed_invoke(k, short, &bad_params(), invoke(p), &[read]);
     }
 
     /// A chained lookup of `key` from `entry_addr`, answered at 0x8000.

@@ -105,6 +105,11 @@ impl HyperLogLog {
         &self.registers
     }
 
+    /// Empties the sketch.
+    pub fn clear(&mut self) {
+        self.registers.fill(0);
+    }
+
     /// Merges another sketch of the same `p` into this one.
     ///
     /// # Panics

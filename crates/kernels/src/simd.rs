@@ -1,21 +1,20 @@
 //! A portable SIMD layer for the kernel hot loops.
 //!
 //! The FPGA kernels of the paper process one 64 B word per clock (II = 1,
-//! §3.4). Three software counterparts of those inner loops run under
-//! explicit runtime dispatch: [`bytes_equal`] (the KV GET value check),
-//! [`mask_cmp`] (the filter predicate scan and the top-k threshold sweep)
-//! and [`crate::scan::substring_count`] (the scan kernel's first-byte
-//! search). The pieces:
+//! §3.4). Two software counterparts of those inner loops run under
+//! explicit runtime dispatch: [`bytes_equal`] (the KV driver's value
+//! audit) and [`mask_cmp`] (the filter predicate scan). The pieces:
 //!
 //! - [`U8x32`]: a safe fixed-width lane type whose operations are plain
 //!   per-lane array loops. Compiled with the AVX2 target feature they
 //!   lower to 256-bit vector instructions; without it they remain correct
 //!   scalar code.
-//! - [`simd_dispatch!`](crate::simd_dispatch): wraps a function body twice — once baseline, once
-//!   `#[target_feature(enable = "avx2")]` — and selects at runtime via
-//!   [`backend`]. This is the standard safe-dispatch pattern: the unsafe
-//!   AVX2 entry point is only reached after `is_x86_feature_detected!`
-//!   confirmed the ISA, and the body itself is ordinary safe Rust.
+//! - `simd_dispatch!`, a module-local macro: wraps a function body twice —
+//!   once baseline, once `#[target_feature(enable = "avx2")]` — and
+//!   selects at runtime via [`backend`]. This is the standard
+//!   safe-dispatch pattern: the unsafe AVX2 entry point is only reached
+//!   after `is_x86_feature_detected!` confirmed the ISA, and the body
+//!   itself is ordinary safe Rust.
 //!
 //! **Differential-reference policy** (same as [`crate::crc64::crc64_reference`]):
 //! every vectorized routine keeps its naive scalar implementation as a
@@ -56,7 +55,6 @@ pub fn backend() -> Backend {
 /// once under `#[target_feature(enable = "avx2")]`; [`backend`] picks the
 /// entry point per call. Results are identical by construction — both
 /// entry points share the one body.
-#[macro_export]
 macro_rules! simd_dispatch {
     (
         $(#[$meta:meta])*
@@ -74,7 +72,7 @@ macro_rules! simd_dispatch {
                 unsafe fn avx2($($arg: $ty),*) $(-> $ret)? {
                     body($($arg),*)
                 }
-                if $crate::simd::backend() == $crate::simd::Backend::Avx2 {
+                if backend() == Backend::Avx2 {
                     // SAFETY: `backend()` returned Avx2 only after
                     // `is_x86_feature_detected!("avx2")` succeeded.
                     return unsafe { avx2($($arg),*) };

@@ -11,8 +11,8 @@
 //!
 //! Neither changes what a kernel emits when packets split differently:
 //! blocks only group tuples, and every kernel either folds them in an
-//! order-free way (aggregate, HLL, the top-k set) or stages them in stream
-//! order (filter, bloom, shuffle).
+//! order-free way (aggregate, HLL) or stages them in stream order
+//! (filter, shuffle).
 
 use bytes::Bytes;
 
@@ -86,11 +86,13 @@ impl Default for ResultRegion {
 }
 
 impl ResultRegion {
-    /// An empty region of `capacity` bytes at `base`.
+    /// An empty region of `capacity` bytes at `base`, cut short where it
+    /// would run past the top of the address space.
     pub(crate) fn new(base: u64, capacity: u32) -> Self {
+        let room = u32::try_from(u64::MAX - base).unwrap_or(u32::MAX);
         Self {
             cursor: base,
-            remaining: capacity,
+            remaining: capacity.min(room),
             stage: [0; STAGE_BYTES],
             staged: 0,
         }

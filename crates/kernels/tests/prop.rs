@@ -17,9 +17,8 @@ use strom_kernels::put::encode_put_request;
 use strom_kernels::shuffle::{encode_histogram, reference_partition, ShuffleKernel, ShuffleParams};
 use strom_kernels::traversal::{Predicate, TraversalKernel, TraversalParams};
 use strom_kernels::{
-    AggregateKernel, AggregateParams, BloomFilter, BloomKernel, BloomParams, ConsistencyKernel,
-    ConsistencyParams, FilterKernel, FilterParams, GetKernel, GetParams, HllKernel, PutConfig,
-    PutKernel, TopKKernel, TopKParams,
+    AggregateKernel, AggregateParams, ConsistencyKernel, ConsistencyParams, FilterKernel,
+    FilterParams, GetKernel, GetParams, HllKernel, PutConfig, PutKernel,
 };
 use strom_mem::{HostMemory, HUGE_PAGE_SIZE};
 
@@ -195,16 +194,10 @@ fn configure(mut kernel: Box<dyn Kernel>, params: Bytes, dma: &[u8]) -> Box<dyn 
 /// from `rng` against the stream `values`; small result regions make the
 /// overflow paths run too.
 fn tuple_kernels(rng: &mut SimRng, values: &[u64]) -> Vec<Box<dyn Kernel>> {
-    let mut pick = || {
-        values
-            .get(rng.below(values.len() as u64 + 1) as usize)
-            .copied()
-    };
-    let operand = pick().unwrap_or(0);
-    let mut members = BloomFilter::new(10, 3);
-    for v in std::iter::repeat_with(pick).take(8).flatten() {
-        members.insert(v);
-    }
+    let operand = values
+        .get(rng.below(values.len() as u64 + 1) as usize)
+        .copied()
+        .unwrap_or(0);
     let capacity = rng.below(2048) as u32;
     let partitions = 1u32 << rng.below(6);
     let histogram: Vec<(u64, u32)> = (0..u64::from(partitions))
@@ -217,29 +210,12 @@ fn tuple_kernels(rng: &mut SimRng, values: &[u64]) -> Vec<Box<dyn Kernel>> {
         operand,
         target_address: 0x9000,
     };
-    let bloom = BloomParams {
-        bitmap_addr: 0x100,
-        dest_addr: 0x1000,
-        dest_capacity: capacity,
-        log2_bits: 10,
-        probes: 3,
-        target_address: 0x9000,
-    };
-    let topk = TopKParams {
-        k: rng.range(1, 40) as u32,
-        target_address: 0x9000,
-    };
     let shuffle = ShuffleParams {
         histogram_addr: 0x5000,
         num_partitions: partitions,
     };
     vec![
         configure(Box::new(FilterKernel::new()), filter.encode(), &[]),
-        configure(
-            Box::new(BloomKernel::new()),
-            bloom.encode(),
-            &members.to_bitmap(),
-        ),
         configure(
             Box::new(AggregateKernel::new()),
             AggregateParams {
@@ -253,7 +229,6 @@ fn tuple_kernels(rng: &mut SimRng, values: &[u64]) -> Vec<Box<dyn Kernel>> {
             HllKernel::stream_params(0x9000),
             &[],
         ),
-        configure(Box::new(TopKKernel::new()), topk.encode(), &[]),
         configure(
             Box::new(ShuffleKernel::new()),
             shuffle.encode(),

@@ -236,12 +236,8 @@ impl RpcOpCode {
     /// RPC op-code of the KV PUT/INSERT kernel (versioned chained
     /// hash-table updates over RDMA RPC WRITE).
     pub const PUT: RpcOpCode = RpcOpCode(0x08);
-    /// RPC op-code of the top-k selection kernel (stream reduction).
-    pub const TOPK: RpcOpCode = RpcOpCode(0x09);
-    /// RPC op-code of the Bloom-filter semi-join kernel.
-    pub const BLOOM: RpcOpCode = RpcOpCode(0x0A);
-    /// RPC op-code of the substring scan kernel.
-    pub const SCAN: RpcOpCode = RpcOpCode(0x0B);
+    // 0x09–0x0B belonged to stream kernels no deployment used; they stay
+    // unassigned so an op-code never changes meaning.
     /// RPC op-code of the cut-through CRC64 verify stage.
     pub const CRC_VERIFY: RpcOpCode = RpcOpCode(0x0C);
     /// RPC op-code of the filter→aggregate→HLL kernel chain.

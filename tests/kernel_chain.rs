@@ -3,7 +3,6 @@
 //! mid-chain, per-stage DMA tag namespacing on the real fabric, and
 //! same-seed determinism under the chaos fault schedules.
 
-use strom::kernels::bloom::{BloomFilter, BloomKernel, BloomParams};
 use strom::kernels::chains::{crcverify_shuffle, crcverify_shuffle_params};
 use strom::kernels::crc_verify::{push_trailer, CrcVerifyKernel, CrcVerifyParams};
 use strom::kernels::framework::{KernelChain, StageRoute, ERR_INCONSISTENT};
@@ -127,55 +126,48 @@ fn sentinel_propagates_mid_chain_and_starves_downstream() {
 
 #[test]
 fn dma_tag_collision_between_stages_is_namespaced() {
-    // bloom → shuffle: BOTH stages issue a configure-time DMA read with
-    // inner tag 1 (bitmap and histogram). The chain's per-stage tag
-    // namespace must route each completion to its own stage on the real
-    // fabric — a collision would hand the histogram to the Bloom stage.
+    // shuffle → shuffle: BOTH stages DMA-read their histogram at configure
+    // time with inner tag 1. The chain's per-stage tag namespace must
+    // route each completion to its own stage on the real fabric: handed
+    // the other stage's histogram, stage 0 would refuse the short one and
+    // stage 1 would scatter into stage 0's partitions.
     let mut tb = Testbed::new(NicConfig::ten_gig());
     tb.connect_qp(QP);
     let client = tb.pin(CLIENT, 1 << 20);
     let server = tb.pin(SERVER, 2 << 20);
 
-    let members: Vec<u64> = (0..512u64).filter(|v| v % 3 == 0).collect();
-    let mut bf = BloomFilter::new(16, 4);
-    for &m in &members {
-        bf.insert(m);
-    }
-    let bitmap_addr = server;
-    let hist_addr = server + (1 << 16);
-    let part_base = server + (1 << 17);
-    tb.mem(SERVER).write(bitmap_addr, &bf.to_bitmap());
+    // Stage 0 splits the stream over two partitions, whose bursts the
+    // chain captures; stage 1 gathers them into one.
+    let (hist0, hist1) = (server, server + 4096);
+    let staged = [server + (1 << 18), server + (1 << 18) + (1 << 16)];
+    let gathered = server + (1 << 19);
+    tb.mem(SERVER).write(
+        hist0,
+        &encode_histogram(&[(staged[0], 1 << 16), (staged[1], 1 << 16)]),
+    );
     tb.mem(SERVER)
-        .write(hist_addr, &encode_histogram(&[(part_base, 1 << 16)]));
+        .write(hist1, &encode_histogram(&[(gathered, 1 << 16)]));
 
     let chain = KernelChain::new(
         RpcOpCode(0x7F),
         vec![
             (
-                Box::new(BloomKernel::new()) as Box<dyn strom::kernels::Kernel>,
+                Box::new(ShuffleKernel::new()) as Box<dyn strom::kernels::Kernel>,
                 StageRoute::CaptureDmaWrites,
             ),
             (Box::new(ShuffleKernel::new()), StageRoute::Handoff),
         ],
     );
     tb.deploy_kernel(SERVER, Box::new(chain));
+    let shuffle = |histogram_addr, num_partitions| {
+        ShuffleParams {
+            histogram_addr,
+            num_partitions,
+        }
+        .encode()
+    };
     let params = strom::kernels::ChainParams {
-        stages: vec![
-            BloomParams {
-                bitmap_addr,
-                dest_addr: server + (1 << 18), // sizing only; bursts are captured
-                dest_capacity: 1 << 18,
-                log2_bits: 16,
-                probes: 4,
-                target_address: client,
-            }
-            .encode(),
-            ShuffleParams {
-                histogram_addr: hist_addr,
-                num_partitions: 1,
-            }
-            .encode(),
-        ],
+        stages: vec![shuffle(hist0, 2), shuffle(hist1, 1)],
     }
     .encode();
     let h = tb.post(
@@ -204,17 +196,20 @@ fn dma_tag_collision_between_stages_is_namespaced() {
     tb.run_until_complete(CLIENT, h);
     tb.run_until_idle();
 
-    // Members (plus possible false positives) flowed bloom → shuffle and
-    // landed in the single partition, in stream order.
-    let kept: Vec<u64> = values.iter().copied().filter(|&v| bf.contains(v)).collect();
-    let expect: Vec<u8> = kept.iter().flat_map(|v| v.to_le_bytes()).collect();
-    assert_eq!(tb.mem(SERVER).read(part_base, expect.len()), expect);
-    for &m in &members {
-        assert!(kept.contains(&m), "no false negatives through the chain");
+    // Every value flowed through both stages into the one gathered
+    // partition (in stage 0's burst order, so compare them sorted).
+    let landed = tb.mem(SERVER).read(gathered, data.len());
+    let mut got: Vec<u64> = landed
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("sized")))
+        .collect();
+    got.sort_unstable();
+    assert_eq!(got, values);
+    // Stage 0's own partitions stayed empty (bursts captured).
+    for base in staged {
+        let leaked = tb.mem(SERVER).read(base, 4096);
+        assert!(leaked.iter().all(|&b| b == 0));
     }
-    // The Bloom stage's own result region stayed empty (bursts captured).
-    let leaked = tb.mem(SERVER).read(server + (1 << 18), 4096);
-    assert!(leaked.iter().all(|&b| b == 0));
 }
 
 #[test]
